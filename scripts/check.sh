@@ -13,6 +13,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "== perfbench smoke =="
+# Every benchmark workload at tiny sizes, untraced and traced. olap and
+# olap_par each check their checksums against the suite run at the other
+# parallelism, so serial and parallel aggregation must agree on every check.
+python3 perfbench/smoke_test.py
+
 echo "== asan+ubsan build =="
 cmake -B build-asan -S . -DASAN=ON >/dev/null
 cmake --build build-asan -j "$JOBS"

@@ -1,159 +1,131 @@
 #include "exec/aggregate.h"
 
-#include "expr/vector_eval.h"
+#include <algorithm>
+
 #include "types/key_codec.h"
 
 namespace relopt {
 
-namespace {
-
-/// Checked int64 accumulation for SUM/AVG: SUM errors instead of wrapping,
-/// AVG widens to double (lossy above 2^53, like every double AVG).
-Status AccumulateIntSum(int64_t addend, AggFunc func, AggAccumulator* acc) {
-  int64_t sum;
-  if (!__builtin_add_overflow(acc->sum_i, addend, &sum)) {
-    acc->sum_i = sum;
-    return Status::OK();
+GroupIngest::GroupIngest(const std::vector<const Expression*>* group_exprs,
+                         const std::vector<AggSpecExec>* aggs)
+    : group_exprs_(group_exprs), aggs_(aggs), key_computer_(group_exprs) {
+  args_.reserve(aggs->size());
+  for (const AggSpecExec& a : *aggs) {
+    args_.push_back(a.arg != nullptr ? CompileExpr(a.arg) : nullptr);
   }
-  if (func == AggFunc::kAvg) {
-    acc->sum_d = static_cast<double>(acc->sum_i) + static_cast<double>(addend);
-    acc->sum_is_int = false;
-    return Status::OK();
-  }
-  return Status::OutOfRange("integer overflow in SUM aggregate");
 }
 
-}  // namespace
+void GroupIngest::ResolveGroups(size_t n, std::span<GroupTable> tables) {
+  row_table_.resize(n);
+  row_state_.resize(n);
+  if (group_exprs_->empty()) {
+    // A global aggregate: every row belongs to the one empty-key group.
+    const uint64_t hash = GroupTable::Hash(std::string_view());
+    GroupTable* table = &tables[GroupTable::PartitionOf(hash, tables.size())];
+    uint32_t id = table->FindOrInsert(std::string_view(), hash, [](size_t) { return Value(); });
+    std::fill(row_table_.begin(), row_table_.end(), table);
+    std::fill(row_state_.begin(), row_state_.end(), table->states(id));
+    return;
+  }
+  // Ids first: an insert may move a table's state array, so the state
+  // pointers are taken once the whole batch is resolved.
+  row_ids_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t hash = GroupTable::Hash(keys_[k]);
+    GroupTable* table = &tables[GroupTable::PartitionOf(hash, tables.size())];
+    row_table_[k] = table;
+    row_ids_[k] = table->FindOrInsert(keys_[k], hash,
+                                      [&](size_t i) { return key_computer_.KeyValue(i, k); });
+  }
+  for (size_t k = 0; k < n; ++k) row_state_[k] = row_table_[k]->states(row_ids_[k]);
+}
 
-Status AccumulateTuple(const std::vector<AggSpecExec>& aggs, const Tuple& tuple, AggGroup* group) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    AggAccumulator& acc = group->accs[i];
-    const AggSpecExec& spec = aggs[i];
-    if (spec.func == AggFunc::kCountStar) {
-      acc.count++;
-      acc.has_value = true;
+Status GroupIngest::AccumulateColumn(size_t a, const ColumnVec& vec) {
+  const AggFunc func = (*aggs_)[a].func;
+  const size_t n = row_state_.size();
+  if (!vec.boxed && vec.type == TypeId::kInt64) {
+    for (size_t k = 0; k < n; ++k) {
+      if (vec.NullAt(k)) continue;
+      RELOPT_RETURN_NOT_OK(row_table_[k]->AccumulateInt(func, vec.I64At(k), &row_state_[k][a]));
+    }
+  } else if (!vec.boxed && vec.type == TypeId::kDouble) {
+    for (size_t k = 0; k < n; ++k) {
+      if (vec.NullAt(k)) continue;
+      RELOPT_RETURN_NOT_OK(
+          row_table_[k]->AccumulateDouble(func, vec.F64At(k), &row_state_[k][a]));
+    }
+  } else {
+    Value storage;
+    for (size_t k = 0; k < n; ++k) {
+      if (vec.NullAt(k)) continue;
+      const Value& v = vec.boxed ? vec.BoxedAt(k) : (storage = vec.GetValue(k));
+      RELOPT_RETURN_NOT_OK(row_table_[k]->Accumulate(func, v, &row_state_[k][a]));
+    }
+  }
+  return Status::OK();
+}
+
+Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables,
+                                uint64_t* fallback_rows) {
+  const size_t n = batch.NumSelected();
+  if (n == 0) return Status::OK();
+  if (!group_exprs_->empty()) {
+    RELOPT_RETURN_NOT_OK(key_computer_.Compute(batch, &keys_, fallback_rows));
+  }
+  ResolveGroups(n, tables);
+  for (size_t a = 0; a < aggs_->size(); ++a) {
+    if (args_[a] == nullptr) {  // COUNT(*)
+      for (AggState* s : row_state_) ++s[a].count;
       continue;
     }
-    RELOPT_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(tuple));
+    RELOPT_RETURN_NOT_OK(args_[a]->Eval(batch, batch.selection(), fallback_rows, &arg_vec_));
+    RELOPT_RETURN_NOT_OK(AccumulateColumn(a, arg_vec_));
+  }
+  return Status::OK();
+}
+
+Status GroupIngest::IngestRow(const Tuple& row, std::span<GroupTable> tables) {
+  row_key_.clear();
+  row_key_values_.clear();
+  for (const Expression* g : *group_exprs_) {
+    RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(row));
+    EncodeKeyValue(v, &row_key_);
+    row_key_values_.push_back(std::move(v));
+  }
+  const uint64_t hash = GroupTable::Hash(row_key_);
+  GroupTable& table = tables[GroupTable::PartitionOf(hash, tables.size())];
+  uint32_t id = table.FindOrInsert(row_key_, hash,
+                                   [&](size_t i) -> const Value& { return row_key_values_[i]; });
+  AggState* states = table.states(id);
+  for (size_t a = 0; a < aggs_->size(); ++a) {
+    const AggSpecExec& spec = (*aggs_)[a];
+    if (spec.arg == nullptr) {  // COUNT(*)
+      ++states[a].count;
+      continue;
+    }
+    RELOPT_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
     if (v.is_null()) continue;  // aggregates ignore NULLs
-    acc.count++;
-    switch (spec.func) {
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        if (v.type() == TypeId::kInt64 && acc.sum_is_int) {
-          RELOPT_RETURN_NOT_OK(AccumulateIntSum(v.AsInt(), spec.func, &acc));
-        } else {
-          if (acc.sum_is_int) {
-            acc.sum_d = static_cast<double>(acc.sum_i);
-            acc.sum_is_int = false;
-          }
-          acc.sum_d += v.NumericAsDouble();
-        }
-        break;
-      case AggFunc::kMin: {
-        if (!acc.has_value) {
-          acc.min = v;
-        } else {
-          RELOPT_ASSIGN_OR_RETURN(int c, v.Compare(acc.min));
-          if (c < 0) acc.min = v;
-        }
-        break;
-      }
-      case AggFunc::kMax: {
-        if (!acc.has_value) {
-          acc.max = v;
-        } else {
-          RELOPT_ASSIGN_OR_RETURN(int c, v.Compare(acc.max));
-          if (c > 0) acc.max = v;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    acc.has_value = true;
+    RELOPT_RETURN_NOT_OK(table.Accumulate(spec.func, v, &states[a]));
   }
   return Status::OK();
 }
 
-Status MergeAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& from, AggGroup* into) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    const AggAccumulator& src = from.accs[i];
-    AggAccumulator& dst = into->accs[i];
-    const AggSpecExec& spec = aggs[i];
-    dst.count += src.count;
-    switch (spec.func) {
-      case AggFunc::kCountStar:
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        if (src.sum_is_int && dst.sum_is_int) {
-          RELOPT_RETURN_NOT_OK(AccumulateIntSum(src.sum_i, spec.func, &dst));
-        } else {
-          if (dst.sum_is_int) {
-            dst.sum_d = static_cast<double>(dst.sum_i);
-            dst.sum_is_int = false;
-          }
-          dst.sum_d += src.sum_is_int ? static_cast<double>(src.sum_i) : src.sum_d;
-        }
-        break;
-      case AggFunc::kMin:
-        if (src.has_value) {
-          if (!dst.has_value) {
-            dst.min = src.min;
-          } else {
-            RELOPT_ASSIGN_OR_RETURN(int c, src.min.Compare(dst.min));
-            if (c < 0) dst.min = src.min;
-          }
-        }
-        break;
-      case AggFunc::kMax:
-        if (src.has_value) {
-          if (!dst.has_value) {
-            dst.max = src.max;
-          } else {
-            RELOPT_ASSIGN_OR_RETURN(int c, src.max.Compare(dst.max));
-            if (c > 0) dst.max = src.max;
-          }
-        }
-        break;
+Status GroupIngest::Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
+                          uint64_t* fallback_rows) {
+  if (batch_size > 0) {
+    TupleBatch batch(batch_size);
+    while (true) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+      RELOPT_RETURN_NOT_OK(IngestBatch(batch, tables, fallback_rows));
+      if (!has) return Status::OK();
     }
-    dst.has_value = dst.has_value || src.has_value;
   }
-  return Status::OK();
-}
-
-Result<Value> FinalizeAggregate(const AggSpecExec& spec, const AggAccumulator& acc) {
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Int(acc.count);
-    case AggFunc::kSum:
-      if (acc.count == 0) return Value::Null();
-      return acc.sum_is_int ? Value::Int(acc.sum_i) : Value::Double(acc.sum_d);
-    case AggFunc::kAvg: {
-      if (acc.count == 0) return Value::Null(TypeId::kDouble);
-      double total = acc.sum_is_int ? static_cast<double>(acc.sum_i) : acc.sum_d;
-      return Value::Double(total / static_cast<double>(acc.count));
-    }
-    case AggFunc::kMin:
-      return acc.count == 0 ? Value::Null() : acc.min;
-    case AggFunc::kMax:
-      return acc.count == 0 ? Value::Null() : acc.max;
+  Tuple t;
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, child->Next(&t));
+    if (!has) return Status::OK();
+    RELOPT_RETURN_NOT_OK(IngestRow(t, tables));
   }
-  return Status::Internal("bad aggregate function");
-}
-
-Status EmitAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& group, Tuple* out) {
-  for (const Value& k : group.keys) out->Append(k);
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, FinalizeAggregate(aggs[i], group.accs[i]));
-    out->Append(std::move(v));
-  }
-  return Status::OK();
 }
 
 AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
@@ -163,86 +135,39 @@ AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, Execut
       child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
-      key_computer_(&group_exprs_) {}
-
-Status AggregateExecutor::IngestRow(const std::string& enc, const Tuple& tuple) {
-  return AccumulateKeyedRow(group_exprs_, aggs_, enc, tuple, &groups_);
-}
-
-Status AggregateExecutor::IngestRowStream() {
-  Tuple t;
-  std::string enc;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-    if (!has) break;
-    enc.clear();
-    for (const Expression* g : group_exprs_) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(t));
-      EncodeKeyValue(v, &enc);
-    }
-    RELOPT_RETURN_NOT_OK(IngestRow(enc, t));
-  }
-  return Status::OK();
-}
-
-Status AggregateExecutor::IngestBatchStream() {
-  TupleBatch batch(ctx_->batch_size());
-  std::vector<std::string> keys;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-    RELOPT_RETURN_NOT_OK(key_computer_.Compute(batch, &keys, &stats_.fallback_rows));
-    for (size_t k = 0; k < batch.NumSelected(); ++k) {
-      // Map misses pull key values out of the computer's column vectors
-      // instead of re-evaluating the group expressions.
-      RELOPT_RETURN_NOT_OK(AccumulateKeyedRowWith(
-          [&](size_t i) { return key_computer_.KeyValue(i, k); }, group_exprs_.size(), aggs_,
-          keys[k], batch.SelectedRow(k), &groups_));
-    }
-    if (!has) break;
-  }
-  return Status::OK();
-}
+      ingest_(&group_exprs_, &aggs_) {}
 
 Status AggregateExecutor::InitImpl() {
-  groups_.clear();
+  groups_ = GroupTable(group_exprs_.size(), aggs_);
   done_build_ = false;
   ResetCounters();
   RELOPT_RETURN_NOT_OK(child_->Init());
-
-  if (ctx_->batch_size() > 0) {
-    RELOPT_RETURN_NOT_OK(IngestBatchStream());
-  } else {
-    RELOPT_RETURN_NOT_OK(IngestRowStream());
-  }
+  RELOPT_RETURN_NOT_OK(ingest_.Drain(child_.get(), ctx_->batch_size(),
+                                     std::span<GroupTable>(&groups_, 1), &stats_.fallback_rows));
 
   // Scalar aggregate over an empty input still yields one (default) row.
-  if (groups_.empty() && group_exprs_.empty()) {
-    AggGroup group;
-    group.accs.resize(aggs_.size());
-    groups_.emplace(std::string(), std::move(group));
-  }
-  out_iter_ = groups_.begin();
+  if (groups_.empty() && group_exprs_.empty()) groups_.AddDefaultGroup();
+  emit_order_ = groups_.IdsInKeyOrder();
+  next_ = 0;
   done_build_ = true;
   return Status::OK();
 }
 
 Result<bool> AggregateExecutor::NextImpl(Tuple* out) {
-  if (!done_build_ || out_iter_ == groups_.end()) return false;
+  if (!done_build_ || next_ == emit_order_.size()) return false;
   out->Clear();
-  RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out));
-  ++out_iter_;
+  RELOPT_RETURN_NOT_OK(groups_.Emit(emit_order_[next_++], out));
   CountRow();
   return true;
 }
 
 Result<bool> AggregateExecutor::NextBatchImpl(TupleBatch* out) {
   if (!done_build_) return false;
-  while (!out->Full() && out_iter_ != groups_.end()) {
-    RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out->AppendRow()));
-    ++out_iter_;
+  while (!out->Full() && next_ < emit_order_.size()) {
+    RELOPT_RETURN_NOT_OK(groups_.Emit(emit_order_[next_++], out->AppendRow()));
   }
   CountRows(out->NumSelected());
-  return out_iter_ != groups_.end();
+  return next_ < emit_order_.size();
 }
 
 }  // namespace relopt

@@ -1,115 +1,73 @@
-// Hash aggregation: the serial executor plus the accumulate/merge/finalize
-// core shared with the parallel partitioned aggregation workers.
+// Hash aggregation: the serial executor plus the ingest loop shared with the
+// parallel partitioned aggregation workers (exec/parallel_aggregate.h). Both
+// keep their groups in GroupTables (exec/group_table.h).
 #pragma once
 
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/group_table.h"
 #include "expr/vector_eval.h"
 
 namespace relopt {
 
-/// One aggregate to compute at execution time.
-struct AggSpecExec {
-  AggFunc func;
-  const Expression* arg;  // null for COUNT(*)
-};
-
-/// \brief Running state of one aggregate within one group.
+/// \brief Folds input rows into GroupTables: the accumulate half of hash
+/// aggregation, shared by the serial executor (one table) and the parallel
+/// workers (one table per partition; a row goes to table
+/// GroupTable::PartitionOf(hash, tables.size())).
 ///
-/// Integer SUM/AVG accumulate into a checked int64: SUM reports OutOfRange
-/// instead of wrapping on overflow, AVG widens to double (its result is a
-/// double anyway). Any double input also switches the accumulator to `sum_d`.
-struct AggAccumulator {
-  int64_t count = 0;  // COUNT(expr) / COUNT(*) and AVG denominator
-  double sum_d = 0;
-  int64_t sum_i = 0;
-  bool sum_is_int = true;
-  bool has_value = false;  // any non-null input seen
-  Value min;
-  Value max;
+/// Batch ingest first resolves the group id of every selected row — one
+/// encoded key (GroupKeyComputer) and one hash per row — then evaluates each
+/// aggregate argument once per batch through its compiled kernel and updates
+/// the accumulators column by column. Within a group, rows still accumulate
+/// in input order. Row ingest is the row-drive twin over the interpreter.
+class GroupIngest {
+ public:
+  /// `group_exprs` and `aggs` must be bound and outlive this object.
+  GroupIngest(const std::vector<const Expression*>* group_exprs,
+              const std::vector<AggSpecExec>* aggs);
+
+  /// Drains `child` (already initialized) into `tables`: batch drive when
+  /// `batch_size` > 0, else row drive. Kernel fallback rows are counted into
+  /// `*fallback_rows`.
+  Status Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
+               uint64_t* fallback_rows);
+
+ private:
+  Status IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables,
+                     uint64_t* fallback_rows);
+  Status IngestRow(const Tuple& row, std::span<GroupTable> tables);
+  /// Fills row_table_/row_state_ for the selected rows of the last keyed batch.
+  void ResolveGroups(size_t n, std::span<GroupTable> tables);
+  /// Folds evaluated argument column `vec` into aggregate `a` of every row.
+  Status AccumulateColumn(size_t a, const ColumnVec& vec);
+
+  const std::vector<const Expression*>* group_exprs_;
+  const std::vector<AggSpecExec>* aggs_;
+  GroupKeyComputer key_computer_;
+  std::vector<CompiledExprPtr> args_;  ///< null for COUNT(*)
+  ColumnVec arg_vec_;
+  std::vector<std::string> keys_;
+  std::vector<GroupTable*> row_table_;
+  std::vector<uint32_t> row_ids_;
+  std::vector<AggState*> row_state_;
+  std::string row_key_;
+  std::vector<Value> row_key_values_;
 };
 
-/// One group: its key values plus one accumulator per aggregate.
-struct AggGroup {
-  std::vector<Value> keys;
-  std::vector<AggAccumulator> accs;
-};
-
-/// Folds one input row into `group`. SQL semantics: COUNT(*) counts rows;
-/// COUNT/SUM/MIN/MAX/AVG ignore NULL arguments.
-Status AccumulateTuple(const std::vector<AggSpecExec>& aggs, const Tuple& tuple, AggGroup* group);
-
-/// Merges the partial accumulators of `from` into `into` (same group key,
-/// accumulated separately by different workers). Merge is associative and
-/// commutative with AccumulateTuple — counts and sums add, min/max compare —
-/// so partitioned parallel aggregation produces exactly the serial result.
-Status MergeAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& from, AggGroup* into);
-
-/// Final value of one aggregate. SUM/MIN/MAX/AVG over zero non-null inputs
-/// yield NULL; COUNT yields 0.
-Result<Value> FinalizeAggregate(const AggSpecExec& spec, const AggAccumulator& acc);
-
-/// Appends `group`'s key values and finalized aggregates to `out` — the
-/// output row layout shared by the serial executor and the parallel workers.
-/// `out` must be clear.
-Status EmitAggGroup(const std::vector<AggSpecExec>& aggs, const AggGroup& group, Tuple* out);
-
-/// Finds-or-creates the group for encoded key `enc` in `groups` and folds
-/// `tuple` into it. Group key values are evaluated only on a miss (once per
-/// group). Works over any map<string, AggGroup> (the serial executor's
-/// ordered map, the parallel workers' unordered partitions).
-template <typename GroupMap>
-Status AccumulateKeyedRow(const std::vector<const Expression*>& group_exprs,
-                          const std::vector<AggSpecExec>& aggs, const std::string& enc,
-                          const Tuple& tuple, GroupMap* groups) {
-  auto it = groups->find(enc);
-  if (it == groups->end()) {
-    AggGroup group;
-    group.keys.reserve(group_exprs.size());
-    for (const Expression* g : group_exprs) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(tuple));
-      group.keys.push_back(std::move(v));
-    }
-    group.accs.resize(aggs.size());
-    it = groups->emplace(enc, std::move(group)).first;
-  }
-  return AccumulateTuple(aggs, tuple, &it->second);
-}
-
-/// As AccumulateKeyedRow, but materializes group key values on a miss from
-/// `key_value_fn(i)` (the value of group expression `i` for this row) instead
-/// of re-evaluating the group expressions — the batch drive already has them
-/// in the key computer's column vectors.
-template <typename GroupMap, typename KeyValueFn>
-Status AccumulateKeyedRowWith(KeyValueFn&& key_value_fn, size_t num_keys,
-                              const std::vector<AggSpecExec>& aggs, const std::string& enc,
-                              const Tuple& tuple, GroupMap* groups) {
-  auto it = groups->find(enc);
-  if (it == groups->end()) {
-    AggGroup group;
-    group.keys.reserve(num_keys);
-    for (size_t i = 0; i < num_keys; ++i) group.keys.push_back(key_value_fn(i));
-    group.accs.resize(aggs.size());
-    it = groups->emplace(enc, std::move(group)).first;
-  }
-  return AccumulateTuple(aggs, tuple, &it->second);
-}
-
-/// \brief Hash (here: ordered-map) aggregation. Groups on the encoded group
-/// key, so NULLs group together (SQL GROUP BY semantics) and output order is
-/// deterministic (ascending group key).
+/// \brief Hash aggregation over one GroupTable. Groups on the encoded group
+/// key, so NULLs group together (SQL GROUP BY semantics); output order is
+/// deterministic (ascending encoded group key).
 ///
 /// SQL semantics: COUNT(*) counts rows; COUNT/SUM/MIN/MAX/AVG ignore NULL
 /// arguments; SUM/MIN/MAX/AVG over zero non-null inputs yield NULL. With no
 /// GROUP BY, an empty input still produces one row.
 ///
 /// Under vectorized drive (ctx batch_size > 0) both sides are native batch:
-/// ingest pulls TupleBatches from the child and computes encoded group keys
-/// per batch (GroupKeyComputer), emit fills output batches a group row at a
-/// time. Row drive is byte-identical to the pre-vectorized path.
+/// ingest pulls TupleBatches from the child (GroupIngest::Drain), emit fills
+/// output batches a group row at a time.
 class AggregateExecutor : public Executor {
  public:
   AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
@@ -120,19 +78,14 @@ class AggregateExecutor : public Executor {
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
-  /// Finds-or-creates the group for `enc` and accumulates `tuple` into it.
-  /// Group key values are evaluated only on a miss (once per group).
-  Status IngestRow(const std::string& enc, const Tuple& tuple);
-  Status IngestRowStream();
-  Status IngestBatchStream();
-
   ExecutorPtr child_;
   std::vector<const Expression*> group_exprs_;
   std::vector<AggSpecExec> aggs_;
-  GroupKeyComputer key_computer_;  ///< batched group-key encoding (batch drive)
+  GroupIngest ingest_;
 
-  std::map<std::string, AggGroup> groups_;
-  std::map<std::string, AggGroup>::const_iterator out_iter_;
+  GroupTable groups_;
+  std::vector<uint32_t> emit_order_;  ///< group ids, ascending encoded key
+  size_t next_ = 0;
   bool done_build_ = false;
 };
 

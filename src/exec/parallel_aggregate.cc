@@ -1,8 +1,5 @@
 #include "exec/parallel_aggregate.h"
 
-#include "expr/vector_eval.h"
-#include "types/key_codec.h"
-
 namespace relopt {
 
 ParallelAggregateWorker::ParallelAggregateWorker(ExecContext* ctx, Schema out_schema,
@@ -16,69 +13,37 @@ ParallelAggregateWorker::ParallelAggregateWorker(ExecContext* ctx, Schema out_sc
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
       shared_(std::move(shared)),
-      worker_idx_(worker_idx) {}
+      worker_idx_(worker_idx),
+      ingest_(&group_exprs_, &aggs_) {}
 
 Status ParallelAggregateWorker::AccumulatePhase() {
-  const size_t num_parts = shared_->num_workers();
-  std::vector<SharedAggregateState::GroupMap>& mine = shared_->worker_partitions(worker_idx_);
-  RELOPT_RETURN_NOT_OK(child_->Init());
-  if (ctx_->batch_size() > 0) {
-    GroupKeyComputer key_computer(&group_exprs_);
-    TupleBatch batch(ctx_->batch_size());
-    std::vector<std::string> keys;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(key_computer.Compute(batch, &keys, &stats_.fallback_rows));
-      for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        RELOPT_RETURN_NOT_OK(AccumulateKeyedRowWith(
-            [&](size_t i) { return key_computer.KeyValue(i, k); }, group_exprs_.size(), aggs_,
-            keys[k], batch.SelectedRow(k), &mine[hasher_(keys[k]) % num_parts]));
-      }
-      if (!has) break;
-    }
-  } else {
-    Tuple t;
-    std::string enc;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-      if (!has) break;
-      enc.clear();
-      for (const Expression* g : group_exprs_) {
-        RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(t));
-        EncodeKeyValue(v, &enc);
-      }
-      RELOPT_RETURN_NOT_OK(
-          AccumulateKeyedRow(group_exprs_, aggs_, enc, t, &mine[hasher_(enc) % num_parts]));
-    }
+  std::vector<GroupTable>& mine = shared_->worker_partitions(worker_idx_);
+  mine.clear();
+  for (size_t p = 0; p < shared_->num_workers(); ++p) {
+    mine.emplace_back(group_exprs_.size(), aggs_);
   }
-  return Status::OK();
+  RELOPT_RETURN_NOT_OK(child_->Init());
+  return ingest_.Drain(child_.get(), ctx_->batch_size(), mine, &stats_.fallback_rows);
 }
 
 Status ParallelAggregateWorker::MergePhase() {
-  SharedAggregateState::GroupMap& merged = shared_->merged(worker_idx_);
+  GroupTable& merged = shared_->merged(worker_idx_);
   for (size_t w = 0; w < shared_->num_workers(); ++w) {
-    SharedAggregateState::GroupMap& part = shared_->partition(w, worker_idx_);
+    GroupTable& part = shared_->partition(w, worker_idx_);
     if (merged.empty()) {
       merged = std::move(part);
     } else {
-      for (auto& kv : part) {
-        auto it = merged.find(kv.first);
-        if (it == merged.end()) {
-          merged.emplace(kv.first, std::move(kv.second));
-        } else {
-          RELOPT_RETURN_NOT_OK(MergeAggGroup(aggs_, kv.second, &it->second));
-        }
-      }
+      RELOPT_RETURN_NOT_OK(merged.MergeFrom(part));
     }
-    part.clear();
+    part = GroupTable();  // free it now: merged partitions are dead weight
   }
   // Scalar aggregate over an empty input still yields one (default) row,
   // emitted by the worker owning the empty key's partition.
   if (group_exprs_.empty() && merged.empty() &&
-      hasher_(std::string()) % shared_->num_workers() == worker_idx_) {
-    AggGroup group;
-    group.accs.resize(aggs_.size());
-    merged.emplace(std::string(), std::move(group));
+      GroupTable::PartitionOf(GroupTable::Hash(std::string_view()), shared_->num_workers()) ==
+          worker_idx_) {
+    merged = GroupTable(0, aggs_);
+    merged.AddDefaultGroup();
   }
   return Status::OK();
 }
@@ -101,27 +66,25 @@ Status ParallelAggregateWorker::InitImpl() {
 
   if (shared_->failed()) return shared_->first_error();
   merged_ = &shared_->merged(worker_idx_);
-  out_iter_ = merged_->begin();
+  next_ = 0;
   return Status::OK();
 }
 
 Result<bool> ParallelAggregateWorker::NextImpl(Tuple* out) {
-  if (merged_ == nullptr || out_iter_ == merged_->end()) return false;
+  if (merged_ == nullptr || next_ == merged_->size()) return false;
   out->Clear();
-  RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out));
-  ++out_iter_;
+  RELOPT_RETURN_NOT_OK(merged_->Emit(next_++, out));
   CountRow();
   return true;
 }
 
 Result<bool> ParallelAggregateWorker::NextBatchImpl(TupleBatch* out) {
   if (merged_ == nullptr) return false;
-  while (!out->Full() && out_iter_ != merged_->end()) {
-    RELOPT_RETURN_NOT_OK(EmitAggGroup(aggs_, out_iter_->second, out->AppendRow()));
-    ++out_iter_;
+  while (!out->Full() && next_ < merged_->size()) {
+    RELOPT_RETURN_NOT_OK(merged_->Emit(next_++, out->AppendRow()));
   }
   CountRows(out->NumSelected());
-  return out_iter_ != merged_->end();
+  return next_ < merged_->size();
 }
 
 }  // namespace relopt

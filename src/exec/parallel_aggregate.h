@@ -1,14 +1,13 @@
 // Partitioned parallel hash aggregation: workers accumulate their fragment's
-// rows into per-worker hash partitions keyed by the encoded group key, a
-// barrier, each worker merges one disjoint partition column, a barrier, then
-// every worker emits its own merged partition lock-free.
+// rows into per-worker GroupTable partitions (chosen by the high bits of the
+// encoded group key's hash), a barrier, each worker merges one disjoint
+// partition column, a barrier, then every worker emits its own merged
+// partition lock-free.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -20,24 +19,26 @@ namespace relopt {
 /// \brief State shared by the workers of one parallel aggregation.
 ///
 /// Layout: `partitions[w][p]` holds the groups worker `w` accumulated for
-/// partition `p` (p = hash(encoded key) % P) while draining its fragment;
-/// after the first barrier, worker `k` folds column `k` of that matrix into
-/// `merged[k]` with MergeAggGroup. After the second barrier each merged
-/// partition is owned read-only by its worker, which emits it. Partition
-/// count equals worker count, and a group key lands in exactly one partition,
-/// so groups are never split across emitters.
+/// partition `p` (GroupTable::PartitionOf(hash, P)) while draining its
+/// fragment; after the first barrier, worker `k` adopts one table of column
+/// `k` of that matrix as `merged[k]`, folds the others into it with their
+/// stored hashes, and frees each as soon as it is folded. After the second
+/// barrier each merged partition is owned read-only by its worker, which
+/// emits it. Partition count equals worker count, and a group key lands in
+/// exactly one partition, so groups are never split across emitters.
 class SharedAggregateState : public ParallelSharedState {
  public:
-  using GroupMap = std::unordered_map<std::string, AggGroup>;
-
   explicit SharedAggregateState(size_t num_workers)
       : num_workers_(num_workers), barrier_(num_workers) {}
 
-  /// Clears partitions, merged maps, and the error slot. Called by the Gather
-  /// on the coordinating thread; no worker may be running.
+  /// Drops partitions, merged tables, and the error slot. Called by the
+  /// Gather on the coordinating thread; no worker may be running. Each worker
+  /// sizes its own partition row when it starts accumulating.
   void Reset() override {
-    partitions_.assign(num_workers_, std::vector<GroupMap>(num_workers_));
-    merged_.assign(num_workers_, GroupMap{});
+    partitions_.clear();
+    partitions_.resize(num_workers_);
+    merged_.clear();
+    merged_.resize(num_workers_);
     failed_.store(false, std::memory_order_relaxed);
     first_error_ = Status::OK();
   }
@@ -45,9 +46,9 @@ class SharedAggregateState : public ParallelSharedState {
   size_t num_workers() const { return num_workers_; }
   Barrier& barrier() { return barrier_; }
 
-  std::vector<GroupMap>& worker_partitions(size_t w) { return partitions_[w]; }
-  GroupMap& partition(size_t w, size_t p) { return partitions_[w][p]; }
-  GroupMap& merged(size_t p) { return merged_[p]; }
+  std::vector<GroupTable>& worker_partitions(size_t w) { return partitions_[w]; }
+  GroupTable& partition(size_t w, size_t p) { return partitions_[w][p]; }
+  GroupTable& merged(size_t p) { return merged_[p]; }
 
   /// Records the first error any worker hits; later errors are dropped.
   void RecordError(const Status& st) {
@@ -67,8 +68,8 @@ class SharedAggregateState : public ParallelSharedState {
  private:
   const size_t num_workers_;
   Barrier barrier_;
-  std::vector<std::vector<GroupMap>> partitions_;
-  std::vector<GroupMap> merged_;
+  std::vector<std::vector<GroupTable>> partitions_;
+  std::vector<GroupTable> merged_;
 
   std::atomic<bool> failed_{false};
   mutable std::mutex error_mu_;
@@ -83,10 +84,10 @@ class SharedAggregateState : public ParallelSharedState {
 /// running concurrently — the fragment builder and Gather guarantee this.
 ///
 /// Under vectorized drive the accumulate phase pulls TupleBatches from the
-/// fragment and computes encoded group keys per batch (GroupKeyComputer);
-/// emit is native batch too. A global aggregate routes every row to the empty
-/// key's partition, whose owner also emits the one default row when the input
-/// is empty (matching the serial executor).
+/// fragment (GroupIngest::Drain); emit is native batch too. A global
+/// aggregate routes every row to the empty key's partition, whose owner also
+/// emits the one default row when the input is empty (matching the serial
+/// executor).
 class ParallelAggregateWorker : public Executor {
  public:
   ParallelAggregateWorker(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
@@ -102,7 +103,7 @@ class ParallelAggregateWorker : public Executor {
 
  private:
   /// Drains this worker's fragment, accumulating each row into
-  /// `shared_->partition(worker_idx_, hash(encoded key) % P)`.
+  /// `shared_->partition(worker_idx_, PartitionOf(hash of its key, P))`.
   Status AccumulatePhase();
   /// Folds partition column `worker_idx_` into `shared_->merged(worker_idx_)`.
   Status MergePhase();
@@ -113,10 +114,10 @@ class ParallelAggregateWorker : public Executor {
   std::shared_ptr<SharedAggregateState> shared_;
   size_t worker_idx_;
 
-  std::hash<std::string> hasher_;
+  GroupIngest ingest_;
   /// This worker's merged partition; null until Init completes.
-  SharedAggregateState::GroupMap* merged_ = nullptr;
-  SharedAggregateState::GroupMap::const_iterator out_iter_;
+  const GroupTable* merged_ = nullptr;
+  uint32_t next_ = 0;  ///< next group id to emit
 };
 
 }  // namespace relopt

@@ -351,22 +351,15 @@ Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
   if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
     return Status::TypeError("arithmetic on non-numeric operand in " + ToString());
   }
-  bool as_int = l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64;
-  if (as_int) {
-    int64_t a = l.AsInt(), b = r.AsInt();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Int(a + b);
-      case ArithOp::kSub:
-        return Value::Int(a - b);
-      case ArithOp::kMul:
-        return Value::Int(a * b);
-      case ArithOp::kDiv:
-        if (b == 0) return Value::Null(TypeId::kInt64);
-        return Value::Int(a / b);
-      case ArithOp::kMod:
-        if (b == 0) return Value::Null(TypeId::kInt64);
-        return Value::Int(a % b);
+  if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
+    int64_t out;
+    switch (IntArith(op_, l.AsInt(), r.AsInt(), &out)) {
+      case IntArithOutcome::kValue:
+        return Value::Int(out);
+      case IntArithOutcome::kNull:
+        return Value::Null(TypeId::kInt64);
+      case IntArithOutcome::kOverflow:
+        return OverflowError();
     }
   }
   double a = l.NumericAsDouble(), b = r.NumericAsDouble();
@@ -385,6 +378,10 @@ Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
       return Value::Double(std::fmod(a, b));
   }
   return Status::Internal("bad arithmetic op");
+}
+
+Status ArithmeticExpr::OverflowError() const {
+  return Status::OutOfRange("integer overflow in " + ToString());
 }
 
 Status ArithmeticExpr::Bind(const Schema& schema) {

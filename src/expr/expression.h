@@ -7,6 +7,7 @@
 // Evaluation follows SQL three-valued logic.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -204,8 +205,39 @@ class LogicalExpr : public Expression {
   std::vector<ExprPtr> children_;
 };
 
+/// Outcome of one int64 arithmetic step; see IntArith.
+enum class IntArithOutcome { kValue, kNull, kOverflow };
+
+/// \brief `a op b` over int64, checked, as both evaluators compute it: x/0
+/// and x%0 are NULL; +, -, * and INT64_MIN / -1 overflow (the caller raises
+/// OutOfRange) instead of wrapping; x % -1 is 0, including INT64_MIN % -1.
+inline IntArithOutcome IntArith(ArithOp op, int64_t a, int64_t b, int64_t* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return __builtin_add_overflow(a, b, out) ? IntArithOutcome::kOverflow
+                                               : IntArithOutcome::kValue;
+    case ArithOp::kSub:
+      return __builtin_sub_overflow(a, b, out) ? IntArithOutcome::kOverflow
+                                               : IntArithOutcome::kValue;
+    case ArithOp::kMul:
+      return __builtin_mul_overflow(a, b, out) ? IntArithOutcome::kOverflow
+                                               : IntArithOutcome::kValue;
+    case ArithOp::kDiv:
+      if (b == 0) return IntArithOutcome::kNull;
+      if (b == -1 && a == INT64_MIN) return IntArithOutcome::kOverflow;
+      *out = a / b;
+      return IntArithOutcome::kValue;
+    case ArithOp::kMod:
+      if (b == 0) return IntArithOutcome::kNull;
+      *out = b == -1 ? 0 : a % b;
+      return IntArithOutcome::kValue;
+  }
+  return IntArithOutcome::kNull;
+}
+
 /// +, -, *, /, % over numerics (NULL operand -> NULL; x/0 -> NULL, the
-/// engine's documented divide-by-zero behaviour).
+/// engine's documented divide-by-zero behaviour; int64 overflow ->
+/// OutOfRange, see IntArith).
 class ArithmeticExpr : public Expression {
  public:
   ArithmeticExpr(ArithOp op, ExprPtr left, ExprPtr right)
@@ -217,6 +249,9 @@ class ArithmeticExpr : public Expression {
   ArithOp op() const { return op_; }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
+
+  /// The error both evaluators raise when IntArith overflows.
+  Status OverflowError() const;
 
   Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;

@@ -290,31 +290,14 @@ class ArithNode final : public CompiledExpr {
           out->nulls[k] = 1;
           continue;
         }
-        int64_t a = lv_.I64At(k), b = rv_.I64At(k);
-        switch (op_) {
-          case ArithOp::kAdd:
-            out->i64[k] = a + b;
+        switch (IntArith(op_, lv_.I64At(k), rv_.I64At(k), &out->i64[k])) {
+          case IntArithOutcome::kValue:
             break;
-          case ArithOp::kSub:
-            out->i64[k] = a - b;
+          case IntArithOutcome::kNull:
+            out->nulls[k] = 1;
             break;
-          case ArithOp::kMul:
-            out->i64[k] = a * b;
-            break;
-          case ArithOp::kDiv:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->i64[k] = a / b;
-            }
-            break;
-          case ArithOp::kMod:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->i64[k] = a % b;
-            }
-            break;
+          case IntArithOutcome::kOverflow:
+            return src_->OverflowError();
         }
       }
       return Status::OK();
@@ -372,31 +355,16 @@ class ArithNode final : public CompiledExpr {
         return Status::TypeError("arithmetic on non-numeric operand in " + src_->ToString());
       }
       if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
-        int64_t a = l.AsInt(), b = r.AsInt();
-        switch (op_) {
-          case ArithOp::kAdd:
-            out->vals[k] = Value::Int(a + b);
+        int64_t v;
+        switch (IntArith(op_, l.AsInt(), r.AsInt(), &v)) {
+          case IntArithOutcome::kValue:
+            out->vals[k] = Value::Int(v);
             break;
-          case ArithOp::kSub:
-            out->vals[k] = Value::Int(a - b);
+          case IntArithOutcome::kNull:
+            out->nulls[k] = 1;
             break;
-          case ArithOp::kMul:
-            out->vals[k] = Value::Int(a * b);
-            break;
-          case ArithOp::kDiv:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->vals[k] = Value::Int(a / b);
-            }
-            break;
-          case ArithOp::kMod:
-            if (b == 0) {
-              out->nulls[k] = 1;
-            } else {
-              out->vals[k] = Value::Int(a % b);
-            }
-            break;
+          case IntArithOutcome::kOverflow:
+            return src_->OverflowError();
         }
         continue;
       }

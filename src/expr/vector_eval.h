@@ -182,8 +182,8 @@ Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_c
 
 /// \brief Compiled group-key kernel behind hash aggregation and DISTINCT:
 /// encodes the composite group key of every selected row, and retains the
-/// evaluated key columns so the aggregation's map-miss path can materialize
-/// group key Values without re-evaluating the expressions.
+/// evaluated key columns so a group-table miss can materialize the group's
+/// key Values without re-evaluating the expressions.
 class GroupKeyComputer {
  public:
   /// `exprs` must be bound and outlive this object.

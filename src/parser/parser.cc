@@ -1,5 +1,7 @@
 #include "parser/parser.h"
 
+#include <algorithm>
+
 #include "util/str_util.h"
 
 namespace relopt {
@@ -353,31 +355,63 @@ class Parser {
   }
 
   // ----------------------------------------------------------- expressions
+  //
+  // Depth limit (kMaxExpressionDepth): Nested() guards each recursive
+  // descent, and every expression parse function leaves the height of the
+  // tree it returns in height_, which Grow() raises and checks.
 
-  Result<ExprPtr> ParseExpression() { return ParseOr(); }
+  Status DepthError() const {
+    return Error("expression nests deeper than " + std::to_string(kMaxExpressionDepth) +
+                 " levels");
+  }
+
+  /// Runs `parse` one nesting level deeper; fails past the limit.
+  Result<ExprPtr> Nested(Result<ExprPtr> (Parser::*parse)()) {
+    if (depth_ >= kMaxExpressionDepth) return DepthError();
+    ++depth_;
+    Result<ExprPtr> e = (this->*parse)();
+    --depth_;
+    return e;
+  }
+
+  /// `*h` becomes the height of a node over subtrees of heights `*h` and
+  /// `child`; fails past the limit.
+  Status Grow(int* h, int child) const {
+    *h = std::max(*h, child) + 1;
+    return *h > kMaxExpressionDepth ? DepthError() : Status::OK();
+  }
+
+  Result<ExprPtr> ParseExpression() { return Nested(&Parser::ParseOr); }
 
   Result<ExprPtr> ParseOr() {
     RELOPT_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
+    int h = height_;
     while (MatchWord("or")) {
       RELOPT_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
+      RELOPT_RETURN_NOT_OK(Grow(&h, height_));
       left = MakeOr(std::move(left), std::move(right));
     }
+    height_ = h;
     return left;
   }
 
   Result<ExprPtr> ParseAnd() {
     RELOPT_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
+    int h = height_;
     while (Peek().IsWord("and")) {
       Advance();
       RELOPT_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
+      RELOPT_RETURN_NOT_OK(Grow(&h, height_));
       left = MakeAnd(std::move(left), std::move(right));
     }
+    height_ = h;
     return left;
   }
 
   Result<ExprPtr> ParseNot() {
     if (MatchWord("not")) {
-      RELOPT_ASSIGN_OR_RETURN(ExprPtr child, ParseNot());
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr child, Nested(&Parser::ParseNot));
+      RELOPT_RETURN_NOT_OK(Grow(&height_, 0));
       return MakeNot(std::move(child));
     }
     return ParseComparison();
@@ -385,12 +419,14 @@ class Parser {
 
   Result<ExprPtr> ParseComparison() {
     RELOPT_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+    const int left_height = height_;
 
     // IS [NOT] NULL
     if (Peek().IsWord("is")) {
       Advance();
       bool negated = MatchWord("not");
       RELOPT_RETURN_NOT_OK(ExpectWord("null"));
+      RELOPT_RETURN_NOT_OK(Grow(&height_, 0));
       return ExprPtr(std::make_unique<IsNullExpr>(std::move(left), negated));
     }
 
@@ -400,26 +436,8 @@ class Parser {
       Advance();
       negate = true;
     }
-    if (MatchWord("between")) {
-      RELOPT_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
-      RELOPT_RETURN_NOT_OK(ExpectWord("and"));
-      RELOPT_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
-      ExprPtr ge = MakeComparison(CompareOp::kGe, left->Clone(), std::move(lo));
-      ExprPtr le = MakeComparison(CompareOp::kLe, std::move(left), std::move(hi));
-      ExprPtr both = MakeAnd(std::move(ge), std::move(le));
-      return negate ? MakeNot(std::move(both)) : std::move(both);
-    }
-    if (MatchWord("in")) {
-      RELOPT_RETURN_NOT_OK(ExpectSymbol("("));
-      ExprPtr disjunction;
-      do {
-        RELOPT_ASSIGN_OR_RETURN(ExprPtr v, ParseAdditive());
-        ExprPtr eq = MakeComparison(CompareOp::kEq, left->Clone(), std::move(v));
-        disjunction = disjunction ? MakeOr(std::move(disjunction), std::move(eq)) : std::move(eq);
-      } while (MatchSymbol(","));
-      RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
-      return negate ? MakeNot(std::move(disjunction)) : std::move(disjunction);
-    }
+    if (MatchWord("between")) return ParseBetween(std::move(left), left_height, negate);
+    if (MatchWord("in")) return ParseInList(std::move(left), left_height, negate);
 
     // Plain comparison operators.
     CompareOp op;
@@ -439,11 +457,54 @@ class Parser {
       return left;
     }
     RELOPT_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
+    int h = left_height;
+    RELOPT_RETURN_NOT_OK(Grow(&h, height_));
+    height_ = h;
     return MakeComparison(op, std::move(left), std::move(right));
+  }
+
+  /// `left [NOT] BETWEEN lo AND hi` after BETWEEN, desugared to a range.
+  [[gnu::noinline]] Result<ExprPtr> ParseBetween(ExprPtr left, int left_height, bool negate) {
+    RELOPT_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
+    int h = std::max(left_height, height_);
+    RELOPT_RETURN_NOT_OK(ExpectWord("and"));
+    RELOPT_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+    RELOPT_RETURN_NOT_OK(Grow(&h, height_));  // the two comparisons
+    RELOPT_RETURN_NOT_OK(Grow(&h, 0));        // their AND
+    if (negate) RELOPT_RETURN_NOT_OK(Grow(&h, 0));
+    height_ = h;
+    ExprPtr ge = MakeComparison(CompareOp::kGe, left->Clone(), std::move(lo));
+    ExprPtr le = MakeComparison(CompareOp::kLe, std::move(left), std::move(hi));
+    ExprPtr both = MakeAnd(std::move(ge), std::move(le));
+    return negate ? MakeNot(std::move(both)) : std::move(both);
+  }
+
+  /// `left [NOT] IN (v, ...)` after IN, desugared to an OR of equalities.
+  [[gnu::noinline]] Result<ExprPtr> ParseInList(ExprPtr left, int left_height, bool negate) {
+    RELOPT_RETURN_NOT_OK(ExpectSymbol("("));
+    ExprPtr disjunction;
+    int h = 0;
+    do {
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr v, ParseAdditive());
+      int eq_height = left_height;
+      RELOPT_RETURN_NOT_OK(Grow(&eq_height, height_));
+      if (disjunction) {
+        RELOPT_RETURN_NOT_OK(Grow(&h, eq_height));
+      } else {
+        h = eq_height;
+      }
+      ExprPtr eq = MakeComparison(CompareOp::kEq, left->Clone(), std::move(v));
+      disjunction = disjunction ? MakeOr(std::move(disjunction), std::move(eq)) : std::move(eq);
+    } while (MatchSymbol(","));
+    RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
+    if (negate) RELOPT_RETURN_NOT_OK(Grow(&h, 0));
+    height_ = h;
+    return negate ? MakeNot(std::move(disjunction)) : std::move(disjunction);
   }
 
   Result<ExprPtr> ParseAdditive() {
     RELOPT_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+    int h = height_;
     while (true) {
       ArithOp op;
       if (MatchSymbol("+")) {
@@ -451,15 +512,18 @@ class Parser {
       } else if (MatchSymbol("-")) {
         op = ArithOp::kSub;
       } else {
+        height_ = h;
         return left;
       }
       RELOPT_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
+      RELOPT_RETURN_NOT_OK(Grow(&h, height_));
       left = std::make_unique<ArithmeticExpr>(op, std::move(left), std::move(right));
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
     RELOPT_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
+    int h = height_;
     while (true) {
       ArithOp op;
       if (MatchSymbol("*")) {
@@ -469,16 +533,18 @@ class Parser {
       } else if (MatchSymbol("%")) {
         op = ArithOp::kMod;
       } else {
+        height_ = h;
         return left;
       }
       RELOPT_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
+      RELOPT_RETURN_NOT_OK(Grow(&h, height_));
       left = std::make_unique<ArithmeticExpr>(op, std::move(left), std::move(right));
     }
   }
 
   Result<ExprPtr> ParseUnary() {
     if (MatchSymbol("-")) {
-      RELOPT_ASSIGN_OR_RETURN(ExprPtr child, ParseUnary());
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr child, Nested(&Parser::ParseUnary));
       // Fold -literal immediately so negative literals are simple.
       if (child->kind() == ExprKind::kLiteral) {
         const Value& v = static_cast<LiteralExpr*>(child.get())->value();
@@ -487,6 +553,7 @@ class Parser {
           return MakeLiteral(Value::Double(-v.AsDouble()));
         }
       }
+      RELOPT_RETURN_NOT_OK(Grow(&height_, 0));
       return ExprPtr(std::make_unique<ArithmeticExpr>(ArithOp::kSub,
                                                       MakeLiteral(Value::Int(0)),
                                                       std::move(child)));
@@ -494,7 +561,11 @@ class Parser {
     return ParsePrimary();
   }
 
+  /// Leaves height_ at the height of what it returns: 1 for a leaf, the
+  /// inner height for a parenthesized expression, one above the tallest
+  /// argument or arm for calls and CASE.
   Result<ExprPtr> ParsePrimary() {
+    height_ = 1;
     const Token& t = Peek();
     if (t.Is(TokenKind::kIntLiteral)) {
       Advance();
@@ -519,108 +590,135 @@ class Parser {
       RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
       return e;
     }
-    if (t.Is(TokenKind::kIdentifier)) {
-      if (t.IsWord("null")) {
-        Advance();
-        return MakeLiteral(Value::Null());
+    if (t.Is(TokenKind::kIdentifier)) return ParseIdentifierExpr();
+    return Error("expected an expression, got '" + t.text + "'");
+  }
+
+  /// Keywords, calls and column references. Kept out of ParsePrimary, like
+  /// CASE, BETWEEN and IN, so deeply nested parentheses recurse through
+  /// small stack frames.
+  [[gnu::noinline]] Result<ExprPtr> ParseIdentifierExpr() {
+    const Token& t = Peek();
+    if (t.IsWord("null")) {
+      Advance();
+      return MakeLiteral(Value::Null());
+    }
+    if (t.IsWord("true")) {
+      Advance();
+      return MakeLiteral(Value::Bool(true));
+    }
+    if (t.IsWord("false")) {
+      Advance();
+      return MakeLiteral(Value::Bool(false));
+    }
+    if (t.IsWord("case")) {
+      Advance();
+      return ParseCase();
+    }
+    // Aggregate call?
+    std::optional<AggFunc> agg;
+    if (t.IsWord("count")) agg = AggFunc::kCount;
+    if (t.IsWord("sum")) agg = AggFunc::kSum;
+    if (t.IsWord("min")) agg = AggFunc::kMin;
+    if (t.IsWord("max")) agg = AggFunc::kMax;
+    if (t.IsWord("avg")) agg = AggFunc::kAvg;
+    if (agg.has_value() && Peek(1).IsSymbol("(")) {
+      Advance();  // name
+      Advance();  // (
+      if (*agg == AggFunc::kCount && MatchSymbol("*")) {
+        RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
+        return ExprPtr(std::make_unique<AggregateCallExpr>(AggFunc::kCountStar, nullptr));
       }
-      if (t.IsWord("true")) {
-        Advance();
-        return MakeLiteral(Value::Bool(true));
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpression());
+      RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
+      RELOPT_RETURN_NOT_OK(Grow(&height_, 0));
+      return ExprPtr(std::make_unique<AggregateCallExpr>(*agg, std::move(arg)));
+    }
+    // Scalar function call? Names are not reserved: only `ident(` forms a
+    // call, so tables/columns may still shadow these names.
+    if (Peek(1).IsSymbol("(")) {
+      std::string fname = t.text;
+      for (char& ch : fname) {
+        if (ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
       }
-      if (t.IsWord("false")) {
-        Advance();
-        return MakeLiteral(Value::Bool(false));
-      }
-      if (t.IsWord("case")) {
-        Advance();
-        // Simple CASE carries an operand before the first WHEN; it is
-        // lowered here into searched form (operand = value per arm) so the
-        // binder and both evaluation engines see one CASE shape.
-        ExprPtr operand;
-        if (!Peek().IsWord("when")) {
-          RELOPT_ASSIGN_OR_RETURN(operand, ParseExpression());
-        }
-        std::vector<ExprPtr> whens, thens;
-        while (MatchWord("when")) {
-          RELOPT_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpression());
-          if (operand != nullptr) {
-            cond = MakeComparison(CompareOp::kEq, operand->Clone(), std::move(cond));
-          }
-          RELOPT_RETURN_NOT_OK(ExpectWord("then"));
-          RELOPT_ASSIGN_OR_RETURN(ExprPtr then, ParseExpression());
-          whens.push_back(std::move(cond));
-          thens.push_back(std::move(then));
-        }
-        if (whens.empty()) return Error("CASE needs at least one WHEN arm");
-        ExprPtr else_expr;
-        if (MatchWord("else")) {
-          RELOPT_ASSIGN_OR_RETURN(else_expr, ParseExpression());
-        }
-        RELOPT_RETURN_NOT_OK(ExpectWord("end"));
-        return ExprPtr(std::make_unique<CaseExpr>(std::move(whens), std::move(thens),
-                                                  std::move(else_expr)));
-      }
-      // Aggregate call?
-      std::optional<AggFunc> agg;
-      if (t.IsWord("count")) agg = AggFunc::kCount;
-      if (t.IsWord("sum")) agg = AggFunc::kSum;
-      if (t.IsWord("min")) agg = AggFunc::kMin;
-      if (t.IsWord("max")) agg = AggFunc::kMax;
-      if (t.IsWord("avg")) agg = AggFunc::kAvg;
-      if (agg.has_value() && Peek(1).IsSymbol("(")) {
+      ScalarFunc sf;
+      if (LookupScalarFunc(fname, &sf)) {
         Advance();  // name
         Advance();  // (
-        if (*agg == AggFunc::kCount && MatchSymbol("*")) {
-          RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
-          return ExprPtr(std::make_unique<AggregateCallExpr>(AggFunc::kCountStar, nullptr));
+        std::vector<ExprPtr> fargs;
+        int args_height = 0;  // tallest argument
+        if (!Peek().IsSymbol(")")) {
+          do {
+            RELOPT_ASSIGN_OR_RETURN(ExprPtr a, ParseExpression());
+            args_height = std::max(args_height, height_);
+            fargs.push_back(std::move(a));
+          } while (MatchSymbol(","));
         }
-        RELOPT_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpression());
         RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
-        return ExprPtr(std::make_unique<AggregateCallExpr>(*agg, std::move(arg)));
+        RELOPT_RETURN_NOT_OK(Grow(&args_height, 0));
+        height_ = args_height;
+        return ExprPtr(std::make_unique<FunctionCallExpr>(sf, std::move(fargs)));
       }
-      // Scalar function call? Names are not reserved: only `ident(` forms a
-      // call, so tables/columns may still shadow these names.
-      if (Peek(1).IsSymbol("(")) {
-        std::string fname = t.text;
-        for (char& ch : fname) {
-          if (ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
-        }
-        ScalarFunc sf;
-        if (LookupScalarFunc(fname, &sf)) {
-          Advance();  // name
-          Advance();  // (
-          std::vector<ExprPtr> fargs;
-          if (!Peek().IsSymbol(")")) {
-            do {
-              RELOPT_ASSIGN_OR_RETURN(ExprPtr a, ParseExpression());
-              fargs.push_back(std::move(a));
-            } while (MatchSymbol(","));
-          }
-          RELOPT_RETURN_NOT_OK(ExpectSymbol(")"));
-          return ExprPtr(std::make_unique<FunctionCallExpr>(sf, std::move(fargs)));
-        }
-      }
-      // Column reference: ident or ident.ident. Reserved clause keywords
-      // cannot name columns (catches "SELECT FROM t" and friends).
-      if (IsReservedWord(t)) {
-        return Error("unexpected keyword '" + t.text + "' in expression");
-      }
-      Advance();
-      if (Peek().IsSymbol(".")) {
-        Advance();
-        RELOPT_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
-        return MakeColumnRef(t.text, std::move(col));
-      }
-      return MakeColumnRef("", t.text);
     }
-    return Error("expected an expression, got '" + t.text + "'");
+    // Column reference: ident or ident.ident. Reserved clause keywords
+    // cannot name columns (catches "SELECT FROM t" and friends).
+    if (IsReservedWord(t)) {
+      return Error("unexpected keyword '" + t.text + "' in expression");
+    }
+    Advance();
+    if (Peek().IsSymbol(".")) {
+      Advance();
+      RELOPT_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
+      return MakeColumnRef(t.text, std::move(col));
+    }
+    return MakeColumnRef("", t.text);
+  }
+
+  /// CASE ... END after the CASE keyword. Simple CASE carries an operand
+  /// before the first WHEN; it is lowered here into searched form (operand =
+  /// value per arm) so the binder and both evaluation engines see one CASE
+  /// shape.
+  [[gnu::noinline]] Result<ExprPtr> ParseCase() {
+    ExprPtr operand;
+    int operand_height = 0;
+    if (!Peek().IsWord("when")) {
+      RELOPT_ASSIGN_OR_RETURN(operand, ParseExpression());
+      operand_height = height_;
+    }
+    int arms_height = 0;  // tallest arm
+    std::vector<ExprPtr> whens, thens;
+    while (MatchWord("when")) {
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpression());
+      if (operand != nullptr) {
+        RELOPT_RETURN_NOT_OK(Grow(&height_, operand_height));
+        cond = MakeComparison(CompareOp::kEq, operand->Clone(), std::move(cond));
+      }
+      arms_height = std::max(arms_height, height_);
+      RELOPT_RETURN_NOT_OK(ExpectWord("then"));
+      RELOPT_ASSIGN_OR_RETURN(ExprPtr then, ParseExpression());
+      arms_height = std::max(arms_height, height_);
+      whens.push_back(std::move(cond));
+      thens.push_back(std::move(then));
+    }
+    if (whens.empty()) return Error("CASE needs at least one WHEN arm");
+    ExprPtr else_expr;
+    if (MatchWord("else")) {
+      RELOPT_ASSIGN_OR_RETURN(else_expr, ParseExpression());
+      arms_height = std::max(arms_height, height_);
+    }
+    RELOPT_RETURN_NOT_OK(ExpectWord("end"));
+    RELOPT_RETURN_NOT_OK(Grow(&arms_height, 0));
+    height_ = arms_height;
+    return ExprPtr(std::make_unique<CaseExpr>(std::move(whens), std::move(thens),
+                                              std::move(else_expr)));
   }
 
   std::string sql_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   size_t param_count_ = 0;  ///< `?` placeholders seen in the current statement
+  int depth_ = 0;   ///< recursive-descent nesting of the current expression
+  int height_ = 0;  ///< height of the expression tree last returned
 };
 
 }  // namespace

@@ -152,7 +152,8 @@ const char* const kDifferentialQueries[] = {
 };
 
 /// The GROUP BY / global aggregate subset, the target of the exact-profile
-/// matrix checks (no LIMIT, fully consumed plans).
+/// matrix checks (no LIMIT, fully consumed plans). The last one fails with a
+/// SUM overflow, which every mode must report identically.
 const char* const kAggregateQueries[] = {
     "SELECT dept_id, count(*), sum(salary), min(salary), max(salary) "
     "FROM emp GROUP BY dept_id",
@@ -166,6 +167,22 @@ const char* const kAggregateQueries[] = {
     "SELECT dept_id % 3, count(*), sum(salary) FROM emp GROUP BY dept_id % 3",
     "SELECT emp.dept_id, count(*), min(dept.dname) FROM emp, dept "
     "WHERE emp.dept_id = dept.id GROUP BY emp.dept_id",
+    // ~2100 groups from 9000 joined rows: more groups than one batch holds
+    // and than the group table starts with, so growth and multi-batch emit run.
+    "SELECT e.id, e2.id % 7, count(*), sum(e2.salary), max(e2.name) FROM emp e, emp e2 "
+    "WHERE e.dept_id = e2.dept_id GROUP BY e.id, e2.id % 7",
+    // String group keys with string MIN/MAX extremes.
+    "SELECT dname, min(name), max(name), count(name) FROM emp, dept "
+    "WHERE emp.dept_id = dept.id GROUP BY dname",
+    // Double SUM and AVG (exact binary fractions, so summation order cannot
+    // change a result).
+    "SELECT dept_id, sum(salary * 0.5), avg(salary / 4.0), min(salary * 0.25) FROM emp "
+    "GROUP BY dept_id",
+    // A mixed int/double CASE argument to SUM.
+    "SELECT dept_id, sum(CASE WHEN id % 2 = 0 THEN salary ELSE salary * 0.5 END) FROM emp "
+    "GROUP BY dept_id",
+    // Every addend fits in int64; their sum does not.
+    "SELECT dept_id, sum(salary + 9223372036854000000) FROM emp GROUP BY dept_id",
 };
 
 /// Queries that must fail — and fail identically — in every execution mode.

@@ -228,6 +228,30 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseStatement("SELECT a FROM t JOIN u").ok());  // missing ON
 }
 
+TEST(ParserTest, ExpressionDepthIsLimited) {
+  // Nesting (parentheses, NOT) and operator chains both count toward the
+  // one limit; the statement fails with a ParseError instead of recursing
+  // until the stack runs out.
+  const int limit = kMaxExpressionDepth;
+  std::string parens = "SELECT " + std::string(limit, '(') + "1" + std::string(limit, ')');
+  std::string chain = "SELECT a";
+  for (int i = 1; i < limit + 1; ++i) chain += " + a";
+  std::string nots = "SELECT ";
+  for (int i = 0; i < limit; ++i) nots += "NOT ";
+  for (const std::string& sql : {parens, chain, nots + "true"}) {
+    Result<StatementPtr> r = ParseStatement(sql);
+    ASSERT_FALSE(r.ok()) << sql.substr(0, 40);
+    EXPECT_NE(r.status().ToString().find("expression nests deeper than"), std::string::npos)
+        << r.status().ToString();
+  }
+  // One level less parses.
+  EXPECT_TRUE(ParseStatement("SELECT " + std::string(limit - 1, '(') + "1" +
+                             std::string(limit - 1, ')'))
+                  .ok());
+  EXPECT_TRUE(ParseStatement(chain.substr(0, chain.size() - 4)).ok());
+  EXPECT_TRUE(ParseStatement(nots.substr(0, nots.size() - 4) + "true").ok());
+}
+
 TEST(ParserTest, ParseStatementRejectsMultiple) {
   EXPECT_FALSE(ParseStatement("SELECT 1; SELECT 2").ok());
 }

@@ -1,0 +1,159 @@
+// Statements that would wrap, trap or exhaust the stack must fail with a
+// Status, identically in every execution mode: checked int64 arithmetic in
+// the row interpreter and the batch kernels, and the parser's
+// expression-depth limit.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "parser/parser.h"
+#include "test_util.h"
+
+namespace relopt {
+namespace {
+
+using tu::Sql;
+
+/// Serial row drive and batch drive at 1, 7 and 1024 rows, plus row and
+/// batch-1024 drive at parallelism 4.
+struct Mode {
+  size_t batch_size;  // 0 = row drive
+  size_t parallelism;
+};
+const Mode kModes[] = {{0, 1}, {1, 1}, {7, 1}, {1024, 1}, {0, 4}, {1024, 4}};
+
+std::string ModeName(const Mode& m) {
+  return (m.batch_size == 0 ? std::string("row") : "batch " + std::to_string(m.batch_size)) +
+         " @ parallelism " + std::to_string(m.parallelism);
+}
+
+class StatementRobustnessTest : public ::testing::Test {
+ protected:
+  StatementRobustnessTest() {
+    Sql(&db_, "CREATE TABLE big (a INT)");
+    Sql(&db_, "INSERT INTO big VALUES (9223372036854775800)");
+    Sql(&db_, "CREATE TABLE small (a INT)");
+    Sql(&db_, "INSERT INTO small VALUES (-9223372036854775807)");
+  }
+
+  Result<QueryResult> Run(const std::string& sql, const Mode& m) {
+    db_.set_vectorized(m.batch_size > 0);
+    if (m.batch_size > 0) db_.set_batch_size(m.batch_size);
+    db_.set_parallelism(m.parallelism);
+    Result<QueryResult> r = db_.Execute(sql);
+    db_.set_parallelism(1);
+    db_.set_vectorized(true);
+    db_.set_batch_size(TupleBatch::kDefaultCapacity);
+    return r;
+  }
+
+  /// `sql` fails with OutOfRange "integer overflow in <expr>" in every mode.
+  void ExpectOverflowEverywhere(const std::string& sql, const std::string& expr) {
+    for (const Mode& m : kModes) {
+      Result<QueryResult> r = Run(sql, m);
+      ASSERT_FALSE(r.ok()) << sql << " in " << ModeName(m);
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql << " in " << ModeName(m);
+      EXPECT_EQ(r.status().message(), "integer overflow in " + expr)
+          << sql << " in " << ModeName(m);
+    }
+  }
+
+  Database db_;
+};
+
+TEST_F(StatementRobustnessTest, AdditionOverflowRaisesInsteadOfWrapping) {
+  ExpectOverflowEverywhere("SELECT a + 100 FROM big", "(big.a + 100)");
+}
+
+TEST_F(StatementRobustnessTest, SubtractionOverflowRaises) {
+  ExpectOverflowEverywhere("SELECT a - 100 FROM small", "(small.a - 100)");
+}
+
+TEST_F(StatementRobustnessTest, MultiplicationOverflowRaises) {
+  ExpectOverflowEverywhere("SELECT a * 2 FROM big", "(big.a * 2)");
+}
+
+TEST_F(StatementRobustnessTest, AggregateArgumentOverflowRaises) {
+  // Aggregate arguments run through the same checked kernels, so SUM and MAX
+  // see the error rather than a wrapped value.
+  ExpectOverflowEverywhere("SELECT sum(a + 100) FROM big", "(big.a + 100)");
+  ExpectOverflowEverywhere("SELECT max(a + 100) FROM big", "(big.a + 100)");
+}
+
+TEST_F(StatementRobustnessTest, MinDividedByMinusOneRaises) {
+  // a - 1 is INT64_MIN, whose quotient by -1 is not representable (a raw
+  // division traps with SIGFPE).
+  ExpectOverflowEverywhere("SELECT (a - 1) / -1 FROM small", "((small.a - 1) / -1)");
+}
+
+TEST_F(StatementRobustnessTest, MinModuloMinusOneIsZero) {
+  for (const Mode& m : kModes) {
+    Result<QueryResult> r = Run("SELECT (a - 1) % -1, (a - 1) / 1 FROM small", m);
+    ASSERT_TRUE(r.ok()) << ModeName(m) << ": " << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << ModeName(m);
+    EXPECT_EQ(r->rows[0].At(0).AsInt(), 0) << ModeName(m);
+    EXPECT_EQ(r->rows[0].At(1).AsInt(), INT64_MIN) << ModeName(m);
+  }
+}
+
+TEST_F(StatementRobustnessTest, InRangeArithmeticIsUnchanged) {
+  for (const Mode& m : kModes) {
+    Result<QueryResult> r = Run("SELECT a + 7, a - 7, a * 1, a / -2, a % 7 FROM big", m);
+    ASSERT_TRUE(r.ok()) << ModeName(m) << ": " << r.status().ToString();
+    const Tuple& row = r->rows.at(0);
+    EXPECT_EQ(row.At(0).AsInt(), INT64_MAX) << ModeName(m);
+    EXPECT_EQ(row.At(1).AsInt(), 9223372036854775793) << ModeName(m);
+    EXPECT_EQ(row.At(2).AsInt(), 9223372036854775800) << ModeName(m);
+    EXPECT_EQ(row.At(3).AsInt(), -4611686018427387900) << ModeName(m);
+    EXPECT_EQ(row.At(4).AsInt(), 9223372036854775800 % 7) << ModeName(m);
+  }
+}
+
+/// A statement far deeper than the limit fails with the parser's depth error.
+void ExpectTooDeep(Database* db, const std::string& sql) {
+  Result<QueryResult> r = db->Execute(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("expression nests deeper than"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(StatementRobustnessTest, DeeplyNestedParenthesesFailCleanly) {
+  const int n = 10000;
+  ExpectTooDeep(&db_, "SELECT " + std::string(n, '(') + "a" + std::string(n, ')') + " FROM big");
+}
+
+TEST_F(StatementRobustnessTest, LongOperatorChainFailsCleanly) {
+  // No parentheses at all: the chain builds a 100k-deep left-leaning tree.
+  std::string chain = "a";
+  for (int i = 1; i < 100000; ++i) chain += "+a";
+  ExpectTooDeep(&db_, "SELECT " + chain + " FROM big");
+}
+
+TEST_F(StatementRobustnessTest, StackedNotsFailCleanly) {
+  std::string nots;
+  for (int i = 0; i < 100000; ++i) nots += "NOT ";
+  ExpectTooDeep(&db_, "SELECT " + nots + "true FROM big");
+}
+
+TEST_F(StatementRobustnessTest, ExpressionsAtTheLimitStillRun) {
+  // kMaxExpressionDepth levels in each shape parse, bind, fold and run.
+  const int n = kMaxExpressionDepth - 1;
+  std::string chain = "a";
+  for (int i = 1; i < kMaxExpressionDepth; ++i) chain += "+0";
+  std::string nots;
+  for (int i = 0; i < n; ++i) nots += "NOT ";
+  for (const Mode& m : {kModes[0], kModes[3]}) {
+    Result<QueryResult> parens =
+        Run("SELECT " + std::string(n, '(') + "a" + std::string(n, ')') + " FROM small", m);
+    ASSERT_TRUE(parens.ok()) << ModeName(m) << ": " << parens.status().ToString();
+    Result<QueryResult> chained = Run("SELECT " + chain + " FROM small", m);
+    ASSERT_TRUE(chained.ok()) << ModeName(m) << ": " << chained.status().ToString();
+    Result<QueryResult> negated = Run("SELECT " + nots + "true FROM small", m);
+    ASSERT_TRUE(negated.ok()) << ModeName(m) << ": " << negated.status().ToString();
+    EXPECT_EQ(negated->rows.at(0).At(0).AsBool(), n % 2 == 0) << ModeName(m);
+  }
+}
+
+}  // namespace
+}  // namespace relopt
