@@ -30,6 +30,14 @@ struct TopoParam {
   int num_relations;
 };
 
+// gtest_discover_tests names each CTest test by its printed parameter.
+// Without a printer GoogleTest prints the struct's raw bytes, pointer
+// included, so the names would change with every build and address-space
+// layout. Printing the fields keeps them stable: .../AllAlgorithmsAgree/chain_3.
+void PrintTo(const TopoParam& param, std::ostream* os) {
+  *os << param.topology << "_" << param.num_relations;
+}
+
 class TopologyAgreementTest : public ::testing::TestWithParam<TopoParam> {};
 
 TEST_P(TopologyAgreementTest, AllAlgorithmsAgree) {
@@ -73,11 +81,7 @@ TEST_P(TopologyAgreementTest, AllAlgorithmsAgree) {
 INSTANTIATE_TEST_SUITE_P(Topologies, TopologyAgreementTest,
                          ::testing::Values(TopoParam{"chain", 3}, TopoParam{"chain", 5},
                                            TopoParam{"star", 4}, TopoParam{"star", 5},
-                                           TopoParam{"clique", 3}, TopoParam{"clique", 4}),
-                         [](const ::testing::TestParamInfo<TopoParam>& info) {
-                           return std::string(info.param.topology) + "_" +
-                                  std::to_string(info.param.num_relations);
-                         });
+                                           TopoParam{"clique", 3}, TopoParam{"clique", 4}));
 
 // ---- Parameterized: buffer pool size must never change results -------------
 
