@@ -7,6 +7,10 @@
 // thread the curve is flat-to-slightly-negative — the parallel machinery
 // (pool handoffs, queue locking) costs a few percent with nothing to run
 // concurrently; the printed `hw_threads` column makes that context explicit.
+// The optional argv[1] overrides the row count (tiny values = sanitizer smoke
+// runs); the pool scales with it, so every scan faults and evicts pages
+// concurrently at any size.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -29,13 +33,15 @@ struct RunPoint {
   double speedup = 1.0;
 };
 
-void DumpSummary(const std::vector<RunPoint>& points, unsigned hw_threads) {
+void DumpSummary(const std::vector<RunPoint>& points, unsigned hw_threads, size_t table_rows,
+                 size_t pool_pages) {
   const char* dir = std::getenv("RELOPT_BENCH_JSON_DIR");
   if (dir == nullptr || *dir == '\0') return;
   std::string path = std::string(dir) + "/parallel_scan_summary.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return;
-  std::fprintf(f, "{\"hardware_threads\":%u,\"points\":[", hw_threads);
+  std::fprintf(f, "{\"hardware_threads\":%u,\"table_rows\":%zu,\"pool_pages\":%zu,\"points\":[",
+               hw_threads, table_rows, pool_pages);
   for (size_t i = 0; i < points.size(); ++i) {
     const RunPoint& p = points[i];
     std::fprintf(f,
@@ -51,22 +57,29 @@ void DumpSummary(const std::vector<RunPoint>& points, unsigned hw_threads) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  size_t table_rows = 200000;
+  if (argc > 1) table_rows = static_cast<size_t>(std::strtoull(argv[1], nullptr, 10));
+  if (table_rows == 0) table_rows = 200000;
+  // About a third of `big` (512 of its 1516 pages at 200k rows); at least
+  // two frames per worker at parallelism 8.
+  const size_t pool_pages = std::max<size_t>(16, table_rows * 512 / 200000);
+
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf(
-      "P1: morsel-driven parallel scaling -- 200k-row scan + join at "
-      "parallelism 1/2/4/8.\nhardware threads: %u  (speedup saturates at the "
-      "physical core count;\non a 1-thread host the parallel engine can only "
-      "break even)\n\n",
-      hw_threads);
+      "P1: morsel-driven parallel scaling -- %zu-row scan + join at "
+      "parallelism 1/2/4/8, %zu-page pool.\nhardware threads: %u  (speedup "
+      "saturates at the physical core count;\non a 1-thread host the parallel "
+      "engine can only break even)\n\n",
+      table_rows, pool_pages, hw_threads);
 
   SessionOptions options;
-  options.buffer_pool_pages = 512;
+  options.buffer_pool_pages = pool_pages;
   Database db(options);
 
   TableSpec big;
   big.name = "big";
-  big.num_rows = 200000;
+  big.num_rows = table_rows;
   big.columns = {ColumnSpec::Serial("id"), ColumnSpec::Uniform("k", 0, 999),
                  ColumnSpec::Uniform("pad", 0, 1000000)};
   CheckOk(GenerateTable(&db, big));
@@ -115,6 +128,6 @@ int main() {
   }
   db.set_parallelism(1);
   table.Print();
-  DumpSummary(points, hw_threads);
+  DumpSummary(points, hw_threads, table_rows, pool_pages);
   return 0;
 }

@@ -42,6 +42,11 @@ echo "== bench_aggregate smoke (asan) =="
 # low/high cardinality + global, row/batch x parallelism 1/2/4) under ASAN.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_aggregate 2000
 
+echo "== bench_parallel_scan smoke (asan) =="
+# 20k rows (152 pages) through a 51-page pool at parallelism 1/2/4/8: morsel
+# workers fault, evict and wait on each other's page loads concurrently.
+RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_parallel_scan 20000
+
 echo "== bench_serving smoke (asan) =="
 # Tiny query count: drives the multi-session serving harness (1/2/4/8
 # sessions, prepared + text modes, plan cache on vs off) under ASAN. The
@@ -100,6 +105,12 @@ echo "== bench_aggregate smoke (tsan) =="
 # Parallel rows accumulate into per-worker partitions and merge across the
 # barrier; TSan checks the shared-state hand-off and the disjoint merge/emit.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_aggregate 2000
+
+echo "== bench_parallel_scan smoke (tsan) =="
+# Concurrent misses, evictions and load waits through MorselScan: TSan checks
+# that page bytes copied outside the pool mutex are published by the frame's
+# load state before any other pinner reads them.
+RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_parallel_scan 20000
 
 echo "== bench_serving smoke (tsan) =="
 # Up to 8 sessions hammer the shared plan cache, statement lock, and query

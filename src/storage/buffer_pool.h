@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/disk_manager.h"
@@ -36,18 +34,28 @@ struct BufferPoolStats {
 class PageFrame {
  public:
   PageId page_id() const { return page_id_; }
-  char* data() { return data_.get(); }
-  const char* data() const { return data_.get(); }
+  char* data() { return data_; }
+  const char* data() const { return data_; }
 
   /// Per-frame content latch (see class comment for the ordering rule).
   std::shared_mutex& latch() const { return latch_; }
 
  private:
   friend class BufferPool;
-  PageId page_id_;
-  std::unique_ptr<char[]> data_;
+  /// Progress of the disk read (or zero fill) that fills a claimed frame.
+  enum LoadState : int { kLoading, kReady, kFailed };
+
+  char* data_ = nullptr;  ///< kPageSize bytes in the pool's arena
+  // The fields below are guarded by the pool mutex.
+  PageId page_id_;  ///< invalid while the frame is free or its load failed
   int pin_count_ = 0;
   bool dirty_ = false;
+  uint32_t lru_prev_ = 0;  ///< towards the most recently used frame
+  uint32_t lru_next_ = 0;  ///< towards the least recently used frame
+  /// Written under the pool mutex when the frame is claimed; the loader then
+  /// stores kReady or kFailed, and pinners that found it kLoading wait on it
+  /// outside the mutex.
+  std::atomic<int> load_state_{kReady};
   mutable std::shared_mutex latch_;
 };
 
@@ -57,12 +65,16 @@ class PageFrame {
 /// in-memory working sets from `capacity()`, so varying the pool capacity
 /// reproduces the buffer-size experiments.
 ///
-/// Thread-safe: one pool mutex guards the frame map, LRU state, and pin
-/// counts (disk I/O for faults and write-backs happens under it, serializing
-/// page movement); hit/miss/eviction counters are atomic so `stats()` is a
-/// lock-free snapshot. Pinned frames are never evicted, so readers holding a
-/// pin may access frame bytes outside the mutex (with the frame latch when a
-/// concurrent writer is possible).
+/// Thread-safe. Every frame and its 4 KiB buffer are allocated once, at
+/// construction. One pool mutex guards only bookkeeping: the page table, the
+/// LRU list, the free list, pin counts and dirty bits. Page bytes never move
+/// under it except for a dirty victim's write-back. A miss claims a frame and
+/// publishes it in the page table as loading, then reads the page after
+/// releasing the mutex; a concurrent fetch of that page counts a hit and
+/// waits outside the mutex until the frame is ready. Hit/miss/eviction
+/// counters are atomic so `stats()` is a lock-free snapshot. Pinned frames
+/// are never evicted, so readers holding a pin may access frame bytes outside
+/// the mutex (with the frame latch when a concurrent writer is possible).
 class BufferPool {
  public:
   /// `capacity` is in pages.
@@ -78,6 +90,8 @@ class BufferPool {
   Result<PageFrame*> FetchPage(PageId page_id);
 
   /// Allocates a new page in `file_id` and returns it pinned and zeroed.
+  /// Fails with ResourceExhausted, leaving the file unchanged, if every frame
+  /// is pinned.
   Result<PageFrame*> NewPage(FileId file_id);
 
   /// Unpins; `dirty` marks the frame for write-back on eviction/flush.
@@ -105,23 +119,74 @@ class BufferPool {
 
   /// Number of frames currently cached (for tests).
   size_t NumCached() const;
+  /// Number of frames currently pinned (for tests).
+  size_t NumPinned() const;
 
  private:
-  /// Makes room for one more frame; evicts the LRU unpinned frame if full.
-  /// Requires `mu_` held.
-  Status EnsureCapacityLocked();
-  /// Requires `mu_` held.
-  Status EvictFrameLocked(PageId page_id);
-  /// Requires `mu_` held.
-  void TouchLruLocked(PageId page_id);
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// Unmaps the frame arena.
+  struct ArenaUnmapper {
+    size_t bytes = 0;
+    void operator()(char* base) const;
+  };
+  using Arena = std::unique_ptr<char, ArenaUnmapper>;
+  /// Maps `pages` (at least one) pages of zero-on-first-touch memory.
+  static Arena MapArena(size_t pages);
+
+  /// Page-table slot where a probe for `page_id` starts.
+  size_t HomeSlot(PageId page_id) const;
+  /// Page-table lookup; kNoFrame if `page_id` is not cached. Requires `mu_`.
+  uint32_t FindLocked(PageId page_id) const;
+  /// Requires `mu_`; the frame's `page_id_` is set and not yet in the table.
+  void TableInsertLocked(uint32_t frame);
+  /// Requires `mu_`; the frame's `page_id_` is still set.
+  void TableEraseLocked(uint32_t frame);
+
+  /// LRU list maintenance (head = most recent). Require `mu_`.
+  void LruUnlinkLocked(uint32_t frame);
+  void LruPushFrontLocked(uint32_t frame);
+
+  /// Returns a clean frame in neither the page table nor the LRU list: a free
+  /// one, else the least recently used unpinned frame, evicted (and written
+  /// back if dirty). ResourceExhausted if every frame is pinned. Requires
+  /// `mu_`.
+  Result<uint32_t> TakeFrameLocked();
+  /// Writes back if dirty, then removes the frame from the page table and
+  /// the LRU list; the caller reuses or frees it. Requires `mu_`, unpinned.
+  Status EvictLocked(uint32_t frame);
+  /// Removes a cached frame from the page table and the LRU list and clears
+  /// its page id and dirty bit, without write-back. Requires `mu_`.
+  void DetachLocked(uint32_t frame);
+  /// Maps `page_id` to a frame from TakeFrameLocked, pinned once, most
+  /// recent in the LRU list and loading. Requires `mu_`.
+  void PublishLocked(uint32_t frame, PageId page_id);
+  /// Writes back a dirty, fully loaded frame. Requires `mu_`.
+  Status WriteBackLocked(PageFrame& frame);
+  /// Drops one pin on a frame already detached by a failed load; the last
+  /// pin returns it to the free list. Requires `mu_`.
+  void UnpinDetachedLocked(uint32_t frame);
+
+  /// Marks a claimed frame ready, or detaches it if the load failed.
+  void FinishLoad(uint32_t frame, const Status& loaded);
+  /// Blocks until the frame's load finishes; false if it failed.
+  static bool WaitForLoad(const PageFrame& frame);
 
   DiskManager* disk_;
   size_t capacity_;
-  mutable std::mutex mu_;  ///< guards frames_, lru_, pin counts, dirty bits
-  std::unordered_map<PageId, std::unique_ptr<PageFrame>, PageIdHash> frames_;
-  // LRU list of unpinned-or-pinned pages; front = most recent.
-  std::list<PageId> lru_;
-  std::unordered_map<PageId, std::list<PageId>::iterator, PageIdHash> lru_pos_;
+  Arena arena_;                          ///< capacity_ pages, backed on first touch
+  std::unique_ptr<PageFrame[]> frames_;  ///< capacity_ frames over the arena
+
+  /// Guards table_, the LRU ends, free_ and every frame's bookkeeping fields.
+  mutable std::mutex mu_;
+  /// Open-addressing (linear probing) page table: each slot holds the index
+  /// of a cached frame, or kNoFrame. The key is the frame's `page_id_`.
+  std::vector<uint32_t> table_;
+  int table_shift_ = 0;  ///< 64 - log2(table_.size())
+  uint32_t lru_head_ = kNoFrame;
+  uint32_t lru_tail_ = kNoFrame;
+  std::vector<uint32_t> free_;  ///< unused frames; never holds more than capacity_
+
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

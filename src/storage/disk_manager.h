@@ -9,7 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,8 +30,10 @@ struct IoStats {
 };
 
 /// \brief Manages a set of paged "files" held in memory, counting every page
-/// read/write. Thread-safe: file-map structure is mutex-guarded and the
-/// global counters are atomic (plus thread-local tallies for attribution).
+/// read/write. Thread-safe: page reads and size queries share one
+/// reader-writer lock, while page writes and every change to the file map take
+/// it exclusively; all counters are atomic (plus thread-local tallies for
+/// attribution).
 class DiskManager {
  public:
   DiskManager() = default;
@@ -68,13 +70,17 @@ class DiskManager {
  private:
   struct File {
     std::vector<std::unique_ptr<char[]>> pages;
-    IoStats stats;
+    std::atomic<uint64_t> page_reads{0};
+    std::atomic<uint64_t> page_writes{0};
+    std::atomic<uint64_t> pages_allocated{0};
   };
 
-  /// Requires `mu_` held.
+  /// Requires `mu_` held (shared suffices).
   Result<File*> GetFileLocked(FileId file_id);
 
-  mutable std::mutex mu_;  ///< guards files_, next_file_id_, per-file stats
+  /// Shared: page reads and size queries. Exclusive: page writes and changes
+  /// to files_, next_file_id_ or a file's page list.
+  mutable std::shared_mutex mu_;
   std::unordered_map<FileId, File> files_;
   FileId next_file_id_ = 1;
   std::atomic<uint64_t> page_reads_{0};

@@ -15,7 +15,9 @@
 namespace relopt {
 namespace {
 
-using tu::Sql;
+using tu::CheckedExecute;
+using tu::CheckedExecutePlan;
+using tu::CheckedSql;
 
 std::vector<std::string> Canon(const QueryResult& r) {
   std::vector<std::string> rows;
@@ -42,9 +44,9 @@ class ParallelDifferentialTest : public ::testing::Test {
 
   void CheckSerialVsParallel(const std::string& sql, size_t parallelism) {
     db_.set_parallelism(1);
-    QueryResult serial = Sql(&db_, sql);
+    QueryResult serial = CheckedSql(&db_, sql);
     db_.set_parallelism(parallelism);
-    QueryResult parallel = Sql(&db_, sql);
+    QueryResult parallel = CheckedSql(&db_, sql);
     db_.set_parallelism(1);
     EXPECT_EQ(ColumnNames(serial.schema), ColumnNames(parallel.schema)) << sql;
     EXPECT_EQ(Canon(serial), Canon(parallel)) << sql << " @ parallelism " << parallelism;
@@ -69,7 +71,7 @@ TEST_F(ParallelDifferentialTest, OrderByStillSortedUnderParallelism) {
   // Gather must still deliver sorted output even though worker row order is
   // nondeterministic.
   db_.set_parallelism(4);
-  QueryResult r = Sql(&db_, "SELECT salary FROM emp ORDER BY salary DESC LIMIT 50");
+  QueryResult r = CheckedSql(&db_, "SELECT salary FROM emp ORDER BY salary DESC LIMIT 50");
   ASSERT_EQ(r.rows.size(), 50u);
   for (size_t i = 1; i < r.rows.size(); ++i) {
     EXPECT_GE(r.rows[i - 1].At(0).AsInt(), r.rows[i].At(0).AsInt());
@@ -79,9 +81,9 @@ TEST_F(ParallelDifferentialTest, OrderByStillSortedUnderParallelism) {
 TEST_F(ParallelDifferentialTest, ErrorsAreIdenticalAcrossParallelism) {
   for (const char* q : kDifferentialFailingQueries) {
     db_.set_parallelism(1);
-    Result<QueryResult> serial = db_.Execute(q);
+    Result<QueryResult> serial = CheckedExecute(&db_, q);
     db_.set_parallelism(4);
-    Result<QueryResult> parallel = db_.Execute(q);
+    Result<QueryResult> parallel = CheckedExecute(&db_, q);
     db_.set_parallelism(1);
     EXPECT_FALSE(serial.ok()) << q;
     EXPECT_FALSE(parallel.ok()) << q;
@@ -93,10 +95,10 @@ TEST_F(ParallelDifferentialTest, RepeatedParallelExecutionIsStable) {
   const std::string q =
       "SELECT dept_id, count(*) FROM emp WHERE salary > 2000 GROUP BY dept_id ORDER BY dept_id";
   db_.set_parallelism(1);
-  QueryResult reference = Sql(&db_, q);
+  QueryResult reference = CheckedSql(&db_, q);
   db_.set_parallelism(4);
   for (int i = 0; i < 5; ++i) {
-    QueryResult again = Sql(&db_, q);
+    QueryResult again = CheckedSql(&db_, q);
     EXPECT_EQ(Canon(reference), Canon(again));
   }
 }
@@ -112,7 +114,7 @@ const OperatorProfile* FindOp(const OperatorProfile& p, const std::string& op) {
 
 TEST_F(ParallelDifferentialTest, ScanActuallyRunsOnAllWorkers) {
   db_.set_parallelism(4);
-  Sql(&db_, "SELECT count(*) FROM emp");
+  CheckedSql(&db_, "SELECT count(*) FROM emp");
   const PlanProfile& profile = db_.last_profile();
   ASSERT_TRUE(profile.valid);
   const OperatorProfile* scan = FindOp(profile.root, "SeqScan");
@@ -125,9 +127,9 @@ TEST_F(ParallelDifferentialTest, ScanActuallyRunsOnAllWorkers) {
 
 TEST_F(ParallelDifferentialTest, HashJoinRunsParallelAndCountsRowsOnce) {
   db_.set_parallelism(4);
-  QueryResult r = Sql(&db_,
-                      "SELECT emp.name, dept.dname FROM emp, dept "
-                      "WHERE emp.dept_id = dept.id");
+  QueryResult r = CheckedSql(&db_,
+                             "SELECT emp.name, dept.dname FROM emp, dept "
+                             "WHERE emp.dept_id = dept.id");
   const PlanProfile& profile = db_.last_profile();
   ASSERT_TRUE(profile.valid);
   const OperatorProfile* join = FindOp(profile.root, "HashJoin");
@@ -151,7 +153,7 @@ TEST_F(ParallelDifferentialTest, ExplainAnalyzeIoExactUnderParallelism) {
   // Cold cache so worker scans do real page reads concurrently.
   ASSERT_OK(db_.pool()->FlushAll());
   ASSERT_OK(db_.pool()->EvictAll());
-  Result<QueryResult> r = db_.ExecutePlan(*plan);
+  Result<QueryResult> r = CheckedExecutePlan(&db_, *plan, q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   const ExecutionMetrics& m = db_.last_metrics();
@@ -188,7 +190,7 @@ TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
     }
     ASSERT_OK(db_.pool()->FlushAll());
     ASSERT_OK(db_.pool()->EvictAll());
-    Result<QueryResult> ref = db_.ExecutePlan(*ref_plan);
+    Result<QueryResult> ref = CheckedExecutePlan(&db_, *ref_plan, q);
     if (!ref.ok()) {  // only the SUM-overflow query may fail
       ASSERT_NE(ref.status().ToString().find("integer overflow in SUM"), std::string::npos)
           << q << ": " << ref.status().ToString();
@@ -220,7 +222,7 @@ TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
         }
         ASSERT_OK(db_.pool()->FlushAll());
         ASSERT_OK(db_.pool()->EvictAll());
-        Result<QueryResult> got = db_.ExecutePlan(*plan);
+        Result<QueryResult> got = CheckedExecutePlan(&db_, *plan, q);
         if (!ref.ok()) {
           ASSERT_FALSE(got.ok()) << mode;
           EXPECT_EQ(got.status().ToString(), ref.status().ToString()) << mode;
@@ -255,10 +257,10 @@ TEST_F(ParallelDifferentialTest, SetParallelismIsReversible) {
   const std::string q = "SELECT count(*) FROM emp";
   db_.set_parallelism(4);
   EXPECT_EQ(db_.parallelism(), 4u);
-  QueryResult at4 = Sql(&db_, q);
+  QueryResult at4 = CheckedSql(&db_, q);
   db_.set_parallelism(0);  // clamps to serial
   EXPECT_EQ(db_.parallelism(), 1u);
-  QueryResult at1 = Sql(&db_, q);
+  QueryResult at1 = CheckedSql(&db_, q);
   EXPECT_EQ(Canon(at4), Canon(at1));
 }
 

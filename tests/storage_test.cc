@@ -126,6 +126,36 @@ TEST(BufferPoolTest, PinnedPagesAreNotEvicted) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(BufferPoolTest, FailedNewPageLeavesNoOrphanPage) {
+  // A NewPage refused for lack of a frame must not grow the file: a later
+  // scan would read the orphan zero page, one page more than estimated.
+  DiskManager disk;
+  BufferPool pool(&disk, 2);
+  FileId f = disk.CreateFile();
+  ASSERT_TRUE(pool.NewPage(f).ok());
+  ASSERT_TRUE(pool.NewPage(f).ok());
+  ASSERT_EQ(disk.NumPages(f), 2u);
+  EXPECT_EQ(pool.NewPage(f).status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(disk.NumPages(f), 2u);
+  EXPECT_EQ(disk.stats().pages_allocated, 2u);
+  // Once a frame frees up, the next page gets the next page number.
+  ASSERT_TRUE(pool.UnpinPage({f, 0}, true).ok());
+  Result<PageFrame*> third = pool.NewPage(f);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ((*third)->page_id().page_no, 2u);
+  EXPECT_EQ(disk.NumPages(f), 3u);
+}
+
+TEST(BufferPoolTest, NewPageOnMissingFileFreesItsFrame) {
+  DiskManager disk;
+  BufferPool pool(&disk, 1);
+  EXPECT_EQ(pool.NewPage(/*file_id=*/99).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(pool.NumCached(), 0u);
+  EXPECT_EQ(pool.NumPinned(), 0u);
+  FileId f = disk.CreateFile();
+  EXPECT_TRUE(pool.NewPage(f).ok());  // the only frame is still usable
+}
+
 TEST(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
   DiskManager disk;
   BufferPool pool(&disk, 1);

@@ -31,6 +31,35 @@ inline QueryResult Sql(Database* db, const std::string& sql) {
   return r.ok() ? r.MoveValue() : QueryResult{};
 }
 
+/// A finished statement must leave no buffer-pool frame pinned: a leaked pin
+/// shrinks the pool for good. `sql` names the statement in the failure.
+inline void ExpectNoPinnedFrames(Database* db, const std::string& sql) {
+  EXPECT_EQ(db->pool()->NumPinned(), 0u)
+      << "frames left pinned by: " << sql << " @ parallelism " << db->parallelism()
+      << (db->vectorized() ? ", batch " + std::to_string(db->batch_size()) : ", row mode");
+}
+
+/// Sql, Database::Execute and Database::ExecutePlan, each followed by
+/// ExpectNoPinnedFrames, so failing statements are checked too.
+inline QueryResult CheckedSql(Database* db, const std::string& sql) {
+  QueryResult r = Sql(db, sql);
+  ExpectNoPinnedFrames(db, sql);
+  return r;
+}
+
+inline Result<QueryResult> CheckedExecute(Database* db, const std::string& sql) {
+  Result<QueryResult> r = db->Execute(sql);
+  ExpectNoPinnedFrames(db, sql);
+  return r;
+}
+
+inline Result<QueryResult> CheckedExecutePlan(Database* db, const PhysicalNode& plan,
+                                              const std::string& sql) {
+  Result<QueryResult> r = db->ExecutePlan(plan);
+  ExpectNoPinnedFrames(db, sql);
+  return r;
+}
+
 /// Extracts a column of int64s from a result.
 inline std::vector<int64_t> IntColumn(const QueryResult& result, size_t col) {
   std::vector<int64_t> out;

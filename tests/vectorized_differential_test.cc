@@ -16,7 +16,9 @@
 namespace relopt {
 namespace {
 
-using tu::Sql;
+using tu::CheckedExecute;
+using tu::CheckedExecutePlan;
+using tu::CheckedSql;
 
 std::vector<std::string> Canon(const QueryResult& r) {
   std::vector<std::string> rows;
@@ -44,7 +46,7 @@ class VectorizedDifferentialTest : public ::testing::Test {
 
   QueryResult RunRowMode(const std::string& sql) {
     db_.set_vectorized(false);
-    QueryResult r = Sql(&db_, sql);
+    QueryResult r = CheckedSql(&db_, sql);
     db_.set_vectorized(true);
     return r;
   }
@@ -52,7 +54,7 @@ class VectorizedDifferentialTest : public ::testing::Test {
   QueryResult RunVectorized(const std::string& sql, size_t batch_size) {
     db_.set_vectorized(true);
     db_.set_batch_size(batch_size);
-    return Sql(&db_, sql);
+    return CheckedSql(&db_, sql);
   }
 
   void CheckRowVsVectorized(const std::string& sql, size_t batch_size) {
@@ -74,11 +76,11 @@ TEST_F(VectorizedDifferentialTest, EveryQueryAgreesAtEveryBatchSize) {
 TEST_F(VectorizedDifferentialTest, ErrorsAreIdenticalAcrossModes) {
   for (const char* q : kDifferentialFailingQueries) {
     db_.set_vectorized(false);
-    Result<QueryResult> row = db_.Execute(q);
+    Result<QueryResult> row = CheckedExecute(&db_, q);
     db_.set_vectorized(true);
     for (size_t bs : kBatchSizes) {
       db_.set_batch_size(bs);
-      Result<QueryResult> vec = db_.Execute(q);
+      Result<QueryResult> vec = CheckedExecute(&db_, q);
       EXPECT_FALSE(row.ok()) << q;
       EXPECT_FALSE(vec.ok()) << q;
       EXPECT_EQ(row.status().ToString(), vec.status().ToString())
@@ -139,7 +141,7 @@ TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
     db_.set_vectorized(false);
     ASSERT_OK(db_.pool()->FlushAll());
     ASSERT_OK(db_.pool()->EvictAll());
-    Result<QueryResult> row = db_.ExecutePlan(*plan);
+    Result<QueryResult> row = CheckedExecutePlan(&db_, *plan, q);
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     uint64_t row_reads = db_.last_metrics().io.page_reads;
     uint64_t row_writes = db_.last_metrics().io.page_writes;
@@ -151,7 +153,7 @@ TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
       db_.set_batch_size(bs);
       ASSERT_OK(db_.pool()->FlushAll());
       ASSERT_OK(db_.pool()->EvictAll());
-      Result<QueryResult> vec = db_.ExecutePlan(*plan);
+      Result<QueryResult> vec = CheckedExecutePlan(&db_, *plan, q);
       ASSERT_TRUE(vec.ok()) << vec.status().ToString();
       EXPECT_EQ(db_.last_metrics().io.page_reads, row_reads) << q << " @ batch_size " << bs;
       EXPECT_EQ(db_.last_metrics().io.page_writes, row_writes) << q << " @ batch_size " << bs;
@@ -193,7 +195,7 @@ const OperatorProfile* FindOp(const OperatorProfile& p, const std::string& op) {
 TEST_F(VectorizedDifferentialTest, ScanStatsExactUnderVectorizedParallelism) {
   db_.set_parallelism(4);
   db_.set_batch_size(64);
-  Sql(&db_, "SELECT count(*) FROM emp");
+  CheckedSql(&db_, "SELECT count(*) FROM emp");
   db_.set_parallelism(1);
   const PlanProfile& profile = db_.last_profile();
   ASSERT_TRUE(profile.valid);
@@ -208,7 +210,7 @@ TEST_F(VectorizedDifferentialTest, ScanStatsExactUnderVectorizedParallelism) {
 
 TEST_F(VectorizedDifferentialTest, BatchesProducedCountsBatchCalls) {
   db_.set_batch_size(64);
-  QueryResult r = Sql(&db_, "SELECT * FROM emp");
+  QueryResult r = CheckedSql(&db_, "SELECT * FROM emp");
   EXPECT_EQ(r.rows.size(), 300u);
   const PlanProfile& profile = db_.last_profile();
   ASSERT_TRUE(profile.valid);
@@ -337,15 +339,15 @@ TEST_F(VectorizedDifferentialTest, FallbackRowsSurfaceInProfileAndMetric) {
 TEST_F(VectorizedDifferentialTest, SetVectorizedIsReversible) {
   const std::string q = "SELECT count(*) FROM emp";
   EXPECT_TRUE(db_.vectorized());  // on by default
-  QueryResult vec = Sql(&db_, q);
+  QueryResult vec = CheckedSql(&db_, q);
   db_.set_vectorized(false);
   EXPECT_FALSE(db_.vectorized());
-  QueryResult row = Sql(&db_, q);
+  QueryResult row = CheckedSql(&db_, q);
   db_.set_vectorized(true);
   EXPECT_EQ(Canon(vec), Canon(row));
   db_.set_batch_size(0);  // clamps to 1
   EXPECT_EQ(db_.batch_size(), 1u);
-  QueryResult one = Sql(&db_, q);
+  QueryResult one = CheckedSql(&db_, q);
   EXPECT_EQ(Canon(vec), Canon(one));
 }
 
