@@ -1,9 +1,10 @@
-// A1 — Partitioned hash aggregation: row vs batch drive, serial vs morsel-parallel.
+// A1 — Partitioned hash aggregation: batch 1 vs 1024, serial vs morsel-parallel.
 //
 // Grouped (low- and high-cardinality keys) and global aggregates over a
-// ~200k-row table, executed in the full mode matrix: serial row (baseline),
-// serial batch 1024, and parallelism 2/4 in both drive modes. Expected shape:
-// batch 1024 amortizes the per-row iterator overhead and evaluates group keys
+// ~200k-row table, executed in the full mode matrix: serial batch 1
+// (baseline: one row per pull), serial batch 1024, and parallelism 2/4 at
+// both batch sizes. Expected shape: batch 1024 amortizes the per-call
+// iterator overhead and evaluates group keys
 // through the multi-column key kernel, giving >=1.5x on grouped aggregation
 // even on one hardware thread; high-cardinality grouping gains less (the hash
 // table dominates, not the drive loop). Parallel speedup ON MULTI-CORE
@@ -11,10 +12,11 @@
 // merge; on a single hardware thread the parallel rows are flat-to-slightly-
 // negative — the partition/barrier machinery costs a few percent with nothing
 // to run concurrently — and the printed `hw_threads` column makes that
-// context explicit. Page reads are identical across all modes by
-// construction (every mode pins one page at a time through the same scan),
-// which the `reads` column makes visible. The optional argv[1] overrides the
-// row count (tiny values = sanitizer smoke runs).
+// context explicit. Page reads and result rows are identical across all
+// modes by construction (every mode pins one page at a time through the same
+// scan), and no row may go through a FallbackNode; the run fails otherwise.
+// The optional argv[1] overrides the row count (tiny values = sanitizer
+// smoke runs).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,14 +33,20 @@ namespace {
 
 struct RunPoint {
   std::string query_label;
-  std::string mode;  // "row", "batch1024"
+  std::string mode;  // "batch1", "batch1024"
   size_t parallelism = 1;
-  size_t batch_size = 0;  // 0 = row mode
+  size_t batch_size = 1;
   double ms = 0;
   uint64_t reads = 0;
   uint64_t rows = 0;
-  double speedup = 1.0;  // serial_row_ms / ms
+  double speedup = 1.0;  // serial_batch1_ms / ms
 };
+
+uint64_t SumFallback(const OperatorProfile& p) {
+  uint64_t total = p.stats.fallback_rows;
+  for (const OperatorProfile& c : p.children) total += SumFallback(c);
+  return total;
+}
 
 void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows,
                  unsigned hw_threads) {
@@ -54,7 +62,7 @@ void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows,
     std::fprintf(f,
                  "%s{\"query\":\"%s\",\"mode\":\"%s\",\"parallelism\":%zu,"
                  "\"batch_size\":%zu,\"ms\":%.3f,\"page_reads\":%llu,\"rows\":%llu,"
-                 "\"speedup_vs_serial_row\":%.3f}",
+                 "\"speedup_vs_serial_batch1\":%.3f}",
                  i == 0 ? "" : ",", p.query_label.c_str(), p.mode.c_str(), p.parallelism,
                  p.batch_size, p.ms, static_cast<unsigned long long>(p.reads),
                  static_cast<unsigned long long>(p.rows), p.speedup);
@@ -82,10 +90,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "A1: partitioned hash aggregation -- %zu-row table, grouped (low/high\n"
-      "cardinality) and global aggregates, serial row baseline vs batch 1024\n"
-      "vs parallelism 2/4 in both drive modes. hw_threads=%u: parallel rows\n"
-      "only beat serial when that is > 1; the batch-drive speedup is\n"
-      "thread-count independent. Page reads are identical across modes.\n\n",
+      "cardinality) and global aggregates, serial batch 1 baseline vs batch\n"
+      "1024 vs parallelism 2/4 at both batch sizes. hw_threads=%u: parallel\n"
+      "rows only beat serial when that is > 1; the batch-size speedup is\n"
+      "thread-count independent. Page reads and rows are identical across\n"
+      "modes.\n\n",
       table_rows, hw_threads);
 
   SessionOptions options;
@@ -117,45 +126,54 @@ int main(int argc, char** argv) {
   const size_t kParallelisms[] = {1, 2, 4};
 
   std::vector<RunPoint> points;
-  TablePrinter table({"query", "mode", "par", "ms", "reads", "rows", "speedup_vs_serial_row"});
+  TablePrinter table(
+      {"query", "mode", "par", "ms", "reads", "rows", "speedup_vs_serial_batch1"});
   double headline_speedup = 0;  // group_low @ serial batch 1024
 
   for (const QuerySpec& q : kQueries) {
-    double serial_row_ms = 0;
+    Measured base;  // serial batch 1
     for (size_t par : kParallelisms) {
       db.set_parallelism(par);
-      for (bool vectorized : {false, true}) {
-        db.set_vectorized(vectorized);
-        if (vectorized) db.set_batch_size(1024);
+      for (size_t bs : {size_t{1}, size_t{1024}}) {
+        db.set_batch_size(bs);
         Measured m = BestOf3(&db, q.sql);
-        if (par == 1 && !vectorized) serial_row_ms = m.millis;
-        double speedup = m.millis > 0 ? serial_row_ms / m.millis : 0;
-        const char* mode = vectorized ? "batch1024" : "row";
-        points.push_back({q.label, mode, par, vectorized ? size_t{1024} : size_t{0}, m.millis,
-                          m.actual_reads, m.rows, speedup});
+        if (par == 1 && bs == 1) base = m;
+        if (m.actual_reads != base.actual_reads || m.rows != base.rows ||
+            (m.profile.valid && SumFallback(m.profile.root) != 0)) {
+          std::fprintf(stderr,
+                       "FATAL: %s @ parallelism %zu batch %zu: %llu reads / %llu rows vs "
+                       "%llu / %llu at serial batch 1, or fallback rows\n",
+                       q.label, par, bs, static_cast<unsigned long long>(m.actual_reads),
+                       static_cast<unsigned long long>(m.rows),
+                       static_cast<unsigned long long>(base.actual_reads),
+                       static_cast<unsigned long long>(base.rows));
+          return 1;
+        }
+        double speedup = m.millis > 0 ? base.millis / m.millis : 0;
+        const std::string mode = "batch" + std::to_string(bs);
+        points.push_back({q.label, mode, par, bs, m.millis, m.actual_reads, m.rows, speedup});
         table.AddRow({q.label, mode, FInt(par), F(m.millis, 2), FInt(m.actual_reads),
                       FInt(m.rows), F(speedup, 2)});
-        if (std::string(q.label) == "group_low" && par == 1 && vectorized) {
+        if (std::string(q.label) == "group_low" && par == 1 && bs == 1024) {
           headline_speedup = speedup;
           MaybeDumpProfile(m, "aggregate_group_low_batch1024");
         }
-        if (par == 1 && !vectorized) {
-          MaybeDumpProfile(m, std::string("aggregate_") + q.label + "_row");
+        if (par == 1 && bs == 1) {
+          MaybeDumpProfile(m, std::string("aggregate_") + q.label + "_batch1");
         }
-        if (std::string(q.label) == "group_low" && par == 4 && vectorized) {
+        if (std::string(q.label) == "group_low" && par == 4 && bs == 1024) {
           MaybeDumpProfile(m, "aggregate_group_low_par4_batch1024");
         }
       }
     }
     db.set_parallelism(1);
-    db.set_vectorized(true);
     db.set_batch_size(TupleBatch::kDefaultCapacity);
   }
 
   table.Print();
   std::printf(
       "\nheadline: low-cardinality grouped aggregation @ serial batch 1024 is "
-      "%.2fx the serial row baseline (hw_threads=%u)\n",
+      "%.2fx the serial batch 1 baseline (hw_threads=%u)\n",
       headline_speedup, hw_threads);
   DumpSummary(points, table_rows, hw_threads);
   return 0;

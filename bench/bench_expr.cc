@@ -1,14 +1,14 @@
-// E1 — Batch expression engine vs row-at-a-time expression evaluation.
+// E1 — Batch expression engine: batch size 1 vs 64/1024.
 //
 // Expression-heavy queries over a ~200k-row table: nested arithmetic,
 // OR-chains, CASE, NULL-handling functions (coalesce/nullif/IS NULL), string
 // functions, expression sort keys, and expression group keys. Each query runs
-// row-at-a-time and with batch sizes 64/1024. Expected shape: compiled column
-// kernels amortize per-row Eval dispatch and Value boxing, so the deeper the
-// expression tree, the bigger the batch win. Page reads are identical across
-// modes, and the `fallback` column (rows evaluated through the row-loop
-// adapter or a compiled-tree FallbackNode) must read 0 for every query here —
-// the corpus is fully covered by the kernel engine. The optional argv[1]
+// at batch size 1 (one row per kernel call, the baseline) and at 64/1024.
+// Expected shape: compiled column kernels amortize per-call dispatch over the
+// batch, so the deeper the expression tree, the bigger the win. Page reads
+// and result rows must be identical across batch sizes, and the `fallback`
+// column (rows evaluated by a FallbackNode) must read 0 for every query here
+// — the corpus is fully covered by the kernel engine. The optional argv[1]
 // overrides the row count (tiny values = sanitizer smoke runs).
 #include <cstdio>
 #include <cstdlib>
@@ -25,13 +25,13 @@ namespace {
 
 struct RunPoint {
   std::string query_label;
-  std::string mode;  // "row", "batch64", "batch1024"
-  size_t batch_size = 0;  // 0 = row mode
+  std::string mode;  // "batch1", "batch64", "batch1024"
+  size_t batch_size = 1;
   double ms = 0;
   uint64_t reads = 0;
   uint64_t rows = 0;
   uint64_t fallback = 0;
-  double speedup = 1.0;  // row_ms / ms
+  double speedup = 1.0;  // batch1_ms / ms
 };
 
 uint64_t SumFallback(const OperatorProfile& p) {
@@ -52,7 +52,7 @@ void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
     std::fprintf(f,
                  "%s{\"query\":\"%s\",\"mode\":\"%s\",\"batch_size\":%zu,\"ms\":%.3f,"
                  "\"page_reads\":%llu,\"rows\":%llu,\"fallback_rows\":%llu,"
-                 "\"speedup_vs_row\":%.3f}",
+                 "\"speedup_vs_batch1\":%.3f}",
                  i == 0 ? "" : ",", p.query_label.c_str(), p.mode.c_str(), p.batch_size, p.ms,
                  static_cast<unsigned long long>(p.reads),
                  static_cast<unsigned long long>(p.rows),
@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
   if (table_rows == 0) table_rows = 200000;
 
   std::printf(
-      "E1: batch expression engine vs row-at-a-time Eval -- %zu-row table,\n"
-      "expression-heavy queries at batch sizes 64/1024 vs the row loop.\n"
-      "Identical page reads; `fallback` must be 0 (full kernel coverage).\n\n",
+      "E1: batch expression engine -- %zu-row table, expression-heavy\n"
+      "queries at batch sizes 64/1024 vs batch size 1. Identical page reads\n"
+      "and rows; `fallback` must be 0 (full kernel coverage).\n\n",
       table_rows);
 
   SessionOptions options;
@@ -118,44 +118,40 @@ int main(int argc, char** argv) {
       {"expr_sort_key", "SELECT id FROM t ORDER BY a % 1000 ASC, id ASC LIMIT 100"},
       {"expr_group_key", "SELECT a % 16, count(*), sum(b) FROM t GROUP BY a % 16"},
   };
-  const size_t kBatchSizes[] = {64, 1024};
+  const size_t kBatchSizes[] = {1, 64, 1024};  // the first is the baseline
 
   std::vector<RunPoint> points;
-  TablePrinter table({"query", "mode", "ms", "reads", "rows", "fallback", "speedup_vs_row"});
+  TablePrinter table({"query", "mode", "ms", "reads", "rows", "fallback", "speedup_vs_batch1"});
   double headline_speedup = 0;  // nested_arith @ 1024
   uint64_t total_batch_fallback = 0;
 
   for (const QuerySpec& q : kQueries) {
-    db.set_vectorized(false);
-    Measured row = BestOf3(&db, q.sql);
-    points.push_back({q.label, "row", 0, row.millis, row.actual_reads, row.rows, 0, 1.0});
-    table.AddRow({q.label, "row", F(row.millis, 2), FInt(row.actual_reads), FInt(row.rows),
-                  FInt(0), F(1.0, 2)});
-    MaybeDumpProfile(row, std::string("expr_") + q.label + "_row");
-
-    db.set_vectorized(true);
+    Measured base;
     for (size_t bs : kBatchSizes) {
       db.set_batch_size(bs);
       Measured vec = BestOf3(&db, q.sql);
+      if (bs == kBatchSizes[0]) base = vec;
       uint64_t fallback = vec.profile.valid ? SumFallback(vec.profile.root) : 0;
       total_batch_fallback += fallback;
-      double speedup = vec.millis > 0 ? row.millis / vec.millis : 0;
+      double speedup = vec.millis > 0 ? base.millis / vec.millis : 0;
       std::string mode = "batch" + std::to_string(bs);
       points.push_back(
           {q.label, mode, bs, vec.millis, vec.actual_reads, vec.rows, fallback, speedup});
       table.AddRow({q.label, mode, F(vec.millis, 2), FInt(vec.actual_reads), FInt(vec.rows),
                     FInt(fallback), F(speedup, 2)});
+      if (bs == 1) MaybeDumpProfile(vec, std::string("expr_") + q.label + "_batch1");
       if (std::string(q.label) == "nested_arith" && bs == 1024) {
         headline_speedup = speedup;
         MaybeDumpProfile(vec, "expr_nested_arith_batch1024");
       }
-      if (vec.actual_reads != row.actual_reads) {
-        std::fprintf(stderr, "FATAL: page reads diverged on %s (%llu row vs %llu batch%zu)\n",
-                     q.label, static_cast<unsigned long long>(row.actual_reads),
+      if (vec.actual_reads != base.actual_reads) {
+        std::fprintf(stderr,
+                     "FATAL: page reads diverged on %s (%llu batch1 vs %llu batch%zu)\n",
+                     q.label, static_cast<unsigned long long>(base.actual_reads),
                      static_cast<unsigned long long>(vec.actual_reads), bs);
         return 1;
       }
-      if (vec.rows != row.rows) {
+      if (vec.rows != base.rows) {
         std::fprintf(stderr, "FATAL: result rows diverged on %s\n", q.label);
         return 1;
       }
@@ -164,7 +160,7 @@ int main(int argc, char** argv) {
   }
 
   table.Print();
-  std::printf("\nheadline: nested arithmetic @ batch 1024 is %.2fx row-at-a-time\n",
+  std::printf("\nheadline: nested arithmetic @ batch 1024 is %.2fx batch 1\n",
               headline_speedup);
   std::printf("total batch fallback rows across the corpus: %llu\n",
               static_cast<unsigned long long>(total_batch_fallback));

@@ -1,14 +1,15 @@
-// V1 — Vectorized (batch-at-a-time) execution vs row-at-a-time Volcano.
+// V1 — Batch-at-a-time execution: TupleBatch size 1 vs 64/1024.
 //
 // Full-table scan/filter/project/join/limit queries over a ~200k-row table,
-// executed row-at-a-time and with TupleBatch sizes 1/64/1024. Expected shape:
-// batch 1024 amortizes the per-row iterator overhead (virtual Next, timer,
-// I/O-attribution switches) and the per-row deserialize allocations, giving
-// >=2x on scan+filter+project pipelines; batch 1 pays the batch machinery
-// without amortizing anything and lands at or slightly below row mode. Page
-// reads are identical across modes by construction (both pin one page at a
-// time), which the `reads` column makes visible. The optional argv[1]
-// overrides the row count (tiny values = sanitizer smoke runs).
+// executed with TupleBatch sizes 1/64/1024. Batch size 1 pulls one row per
+// NextBatch call, as a row-at-a-time Volcano loop does, and is the baseline.
+// Expected shape: batch 1024 amortizes the per-call overhead (virtual
+// NextBatch, timer, I/O-attribution switches) and the per-row deserialize
+// allocations, giving >=2x on scan+filter+project pipelines. Page reads and
+// result rows are identical across batch sizes by construction (every size
+// pins one page at a time), and no row may go through a FallbackNode; the
+// run fails otherwise. The optional argv[1] overrides the row count (tiny
+// values = sanitizer smoke runs).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -24,13 +25,40 @@ namespace {
 
 struct RunPoint {
   std::string query_label;
-  std::string mode;  // "row", "batch1", ...
-  size_t batch_size = 0;  // 0 = row mode
+  std::string mode;  // "batch1", "batch64", ...
+  size_t batch_size = 1;
   double ms = 0;
   uint64_t reads = 0;
   uint64_t rows = 0;
-  double speedup = 1.0;  // row_ms / ms
+  double speedup = 1.0;  // batch1_ms / ms
 };
+
+uint64_t SumFallback(const OperatorProfile& p) {
+  uint64_t total = p.stats.fallback_rows;
+  for (const OperatorProfile& c : p.children) total += SumFallback(c);
+  return total;
+}
+
+/// False (with a message) unless `m` read the same pages and returned the
+/// same rows as the batch-1 baseline `base`, with no fallback rows.
+bool MatchesBaseline(const std::string& label, size_t batch_size, const Measured& base,
+                     const Measured& m) {
+  if (m.actual_reads != base.actual_reads || m.rows != base.rows) {
+    std::fprintf(stderr,
+                 "FATAL: %s @ batch %zu read %llu pages / %llu rows vs %llu / %llu at batch 1\n",
+                 label.c_str(), batch_size, static_cast<unsigned long long>(m.actual_reads),
+                 static_cast<unsigned long long>(m.rows),
+                 static_cast<unsigned long long>(base.actual_reads),
+                 static_cast<unsigned long long>(base.rows));
+    return false;
+  }
+  if (m.profile.valid && SumFallback(m.profile.root) != 0) {
+    std::fprintf(stderr, "FATAL: %s @ batch %zu evaluated rows through a FallbackNode\n",
+                 label.c_str(), batch_size);
+    return false;
+  }
+  return true;
+}
 
 void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
   const char* dir = std::getenv("RELOPT_BENCH_JSON_DIR");
@@ -43,7 +71,7 @@ void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
     const RunPoint& p = points[i];
     std::fprintf(f,
                  "%s{\"query\":\"%s\",\"mode\":\"%s\",\"batch_size\":%zu,\"ms\":%.3f,"
-                 "\"page_reads\":%llu,\"rows\":%llu,\"speedup_vs_row\":%.3f}",
+                 "\"page_reads\":%llu,\"rows\":%llu,\"speedup_vs_batch1\":%.3f}",
                  i == 0 ? "" : ",", p.query_label.c_str(), p.mode.c_str(), p.batch_size, p.ms,
                  static_cast<unsigned long long>(p.reads),
                  static_cast<unsigned long long>(p.rows), p.speedup);
@@ -69,9 +97,9 @@ int main(int argc, char** argv) {
   if (table_rows == 0) table_rows = 200000;
 
   std::printf(
-      "V1: vectorized batch execution vs row-at-a-time -- %zu-row table,\n"
-      "batch sizes 1/64/1024 vs the classic Volcano row loop. Identical page\n"
-      "reads across modes; the speedup is pure per-row-overhead amortization.\n\n",
+      "V1: batch execution -- %zu-row table, batch sizes 64/1024 vs batch\n"
+      "size 1 (one row per pull). Identical page reads and rows across batch\n"
+      "sizes; the speedup is pure per-call-overhead amortization.\n\n",
       table_rows);
 
   SessionOptions options;
@@ -110,64 +138,46 @@ int main(int argc, char** argv) {
        "FROM big WHERE k < 200 OR k > 800 OR pad % 97 = 0"},
       {"expr_group_key", "SELECT k % 16, count(*), sum(pad) FROM big GROUP BY k % 16"},
   };
-  const size_t kBatchSizes[] = {1, 64, 1024};
+  const size_t kBatchSizes[] = {1, 64, 1024};  // the first is the baseline
 
   std::vector<RunPoint> points;
-  TablePrinter table({"query", "mode", "ms", "reads", "rows", "speedup_vs_row"});
+  TablePrinter table({"query", "mode", "ms", "reads", "rows", "speedup_vs_batch1"});
   double headline_speedup = 0;  // scan_filter_project @ 1024
 
-  for (const QuerySpec& q : kQueries) {
-    db.set_vectorized(false);
-    Measured row = BestOf3(&db, q.sql);
-    RunPoint rp{q.label, "row", 0, row.millis, row.actual_reads, row.rows, 1.0};
-    points.push_back(rp);
-    table.AddRow({q.label, "row", F(row.millis, 2), FInt(row.actual_reads), FInt(row.rows),
-                  F(1.0, 2)});
-    MaybeDumpProfile(row, std::string("vectorized_") + q.label + "_row");
-
-    db.set_vectorized(true);
-    for (size_t bs : kBatchSizes) {
+  // Runs `sql` at each batch size against the batch-1 baseline.
+  auto sweep = [&](const std::string& label, const std::string& sql,
+                   std::initializer_list<size_t> batch_sizes) {
+    Measured base;
+    for (size_t bs : batch_sizes) {
       db.set_batch_size(bs);
-      Measured vec = BestOf3(&db, q.sql);
-      double speedup = vec.millis > 0 ? row.millis / vec.millis : 0;
+      Measured m = BestOf3(&db, sql);
+      if (bs == 1) base = m;
+      if (!MatchesBaseline(label, bs, base, m)) std::exit(1);
+      double speedup = m.millis > 0 ? base.millis / m.millis : 0;
       std::string mode = "batch" + std::to_string(bs);
-      points.push_back({q.label, mode, bs, vec.millis, vec.actual_reads, vec.rows, speedup});
-      table.AddRow({q.label, mode, F(vec.millis, 2), FInt(vec.actual_reads), FInt(vec.rows),
+      points.push_back({label, mode, bs, m.millis, m.actual_reads, m.rows, speedup});
+      table.AddRow({label, mode, F(m.millis, 2), FInt(m.actual_reads), FInt(m.rows),
                     F(speedup, 2)});
-      if (std::string(q.label) == "scan_filter_project" && bs == 1024) {
+      if (bs == 1) MaybeDumpProfile(m, "vectorized_" + label + "_batch1");
+      if (label == "scan_filter_project" && bs == 1024) {
         headline_speedup = speedup;
-        MaybeDumpProfile(vec, "vectorized_scan_filter_project_batch1024");
+        MaybeDumpProfile(m, "vectorized_scan_filter_project_batch1024");
       }
     }
     db.set_batch_size(TupleBatch::kDefaultCapacity);
+  };
+  for (const QuerySpec& q : kQueries) {
+    sweep(q.label, q.sql, {kBatchSizes[0], kBatchSizes[1], kBatchSizes[2]});
   }
 
-  // Vectorized + parallel composition: workers push whole batches through
-  // the Gather. Absolute times on a single-hardware-thread host show the
-  // parallel overhead, not a speedup; the point is that the modes compose.
-  {
-    const std::string sql = kQueries[1].sql;
-    db.set_parallelism(2);
-    db.set_vectorized(false);
-    Measured row = BestOf3(&db, sql);
-    points.push_back({"scan_filter_project_par2", "row", 0, row.millis, row.actual_reads,
-                      row.rows, 1.0});
-    table.AddRow({"scan_filter_project_par2", "row", F(row.millis, 2), FInt(row.actual_reads),
-                  FInt(row.rows), F(1.0, 2)});
-    db.set_vectorized(true);
-    db.set_batch_size(1024);
-    Measured vec = BestOf3(&db, sql);
-    double speedup = vec.millis > 0 ? row.millis / vec.millis : 0;
-    points.push_back({"scan_filter_project_par2", "batch1024", 1024, vec.millis,
-                      vec.actual_reads, vec.rows, speedup});
-    table.AddRow({"scan_filter_project_par2", "batch1024", F(vec.millis, 2),
-                  FInt(vec.actual_reads), FInt(vec.rows), F(speedup, 2)});
-    db.set_parallelism(1);
-    db.set_batch_size(TupleBatch::kDefaultCapacity);
-  }
+  // Batches + parallel composition: workers push whole batches through the
+  // Gather. The point is that the two compose with identical I/O.
+  db.set_parallelism(2);
+  sweep("scan_filter_project_par2", kQueries[1].sql, {1, 1024});
+  db.set_parallelism(1);
 
   table.Print();
-  std::printf("\nheadline: scan+filter+project @ batch 1024 is %.2fx row-at-a-time\n",
+  std::printf("\nheadline: scan+filter+project @ batch 1024 is %.2fx batch 1\n",
               headline_speedup);
   DumpSummary(points, table_rows);
   return 0;

@@ -26,20 +26,22 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== bench_vectorized smoke (asan) =="
 # Tiny row count: exercises the batch pipeline (scan/filter/project/join/
-# limit, plus the vectorized+parallel composition) under ASAN, and the
-# RELOPT_BENCH_JSON_DIR dump paths, without benchmark-scale runtime.
+# limit, plus the batch+parallel composition) under ASAN, and the
+# RELOPT_BENCH_JSON_DIR dump paths, without benchmark-scale runtime. The
+# binary itself asserts identical page reads / result rows across batch
+# sizes and zero fallback rows.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_vectorized 2000
 
 echo "== bench_expr smoke (asan) =="
 # Tiny row count: drives the compiled batch expression engine (arithmetic,
 # CASE, OR-chains, NULL/string functions, expression sort and group keys)
 # under ASAN. The binary itself asserts zero fallback rows and identical
-# page reads / result rows between row and batch modes.
+# page reads / result rows between batch size 1 and larger batches.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_expr 2000
 
 echo "== bench_aggregate smoke (asan) =="
 # Tiny row count: exercises the partitioned hash aggregation matrix (grouped
-# low/high cardinality + global, row/batch x parallelism 1/2/4) under ASAN.
+# low/high cardinality + global, batch 1/1024 x parallelism 1/2/4) under ASAN.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_aggregate 2000
 
 echo "== bench_parallel_scan smoke (asan) =="
@@ -57,7 +59,7 @@ RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_serving 20
 echo "== metrics smoke (asan) =="
 # Corpus attribution check: the global MetricsRegistry page-I/O counters must
 # match the per-statement deltas and the summed EXPLAIN ANALYZE attribution
-# across the differential corpus, row/batch x parallelism 1/2/4/8.
+# across the differential corpus, batch 1/1024 x parallelism 1/2/4/8.
 ./build-asan/tests/relopt_tests \
   --gtest_filter='*IntrospectionMatrixTest*:IntrospectionTest.*'
 
@@ -80,10 +82,12 @@ echo "== bench_join_order smoke (asan) =="
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_join_order smoke
 
 echo "== tsan build (concurrency tests) =="
+# JoinMethodMatrix runs Gather at parallelism 4 over every join method;
+# VectorEval drives the kernels and the fallback counter.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

@@ -126,10 +126,6 @@ void Database::set_parallelism(size_t n) { default_session_->set_parallelism(n);
 
 size_t Database::parallelism() const { return default_session_->parallelism(); }
 
-void Database::set_vectorized(bool on) { default_session_->set_vectorized(on); }
-
-bool Database::vectorized() const { return default_session_->vectorized(); }
-
 void Database::set_cardinality_feedback(bool on) {
   default_session_->set_cardinality_feedback(on);
 }

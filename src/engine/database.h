@@ -38,11 +38,8 @@ struct SessionOptions {
   size_t buffer_pool_pages = 256;
   OptimizerOptions optimizer;
   size_t analyze_buckets = 32;
-  /// Vectorized (batch-at-a-time) execution. When on, queries are driven
-  /// through Executor::NextBatch with `batch_size`-row TupleBatches;
-  /// operators without a native batch implementation fall back to an
-  /// internal row loop, so the two modes always agree on results.
-  bool vectorized = true;
+  /// Rows per TupleBatch queries are driven with (Executor::NextBatch).
+  /// Batch size 1 runs the same operators and kernels one row at a time.
   size_t batch_size = TupleBatch::kDefaultCapacity;
   /// Intra-query parallelism for this session's statements (1 = serial).
   size_t parallelism = 1;
@@ -166,9 +163,6 @@ class Database {
   void set_parallelism(size_t n);
   size_t parallelism() const;
 
-  /// Toggles the default session's vectorized execution.
-  void set_vectorized(bool on);
-  bool vectorized() const;
   /// Toggles the default session's cardinality feedback. The store itself is
   /// shared by all sessions; this only controls whether the default session
   /// consults and feeds it.
@@ -178,7 +172,7 @@ class Database {
   /// through SELECT * FROM relopt_feedback()).
   FeedbackStore* feedback() { return &feedback_; }
   const FeedbackStore* feedback() const { return &feedback_; }
-  /// Default session's rows per batch under vectorized execution (>= 1).
+  /// Default session's rows per batch (0 is taken as 1).
   void set_batch_size(size_t n);
   size_t batch_size() const;
 

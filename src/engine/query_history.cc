@@ -27,7 +27,6 @@ std::string QueryRecord::ToJson() const {
   out += ", \"pool_misses\": " + std::to_string(pool_misses);
   out += ", \"parallelism\": " + std::to_string(parallelism);
   out += ", \"batch_size\": " + std::to_string(batch_size);
-  out += std::string(", \"vectorized\": ") + (vectorized ? "true" : "false");
   out += std::string(", \"plan_cache_hit\": ") + (plan_cache_hit ? "true" : "false");
   if (!operators.empty()) {
     out += ", \"operators\": [";

@@ -59,8 +59,7 @@ struct QueryRecord {
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   size_t parallelism = 1;
-  size_t batch_size = 0;  ///< 0 = row-at-a-time
-  bool vectorized = false;
+  size_t batch_size = 0;
   bool plan_cache_hit = false;  ///< SELECT served from the shared plan cache
   std::vector<OperatorRecord> operators;  ///< empty when no plan was executed
 

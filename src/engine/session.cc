@@ -284,7 +284,6 @@ Result<PhysicalPtr> Session::OptimizeLogical(LogicalPtr logical, OptimizeInfo* i
                                              bool want_trace) {
   const uint64_t start_nanos = MonotonicNanos();
   options_.optimizer.buffer_pages = db_->pool_->capacity();
-  options_.optimizer.vectorized = options_.vectorized;
   options_.optimizer.feedback = options_.cardinality_feedback ? &db_->feedback_ : nullptr;
   if (trace_optimizer_ || want_trace) {
     last_trace_ = std::make_unique<PlanTrace>();
@@ -302,7 +301,7 @@ Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
 
   ThreadPool* pool = options_.parallelism > 1 ? db_->thread_pool_.get() : nullptr;
   ExecContext ctx(db_->catalog_.get(), db_->pool_.get(), pool, options_.parallelism,
-                  options_.vectorized ? options_.batch_size : 0);
+                  options_.batch_size);
   ctx.set_introspection(&MetricsRegistry::Global(), &db_->history_, &db_->plan_cache_,
                         &db_->feedback_);
   QueryResult result;
@@ -315,27 +314,17 @@ Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
   auto drive = [&]() -> Status {
     RELOPT_ASSIGN_OR_RETURN(root, BuildExecutor(&ctx, &plan));
     RELOPT_RETURN_NOT_OK(root->Init());
-    if (ctx.batch_size() > 0) {
-      // Vectorized drive: pull batches through the root; a false return can
-      // still carry the stream's final rows.
-      TupleBatch batch(ctx.batch_size());
-      while (true) {
-        RELOPT_ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch));
-        ++batches;
-        for (uint32_t i : batch.selection()) {
-          result.rows.push_back(std::move(*batch.MutableRowAt(i)));
-        }
-        if (!has) break;
+    // Pull batches through the root; a false return can still carry the
+    // stream's final rows.
+    TupleBatch batch(ctx.batch_size());
+    while (true) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch));
+      ++batches;
+      for (uint32_t i : batch.selection()) {
+        result.rows.push_back(std::move(*batch.MutableRowAt(i)));
       }
-    } else {
-      Tuple t;
-      while (true) {
-        RELOPT_ASSIGN_OR_RETURN(bool has, root->Next(&t));
-        if (!has) break;
-        result.rows.push_back(std::move(t));
-      }
+      if (!has) return Status::OK();
     }
-    return Status::OK();
   };
   Status status = drive();
   // Stop any still-running parallel workers (a LIMIT can abandon a Gather
@@ -377,7 +366,6 @@ Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
 Result<QueryResult> Session::RunSelect(SelectStmt* stmt, const std::string* cache_suffix) {
   PlanCache& cache = db_->plan_cache_;
   options_.optimizer.buffer_pages = db_->pool_->capacity();
-  options_.optimizer.vectorized = options_.vectorized;
   options_.optimizer.feedback = options_.cardinality_feedback ? &db_->feedback_ : nullptr;
   const uint64_t catalog_version = db_->catalog_->version();
   // The key embeds the feedback version: a harvested observation that
@@ -456,14 +444,19 @@ Status Session::RunInsert(InsertStmt* stmt) {
     }
   }
 
+  // Evaluate and cast every row before inserting any, so a bad value fails
+  // the statement without writing a row.
+  std::vector<Tuple> tuples;
+  tuples.reserve(stmt->rows.size());
   for (std::vector<ExprPtr>& row : stmt->rows) {
     if (row.size() != positions.size()) {
       return Status::InvalidArgument("INSERT row has " + std::to_string(row.size()) +
                                      " values, expected " + std::to_string(positions.size()));
     }
-    std::vector<Value> values(schema.NumColumns(), Value::Null());
+    std::vector<Value> values;
+    values.reserve(schema.NumColumns());
     for (size_t i = 0; i < schema.NumColumns(); ++i) {
-      values[i] = Value::Null(schema.ColumnAt(i).type);
+      values.push_back(Value::Null(schema.ColumnAt(i).type));
     }
     for (size_t i = 0; i < row.size(); ++i) {
       ExprPtr folded = FoldConstants(std::move(row[i]));
@@ -471,7 +464,10 @@ Status Session::RunInsert(InsertStmt* stmt) {
       RELOPT_ASSIGN_OR_RETURN(Value cast, v.CastTo(schema.ColumnAt(positions[i]).type));
       values[positions[i]] = std::move(cast);
     }
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, catalog->InsertTuple(table, Tuple(std::move(values))));
+    tuples.push_back(Tuple(std::move(values)));
+  }
+  for (const Tuple& tuple : tuples) {
+    RELOPT_ASSIGN_OR_RETURN(Rid rid, catalog->InsertTuple(table, tuple));
     (void)rid;
   }
   return Status::OK();
@@ -723,8 +719,7 @@ void Session::RecordStatement(const Statement& stmt, const Status& status,
   rec.pool_hits = metrics_.pool.hits;
   rec.pool_misses = metrics_.pool.misses;
   rec.parallelism = options_.parallelism;
-  rec.batch_size = options_.vectorized ? options_.batch_size : 0;
-  rec.vectorized = options_.vectorized;
+  rec.batch_size = options_.batch_size;
   rec.plan_cache_hit = metrics_.plan_cache_hit;
   if (metrics_.executed_plan && profile_.valid) {
     FlattenOperators(profile_.root, &rec.operators);

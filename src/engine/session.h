@@ -2,9 +2,9 @@
 //
 // A Database owns the process-wide resources — disk, buffer pool, catalog,
 // thread pool, query history, and the shared PlanCache — while each Session
-// carries the per-client state: execution options (parallelism, vectorized
-// mode, batch size, optimizer knobs), prepared statements, and the
-// last-statement metrics/profile/trace that used to live on the Database.
+// carries the per-client state: execution options (parallelism, batch size,
+// optimizer knobs), prepared statements, and the last-statement
+// metrics/profile/trace that used to live on the Database.
 //
 // Concurrency model: a Session is single-threaded (one client), but any
 // number of Sessions may execute against the same Database concurrently.
@@ -101,8 +101,6 @@ class Session {
   void set_parallelism(size_t n);
   size_t parallelism() const { return options_.parallelism; }
 
-  void set_vectorized(bool on) { options_.vectorized = on; }
-  bool vectorized() const { return options_.vectorized; }
   void set_batch_size(size_t n) { options_.batch_size = n == 0 ? 1 : n; }
   size_t batch_size() const { return options_.batch_size; }
   /// Cardinality feedback for this session (consults and feeds the shared

@@ -47,7 +47,6 @@ Schema QueryLogSchema() {
   s.AddColumn(Column("pool_misses", TypeId::kInt64));
   s.AddColumn(Column("parallelism", TypeId::kInt64));
   s.AddColumn(Column("batch_size", TypeId::kInt64));
-  s.AddColumn(Column("vectorized", TypeId::kBool));
   s.AddColumn(Column("plan_cache_hit", TypeId::kBool));
   return s;
 }
@@ -115,7 +114,7 @@ std::vector<Tuple> QueryLogRows(const QueryHistoryStore* history) {
                           Value::Int(ToI64(r.pool_misses)),
                           Value::Int(static_cast<int64_t>(r.parallelism)),
                           Value::Int(static_cast<int64_t>(r.batch_size)),
-                          Value::Bool(r.vectorized), Value::Bool(r.plan_cache_hit)}));
+                          Value::Bool(r.plan_cache_hit)}));
   }
   return rows;
 }

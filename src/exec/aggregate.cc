@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "types/key_codec.h"
 
 namespace relopt {
 
@@ -84,47 +83,13 @@ Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> t
   return Status::OK();
 }
 
-Status GroupIngest::IngestRow(const Tuple& row, std::span<GroupTable> tables) {
-  row_key_.clear();
-  row_key_values_.clear();
-  for (const Expression* g : *group_exprs_) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, g->Eval(row));
-    EncodeKeyValue(v, &row_key_);
-    row_key_values_.push_back(std::move(v));
-  }
-  const uint64_t hash = GroupTable::Hash(row_key_);
-  GroupTable& table = tables[GroupTable::PartitionOf(hash, tables.size())];
-  uint32_t id = table.FindOrInsert(row_key_, hash,
-                                   [&](size_t i) -> const Value& { return row_key_values_[i]; });
-  AggState* states = table.states(id);
-  for (size_t a = 0; a < aggs_->size(); ++a) {
-    const AggSpecExec& spec = (*aggs_)[a];
-    if (spec.arg == nullptr) {  // COUNT(*)
-      ++states[a].count;
-      continue;
-    }
-    RELOPT_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
-    if (v.is_null()) continue;  // aggregates ignore NULLs
-    RELOPT_RETURN_NOT_OK(table.Accumulate(spec.func, v, &states[a]));
-  }
-  return Status::OK();
-}
-
 Status GroupIngest::Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
                           uint64_t* fallback_rows) {
-  if (batch_size > 0) {
-    TupleBatch batch(batch_size);
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(IngestBatch(batch, tables, fallback_rows));
-      if (!has) return Status::OK();
-    }
-  }
-  Tuple t;
+  TupleBatch batch(batch_size);
   while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, child->Next(&t));
+    RELOPT_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+    RELOPT_RETURN_NOT_OK(IngestBatch(batch, tables, fallback_rows));
     if (!has) return Status::OK();
-    RELOPT_RETURN_NOT_OK(IngestRow(t, tables));
   }
 }
 
@@ -140,7 +105,6 @@ AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, Execut
 Status AggregateExecutor::InitImpl() {
   groups_ = GroupTable(group_exprs_.size(), aggs_);
   done_build_ = false;
-  ResetCounters();
   RELOPT_RETURN_NOT_OK(child_->Init());
   RELOPT_RETURN_NOT_OK(ingest_.Drain(child_.get(), ctx_->batch_size(),
                                      std::span<GroupTable>(&groups_, 1), &stats_.fallback_rows));
@@ -153,20 +117,11 @@ Status AggregateExecutor::InitImpl() {
   return Status::OK();
 }
 
-Result<bool> AggregateExecutor::NextImpl(Tuple* out) {
-  if (!done_build_ || next_ == emit_order_.size()) return false;
-  out->Clear();
-  RELOPT_RETURN_NOT_OK(groups_.Emit(emit_order_[next_++], out));
-  CountRow();
-  return true;
-}
-
 Result<bool> AggregateExecutor::NextBatchImpl(TupleBatch* out) {
   if (!done_build_) return false;
   while (!out->Full() && next_ < emit_order_.size()) {
     RELOPT_RETURN_NOT_OK(groups_.Emit(emit_order_[next_++], out->AppendRow()));
   }
-  CountRows(out->NumSelected());
   return next_ < emit_order_.size();
 }
 

@@ -18,27 +18,25 @@ namespace relopt {
 /// workers (one table per partition; a row goes to table
 /// GroupTable::PartitionOf(hash, tables.size())).
 ///
-/// Batch ingest first resolves the group id of every selected row — one
+/// Ingest first resolves the group id of every selected row of a batch — one
 /// encoded key (GroupKeyComputer) and one hash per row — then evaluates each
 /// aggregate argument once per batch through its compiled kernel and updates
 /// the accumulators column by column. Within a group, rows still accumulate
-/// in input order. Row ingest is the row-drive twin over the interpreter.
+/// in input order.
 class GroupIngest {
  public:
   /// `group_exprs` and `aggs` must be bound and outlive this object.
   GroupIngest(const std::vector<const Expression*>* group_exprs,
               const std::vector<AggSpecExec>* aggs);
 
-  /// Drains `child` (already initialized) into `tables`: batch drive when
-  /// `batch_size` > 0, else row drive. Kernel fallback rows are counted into
-  /// `*fallback_rows`.
+  /// Drains `child` (already initialized) into `tables`, `batch_size` rows
+  /// at a time. Kernel fallback rows are counted into `*fallback_rows`.
   Status Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
                uint64_t* fallback_rows);
 
  private:
   Status IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables,
                      uint64_t* fallback_rows);
-  Status IngestRow(const Tuple& row, std::span<GroupTable> tables);
   /// Fills row_table_/row_state_ for the selected rows of the last keyed batch.
   void ResolveGroups(size_t n, std::span<GroupTable> tables);
   /// Folds evaluated argument column `vec` into aggregate `a` of every row.
@@ -53,8 +51,6 @@ class GroupIngest {
   std::vector<GroupTable*> row_table_;
   std::vector<uint32_t> row_ids_;
   std::vector<AggState*> row_state_;
-  std::string row_key_;
-  std::vector<Value> row_key_values_;
 };
 
 /// \brief Hash aggregation over one GroupTable. Groups on the encoded group
@@ -65,8 +61,7 @@ class GroupIngest {
 /// arguments; SUM/MIN/MAX/AVG over zero non-null inputs yield NULL. With no
 /// GROUP BY, an empty input still produces one row.
 ///
-/// Under vectorized drive (ctx batch_size > 0) both sides are native batch:
-/// ingest pulls TupleBatches from the child (GroupIngest::Drain), emit fills
+/// Ingest pulls TupleBatches from the child (GroupIngest::Drain); emit fills
 /// output batches a group row at a time.
 class AggregateExecutor : public Executor {
  public:
@@ -74,7 +69,6 @@ class AggregateExecutor : public Executor {
                     std::vector<const Expression*> group_exprs, std::vector<AggSpecExec> aggs);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:

@@ -3,63 +3,49 @@
 namespace relopt {
 
 Status BlockNestedLoopJoinExecutor::InitImpl() {
-  RELOPT_RETURN_NOT_OK(outer_->Init());
   outer_done_ = false;
   block_active_ = false;
-  have_inner_ = false;
   block_.clear();
-  ResetCounters();
-  return Status::OK();
+  return outer_.Init();
 }
 
 Result<bool> BlockNestedLoopJoinExecutor::LoadBlock() {
   block_.clear();
   size_t bytes = 0;
-  Tuple t;
   while (bytes < block_bytes_) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, outer_->Next(&t));
+    RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
     if (!has) {
       outer_done_ = true;
       break;
     }
-    bytes += t.Serialize().size() + 8;
-    block_.push_back(std::move(t));
+    bytes += outer_.row()->SerializedSize() + 8;
+    block_.push_back(std::move(*outer_.row()));
   }
   return !block_.empty();
 }
 
-Result<bool> BlockNestedLoopJoinExecutor::NextImpl(Tuple* out) {
-  while (true) {
+Result<bool> BlockNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
     if (!block_active_) {
       if (outer_done_) return false;
       RELOPT_ASSIGN_OR_RETURN(bool loaded, LoadBlock());
       if (!loaded) return false;
-      RELOPT_RETURN_NOT_OK(inner_->Init());
+      RELOPT_RETURN_NOT_OK(inner_.Init());
       block_active_ = true;
-      have_inner_ = false;
+      block_idx_ = block_.size();
     }
-    // Advance inner when the current inner tuple is exhausted against the
-    // block.
-    if (!have_inner_) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, inner_->Next(&inner_tuple_));
+    // Advance the inner once the current inner row has met the whole block.
+    if (block_idx_ == block_.size()) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, inner_.Next());
       if (!has) {
         block_active_ = false;  // next block
         continue;
       }
-      have_inner_ = true;
       block_idx_ = 0;
     }
-    while (block_idx_ < block_.size()) {
-      Tuple combined = Tuple::Concat(block_[block_idx_++], inner_tuple_);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(predicate_, combined));
-      if (pass) {
-        *out = std::move(combined);
-        CountRow();
-        return true;
-      }
-    }
-    have_inner_ = false;
+    RELOPT_RETURN_NOT_OK(AppendJoined(block_[block_idx_++], *inner_.row(), predicate_, out));
   }
+  return true;
 }
 
 }  // namespace relopt

@@ -13,30 +13,32 @@ class BlockNestedLoopJoinExecutor : public Executor {
   BlockNestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,
                               const Expression* predicate, size_t block_pages)
       : Executor(ctx, Schema::Concat(outer->schema(), inner->schema())),
-        outer_(std::move(outer)),
-        inner_(std::move(inner)),
+        outer_child_(std::move(outer)),
+        inner_child_(std::move(inner)),
+        outer_(outer_child_.get(), ctx->batch_size()),
+        inner_(inner_child_.get(), ctx->batch_size()),
         predicate_(predicate),
         block_bytes_(block_pages * kPageSize) {}
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
   /// Fills `block_` from the outer child; false if the outer is exhausted
   /// and nothing was buffered.
   Result<bool> LoadBlock();
 
-  ExecutorPtr outer_;
-  ExecutorPtr inner_;
+  ExecutorPtr outer_child_;
+  ExecutorPtr inner_child_;
+  RowCursor outer_;
+  RowCursor inner_;
   const Expression* predicate_;
   size_t block_bytes_;
 
   std::vector<Tuple> block_;
   bool outer_done_ = false;
   bool block_active_ = false;  // a block is loaded and the inner scan is live
-  Tuple inner_tuple_;
-  bool have_inner_ = false;
-  size_t block_idx_ = 0;
+  size_t block_idx_ = 0;       // next block row to join with the inner row
 };
 
 }  // namespace relopt

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "storage/io_counters.h"
-#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace relopt {
@@ -27,7 +26,6 @@ ThreadAttribution& LocalAttribution() {
 
 void OperatorStats::Merge(const OperatorStats& other) {
   init_calls += other.init_calls;
-  next_calls += other.next_calls;
   rows_produced += other.rows_produced;
   batches_produced += other.batches_produced;
   fallback_rows += other.fallback_rows;
@@ -49,7 +47,7 @@ ExecContext::ExecContext(Catalog* catalog, BufferPool* pool, ThreadPool* thread_
       pool_(pool),
       thread_pool_(thread_pool),
       parallelism_(thread_pool == nullptr ? 1 : std::max<size_t>(1, parallelism)),
-      batch_size_(batch_size),
+      batch_size_(std::max<size_t>(1, batch_size)),
       epoch_nanos_(MonotonicNanos()) {}
 
 ExecContext::~ExecContext() {
@@ -93,32 +91,6 @@ void ExecContext::ReleaseScratchHeap(FileId file_id) {
   }
   (void)pool_->DropFilePages(file_id);
   pool_->disk()->DeleteFile(file_id);
-}
-
-Result<bool> Executor::NextBatchImpl(TupleBatch* out) {
-  // Row-loop adapter: fill reusable slots straight from this operator's own
-  // NextImpl. Bypasses the instrumented Next() wrapper — the enclosing
-  // NextBatch frame already owns timing, attribution, and row accounting.
-  // Every row produced here is charged as a fallback row so row-at-a-time
-  // islands under batch drive stay visible in EXPLAIN ANALYZE and metrics.
-  uint64_t produced = 0;
-  while (!out->Full()) {
-    Tuple* slot = out->AppendRow();
-    Result<bool> has = NextImpl(slot);
-    if (!has.ok() || !*has) {
-      out->DropLastRow();
-      if (produced > 0) {
-        stats_.fallback_rows += produced;
-        EngineMetrics::Get().exec_batch_fallback_rows->Add(produced);
-      }
-      if (!has.ok()) return has.status();
-      return false;
-    }
-    ++produced;
-  }
-  stats_.fallback_rows += produced;
-  EngineMetrics::Get().exec_batch_fallback_rows->Add(produced);
-  return true;
 }
 
 size_t ExecContext::operator_memory_pages() const {

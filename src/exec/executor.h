@@ -28,25 +28,25 @@ class QueryHistoryStore;
 class ThreadPool;
 
 /// \brief Per-operator runtime counters, maintained by the Executor base
-/// around every Init()/Next() call.
+/// around every Init()/NextBatch() call.
 ///
 /// `wall_nanos` is inclusive (children's time counts toward their ancestors,
 /// as in Postgres EXPLAIN ANALYZE). The I/O fields are exclusive ("self"):
 /// page and pool traffic is attributed to the innermost operator whose
-/// Init/Next frame was active *on the executing thread* when it happened, so
-/// per-node I/O sums to the query totals even under parallel execution
-/// (attribution diffs thread-local counters; see storage/io_counters.h).
+/// Init/NextBatch frame was active *on the executing thread* when it
+/// happened, so per-node I/O sums to the query totals even under parallel
+/// execution (attribution diffs thread-local counters; see
+/// storage/io_counters.h).
 ///
 /// One Executor instance is driven by exactly one thread, so the fields are
 /// plain integers; parallel plans run one executor clone per worker and merge
 /// the clones' stats after the workers have been joined.
 struct OperatorStats {
   uint64_t init_calls = 0;   ///< stream (re)starts; >1 under nested loops
-  uint64_t next_calls = 0;   ///< Next() + NextBatch() calls
   uint64_t rows_produced = 0;  ///< total across all restarts
-  uint64_t batches_produced = 0;  ///< NextBatch() calls (0 in row mode)
-  uint64_t fallback_rows = 0;  ///< rows produced/evaluated via row-loop fallback
-  uint64_t wall_nanos = 0;     ///< inclusive wall time in Init+Next
+  uint64_t batches_produced = 0;  ///< NextBatch() calls
+  uint64_t fallback_rows = 0;  ///< rows evaluated by a FallbackNode (expr/vector_eval.h)
+  uint64_t wall_nanos = 0;     ///< inclusive wall time in Init+NextBatch
   uint64_t first_start_nanos = 0;  ///< first Init, relative to the query epoch
   bool started = false;
 
@@ -64,16 +64,16 @@ struct OperatorStats {
 /// \brief Per-query execution context: catalog + buffer pool + scratch-file
 /// management + runtime counters.
 ///
-/// Scratch heaps (sort runs, Grace partitions, materializations) are created
-/// through the context and destroyed with it, so their page I/O is counted by
-/// the same DiskManager the optimizer models.
+/// Scratch heaps (sort runs, Grace partitions) are created through the
+/// context and destroyed with it, so their page I/O is counted by the same
+/// DiskManager the optimizer models.
 class ExecContext {
  public:
   /// `thread_pool` (with `parallelism` > 1) enables parallel executor
   /// construction; the pool must have at least `parallelism` threads and must
-  /// outlive the context. `batch_size` > 0 enables vectorized execution: the
-  /// plan driver (and parallel workers) pull TupleBatches of that capacity
-  /// through NextBatch(); 0 selects classic row-at-a-time Next().
+  /// outlive the context. The plan driver, parallel workers and operators
+  /// that buffer a child's output pull TupleBatches of `batch_size` rows
+  /// (0 is taken as 1).
   ExecContext(Catalog* catalog, BufferPool* pool, ThreadPool* thread_pool = nullptr,
               size_t parallelism = 1, size_t batch_size = TupleBatch::kDefaultCapacity);
   ~ExecContext();
@@ -86,8 +86,7 @@ class ExecContext {
   ThreadPool* thread_pool() const { return thread_pool_; }
   /// Worker count for parallel fragments (1 = serial execution).
   size_t parallelism() const { return parallelism_; }
-  /// Rows per TupleBatch when the query is driven through NextBatch();
-  /// 0 = row-at-a-time execution.
+  /// Rows per TupleBatch the query is driven with (>= 1).
   size_t batch_size() const { return batch_size_; }
 
   /// Creates a scratch heap file (freed when the context dies). Thread-safe.
@@ -198,13 +197,14 @@ class IoAttributionScope {
   OperatorStats* prev_;
 };
 
-/// \brief Base iterator. Usage: Init(), then Next() until it returns false.
-/// Init() may be called again to restart the stream from the beginning
+/// \brief Base iterator. Usage: Init(), then NextBatch() until it returns
+/// false. Init() may be called again to restart the stream from the beginning
 /// (used by nested-loop joins to re-scan their inner input).
 ///
-/// Init/Next are instrumented non-virtual wrappers: they maintain the
+/// Init/NextBatch are instrumented non-virtual wrappers: they maintain the
 /// OperatorStats block (call counts, rows, wall time, self-attributed I/O)
-/// and delegate to the virtual InitImpl/NextImpl that operators implement.
+/// and delegate to the virtual InitImpl/NextBatchImpl that operators
+/// implement.
 class Executor {
  public:
   Executor(ExecContext* ctx, Schema schema) : ctx_(ctx), schema_(std::move(schema)) {}
@@ -221,38 +221,24 @@ class Executor {
     return InitImpl();
   }
 
-  /// Produces the next tuple; false = exhausted.
-  Result<bool> Next(Tuple* out) {
-    ScopedTimer timer(&stats_.wall_nanos);
-    ++stats_.next_calls;
-    IoAttributionScope io(ctx_, &stats_);
-    RELOPT_ASSIGN_OR_RETURN(bool has, NextImpl(out));
-    if (has) ++stats_.rows_produced;
-    return has;
-  }
-
-  /// Produces the next batch of tuples (vectorized path). Clears `out`, then
-  /// fills it with up to out->capacity() rows. Returns false iff the stream
-  /// is exhausted — any rows already in `out` are still valid and must be
-  /// consumed. Returning true with zero selected rows is legal (e.g. a filter
-  /// that rejected a whole input batch); callers just pull again.
-  ///
-  /// Operators without a native NextBatchImpl fall back to a row-loop adapter
-  /// over their own NextImpl, so every operator works under either drive mode.
-  /// A given executor instance is driven by exactly one mode per stream.
+  /// Produces the next batch of tuples. Clears `out`, then fills it with up
+  /// to out->capacity() rows. Returns false iff the stream is exhausted —
+  /// any rows already in `out` are still valid and must be consumed.
+  /// Returning true with zero selected rows is legal (e.g. a filter that
+  /// rejected a whole input batch); callers just pull again.
   Result<bool> NextBatch(TupleBatch* out) {
     ScopedTimer timer(&stats_.wall_nanos);
-    ++stats_.next_calls;
     ++stats_.batches_produced;
     IoAttributionScope io(ctx_, &stats_);
     out->Clear();
     RELOPT_ASSIGN_OR_RETURN(bool has, NextBatchImpl(out));
-    stats_.rows_produced += out->NumSelected();
+    const size_t n = out->NumSelected();
+    stats_.rows_produced += n;
+    if (n > 0) ctx_->tuples_processed.fetch_add(n, std::memory_order_relaxed);
     return has;
   }
 
   const Schema& schema() const { return schema_; }
-  uint64_t rows_produced() const { return rows_produced_; }
   const OperatorStats& stats() const { return stats_; }
 
   /// Releases cross-call resources (pinned pages and their frame latches)
@@ -268,28 +254,10 @@ class Executor {
 
  protected:
   virtual Status InitImpl() = 0;
-  virtual Result<bool> NextImpl(Tuple* out) = 0;
-  /// Default adapter: loops NextImpl into reusable batch slots. Native batch
-  /// operators override this and must call CountRows() themselves (the
-  /// adapter's NextImpl calls already CountRow per row, so it must not).
-  virtual Result<bool> NextBatchImpl(TupleBatch* out);
-
-  /// Bump shared + per-node counters when emitting a row.
-  void CountRow() {
-    ++rows_produced_;
-    ctx_->tuples_processed.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Batch-mode counterpart of CountRow: charges `n` emitted rows at once.
-  void CountRows(uint64_t n) {
-    rows_produced_ += n;
-    if (n > 0) ctx_->tuples_processed.fetch_add(n, std::memory_order_relaxed);
-  }
-  /// Reset per-node counters on Init (restarts recount).
-  void ResetCounters() { rows_produced_ = 0; }
+  virtual Result<bool> NextBatchImpl(TupleBatch* out) = 0;
 
   ExecContext* ctx_;
   Schema schema_;
-  uint64_t rows_produced_ = 0;
   OperatorStats stats_;
 };
 
@@ -301,5 +269,56 @@ inline Result<bool> PredicatePasses(const Expression* pred, const Tuple& tuple) 
   RELOPT_ASSIGN_OR_RETURN(Value v, pred->Eval(tuple));
   return !v.is_null() && v.AsBool();
 }
+
+/// Appends `left ++ right` to `out` (which must not be full) if it passes
+/// the join predicate `pred`; the joins' shared output step.
+inline Status AppendJoined(const Tuple& left, const Tuple& right, const Expression* pred,
+                           TupleBatch* out) {
+  Tuple* row = out->AppendRow();
+  for (const Value& v : left.values()) row->Append(v);
+  for (const Value& v : right.values()) row->Append(v);
+  RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(pred, *row));
+  if (!pass) out->DropLastRow();
+  return Status::OK();
+}
+
+/// \brief Reads a child's stream one row at a time while pulling it a batch
+/// at a time. The joins that consume an input row by row (nested loops,
+/// index probes, merging) read their children through one.
+class RowCursor {
+ public:
+  /// `child` must outlive the cursor; it is pulled `batch_size` rows at once.
+  RowCursor(Executor* child, size_t batch_size) : child_(child), batch_(batch_size) {}
+
+  /// (Re)starts the child's stream and drops any buffered rows.
+  Status Init() {
+    batch_.Clear();
+    pos_ = 0;
+    done_ = false;
+    return child_->Init();
+  }
+
+  /// Advances to the next row; false at the end of the child's stream.
+  Result<bool> Next() {
+    while (pos_ == batch_.NumSelected()) {
+      if (done_) return false;
+      RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_));
+      done_ = !has;
+      pos_ = 0;
+    }
+    row_ = batch_.MutableRowAt(batch_.selection()[pos_++]);
+    return true;
+  }
+
+  /// The current row. Valid (and movable from) until the next Next().
+  Tuple* row() const { return row_; }
+
+ private:
+  Executor* child_;
+  TupleBatch batch_;
+  size_t pos_ = 0;
+  bool done_ = false;
+  Tuple* row_ = nullptr;
+};
 
 }  // namespace relopt

@@ -8,7 +8,6 @@
 #include "exec/index_nested_loop_join.h"
 #include "exec/index_scan.h"
 #include "exec/limit.h"
-#include "exec/materialize.h"
 #include "exec/nested_loop_join.h"
 #include "exec/project.h"
 #include "exec/parallel_plan.h"
@@ -157,11 +156,6 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
     case PhysicalNodeKind::kValues: {
       const auto* node = static_cast<const PhysValues*>(plan);
       return Register(ctx, plan, std::make_unique<ValuesExecutor>(ctx, node->schema(), &node->rows()));
-    }
-    case PhysicalNodeKind::kMaterialize: {
-      const auto* node = static_cast<const PhysMaterialize*>(plan);
-      RELOPT_ASSIGN_OR_RETURN(ExecutorPtr child, BuildExecutor(ctx, node->child(0), allow_parallel));
-      return Register(ctx, plan, std::make_unique<MaterializeExecutor>(ctx, std::move(child)));
     }
     case PhysicalNodeKind::kTableFunctionScan: {
       const auto* node = static_cast<const PhysTableFunctionScan*>(plan);

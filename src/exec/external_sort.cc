@@ -114,47 +114,30 @@ Status ExternalSortExecutor::InitImpl() {
   in_memory_ = false;
   num_spilled_runs_ = 0;
   merge_passes_ = 0;
-  ResetCounters();
 
   num_cols_ = child_->schema().NumColumns();
   RELOPT_RETURN_NOT_OK(child_->Init());
 
   const size_t budget = ctx_->operator_memory_pages() * kPageSize;
   size_t bytes = 0;
-  auto store = [&](std::string&& key, Tuple&& t) -> Status {
-    bytes += key.size() + t.Serialize().size() + 32;
-    memory_items_.push_back(Item{std::move(key), std::move(t)});
-    if (bytes > budget) {
-      RELOPT_RETURN_NOT_OK(FlushRun(&memory_items_));
-      bytes = 0;
-    }
-    return Status::OK();
-  };
-  if (ctx_->batch_size() > 0) {
-    // Native batch ingest: adopt whole batches from the child and encode all
-    // their sort keys with the compiled batch encoder — one tight loop per
-    // key expression instead of per-row Eval. Moving out of the batch slots
-    // is safe — NextBatch clears them before refilling.
-    TupleBatch batch(ctx_->batch_size());
-    std::vector<std::string> keys;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(key_encoder_.EncodeBatch(batch, &keys, &stats_.fallback_rows));
-      for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-        RELOPT_RETURN_NOT_OK(store(std::move(keys[k]), std::move(row)));
+  // Adopt whole batches from the child and encode all their sort keys with
+  // the compiled batch encoder — one tight loop per key expression. Moving
+  // out of the batch slots is safe: NextBatch clears them before refilling.
+  TupleBatch batch(ctx_->batch_size());
+  std::vector<std::string> keys;
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
+    RELOPT_RETURN_NOT_OK(key_encoder_.EncodeBatch(batch, &keys, &stats_.fallback_rows));
+    for (size_t k = 0; k < batch.NumSelected(); ++k) {
+      Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
+      bytes += keys[k].size() + row.SerializedSize() + 32;
+      memory_items_.push_back(Item{std::move(keys[k]), std::move(row)});
+      if (bytes > budget) {
+        RELOPT_RETURN_NOT_OK(FlushRun(&memory_items_));
+        bytes = 0;
       }
-      if (!has) break;
     }
-  } else {
-    Tuple t;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-      if (!has) break;
-      std::string key;
-      RELOPT_RETURN_NOT_OK(key_encoder_.EncodeRow(t, &key));
-      RELOPT_RETURN_NOT_OK(store(std::move(key), std::move(t)));
-    }
+    if (!has) break;
   }
 
   if (runs_.empty()) {
@@ -204,33 +187,12 @@ Status ExternalSortExecutor::AdvanceCursor(RunCursor* cursor) {
   return DecodeRecord(bytes, num_cols_, &cursor->key, &cursor->tuple);
 }
 
-Result<bool> ExternalSortExecutor::NextImpl(Tuple* out) {
-  if (in_memory_) {
-    if (memory_pos_ >= memory_items_.size()) return false;
-    *out = memory_items_[memory_pos_++].tuple;
-    CountRow();
-    return true;
-  }
-  RunCursor* best = nullptr;
-  for (RunCursor& c : cursors_) {
-    if (c.exhausted) continue;
-    if (best == nullptr || c.key < best->key) best = &c;
-  }
-  if (best == nullptr) return false;
-  *out = best->tuple;
-  RELOPT_RETURN_NOT_OK(AdvanceCursor(best));
-  CountRow();
-  return true;
-}
-
 Result<bool> ExternalSortExecutor::NextBatchImpl(TupleBatch* out) {
-  // Native batch emit: fill the output batch straight from the sorted array
-  // or the run cursors, skipping the per-row adapter.
+  // Fill the output batch straight from the sorted array or the run cursors.
   if (in_memory_) {
     while (!out->Full() && memory_pos_ < memory_items_.size()) {
       *out->AppendRow() = std::move(memory_items_[memory_pos_++].tuple);
     }
-    CountRows(out->NumSelected());
     return memory_pos_ < memory_items_.size();
   }
   while (!out->Full()) {
@@ -239,14 +201,10 @@ Result<bool> ExternalSortExecutor::NextBatchImpl(TupleBatch* out) {
       if (c.exhausted) continue;
       if (best == nullptr || c.key < best->key) best = &c;
     }
-    if (best == nullptr) {
-      CountRows(out->NumSelected());
-      return false;
-    }
+    if (best == nullptr) return false;
     *out->AppendRow() = std::move(best->tuple);
     RELOPT_RETURN_NOT_OK(AdvanceCursor(best));
   }
-  CountRows(out->NumSelected());
   return true;
 }
 

@@ -28,7 +28,6 @@ class ExternalSortExecutor : public Executor {
   ExternalSortExecutor(ExecContext* ctx, ExecutorPtr child, std::vector<SortKeySpec> keys);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
   /// Number of spilled runs in the last Init (after run generation, before
@@ -50,7 +49,7 @@ class ExternalSortExecutor : public Executor {
 
   ExecutorPtr child_;
   std::vector<SortKeySpec> keys_;
-  SortKeyEncoder key_encoder_;  ///< batch/row sort-key encoding (byte-identical)
+  SortKeyEncoder key_encoder_;  ///< compiled sort-key encoding
 
   // In-memory path.
   std::vector<Item> memory_items_;
@@ -58,7 +57,7 @@ class ExternalSortExecutor : public Executor {
   bool in_memory_ = false;
 
   // External path: the final run set (<= merge fan-in) merged lazily in
-  // Next() via per-run cursors.
+  // NextBatch() via per-run cursors.
   struct RunCursor {
     std::unique_ptr<HeapFile::Iterator> iter;
     std::string key;

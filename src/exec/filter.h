@@ -11,33 +11,16 @@ class FilterExecutor : public Executor {
   FilterExecutor(ExecContext* ctx, ExecutorPtr child, const Expression* predicate)
       : Executor(ctx, child->schema()),
         child_(std::move(child)),
-        predicate_(predicate),
         batch_predicate_(predicate) {}
 
-  Status InitImpl() override {
-    ResetCounters();
-    return child_->Init();
-  }
+  Status InitImpl() override { return child_->Init(); }
 
-  Result<bool> NextImpl(Tuple* out) override {
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-      if (!has) return false;
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(predicate_, *out));
-      if (pass) {
-        CountRow();
-        return true;
-      }
-    }
-  }
-
-  /// Batch path: pull one child batch into `out` and compact its selection
-  /// conjunct by conjunct. May legitimately return true with zero survivors;
-  /// the caller pulls again.
+  /// Pulls one child batch into `out` and compacts its selection conjunct by
+  /// conjunct. May legitimately return true with zero survivors; the caller
+  /// pulls again.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(out));
     RELOPT_RETURN_NOT_OK(batch_predicate_.Filter(out, &stats_.fallback_rows));
-    CountRows(out->NumSelected());
     return has;
   }
 
@@ -45,8 +28,7 @@ class FilterExecutor : public Executor {
 
  private:
   ExecutorPtr child_;
-  const Expression* predicate_;
-  BatchPredicate batch_predicate_;  ///< compiled conjunct kernels (batch drive)
+  BatchPredicate batch_predicate_;  ///< compiled conjunct kernels
 };
 
 }  // namespace relopt

@@ -33,9 +33,6 @@ void GatherExecutor::StopWorkers() {
 
 Status GatherExecutor::InitImpl() {
   StopWorkers();
-  ResetCounters();
-  batch_.clear();
-  batch_idx_ = 0;
   for (const std::shared_ptr<ParallelSharedState>& s : shared_states_) s->Reset();
 
   ThreadPool* pool = ctx_->thread_pool();
@@ -77,10 +74,8 @@ bool GatherExecutor::PushBatch(std::vector<Tuple>* batch) {
 void GatherExecutor::WorkerMain(size_t worker_idx) {
   Executor* exec = workers_[worker_idx].get();
   Status st = exec->Init();
-  if (st.ok() && ctx_->batch_size() > 0) {
-    // Vectorized drive: pull batches through the fragment (so a native-batch
-    // scan/filter/project subtree keeps its fast path) and ship each batch's
-    // selected rows as one queue vector.
+  if (st.ok()) {
+    // Ship each batch's selected rows as one queue vector.
     TupleBatch batch(ctx_->batch_size());
     std::vector<Tuple> rows;
     while (true) {
@@ -96,21 +91,6 @@ void GatherExecutor::WorkerMain(size_t worker_idx) {
       }
       if (!*has) break;
     }
-  } else if (st.ok()) {
-    std::vector<Tuple> batch;
-    batch.reserve(kBatchRows);
-    Tuple t;
-    while (true) {
-      Result<bool> has = exec->Next(&t);
-      if (!has.ok()) {
-        st = has.status();
-        break;
-      }
-      if (!*has) break;
-      batch.push_back(std::move(t));
-      if (batch.size() >= kBatchRows && !PushBatch(&batch)) break;
-    }
-    if (st.ok() && !batch.empty()) PushBatch(&batch);
   }
   // Release any page still pinned by this fragment (cancelled or errored
   // mid-scan) on this thread — frame latches must be unlocked by the thread
@@ -125,55 +105,31 @@ void GatherExecutor::WorkerMain(size_t worker_idx) {
   consumer_cv_.notify_all();
 }
 
-Result<bool> GatherExecutor::PopBatch() {
-  while (true) {
-    std::unique_lock<std::mutex> lock(mu_);
-    consumer_cv_.wait(lock,
-                      [this] { return has_error_ || !queue_.empty() || running_workers_ == 0; });
-    if (has_error_) {
-      // Fail fast: cancel the remaining workers, then surface the first
-      // (lowest worker index) error, matching serial fail-on-first-error.
-      lock.unlock();
-      StopWorkers();
-      for (Status& st : worker_status_) {
-        if (!st.ok()) return st;
-      }
-      return Status::Internal("gather error flag set without a worker status");
+Result<bool> GatherExecutor::NextBatchImpl(TupleBatch* out) {
+  std::unique_lock<std::mutex> lock(mu_);
+  consumer_cv_.wait(lock,
+                    [this] { return has_error_ || !queue_.empty() || running_workers_ == 0; });
+  if (has_error_) {
+    // Fail fast: cancel the remaining workers, then surface the first
+    // (lowest worker index) error, matching serial fail-on-first-error.
+    lock.unlock();
+    StopWorkers();
+    for (Status& st : worker_status_) {
+      if (!st.ok()) return st;
     }
-    if (!queue_.empty()) {
-      batch_ = std::move(queue_.front());
-      queue_.pop_front();
-      batch_idx_ = 0;
-      producer_cv_.notify_all();
-      if (batch_.empty()) continue;  // workers never push empty, but be safe
-      return true;
-    }
-    // All workers finished and the queue is drained.
+    return Status::Internal("gather error flag set without a worker status");
+  }
+  if (queue_.empty()) {  // all workers finished and the queue is drained
     launched_ = false;
     return false;
   }
-}
-
-Result<bool> GatherExecutor::NextImpl(Tuple* out) {
-  while (batch_idx_ >= batch_.size()) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, PopBatch());
-    if (!has) return false;
-  }
-  *out = std::move(batch_[batch_idx_++]);
-  CountRow();
-  return true;
-}
-
-Result<bool> GatherExecutor::NextBatchImpl(TupleBatch* out) {
-  // One queue vector per call, adopted by move. Workers in batch mode ship at
-  // most ctx batch_size rows per vector, so it always fits `out`. A stream is
-  // driven in exactly one mode, so there are no row-path leftovers in batch_.
-  RELOPT_ASSIGN_OR_RETURN(bool has, PopBatch());
-  if (!has) return false;
-  for (Tuple& t : batch_) out->AppendTuple(std::move(t));
-  batch_.clear();
-  batch_idx_ = 0;
-  CountRows(out->NumSelected());
+  // Workers ship nonempty vectors of at most ctx batch_size rows, so one
+  // always fits `out`.
+  std::vector<Tuple> rows = std::move(queue_.front());
+  queue_.pop_front();
+  producer_cv_.notify_all();
+  lock.unlock();
+  for (Tuple& t : rows) out->AppendTuple(std::move(t));
   return true;
 }
 

@@ -24,9 +24,10 @@ class ParallelSharedState {
 /// streams into one iterator.
 ///
 /// Protocol: InitImpl resets shared state and submits one task per worker;
-/// each task runs its worker's Init, then drains it, pushing row batches into
-/// a bounded queue. NextImpl pops batches. Errors from any worker surface
-/// from Next (first error wins) after all workers have stopped. Row order is
+/// each task runs its worker's Init, then drains it batch by batch, pushing
+/// each batch's selected rows into a bounded queue. NextBatchImpl pops one
+/// queue entry per call. Errors from any worker surface from NextBatch
+/// (first error wins) after all workers have stopped. Row order is
 /// nondeterministic; operators above (Sort, Aggregate) impose order.
 ///
 /// Re-Init (e.g. under a restarted outer) joins the previous worker
@@ -42,22 +43,12 @@ class GatherExecutor : public Executor {
   ~GatherExecutor() override;
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  /// Adopts one queue batch per call by moving its tuples into `out` —
-  /// workers already ship row vectors, so the batch path stops re-flattening
-  /// them into single rows.
+  /// Adopts one queue entry per call by moving its tuples into `out`. False
+  /// at end of stream; surfaces the first worker error.
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
-  /// Rows per queue batch: amortizes queue locking without adding latency
-  /// anyone can observe (the consumer only ever waits for the *first* batch).
-  /// Row-drive mode only; in batch mode workers ship ctx batch_size rows.
-  static constexpr size_t kBatchRows = 256;
-
   void WorkerMain(size_t worker_idx);
-  /// Pops the next nonempty queue batch into `batch_`/`batch_idx_`. False at
-  /// end of stream; surfaces the first worker error.
-  Result<bool> PopBatch();
   /// Blocks while the queue is full; false if cancelled (stop producing).
   bool PushBatch(std::vector<Tuple>* batch);
   /// Cancels and waits until every launched worker has finished.
@@ -75,10 +66,6 @@ class GatherExecutor : public Executor {
   bool launched_ = false;
   bool has_error_ = false;
   std::vector<Status> worker_status_;
-
-  // Consumer-side current batch (main thread only).
-  std::vector<Tuple> batch_;
-  size_t batch_idx_ = 0;
 };
 
 }  // namespace relopt

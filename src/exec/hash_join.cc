@@ -1,7 +1,6 @@
 #include "exec/hash_join.h"
 
 #include "expr/vector_eval.h"
-#include "types/key_codec.h"
 
 namespace relopt {
 
@@ -23,26 +22,10 @@ Schema HashJoinExecutor::MakeOutputSchema(const Executor& build, const Executor&
                             : Schema::Concat(build.schema(), probe.schema());
 }
 
-Result<std::optional<std::string>> JoinKeyOf(const Tuple& t, const std::vector<size_t>& keys) {
-  std::vector<Value> vals;
-  vals.reserve(keys.size());
-  for (size_t k : keys) {
-    if (t.At(k).is_null()) return std::optional<std::string>();
-    vals.push_back(t.At(k));
-  }
-  return std::optional<std::string>(EncodeKey(vals));
-}
-
-Tuple HashJoinExecutor::MakeOutput(const Tuple& probe_row, const Tuple& build_row) const {
-  return output_probe_first_ ? Tuple::Concat(probe_row, build_row)
-                             : Tuple::Concat(build_row, probe_row);
-}
-
 Status HashJoinExecutor::InitImpl() {
   table_.clear();
   matches_.clear();
   match_idx_ = 0;
-  have_probe_ = false;
   grace_ = false;
   build_parts_.clear();
   probe_parts_.clear();
@@ -52,61 +35,45 @@ Status HashJoinExecutor::InitImpl() {
   batch_keys_.clear();
   probe_pos_ = 0;
   probe_done_ = false;
-  batch_probe_row_ = nullptr;
-  ResetCounters();
+  probe_row_ = nullptr;
 
-  build_cols_ = build_->schema().NumColumns();
-  probe_cols_ = probe_->schema().NumColumns();
-
-  // Drain the build side, tracking size against the memory budget. Under
-  // vectorized execution the build child is batch-driven and each batch's
-  // join keys are encoded in one tight loop, so the hash-table build (and a
-  // possible Grace partition pass) never re-derives keys row at a time.
+  // Drain the build side, tracking size against the memory budget. Each
+  // batch's join keys are encoded in one tight loop, so the hash-table build
+  // (and a possible Grace partition pass) never re-derives keys.
   RELOPT_RETURN_NOT_OK(build_->Init());
   const size_t budget = ctx_->operator_memory_pages() * kPageSize;
   std::vector<Tuple> build_rows;
   std::vector<std::optional<std::string>> build_row_keys;
   size_t bytes = 0;
-  Tuple t;
-  if (ctx_->batch_size() > 0) {
-    TupleBatch batch(ctx_->batch_size());
-    std::vector<std::optional<std::string>> keys;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
-      for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-        bytes += row.Serialize().size() + 16;
-        build_rows.push_back(std::move(row));
-        build_row_keys.push_back(std::move(keys[k]));
-      }
-      if (!has) break;
+  TupleBatch batch(ctx_->batch_size());
+  std::vector<std::optional<std::string>> keys;
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
+    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
+    for (size_t k = 0; k < batch.NumSelected(); ++k) {
+      Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
+      bytes += row.SerializedSize() + 16;
+      build_rows.push_back(std::move(row));
+      build_row_keys.push_back(std::move(keys[k]));
     }
-  } else {
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, build_->Next(&t));
-      if (!has) break;
-      bytes += t.Serialize().size() + 16;
-      RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, build_keys_));
-      build_rows.push_back(std::move(t));
-      build_row_keys.push_back(std::move(key));
-    }
+    if (!has) break;
   }
 
-  if (bytes <= budget) {
-    // Bulk insert: keys were already encoded batch-at-a-time above.
-    table_.reserve(build_rows.size());
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      if (!build_row_keys[i].has_value()) continue;  // NULL keys never match
-      table_.emplace(std::move(*build_row_keys[i]), std::move(build_rows[i]));
-    }
-    RELOPT_RETURN_NOT_OK(probe_->Init());
-    return Status::OK();
+  if (bytes > budget) {
+    grace_ = true;
+    num_partitions_ = std::min<size_t>(64, bytes / budget + 2);
+    return Partition(&build_rows, &build_row_keys);
   }
+  table_.reserve(build_rows.size());
+  for (size_t i = 0; i < build_rows.size(); ++i) {
+    if (!build_row_keys[i].has_value()) continue;  // NULL keys never match
+    table_.emplace(std::move(*build_row_keys[i]), std::move(build_rows[i]));
+  }
+  return probe_->Init();
+}
 
-  // Grace: partition both sides to scratch heaps.
-  grace_ = true;
-  num_partitions_ = std::min<size_t>(64, bytes / budget + 2);
+Status HashJoinExecutor::Partition(std::vector<Tuple>* build_rows,
+                                   std::vector<std::optional<std::string>>* build_keys) {
   for (size_t i = 0; i < num_partitions_; ++i) {
     RELOPT_ASSIGN_OR_RETURN(HeapFile bp, ctx_->CreateScratchHeap());
     build_parts_.push_back(std::move(bp));
@@ -114,137 +81,110 @@ Status HashJoinExecutor::InitImpl() {
     probe_parts_.push_back(std::move(pp));
   }
   std::hash<std::string> hasher;
-  for (size_t i = 0; i < build_rows.size(); ++i) {
-    const std::optional<std::string>& key = build_row_keys[i];
+  for (size_t i = 0; i < build_rows->size(); ++i) {
+    const std::optional<std::string>& key = (*build_keys)[i];
     if (!key.has_value()) continue;  // NULL keys never match
     size_t p = hasher(*key) % num_partitions_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert(build_rows[i].Serialize()));
+    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert((*build_rows)[i].Serialize()));
     (void)rid;
   }
-  build_rows.clear();
-  build_row_keys.clear();
+  build_rows->clear();
+  build_keys->clear();
   RELOPT_RETURN_NOT_OK(probe_->Init());
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->Next(&t));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, probe_keys_));
-    if (!key.has_value()) continue;
-    size_t p = hasher(*key) % num_partitions_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, probe_parts_[p].Insert(t.Serialize()));
-    (void)rid;
+  bool has = true;
+  while (has) {
+    RELOPT_ASSIGN_OR_RETURN(has, probe_->NextBatch(&probe_batch_));
+    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
+    for (size_t k = 0; k < probe_batch_.NumSelected(); ++k) {
+      if (!batch_keys_[k].has_value()) continue;
+      size_t p = hasher(*batch_keys_[k]) % num_partitions_;
+      RELOPT_ASSIGN_OR_RETURN(Rid rid, probe_parts_[p].Insert(probe_batch_.SelectedRow(k).Serialize()));
+      (void)rid;
+    }
   }
+  probe_batch_.Clear();
   part_idx_ = 0;
   return LoadPartition();
 }
 
-Status HashJoinExecutor::AddBuildRow(const Tuple& t) {
-  RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, build_keys_));
-  if (key.has_value()) {
-    table_.emplace(std::move(*key), t);
+namespace {
+
+/// Fills `out` with the next records of a partition heap, up to its
+/// capacity; false once the heap is exhausted.
+Result<bool> ReadHeapBatch(HeapFile::Iterator* it, size_t num_cols, TupleBatch* out) {
+  out->Clear();
+  Rid rid;
+  std::string bytes;
+  while (!out->Full()) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, it->Next(&rid, &bytes));
+    if (!has) return false;
+    RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(bytes, num_cols));
   }
-  return Status::OK();
+  return true;
 }
+
+}  // namespace
 
 Status HashJoinExecutor::LoadPartition() {
   table_.clear();
   part_probe_iter_.reset();
+  TupleBatch batch(ctx_->batch_size());
+  std::vector<std::optional<std::string>> keys;
   while (part_idx_ < num_partitions_) {
-    HeapFile& bp = build_parts_[part_idx_];
-    HeapFile::Iterator it(&bp);
-    Rid rid;
-    std::string bytes;
-    bool any = false;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-      if (!has) break;
-      RELOPT_ASSIGN_OR_RETURN(Tuple row, Tuple::Deserialize(bytes, build_cols_));
-      RELOPT_RETURN_NOT_OK(AddBuildRow(row));
-      any = true;
+    HeapFile::Iterator it(&build_parts_[part_idx_]);
+    bool more = true;
+    while (more) {
+      RELOPT_ASSIGN_OR_RETURN(more, ReadHeapBatch(&it, build_->schema().NumColumns(), &batch));
+      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
+      for (size_t k = 0; k < batch.NumSelected(); ++k) {
+        table_.emplace(std::move(*keys[k]), std::move(*batch.MutableRowAt(k)));
+      }
     }
     // Even an empty build partition must advance past its probe partition.
-    if (any || probe_parts_[part_idx_].NumPages() > 0) {
+    if (!table_.empty() || probe_parts_[part_idx_].NumPages() > 0) {
       part_probe_iter_ = std::make_unique<HeapFile::Iterator>(&probe_parts_[part_idx_]);
+      probe_done_ = false;
       return Status::OK();
     }
-    table_.clear();
     ++part_idx_;
   }
   return Status::OK();
 }
 
-Result<bool> HashJoinExecutor::NextInMemory(Tuple* out, Executor* probe_source) {
-  while (true) {
-    while (match_idx_ < matches_.size()) {
-      Tuple combined = MakeOutput(probe_tuple_, *matches_[match_idx_++]);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-      if (pass) {
-        *out = std::move(combined);
-        CountRow();
-        return true;
+Result<bool> HashJoinExecutor::RefillProbeBatch() {
+  probe_pos_ = 0;
+  if (!grace_) {
+    if (probe_done_) return false;
+    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
+    probe_done_ = !has;
+  } else {
+    // Partition rows have non-NULL keys; a batch never spans partitions.
+    probe_batch_.Clear();
+    while (probe_batch_.Empty()) {
+      if (probe_done_) {  // this partition is fully probed: load the next
+        ++part_idx_;
+        RELOPT_RETURN_NOT_OK(LoadPartition());
       }
+      if (part_probe_iter_ == nullptr) return false;
+      RELOPT_ASSIGN_OR_RETURN(
+          bool more,
+          ReadHeapBatch(part_probe_iter_.get(), probe_->schema().NumColumns(), &probe_batch_));
+      probe_done_ = !more;
     }
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_source->Next(&probe_tuple_));
-    if (!has) return false;
-    matches_.clear();
-    match_idx_ = 0;
-    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(probe_tuple_, probe_keys_));
-    if (!key.has_value()) continue;
-    auto [lo, hi] = table_.equal_range(*key);
-    for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
   }
-}
-
-Result<bool> HashJoinExecutor::NextGrace(Tuple* out) {
-  while (part_idx_ < num_partitions_) {
-    // Probe from the current partition's heap.
-    while (true) {
-      while (match_idx_ < matches_.size()) {
-        Tuple combined = MakeOutput(probe_tuple_, *matches_[match_idx_++]);
-        RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-        if (pass) {
-          *out = std::move(combined);
-          CountRow();
-          return true;
-        }
-      }
-      if (!part_probe_iter_) break;
-      Rid rid;
-      std::string bytes;
-      RELOPT_ASSIGN_OR_RETURN(bool has, part_probe_iter_->Next(&rid, &bytes));
-      if (!has) break;
-      RELOPT_ASSIGN_OR_RETURN(probe_tuple_, Tuple::Deserialize(bytes, probe_cols_));
-      matches_.clear();
-      match_idx_ = 0;
-      RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(probe_tuple_, probe_keys_));
-      if (!key.has_value()) continue;
-      auto [lo, hi] = table_.equal_range(*key);
-      for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
-    }
-    ++part_idx_;
-    RELOPT_RETURN_NOT_OK(LoadPartition());
-  }
-  return false;
-}
-
-Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
-  if (grace_) return NextGrace(out);
-  return NextInMemory(out, probe_.get());
+  RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
+  return true;
 }
 
 Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
-  // Grace mode interleaves partition heap I/O with probing; keep it on the
-  // proven row path via the base adapter.
-  if (grace_) return Executor::NextBatchImpl(out);
   while (true) {
     // Drain the current probe row's match list into the output batch.
     while (match_idx_ < matches_.size()) {
-      if (out->Full()) {
-        CountRows(out->NumSelected());
-        return true;
-      }
-      Tuple combined = MakeOutput(*batch_probe_row_, *matches_[match_idx_++]);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-      if (pass) *out->AppendRow() = std::move(combined);
+      if (out->Full()) return true;
+      const Tuple& build_row = *matches_[match_idx_++];
+      RELOPT_RETURN_NOT_OK(output_probe_first_
+                               ? AppendJoined(*probe_row_, build_row, residual_, out)
+                               : AppendJoined(build_row, *probe_row_, residual_, out));
     }
     // Advance to the next probe row with a precomputed key.
     if (probe_pos_ < probe_batch_.NumSelected()) {
@@ -253,21 +193,13 @@ Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
       match_idx_ = 0;
       const std::optional<std::string>& key = batch_keys_[k];
       if (!key.has_value()) continue;  // NULL keys never match
-      batch_probe_row_ = &probe_batch_.SelectedRow(k);
+      probe_row_ = &probe_batch_.SelectedRow(k);
       auto [lo, hi] = table_.equal_range(*key);
       for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
       continue;
     }
-    if (probe_done_) {
-      CountRows(out->NumSelected());
-      return false;
-    }
-    // Refill the probe batch and encode all its keys up front (batched
-    // hashing: one tight loop over the batch instead of per-probe bookwork).
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
-    if (!has) probe_done_ = true;
-    probe_pos_ = 0;
-    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
+    RELOPT_ASSIGN_OR_RETURN(bool more, RefillProbeBatch());
+    if (!more) return false;
   }
 }
 

@@ -8,12 +8,6 @@
 
 namespace relopt {
 
-/// Encoded equi-join key for a row (memcmp-comparable, see EncodeKey);
-/// empty optional if any key column is NULL — NULL keys never match.
-/// Shared between the serial and parallel hash joins so both partition and
-/// probe with byte-identical keys.
-Result<std::optional<std::string>> JoinKeyOf(const Tuple& t, const std::vector<size_t>& keys);
-
 /// \brief Equi-join by hashing. The first child is the build side.
 ///
 /// If the build side exceeds the operator memory budget, both sides are
@@ -28,24 +22,23 @@ class HashJoinExecutor : public Executor {
                    const Expression* residual, bool output_probe_first);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
   static Schema MakeOutputSchema(const Executor& build, const Executor& probe,
                                  bool output_probe_first);
 
-  /// Builds the in-memory table from a stream of build-side tuples.
-  Status AddBuildRow(const Tuple& t);
-
-  Result<bool> NextInMemory(Tuple* out, Executor* probe_source);
-  Result<bool> NextGrace(Tuple* out);
-
-  /// Loads partition `part_idx_`'s build rows into `table_` and opens the
-  /// probe partition iterator.
+  /// Writes the keyed build rows and the whole probe input to `num_parts_`
+  /// scratch heap pairs by key hash, then loads the first partition.
+  Status Partition(std::vector<Tuple>* build_rows,
+                   std::vector<std::optional<std::string>>* build_keys);
+  /// Loads partition `part_idx_`'s build rows into `table_` and opens its
+  /// probe heap (skipping partitions that are empty on both sides).
   Status LoadPartition();
-
-  Tuple MakeOutput(const Tuple& probe_row, const Tuple& build_row) const;
+  /// Refills `probe_batch_` and its keys: from the probe child in memory, or
+  /// from the current partition's probe heap under Grace (a batch never
+  /// spans partitions). False once the probe side is exhausted.
+  Result<bool> RefillProbeBatch();
 
   ExecutorPtr build_;
   ExecutorPtr probe_;
@@ -54,21 +47,16 @@ class HashJoinExecutor : public Executor {
   const Expression* residual_;
   bool output_probe_first_;
 
-  // In-memory join state.
+  // Probe state: probe keys are encoded for the whole batch up front, then
+  // each probe row's match list is drained into the output batch.
   std::unordered_multimap<std::string, Tuple> table_;
-  Tuple probe_tuple_;
-  std::vector<const Tuple*> matches_;
-  size_t match_idx_ = 0;
-  bool have_probe_ = false;
-
-  // Batched probe state (in-memory mode only; Grace falls back to the row
-  // adapter). Probe keys are encoded for the whole batch up front, then each
-  // probe row's match list is drained into the output batch.
   TupleBatch probe_batch_;
   std::vector<std::optional<std::string>> batch_keys_;
   size_t probe_pos_ = 0;        ///< next unprobed row in probe_batch_
-  bool probe_done_ = false;
-  const Tuple* batch_probe_row_ = nullptr;  ///< probe row owning matches_
+  bool probe_done_ = false;     ///< the probe source has no more rows
+  const Tuple* probe_row_ = nullptr;  ///< probe row owning matches_
+  std::vector<const Tuple*> matches_;
+  size_t match_idx_ = 0;
 
   // Grace state.
   bool grace_ = false;
@@ -77,8 +65,6 @@ class HashJoinExecutor : public Executor {
   std::vector<HeapFile> probe_parts_;
   size_t part_idx_ = 0;
   std::unique_ptr<HeapFile::Iterator> part_probe_iter_;
-  size_t build_cols_ = 0;
-  size_t probe_cols_ = 0;
 };
 
 }  // namespace relopt

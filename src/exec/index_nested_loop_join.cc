@@ -5,74 +5,58 @@
 namespace relopt {
 
 Status IndexNestedLoopJoinExecutor::InitImpl() {
-  RELOPT_RETURN_NOT_OK(outer_->Init());
-  have_outer_ = false;
   matches_.clear();
   match_idx_ = 0;
-  ResetCounters();
-  return Status::OK();
+  return outer_.Init();
 }
 
-Result<bool> IndexNestedLoopJoinExecutor::NextImpl(Tuple* out) {
-  while (true) {
-    if (!have_outer_ || match_idx_ >= matches_.size()) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_tuple_));
-      if (!has) return false;
-      have_outer_ = true;
-      // Evaluate the probe key; NULL keys never match (SQL equi-join).
-      std::vector<Value> key_values;
-      bool null_key = false;
-      for (const ExprPtr& e : *outer_key_exprs_) {
-        RELOPT_ASSIGN_OR_RETURN(Value v, e->Eval(outer_tuple_));
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        key_values.push_back(std::move(v));
-      }
-      if (null_key) {
-        matches_.clear();
-        match_idx_ = 0;
-        continue;
-      }
-      std::string enc = EncodeKey(key_values);
-      // A probe on a prefix of the index key is a range scan over that
-      // prefix; a full-key probe is a point scan.
-      std::optional<std::string> hi;
-      bool hi_inclusive;
-      if (key_values.size() == index_->key_columns.size()) {
-        hi = enc;
-        hi_inclusive = true;
-      } else {
-        std::string succ = PrefixSuccessor(enc);
-        hi = succ.empty() ? std::nullopt : std::optional<std::string>(std::move(succ));
-        hi_inclusive = false;
-      }
-      RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
-                              BTree::Iterator::Seek(index_->tree.get(), enc, true, std::move(hi),
-                                                    hi_inclusive));
-      matches_.clear();
-      match_idx_ = 0;
-      std::string k;
-      Rid rid;
-      while (true) {
-        RELOPT_ASSIGN_OR_RETURN(bool more, it.Next(&k, &rid));
-        if (!more) break;
-        matches_.push_back(rid);
-      }
-    }
-    while (match_idx_ < matches_.size()) {
-      Rid rid = matches_[match_idx_++];
-      RELOPT_ASSIGN_OR_RETURN(Tuple inner_tuple, inner_table_->GetTuple(rid));
-      Tuple combined = Tuple::Concat(outer_tuple_, inner_tuple);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-      if (pass) {
-        *out = std::move(combined);
-        CountRow();
-        return true;
-      }
-    }
+Status IndexNestedLoopJoinExecutor::Probe(const Tuple& outer_row) {
+  matches_.clear();
+  match_idx_ = 0;
+  // Evaluate the probe key; NULL keys never match (SQL equi-join).
+  key_values_.clear();
+  for (const ExprPtr& e : *outer_key_exprs_) {
+    RELOPT_ASSIGN_OR_RETURN(Value v, e->Eval(outer_row));
+    if (v.is_null()) return Status::OK();
+    key_values_.push_back(std::move(v));
   }
+  std::string enc = EncodeKey(key_values_);
+  // A probe on a prefix of the index key is a range scan over that prefix;
+  // a full-key probe is a point scan.
+  std::optional<std::string> hi;
+  bool hi_inclusive;
+  if (key_values_.size() == index_->key_columns.size()) {
+    hi = enc;
+    hi_inclusive = true;
+  } else {
+    std::string succ = PrefixSuccessor(enc);
+    hi = succ.empty() ? std::nullopt : std::optional<std::string>(std::move(succ));
+    hi_inclusive = false;
+  }
+  RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
+                          BTree::Iterator::Seek(index_->tree.get(), enc, true, std::move(hi),
+                                                hi_inclusive));
+  std::string k;
+  Rid rid;
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool more, it.Next(&k, &rid));
+    if (!more) return Status::OK();
+    matches_.push_back(rid);
+  }
+}
+
+Result<bool> IndexNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
+    if (match_idx_ == matches_.size()) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
+      if (!has) return false;
+      RELOPT_RETURN_NOT_OK(Probe(*outer_.row()));
+      continue;
+    }
+    RELOPT_ASSIGN_OR_RETURN(inner_row_, inner_table_->GetTuple(matches_[match_idx_++]));
+    RELOPT_RETURN_NOT_OK(AppendJoined(*outer_.row(), inner_row_, residual_, out));
+  }
+  return true;
 }
 
 }  // namespace relopt

@@ -15,26 +15,32 @@ class IndexNestedLoopJoinExecutor : public Executor {
                               const std::vector<ExprPtr>* outer_key_exprs,
                               const Expression* residual)
       : Executor(ctx, Schema::Concat(outer->schema(), inner_schema)),
-        outer_(std::move(outer)),
+        outer_child_(std::move(outer)),
+        outer_(outer_child_.get(), ctx->batch_size()),
         inner_table_(inner_table),
         index_(index),
         outer_key_exprs_(outer_key_exprs),
         residual_(residual) {}
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
-  ExecutorPtr outer_;
+  /// Collects the RIDs of the inner rows matching `outer_row`'s probe key
+  /// into `matches_`.
+  Status Probe(const Tuple& outer_row);
+
+  ExecutorPtr outer_child_;
+  RowCursor outer_;
   TableInfo* inner_table_;
   IndexInfo* index_;
   const std::vector<ExprPtr>* outer_key_exprs_;
   const Expression* residual_;
 
-  Tuple outer_tuple_;
+  std::vector<Value> key_values_;
   std::vector<Rid> matches_;
   size_t match_idx_ = 0;
-  bool have_outer_ = false;
+  Tuple inner_row_;
 };
 
 }  // namespace relopt

@@ -20,23 +20,21 @@ Status IndexScanExecutor::InitImpl() {
                           BTree::Iterator::Seek(index_->tree.get(), lo_, lo_inclusive_, hi_,
                                                 hi_inclusive_));
   iter_ = std::move(it);
-  ResetCounters();
   return Status::OK();
 }
 
-Result<bool> IndexScanExecutor::NextImpl(Tuple* out) {
+Result<bool> IndexScanExecutor::NextBatchImpl(TupleBatch* out) {
   std::string key;
   Rid rid;
-  while (true) {
+  while (!out->Full()) {
     RELOPT_ASSIGN_OR_RETURN(bool has, iter_->Next(&key, &rid));
     if (!has) return false;
-    RELOPT_ASSIGN_OR_RETURN(Tuple tuple, table_->GetTuple(rid));
-    RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, tuple));
-    if (!pass) continue;
-    *out = std::move(tuple);
-    CountRow();
-    return true;
+    Tuple* row = out->AppendRow();
+    RELOPT_ASSIGN_OR_RETURN(*row, table_->GetTuple(rid));
+    RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, *row));
+    if (!pass) out->DropLastRow();
   }
+  return true;
 }
 
 }  // namespace relopt

@@ -17,7 +17,7 @@ class IndexScanExecutor : public Executor {
                     std::optional<std::string> hi, bool hi_inclusive, const Expression* residual);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
   TableInfo* table_;

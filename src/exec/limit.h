@@ -12,26 +12,16 @@ class LimitExecutor : public Executor {
 
   Status InitImpl() override {
     emitted_ = 0;
-    ResetCounters();
     return child_->Init();
   }
 
-  Result<bool> NextImpl(Tuple* out) override {
-    if (emitted_ >= limit_) return false;
-    RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    ++emitted_;
-    CountRow();
-    return true;
-  }
-
-  /// Batch path: pass the child batch through, truncating the selection when
-  /// it crosses the limit (the batch-boundary case LIMIT must get right).
-  /// Stops pulling the child once the limit is reached, like the row path.
-  /// The batch handed down is capped to the remaining row count so producers
-  /// that pay per appended row (external-sort merge) stop at the limit and
-  /// page I/O stays identical to row mode; batch-capacity caps propagate
-  /// through in-place operators (Filter) and batch-copying ones (Project).
+  /// Passes the child batch through, truncating the selection when it
+  /// crosses the limit (the batch-boundary case LIMIT must get right), and
+  /// stops pulling the child once the limit is reached. The batch handed
+  /// down is capped to the remaining row count so producers that pay per
+  /// appended row (external-sort merge, scans) stop at the limit whatever
+  /// the batch size; batch-capacity caps propagate through in-place
+  /// operators (Filter) and batch-copying ones (Project).
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (emitted_ >= limit_) return false;
     const size_t full_capacity = out->capacity();
@@ -46,7 +36,6 @@ class LimitExecutor : public Executor {
       out->TruncateSelection(static_cast<size_t>(remaining));
     }
     emitted_ += static_cast<int64_t>(out->NumSelected());
-    CountRows(out->NumSelected());
     return has && emitted_ < limit_;
   }
 

@@ -10,7 +10,6 @@ Status MorselScanExecutor::InitImpl() {
   cur_page_ = 0;
   end_page_ = 0;
   done_ = false;
-  ResetCounters();
   return Status::OK();
 }
 
@@ -32,29 +31,16 @@ Result<bool> MorselScanExecutor::NextRecord(Rid* rid, std::string_view* record) 
   }
 }
 
-Result<bool> MorselScanExecutor::NextImpl(Tuple* out) {
-  Rid rid;
-  std::string_view bytes;
-  RELOPT_ASSIGN_OR_RETURN(bool has, NextRecord(&rid, &bytes));
-  if (!has) return false;
-  RELOPT_RETURN_NOT_OK(out->FillFrom(bytes, schema_.NumColumns()));
-  CountRow();
-  return true;
-}
-
 Result<bool> MorselScanExecutor::NextBatchImpl(TupleBatch* out) {
   Rid rid;
   std::string_view bytes;
   size_t num_cols = schema_.NumColumns();
   while (!out->Full()) {
     RELOPT_ASSIGN_OR_RETURN(bool has, NextRecord(&rid, &bytes));
-    if (!has) {
-      CountRows(out->NumSelected());
-      return false;
-    }
+    if (!has) return false;
     RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(bytes, num_cols));
   }
-  CountRows(out->NumSelected());
+  cursor_.Unlatch();
   return true;
 }
 

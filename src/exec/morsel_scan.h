@@ -52,7 +52,8 @@ class MorselSource : public ParallelSharedState {
 /// \brief One worker's share of a parallel sequential scan.
 ///
 /// Walks its claimed morsels a page at a time through a HeapFile::PageCursor
-/// (pin + shared-latch held across calls, one pool access per page) and
+/// (pin held across calls, shared latch within one, one pool access per
+/// page) and
 /// deserializes records straight from the pinned frame — no intermediate
 /// per-page tuple buffer and no per-record byte copy.
 class MorselScanExecutor : public Executor {
@@ -62,11 +63,11 @@ class MorselScanExecutor : public Executor {
   MorselScanExecutor(ExecContext* ctx, Schema schema, MorselSource* source);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
-  /// The cursor keeps the current page pinned (shared frame latch held)
-  /// between calls; release it on the worker thread that acquired it.
+  /// The cursor keeps the current page pinned between calls (and latched
+  /// after an error mid-batch); release it on the worker thread that
+  /// acquired it.
   void Abandon() override { (void)cursor_.Close(); }
 
  private:

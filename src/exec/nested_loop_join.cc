@@ -3,34 +3,26 @@
 namespace relopt {
 
 Status NestedLoopJoinExecutor::InitImpl() {
-  RELOPT_RETURN_NOT_OK(outer_->Init());
   have_outer_ = false;
-  ResetCounters();
-  return Status::OK();
+  return outer_.Init();
 }
 
-Result<bool> NestedLoopJoinExecutor::NextImpl(Tuple* out) {
-  while (true) {
+Result<bool> NestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
     if (!have_outer_) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_tuple_));
+      RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
       if (!has) return false;
-      RELOPT_RETURN_NOT_OK(inner_->Init());
+      RELOPT_RETURN_NOT_OK(inner_.Init());
       have_outer_ = true;
     }
-    Tuple inner_tuple;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, inner_->Next(&inner_tuple));
-      if (!has) break;
-      Tuple combined = Tuple::Concat(outer_tuple_, inner_tuple);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(predicate_, combined));
-      if (pass) {
-        *out = std::move(combined);
-        CountRow();
-        return true;
-      }
+    RELOPT_ASSIGN_OR_RETURN(bool has, inner_.Next());
+    if (!has) {
+      have_outer_ = false;
+      continue;
     }
-    have_outer_ = false;
+    RELOPT_RETURN_NOT_OK(AppendJoined(*outer_.row(), *inner_.row(), predicate_, out));
   }
+  return true;
 }
 
 }  // namespace relopt

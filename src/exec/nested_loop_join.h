@@ -13,18 +13,21 @@ class NestedLoopJoinExecutor : public Executor {
   NestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,
                          const Expression* predicate)
       : Executor(ctx, Schema::Concat(outer->schema(), inner->schema())),
-        outer_(std::move(outer)),
-        inner_(std::move(inner)),
+        outer_child_(std::move(outer)),
+        inner_child_(std::move(inner)),
+        outer_(outer_child_.get(), ctx->batch_size()),
+        inner_(inner_child_.get(), ctx->batch_size()),
         predicate_(predicate) {}
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
-  ExecutorPtr outer_;
-  ExecutorPtr inner_;
+  ExecutorPtr outer_child_;
+  ExecutorPtr inner_child_;
+  RowCursor outer_;
+  RowCursor inner_;
   const Expression* predicate_;
-  Tuple outer_tuple_;
   bool have_outer_ = false;
 };
 

@@ -50,7 +50,6 @@ Status ParallelAggregateWorker::MergePhase() {
 
 Status ParallelAggregateWorker::InitImpl() {
   merged_ = nullptr;
-  ResetCounters();
 
   // SPMD discipline: park errors in the shared state and hit both barriers
   // unconditionally, or a sibling deadlocks waiting for us.
@@ -70,20 +69,11 @@ Status ParallelAggregateWorker::InitImpl() {
   return Status::OK();
 }
 
-Result<bool> ParallelAggregateWorker::NextImpl(Tuple* out) {
-  if (merged_ == nullptr || next_ == merged_->size()) return false;
-  out->Clear();
-  RELOPT_RETURN_NOT_OK(merged_->Emit(next_++, out));
-  CountRow();
-  return true;
-}
-
 Result<bool> ParallelAggregateWorker::NextBatchImpl(TupleBatch* out) {
   if (merged_ == nullptr) return false;
   while (!out->Full() && next_ < merged_->size()) {
     RELOPT_RETURN_NOT_OK(merged_->Emit(next_++, out->AppendRow()));
   }
-  CountRows(out->NumSelected());
   return next_ < merged_->size();
 }
 

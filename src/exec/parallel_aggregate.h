@@ -83,9 +83,9 @@ class SharedAggregateState : public ParallelSharedState {
 /// re-raised after the second barrier. Exactly `num_workers` siblings must be
 /// running concurrently — the fragment builder and Gather guarantee this.
 ///
-/// Under vectorized drive the accumulate phase pulls TupleBatches from the
-/// fragment (GroupIngest::Drain); emit is native batch too. A global
-/// aggregate routes every row to the empty key's partition, whose owner also
+/// The accumulate phase pulls TupleBatches from the fragment
+/// (GroupIngest::Drain) and emit fills output batches. A global aggregate
+/// routes every row to the empty key's partition, whose owner also
 /// emits the one default row when the input is empty (matching the serial
 /// executor).
 class ParallelAggregateWorker : public Executor {
@@ -96,7 +96,6 @@ class ParallelAggregateWorker : public Executor {
                           std::shared_ptr<SharedAggregateState> shared, size_t worker_idx);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
   void Abandon() override { child_->Abandon(); }

@@ -27,33 +27,20 @@ Status ParallelHashJoinWorker::PartitionBuildSide() {
   std::vector<std::vector<SharedHashJoinState::KeyedRow>>& mine =
       shared_->worker_partitions(worker_idx_);
   RELOPT_RETURN_NOT_OK(build_->Init());
-  if (ctx_->batch_size() > 0) {
-    // Batch drain: one key-encoding loop per batch, then route rows.
-    TupleBatch batch(ctx_->batch_size());
-    std::vector<std::optional<std::string>> keys;
-    while (true) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
-      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
-      for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        if (!keys[k].has_value()) continue;  // NULL keys never match
-        Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-        size_t p = hasher_(*keys[k]) % num_parts;
-        mine[p].emplace_back(std::move(*keys[k]), std::move(row));
-      }
-      if (!has) break;
-    }
-    return Status::OK();
-  }
-  Tuple t;
+  // One key-encoding loop per batch, then route rows.
+  TupleBatch batch(ctx_->batch_size());
+  std::vector<std::optional<std::string>> keys;
   while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, build_->Next(&t));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(t, build_keys_));
-    if (!key.has_value()) continue;  // NULL keys never match
-    size_t p = hasher_(*key) % num_parts;
-    mine[p].emplace_back(std::move(*key), std::move(t));
+    RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
+    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
+    for (size_t k = 0; k < batch.NumSelected(); ++k) {
+      if (!keys[k].has_value()) continue;  // NULL keys never match
+      Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
+      size_t p = hasher_(*keys[k]) % num_parts;
+      mine[p].emplace_back(std::move(*keys[k]), std::move(row));
+    }
+    if (!has) return Status::OK();
   }
-  return Status::OK();
 }
 
 void ParallelHashJoinWorker::BuildTable() {
@@ -81,7 +68,6 @@ Status ParallelHashJoinWorker::InitImpl() {
   probe_pos_ = 0;
   probe_done_ = false;
   batch_probe_row_ = nullptr;
-  ResetCounters();
 
   // SPMD discipline: park errors in the shared state and hit both barriers
   // unconditionally, or a sibling deadlocks waiting for us.
@@ -96,47 +82,18 @@ Status ParallelHashJoinWorker::InitImpl() {
   return probe_->Init();
 }
 
-Result<bool> ParallelHashJoinWorker::NextImpl(Tuple* out) {
-  const size_t num_parts = shared_->num_workers();
-  while (true) {
-    while (match_idx_ < matches_.size()) {
-      Tuple combined = output_probe_first_ ? Tuple::Concat(probe_tuple_, *matches_[match_idx_++])
-                                           : Tuple::Concat(*matches_[match_idx_++], probe_tuple_);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-      if (pass) {
-        *out = std::move(combined);
-        CountRow();
-        return true;
-      }
-    }
-    RELOPT_ASSIGN_OR_RETURN(bool has, probe_->Next(&probe_tuple_));
-    if (!has) return false;
-    matches_.clear();
-    match_idx_ = 0;
-    RELOPT_ASSIGN_OR_RETURN(std::optional<std::string> key, JoinKeyOf(probe_tuple_, probe_keys_));
-    if (!key.has_value()) continue;
-    const SharedHashJoinState::HashTable& table = shared_->table(hasher_(*key) % num_parts);
-    auto [lo, hi] = table.equal_range(*key);
-    for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
-  }
-}
-
 Result<bool> ParallelHashJoinWorker::NextBatchImpl(TupleBatch* out) {
-  // Native batch probe, mirroring the serial join's in-memory batch path:
-  // refill the probe batch, encode all its keys in one loop, then drain each
-  // row's match list into the output batch.
+  // Mirrors the serial join's in-memory probe: refill the probe batch, encode
+  // all its keys in one loop, then drain each row's match list into the
+  // output batch.
   const size_t num_parts = shared_->num_workers();
   while (true) {
     while (match_idx_ < matches_.size()) {
-      if (out->Full()) {
-        CountRows(out->NumSelected());
-        return true;
-      }
-      Tuple combined = output_probe_first_
-                           ? Tuple::Concat(*batch_probe_row_, *matches_[match_idx_++])
-                           : Tuple::Concat(*matches_[match_idx_++], *batch_probe_row_);
-      RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-      if (pass) *out->AppendRow() = std::move(combined);
+      if (out->Full()) return true;
+      const Tuple& build_row = *matches_[match_idx_++];
+      RELOPT_RETURN_NOT_OK(output_probe_first_
+                               ? AppendJoined(*batch_probe_row_, build_row, residual_, out)
+                               : AppendJoined(build_row, *batch_probe_row_, residual_, out));
     }
     if (probe_pos_ < probe_batch_.NumSelected()) {
       size_t k = probe_pos_++;
@@ -150,10 +107,7 @@ Result<bool> ParallelHashJoinWorker::NextBatchImpl(TupleBatch* out) {
       for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
       continue;
     }
-    if (probe_done_) {
-      CountRows(out->NumSelected());
-      return false;
-    }
+    if (probe_done_) return false;
     RELOPT_ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
     if (!has) probe_done_ = true;
     probe_pos_ = 0;

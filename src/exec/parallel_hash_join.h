@@ -91,7 +91,6 @@ class ParallelHashJoinWorker : public Executor {
                          std::shared_ptr<SharedHashJoinState> shared, size_t worker_idx);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
   void Abandon() override {
@@ -100,9 +99,8 @@ class ParallelHashJoinWorker : public Executor {
   }
 
  private:
-  /// Drains this worker's build fragment, routing rows into
-  /// `shared_->partition(worker_idx_, hash(key) % P)`. Under batch drive the
-  /// fragment is drained batch-at-a-time with batched key encoding.
+  /// Drains this worker's build fragment batch at a time, routing rows into
+  /// `shared_->partition(worker_idx_, hash(key) % P)`.
   Status PartitionBuildSide();
   /// Folds partition column `worker_idx_` into `shared_->table(worker_idx_)`.
   void BuildTable();
@@ -117,12 +115,11 @@ class ParallelHashJoinWorker : public Executor {
   size_t worker_idx_;
 
   std::hash<std::string> hasher_;
-  Tuple probe_tuple_;
   std::vector<const Tuple*> matches_;
   size_t match_idx_ = 0;
 
-  // Batched probe state, mirroring the serial join: probe keys are encoded
-  // for the whole batch up front, then each row's match list is drained.
+  // Probe state, mirroring the serial join: probe keys are encoded for the
+  // whole batch up front, then each row's match list is drained.
   TupleBatch probe_batch_;
   std::vector<std::optional<std::string>> batch_keys_;
   size_t probe_pos_ = 0;

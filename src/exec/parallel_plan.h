@@ -11,8 +11,8 @@ namespace relopt {
 /// fragment: SeqScan (morsel-driven), Filter/Project over a parallelizable
 /// child, HashJoin with both children parallelizable, and Aggregate
 /// (partitioned hash aggregation, grouped or global) over a parallelizable
-/// child. Everything else (index access, sorts, NLJ variants, Values,
-/// Materialize) stays serial above the Gather.
+/// child. Everything else (index access, sorts, NLJ variants, Values)
+/// stays serial above the Gather.
 bool SubtreeParallelizable(const PhysicalNode& plan);
 
 /// \brief Builds a Gather over `ctx->parallelism()` worker fragments for a

@@ -54,13 +54,12 @@ void RenderJson(const OperatorProfile& p, std::string* out) {
   *out += StringPrintf(
       "{\"op\":\"%s\",\"describe\":\"%s\",\"est_rows\":%.2f,\"est_io\":%.2f,"
       "\"est_cpu\":%.2f,\"actual_rows\":%llu,\"q_error\":%.4f,\"init_calls\":%llu,"
-      "\"next_calls\":%llu,\"batches_produced\":%llu,\"fallback_rows\":%llu,\"wall_ms\":%.4f,"
+      "\"batches_produced\":%llu,\"fallback_rows\":%llu,\"wall_ms\":%.4f,"
       "\"page_reads\":%llu,\"page_writes\":%llu,"
       "\"pool_hits\":%llu,\"pool_misses\":%llu,\"children\":[",
       JsonEscape(p.op).c_str(), JsonEscape(p.describe).c_str(), p.est_rows, p.est_cost.page_ios,
       p.est_cost.cpu_tuples, static_cast<unsigned long long>(p.stats.rows_produced), p.q_error(),
       static_cast<unsigned long long>(p.stats.init_calls),
-      static_cast<unsigned long long>(p.stats.next_calls),
       static_cast<unsigned long long>(p.stats.batches_produced),
       static_cast<unsigned long long>(p.stats.fallback_rows),
       static_cast<double>(p.stats.wall_nanos) / 1e6,

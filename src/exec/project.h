@@ -14,39 +14,19 @@ class ProjectExecutor : public Executor {
                   const std::vector<ExprPtr>* exprs)
       : Executor(ctx, std::move(out_schema)),
         child_(std::move(child)),
-        exprs_(exprs),
         projector_(exprs),
         in_batch_(ctx->batch_size()) {}
 
-  Status InitImpl() override {
-    ResetCounters();
-    return child_->Init();
-  }
+  Status InitImpl() override { return child_->Init(); }
 
-  Result<bool> NextImpl(Tuple* out) override {
-    Tuple in;
-    RELOPT_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-    if (!has) return false;
-    std::vector<Value> values;
-    values.reserve(exprs_->size());
-    for (const ExprPtr& e : *exprs_) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, e->Eval(in));
-      values.push_back(std::move(v));
-    }
-    *out = Tuple(std::move(values));
-    CountRow();
-    return true;
-  }
-
-  /// Batch path: pull one child batch and project its selected rows into
-  /// reusable output slots. in_batch_ and out share the context batch size,
+  /// Pulls one child batch and projects its selected rows into reusable
+  /// output slots. in_batch_ and out share the context batch size,
   /// so the projection always fits. When a parent (LIMIT) caps `out` below
   /// that, the cap is forwarded to the child so producers stop early too.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     in_batch_.SetCapacity(std::min(ctx_->batch_size(), out->capacity()));
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_));
     RELOPT_RETURN_NOT_OK(projector_.Project(in_batch_, out, &stats_.fallback_rows));
-    CountRows(out->NumSelected());
     return has;
   }
 
@@ -54,9 +34,8 @@ class ProjectExecutor : public Executor {
 
  private:
   ExecutorPtr child_;
-  const std::vector<ExprPtr>* exprs_;
-  BatchProjector projector_;  ///< compiled column-wise kernels (batch drive)
-  TupleBatch in_batch_;  ///< reusable child-output batch (batch drive only)
+  BatchProjector projector_;  ///< compiled column-wise kernels
+  TupleBatch in_batch_;  ///< reusable child-output batch
 };
 
 }  // namespace relopt

@@ -5,21 +5,7 @@ namespace relopt {
 SeqScanExecutor::SeqScanExecutor(ExecContext* ctx, Schema schema, TableInfo* table)
     : Executor(ctx, std::move(schema)), table_(table), iter_(table->heap()) {}
 
-Status SeqScanExecutor::InitImpl() {
-  RELOPT_RETURN_NOT_OK(iter_.Reset());
-  ResetCounters();
-  return Status::OK();
-}
-
-Result<bool> SeqScanExecutor::NextImpl(Tuple* out) {
-  Rid rid;
-  std::string_view bytes;
-  RELOPT_ASSIGN_OR_RETURN(bool has, iter_.Next(&rid, &bytes));
-  if (!has) return false;
-  RELOPT_RETURN_NOT_OK(out->FillFrom(bytes, schema_.NumColumns()));
-  CountRow();
-  return true;
-}
+Status SeqScanExecutor::InitImpl() { return iter_.Reset(); }
 
 Result<bool> SeqScanExecutor::NextBatchImpl(TupleBatch* out) {
   Rid rid;
@@ -27,13 +13,10 @@ Result<bool> SeqScanExecutor::NextBatchImpl(TupleBatch* out) {
   size_t num_cols = schema_.NumColumns();
   while (!out->Full()) {
     RELOPT_ASSIGN_OR_RETURN(bool has, iter_.Next(&rid, &bytes));
-    if (!has) {
-      CountRows(out->NumSelected());
-      return false;
-    }
+    if (!has) return false;
     RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(bytes, num_cols));
   }
-  CountRows(out->NumSelected());
+  iter_.Unlatch();
   return true;
 }
 

@@ -11,15 +11,13 @@ class SeqScanExecutor : public Executor {
   SeqScanExecutor(ExecContext* ctx, Schema schema, TableInfo* table);
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
   TableInfo* table_;
-  // View-based iterator: one pool access + latch per page (held across Next
-  // calls), records deserialized straight from the pinned frame with no
-  // per-row byte-buffer copy. Both row and batch drive modes share it, so
-  // their page I/O is identical.
+  // View-based iterator: one pool access per page (the pin is held across
+  // NextBatch calls, the latch only within one), records deserialized
+  // straight from the pinned frame with no per-row byte-buffer copy.
   HeapFile::ViewIterator iter_;
 };
 

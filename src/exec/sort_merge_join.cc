@@ -2,78 +2,74 @@
 
 namespace relopt {
 
-Status SortMergeJoinExecutor::InitImpl() {
-  RELOPT_RETURN_NOT_OK(left_->Init());
-  RELOPT_RETURN_NOT_OK(right_->Init());
-  have_left_ = have_right_ = false;
-  right_done_ = false;
-  group_.clear();
-  group_key_.clear();
-  group_idx_ = 0;
-  emitting_ = false;
-  ResetCounters();
-  // Prime both sides (skipping NULL-key rows).
-  RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());
-  RELOPT_ASSIGN_OR_RETURN(have_right_, AdvanceRight());
-  return Status::OK();
-}
+namespace {
 
-Result<bool> SortMergeJoinExecutor::AdvanceLeft() {
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, left_->Next(&left_tuple_));
-    if (!has) return false;
-    if (!HasNullKey(left_tuple_, left_keys_)) return true;
-  }
-}
-
-Result<bool> SortMergeJoinExecutor::AdvanceRight() {
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, right_->Next(&right_tuple_));
-    if (!has) {
-      right_done_ = true;
-      return false;
-    }
-    if (!HasNullKey(right_tuple_, right_keys_)) return true;
-  }
-}
-
-bool SortMergeJoinExecutor::HasNullKey(const Tuple& t, const std::vector<size_t>& keys) {
+/// True if any key column of `t` at `keys` is NULL.
+bool HasNullKey(const Tuple& t, const std::vector<size_t>& keys) {
   for (size_t k : keys) {
     if (t.At(k).is_null()) return true;
   }
   return false;
 }
 
-Result<int> SortMergeJoinExecutor::CompareKeys(const Tuple& l, const Tuple& r) const {
+/// Next row of `side` whose join key has no NULL (NULL keys never match).
+Result<bool> NextNonNullKey(RowCursor* side, const std::vector<size_t>& keys) {
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, side->Next());
+    if (!has || !HasNullKey(*side->row(), keys)) return has;
+  }
+}
+
+}  // namespace
+
+Status SortMergeJoinExecutor::InitImpl() {
+  RELOPT_RETURN_NOT_OK(left_.Init());
+  RELOPT_RETURN_NOT_OK(right_.Init());
+  group_.clear();
+  group_key_.clear();
+  group_idx_ = 0;
+  emitting_ = false;
+  // Prime both sides (skipping NULL-key rows).
+  RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());
+  RELOPT_ASSIGN_OR_RETURN(have_right_, AdvanceRight());
+  return Status::OK();
+}
+
+Result<bool> SortMergeJoinExecutor::AdvanceLeft() { return NextNonNullKey(&left_, left_keys_); }
+
+Result<bool> SortMergeJoinExecutor::AdvanceRight() {
+  return NextNonNullKey(&right_, right_keys_);
+}
+
+Result<int> SortMergeJoinExecutor::CompareKeys() const {
   for (size_t i = 0; i < left_keys_.size(); ++i) {
-    RELOPT_ASSIGN_OR_RETURN(int c, l.At(left_keys_[i]).Compare(r.At(right_keys_[i])));
+    RELOPT_ASSIGN_OR_RETURN(int c,
+                            left_.row()->At(left_keys_[i]).Compare(right_.row()->At(right_keys_[i])));
     if (c != 0) return c;
   }
   return 0;
 }
 
-Result<bool> SortMergeJoinExecutor::NextImpl(Tuple* out) {
-  while (true) {
+Result<bool> SortMergeJoinExecutor::LeftMatchesGroup() const {
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    RELOPT_ASSIGN_OR_RETURN(int c, left_.row()->At(left_keys_[i]).Compare(group_key_[i]));
+    if (c != 0) return false;
+  }
+  return true;
+}
+
+Result<bool> SortMergeJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
     if (emitting_) {
-      // Emit left_tuple_ x group_ until the group is exhausted, then advance
+      // Emit the left row x group_ until the group is exhausted, then advance
       // the left side; if its key still equals the group key, replay.
-      while (group_idx_ < group_.size()) {
-        Tuple combined = Tuple::Concat(left_tuple_, group_[group_idx_++]);
-        RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, combined));
-        if (pass) {
-          *out = std::move(combined);
-          CountRow();
-          return true;
-        }
+      if (group_idx_ < group_.size()) {
+        RELOPT_RETURN_NOT_OK(AppendJoined(*left_.row(), group_[group_idx_++], residual_, out));
+        continue;
       }
       RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());
       if (have_left_) {
-        // Same key as the group? Replay the group for this left row.
-        bool same = true;
-        for (size_t i = 0; i < left_keys_.size() && same; ++i) {
-          RELOPT_ASSIGN_OR_RETURN(int c, left_tuple_.At(left_keys_[i]).Compare(group_key_[i]));
-          same = (c == 0);
-        }
+        RELOPT_ASSIGN_OR_RETURN(bool same, LeftMatchesGroup());
         if (same) {
           group_idx_ = 0;
           continue;
@@ -85,35 +81,29 @@ Result<bool> SortMergeJoinExecutor::NextImpl(Tuple* out) {
       continue;
     }
 
-    if (!have_left_ || (!have_right_ && right_done_)) return false;
-    if (!have_right_) return false;
-
-    RELOPT_ASSIGN_OR_RETURN(int c, CompareKeys(left_tuple_, right_tuple_));
+    if (!have_left_ || !have_right_) return false;
+    RELOPT_ASSIGN_OR_RETURN(int c, CompareKeys());
     if (c < 0) {
       RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());
-      if (!have_left_) return false;
       continue;
     }
     if (c > 0) {
       RELOPT_ASSIGN_OR_RETURN(have_right_, AdvanceRight());
-      if (!have_right_) return false;
       continue;
     }
     // Equal: buffer the whole right group with this key.
-    group_.clear();
-    group_key_.clear();
-    for (size_t k : right_keys_) group_key_.push_back(right_tuple_.At(k));
-    group_.push_back(right_tuple_);
+    for (size_t k : right_keys_) group_key_.push_back(right_.row()->At(k));
     while (true) {
+      group_.push_back(std::move(*right_.row()));
       RELOPT_ASSIGN_OR_RETURN(have_right_, AdvanceRight());
       if (!have_right_) break;
-      RELOPT_ASSIGN_OR_RETURN(int same, CompareKeys(left_tuple_, right_tuple_));
+      RELOPT_ASSIGN_OR_RETURN(int same, CompareKeys());
       if (same != 0) break;
-      group_.push_back(right_tuple_);
     }
     group_idx_ = 0;
     emitting_ = true;
   }
+  return true;
 }
 
 }  // namespace relopt

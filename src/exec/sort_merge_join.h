@@ -9,40 +9,47 @@ namespace relopt {
 /// join keys never match (SQL equi-join) and are skipped. Duplicate key
 /// groups on the right side are buffered in memory (standard SMJ; group size
 /// is bounded by the key's duplication, not the input size).
+///
+/// The merge stops reading one input as soon as the other ends, so it pulls
+/// each input one row per batch: it reads exactly the rows it needs, and its
+/// inputs' row counts and page reads do not depend on the batch size (LIMIT
+/// caps its child's batch for the same reason).
 class SortMergeJoinExecutor : public Executor {
  public:
   SortMergeJoinExecutor(ExecContext* ctx, ExecutorPtr left, ExecutorPtr right,
                         std::vector<size_t> left_keys, std::vector<size_t> right_keys,
                         const Expression* residual)
       : Executor(ctx, Schema::Concat(left->schema(), right->schema())),
-        left_(std::move(left)),
-        right_(std::move(right)),
+        left_child_(std::move(left)),
+        right_child_(std::move(right)),
+        left_(left_child_.get(), 1),
+        right_(right_child_.get(), 1),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
         residual_(residual) {}
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
+  /// Advance a side to its next row without a NULL join key.
   Result<bool> AdvanceLeft();
   Result<bool> AdvanceRight();
-  /// True if any key column of `t` at `keys` is NULL.
-  static bool HasNullKey(const Tuple& t, const std::vector<size_t>& keys);
-  /// Compares current left vs right tuples on the join keys.
-  Result<int> CompareKeys(const Tuple& l, const Tuple& r) const;
+  /// Compares the current left and right rows on the join keys.
+  Result<int> CompareKeys() const;
+  /// True if the current left row's key equals the buffered group's key.
+  Result<bool> LeftMatchesGroup() const;
 
-  ExecutorPtr left_;
-  ExecutorPtr right_;
+  ExecutorPtr left_child_;
+  ExecutorPtr right_child_;
+  RowCursor left_;
+  RowCursor right_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   const Expression* residual_;
 
-  Tuple left_tuple_;
-  Tuple right_tuple_;
   bool have_left_ = false;
   bool have_right_ = false;
-  bool right_done_ = false;
 
   // Current equal-key group from the right side, replayed per matching left
   // row.

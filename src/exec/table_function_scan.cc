@@ -10,15 +10,12 @@ Status TableFunctionScanExecutor::InitImpl() {
                                             ctx_->query_history(), ctx_->plan_cache(),
                                             ctx_->feedback_store()));
   pos_ = 0;
-  ResetCounters();
   return Status::OK();
 }
 
-Result<bool> TableFunctionScanExecutor::NextImpl(Tuple* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
-  CountRow();
-  return true;
+Result<bool> TableFunctionScanExecutor::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full() && pos_ < rows_.size()) *out->AppendRow() = std::move(rows_[pos_++]);
+  return pos_ < rows_.size();
 }
 
 }  // namespace relopt

@@ -17,7 +17,7 @@ class TableFunctionScanExecutor : public Executor {
       : Executor(ctx, std::move(schema)), function_name_(std::move(function_name)) {}
 
   Status InitImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
   std::string function_name_;

@@ -12,15 +12,12 @@ class ValuesExecutor : public Executor {
 
   Status InitImpl() override {
     pos_ = 0;
-    ResetCounters();
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Tuple* out) override {
-    if (pos_ >= rows_->size()) return false;
-    *out = (*rows_)[pos_++];
-    CountRow();
-    return true;
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
+    while (!out->Full() && pos_ < rows_->size()) *out->AppendRow() = (*rows_)[pos_++];
+    return pos_ < rows_->size();
   }
 
  private:

@@ -769,34 +769,6 @@ class NullIfNode final : public CompiledExpr {
   ColumnVec av_, bv_;
 };
 
-/// Per-row escape hatch for expression kinds without a kernel. Every row it
-/// touches is charged to the operator's fallback stat and the engine-wide
-/// counter, so row-loop leakage under batch drive is observable, not silent.
-class FallbackNode final : public CompiledExpr {
- public:
-  explicit FallbackNode(const Expression* e) : CompiledExpr(e->result_type()), e_(e) {}
-
-  Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    size_t n = rows.size();
-    out->Reset(type_, true, n);
-    for (size_t k = 0; k < n; ++k) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, e_->Eval(batch.RowAt(rows[k])));
-      if (v.is_null()) {
-        out->nulls[k] = 1;
-      } else {
-        out->vals[k] = std::move(v);
-      }
-    }
-    if (fallback_rows != nullptr) *fallback_rows += n;
-    EngineMetrics::Get().exec_batch_fallback_rows->Add(static_cast<uint64_t>(n));
-    return Status::OK();
-  }
-
- private:
-  const Expression* e_;
-};
-
 // A conjunct of the shape `column <op> literal` (or the mirror), recognized
 // once at compile so the per-row loop can compare values directly instead of
 // routing every row through virtual Eval calls and Value copies.
@@ -982,6 +954,23 @@ CompiledExprPtr CompileExpr(const Expression* expr) {
   return std::make_unique<FallbackNode>(expr);
 }
 
+Status FallbackNode::Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
+                          uint64_t* fallback_rows, ColumnVec* out) {
+  size_t n = rows.size();
+  out->Reset(type_, true, n);
+  for (size_t k = 0; k < n; ++k) {
+    RELOPT_ASSIGN_OR_RETURN(Value v, e_->Eval(batch.RowAt(rows[k])));
+    if (v.is_null()) {
+      out->nulls[k] = 1;
+    } else {
+      out->vals[k] = std::move(v);
+    }
+  }
+  if (fallback_rows != nullptr) *fallback_rows += n;
+  EngineMetrics::Get().exec_batch_fallback_rows->Add(static_cast<uint64_t>(n));
+  return Status::OK();
+}
+
 // ----------------------------------------------------------- BatchPredicate --
 
 BatchPredicate::BatchPredicate(const Expression* pred) {
@@ -1150,22 +1139,6 @@ Status SortKeyEncoder::EncodeBatch(const TupleBatch& batch, std::vector<std::str
       }
       if (desc_[i]) InvertKeyTail(&key, offset);
     }
-  }
-  return Status::OK();
-}
-
-Status SortKeyEncoder::EncodeRow(const Tuple& t, std::string* key) const {
-  key->clear();
-  for (size_t i = 0; i < exprs_.size(); ++i) {
-    size_t offset = key->size();
-    int dc = direct_col_[i];
-    if (dc >= 0 && static_cast<size_t>(dc) < t.NumValues()) {
-      EncodeKeyValue(t.At(static_cast<size_t>(dc)), key);
-    } else {
-      RELOPT_ASSIGN_OR_RETURN(Value v, exprs_[i]->Eval(t));
-      EncodeKeyValue(v, key);
-    }
-    if (desc_[i]) InvertKeyTail(key, offset);
   }
   return Status::OK();
 }

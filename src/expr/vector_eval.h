@@ -11,10 +11,10 @@
 // error semantics.
 //
 // Any expression kind without a kernel (aggregate calls, unbound parameters)
-// routes through a per-row fallback node that counts every row it evaluates
+// routes through a per-row FallbackNode that counts every row it evaluates
 // into the owning operator's `fallback_rows` stat and the engine-wide
-// `relopt.exec.batch_fallback_rows` counter, so row-loop usage under batch
-// drive is observable in EXPLAIN ANALYZE and relopt_metrics().
+// `relopt.exec.batch_fallback_rows` counter, so row-at-a-time evaluation is
+// observable in EXPLAIN ANALYZE and relopt_metrics().
 #pragma once
 
 #include <memory>
@@ -93,8 +93,24 @@ class CompiledExpr {
 
 using CompiledExprPtr = std::unique_ptr<CompiledExpr>;
 
+/// \brief Per-row escape hatch for expression kinds without a kernel: runs
+/// the row interpreter (Expression::Eval) on every requested row. Every row
+/// it touches is charged to `*fallback_rows` and the engine-wide counter, so
+/// row-at-a-time evaluation is observable, not silent.
+class FallbackNode final : public CompiledExpr {
+ public:
+  /// `e` must outlive the node.
+  explicit FallbackNode(const Expression* e) : CompiledExpr(e->result_type()), e_(e) {}
+
+  Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
+              uint64_t* fallback_rows, ColumnVec* out) override;
+
+ private:
+  const Expression* e_;
+};
+
 /// Compiles a bound expression into a kernel tree. Unsupported kinds become
-/// per-row fallback nodes (observable, never wrong). Never fails.
+/// FallbackNodes (observable, never wrong). Never fails.
 CompiledExprPtr CompileExpr(const Expression* expr);
 
 /// \brief Compiled filter predicate: conjunct-wise selection compaction with
@@ -148,9 +164,9 @@ class BatchProjector {
   std::vector<ColumnVec> vecs_;
 };
 
-/// \brief Compiled sort-key encoder shared by the row and batch paths of
-/// external sort: per key, the order-preserving encoding (types/key_codec.h)
-/// of the key expression's value, with descending keys byte-inverted.
+/// \brief Compiled sort-key encoder of external sort: per key, the
+/// order-preserving encoding (types/key_codec.h) of the key expression's
+/// value, with descending keys byte-inverted.
 class SortKeyEncoder {
  public:
   SortKeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc);
@@ -159,9 +175,6 @@ class SortKeyEncoder {
   /// `keys[0..NumSelected())` (resized; strings reused across calls).
   Status EncodeBatch(const TupleBatch& batch, std::vector<std::string>* keys,
                      uint64_t* fallback_rows);
-
-  /// Row-mode path: encodes one tuple's key (clears `*key` first).
-  Status EncodeRow(const Tuple& t, std::string* key) const;
 
  private:
   void AppendPart(const Value& v, bool desc, std::string* key) const;
@@ -175,8 +188,8 @@ class SortKeyEncoder {
 
 /// \brief Batch join-key encoding: computes the composite encoded key of
 /// every selected row over fixed key columns in one tight loop. Rows with a
-/// NULL key column get nullopt (NULL never matches an equi join). Matches
-/// JoinKeyOf (exec/hash_join.h) byte for byte; key strings are reused.
+/// NULL key column get nullopt (NULL never matches an equi join). Keys are
+/// EncodeKey (types/key_codec.h) of the key values; key strings are reused.
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
                        std::vector<std::optional<std::string>>* keys);
 

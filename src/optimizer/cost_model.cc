@@ -78,10 +78,6 @@ Cost CostModel::Sort(double rows, double pages, double* runs_out, double* passes
   return Cost{ios, cmp + rows * passes};
 }
 
-Cost CostModel::Materialize(double rows, double pages, double rescans) const {
-  return Cost{pages * (1.0 + rescans), rows * rescans};
-}
-
 Cost CostModel::NestedLoop(double outer_rows, Cost inner_rerun_cost, double inner_rows) const {
   Cost c;
   c.page_ios = outer_rows * inner_rerun_cost.page_ios;

@@ -55,9 +55,6 @@ class CostModel {
   Cost Sort(double rows, double pages, double* runs_out = nullptr,
             double* passes_out = nullptr) const;
 
-  /// Materialize child result once (write) + `rescans` re-reads.
-  Cost Materialize(double rows, double pages, double rescans) const;
-
   // ---- joins (costs EXCLUDE child costs; the enumerator adds those) ----
 
   /// Tuple nested loop: outer re-runs the inner per row.

@@ -14,18 +14,14 @@ namespace relopt {
 struct OptimizerOptions {
   JoinEnumOptions join;
   StatsMode stats_mode = StatsMode::kHistogram;
-  double cpu_weight = Cost::kDefaultCpuWeight;
+  /// Weight of one tuple of CPU relative to one page I/O, for the batch
+  /// engine the plans run on.
+  double cpu_weight = Cost::kDefaultCpuWeight * Cost::kVectorizedCpuFactor;
   /// Buffer pool pages the cost model assumes (should match the real pool).
   size_t buffer_pages = 256;
-  /// Cost for vectorized (batch) execution: scales the per-tuple CPU weight
-  /// by Cost::kVectorizedCpuFactor. Set from the session's execution mode so
-  /// estimates track the engine the plan will actually run on.
-  bool vectorized = false;
 
-  /// The CPU weight the cost model should use, execution mode applied.
-  double effective_cpu_weight() const {
-    return vectorized ? cpu_weight * Cost::kVectorizedCpuFactor : cpu_weight;
-  }
+  /// The CPU weight the cost model uses.
+  double effective_cpu_weight() const { return cpu_weight; }
   /// Bypass all optimization: translate the binder's plan 1:1 (SeqScans,
   /// NLJs in FROM order, WHERE evaluated on top). The rewrite-ablation
   /// baseline.

@@ -32,8 +32,6 @@ const char* PhysicalNodeKindToString(PhysicalNodeKind kind) {
       return "Limit";
     case PhysicalNodeKind::kValues:
       return "Values";
-    case PhysicalNodeKind::kMaterialize:
-      return "Materialize";
     case PhysicalNodeKind::kTableFunctionScan:
       return "TableFunctionScan";
   }
@@ -186,8 +184,6 @@ std::string PhysLimit::Describe() const { return "Limit " + std::to_string(limit
 std::string PhysValues::Describe() const {
   return "Values (" + std::to_string(rows_.size()) + " rows)";
 }
-
-std::string PhysMaterialize::Describe() const { return "Materialize"; }
 
 std::string PhysTableFunctionScan::Describe() const {
   std::string out = "TableFunctionScan " + function_name_ + "()";

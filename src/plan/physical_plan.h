@@ -21,11 +21,11 @@ struct Cost {
   /// Weight of one tuple of CPU relative to one page I/O (System R's "W").
   static constexpr double kDefaultCpuWeight = 0.01;
 
-  /// Multiplier on the CPU weight under vectorized (batch) drive: compiled
-  /// column kernels and amortized per-batch dispatch make one tuple of CPU
-  /// several times cheaper than the row-at-a-time Volcano loop, so plans that
-  /// trade I/O for CPU (e.g. hash join over index nested loop) win earlier.
-  /// Calibrated against bench_vectorized / bench_expr batch-vs-row ratios.
+  /// Multiplier on that weight for the batch engine: compiled column kernels
+  /// and amortized per-batch dispatch make one tuple of CPU several times
+  /// cheaper than a row-at-a-time Volcano loop, so plans that trade I/O for
+  /// CPU (e.g. hash join over index nested loop) win earlier. The optimizer
+  /// plans with kDefaultCpuWeight * kVectorizedCpuFactor.
   static constexpr double kVectorizedCpuFactor = 0.25;
 
   double Total(double cpu_weight = kDefaultCpuWeight) const {
@@ -55,7 +55,6 @@ enum class PhysicalNodeKind {
   kAggregate,
   kLimit,
   kValues,
-  kMaterialize,
   kTableFunctionScan,
 };
 
@@ -404,18 +403,6 @@ class PhysTableFunctionScan : public PhysicalNode {
  private:
   std::string function_name_;
   std::string alias_;
-};
-
-/// Materializes the child into a scratch heap so re-scans cost |result| pages
-/// instead of re-running the child.
-class PhysMaterialize : public PhysicalNode {
- public:
-  explicit PhysMaterialize(PhysicalPtr child)
-      : PhysicalNode(PhysicalNodeKind::kMaterialize, child->schema()) {
-    AddChild(std::move(child));
-  }
-
-  std::string Describe() const override;
 };
 
 }  // namespace relopt

@@ -93,6 +93,7 @@ Status HeapFile::PageCursor::Open(PageNo page_no) {
   RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, heap_->pool()->FetchPage(pid));
   frame_ = frame;
   frame_->latch().lock_shared();
+  latched_ = true;
   page_no_ = page_no;
   slot_ = 0;
   num_slots_ = SlottedPage(frame_->data()).NumSlots();
@@ -101,6 +102,10 @@ Status HeapFile::PageCursor::Open(PageNo page_no) {
 
 Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
   if (frame_ == nullptr) return false;
+  if (!latched_) {
+    frame_->latch().lock_shared();
+    latched_ = true;
+  }
   SlottedPage page(frame_->data());
   while (slot_ < num_slots_) {
     uint16_t s = slot_++;
@@ -112,9 +117,15 @@ Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
   return false;
 }
 
+void HeapFile::PageCursor::Unlatch() {
+  if (!latched_) return;
+  frame_->latch().unlock_shared();
+  latched_ = false;
+}
+
 Status HeapFile::PageCursor::Close() {
   if (frame_ == nullptr) return Status::OK();
-  frame_->latch().unlock_shared();
+  Unlatch();
   frame_ = nullptr;
   return heap_->pool()->UnpinPage(PageId{heap_->file_id(), page_no_}, false);
 }

@@ -84,11 +84,12 @@ class HeapFile {
   ///
   /// Unlike Iterator (which re-pins the page and copies the bytes into an
   /// owned string for every record), the cursor holds the open page pinned
-  /// with its shared latch until Open()/Close(), so a scan costs one pool
-  /// access and one latch acquisition per page and zero allocations per
-  /// record. Views returned by Next() stay valid until the page is released.
-  /// Scans and same-heap writers never run concurrently in this engine; the
-  /// held shared latch makes that assumption checkable under TSan.
+  /// until Open()/Close(), so a scan costs one pool access per page and zero
+  /// allocations per record. Views returned by Next() stay valid until the
+  /// page is released. The page is read under its shared latch, taken by
+  /// Open() (and by Next() after an Unlatch()) and held until Unlatch() or
+  /// Close(). Scans and same-heap writers never run concurrently in this
+  /// engine; the shared latch makes that assumption checkable under TSan.
   class PageCursor {
    public:
     explicit PageCursor(const HeapFile* heap) : heap_(heap) {}
@@ -105,10 +106,17 @@ class HeapFile {
     /// Unpins the open page; idempotent.
     Status Close();
     bool IsOpen() const { return frame_ != nullptr; }
+    /// Releases the shared latch but keeps the page pinned and the position;
+    /// the next Next() re-takes it. Scans unlatch before returning a batch,
+    /// so no latch is held while the consumer reads other pages: a join
+    /// reading its outer row by row would otherwise order one page's latch
+    /// before another's, and the reverse a page later.
+    void Unlatch();
 
    private:
     const HeapFile* heap_;
     PageFrame* frame_ = nullptr;
+    bool latched_ = false;
     PageNo page_no_ = 0;
     uint16_t slot_ = 0;
     uint16_t num_slots_ = 0;
@@ -130,6 +138,8 @@ class HeapFile {
 
     /// Releases the pinned page and restarts the scan from the beginning.
     Status Reset();
+    /// See PageCursor::Unlatch.
+    void Unlatch() { cursor_.Unlatch(); }
 
    private:
     const HeapFile* heap_;

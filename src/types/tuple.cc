@@ -14,6 +14,12 @@ std::string Tuple::Serialize() const {
   return out;
 }
 
+size_t Tuple::SerializedSize() const {
+  size_t n = 0;
+  for (const Value& v : values_) n += v.SerializedSize();
+  return n;
+}
+
 Result<Tuple> Tuple::Deserialize(std::string_view data, size_t num_values) {
   Tuple t;
   RELOPT_RETURN_NOT_OK(t.FillFrom(data, num_values));

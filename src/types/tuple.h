@@ -33,6 +33,8 @@ class Tuple {
 
   /// Serializes all values (self-describing tags; schema not required).
   std::string Serialize() const;
+  /// Serialize().size(), without building the string (memory budgets).
+  size_t SerializedSize() const;
 
   /// Parses a tuple with `num_values` values from `data`.
   static Result<Tuple> Deserialize(std::string_view data, size_t num_values);

@@ -36,8 +36,8 @@ class TupleBatch {
   /// hands its child to the rows it still needs, so a producer that does
   /// real work per row (external-sort merge, scan) stops at the limit
   /// instead of filling a whole batch that gets truncated — keeping page
-  /// I/O identical to the row-at-a-time loop. Shrinking below NumRows()
-  /// only stops further appends; existing rows stay.
+  /// I/O independent of the batch size. Shrinking below NumRows() only
+  /// stops further appends; existing rows stay.
   void SetCapacity(size_t capacity) { capacity_ = capacity == 0 ? 1 : capacity; }
   /// Rows physically stored (selected or not).
   size_t NumRows() const { return num_rows_; }
@@ -71,7 +71,8 @@ class TupleBatch {
     ++num_rows_;
   }
 
-  /// Undoes the most recent AppendRow (row-adapter hit end-of-stream).
+  /// Undoes the most recent AppendRow (a join row its predicate rejected,
+  /// an index-scan row its residual rejected).
   void DropLastRow() {
     sel_.pop_back();
     --num_rows_;

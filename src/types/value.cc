@@ -165,6 +165,20 @@ void Value::SerializeTo(std::string* out) const {
   }
 }
 
+size_t Value::SerializedSize() const {
+  if (is_null()) return 2;
+  switch (type_) {
+    case TypeId::kBool:
+      return 2;
+    case TypeId::kInt64:
+    case TypeId::kDouble:
+      return 1 + 8;
+    case TypeId::kString:
+      return 1 + sizeof(uint32_t) + AsString().size();
+  }
+  return 0;
+}
+
 Result<Value> Value::DeserializeFrom(std::string_view data, size_t* offset) {
   if (*offset >= data.size()) return Status::OutOfRange("value deserialize past end");
   uint8_t tag = static_cast<uint8_t>(data[(*offset)++]);

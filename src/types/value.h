@@ -68,6 +68,9 @@ class Value {
   /// Serialization into a byte buffer (appends). Format: 1-byte tag then
   /// fixed or length-prefixed payload.
   void SerializeTo(std::string* out) const;
+  /// Bytes SerializeTo appends: 2 for NULL and bool, 9 for int and double,
+  /// 5 + length for strings.
+  size_t SerializedSize() const;
 
   /// Deserializes one value from `data` at `*offset`, advancing it.
   static Result<Value> DeserializeFrom(std::string_view data, size_t* offset);

@@ -15,8 +15,8 @@ inline uint64_t MonotonicNanos() {
 }
 
 /// \brief RAII stopwatch: adds the scope's elapsed wall time to `*sink` on
-/// destruction. Cheap enough for per-Next() instrumentation; the engine is
-/// single-threaded so plain accumulation suffices.
+/// destruction. Cheap enough for per-NextBatch() instrumentation; the engine
+/// is single-threaded so plain accumulation suffices.
 class ScopedTimer {
  public:
   explicit ScopedTimer(uint64_t* sink) : sink_(sink), start_(MonotonicNanos()) {}

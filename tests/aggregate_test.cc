@@ -174,11 +174,11 @@ TEST_F(AggregateTest, NegativeSumOverflowErrorsToo) {
 
 TEST_F(AggregateTest, SerialOutputIsInAscendingKeyOrder) {
   // Without ORDER BY the serial executor still emits groups in ascending
-  // encoded-key order (NULL first), in row and batch drive.
+  // encoded-key order (NULL first), at batch size 1 and 1024.
   Sql(&db_, "CREATE TABLE o (k INT, s TEXT)");
   Sql(&db_, "INSERT INTO o VALUES (30, 'b'), (NULL, 'a'), (-5, 'c'), (30, 'a'), (7, NULL)");
-  for (bool vectorized : {false, true}) {
-    db_.set_vectorized(vectorized);
+  for (size_t batch_size : {size_t{1}, TupleBatch::kDefaultCapacity}) {
+    db_.set_batch_size(batch_size);
     QueryResult r = Sql(&db_, "SELECT k, count(*) FROM o GROUP BY k");
     ASSERT_EQ(r.rows.size(), 4u);
     EXPECT_TRUE(r.rows[0].At(0).is_null());
@@ -235,13 +235,12 @@ TEST_F(ParallelAggregateMergeTest, SplitGroupsMergeToTheSerialResult) {
   };
   for (const char* q : queries) {
     db_.set_parallelism(1);
-    db_.set_vectorized(false);
+    db_.set_batch_size(1);
     Result<QueryResult> ref = db_.Execute(q);
     for (size_t parallelism : {2, 4}) {
-      for (size_t batch_size : {0, 7, 1024}) {
+      for (size_t batch_size : {1, 7, 1024}) {
         db_.set_parallelism(parallelism);
-        db_.set_vectorized(batch_size > 0);
-        if (batch_size > 0) db_.set_batch_size(batch_size);
+        db_.set_batch_size(batch_size);
         Result<QueryResult> got = db_.Execute(q);
         const std::string mode = std::string(q) + " @ parallelism " +
                                  std::to_string(parallelism) + ", batch " +

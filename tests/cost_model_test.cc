@@ -140,12 +140,6 @@ TEST(CostModelTest, CpuWeightAffectsTotals) {
   EXPECT_DOUBLE_EQ(pricey_cpu.Total(c), 1010);
 }
 
-TEST(CostModelTest, MaterializeCosts) {
-  CostModel cm(128);
-  Cost c = cm.Materialize(1000, 25, 3);
-  EXPECT_DOUBLE_EQ(c.page_ios, 25 * 4);  // one write + 3 re-reads
-}
-
 TEST(CostModelTest, CostAddition) {
   Cost a{1, 10};
   Cost b{2, 20};

@@ -1,6 +1,6 @@
-// The shared differential query corpus, used by both differential harnesses
-// (serial-vs-parallel and row-vs-vectorized) so every query is exercised
-// across the full execution-mode matrix: parallelism x drive mode.
+// The shared differential query corpus, used by the differential harnesses
+// (serial-vs-parallel, batch-size, join-method) so every query is exercised
+// across the full execution-mode matrix: parallelism x batch size.
 #pragma once
 
 #include <cstdlib>
@@ -55,8 +55,15 @@ inline constexpr const char* kJwRandomQuery =
 ///   nulls_t(a, b)                   — 90 rows, two thirds of `b` NULL
 /// plus one tiny generated join workload per topology (jw_c* chain, jw_s*
 /// star, jw_y* cycle, jw_q* clique, jw_r* random), with stats analyzed.
-inline void LoadDifferentialFixture(Database* db) {
+/// `with_indexes` adds B+trees on emp(id), emp(dept_id), dept(id) and on
+/// every jw_* table's id, so index scans and index nested loops can plan.
+inline void LoadDifferentialFixture(Database* db, bool with_indexes = false) {
   LoadEmpDept(db, 300, 10);
+  if (with_indexes) {
+    Sql(db, "CREATE INDEX emp_id ON emp (id)");
+    Sql(db, "CREATE INDEX emp_dept_id ON emp (dept_id)");
+    Sql(db, "CREATE INDEX dept_id ON dept (id)");
+  }
   struct {
     JoinTopology topology;
     const char* prefix;
@@ -66,7 +73,9 @@ inline void LoadDifferentialFixture(Database* db) {
                    {JoinTopology::kClique, "jw_q"},
                    {JoinTopology::kRandom, "jw_r"}};
   for (const auto& w : workloads) {
-    Result<std::string> q = BuildJoinWorkload(db, w.topology, DifferentialJoinSpec(w.prefix));
+    JoinWorkloadSpec spec = DifferentialJoinSpec(w.prefix);
+    spec.with_indexes = with_indexes;
+    Result<std::string> q = BuildJoinWorkload(db, w.topology, spec);
     if (!q.ok()) std::abort();  // fixture bug, not a test condition
   }
   Sql(db, "CREATE TABLE empty_t (x INT, y TEXT)");

@@ -1,12 +1,10 @@
-// Direct executor tests: scans, filter, project, values, limit, materialize,
-// index scan.
+// Direct executor tests: scans, filter, project, values, limit, index scan.
 #include <gtest/gtest.h>
 
 #include "exec/executor_factory.h"
 #include "exec/filter.h"
 #include "exec/index_scan.h"
 #include "exec/limit.h"
-#include "exec/materialize.h"
 #include "exec/project.h"
 #include "exec/seq_scan.h"
 #include "exec/values_exec.h"
@@ -16,6 +14,7 @@
 namespace relopt {
 namespace {
 
+using tu::Drain;
 using tu::Sql;
 
 class ExecutorTest : public ::testing::Test {
@@ -30,19 +29,6 @@ class ExecutorTest : public ::testing::Test {
     }
   }
 
-  std::vector<Tuple> Drain(Executor* exec) {
-    EXPECT_TRUE(exec->Init().ok());
-    std::vector<Tuple> out;
-    Tuple t;
-    while (true) {
-      Result<bool> has = exec->Next(&t);
-      EXPECT_TRUE(has.ok()) << has.status().ToString();
-      if (!has.ok() || !*has) break;
-      out.push_back(t);
-    }
-    return out;
-  }
-
   DiskManager disk_;
   BufferPool pool_;
   Catalog catalog_;
@@ -54,7 +40,7 @@ TEST_F(ExecutorTest, SeqScanReturnsAllRows) {
   SeqScanExecutor scan(&ctx_, table_->schema(), table_);
   std::vector<Tuple> rows = Drain(&scan);
   EXPECT_EQ(rows.size(), 100u);
-  EXPECT_EQ(scan.rows_produced(), 100u);
+  EXPECT_EQ(scan.stats().rows_produced, 100u);
 }
 
 TEST_F(ExecutorTest, SeqScanRestartsOnReInit) {
@@ -117,14 +103,6 @@ TEST_F(ExecutorTest, LimitZero) {
   auto scan = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
   LimitExecutor limit(&ctx_, std::move(scan), 0);
   EXPECT_TRUE(Drain(&limit).empty());
-}
-
-TEST_F(ExecutorTest, MaterializeCachesChildOutput) {
-  auto scan = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
-  MaterializeExecutor mat(&ctx_, std::move(scan));
-  EXPECT_EQ(Drain(&mat).size(), 100u);
-  // Second drain re-reads the spool (not the base table).
-  EXPECT_EQ(Drain(&mat).size(), 100u);
 }
 
 TEST_F(ExecutorTest, IndexScanRange) {

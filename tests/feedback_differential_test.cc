@@ -1,7 +1,7 @@
 // Feedback-on-vs-off differential harness: cardinality feedback may only ever
 // change PLANS, never RESULTS. Every corpus query must return the same bag of
 // rows with the store cold, warm (second run, observed cardinalities active),
-// and off — across row/batch drive modes and parallelism 1/2/4/8 — and the
+// and off — at batch sizes 1 and 1024 and parallelism 1/2/4/8 — and the
 // exact page-I/O accounting identity must hold for feedback-driven plans too.
 #include <gtest/gtest.h>
 
@@ -43,13 +43,13 @@ TEST_P(FeedbackDifferentialTest, ResultsAgreeColdAndWarm) {
   const int parallelism = GetParam();
   baseline_.set_parallelism(parallelism);
   feedback_.set_parallelism(parallelism);
-  for (bool vectorized : {false, true}) {
-    baseline_.set_vectorized(vectorized);
-    feedback_.set_vectorized(vectorized);
+  for (size_t batch_size : {size_t{1}, TupleBatch::kDefaultCapacity}) {
+    baseline_.set_batch_size(batch_size);
+    feedback_.set_batch_size(batch_size);
     for (const char* q : kDifferentialQueries) {
       const std::string mode = std::string(q) + " @ parallelism " +
-                               std::to_string(parallelism) +
-                               (vectorized ? " vectorized" : " row");
+                               std::to_string(parallelism) + ", batch " +
+                               std::to_string(batch_size);
       std::vector<std::string> expected = Canon(Sql(&baseline_, q));
       // Cold: the store may harvest but has nothing (relevant) to apply yet.
       EXPECT_EQ(Canon(Sql(&feedback_, q)), expected) << mode << " (cold)";

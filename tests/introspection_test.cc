@@ -132,8 +132,7 @@ TEST(IntrospectionTest, PrometheusEndpointRenders) {
 //   1. the global MetricsRegistry counter delta (disk-manager instrumentation),
 //   2. the per-statement ExecutionMetrics delta (DiskManager::stats delta), and
 //   3. the summed EXPLAIN ANALYZE per-operator attribution (PlanProfile).
-// Checked at parallelism 1/2/4/8, each in both row-at-a-time and vectorized
-// drive modes.
+// Checked at parallelism 1/2/4/8, each at batch size 1 and 1024.
 class IntrospectionMatrixTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntrospectionMatrixTest, RegistryMatchesProfileAttribution) {
@@ -158,12 +157,12 @@ TEST_P(IntrospectionMatrixTest, RegistryMatchesProfileAttribution) {
   db.set_parallelism(parallelism);
   uint64_t total_reads = 0;
 
-  for (bool vectorized : {false, true}) {
-    db.set_vectorized(vectorized);
+  for (size_t batch_size : {size_t{1}, TupleBatch::kDefaultCapacity}) {
+    db.set_batch_size(batch_size);
     for (const char* q : tu::kDifferentialQueries) {
       const std::string mode = std::string(q) + " @ parallelism " +
-                               std::to_string(parallelism) +
-                               (vectorized ? " vectorized" : " row");
+                               std::to_string(parallelism) + ", batch " +
+                               std::to_string(batch_size);
       const uint64_t reads_before = em.disk_page_reads->value();
       const uint64_t writes_before = em.disk_page_writes->value();
       Sql(&db, q);

@@ -15,6 +15,8 @@
 namespace relopt {
 namespace {
 
+using tu::Drain;
+
 class JoinExecTest : public ::testing::Test {
  protected:
   JoinExecTest() : pool_(&disk_, 64), catalog_(&pool_), ctx_(&catalog_, &pool_) {
@@ -55,19 +57,6 @@ class JoinExecTest : public ::testing::Test {
     Schema concat = Schema::Concat(r_->schema(), s_->schema());
     EXPECT_TRUE(pred->Bind(concat).ok());
     return pred;
-  }
-
-  std::vector<Tuple> Drain(Executor* exec) {
-    EXPECT_TRUE(exec->Init().ok());
-    std::vector<Tuple> out;
-    Tuple t;
-    while (true) {
-      Result<bool> has = exec->Next(&t);
-      EXPECT_TRUE(has.ok()) << has.status().ToString();
-      if (!has.ok() || !*has) break;
-      out.push_back(t);
-    }
-    return out;
   }
 
   /// Sorted rendering for order-insensitive comparison.
@@ -170,17 +159,8 @@ TEST_F(JoinExecTest, GraceHashJoinSpillsAndMatches) {
   auto scan1 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
   auto scan2 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
   HashJoinExecutor join(&ctx, std::move(scan1), std::move(scan2), {0}, {0}, nullptr, false);
-  ASSERT_TRUE(join.Init().ok());
-  size_t count = 0;
-  Tuple t;
-  while (true) {
-    Result<bool> has = join.Next(&t);
-    ASSERT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    ++count;
-  }
   // 50 keys x 10 rows each side -> 50 * 10 * 10.
-  EXPECT_EQ(count, 5000u);
+  EXPECT_EQ(Drain(&join).size(), 5000u);
   // The spill really happened: scratch partition writes occurred.
   EXPECT_GT(disk.stats().page_writes, 0u);
 }

@@ -167,21 +167,21 @@ TEST_F(ParallelDifferentialTest, ExplainAnalyzeIoExactUnderParallelism) {
 }
 
 // The full execution-mode matrix over the aggregate corpus: parallelism
-// {1, 2, 4} x {row drive, batch 1, 7, 1024}. Every combination must produce
-// the same bag of rows as serial row mode, emit each group exactly once
+// {1, 2, 4} x {batch 1, 7, 64, 1024}. Every combination must produce
+// the same bag of rows as serial batch 1, emit each group exactly once
 // (equal Aggregate-node rows_produced), evaluate every aggregate argument
-// through compiled kernels (zero fallback rows under batch drive) and — on a
+// through compiled kernels (zero fallback rows) and — on a
 // cold cache — read exactly the same pages with exact per-operator
-// attribution. A query that fails in serial row mode must fail with the
+// attribution. A query that fails in serial batch 1 must fail with the
 // identical error in every mode.
 TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
   const size_t kParallelisms[] = {1, 2, 4};
-  const size_t kBatchSizes[] = {0, 1, 7, 1024};  // 0 = row drive
+  const size_t kBatchSizes[] = {1, 7, 64, 1024};
   for (const char* q : kAggregateQueries) {
-    // Reference: serial row mode, cold cache. Plan first so catalog reads
+    // Reference: serial batch 1, cold cache. Plan first so catalog reads
     // during planning don't pollute the execution I/O counts.
     db_.set_parallelism(1);
-    db_.set_vectorized(false);
+    db_.set_batch_size(1);
     PhysicalPtr ref_plan;
     {
       Result<PhysicalPtr> p = db_.PlanQuery(q);
@@ -209,11 +209,10 @@ TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
     for (size_t parallelism : kParallelisms) {
       for (size_t batch_size : kBatchSizes) {
         const std::string mode =
-            std::string(q) + " @ parallelism " + std::to_string(parallelism) +
-            (batch_size > 0 ? ", batch " + std::to_string(batch_size) : ", row mode");
+            std::string(q) + " @ parallelism " + std::to_string(parallelism) + ", batch " +
+            std::to_string(batch_size);
         db_.set_parallelism(parallelism);
-        db_.set_vectorized(batch_size > 0);
-        if (batch_size > 0) db_.set_batch_size(batch_size);
+        db_.set_batch_size(batch_size);
         PhysicalPtr plan;
         {
           Result<PhysicalPtr> p = db_.PlanQuery(q);
@@ -248,7 +247,6 @@ TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
       }
     }
     db_.set_parallelism(1);
-    db_.set_vectorized(false);
     db_.set_batch_size(TupleBatch::kDefaultCapacity);
   }
 }

@@ -128,12 +128,13 @@ TEST(SessionConcurrencyTest, DifferentialTwoSessions) { RunConcurrentDifferentia
 TEST(SessionConcurrencyTest, DifferentialFourSessions) { RunConcurrentDifferential(4); }
 TEST(SessionConcurrencyTest, DifferentialEightSessions) { RunConcurrentDifferential(8); }
 
-// Sessions in different execution modes (row/vectorized x serial/parallel)
-// run concurrently and still agree with the serial row baseline.
+// Sessions in different execution modes (batch 1/128 x serial/parallel) run
+// concurrently and still agree with the serial batch-1 baseline.
 TEST(SessionConcurrencyTest, MixedModeSessionsAgree) {
   Database db;
   LoadDifferentialFixture(&db);
 
+  db.set_batch_size(1);
   std::vector<std::vector<std::string>> baseline(kNumQueries);
   for (size_t q = 0; q < kNumQueries; ++q) {
     baseline[q] = RenderedRows(Sql(&db, kDifferentialQueries[q]));
@@ -143,8 +144,7 @@ TEST(SessionConcurrencyTest, MixedModeSessionsAgree) {
   std::vector<Session*> sessions;
   for (size_t s = 0; s < kNumModes; ++s) {
     Session* session = db.CreateSession();
-    session->set_vectorized(s % 2 == 1);
-    session->set_batch_size(128);
+    session->set_batch_size(s % 2 == 1 ? 128 : 1);
     session->set_parallelism(s >= 2 ? 2 : 1);
     sessions.push_back(session);
   }

@@ -7,10 +7,13 @@
 #include "exec/external_sort.h"
 #include "exec/seq_scan.h"
 #include "exec/values_exec.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace relopt {
 namespace {
+
+using tu::Drain;
 
 class SortExecTest : public ::testing::Test {
  protected:
@@ -31,15 +34,8 @@ class SortExecTest : public ::testing::Test {
     EXPECT_TRUE(key_expr_->Bind(input->schema()).ok());
     std::vector<SortKeySpec> keys = {{key_expr_.get(), desc}};
     last_sort_ = std::make_unique<ExternalSortExecutor>(&ctx_, std::move(input), keys);
-    EXPECT_TRUE(last_sort_->Init().ok());
     std::vector<int64_t> out;
-    Tuple t;
-    while (true) {
-      Result<bool> has = last_sort_->Next(&t);
-      EXPECT_TRUE(has.ok()) << has.status().ToString();
-      if (!has.ok() || !*has) break;
-      out.push_back(t.At(0).AsInt());
-    }
+    for (const Tuple& t : Drain(last_sort_.get())) out.push_back(t.At(0).AsInt());
     return out;
   }
 
@@ -97,10 +93,8 @@ TEST_F(SortExecTest, VeryLargeInputNeedsMergePasses) {
 
 TEST_F(SortExecTest, ReInitResorts) {
   std::vector<int64_t> out1 = SortInts({3, 1, 2}, false);
-  ASSERT_TRUE(last_sort_->Init().ok());
   std::vector<int64_t> out2;
-  Tuple t;
-  while (*last_sort_->Next(&t)) out2.push_back(t.At(0).AsInt());
+  for (const Tuple& t : Drain(last_sort_.get())) out2.push_back(t.At(0).AsInt());
   EXPECT_EQ(out1, out2);
 }
 
@@ -120,10 +114,8 @@ TEST_F(SortExecTest, MultiKeySortFromTable) {
   // a ASC, b DESC.
   std::vector<SortKeySpec> keys = {{ka.get(), false}, {kb.get(), true}};
   ExternalSortExecutor sort(&ctx_, std::move(scan), keys);
-  ASSERT_TRUE(sort.Init().ok());
   std::vector<std::string> got;
-  Tuple t;
-  while (*sort.Next(&t)) {
+  for (const Tuple& t : Drain(&sort)) {
     got.push_back(std::to_string(t.At(0).AsInt()) + t.At(1).AsString());
   }
   EXPECT_EQ(got, (std::vector<std::string>{"1z", "1a", "2x"}));
@@ -141,12 +133,10 @@ TEST_F(SortExecTest, NullsSortFirst) {
   ASSERT_TRUE(key_expr_->Bind(input->schema()).ok());
   std::vector<SortKeySpec> keys = {{key_expr_.get(), false}};
   ExternalSortExecutor sort(&ctx_, std::move(input), keys);
-  ASSERT_TRUE(sort.Init().ok());
-  Tuple t;
-  ASSERT_TRUE(*sort.Next(&t));
-  EXPECT_TRUE(t.At(0).is_null());
-  ASSERT_TRUE(*sort.Next(&t));
-  EXPECT_EQ(t.At(0).AsInt(), 1);
+  std::vector<Tuple> rows = Drain(&sort);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(rows[0].At(0).is_null());
+  EXPECT_EQ(rows[1].At(0).AsInt(), 1);
 }
 
 }  // namespace

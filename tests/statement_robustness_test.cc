@@ -1,12 +1,13 @@
 // Statements that would wrap, trap or exhaust the stack must fail with a
 // Status, identically in every execution mode: checked int64 arithmetic in
-// the row interpreter and the batch kernels, and the parser's
-// expression-depth limit.
+// the batch kernels at every batch size, and the parser's expression-depth
+// limit. A statement that fails on a bad value must write nothing.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "parser/parser.h"
+#include "storage/btree.h"
 #include "test_util.h"
 
 namespace relopt {
@@ -14,17 +15,16 @@ namespace {
 
 using tu::Sql;
 
-/// Serial row drive and batch drive at 1, 7 and 1024 rows, plus row and
-/// batch-1024 drive at parallelism 4.
+/// Batch sizes 1, 7 and 1024, serial and at parallelism 4.
 struct Mode {
-  size_t batch_size;  // 0 = row drive
+  size_t batch_size;
   size_t parallelism;
 };
-const Mode kModes[] = {{0, 1}, {1, 1}, {7, 1}, {1024, 1}, {0, 4}, {1024, 4}};
+const Mode kModes[] = {{1, 1}, {7, 1}, {1024, 1}, {1, 4}, {7, 4}, {1024, 4}};
 
 std::string ModeName(const Mode& m) {
-  return (m.batch_size == 0 ? std::string("row") : "batch " + std::to_string(m.batch_size)) +
-         " @ parallelism " + std::to_string(m.parallelism);
+  return "batch " + std::to_string(m.batch_size) + " @ parallelism " +
+         std::to_string(m.parallelism);
 }
 
 class StatementRobustnessTest : public ::testing::Test {
@@ -37,12 +37,10 @@ class StatementRobustnessTest : public ::testing::Test {
   }
 
   Result<QueryResult> Run(const std::string& sql, const Mode& m) {
-    db_.set_vectorized(m.batch_size > 0);
-    if (m.batch_size > 0) db_.set_batch_size(m.batch_size);
+    db_.set_batch_size(m.batch_size);
     db_.set_parallelism(m.parallelism);
     Result<QueryResult> r = db_.Execute(sql);
     db_.set_parallelism(1);
-    db_.set_vectorized(true);
     db_.set_batch_size(TupleBatch::kDefaultCapacity);
     return r;
   }
@@ -143,7 +141,7 @@ TEST_F(StatementRobustnessTest, ExpressionsAtTheLimitStillRun) {
   for (int i = 1; i < kMaxExpressionDepth; ++i) chain += "+0";
   std::string nots;
   for (int i = 0; i < n; ++i) nots += "NOT ";
-  for (const Mode& m : {kModes[0], kModes[3]}) {
+  for (const Mode& m : {kModes[0], kModes[2]}) {
     Result<QueryResult> parens =
         Run("SELECT " + std::string(n, '(') + "a" + std::string(n, ')') + " FROM small", m);
     ASSERT_TRUE(parens.ok()) << ModeName(m) << ": " << parens.status().ToString();
@@ -153,6 +151,48 @@ TEST_F(StatementRobustnessTest, ExpressionsAtTheLimitStillRun) {
     ASSERT_TRUE(negated.ok()) << ModeName(m) << ": " << negated.status().ToString();
     EXPECT_EQ(negated->rows.at(0).At(0).AsBool(), n % 2 == 0) << ModeName(m);
   }
+}
+
+/// Every (key, rid) entry of `index`, in key order.
+std::vector<std::pair<std::string, Rid>> IndexEntries(Database* db, const std::string& index) {
+  std::vector<std::pair<std::string, Rid>> out;
+  Result<IndexInfo*> info = db->catalog()->GetIndex(index);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (!info.ok()) return out;
+  Result<BTree::Iterator> it =
+      BTree::Iterator::Seek((*info)->tree.get(), std::nullopt, true, std::nullopt, true);
+  EXPECT_TRUE(it.ok()) << it.status().ToString();
+  std::string key;
+  Rid rid;
+  while (it.ok()) {
+    Result<bool> has = it->Next(&key, &rid);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    if (!has.ok() || !*has) break;
+    out.emplace_back(key, rid);
+  }
+  return out;
+}
+
+TEST_F(StatementRobustnessTest, FailedInsertWritesNoRow) {
+  Sql(&db_, "CREATE TABLE t (a INT, b VARCHAR)");
+  Sql(&db_, "CREATE INDEX t_a ON t (a)");
+  Sql(&db_, "INSERT INTO t VALUES (0, 'w')");
+  const std::vector<std::string> rows_before = {"(0, 'w')"};
+  const std::vector<std::pair<std::string, Rid>> index_before = IndexEntries(&db_, "t_a");
+  ASSERT_EQ(index_before.size(), 1u);
+
+  // The third row's value fails its cast after two good rows.
+  Result<QueryResult> r = db_.Execute("INSERT INTO t VALUES (1,'x'),(2,'y'),('oops','z')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << r.status().ToString();
+
+  std::vector<std::string> rows_after;
+  for (const Tuple& row : Sql(&db_, "SELECT a, b FROM t").rows) {
+    rows_after.push_back(row.ToString());
+  }
+  EXPECT_EQ(rows_after, rows_before);
+  EXPECT_EQ(IndexEntries(&db_, "t_a"), index_before);
+  tu::ExpectNoPinnedFrames(&db_, "failed INSERT");
 }
 
 }  // namespace

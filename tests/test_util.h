@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/executor.h"
 
 namespace relopt {
 namespace tu {
@@ -36,7 +37,7 @@ inline QueryResult Sql(Database* db, const std::string& sql) {
 inline void ExpectNoPinnedFrames(Database* db, const std::string& sql) {
   EXPECT_EQ(db->pool()->NumPinned(), 0u)
       << "frames left pinned by: " << sql << " @ parallelism " << db->parallelism()
-      << (db->vectorized() ? ", batch " + std::to_string(db->batch_size()) : ", row mode");
+      << ", batch " << db->batch_size();
 }
 
 /// Sql, Database::Execute and Database::ExecutePlan, each followed by
@@ -58,6 +59,24 @@ inline Result<QueryResult> CheckedExecutePlan(Database* db, const PhysicalNode& 
   Result<QueryResult> r = db->ExecutePlan(plan);
   ExpectNoPinnedFrames(db, sql);
   return r;
+}
+
+/// Inits `exec` and pulls it to the end `batch_size` rows at a time,
+/// asserting every call succeeds; returns the rows in stream order.
+inline std::vector<Tuple> Drain(Executor* exec, size_t batch_size = TupleBatch::kDefaultCapacity) {
+  Status init = exec->Init();
+  EXPECT_TRUE(init.ok()) << init.ToString();
+  std::vector<Tuple> out;
+  if (!init.ok()) return out;
+  TupleBatch batch(batch_size);
+  while (true) {
+    Result<bool> has = exec->NextBatch(&batch);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    if (!has.ok()) break;
+    for (size_t k = 0; k < batch.NumSelected(); ++k) out.push_back(batch.SelectedRow(k));
+    if (!*has) break;
+  }
+  return out;
 }
 
 /// Extracts a column of int64s from a result.

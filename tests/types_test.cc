@@ -189,6 +189,25 @@ TEST(TupleTest, SerializeRoundTrip) {
   EXPECT_EQ(*back, t);
 }
 
+TEST(TupleTest, SerializedSizeMatchesSerialize) {
+  const std::vector<Value> values = {
+      Value::Null(),           Value::Null(TypeId::kInt64), Value::Null(TypeId::kString),
+      Value::Bool(true),       Value::Bool(false),          Value::Int(0),
+      Value::Int(INT64_MIN),   Value::Double(-2.5),         Value::String(""),
+      Value::String("x"),      Value::String(std::string(5000, 'y')),
+  };
+  for (const Value& v : values) {
+    std::string bytes;
+    v.SerializeTo(&bytes);
+    EXPECT_EQ(v.SerializedSize(), bytes.size()) << v.ToString();
+    Tuple one({v});
+    EXPECT_EQ(one.SerializedSize(), one.Serialize().size()) << v.ToString();
+  }
+  Tuple all(values);
+  EXPECT_EQ(all.SerializedSize(), all.Serialize().size());
+  EXPECT_EQ(Tuple().SerializedSize(), 0u);
+}
+
 TEST(TupleTest, DeserializeWrongCountFails) {
   Tuple t({Value::Int(1), Value::Int(2)});
   EXPECT_FALSE(Tuple::Deserialize(t.Serialize(), 3).ok());

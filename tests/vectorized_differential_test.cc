@@ -1,7 +1,8 @@
-// Row-vs-vectorized differential harness: every query must return the same
-// bag of rows in row-at-a-time and batch-at-a-time mode at any batch size,
-// fail with the same error when it fails, keep EXPLAIN ANALYZE row/page-I/O
-// accounting identical, and compose with morsel-driven parallelism.
+// Batch-size differential harness: every query must return the same bag of
+// rows at batch size 1 (one row per pull, the reference) and at any other
+// batch size, fail with the same error when it fails, keep EXPLAIN ANALYZE
+// row/page-I/O accounting identical, and compose with morsel-driven
+// parallelism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include "differential_queries.h"
 #include "exec/plan_profile.h"
 #include "test_util.h"
-#include "util/metrics.h"
 
 namespace relopt {
 namespace {
@@ -44,24 +44,16 @@ class VectorizedDifferentialTest : public ::testing::Test {
  protected:
   VectorizedDifferentialTest() { tu::LoadDifferentialFixture(&db_); }
 
-  QueryResult RunRowMode(const std::string& sql) {
-    db_.set_vectorized(false);
-    QueryResult r = CheckedSql(&db_, sql);
-    db_.set_vectorized(true);
-    return r;
-  }
-
-  QueryResult RunVectorized(const std::string& sql, size_t batch_size) {
-    db_.set_vectorized(true);
+  QueryResult RunBatch(const std::string& sql, size_t batch_size) {
     db_.set_batch_size(batch_size);
     return CheckedSql(&db_, sql);
   }
 
-  void CheckRowVsVectorized(const std::string& sql, size_t batch_size) {
-    QueryResult row = RunRowMode(sql);
-    QueryResult vec = RunVectorized(sql, batch_size);
-    EXPECT_EQ(ColumnNames(row.schema), ColumnNames(vec.schema)) << sql;
-    EXPECT_EQ(Canon(row), Canon(vec)) << sql << " @ batch_size " << batch_size;
+  void CheckAgainstBatchOne(const std::string& sql, size_t batch_size) {
+    QueryResult one = RunBatch(sql, 1);
+    QueryResult got = RunBatch(sql, batch_size);
+    EXPECT_EQ(ColumnNames(one.schema), ColumnNames(got.schema)) << sql;
+    EXPECT_EQ(Canon(one), Canon(got)) << sql << " @ batch_size " << batch_size;
   }
 
   Database db_;
@@ -69,21 +61,20 @@ class VectorizedDifferentialTest : public ::testing::Test {
 
 TEST_F(VectorizedDifferentialTest, EveryQueryAgreesAtEveryBatchSize) {
   for (const char* q : kDifferentialQueries) {
-    for (size_t bs : kBatchSizes) CheckRowVsVectorized(q, bs);
+    for (size_t bs : kBatchSizes) CheckAgainstBatchOne(q, bs);
   }
 }
 
 TEST_F(VectorizedDifferentialTest, ErrorsAreIdenticalAcrossModes) {
   for (const char* q : kDifferentialFailingQueries) {
-    db_.set_vectorized(false);
-    Result<QueryResult> row = CheckedExecute(&db_, q);
-    db_.set_vectorized(true);
+    db_.set_batch_size(1);
+    Result<QueryResult> one = CheckedExecute(&db_, q);
     for (size_t bs : kBatchSizes) {
       db_.set_batch_size(bs);
-      Result<QueryResult> vec = CheckedExecute(&db_, q);
-      EXPECT_FALSE(row.ok()) << q;
-      EXPECT_FALSE(vec.ok()) << q;
-      EXPECT_EQ(row.status().ToString(), vec.status().ToString())
+      Result<QueryResult> got = CheckedExecute(&db_, q);
+      EXPECT_FALSE(one.ok()) << q;
+      EXPECT_FALSE(got.ok()) << q;
+      EXPECT_EQ(one.status().ToString(), got.status().ToString())
           << q << " @ batch_size " << bs;
     }
   }
@@ -96,32 +87,32 @@ void FlattenRows(const OperatorProfile& p, std::vector<std::pair<std::string, ui
 }
 
 TEST_F(VectorizedDifferentialTest, PerOperatorRowCountsMatchRowMode) {
-  // LIMIT queries are excluded: batch mode legitimately reads ahead below a
-  // LIMIT (a child fills a whole batch before the LIMIT truncates), so
-  // per-operator row counts under LIMIT differ by design. Every fully
-  // consumed plan must account identically.
+  // LIMIT queries are excluded: larger batches legitimately read ahead
+  // below a LIMIT (a child fills a whole batch before the LIMIT truncates),
+  // so per-operator row counts under LIMIT differ by design. Every fully
+  // consumed plan must account identically to batch 1.
   for (const char* q : kDifferentialQueries) {
     if (std::string(q).find("LIMIT") != std::string::npos) continue;
-    RunRowMode(q);
+    RunBatch(q, 1);
     ASSERT_TRUE(db_.last_profile().valid) << q;
-    std::vector<std::pair<std::string, uint64_t>> row_rows;
-    FlattenRows(db_.last_profile().root, &row_rows);
+    std::vector<std::pair<std::string, uint64_t>> one_rows;
+    FlattenRows(db_.last_profile().root, &one_rows);
 
     for (size_t bs : kBatchSizes) {
-      RunVectorized(q, bs);
+      RunBatch(q, bs);
       ASSERT_TRUE(db_.last_profile().valid) << q;
-      std::vector<std::pair<std::string, uint64_t>> vec_rows;
-      FlattenRows(db_.last_profile().root, &vec_rows);
-      EXPECT_EQ(row_rows, vec_rows) << q << " @ batch_size " << bs;
+      std::vector<std::pair<std::string, uint64_t>> got_rows;
+      FlattenRows(db_.last_profile().root, &got_rows);
+      EXPECT_EQ(one_rows, got_rows) << q << " @ batch_size " << bs;
     }
   }
 }
 
 TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
-  // Both drive modes pin one page at a time through the same view iterators,
-  // so an identical cold-cache read count is a hard requirement — vectorized
-  // execution saves CPU, not I/O. (LIMIT read-ahead would break this, so the
-  // corpus here is full-consumption queries.)
+  // Every batch size pins one page at a time through the same view
+  // iterators, so an identical cold-cache read count is a hard requirement —
+  // larger batches save CPU, not I/O. (LIMIT read-ahead would break this, so
+  // the corpus here is full-consumption queries.)
   const char* const io_queries[] = {
       "SELECT * FROM emp",
       "SELECT id, salary * 2 + 1 FROM emp WHERE id < 50",
@@ -138,44 +129,43 @@ TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
       plan = p.MoveValue();
     }
 
-    db_.set_vectorized(false);
+    db_.set_batch_size(1);
     ASSERT_OK(db_.pool()->FlushAll());
     ASSERT_OK(db_.pool()->EvictAll());
-    Result<QueryResult> row = CheckedExecutePlan(&db_, *plan, q);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    uint64_t row_reads = db_.last_metrics().io.page_reads;
-    uint64_t row_writes = db_.last_metrics().io.page_writes;
+    Result<QueryResult> one = CheckedExecutePlan(&db_, *plan, q);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    uint64_t one_reads = db_.last_metrics().io.page_reads;
+    uint64_t one_writes = db_.last_metrics().io.page_writes;
     ASSERT_TRUE(db_.last_profile().valid);
-    uint64_t row_profile_reads = db_.last_profile().TotalPageReads();
+    uint64_t one_profile_reads = db_.last_profile().TotalPageReads();
 
-    db_.set_vectorized(true);
     for (size_t bs : kBatchSizes) {
       db_.set_batch_size(bs);
       ASSERT_OK(db_.pool()->FlushAll());
       ASSERT_OK(db_.pool()->EvictAll());
       Result<QueryResult> vec = CheckedExecutePlan(&db_, *plan, q);
       ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      EXPECT_EQ(db_.last_metrics().io.page_reads, row_reads) << q << " @ batch_size " << bs;
-      EXPECT_EQ(db_.last_metrics().io.page_writes, row_writes) << q << " @ batch_size " << bs;
+      EXPECT_EQ(db_.last_metrics().io.page_reads, one_reads) << q << " @ batch_size " << bs;
+      EXPECT_EQ(db_.last_metrics().io.page_writes, one_writes) << q << " @ batch_size " << bs;
       // Per-operator attribution still sums exactly to the query totals.
       ASSERT_TRUE(db_.last_profile().valid);
       EXPECT_EQ(db_.last_profile().TotalPageReads(), db_.last_metrics().io.page_reads) << q;
-      EXPECT_EQ(db_.last_profile().TotalPageReads(), row_profile_reads) << q;
+      EXPECT_EQ(db_.last_profile().TotalPageReads(), one_profile_reads) << q;
     }
   }
 }
 
 TEST_F(VectorizedDifferentialTest, ComposesWithParallelism) {
-  // Vectorized + morsel parallelism stacked: workers drive their fragments
+  // Batches + morsel parallelism stacked: workers drive their fragments
   // through NextBatch and the Gather adopts whole batches. Reference is
-  // serial row mode.
+  // serial batch 1.
   for (const char* q : kDifferentialQueries) {
-    QueryResult reference = RunRowMode(q);
+    QueryResult reference = RunBatch(q, 1);
     for (size_t parallelism : {2u, 4u}) {
       db_.set_parallelism(parallelism);
       for (size_t bs : {size_t{7}, size_t{1024}}) {
-        QueryResult vec = RunVectorized(q, bs);
-        EXPECT_EQ(Canon(reference), Canon(vec))
+        QueryResult got = RunBatch(q, bs);
+        EXPECT_EQ(Canon(reference), Canon(got))
             << q << " @ parallelism " << parallelism << " batch_size " << bs;
       }
       db_.set_parallelism(1);
@@ -219,7 +209,6 @@ TEST_F(VectorizedDifferentialTest, BatchesProducedCountsBatchCalls) {
   // 300 rows at 64/batch: four full batches then a final partial batch on
   // the end-of-stream call.
   EXPECT_EQ(scan->stats.batches_produced, 5u);
-  EXPECT_EQ(scan->stats.next_calls, 5u);
   EXPECT_EQ(scan->stats.rows_produced, 300u);
   // EXPLAIN ANALYZE text renders the batch counter.
   EXPECT_NE(profile.ToText().find("batches="), std::string::npos);
@@ -232,15 +221,15 @@ TEST_F(VectorizedDifferentialTest, AllRowsFilteredBatches) {
   // Every batch survives the scan but dies in the filter: NextBatch returns
   // true with zero selected rows and the driver keeps pulling.
   for (size_t bs : kBatchSizes) {
-    QueryResult r = RunVectorized("SELECT id FROM emp WHERE id < 0", bs);
+    QueryResult r = RunBatch("SELECT id FROM emp WHERE id < 0", bs);
     EXPECT_TRUE(r.rows.empty());
   }
-  CheckRowVsVectorized("SELECT id FROM emp WHERE id < 0", 7);
+  CheckAgainstBatchOne("SELECT id FROM emp WHERE id < 0", 7);
 }
 
 TEST_F(VectorizedDifferentialTest, EmptyTableProducesNoBatches) {
   for (size_t bs : kBatchSizes) {
-    QueryResult r = RunVectorized("SELECT * FROM empty_t", bs);
+    QueryResult r = RunBatch("SELECT * FROM empty_t", bs);
     EXPECT_TRUE(r.rows.empty());
   }
 }
@@ -250,15 +239,15 @@ TEST_F(VectorizedDifferentialTest, LimitExactlyAtBatchBoundary) {
   // the next NextBatch call must return false without touching the child.
   for (int64_t limit : {5, 50, 300}) {
     std::string q = "SELECT id FROM emp LIMIT " + std::to_string(limit);
-    QueryResult row = RunRowMode(q);
+    QueryResult one = RunBatch(q, 1);
     // Batch size equal to, just below, and just above the limit.
     for (size_t bs :
          {static_cast<size_t>(limit), static_cast<size_t>(limit) - 1,
           static_cast<size_t>(limit) + 1}) {
       if (bs == 0) continue;
-      QueryResult vec = RunVectorized(q, bs);
-      EXPECT_EQ(row.rows.size(), vec.rows.size()) << q << " @ batch_size " << bs;
-      EXPECT_EQ(Canon(row), Canon(vec)) << q << " @ batch_size " << bs;
+      QueryResult got = RunBatch(q, bs);
+      EXPECT_EQ(one.rows.size(), got.rows.size()) << q << " @ batch_size " << bs;
+      EXPECT_EQ(Canon(one), Canon(got)) << q << " @ batch_size " << bs;
     }
   }
 }
@@ -274,7 +263,7 @@ TEST_F(VectorizedDifferentialTest, NullHeavyPredicates) {
       "SELECT a, b FROM nulls_t WHERE b > 100 AND a < 60",
   };
   for (const char* q : null_queries) {
-    for (size_t bs : kBatchSizes) CheckRowVsVectorized(q, bs);
+    for (size_t bs : kBatchSizes) CheckAgainstBatchOne(q, bs);
   }
 }
 
@@ -288,26 +277,20 @@ void FlattenFallback(const OperatorProfile& p,
 }
 
 TEST_F(VectorizedDifferentialTest, ConvertedOperatorsNeverFallBackAcrossCorpus) {
-  // Every operator with a native batch implementation must process the whole
-  // corpus through compiled kernels: zero rows through the row-loop adapter
-  // or a compiled-tree FallbackNode, at every batch size and parallelism.
-  const char* const converted[] = {"SeqScan", "Filter",    "Project",
-                                   "HashJoin", "Sort",     "Aggregate"};
+  // Every operator runs the whole corpus through compiled kernels: no
+  // expression of the corpus reaches a FallbackNode, at any batch size and
+  // parallelism.
   for (const char* q : kDifferentialQueries) {
     for (size_t parallelism : {1u, 2u, 4u, 8u}) {
       db_.set_parallelism(parallelism);
       for (size_t bs : {size_t{7}, size_t{1024}}) {
-        RunVectorized(q, bs);
+        RunBatch(q, bs);
         ASSERT_TRUE(db_.last_profile().valid) << q;
         std::vector<std::pair<std::string, uint64_t>> ops;
         FlattenFallback(db_.last_profile().root, &ops);
         for (const auto& [op, fallback] : ops) {
-          for (const char* c : converted) {
-            if (op == c) {
-              EXPECT_EQ(fallback, 0u) << op << " fell back on: " << q << " @ parallelism "
-                                      << parallelism << " batch_size " << bs;
-            }
-          }
+          EXPECT_EQ(fallback, 0u) << op << " fell back on: " << q << " @ parallelism "
+                                  << parallelism << " batch_size " << bs;
         }
       }
       db_.set_parallelism(1);
@@ -315,40 +298,13 @@ TEST_F(VectorizedDifferentialTest, ConvertedOperatorsNeverFallBackAcrossCorpus) 
   }
 }
 
-TEST_F(VectorizedDifferentialTest, FallbackRowsSurfaceInProfileAndMetric) {
-  // A non-equi self join has no hash/merge path; the nested-loop join keeps
-  // its row implementation, so batch drive routes it through the counting
-  // adapter: the per-operator profile and the engine-wide counter both move.
-  const uint64_t before = EngineMetrics::Get().exec_batch_fallback_rows->value();
-  RunVectorized(
-      "SELECT e.id, e2.id FROM emp e, emp e2 "
-      "WHERE e.id < 12 AND e2.id < 12 AND e.salary < e2.salary",
-      64);
-  ASSERT_TRUE(db_.last_profile().valid);
-  std::vector<std::pair<std::string, uint64_t>> ops;
-  FlattenFallback(db_.last_profile().root, &ops);
-  uint64_t total_fallback = 0;
-  for (const auto& [op, fallback] : ops) total_fallback += fallback;
-  EXPECT_GT(total_fallback, 0u);
-  EXPECT_GT(EngineMetrics::Get().exec_batch_fallback_rows->value(), before);
-  // EXPLAIN ANALYZE renders the counter in both formats.
-  EXPECT_NE(db_.last_profile().ToText().find("fallback="), std::string::npos);
-  EXPECT_NE(db_.last_profile().ToJson().find("\"fallback_rows\":"), std::string::npos);
-}
-
-TEST_F(VectorizedDifferentialTest, SetVectorizedIsReversible) {
+TEST_F(VectorizedDifferentialTest, BatchSizeZeroClampsToOne) {
   const std::string q = "SELECT count(*) FROM emp";
-  EXPECT_TRUE(db_.vectorized());  // on by default
-  QueryResult vec = CheckedSql(&db_, q);
-  db_.set_vectorized(false);
-  EXPECT_FALSE(db_.vectorized());
-  QueryResult row = CheckedSql(&db_, q);
-  db_.set_vectorized(true);
-  EXPECT_EQ(Canon(vec), Canon(row));
+  QueryResult standard = CheckedSql(&db_, q);
   db_.set_batch_size(0);  // clamps to 1
   EXPECT_EQ(db_.batch_size(), 1u);
   QueryResult one = CheckedSql(&db_, q);
-  EXPECT_EQ(Canon(vec), Canon(one));
+  EXPECT_EQ(Canon(standard), Canon(one));
 }
 
 }  // namespace
