@@ -83,7 +83,9 @@ RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_join_order smoke
 
 echo "== tsan build (concurrency tests) =="
 # JoinMethodMatrix runs Gather at parallelism 4 over every join method;
-# VectorEval drives the kernels and the fallback counter.
+# VectorEval drives the kernels and the fallback counter. SessionConcurrency
+# includes PlanningRacesIndexSplits: sessions plan against the B+tree height
+# and leaf counters while another session's inserts split the tree.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \

@@ -24,6 +24,7 @@ OperatorProfile BuildNode(const PhysicalNode& node, const ExecContext& ctx) {
   // their stats so actual_rows/IO are totals across workers.
   if (const std::vector<const Executor*>* execs = ctx.FindExecutors(&node)) {
     for (const Executor* exec : *execs) p.stats.Merge(exec->stats());
+    p.executors = execs->size();
   }
   for (const PhysicalPtr& child : node.children()) {
     p.children.push_back(BuildNode(*child, ctx));

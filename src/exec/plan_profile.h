@@ -29,6 +29,9 @@ struct OperatorProfile {
   double est_rows = 0;
   Cost est_cost;
   OperatorStats stats;
+  /// Executors merged into `stats`: the workers of a parallel fragment, which
+  /// share each of the node's loops between them; 1 when serial.
+  uint64_t executors = 0;
   std::vector<OperatorProfile> children;
 
   double q_error() const { return QError(est_rows, static_cast<double>(stats.rows_produced)); }

@@ -7,22 +7,7 @@
 
 namespace relopt {
 
-std::string AccessPath::ToString(const QueryGraph& graph) const {
-  const BaseRelation& rel = graph.relations[rel_index];
-  std::string out = index == nullptr ? "SeqScan(" + rel.alias + ")"
-                                     : "IndexScan(" + rel.alias + " via " + index->name + ")";
-  out += StringPrintf(" rows=%.1f io=%.1f cpu=%.0f", out_rows, cost.page_ios, cost.cpu_tuples);
-  if (!order.empty()) out += " order=" + OrderSpecToString(order);
-  return out;
-}
-
 namespace {
-
-/// Cached table-level numbers used by every path of a relation.
-struct RelStats {
-  double rows;
-  double pages;
-};
 
 /// Records one access-path decision if tracing is on.
 void TracePath(PlanTrace* trace, const std::string& alias, std::string candidate, double rows,
@@ -52,21 +37,6 @@ std::string ScanSignatureOf(const BaseRelation& rel) {
   return FeedbackStore::ScanSignature(rel.table->name(), std::move(sigs));
 }
 
-RelStats StatsOf(const BaseRelation& rel) {
-  RelStats s;
-  if (rel.table->has_stats()) {
-    s.rows = static_cast<double>(rel.table->stats().num_rows);
-    s.pages = static_cast<double>(rel.table->stats().num_pages);
-  } else {
-    // Without ANALYZE, fall back to physical facts the system always knows.
-    s.rows = static_cast<double>(rel.table->live_rows());
-    s.pages = static_cast<double>(rel.table->heap()->NumPages());
-  }
-  s.rows = std::max(s.rows, 1.0);
-  s.pages = std::max(s.pages, 1.0);
-  return s;
-}
-
 }  // namespace
 
 Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, int rel_index,
@@ -75,7 +45,6 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
                                                      bool enable_index_scans,
                                                      PlanTrace* trace) {
   const BaseRelation& rel = graph.relations[rel_index];
-  RelStats table = StatsOf(rel);
 
   // Selectivity of every conjunct (shared across paths).
   std::vector<double> conj_sel;
@@ -85,7 +54,7 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
     conj_sel.push_back(s);
     total_sel *= s;
   }
-  double out_rows = std::max(table.rows * total_sel, 0.0);
+  double out_rows = std::max(rel.rows * total_sel, 0.0);
 
   // Cardinality feedback: a previous execution observed this exact (table,
   // conjuncts) combination — trust the measurement over the model, floored
@@ -102,7 +71,7 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
     AccessPath p;
     p.rel_index = rel_index;
     p.out_rows = out_rows;
-    p.cost = cost_model.SeqScan(table.rows, table.pages);
+    p.cost = cost_model.SeqScan(rel.rows, rel.pages);
     TracePath(trace, rel.alias, "SeqScan(" + rel.alias + ")", p.out_rows, p.cost, "kept", "");
     paths.push_back(std::move(p));
   }
@@ -177,16 +146,11 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
       continue;
     }
 
-    double matching = std::max(1.0, table.rows * bounded_sel);
-    Result<int> height = index->tree->Height();
-    Result<size_t> leaves = index->tree->NumLeafPages();
-    if (!height.ok() || !leaves.ok()) {
-      TracePath(trace, rel.alias, "IndexScan(" + rel.alias + " via " + index->name + ")", out_rows,
-                Cost{}, "pruned", "index tree statistics unavailable");
-      continue;
-    }
-    p.cost = cost_model.IndexScan(matching, bounded_sel, table.rows, table.pages, *height,
-                                  static_cast<double>(*leaves), index->clustered);
+    double matching = std::max(1.0, rel.rows * bounded_sel);
+    p.cost = cost_model.IndexScan(matching, bounded_sel, rel.rows, rel.pages,
+                                  index->tree->Height(),
+                                  static_cast<double>(index->tree->NumLeafPages()),
+                                  index->clustered);
     // Residual predicate CPU for non-consumed conjuncts.
     if (p.consumed.size() < rel.conjuncts.size()) {
       p.cost += cost_model.Filter(matching);

@@ -25,8 +25,6 @@ struct AccessPath {
   double out_rows = 0;   ///< rows after ALL conjuncts
   Cost cost;             ///< total cost of producing them
   OrderSpec order;       ///< output ordering (index key order, if any)
-
-  std::string ToString(const QueryGraph& graph) const;
 };
 
 /// \brief Enumerates access paths for one relation: always the sequential

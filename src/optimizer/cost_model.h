@@ -25,7 +25,6 @@ class CostModel {
   CostModel(size_t buffer_pages, double cpu_weight = Cost::kDefaultCpuWeight)
       : buffer_pages_(buffer_pages < 3 ? 3 : buffer_pages), cpu_weight_(cpu_weight) {}
 
-  size_t buffer_pages() const { return buffer_pages_; }
   double cpu_weight() const { return cpu_weight_; }
   double Total(const Cost& c) const { return c.Total(cpu_weight_); }
 

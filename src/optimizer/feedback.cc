@@ -210,18 +210,29 @@ std::vector<std::string> TablesOfKey(const std::string& key) {
   return tables;
 }
 
+/// Rows an operator produced per loop; 0 if it never started. A rescanned
+/// inner starts once per outer row and counts every pass, while the workers
+/// of a parallel fragment each start once and share one pass.
+double RowsPerLoop(const OperatorProfile& p) {
+  const double workers = static_cast<double>(std::max<uint64_t>(p.executors, 1));
+  return p.stats.init_calls == 0 ? 0 : p.stats.rows_produced * workers / p.stats.init_calls;
+}
+
 void HarvestNode(const PhysicalNode& plan, const OperatorProfile& profile,
                  FeedbackStore* store) {
+  // An operator that never started measured nothing, and neither did the
+  // subtree below it.
+  if (profile.stats.init_calls == 0) return;
   const std::string& key = plan.feedback_key();
   if (!key.empty()) {
-    const double actual = static_cast<double>(profile.stats.rows_produced);
+    const double actual = RowsPerLoop(profile);
     if (key.rfind("s|", 0) == 0) {
       store->RecordScanRows(key, TablesOfKey(key), actual);
     } else if (plan.children().size() == 2 && profile.children.size() == 2) {
       // Observed join selectivity: output over the input cross product. Only
       // meaningful when both inputs actually produced rows.
-      const double l = static_cast<double>(profile.children[0].stats.rows_produced);
-      const double r = static_cast<double>(profile.children[1].stats.rows_produced);
+      const double l = RowsPerLoop(profile.children[0]);
+      const double r = RowsPerLoop(profile.children[1]);
       if (l > 0 && r > 0) {
         store->RecordJoinSelectivity(key, TablesOfKey(key), actual / (l * r));
       }

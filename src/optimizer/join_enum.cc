@@ -47,16 +47,6 @@ const char* JoinEnumAlgorithmToString(JoinEnumAlgorithm algorithm) {
   return "?";
 }
 
-namespace {
-
-/// Per-edge selectivities and other-conjunct metadata are precomputed once.
-struct EdgeSide {
-  std::string alias;
-  std::string column;
-};
-
-}  // namespace
-
 JoinEnumerator::JoinEnumerator(const QueryGraph* graph, const SelectivityEstimator* estimator,
                                const CostModel* cost_model, JoinEnumOptions options)
     : graph_(graph),
@@ -65,27 +55,148 @@ JoinEnumerator::JoinEnumerator(const QueryGraph* graph, const SelectivityEstimat
       options_(options),
       rng_(options.random_seed) {}
 
-int JoinEnumerator::Intern(Candidate cand) {
-  arena_.push_back(std::move(cand));
+// --- resolving the query graph ------------------------------------------------
+
+int JoinEnumerator::InternColumn(int rel, const std::string& alias, const std::string& name) {
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    const Column& c = columns_[i];
+    if (c.rel == rel && EqualsIgnoreCase(c.name, name) &&
+        (rel >= 0 || EqualsIgnoreCase(c.alias, alias))) {
+      return static_cast<int>(i);
+    }
+  }
+  const double ndv = rel >= 0 ? estimator_->ColumnNdv(alias, name) : 0;
+  columns_.push_back(Column{rel, alias, name, ndv});
+  return static_cast<int>(columns_.size() - 1);
+}
+
+int JoinEnumerator::InternOrder(const Order& order) {
+  auto it = std::find(orders_.begin(), orders_.end(), order);
+  if (it != orders_.end()) return static_cast<int>(it - orders_.begin());
+  orders_.push_back(order);
+  return static_cast<int>(orders_.size() - 1);
+}
+
+bool JoinEnumerator::Satisfies(int have, const Order& want) const {
+  const Order& h = orders_[have];
+  return want.size() <= h.size() && std::equal(want.begin(), want.end(), h.begin());
+}
+
+int JoinEnumerator::TrimOrder(const Order& order) const {
+  int best = 0;
+  for (int id : interesting_) {
+    const Order& want = orders_[id];
+    if (want.size() > orders_[best].size() && want.size() <= order.size() &&
+        std::equal(want.begin(), want.end(), order.begin())) {
+      best = id;
+    }
+  }
+  return best;
+}
+
+OrderSpec JoinEnumerator::ToOrderSpec(int order) const {
+  OrderSpec out;
+  for (const OrderKey& k : orders_[order]) {
+    out.push_back(OrderColumn{columns_[k.col].alias, columns_[k.col].name, k.desc});
+  }
+  return out;
+}
+
+Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order) {
+  const int n = static_cast<int>(graph_->relations.size());
+  columns_.clear();
+  edges_.clear();
+  conjuncts_.clear();
+  rels_.assign(n, Relation{});
+  access_paths_.clear();
+  orders_.assign(1, Order{});
+  interesting_.clear();
+  auto alias = [&](int rel) -> const std::string& { return graph_->relations[rel].alias; };
+
+  // Interesting orders: the required order plus single-column join-key
+  // orders on both sides of every edge.
+  Order required;
+  for (const OrderColumn& oc : required_order) {
+    const int rel = graph_->RelIndex(oc.alias);
+    required.push_back(
+        OrderKey{InternColumn(rel, rel >= 0 ? alias(rel) : oc.alias, oc.column), oc.desc});
+  }
+  required_order_ = InternOrder(required);
+  if (options_.use_interesting_orders && !required.empty()) interesting_.push_back(required_order_);
+  for (const JoinEdge& e : graph_->edges) {
+    Edge edge{{e.left_rel, e.right_rel},
+              {InternColumn(e.left_rel, alias(e.left_rel), e.left_column),
+               InternColumn(e.right_rel, alias(e.right_rel), e.right_column)},
+              estimator_->EstimateEquiJoin(alias(e.left_rel), e.left_column, alias(e.right_rel),
+                                           e.right_column)};
+    edges_.push_back(edge);
+    rels_[e.left_rel].edge_nbrs |= uint64_t{1} << e.right_rel;
+    rels_[e.right_rel].edge_nbrs |= uint64_t{1} << e.left_rel;
+    if (!options_.use_interesting_orders) continue;
+    for (int col : edge.col) {
+      const int id = InternOrder(Order{OrderKey{col, false}});
+      if (std::find(interesting_.begin(), interesting_.end(), id) == interesting_.end()) {
+        interesting_.push_back(id);
+      }
+    }
+  }
+  trimmed_orders_ = orders_.size();
+  satisfies_.assign(trimmed_orders_ * trimmed_orders_, 0);
+  for (size_t have = 0; have < trimmed_orders_; ++have) {
+    for (size_t want = 0; want < trimmed_orders_; ++want) {
+      satisfies_[have * trimmed_orders_ + want] = Satisfies(static_cast<int>(have), orders_[want]);
+    }
+  }
+
+  adjacency_.clear();
+  for (const Relation& rel : rels_) adjacency_.push_back(rel.edge_nbrs);
+  for (const ExprPtr& c : graph_->other_conjuncts) {
+    Result<JoinSet> rels = graph_->RelationsOf(*c);
+    const uint64_t bits = rels.ok() ? rels->bits() : 0;
+    conjuncts_.push_back(Conjunct{bits, estimator_->EstimatePredicate(*c)});
+    JoinSet(bits).ForEach([&](int i) { adjacency_[i] |= bits & ~(uint64_t{1} << i); });
+  }
+
+  const bool worst = options_.algorithm == JoinEnumAlgorithm::kWorst;
+  for (int r = 0; r < n; ++r) {
+    const BaseRelation& base = graph_->relations[r];
+    Relation& rel = rels_[r];
+    const TableInfo& table = *base.table;
+    for (const IndexInfo* index : table.indexes()) {
+      Order keys;
+      for (size_t kc : index->key_columns) {
+        const std::string& name = table.schema().ColumnAt(kc).name;
+        keys.push_back(OrderKey{InternColumn(r, base.alias, name), false});
+      }
+      rel.index_keys.push_back(std::move(keys));
+    }
+    RELOPT_ASSIGN_OR_RETURN(
+        std::vector<AccessPath> paths,
+        EnumerateAccessPaths(*graph_, r, *estimator_, *cost_model_, options_.enable_index_scans,
+                             worst ? nullptr : options_.trace));
+    rel.scan_rows = std::max(paths.front().out_rows, 0.0);
+    access_paths_.push_back(std::move(paths));
+  }
+  return Status::OK();
+}
+
+// --- candidates and the frontier -----------------------------------------------
+
+int JoinEnumerator::Intern(const Candidate& cand) {
+  arena_.push_back(cand);
   return static_cast<int>(arena_.size() - 1);
 }
 
 std::string JoinEnumerator::SetName(JoinSet set) const {
-  std::string out = "{";
-  bool first = true;
-  set.ForEach([&](int r) {
-    if (!first) out += ",";
-    first = false;
-    out += graph_->relations[r].alias;
-  });
-  out += "}";
-  return out;
+  std::string out;
+  set.ForEach([&](int r) { out += (out.empty() ? "{" : ",") + graph_->relations[r].alias; });
+  return out + "}";
 }
 
 std::string JoinEnumerator::CandidateName(const Candidate& cand) const {
   if (cand.is_scan) {
-    const AccessPath& path = access_paths_[cand.rel_index][cand.path_index];
-    const BaseRelation& rel = graph_->relations[cand.rel_index];
+    const AccessPath& path = access_paths_[cand.rel][cand.path];
+    const BaseRelation& rel = graph_->relations[cand.rel];
     return path.index == nullptr ? "SeqScan(" + rel.alias + ")"
                                  : "IndexScan(" + rel.alias + " via " + path.index->name + ")";
   }
@@ -93,12 +204,12 @@ std::string JoinEnumerator::CandidateName(const Candidate& cand) const {
          " x " + SetName(arena_[cand.right].set) + ")";
 }
 
-void JoinEnumerator::TraceCandidate(JoinSet set, const Candidate& cand, const char* action,
-                                    const char* reason, const char* phase) const {
+void JoinEnumerator::TraceCandidate(const Candidate& cand, const char* action, const char* reason,
+                                    const char* phase) const {
   if (options_.trace == nullptr || maximize_) return;
   PlanTraceEvent ev;
   ev.phase = phase != nullptr ? phase : (cand.is_scan ? "access_path" : "join");
-  ev.target = SetName(set);
+  ev.target = SetName(cand.set);
   ev.candidate = CandidateName(cand);
   ev.rows = cand.rows;
   ev.cost = cand.cost;
@@ -108,67 +219,198 @@ void JoinEnumerator::TraceCandidate(JoinSet set, const Candidate& cand, const ch
   options_.trace->Add(std::move(ev));
 }
 
-Status JoinEnumerator::SeedBaseRelations() {
-  access_paths_.clear();
-  for (size_t i = 0; i < graph_->relations.size(); ++i) {
-    RELOPT_ASSIGN_OR_RETURN(
-        std::vector<AccessPath> paths,
-        EnumerateAccessPaths(*graph_, static_cast<int>(i), *estimator_, *cost_model_,
-                             options_.enable_index_scans, maximize_ ? nullptr : options_.trace));
-    const BaseRelation& rel = graph_->relations[i];
-    double base_rows = 1, base_pages = 1;
-    if (rel.table->has_stats()) {
-      base_rows = std::max<double>(1, static_cast<double>(rel.table->stats().num_rows));
-      base_pages = std::max<double>(1, static_cast<double>(rel.table->stats().num_pages));
-    } else {
-      base_rows = std::max<double>(1, static_cast<double>(rel.table->live_rows()));
-      base_pages = std::max<double>(1, static_cast<double>(rel.table->heap()->NumPages()));
+void JoinEnumerator::Offer(const Candidate& cand) {
+  const double total = cost_model_->Total(cand.cost);
+  if (maximize_) {
+    // Worst-order search keeps one candidate per set: the costliest join,
+    // but the cheapest access path (the metric isolates join-order quality).
+    if (frontier_.empty()) {
+      frontier_.push_back(cand);
+    } else if (cand.is_scan ? total <= cost_model_->Total(frontier_[0].cost)
+                            : total > cost_model_->Total(frontier_[0].cost)) {
+      frontier_[0] = cand;
     }
-    double row_bytes = base_pages * static_cast<double>(kPageSize) / base_rows;
+    return;
+  }
+  // Dominance: costs no more and its order satisfies the other's. Of two
+  // candidates that dominate each other (equal cost and order) the first
+  // emitted wins.
+  for (const Candidate& kept : frontier_) {
+    if (cost_model_->Total(kept.cost) <= total && Dominates(kept.order, cand.order)) {
+      TraceCandidate(cand, "pruned", "dominated by a cheaper candidate with compatible order");
+      return;
+    }
+  }
+  size_t live = 0;
+  for (const Candidate& kept : frontier_) {
+    if (total <= cost_model_->Total(kept.cost) && Dominates(cand.order, kept.order)) {
+      TraceCandidate(kept, "pruned", "dominated by a cheaper candidate with compatible order");
+    } else {
+      frontier_[live++] = kept;
+    }
+  }
+  frontier_.resize(live);
+  frontier_.push_back(cand);
+}
 
-    std::vector<Candidate> cands;
-    for (size_t p = 0; p < paths.size(); ++p) {
+void JoinEnumerator::KeepFrontier(JoinSet set) {
+  if (frontier_.empty()) return;
+  std::stable_sort(frontier_.begin(), frontier_.end(), [&](const Candidate& a, const Candidate& b) {
+    return cost_model_->Total(a.cost) < cost_model_->Total(b.cost);
+  });
+  Slot slot{static_cast<int>(arena_.size()), 0};
+  for (const Candidate& c : frontier_) {
+    if (!maximize_ && static_cast<size_t>(slot.count) >= options_.max_candidates_per_set) {
+      TraceCandidate(c, "pruned", "exceeds max_candidates_per_set");
+      continue;
+    }
+    TraceCandidate(c, "kept", "");
+    Intern(c);
+    ++slot.count;
+  }
+  frontier_.clear();
+  dp_[set.bits()] = slot;
+  stats_.dp_entries += slot.count;
+}
+
+const JoinEnumerator::Candidate* JoinEnumerator::CheapestEmitted() const {
+  const Candidate* best = nullptr;
+  for (const Candidate& c : emitted_) {
+    if (best == nullptr || cost_model_->Total(c.cost) < cost_model_->Total(best->cost)) best = &c;
+  }
+  return best;
+}
+
+void JoinEnumerator::SeedBaseRelations() {
+  for (size_t i = 0; i < rels_.size(); ++i) {
+    const Relation& rel = rels_[i];
+    const BaseRelation& base = graph_->relations[i];
+    const std::vector<IndexInfo*>& indexes = base.table->indexes();
+    for (size_t p = 0; p < access_paths_[i].size(); ++p) {
+      const AccessPath& path = access_paths_[i][p];
       Candidate c;
       c.set = JoinSet::Single(static_cast<int>(i));
-      c.rows = std::max(paths[p].out_rows, 0.0);
-      c.row_bytes = row_bytes;
-      c.pages = CostModel::EstimatePages(std::max(c.rows, 1.0), row_bytes);
-      c.cost = paths[p].cost;
-      c.order = paths[p].order;
+      c.rows = rel.scan_rows;
+      c.row_bytes = base.pages * static_cast<double>(kPageSize) / base.rows;
+      c.pages = CostModel::EstimatePages(std::max(c.rows, 1.0), c.row_bytes);
+      c.cost = path.cost;
+      if (path.index != nullptr) {
+        auto pos = std::find(indexes.begin(), indexes.end(), path.index) - indexes.begin();
+        c.order = TrimOrder(rel.index_keys[pos]);
+      }
       c.is_scan = true;
-      c.rel_index = static_cast<int>(i);
-      c.path_index = static_cast<int>(p);
-      cands.push_back(std::move(c));
+      c.rel = static_cast<int>(i);
+      c.path = static_cast<int>(p);
+      Offer(c);
     }
-    access_paths_.push_back(std::move(paths));
-    KeepCandidates(JoinSet::Single(static_cast<int>(i)), std::move(cands));
+    KeepFrontier(JoinSet::Single(static_cast<int>(i)));
   }
-  return Status::OK();
 }
 
-std::vector<int> JoinEnumerator::EdgesBetween(JoinSet left, JoinSet right) const {
-  std::vector<int> out;
-  for (size_t e = 0; e < graph_->edges.size(); ++e) {
-    const JoinEdge& edge = graph_->edges[e];
-    if ((left.Contains(edge.left_rel) && right.Contains(edge.right_rel)) ||
-        (left.Contains(edge.right_rel) && right.Contains(edge.left_rel))) {
-      out.push_back(static_cast<int>(e));
+// --- splits and join candidates -------------------------------------------------
+
+void JoinEnumerator::SplitEdges(JoinSet left, JoinSet right, Split* split) const {
+  split->edges.clear();
+  split->others.clear();
+  split->left_keys.clear();
+  split->right_keys.clear();
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    const Edge& edge = edges_[e];
+    int side;  // the endpoint on the left
+    if (left.Contains(edge.rel[0]) && right.Contains(edge.rel[1])) {
+      side = 0;
+    } else if (left.Contains(edge.rel[1]) && right.Contains(edge.rel[0])) {
+      side = 1;
+    } else {
+      continue;
     }
+    split->edges.push_back(static_cast<int>(e));
+    split->left_keys.push_back(OrderKey{edge.col[side], false});
+    split->right_keys.push_back(OrderKey{edge.col[1 - side], false});
   }
-  return out;
+  for (size_t o = 0; o < conjuncts_.size(); ++o) {
+    if (NewlyApplies(conjuncts_[o].rels, left, right)) split->others.push_back(static_cast<int>(o));
+  }
 }
 
-std::vector<int> JoinEnumerator::NewOtherConjuncts(JoinSet left, JoinSet right) const {
-  std::vector<int> out;
-  JoinSet both = left.Union(right);
-  for (size_t i = 0; i < graph_->other_conjuncts.size(); ++i) {
-    Result<JoinSet> rels = graph_->RelationsOf(*graph_->other_conjuncts[i]);
-    if (!rels.ok()) continue;
-    if (rels->IsSubsetOf(both) && !rels->IsSubsetOf(left) && !rels->IsSubsetOf(right)) {
-      out.push_back(static_cast<int>(i));
-    }
+bool JoinEnumerator::NewlyApplies(uint64_t rels, JoinSet left, JoinSet right) {
+  return rels != 0 && (rels & ~(left.bits() | right.bits())) == 0 && (rels & ~left.bits()) != 0 &&
+         (rels & ~right.bits()) != 0;
+}
+
+uint64_t JoinEnumerator::EdgeNeighbors(JoinSet set) const {
+  uint64_t nbrs = 0;
+  set.ForEach([&](int r) { nbrs |= rels_[r].edge_nbrs; });
+  return nbrs;
+}
+
+bool JoinEnumerator::Joinable(JoinSet left, JoinSet right) const {
+  if ((EdgeNeighbors(left) & right.bits()) != 0) return true;
+  for (const Conjunct& c : conjuncts_) {
+    if (NewlyApplies(c.rels, left, right)) return true;
   }
-  return out;
+  return false;
+}
+
+double JoinEnumerator::SetRows(JoinSet set) const {
+  double rows = 1;
+  set.ForEach([&](int r) { rows *= rels_[r].scan_rows; });
+  for (const Edge& e : edges_) {
+    if (set.Contains(e.rel[0]) && set.Contains(e.rel[1])) rows *= e.sel;
+  }
+  for (const Conjunct& c : conjuncts_) {
+    if (c.rels != 0 && (c.rels & ~set.bits()) == 0) rows *= c.sel;
+  }
+  return rows;
+}
+
+int JoinEnumerator::InnerColumn(int edge, int inner) const {
+  const Edge& e = edges_[edge];
+  return e.col[e.rel[0] == inner ? 0 : 1];
+}
+
+void JoinEnumerator::ProbeEdges(int inner, int index, const std::vector<int>& edges,
+                                std::vector<int>* out) const {
+  out->clear();
+  for (const OrderKey& key : rels_[inner].index_keys[index]) {
+    auto it = std::find_if(edges.begin(), edges.end(), [&](int e) {
+      return InnerColumn(e, inner) == key.col &&
+             std::find(out->begin(), out->end(), e) == out->end();
+    });
+    if (it == edges.end()) break;
+    out->push_back(*it);
+  }
+}
+
+void JoinEnumerator::PrepareSplit(JoinSet left, JoinSet right, Split* split) {
+  SplitEdges(left, right, split);
+  split->feedback_sel.reset();
+  if (estimator_->feedback() != nullptr) {
+    split->feedback_sel = estimator_->FeedbackJoinSelectivity(
+        FeedbackJoinSignature(left, right, split->edges, split->others));
+  } else {
+    split->rows = SetRows(left.Union(right));
+  }
+  split->merge_order = trim_orders_ ? TrimOrder(split->left_keys) : InternOrder(split->left_keys);
+
+  // Index nested loop probes an index of a single inner relation on a prefix
+  // of its key columns.
+  split->probes.clear();
+  if (!options_.enable_inlj || right.Count() != 1 || split->edges.empty()) return;
+  const int inner = right.Lowest();
+  const BaseRelation& base = graph_->relations[inner];
+  for (size_t i = 0; i < rels_[inner].index_keys.size(); ++i) {
+    ProbeEdges(inner, static_cast<int>(i), split->edges, &split->probe_edges);
+    if (split->probe_edges.empty()) continue;
+    double matches = base.rows;
+    for (int e : split->probe_edges) {
+      matches /= std::max(1.0, columns_[InnerColumn(e, inner)].ndv);
+    }
+    const bool residual = split->probe_edges.size() < split->edges.size() ||
+                          !split->others.empty() || !base.conjuncts.empty();
+    split->probes.push_back(
+        Split::Probe{base.table->indexes()[i], static_cast<int>(i), matches, residual});
+  }
 }
 
 std::string JoinEnumerator::FeedbackJoinSignature(JoinSet left, JoinSet right,
@@ -198,292 +440,118 @@ std::string JoinEnumerator::FeedbackJoinSignature(JoinSet left, JoinSet right,
                                       std::move(other_sigs));
 }
 
-double JoinEnumerator::JoinRows(const Candidate& l, const Candidate& r,
-                                const std::vector<int>& edges,
-                                const std::vector<int>& others) const {
-  // Cardinality feedback: an earlier execution measured this exact join's
-  // selectivity — trust it over the containment/independence model.
-  if (estimator_->feedback() != nullptr) {
-    std::optional<double> sel =
-        estimator_->FeedbackJoinSelectivity(FeedbackJoinSignature(l.set, r.set, edges, others));
-    if (sel.has_value()) return std::max(l.rows * r.rows * *sel, 1.0);
-  }
-  double rows = l.rows * r.rows;
-  for (int e : edges) {
-    const JoinEdge& edge = graph_->edges[e];
-    rows *= estimator_->EstimateEquiJoin(graph_->relations[edge.left_rel].alias, edge.left_column,
-                                         graph_->relations[edge.right_rel].alias,
-                                         edge.right_column);
-  }
-  for (int o : others) {
-    rows *= estimator_->EstimatePredicate(*graph_->other_conjuncts[o]);
-  }
-  return std::max(rows, 0.0);
-}
-
-void JoinEnumerator::EdgeOrders(const std::vector<int>& edges, JoinSet left_set,
-                                OrderSpec* left_order, OrderSpec* right_order) const {
-  for (int e : edges) {
-    const JoinEdge& edge = graph_->edges[e];
-    bool left_is_left = left_set.Contains(edge.left_rel);
-    const std::string& l_alias =
-        graph_->relations[left_is_left ? edge.left_rel : edge.right_rel].alias;
-    const std::string& l_col = left_is_left ? edge.left_column : edge.right_column;
-    const std::string& r_alias =
-        graph_->relations[left_is_left ? edge.right_rel : edge.left_rel].alias;
-    const std::string& r_col = left_is_left ? edge.right_column : edge.left_column;
-    left_order->push_back(OrderColumn{l_alias, l_col, false});
-    right_order->push_back(OrderColumn{r_alias, r_col, false});
-  }
-}
-
-void JoinEnumerator::EmitJoinCandidates(int left_id, int right_id, std::vector<Candidate>* out) {
+void JoinEnumerator::EmitJoinCandidates(int left_id, int right_id, const Split& split) {
   const Candidate& l = arena_[left_id];
   const Candidate& r = arena_[right_id];
-  std::vector<int> edges = EdgesBetween(l.set, r.set);
-  std::vector<int> others = NewOtherConjuncts(l.set, r.set);
+  emitted_.clear();
 
-  double rows = JoinRows(l, r, edges, others);
-  double row_bytes = l.row_bytes + r.row_bytes;
-  double pages = CostModel::EstimatePages(std::max(rows, 1.0), row_bytes);
+  // Without feedback every split of a set agrees on its rows. An earlier
+  // execution's measured selectivity of this exact join overrides the
+  // containment/independence model.
+  double rows = split.rows;
+  if (split.feedback_sel.has_value()) {
+    rows = std::max(l.rows * r.rows * *split.feedback_sel, 1.0);
+  } else if (estimator_->feedback() != nullptr) {
+    rows = l.rows * r.rows;
+    for (int e : split.edges) rows *= edges_[e].sel;
+    for (int o : split.others) rows *= conjuncts_[o].sel;
+    rows = std::max(rows, 0.0);
+  }
 
-  auto base = [&](JoinMethod method) {
-    Candidate c;
-    c.set = l.set.Union(r.set);
-    c.rows = rows;
-    c.row_bytes = row_bytes;
-    c.pages = pages;
-    c.is_scan = false;
+  Candidate c;
+  c.set = l.set.Union(r.set);
+  c.rows = rows;
+  c.row_bytes = l.row_bytes + r.row_bytes;
+  c.pages = CostModel::EstimatePages(std::max(rows, 1.0), c.row_bytes);
+  c.left = left_id;
+  c.right = right_id;
+  auto emit = [&](JoinMethod method, const Cost& cost, int order) {
     c.method = method;
-    c.left = left_id;
-    c.right = right_id;
-    return c;
+    c.cost = cost;
+    c.order = order;
+    emitted_.push_back(c);
   };
 
-  std::vector<Candidate> emitted;
-
   if (options_.enable_nlj) {
-    Candidate c = base(JoinMethod::kNestedLoop);
-    c.cost = l.cost + cost_model_->NestedLoop(l.rows, r.cost, r.rows) + Cost{0, rows};
-    c.order = l.order;
-    emitted.push_back(std::move(c));
+    emit(JoinMethod::kNestedLoop,
+         l.cost + cost_model_->NestedLoop(l.rows, r.cost, r.rows) + Cost{0, rows}, l.order);
   }
   if (options_.enable_bnlj) {
-    Candidate c = base(JoinMethod::kBlockNestedLoop);
-    c.cost = l.cost + cost_model_->BlockNestedLoop(l.rows, l.pages, r.cost, r.rows) + Cost{0, rows};
-    c.order.clear();
-    emitted.push_back(std::move(c));
+    emit(JoinMethod::kBlockNestedLoop,
+         l.cost + cost_model_->BlockNestedLoop(l.rows, l.pages, r.cost, r.rows) + Cost{0, rows},
+         0);
   }
-  if (options_.enable_inlj && r.is_scan && r.path_index == 0 && !edges.empty()) {
-    // Probe an index on the inner base relation; emitted once per left
-    // candidate (anchored to the inner's seq-scan candidate).
-    const BaseRelation& inner = graph_->relations[r.rel_index];
-    for (IndexInfo* index : inner.table->indexes()) {
-      // Match the index key prefix against available edge columns.
-      std::vector<int> probe_edges;
-      for (size_t kp = 0; kp < index->key_columns.size(); ++kp) {
-        const std::string& key_col = inner.table->schema().ColumnAt(index->key_columns[kp]).name;
-        int found = -1;
-        for (int e : edges) {
-          const JoinEdge& edge = graph_->edges[e];
-          bool inner_is_left = edge.left_rel == r.rel_index;
-          const std::string& inner_col = inner_is_left ? edge.left_column : edge.right_column;
-          if (EqualsIgnoreCase(inner_col, key_col) &&
-              std::find(probe_edges.begin(), probe_edges.end(), e) == probe_edges.end()) {
-            found = e;
-            break;
-          }
-        }
-        if (found < 0) break;
-        probe_edges.push_back(found);
-      }
-      if (probe_edges.empty()) continue;
-
-      double base_rows = inner.table->has_stats()
-                             ? std::max<double>(1, inner.table->stats().num_rows)
-                             : std::max<double>(1, inner.table->live_rows());
-      double inner_pages = inner.table->has_stats()
-                               ? std::max<double>(1, inner.table->stats().num_pages)
-                               : std::max<double>(1, inner.table->heap()->NumPages());
-      double matches = base_rows;
-      for (int e : probe_edges) {
-        const JoinEdge& edge = graph_->edges[e];
-        bool inner_is_left = edge.left_rel == r.rel_index;
-        const std::string& inner_col = inner_is_left ? edge.left_column : edge.right_column;
-        matches /= std::max(1.0, estimator_->ColumnNdv(inner.alias, inner_col));
-      }
-      Result<int> height = index->tree->Height();
-      if (!height.ok()) continue;
-
-      Candidate c = base(JoinMethod::kIndexNestedLoop);
-      c.probe_edges = probe_edges;
-      // Store the index by remembering which of the relation's indexes it
-      // is via the path-like rel_index/probe mechanism: keep pointer via
-      // rel_index + index name in BuildJoinPlan (recomputed). To stay exact,
-      // remember the index by its position in the inner table's index list.
-      c.path_index = -1;
-      for (size_t ii = 0; ii < inner.table->indexes().size(); ++ii) {
-        if (inner.table->indexes()[ii] == index) c.path_index = static_cast<int>(ii);
-      }
-      c.rel_index = r.rel_index;
-      c.cost = l.cost +
-               cost_model_->IndexNestedLoop(l.rows, *height, matches, inner_pages, r.rows,
-                                            index->clustered) +
-               Cost{0, rows};
-      bool has_residual = probe_edges.size() < edges.size() || !others.empty() ||
-                          !inner.conjuncts.empty();
-      if (has_residual) c.cost += cost_model_->Filter(l.rows * std::max(matches, 1.0));
-      c.order = l.order;
-      emitted.push_back(std::move(c));
+  // INLJ is emitted once per left candidate, anchored to the inner's
+  // seq-scan candidate.
+  if (r.is_scan && r.path == 0) {
+    for (const Split::Probe& p : split.probes) {
+      Cost cost = l.cost +
+                  cost_model_->IndexNestedLoop(l.rows, p.index->tree->Height(), p.matches,
+                                               graph_->relations[r.rel].pages, r.rows,
+                                               p.index->clustered) +
+                  Cost{0, rows};
+      if (p.residual) cost += cost_model_->Filter(l.rows * std::max(p.matches, 1.0));
+      c.rel = r.rel;
+      c.path = p.position;
+      emit(JoinMethod::kIndexNestedLoop, cost, l.order);
     }
+    c.rel = c.path = -1;
   }
-  if (options_.enable_smj && !edges.empty()) {
-    OrderSpec left_order, right_order;
-    EdgeOrders(edges, l.set, &left_order, &right_order);
-    Candidate c = base(JoinMethod::kSortMerge);
-    c.sort_left = !OrderSatisfies(l.order, left_order);
-    c.sort_right = !OrderSatisfies(r.order, right_order);
-    c.cost = l.cost + r.cost + cost_model_->MergeJoin(l.rows, r.rows, rows);
-    if (c.sort_left) c.cost += cost_model_->Sort(l.rows, l.pages);
-    if (c.sort_right) c.cost += cost_model_->Sort(r.rows, r.pages);
-    c.order = left_order;
-    emitted.push_back(std::move(c));
+  if (options_.enable_smj && !split.edges.empty()) {
+    c.sort_left = !Satisfies(l.order, split.left_keys);
+    c.sort_right = !Satisfies(r.order, split.right_keys);
+    Cost cost = l.cost + r.cost + cost_model_->MergeJoin(l.rows, r.rows, rows);
+    if (c.sort_left) cost += cost_model_->Sort(l.rows, l.pages);
+    if (c.sort_right) cost += cost_model_->Sort(r.rows, r.pages);
+    emit(JoinMethod::kSortMerge, cost, split.merge_order);
+    c.sort_left = c.sort_right = false;
   }
-  if (options_.enable_hash && !edges.empty()) {
-    Candidate c = base(JoinMethod::kHash);
+  if (options_.enable_hash && !split.edges.empty()) {
     c.build_left = l.pages <= r.pages;
-    double build_rows = c.build_left ? l.rows : r.rows;
-    double build_pages = c.build_left ? l.pages : r.pages;
-    double probe_rows = c.build_left ? r.rows : l.rows;
-    double probe_pages = c.build_left ? r.pages : l.pages;
-    c.cost = l.cost + r.cost +
-             cost_model_->HashJoin(build_rows, build_pages, probe_rows, probe_pages) +
-             Cost{0, rows};
-    c.order.clear();
-    emitted.push_back(std::move(c));
+    const Candidate& build = c.build_left ? l : r;
+    const Candidate& probe = c.build_left ? r : l;
+    emit(JoinMethod::kHash,
+         l.cost + r.cost + cost_model_->HashJoin(build.rows, build.pages, probe.rows, probe.pages) +
+             Cost{0, rows},
+         0);
   }
 
-  stats_.joins_costed += emitted.size();
-
-  if (maximize_ && !emitted.empty()) {
+  stats_.joins_costed += emitted_.size();
+  if (maximize_ && !emitted_.empty()) {
     // Worst-order search: the plan still uses the cheapest method per join,
     // so the metric isolates join-order quality.
-    size_t best = 0;
-    for (size_t i = 1; i < emitted.size(); ++i) {
-      if (cost_model_->Total(emitted[i].cost) < cost_model_->Total(emitted[best].cost)) best = i;
-    }
-    out->push_back(std::move(emitted[best]));
-    return;
+    const Candidate best = *CheapestEmitted();
+    emitted_.assign(1, best);
   }
-  for (Candidate& c : emitted) out->push_back(std::move(c));
 }
 
-void JoinEnumerator::KeepCandidates(JoinSet set, std::vector<Candidate> candidates) {
-  if (candidates.empty()) return;
-  // Trim orders to interesting ones so useless orders don't clog the table.
-  for (Candidate& c : candidates) {
-    if (!options_.use_interesting_orders) {
-      c.order.clear();
-      continue;
-    }
-    OrderSpec best_trim;
-    for (const OrderSpec& want : interesting_orders_) {
-      if (want.size() > best_trim.size() && OrderSatisfies(c.order, want)) best_trim = want;
-    }
-    c.order = best_trim;
-  }
+// --- strategies -------------------------------------------------------------------
 
-  if (maximize_) {
-    // Worst-order search: base relations still use their best access path
-    // (the metric isolates join-order quality, not access-path quality).
-    bool pick_cheapest = candidates.front().is_scan;
-    size_t worst = 0;
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      bool better = cost_model_->Total(candidates[i].cost) > cost_model_->Total(candidates[worst].cost);
-      if (pick_cheapest) better = !better;
-      if (better) worst = i;
-    }
-    std::vector<int>& slot = dp_[set];
-    if (slot.empty()) {
-      slot.push_back(Intern(std::move(candidates[worst])));
-      stats_.dp_entries++;
-    } else if (cost_model_->Total(candidates[worst].cost) >
-               cost_model_->Total(arena_[slot[0]].cost)) {
-      slot[0] = Intern(std::move(candidates[worst]));
-    }
-    return;
-  }
-
-  std::sort(candidates.begin(), candidates.end(), [&](const Candidate& a, const Candidate& b) {
-    return cost_model_->Total(a.cost) < cost_model_->Total(b.cost);
-  });
-
-  std::vector<int>& slot = dp_[set];
-  // Merge with existing entries under dominance.
-  std::vector<Candidate> merged;
-  for (int id : slot) merged.push_back(arena_[id]);
-  for (Candidate& c : candidates) merged.push_back(std::move(c));
-  std::sort(merged.begin(), merged.end(), [&](const Candidate& a, const Candidate& b) {
-    return cost_model_->Total(a.cost) < cost_model_->Total(b.cost);
-  });
-  std::vector<Candidate> kept;
-  for (Candidate& c : merged) {
-    bool dominated = false;
-    for (const Candidate& k : kept) {
-      if (cost_model_->Total(k.cost) <= cost_model_->Total(c.cost) &&
-          OrderSatisfies(k.order, c.order)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) {
-      TraceCandidate(set, c, "pruned", "dominated by a cheaper candidate with compatible order");
-      continue;
-    }
-    if (kept.size() >= options_.max_candidates_per_set) {
-      TraceCandidate(set, c, "pruned", "exceeds max_candidates_per_set");
-      continue;
-    }
-    TraceCandidate(set, c, "kept", "");
-    kept.push_back(std::move(c));
-  }
-  slot.clear();
-  for (Candidate& c : kept) {
-    slot.push_back(Intern(std::move(c)));
-  }
-  stats_.dp_entries += slot.size();
-}
-
-Result<int> JoinEnumerator::PickFinal(const std::vector<int>& full_set_candidates,
-                                      const OrderSpec& required_order,
-                                      bool* order_satisfied) const {
-  if (full_set_candidates.empty()) {
+Result<int> JoinEnumerator::PickFinal(JoinSet set, bool* order_satisfied) const {
+  const Slot* slot = FindSlot(set);
+  if (slot == nullptr || slot->count == 0) {
     return Status::Internal("join enumeration produced no plan for the full relation set");
   }
   int best = -1;
   double best_total = 0;
-  bool best_satisfied = false;
-  for (int id : full_set_candidates) {
+  for (int id = slot->first; id < slot->first + slot->count; ++id) {
     const Candidate& c = arena_[id];
-    bool satisfied = required_order.empty() || OrderSatisfies(c.order, required_order);
+    const bool satisfied = Satisfies(c.order, orders_[required_order_]);
     double total = cost_model_->Total(c.cost);
-    if (!satisfied && !required_order.empty()) {
-      total += cost_model_->Total(cost_model_->Sort(c.rows, c.pages));
-    }
+    if (!satisfied) total += cost_model_->Total(cost_model_->Sort(c.rows, c.pages));
     if (best < 0 || total < best_total) {
       best = id;
       best_total = total;
-      best_satisfied = satisfied;
+      *order_satisfied = satisfied;
     }
   }
-  *order_satisfied = best_satisfied;
   return best;
 }
 
 Result<int> JoinEnumerator::RunDp(bool left_deep_only, bool maximize) {
   maximize_ = maximize;
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
-  BuildAdjacency();
+  trim_orders_ = true;
+  SeedBaseRelations();
   const int n = static_cast<int>(graph_->relations.size());
   const uint64_t full = JoinSet::AllUpTo(n).bits();
 
@@ -499,7 +567,6 @@ Result<int> JoinEnumerator::RunDp(bool left_deep_only, bool maximize) {
 
   for (uint64_t mask = 1; mask <= full; ++mask) {
     JoinSet set(mask);
-    if (!set.IsSubsetOf(JoinSet(full))) continue;
     if (set.Count() < 2) continue;
     stats_.subsets_visited++;
     if (skip_disconnected && !SubsetConnected(set)) {
@@ -507,108 +574,96 @@ Result<int> JoinEnumerator::RunDp(bool left_deep_only, bool maximize) {
       continue;
     }
 
-    // Gather splits: (L, R) ordered pairs.
-    std::vector<std::pair<JoinSet, JoinSet>> splits;
-    if (left_deep_only) {
-      set.ForEach([&](int r) {
-        JoinSet right = JoinSet::Single(r);
-        splits.push_back({set.Minus(right), right});
-      });
-    } else {
-      for (SubsetIterator it(set); it.Valid(); it.Next()) {
-        JoinSet sub = it.Current();
-        splits.push_back({sub, set.Minus(sub)});
+    // Splits (left, right): every relation as the right side (left-deep), or
+    // every proper subset as the left side (bushy).
+    auto for_each_split = [&](auto&& fn) {
+      if (left_deep_only) {
+        set.ForEach([&](int r) { fn(set.Without(r), JoinSet::Single(r)); });
+      } else {
+        for (SubsetIterator it(set); it.Valid(); it.Next()) {
+          fn(it.Current(), set.Minus(it.Current()));
+        }
       }
-    }
-
-    auto connected = [&](const std::pair<JoinSet, JoinSet>& s) {
-      return !EdgesBetween(s.first, s.second).empty() ||
-             !NewOtherConjuncts(s.first, s.second).empty();
     };
-
     bool any_connected = false;
     if (options_.avoid_cross_products) {
-      for (const auto& s : splits) {
-        if (connected(s)) {
-          any_connected = true;
-          break;
+      for_each_split(
+          [&](JoinSet l, JoinSet r) { any_connected = any_connected || Joinable(l, r); });
+    }
+    for_each_split([&](JoinSet left_set, JoinSet right_set) {
+      const Slot* ls = FindSlot(left_set);
+      const Slot* rs = FindSlot(right_set);
+      if (ls == nullptr || rs == nullptr) return;
+      if (any_connected && !Joinable(left_set, right_set)) return;
+      PrepareSplit(left_set, right_set, &split_);
+      for (int lid = ls->first; lid < ls->first + ls->count; ++lid) {
+        for (int rid = rs->first; rid < rs->first + rs->count; ++rid) {
+          EmitJoinCandidates(lid, rid, split_);
+          for (const Candidate& c : emitted_) Offer(c);
         }
       }
-    }
-
-    std::vector<Candidate> candidates;
-    for (const auto& [left_set, right_set] : splits) {
-      auto lit = dp_.find(left_set);
-      auto rit = dp_.find(right_set);
-      if (lit == dp_.end() || rit == dp_.end()) continue;
-      if (options_.avoid_cross_products && any_connected && !connected({left_set, right_set})) {
-        continue;
-      }
-      for (int lid : lit->second) {
-        for (int rid : rit->second) {
-          EmitJoinCandidates(lid, rid, &candidates);
-        }
-      }
-    }
-    KeepCandidates(set, std::move(candidates));
+    });
+    KeepFrontier(set);
   }
 
-  auto it = dp_.find(JoinSet(full));
-  if (it == dp_.end()) return Status::Internal("DP reached no full-set plan");
-  return it->second.empty() ? Status::Internal("DP kept no full-set candidate")
-                            : Result<int>(it->second.front());
+  const Slot* slot = FindSlot(JoinSet(full));
+  if (slot == nullptr) return Status::Internal("DP reached no full-set plan");
+  return slot->count == 0 ? Status::Internal("DP kept no full-set candidate")
+                          : Result<int>(slot->first);
+}
+
+bool JoinEnumerator::CheapestJoin(int left_id, int r, Candidate* out) {
+  PrepareSplit(arena_[left_id].set, JoinSet::Single(r), &split_);
+  const Slot& rs = *FindSlot(JoinSet::Single(r));
+  bool have = false;
+  for (int rid = rs.first; rid < rs.first + rs.count; ++rid) {
+    EmitJoinCandidates(left_id, rid, split_);
+    const Candidate* c = CheapestEmitted();
+    if (c != nullptr && (!have || cost_model_->Total(c->cost) < cost_model_->Total(out->cost))) {
+      *out = *c;
+      have = true;
+    }
+  }
+  return have;
 }
 
 Result<int> JoinEnumerator::RunGreedy() {
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
+  trim_orders_ = false;
+  SeedBaseRelations();
   const int n = static_cast<int>(graph_->relations.size());
 
   // Component list: cheapest candidate per relation to start.
   std::vector<int> components;
-  for (int i = 0; i < n; ++i) {
-    const std::vector<int>& cands = dp_[JoinSet::Single(i)];
-    int best = cands.front();
-    for (int id : cands) {
-      if (cost_model_->Total(arena_[id].cost) < cost_model_->Total(arena_[best].cost)) best = id;
-    }
-    components.push_back(best);
-  }
+  for (int i = 0; i < n; ++i) components.push_back(CheapestOf(JoinSet::Single(i)));
 
   while (components.size() > 1) {
-    int best_i = -1, best_j = -1;
-    Candidate best_cand;
-    bool have = false;
+    auto set_of = [&](size_t i) { return arena_[components[i]].set; };
     bool any_connected = false;
-    for (size_t i = 0; i < components.size(); ++i) {
-      for (size_t j = 0; j < components.size(); ++j) {
-        if (i == j) continue;
-        if (!EdgesBetween(arena_[components[i]].set, arena_[components[j]].set).empty() ||
-            !NewOtherConjuncts(arena_[components[i]].set, arena_[components[j]].set).empty()) {
-          any_connected = true;
-        }
+    for (size_t i = 0; i < components.size() && !any_connected; ++i) {
+      for (size_t j = 0; j < components.size() && !any_connected; ++j) {
+        any_connected = i != j && Joinable(set_of(i), set_of(j));
       }
     }
+    size_t best_i = 0, best_j = 0;
+    Candidate best;
+    bool have = false;
     for (size_t i = 0; i < components.size(); ++i) {
       for (size_t j = 0; j < components.size(); ++j) {
-        if (i == j) continue;
-        bool conn =
-            !EdgesBetween(arena_[components[i]].set, arena_[components[j]].set).empty() ||
-            !NewOtherConjuncts(arena_[components[i]].set, arena_[components[j]].set).empty();
-        if (any_connected && !conn) continue;
-        std::vector<Candidate> cands;
-        EmitJoinCandidates(components[i], components[j], &cands);
-        for (Candidate& c : cands) {
-          if (!have || cost_model_->Total(c.cost) < cost_model_->Total(best_cand.cost)) {
-            best_cand = std::move(c);
-            best_i = static_cast<int>(i);
-            best_j = static_cast<int>(j);
-            have = true;
-          }
+        if (i == j || (any_connected && !Joinable(set_of(i), set_of(j)))) continue;
+        PrepareSplit(set_of(i), set_of(j), &split_);
+        EmitJoinCandidates(components[i], components[j], split_);
+        const Candidate* c = CheapestEmitted();
+        if (c == nullptr) continue;
+        if (!have || cost_model_->Total(c->cost) < cost_model_->Total(best.cost)) {
+          best = *c;
+          best_i = i;
+          best_j = j;
+          have = true;
         }
       }
     }
     if (!have) return Status::Internal("greedy enumeration found no joinable pair");
-    int merged = Intern(std::move(best_cand));
+    const int merged = Intern(best);
     // Remove the higher index first.
     if (best_i < best_j) std::swap(best_i, best_j);
     components.erase(components.begin() + best_i);
@@ -619,11 +674,10 @@ Result<int> JoinEnumerator::RunGreedy() {
 }
 
 Result<int> JoinEnumerator::RunExhaustive() {
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
+  trim_orders_ = false;
+  SeedBaseRelations();
   const int n = static_cast<int>(graph_->relations.size());
   const JoinSet full = JoinSet::AllUpTo(n);
-
-  std::vector<int> finals;
 
   // Depth-first over left-deep permutations, cheapest method at each step.
   struct Frame {
@@ -632,159 +686,91 @@ Result<int> JoinEnumerator::RunExhaustive() {
   };
   std::vector<Frame> stack;
   for (int i = 0; i < n; ++i) {
-    const std::vector<int>& cands = dp_[JoinSet::Single(i)];
-    int best = cands.front();
-    for (int id : cands) {
-      if (cost_model_->Total(arena_[id].cost) < cost_model_->Total(arena_[best].cost)) best = id;
-    }
-    stack.push_back(Frame{best, full.Minus(JoinSet::Single(i))});
+    stack.push_back(Frame{CheapestOf(JoinSet::Single(i)), full.Without(i)});
   }
+  int best = -1;
   while (!stack.empty()) {
-    Frame frame = stack.back();
+    const Frame frame = stack.back();
     stack.pop_back();
     if (frame.remaining.Empty()) {
-      finals.push_back(frame.cand);
+      const double total = cost_model_->Total(arena_[frame.cand].cost);
+      if (best < 0 || total < cost_model_->Total(arena_[best].cost)) best = frame.cand;
       continue;
     }
-    bool any_connected = false;
+    const uint64_t nbrs = EdgeNeighbors(arena_[frame.cand].set);
+    const bool any_connected = (nbrs & frame.remaining.bits()) != 0;
     frame.remaining.ForEach([&](int r) {
-      if (!EdgesBetween(arena_[frame.cand].set, JoinSet::Single(r)).empty()) any_connected = true;
-    });
-    frame.remaining.ForEach([&](int r) {
-      if (options_.avoid_cross_products && any_connected &&
-          EdgesBetween(arena_[frame.cand].set, JoinSet::Single(r)).empty()) {
-        return;
+      if (options_.avoid_cross_products && any_connected && ((nbrs >> r) & 1) == 0) return;
+      Candidate step;
+      if (CheapestJoin(frame.cand, r, &step)) {
+        stack.push_back(Frame{Intern(step), frame.remaining.Without(r)});
       }
-      const std::vector<int>& rcands = dp_[JoinSet::Single(r)];
-      std::vector<Candidate> cands;
-      for (int rid : rcands) EmitJoinCandidates(frame.cand, rid, &cands);
-      if (cands.empty()) return;
-      size_t best = 0;
-      for (size_t i = 1; i < cands.size(); ++i) {
-        if (cost_model_->Total(cands[i].cost) < cost_model_->Total(cands[best].cost)) best = i;
-      }
-      int id = Intern(std::move(cands[best]));
-      stack.push_back(Frame{id, frame.remaining.Minus(JoinSet::Single(r))});
     });
   }
-  if (finals.empty()) return Status::Internal("exhaustive enumeration found no plan");
-  int best = finals.front();
-  for (int id : finals) {
-    if (cost_model_->Total(arena_[id].cost) < cost_model_->Total(arena_[best].cost)) best = id;
-  }
+  if (best < 0) return Status::Internal("exhaustive enumeration found no plan");
   return best;
 }
 
-Result<int> JoinEnumerator::RunRandom() {
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
-  const int n = static_cast<int>(graph_->relations.size());
-
-  int start = static_cast<int>(rng_.UniformInt(0, n - 1));
-  const std::vector<int>& scands = dp_[JoinSet::Single(start)];
-  int current = scands[static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(scands.size()) - 1))];
-  JoinSet remaining = JoinSet::AllUpTo(n).Minus(JoinSet::Single(start));
-
+template <typename NextFn>
+Result<int> JoinEnumerator::RunLeftDeepWalk(int current, NextFn next, const char* name) {
+  JoinSet remaining = JoinSet::AllUpTo(static_cast<int>(rels_.size())).Minus(arena_[current].set);
+  std::vector<int> connected, all;
   while (!remaining.Empty()) {
-    // Prefer relations connected to the current set (random valid order).
-    std::vector<int> connected_rels, all_rels;
+    // Prefer relations connected to the current set (cross products only
+    // when forced).
+    const uint64_t nbrs = EdgeNeighbors(arena_[current].set);
+    connected.clear();
+    all.clear();
     remaining.ForEach([&](int r) {
-      all_rels.push_back(r);
-      if (!EdgesBetween(arena_[current].set, JoinSet::Single(r)).empty()) {
-        connected_rels.push_back(r);
-      }
+      all.push_back(r);
+      if ((nbrs >> r) & 1) connected.push_back(r);
     });
-    std::vector<int>& pool = connected_rels.empty() ? all_rels : connected_rels;
-    int r = pool[static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+    const int r = next(connected.empty() ? all : connected);
 
-    const std::vector<int>& rcands = dp_[JoinSet::Single(r)];
-    std::vector<Candidate> cands;
-    for (int rid : rcands) EmitJoinCandidates(current, rid, &cands);
-    if (cands.empty()) return Status::Internal("random enumeration found no join");
-    size_t best = 0;
-    for (size_t i = 1; i < cands.size(); ++i) {
-      if (cost_model_->Total(cands[i].cost) < cost_model_->Total(cands[best].cost)) best = i;
+    Candidate best;
+    if (!CheapestJoin(current, r, &best)) {
+      return Status::Internal(std::string(name) + " enumeration found no join");
     }
-    current = Intern(std::move(cands[best]));
-    remaining = remaining.Minus(JoinSet::Single(r));
+    current = Intern(best);
+    remaining = remaining.Without(r);
   }
   return current;
+}
+
+Result<int> JoinEnumerator::RunRandom() {
+  trim_orders_ = false;
+  SeedBaseRelations();
+  const int n = static_cast<int>(graph_->relations.size());
+  const int start = static_cast<int>(rng_.UniformInt(0, n - 1));
+  const Slot& slot = *FindSlot(JoinSet::Single(start));
+  const int current = slot.first + static_cast<int>(rng_.UniformInt(0, slot.count - 1));
+  return RunLeftDeepWalk(
+      current,
+      [&](const std::vector<int>& pool) {
+        return pool[static_cast<size_t>(
+            rng_.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+      },
+      "random");
 }
 
 Result<int> JoinEnumerator::RunSimpliSquared() {
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
-  const int n = static_cast<int>(graph_->relations.size());
-
+  trim_orders_ = false;
+  SeedBaseRelations();
   // The only "statistic" this strategy reads: base-table row counts, which
   // are physical facts — no selectivity estimation anywhere in the ordering.
-  auto base_rows = [&](int r) {
-    const BaseRelation& rel = graph_->relations[r];
-    return rel.table->has_stats()
-               ? std::max<double>(1, static_cast<double>(rel.table->stats().num_rows))
-               : std::max<double>(1, static_cast<double>(rel.table->live_rows()));
-  };
-
-  int start = 0;
-  for (int i = 1; i < n; ++i) {
-    if (base_rows(i) < base_rows(start)) start = i;
-  }
-  const std::vector<int>& scands = dp_[JoinSet::Single(start)];
-  int current = scands.front();
-  for (int id : scands) {
-    if (cost_model_->Total(arena_[id].cost) < cost_model_->Total(arena_[current].cost)) {
-      current = id;
-    }
-  }
-  JoinSet remaining = JoinSet::AllUpTo(n).Minus(JoinSet::Single(start));
-
-  while (!remaining.Empty()) {
-    // Next: the smallest connected relation (cross products only when forced).
-    std::vector<int> connected_rels, all_rels;
-    remaining.ForEach([&](int r) {
-      all_rels.push_back(r);
-      if (!EdgesBetween(arena_[current].set, JoinSet::Single(r)).empty()) {
-        connected_rels.push_back(r);
-      }
-    });
-    std::vector<int>& pool = connected_rels.empty() ? all_rels : connected_rels;
-    int next = pool.front();
+  auto smallest = [&](const std::vector<int>& pool) {
+    int best = pool.front();
     for (int r : pool) {
-      if (base_rows(r) < base_rows(next)) next = r;
+      if (graph_->relations[r].rows < graph_->relations[best].rows) best = r;
     }
-
-    const std::vector<int>& rcands = dp_[JoinSet::Single(next)];
-    std::vector<Candidate> cands;
-    for (int rid : rcands) EmitJoinCandidates(current, rid, &cands);
-    if (cands.empty()) return Status::Internal("simpli-squared enumeration found no join");
-    size_t best = 0;
-    for (size_t i = 1; i < cands.size(); ++i) {
-      if (cost_model_->Total(cands[i].cost) < cost_model_->Total(cands[best].cost)) best = i;
-    }
-    current = Intern(std::move(cands[best]));
-    remaining = remaining.Minus(JoinSet::Single(next));
-  }
-  return current;
+    return best;
+  };
+  std::vector<int> all(rels_.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  return RunLeftDeepWalk(CheapestOf(JoinSet::Single(smallest(all))), smallest, "simpli-squared");
 }
 
 // --- DPccp -----------------------------------------------------------------
-
-void JoinEnumerator::BuildAdjacency() {
-  const size_t n = graph_->relations.size();
-  adjacency_.assign(n, 0);
-  for (const JoinEdge& e : graph_->edges) {
-    adjacency_[e.left_rel] |= uint64_t{1} << e.right_rel;
-    adjacency_[e.right_rel] |= uint64_t{1} << e.left_rel;
-  }
-  // Hyperedge relaxation: an other_conjunct's relation set becomes a clique.
-  // This may connect relations whose predicate is not applicable at a given
-  // union (it needs all of the set); the costing pass re-checks and treats
-  // predicate-free cuts as forced cross products, matching RunDp.
-  for (const ExprPtr& c : graph_->other_conjuncts) {
-    Result<JoinSet> rels = graph_->RelationsOf(*c);
-    if (!rels.ok()) continue;
-    uint64_t bits = rels->bits();
-    rels->ForEach([&](int i) { adjacency_[i] |= bits & ~(uint64_t{1} << i); });
-  }
-}
 
 uint64_t JoinEnumerator::Neighborhood(uint64_t set, uint64_t excluded) const {
   uint64_t nbr = 0;
@@ -850,11 +836,9 @@ void JoinEnumerator::EmitCsg(uint64_t csg, std::vector<CsgCmpPair>* out, bool* o
   const uint64_t prohibited = csg | (single_min - 1) | single_min;
   const uint64_t nbr = Neighborhood(csg, prohibited);
   if (nbr == 0) return;
-  std::vector<int> starts;
-  JoinSet(nbr).ForEach([&](int i) { starts.push_back(i); });
-  for (size_t s = starts.size(); s-- > 0;) {
-    const int i = starts[s];
-    const uint64_t single = uint64_t{1} << i;
+  for (uint64_t rest = nbr; rest != 0;) {  // neighbors, highest first
+    const uint64_t single = uint64_t{1} << (63 - __builtin_clzll(rest));
+    rest &= ~single;
     stats_.csg_cmp_pairs++;
     out->push_back(CsgCmpPair{csg, single});
     if (out->size() > options_.dp_budget) {
@@ -889,7 +873,8 @@ void JoinEnumerator::EnumerateCmpRec(uint64_t csg, uint64_t cmp, uint64_t exclud
 
 Result<int> JoinEnumerator::RunDpCcp(std::vector<CsgCmpPair> pairs) {
   maximize_ = false;
-  RELOPT_RETURN_NOT_OK(SeedBaseRelations());
+  trim_orders_ = true;
+  SeedBaseRelations();
 
   // Process pairs grouped by union, smaller unions first: both sides of a
   // partition are strictly smaller than the union, so every group only reads
@@ -912,41 +897,39 @@ Result<int> JoinEnumerator::RunDpCcp(std::vector<CsgCmpPair> pairs) {
     // predicate (possible when connectivity came from the hyperedge
     // relaxation), all cuts are admitted as forced cross products; otherwise
     // only predicate-connected cuts are costed.
-    auto connected = [&](const CsgCmpPair& p) {
-      return !EdgesBetween(JoinSet(p.csg), JoinSet(p.cmp)).empty() ||
-             !NewOtherConjuncts(JoinSet(p.csg), JoinSet(p.cmp)).empty();
-    };
+    auto joinable = [&](const CsgCmpPair& p) { return Joinable(JoinSet(p.csg), JoinSet(p.cmp)); };
     bool any_connected = false;
     if (options_.avoid_cross_products) {
-      for (size_t k = i; k < end && !any_connected; ++k) any_connected = connected(pairs[k]);
+      for (size_t k = i; k < end && !any_connected; ++k) any_connected = joinable(pairs[k]);
     }
 
-    // One KeepCandidates call per union (exactly like RunDp) so dp_entries
-    // and trace events stay comparable; both join orders of each pair are
-    // costed, mirroring RunDp's ordered splits.
-    std::vector<Candidate> candidates;
+    // Both join orders of each pair are costed, mirroring RunDp's ordered
+    // splits, into the one frontier of the union.
     for (size_t k = i; k < end; ++k) {
-      if (options_.avoid_cross_products && any_connected && !connected(pairs[k])) continue;
-      auto lit = dp_.find(JoinSet(pairs[k].csg));
-      auto rit = dp_.find(JoinSet(pairs[k].cmp));
-      if (lit == dp_.end() || rit == dp_.end()) continue;
-      for (int lid : lit->second) {
-        for (int rid : rit->second) {
-          EmitJoinCandidates(lid, rid, &candidates);
-          EmitJoinCandidates(rid, lid, &candidates);
+      if (any_connected && !joinable(pairs[k])) continue;
+      const Slot* ls = FindSlot(JoinSet(pairs[k].csg));
+      const Slot* rs = FindSlot(JoinSet(pairs[k].cmp));
+      if (ls == nullptr || rs == nullptr) continue;
+      PrepareSplit(JoinSet(pairs[k].csg), JoinSet(pairs[k].cmp), &split_);
+      PrepareSplit(JoinSet(pairs[k].cmp), JoinSet(pairs[k].csg), &reverse_split_);
+      for (int lid = ls->first; lid < ls->first + ls->count; ++lid) {
+        for (int rid = rs->first; rid < rs->first + rs->count; ++rid) {
+          EmitJoinCandidates(lid, rid, split_);
+          for (const Candidate& c : emitted_) Offer(c);
+          EmitJoinCandidates(rid, lid, reverse_split_);
+          for (const Candidate& c : emitted_) Offer(c);
         }
       }
     }
-    KeepCandidates(JoinSet(union_bits), std::move(candidates));
+    KeepFrontier(JoinSet(union_bits));
     i = end;
   }
 
-  const uint64_t full = JoinSet::AllUpTo(static_cast<int>(graph_->relations.size())).bits();
-  auto it = dp_.find(JoinSet(full));
-  if (it == dp_.end() || it->second.empty()) {
+  const Slot* slot = FindSlot(JoinSet::AllUpTo(static_cast<int>(graph_->relations.size())));
+  if (slot == nullptr || slot->count == 0) {
     return Status::Internal("DPccp reached no full-set plan");
   }
-  return it->second.front();
+  return slot->first;
 }
 
 void JoinEnumerator::ResetSearchState() {
@@ -965,164 +948,123 @@ void JoinEnumerator::TraceStrategy(JoinEnumAlgorithm strategy, const std::string
   options_.trace->Add(std::move(ev));
 }
 
+Result<int> JoinEnumerator::RunDpCcpLadder(bool* dp_table_final) {
+  // The budgeted strategy ladder. DPccp itself only handles connected graphs
+  // (the full set must be a connected subgraph); disconnected graphs route
+  // to the cross-product-capable DP at small n, greedy beyond. When the
+  // csg-cmp pair count blows past dp_budget the search degrades to
+  // greedy-GOO, then Simpli-Squared.
+  const int n = static_cast<int>(graph_->relations.size());
+  if (!SubsetConnected(JoinSet::AllUpTo(n))) {
+    if (n <= 12) {
+      stats_.strategy_used = JoinEnumAlgorithm::kDpBushy;
+      TraceStrategy(JoinEnumAlgorithm::kDpBushy,
+                    "join graph disconnected; cross products required");
+      return RunDp(false, false);
+    }
+    *dp_table_final = false;
+    stats_.strategy_used = JoinEnumAlgorithm::kGreedy;
+    TraceStrategy(JoinEnumAlgorithm::kGreedy, "join graph disconnected and too large for DP");
+    return RunGreedy();
+  }
+  std::vector<CsgCmpPair> pairs;
+  const auto budget = static_cast<unsigned long long>(options_.dp_budget);
+  if (EnumerateCsgCmpPairs(&pairs)) {
+    TraceStrategy(JoinEnumAlgorithm::kDpCcp,
+                  StringPrintf("%zu csg-cmp pairs within dp_budget=%llu", pairs.size(), budget));
+    return RunDpCcp(std::move(pairs));
+  }
+  *dp_table_final = false;
+  stats_.budget_fallback = true;
+  stats_.strategy_used = JoinEnumAlgorithm::kGreedy;
+  TraceStrategy(JoinEnumAlgorithm::kGreedy,
+                StringPrintf("csg-cmp pairs exceed dp_budget=%llu; degrading", budget));
+  ResetSearchState();
+  Result<int> greedy = RunGreedy();
+  if (greedy.ok()) return greedy;
+  stats_.strategy_used = JoinEnumAlgorithm::kSimpliSquared;
+  TraceStrategy(JoinEnumAlgorithm::kSimpliSquared, "greedy failed: " + greedy.status().ToString());
+  ResetSearchState();
+  return RunSimpliSquared();
+}
+
 Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order) {
   if (graph_->relations.empty()) {
     return Status::InvalidArgument("join enumeration needs at least one relation");
   }
-  arena_.clear();
-  dp_.clear();
   stats_ = JoinEnumStats{};
   stats_.strategy_used = options_.algorithm;
   maximize_ = false;
+  ResetSearchState();
+  RELOPT_RETURN_NOT_OK(ResolveGraph(required_order));
+  const JoinSet full = JoinSet::AllUpTo(static_cast<int>(graph_->relations.size()));
 
-  // Interesting orders: the required order plus single-column join-key
-  // orders on both sides of every edge.
-  interesting_orders_.clear();
-  if (options_.use_interesting_orders) {
-    if (!required_order.empty()) interesting_orders_.push_back(required_order);
-    for (const JoinEdge& e : graph_->edges) {
-      interesting_orders_.push_back(
-          {OrderColumn{graph_->relations[e.left_rel].alias, e.left_column, false}});
-      interesting_orders_.push_back(
-          {OrderColumn{graph_->relations[e.right_rel].alias, e.right_column, false}});
-    }
-  }
-
+  // DP strategies leave the full set's candidates in the table for PickFinal;
+  // the others return one plan.
+  const JoinEnumAlgorithm algorithm = options_.algorithm;
+  bool dp_table_final = algorithm == JoinEnumAlgorithm::kDpBushy ||
+                        algorithm == JoinEnumAlgorithm::kDpLeftDeep ||
+                        algorithm == JoinEnumAlgorithm::kDpCcp;
   int final_id = -1;
-  bool order_satisfied = false;
-
   if (graph_->relations.size() == 1) {
-    RELOPT_RETURN_NOT_OK(SeedBaseRelations());
-    RELOPT_ASSIGN_OR_RETURN(final_id,
-                            PickFinal(dp_[JoinSet::Single(0)], required_order, &order_satisfied));
+    dp_table_final = true;
+    SeedBaseRelations();
   } else {
     stats_.enumerated = true;
-    switch (options_.algorithm) {
-      case JoinEnumAlgorithm::kDpBushy: {
-        RELOPT_ASSIGN_OR_RETURN(int id, RunDp(false, false));
-        (void)id;
-        uint64_t full = JoinSet::AllUpTo(static_cast<int>(graph_->relations.size())).bits();
-        RELOPT_ASSIGN_OR_RETURN(final_id,
-                                PickFinal(dp_[JoinSet(full)], required_order, &order_satisfied));
+    Result<int> run = -1;
+    switch (algorithm) {
+      case JoinEnumAlgorithm::kDpBushy:
+      case JoinEnumAlgorithm::kDpLeftDeep:
+        run = RunDp(algorithm == JoinEnumAlgorithm::kDpLeftDeep, false);
         break;
-      }
-      case JoinEnumAlgorithm::kDpLeftDeep: {
-        RELOPT_ASSIGN_OR_RETURN(int id, RunDp(true, false));
-        (void)id;
-        uint64_t full = JoinSet::AllUpTo(static_cast<int>(graph_->relations.size())).bits();
-        RELOPT_ASSIGN_OR_RETURN(final_id,
-                                PickFinal(dp_[JoinSet(full)], required_order, &order_satisfied));
+      case JoinEnumAlgorithm::kWorst:
+        run = RunDp(true, true);
         break;
-      }
-      case JoinEnumAlgorithm::kWorst: {
-        RELOPT_ASSIGN_OR_RETURN(final_id, RunDp(true, true));
-        order_satisfied = required_order.empty();
+      case JoinEnumAlgorithm::kGreedy:
+        run = RunGreedy();
         break;
-      }
-      case JoinEnumAlgorithm::kGreedy: {
-        RELOPT_ASSIGN_OR_RETURN(final_id, RunGreedy());
-        order_satisfied =
-            required_order.empty() || OrderSatisfies(arena_[final_id].order, required_order);
+      case JoinEnumAlgorithm::kExhaustive:
+        run = RunExhaustive();
         break;
-      }
-      case JoinEnumAlgorithm::kExhaustive: {
-        RELOPT_ASSIGN_OR_RETURN(final_id, RunExhaustive());
-        order_satisfied =
-            required_order.empty() || OrderSatisfies(arena_[final_id].order, required_order);
+      case JoinEnumAlgorithm::kRandom:
+        run = RunRandom();
         break;
-      }
-      case JoinEnumAlgorithm::kRandom: {
-        RELOPT_ASSIGN_OR_RETURN(final_id, RunRandom());
-        order_satisfied =
-            required_order.empty() || OrderSatisfies(arena_[final_id].order, required_order);
+      case JoinEnumAlgorithm::kSimpliSquared:
+        run = RunSimpliSquared();
         break;
-      }
-      case JoinEnumAlgorithm::kSimpliSquared: {
-        RELOPT_ASSIGN_OR_RETURN(final_id, RunSimpliSquared());
-        order_satisfied =
-            required_order.empty() || OrderSatisfies(arena_[final_id].order, required_order);
+      case JoinEnumAlgorithm::kDpCcp:
+        run = RunDpCcpLadder(&dp_table_final);
         break;
-      }
-      case JoinEnumAlgorithm::kDpCcp: {
-        // The budgeted strategy ladder. DPccp itself only handles connected
-        // graphs (the full set must be a connected subgraph); disconnected
-        // graphs route to the cross-product-capable DP at small n, greedy
-        // beyond. When the csg-cmp pair count blows past dp_budget the
-        // search degrades to greedy-GOO, then Simpli-Squared.
-        BuildAdjacency();
-        const int n = static_cast<int>(graph_->relations.size());
-        const uint64_t full = JoinSet::AllUpTo(n).bits();
-        bool dp_table_final = false;  // PickFinal over dp_[full] afterwards
-
-        if (!SubsetConnected(JoinSet(full))) {
-          if (n <= 12) {
-            stats_.strategy_used = JoinEnumAlgorithm::kDpBushy;
-            TraceStrategy(JoinEnumAlgorithm::kDpBushy,
-                          "join graph disconnected; cross products required");
-            RELOPT_ASSIGN_OR_RETURN(int id, RunDp(false, false));
-            (void)id;
-            dp_table_final = true;
-          } else {
-            stats_.strategy_used = JoinEnumAlgorithm::kGreedy;
-            TraceStrategy(JoinEnumAlgorithm::kGreedy,
-                          "join graph disconnected and too large for DP");
-            RELOPT_ASSIGN_OR_RETURN(final_id, RunGreedy());
-          }
-        } else {
-          std::vector<CsgCmpPair> pairs;
-          if (EnumerateCsgCmpPairs(&pairs)) {
-            TraceStrategy(JoinEnumAlgorithm::kDpCcp,
-                          StringPrintf("%zu csg-cmp pairs within dp_budget=%llu", pairs.size(),
-                                       static_cast<unsigned long long>(options_.dp_budget)));
-            RELOPT_ASSIGN_OR_RETURN(int id, RunDpCcp(std::move(pairs)));
-            (void)id;
-            dp_table_final = true;
-          } else {
-            stats_.budget_fallback = true;
-            stats_.strategy_used = JoinEnumAlgorithm::kGreedy;
-            TraceStrategy(JoinEnumAlgorithm::kGreedy,
-                          StringPrintf("csg-cmp pairs exceed dp_budget=%llu; degrading",
-                                       static_cast<unsigned long long>(options_.dp_budget)));
-            ResetSearchState();
-            Result<int> greedy = RunGreedy();
-            if (greedy.ok()) {
-              final_id = *greedy;
-            } else {
-              stats_.strategy_used = JoinEnumAlgorithm::kSimpliSquared;
-              TraceStrategy(JoinEnumAlgorithm::kSimpliSquared,
-                            "greedy failed: " + greedy.status().ToString());
-              ResetSearchState();
-              RELOPT_ASSIGN_OR_RETURN(final_id, RunSimpliSquared());
-            }
-          }
-        }
-        if (dp_table_final) {
-          RELOPT_ASSIGN_OR_RETURN(final_id,
-                                  PickFinal(dp_[JoinSet(full)], required_order, &order_satisfied));
-        } else {
-          order_satisfied =
-              required_order.empty() || OrderSatisfies(arena_[final_id].order, required_order);
-        }
-        break;
-      }
     }
+    RELOPT_ASSIGN_OR_RETURN(final_id, std::move(run));
   }
 
-  TraceCandidate(arena_[final_id].set, arena_[final_id], "chosen", "", "final");
+  bool order_satisfied = false;
+  if (dp_table_final) {
+    RELOPT_ASSIGN_OR_RETURN(final_id, PickFinal(full, &order_satisfied));
+  } else if (algorithm == JoinEnumAlgorithm::kWorst) {
+    order_satisfied = required_order.empty();
+  } else {
+    order_satisfied = Satisfies(arena_[final_id].order, orders_[required_order_]);
+  }
+  const Candidate& chosen = arena_[final_id];
+  TraceCandidate(chosen, "chosen", "", "final");
 
   JoinEnumResult result;
   RELOPT_ASSIGN_OR_RETURN(result.plan, BuildPlan(final_id));
-  result.rows = arena_[final_id].rows;
-  result.cost = arena_[final_id].cost;
-  result.order = arena_[final_id].order;
+  result.rows = chosen.rows;
+  result.cost = chosen.cost;
+  result.order = ToOrderSpec(chosen.order);
   result.order_satisfied = order_satisfied;
   return result;
 }
 
+// --- plan construction -------------------------------------------------------------
+
 Result<PhysicalPtr> JoinEnumerator::BuildPlan(int cand_id) const {
   const Candidate& cand = arena_[cand_id];
   if (cand.is_scan) {
-    return BuildAccessPathPlan(*graph_, access_paths_[cand.rel_index][cand.path_index]);
+    return BuildAccessPathPlan(*graph_, access_paths_[cand.rel][cand.path]);
   }
   return BuildJoinPlan(cand);
 }
@@ -1130,52 +1072,53 @@ Result<PhysicalPtr> JoinEnumerator::BuildPlan(int cand_id) const {
 Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
   const Candidate& l = arena_[cand.left];
   const Candidate& r = arena_[cand.right];
-  std::vector<int> edges = EdgesBetween(l.set, r.set);
-  std::vector<int> others = NewOtherConjuncts(l.set, r.set);
+  Split split;
+  SplitEdges(l.set, r.set, &split);
 
   // Every two-child join node is stamped with its feedback signature so the
   // harvester can attribute measured selectivity (out / (l x r)) to it. INLJ
   // is excluded: with only one child in the plan tree, the inner actuals are
   // not observable.
-  std::string feedback_key = FeedbackJoinSignature(l.set, r.set, edges, others);
+  std::string feedback_key = FeedbackJoinSignature(l.set, r.set, split.edges, split.others);
 
   RELOPT_ASSIGN_OR_RETURN(PhysicalPtr left_plan, BuildPlan(cand.left));
 
+  auto column_ref = [&](int col) {
+    return MakeColumnRef(columns_[col].alias, columns_[col].name);
+  };
   auto edge_expr = [&](int e) {
-    const JoinEdge& edge = graph_->edges[e];
-    return MakeComparison(CompareOp::kEq,
-                          MakeColumnRef(graph_->relations[edge.left_rel].alias, edge.left_column),
-                          MakeColumnRef(graph_->relations[edge.right_rel].alias,
-                                        edge.right_column));
+    return MakeComparison(CompareOp::kEq, column_ref(edges_[e].col[0]),
+                          column_ref(edges_[e].col[1]));
+  };
+  auto others = [&]() {
+    std::vector<ExprPtr> out;
+    for (int o : split.others) out.push_back(graph_->other_conjuncts[o]->Clone());
+    return out;
   };
 
   // --- INLJ: no right child plan; the inner is (table, index). -----------
   if (cand.method == JoinMethod::kIndexNestedLoop) {
-    const BaseRelation& inner = graph_->relations[cand.rel_index];
-    IndexInfo* index = inner.table->indexes()[cand.path_index];
+    const BaseRelation& inner = graph_->relations[cand.rel];
+    IndexInfo* index = inner.table->indexes()[cand.path];
+    std::vector<int> probe_edges;
+    ProbeEdges(cand.rel, cand.path, split.edges, &probe_edges);
 
     std::vector<ExprPtr> key_exprs;
-    for (int e : cand.probe_edges) {
-      const JoinEdge& edge = graph_->edges[e];
-      bool inner_is_left = edge.left_rel == cand.rel_index;
-      const std::string& outer_alias =
-          graph_->relations[inner_is_left ? edge.right_rel : edge.left_rel].alias;
-      const std::string& outer_col = inner_is_left ? edge.right_column : edge.left_column;
-      ExprPtr ref = MakeColumnRef(outer_alias, outer_col);
+    for (int e : probe_edges) {
+      const int outer_side = edges_[e].rel[0] == cand.rel ? 1 : 0;
+      ExprPtr ref = column_ref(edges_[e].col[outer_side]);
       RELOPT_RETURN_NOT_OK(ref->Bind(left_plan->schema()));
       key_exprs.push_back(std::move(ref));
     }
 
     // Residual: unused edges + other conjuncts + the inner's own filters.
     std::vector<ExprPtr> residual;
-    for (int e : edges) {
-      if (std::find(cand.probe_edges.begin(), cand.probe_edges.end(), e) !=
-          cand.probe_edges.end()) {
-        continue;
+    for (int e : split.edges) {
+      if (std::find(probe_edges.begin(), probe_edges.end(), e) == probe_edges.end()) {
+        residual.push_back(edge_expr(e));
       }
-      residual.push_back(edge_expr(e));
     }
-    for (int o : others) residual.push_back(graph_->other_conjuncts[o]->Clone());
+    for (ExprPtr& o : others()) residual.push_back(std::move(o));
     for (const ExprPtr& c : inner.conjuncts) residual.push_back(c->Clone());
     ExprPtr residual_expr = CombineConjuncts(std::move(residual));
 
@@ -1191,124 +1134,89 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
 
   RELOPT_ASSIGN_OR_RETURN(PhysicalPtr right_plan, BuildPlan(cand.right));
 
+  if (cand.method == JoinMethod::kNestedLoop || cand.method == JoinMethod::kBlockNestedLoop) {
+    std::vector<ExprPtr> preds;
+    for (int e : split.edges) preds.push_back(edge_expr(e));
+    for (ExprPtr& o : others()) preds.push_back(std::move(o));
+    ExprPtr pred = CombineConjuncts(std::move(preds));
+    if (pred) {
+      RELOPT_RETURN_NOT_OK(pred->Bind(Schema::Concat(left_plan->schema(), right_plan->schema())));
+    }
+    PhysicalPtr node;
+    if (cand.method == JoinMethod::kNestedLoop) {
+      node = std::make_unique<PhysNestedLoopJoin>(std::move(left_plan), std::move(right_plan),
+                                                  std::move(pred));
+    } else {
+      node = std::make_unique<PhysBlockNestedLoopJoin>(
+          std::move(left_plan), std::move(right_plan), std::move(pred),
+          std::max<size_t>(1, cost_model_->OperatorMemoryPages() - 2));
+    }
+    node->SetEstimates(cand.rows, cand.cost);
+    node->set_feedback_key(std::move(feedback_key));
+    return node;
+  }
+  if (cand.method != JoinMethod::kSortMerge && cand.method != JoinMethod::kHash) {
+    return Status::Internal("unexpected join method in BuildJoinPlan");
+  }
+
   // SMJ sort enforcers.
-  OrderSpec left_order, right_order;
-  EdgeOrders(edges, l.set, &left_order, &right_order);
-  auto add_sort = [&](PhysicalPtr plan, const OrderSpec& order, double rows,
+  auto add_sort = [&](PhysicalPtr plan, const Order& keys, double rows,
                       double pages) -> Result<PhysicalPtr> {
-    std::vector<PhysSort::Key> keys;
-    for (const OrderColumn& oc : order) {
-      ExprPtr ref = MakeColumnRef(oc.alias, oc.column);
+    std::vector<PhysSort::Key> sort_keys;
+    for (const OrderKey& k : keys) {
+      ExprPtr ref = column_ref(k.col);
       RELOPT_RETURN_NOT_OK(ref->Bind(plan->schema()));
-      keys.push_back(PhysSort::Key{std::move(ref), oc.desc});
+      sort_keys.push_back(PhysSort::Key{std::move(ref), k.desc});
     }
     Cost child_cost = plan->est_cost();
-    auto sort = std::make_unique<PhysSort>(std::move(plan), std::move(keys));
+    auto sort = std::make_unique<PhysSort>(std::move(plan), std::move(sort_keys));
     sort->SetEstimates(rows, child_cost + cost_model_->Sort(rows, pages));
     return PhysicalPtr(std::move(sort));
   };
-
-  switch (cand.method) {
-    case JoinMethod::kNestedLoop:
-    case JoinMethod::kBlockNestedLoop: {
-      std::vector<ExprPtr> preds;
-      for (int e : edges) preds.push_back(edge_expr(e));
-      for (int o : others) preds.push_back(graph_->other_conjuncts[o]->Clone());
-      ExprPtr pred = CombineConjuncts(std::move(preds));
-      Schema concat = Schema::Concat(left_plan->schema(), right_plan->schema());
-      if (pred) {
-        RELOPT_RETURN_NOT_OK(pred->Bind(concat));
-      }
-      PhysicalPtr node;
-      if (cand.method == JoinMethod::kNestedLoop) {
-        node = std::make_unique<PhysNestedLoopJoin>(std::move(left_plan), std::move(right_plan),
-                                                    std::move(pred));
-      } else {
-        node = std::make_unique<PhysBlockNestedLoopJoin>(
-            std::move(left_plan), std::move(right_plan), std::move(pred),
-            std::max<size_t>(1, cost_model_->OperatorMemoryPages() - 2));
-      }
-      node->SetEstimates(cand.rows, cand.cost);
-      node->set_feedback_key(std::move(feedback_key));
-      return node;
-    }
-    case JoinMethod::kSortMerge: {
-      if (cand.sort_left) {
-        RELOPT_ASSIGN_OR_RETURN(left_plan,
-                                add_sort(std::move(left_plan), left_order, l.rows, l.pages));
-      }
-      if (cand.sort_right) {
-        RELOPT_ASSIGN_OR_RETURN(right_plan,
-                                add_sort(std::move(right_plan), right_order, r.rows, r.pages));
-      }
-      std::vector<size_t> left_keys, right_keys;
-      for (const OrderColumn& oc : left_order) {
-        RELOPT_ASSIGN_OR_RETURN(size_t idx, left_plan->schema().IndexOf(oc.alias, oc.column));
-        left_keys.push_back(idx);
-      }
-      for (const OrderColumn& oc : right_order) {
-        RELOPT_ASSIGN_OR_RETURN(size_t idx, right_plan->schema().IndexOf(oc.alias, oc.column));
-        right_keys.push_back(idx);
-      }
-      std::vector<ExprPtr> residual;
-      for (int o : others) residual.push_back(graph_->other_conjuncts[o]->Clone());
-      ExprPtr residual_expr = CombineConjuncts(std::move(residual));
-      Schema concat = Schema::Concat(left_plan->schema(), right_plan->schema());
-      if (residual_expr) {
-        RELOPT_RETURN_NOT_OK(residual_expr->Bind(concat));
-      }
-      auto node = std::make_unique<PhysSortMergeJoin>(std::move(left_plan), std::move(right_plan),
-                                                      std::move(left_keys), std::move(right_keys),
-                                                      std::move(residual_expr));
-      node->SetEstimates(cand.rows, cand.cost);
-      node->set_feedback_key(std::move(feedback_key));
-      return PhysicalPtr(std::move(node));
-    }
-    case JoinMethod::kHash: {
-      // Keys per side.
-      std::vector<size_t> left_keys, right_keys;
-      for (const OrderColumn& oc : left_order) {
-        RELOPT_ASSIGN_OR_RETURN(size_t idx, left_plan->schema().IndexOf(oc.alias, oc.column));
-        left_keys.push_back(idx);
-      }
-      for (const OrderColumn& oc : right_order) {
-        RELOPT_ASSIGN_OR_RETURN(size_t idx, right_plan->schema().IndexOf(oc.alias, oc.column));
-        right_keys.push_back(idx);
-      }
-      std::vector<ExprPtr> residual;
-      for (int o : others) residual.push_back(graph_->other_conjuncts[o]->Clone());
-      ExprPtr residual_expr = CombineConjuncts(std::move(residual));
-      Schema concat = Schema::Concat(left_plan->schema(), right_plan->schema());
-      if (residual_expr) {
-        RELOPT_RETURN_NOT_OK(residual_expr->Bind(concat));
-      }
-      PhysicalPtr build_plan;
-      PhysicalPtr probe_plan;
-      std::vector<size_t> build_keys, probe_keys;
-      bool output_probe_first;
-      if (cand.build_left) {
-        build_plan = std::move(left_plan);
-        probe_plan = std::move(right_plan);
-        build_keys = left_keys;
-        probe_keys = right_keys;
-        output_probe_first = false;
-      } else {
-        build_plan = std::move(right_plan);
-        probe_plan = std::move(left_plan);
-        build_keys = right_keys;
-        probe_keys = left_keys;
-        output_probe_first = true;
-      }
-      auto node = std::make_unique<PhysHashJoin>(std::move(build_plan), std::move(probe_plan),
-                                                 std::move(build_keys), std::move(probe_keys),
-                                                 std::move(residual_expr), output_probe_first);
-      node->SetEstimates(cand.rows, cand.cost);
-      node->set_feedback_key(std::move(feedback_key));
-      return PhysicalPtr(std::move(node));
-    }
-    default:
-      return Status::Internal("unexpected join method in BuildJoinPlan");
+  if (cand.sort_left) {
+    RELOPT_ASSIGN_OR_RETURN(left_plan, add_sort(std::move(left_plan), split.left_keys, l.rows,
+                                                l.pages));
   }
+  if (cand.sort_right) {
+    RELOPT_ASSIGN_OR_RETURN(right_plan, add_sort(std::move(right_plan), split.right_keys, r.rows,
+                                                 r.pages));
+  }
+  auto key_positions = [&](const PhysicalNode& plan,
+                           const Order& keys) -> Result<std::vector<size_t>> {
+    std::vector<size_t> out;
+    for (const OrderKey& k : keys) {
+      RELOPT_ASSIGN_OR_RETURN(size_t idx,
+                              plan.schema().IndexOf(columns_[k.col].alias, columns_[k.col].name));
+      out.push_back(idx);
+    }
+    return out;
+  };
+  RELOPT_ASSIGN_OR_RETURN(std::vector<size_t> left_keys,
+                          key_positions(*left_plan, split.left_keys));
+  RELOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_keys,
+                          key_positions(*right_plan, split.right_keys));
+  ExprPtr residual = CombineConjuncts(others());
+  if (residual) {
+    RELOPT_RETURN_NOT_OK(
+        residual->Bind(Schema::Concat(left_plan->schema(), right_plan->schema())));
+  }
+  PhysicalPtr node;
+  if (cand.method == JoinMethod::kSortMerge) {
+    node = std::make_unique<PhysSortMergeJoin>(std::move(left_plan), std::move(right_plan),
+                                               std::move(left_keys), std::move(right_keys),
+                                               std::move(residual));
+  } else if (cand.build_left) {
+    node = std::make_unique<PhysHashJoin>(std::move(left_plan), std::move(right_plan),
+                                          std::move(left_keys), std::move(right_keys),
+                                          std::move(residual), /*output_probe_first=*/false);
+  } else {
+    node = std::make_unique<PhysHashJoin>(std::move(right_plan), std::move(left_plan),
+                                          std::move(right_keys), std::move(left_keys),
+                                          std::move(residual), /*output_probe_first=*/true);
+  }
+  node->SetEstimates(cand.rows, cand.cost);
+  node->set_feedback_key(std::move(feedback_key));
+  return node;
 }
 
 }  // namespace relopt

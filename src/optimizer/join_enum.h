@@ -4,6 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +57,7 @@ enum class JoinEnumAlgorithm {
 const char* JoinEnumAlgorithmToString(JoinEnumAlgorithm algorithm);
 
 struct JoinEnumOptions {
-  JoinEnumAlgorithm algorithm = JoinEnumAlgorithm::kDpBushy;
+  JoinEnumAlgorithm algorithm = JoinEnumAlgorithm::kDpCcp;
   bool use_interesting_orders = true;
   bool avoid_cross_products = true;
   bool enable_nlj = true;
@@ -119,56 +122,148 @@ class JoinEnumerator {
   const JoinEnumStats& stats() const { return stats_; }
 
  private:
-  /// A DP candidate: estimates plus the recipe to rebuild its plan.
+  /// A DP candidate: estimates plus the recipe to rebuild its plan. Trivially
+  /// copyable: its order is an interned order id, and an INLJ's probe edges
+  /// are re-derived from (left set, inner relation, index) when the plan is
+  /// built.
   struct Candidate {
     JoinSet set;
     double rows = 0;
     double row_bytes = 0;
     double pages = 0;
     Cost cost;
-    OrderSpec order;
+    int order = 0;  ///< interned order id; 0 = no order
 
     bool is_scan = false;
-    int rel_index = -1;
-    int path_index = -1;
+    int rel = -1;   ///< scan: the relation; INLJ: the inner relation
+    int path = -1;  ///< scan: access path; INLJ: index position in the inner table
 
     JoinMethod method = JoinMethod::kNestedLoop;
-    int left = -1;   // arena ids
+    int left = -1;  // arena ids
     int right = -1;
-    bool build_left = true;       // hash: which side builds
-    bool sort_left = false;       // smj enforcers
+    bool build_left = true;  // hash: which side builds
+    bool sort_left = false;  // smj enforcers
     bool sort_right = false;
-    std::vector<int> probe_edges;  // inlj: edges used as probe keys
+  };
+  static_assert(std::is_trivially_copyable_v<Candidate>);
+
+  // --- the query graph, resolved once per Run() into dense ids ------------
+  struct OrderKey {
+    int col;
+    bool desc;
+    bool operator==(const OrderKey& o) const { return col == o.col && desc == o.desc; }
+  };
+  using Order = std::vector<OrderKey>;
+  /// A (relation, column) named by an edge, an index key or an order.
+  struct Column {
+    int rel;  ///< -1 for an order column naming no relation of this block
+    std::string alias;
+    std::string name;
+    double ndv;
+  };
+  struct Edge {
+    int rel[2];
+    int col[2];
+    double sel;  ///< EstimateEquiJoin
+  };
+  /// An other-conjunct: the relations it needs and its selectivity.
+  struct Conjunct {
+    uint64_t rels;  ///< 0 if its relations did not resolve (never applied)
+    double sel;
+  };
+  struct Relation {
+    double scan_rows;   ///< rows after its own conjuncts (every path agrees)
+    uint64_t edge_nbrs; ///< relations it shares an equi-join edge with
+    std::vector<Order> index_keys;  ///< per index: its key columns, ascending
   };
 
+  /// What every candidate pair of one split (left set, right set) shares.
+  struct Split {
+    std::vector<int> edges;   ///< joining left to right, ascending
+    std::vector<int> others;  ///< other-conjuncts first applicable here
+    double rows = 0;          ///< the union's rows (feedback off)
+    std::optional<double> feedback_sel;
+    Order left_keys, right_keys;  ///< merge keys per side, in edge order
+    int merge_order = 0;          ///< the order a merge join delivers
+    struct Probe {  ///< INLJ through one index of the (single) right relation
+      const IndexInfo* index;
+      int position;    ///< in the inner table's index list
+      double matches;  ///< inner rows per probe
+      bool residual;
+    };
+    std::vector<Probe> probes;
+    std::vector<int> probe_edges;  ///< scratch
+  };
+
+  /// A relation set's DP entry: its kept candidates are the `count`
+  /// consecutive arena entries from `first`.
+  struct Slot {
+    int first = 0;
+    int count = 0;
+  };
+  const Slot* FindSlot(JoinSet set) const {
+    auto it = dp_.find(set.bits());
+    return it == dp_.end() ? nullptr : &it->second;
+  }
+
+  Status ResolveGraph(const OrderSpec& required_order);
+  int InternColumn(int rel, const std::string& alias, const std::string& name);
+  int InternOrder(const Order& order);
+  /// Longest interesting order that `order` satisfies; 0 when none (or
+  /// interesting orders are off).
+  int TrimOrder(const Order& order) const;
+  bool Satisfies(int have, const Order& want) const;
+  /// Satisfies() between trimmed orders, from the precomputed matrix.
+  bool Dominates(int have, int want) const {
+    return satisfies_[static_cast<size_t>(have) * trimmed_orders_ + want] != 0;
+  }
+  OrderSpec ToOrderSpec(int order) const;
+
   // --- shared helpers -----------------------------------------------------
-  Status SeedBaseRelations();
-  /// Edges joining `left` to `right`.
-  std::vector<int> EdgesBetween(JoinSet left, JoinSet right) const;
-  /// other_conjuncts newly applicable at `left` ∪ `right`.
-  std::vector<int> NewOtherConjuncts(JoinSet left, JoinSet right) const;
-  /// Estimated output rows of joining two candidate sets.
-  double JoinRows(const Candidate& l, const Candidate& r, const std::vector<int>& edges,
-                  const std::vector<int>& others) const;
+  void SeedBaseRelations();
+  /// Fills the edges joining the sides, their keys, and the new other-conjuncts.
+  void SplitEdges(JoinSet left, JoinSet right, Split* split) const;
+  /// Fills all of `split` for joining `left` x `right`.
+  void PrepareSplit(JoinSet left, JoinSet right, Split* split);
+  /// True if an other-conjunct over `rels` needs both sides (and no more).
+  static bool NewlyApplies(uint64_t rels, JoinSet left, JoinSet right);
+  uint64_t EdgeNeighbors(JoinSet set) const;  ///< relations an edge joins to `set`
+  /// True if some edge or newly applicable other-conjunct joins the sides.
+  bool Joinable(JoinSet left, JoinSet right) const;
+  /// Rows of a relation set: its members' scan rows, then its internal
+  /// edges' and other-conjuncts' selectivities, in id order.
+  double SetRows(JoinSet set) const;
+  int InnerColumn(int edge, int inner) const;  ///< `edge`'s column on `inner`
+  /// The edges of `edges` that probe `index` of `inner`: for each key column
+  /// in turn, the first unused edge on it, up to the first key without one.
+  void ProbeEdges(int inner, int index, const std::vector<int>& edges,
+                  std::vector<int>* out) const;
 
-  /// Generates every enabled method's candidate for (l, r); appends to out.
-  void EmitJoinCandidates(int left_id, int right_id, std::vector<Candidate>* out);
+  /// Generates every enabled method's candidate for (l, r) into `emitted_`.
+  void EmitJoinCandidates(int left_id, int right_id, const Split& split);
+  /// Cheapest of `emitted_` (first among equals), or nullptr.
+  const Candidate* CheapestEmitted() const;
+  /// Cheapest of `set`'s kept candidates: slots are sorted by cost.
+  int CheapestOf(JoinSet set) const { return FindSlot(set)->first; }
+  /// Cheapest join of arena candidate `left_id` with any kept candidate of
+  /// relation `r`; false if none applies.
+  bool CheapestJoin(int left_id, int r, Candidate* out);
 
-  /// Dominance-prunes and stores candidates for a subset.
-  void KeepCandidates(JoinSet set, std::vector<Candidate> candidates);
+  /// Adds an emitted candidate to the frontier of the set being built.
+  void Offer(const Candidate& cand);
+  /// Stores the frontier as `set`'s slot: sorted by cost, capped.
+  void KeepFrontier(JoinSet set);
 
-  /// Adds `cand` to the arena, returns its id.
-  int Intern(Candidate cand);
+  int Intern(const Candidate& cand);  ///< appends to the arena, returns the id
 
-  /// "{a,b,c}" from the aliases in `set`.
-  std::string SetName(JoinSet set) const;
+  std::string SetName(JoinSet set) const;  ///< "{a,b,c}" from the aliases
   /// Human-readable candidate label, e.g. "IndexScan(o via o_pk)" or
   /// "hash({c,o} x {l})".
   std::string CandidateName(const Candidate& cand) const;
   /// Records one decision in options_.trace (no-op when tracing is off or
   /// during worst-case search). `phase` overrides the default
   /// scan→"access_path" / join→"join" classification.
-  void TraceCandidate(JoinSet set, const Candidate& cand, const char* action, const char* reason,
+  void TraceCandidate(const Candidate& cand, const char* action, const char* reason,
                       const char* phase = nullptr) const;
 
   Result<int> RunDp(bool left_deep_only, bool maximize);
@@ -176,6 +271,11 @@ class JoinEnumerator {
   Result<int> RunExhaustive();
   Result<int> RunRandom();
   Result<int> RunSimpliSquared();
+  /// One left-deep walk: from `start`, repeatedly joins the relation `next`
+  /// picks among the unjoined ones (edge-connected ones when any exist),
+  /// cheapest method per step. Shared by kRandom and kSimpliSquared.
+  template <typename NextFn>
+  Result<int> RunLeftDeepWalk(int current, NextFn next, const char* name);
 
   // --- DPccp ---------------------------------------------------------------
   /// A connected subgraph and a connected complement adjacent to it; the DP
@@ -185,11 +285,6 @@ class JoinEnumerator {
     uint64_t cmp;
   };
 
-  /// Per-relation adjacency masks of the join graph: plain equi-join edges
-  /// plus every other_conjunct's relation set treated as a clique (the
-  /// hyperedge relaxation — connectivity may hold without an applicable
-  /// predicate; the costing pass re-checks).
-  void BuildAdjacency();
   /// Neighbors of `set` (members excluded), under `adjacency_`.
   uint64_t Neighborhood(uint64_t set, uint64_t excluded) const;
   /// True if `set` induces a connected subgraph under `adjacency_`.
@@ -207,13 +302,15 @@ class JoinEnumerator {
                        std::vector<CsgCmpPair>* out, bool* over_budget);
 
   /// The DPccp search proper: assumes a connected graph and an in-budget
-  /// pair list; same KeepCandidates discipline as RunDp.
+  /// pair list; same frontier discipline as RunDp.
   Result<int> RunDpCcp(std::vector<CsgCmpPair> pairs);
+  /// kDpCcp's budgeted ladder; clears `dp_table_final` when a rung returns
+  /// one plan instead of leaving the full set's candidates in the table.
+  Result<int> RunDpCcpLadder(bool* dp_table_final);
 
-  /// Drops all DP state (arena, memo table) so a ladder fallback re-runs
-  /// from scratch without double-seeded base relations.
+  /// Drops the arena and DP table, so a ladder fallback re-seeds from scratch.
   void ResetSearchState();
-  /// Records a "strategy" PlanTrace event (kDpCcp ladder decisions).
+  /// Records a kDpCcp ladder decision as a "strategy" PlanTrace event.
   void TraceStrategy(JoinEnumAlgorithm strategy, const std::string& reason) const;
 
   /// Cardinality-feedback signature of joining `left` x `right` over the
@@ -221,18 +318,12 @@ class JoinEnumerator {
   std::string FeedbackJoinSignature(JoinSet left, JoinSet right, const std::vector<int>& edges,
                                     const std::vector<int>& others) const;
 
-  /// Best arena id for the full relation set honoring `required_order`
-  /// (adds a Sort at materialization if unmet and `order_satisfied=false`).
-  Result<int> PickFinal(const std::vector<int>& full_set_candidates,
-                        const OrderSpec& required_order, bool* order_satisfied) const;
+  /// Best arena id among `set`'s candidates honoring `required_order_`
+  /// (`order_satisfied` false when a Sort must be added on top).
+  Result<int> PickFinal(JoinSet set, bool* order_satisfied) const;
 
-  /// Materializes the physical plan for an arena candidate.
-  Result<PhysicalPtr> BuildPlan(int cand_id) const;
+  Result<PhysicalPtr> BuildPlan(int cand_id) const;  ///< for an arena candidate
   Result<PhysicalPtr> BuildJoinPlan(const Candidate& cand) const;
-
-  /// Key columns of `edges` on each side, as OrderSpecs (ascending).
-  void EdgeOrders(const std::vector<int>& edges, JoinSet left_set, OrderSpec* left_order,
-                  OrderSpec* right_order) const;
 
   const QueryGraph* graph_;
   const SelectivityEstimator* estimator_;
@@ -240,11 +331,32 @@ class JoinEnumerator {
   JoinEnumOptions options_;
   Rng rng_;
 
+  std::vector<Column> columns_;
+  std::vector<Edge> edges_;
+  std::vector<Conjunct> conjuncts_;
+  std::vector<Relation> rels_;
   std::vector<std::vector<AccessPath>> access_paths_;  // per relation
+  /// Interned orders; id 0 is the empty order. Ids below `trimmed_orders_`
+  /// are the empty order and the interesting orders, which `satisfies_`
+  /// covers; later ids are untrimmed orders of the non-DP strategies.
+  std::vector<Order> orders_;
+  std::vector<int> interesting_;  ///< trim targets, in preference order
+  std::vector<uint8_t> satisfies_;
+  size_t trimmed_orders_ = 0;
+  int required_order_ = 0;
+  /// DP strategies keep trimmed orders; the others keep what a join delivers.
+  bool trim_orders_ = true;
+
   std::vector<Candidate> arena_;
-  std::unordered_map<JoinSet, std::vector<int>, JoinSetHash> dp_;
-  std::vector<OrderSpec> interesting_orders_;
-  std::vector<uint64_t> adjacency_;  // per relation, see BuildAdjacency()
+  std::unordered_map<uint64_t, Slot> dp_;  ///< keyed by relation-set bits
+  std::vector<Candidate> frontier_;  ///< the set being built (DP)
+  std::vector<Candidate> emitted_;   ///< one EmitJoinCandidates call
+  Split split_, reverse_split_;
+  /// Per-relation adjacency masks of the join graph: plain equi-join edges
+  /// plus every other_conjunct's relation set treated as a clique (the
+  /// hyperedge relaxation — connectivity may hold without an applicable
+  /// predicate; the costing pass re-checks).
+  std::vector<uint64_t> adjacency_;
   JoinEnumStats stats_;
   bool maximize_ = false;
 };

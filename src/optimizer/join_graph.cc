@@ -1,5 +1,7 @@
 #include "optimizer/join_graph.h"
 
+#include <algorithm>
+
 #include "expr/fold.h"
 #include "util/str_util.h"
 
@@ -83,6 +85,11 @@ Status Collect(LogicalPtr node, const Catalog* catalog, QueryGraph* graph,
       rel.alias = scan->alias();
       RELOPT_ASSIGN_OR_RETURN(rel.table, catalog->GetTable(scan->table_name()));
       rel.schema = scan->schema();
+      const bool stats = rel.table->has_stats();
+      rel.rows = std::max<double>(1, stats ? static_cast<double>(rel.table->stats().num_rows)
+                                           : static_cast<double>(rel.table->live_rows()));
+      rel.pages = std::max<double>(1, stats ? static_cast<double>(rel.table->stats().num_pages)
+                                            : static_cast<double>(rel.table->heap()->NumPages()));
       graph->relations.push_back(std::move(rel));
       return Status::OK();
     }
@@ -116,6 +123,11 @@ Result<QueryGraph> BuildQueryGraph(LogicalPtr join_block, const Catalog* catalog
   QueryGraph graph;
   std::vector<ExprPtr> predicates;
   RELOPT_RETURN_NOT_OK(Collect(std::move(join_block), catalog, &graph, &predicates));
+  // Relation sets are 64-bit masks: a 65th relation would alias relation 0.
+  if (graph.relations.size() > 64) {
+    return Status::InvalidArgument(
+        StringPrintf("a join block holds at most 64 relations, not %zu", graph.relations.size()));
+  }
 
   for (ExprPtr& pred : predicates) {
     ExprPtr expr = FoldConstants(std::move(pred));

@@ -18,6 +18,10 @@ struct BaseRelation {
   std::string alias;       ///< FROM alias (qualifier of its columns)
   TableInfo* table;
   Schema schema;           ///< alias-qualified table schema
+  /// Base rows and pages (ANALYZE stats, else live rows and heap pages),
+  /// each at least 1.
+  double rows = 1;
+  double pages = 1;
   std::vector<ExprPtr> conjuncts;  ///< single-table predicates on this relation
 };
 

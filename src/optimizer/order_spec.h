@@ -33,14 +33,4 @@ inline bool OrderSatisfies(const OrderSpec& have, const OrderSpec& want) {
   return true;
 }
 
-inline std::string OrderSpecToString(const OrderSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += spec[i].alias + "." + spec[i].column;
-    if (spec[i].desc) out += " DESC";
-  }
-  return out + "]";
-}
-
 }  // namespace relopt

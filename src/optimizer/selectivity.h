@@ -38,8 +38,6 @@ class SelectivityEstimator {
                        const FeedbackStore* feedback = nullptr)
       : aliases_(aliases), mode_(mode), feedback_(feedback) {}
 
-  StatsMode mode() const { return mode_; }
-
   /// The cardinality-feedback store to consult, or nullptr (feedback off).
   const FeedbackStore* feedback() const { return feedback_; }
   /// Observed output rows for a scan signature, if the store has seen it.

@@ -239,6 +239,7 @@ Status BTree::Insert(const std::string& key, Rid rid) {
 
   // Split the leaf and propagate separators upward.
   RELOPT_ASSIGN_OR_RETURN(auto split, SplitNode(page_no, &leaf));
+  ++leaf_pages_;
   std::string sep_key = split.first;
   PageNo right_page = split.second;
   // The separator rid is the first rid of the right node.
@@ -279,6 +280,7 @@ Status BTree::Insert(const std::string& key, Rid rid) {
   e.child = right_page;
   new_root.entries.push_back(std::move(e));
   RELOPT_ASSIGN_OR_RETURN(PageNo new_root_page, AllocateNode(new_root));
+  ++height_;
   return SetRootPage(new_root_page);
 }
 
@@ -319,17 +321,6 @@ Result<std::vector<Rid>> BTree::SearchEqual(const std::string& key) {
   return out;
 }
 
-Result<int> BTree::Height() {
-  RELOPT_ASSIGN_OR_RETURN(PageNo page_no, RootPage());
-  int height = 1;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(Node node, LoadNode(page_no));
-    if (node.is_leaf) return height;
-    page_no = node.leftmost_child;
-    ++height;
-  }
-}
-
 Result<size_t> BTree::NumEntries() {
   RELOPT_ASSIGN_OR_RETURN(PageNo page_no, RootPage());
   while (true) {
@@ -346,24 +337,8 @@ Result<size_t> BTree::NumEntries() {
   return count;
 }
 
-Result<size_t> BTree::NumLeafPages() {
-  RELOPT_ASSIGN_OR_RETURN(PageNo page_no, RootPage());
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(Node node, LoadNode(page_no));
-    if (node.is_leaf) break;
-    page_no = node.leftmost_child;
-  }
-  size_t count = 0;
-  while (page_no != kInvalidPageNo) {
-    RELOPT_ASSIGN_OR_RETURN(Node node, LoadNode(page_no));
-    ++count;
-    page_no = node.next;
-  }
-  return count;
-}
-
 Status BTree::CheckNode(PageNo page_no, const std::string* lo, const std::string* hi,
-                        bool is_root, int depth, int* leaf_depth) {
+                        bool is_root, int depth, int* leaf_depth, size_t* leaves) {
   RELOPT_ASSIGN_OR_RETURN(Node node, LoadNode(page_no));
   // Entries sorted by (key, rid).
   for (size_t i = 1; i < node.entries.size(); ++i) {
@@ -382,6 +357,7 @@ Status BTree::CheckNode(PageNo page_no, const std::string* lo, const std::string
     } else if (*leaf_depth != depth) {
       return Status::Internal("leaves at unequal depth");
     }
+    ++*leaves;
     return Status::OK();
   }
   if (!is_root && node.entries.empty()) {
@@ -393,7 +369,8 @@ Status BTree::CheckNode(PageNo page_no, const std::string* lo, const std::string
   for (size_t i = 0; i <= node.entries.size(); ++i) {
     PageNo child = i == 0 ? node.leftmost_child : node.entries[i - 1].child;
     const std::string* child_hi = i < node.entries.size() ? &node.entries[i].key : hi;
-    RELOPT_RETURN_NOT_OK(CheckNode(child, child_lo, child_hi, false, depth + 1, leaf_depth));
+    RELOPT_RETURN_NOT_OK(
+        CheckNode(child, child_lo, child_hi, false, depth + 1, leaf_depth, leaves));
     if (i < node.entries.size()) child_lo = &node.entries[i].key;
   }
   return Status::OK();
@@ -402,7 +379,17 @@ Status BTree::CheckNode(PageNo page_no, const std::string* lo, const std::string
 Status BTree::CheckIntegrity() {
   RELOPT_ASSIGN_OR_RETURN(PageNo root, RootPage());
   int leaf_depth = -1;
-  return CheckNode(root, nullptr, nullptr, true, 0, &leaf_depth);
+  size_t leaves = 0;
+  RELOPT_RETURN_NOT_OK(CheckNode(root, nullptr, nullptr, true, 0, &leaf_depth, &leaves));
+  if (leaf_depth + 1 != height_) {
+    return Status::Internal("height counter " + std::to_string(height_) + " but the tree has " +
+                            std::to_string(leaf_depth + 1) + " levels");
+  }
+  if (leaves != leaf_pages_) {
+    return Status::Internal("leaf counter " + std::to_string(leaf_pages_) + " but the tree has " +
+                            std::to_string(leaves) + " leaves");
+  }
+  return Status::OK();
 }
 
 Result<BTree::Iterator> BTree::Iterator::Seek(BTree* tree, std::optional<std::string> lo,

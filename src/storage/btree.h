@@ -6,8 +6,9 @@
 // access — which is what the access-path cost experiments measure.
 //
 // Simplifications (documented in DESIGN.md):
-//  * Delete removes entries without rebalancing (underflow allowed).
-//  * Single-threaded; no latching.
+//  * Delete removes entries without rebalancing (underflow allowed) and never
+//    frees a node, so the tree's height and leaf count only grow.
+//  * No latching: writers run under the engine's exclusive statement lock.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,6 @@ namespace relopt {
 /// \brief B+tree over (encoded key, RID) pairs.
 class BTree {
  public:
-  /// Opens a tree over an existing file (page 0 is the meta page).
-  BTree(BufferPool* pool, FileId file_id);
-
   /// Creates a new file with an empty tree (meta page + empty root leaf).
   static Result<BTree> Create(BufferPool* pool);
 
@@ -41,17 +39,20 @@ class BTree {
   /// All RIDs whose key equals `key`.
   Result<std::vector<Rid>> SearchEqual(const std::string& key);
 
-  /// Tree height in levels (1 = just a root leaf). Used by the cost model.
-  Result<int> Height();
+  /// Tree height in levels (1 = just a root leaf). Kept current by Insert,
+  /// so the cost model reads it without fetching a page.
+  int Height() const { return height_; }
 
   /// Total number of entries (leaf walk; O(leaves)).
   Result<size_t> NumEntries();
 
-  /// Number of leaf pages (leaf walk). The cost model uses this.
-  Result<size_t> NumLeafPages();
+  /// Number of leaf pages, kept current by Insert (no page fetch). The cost
+  /// model uses this.
+  size_t NumLeafPages() const { return leaf_pages_; }
 
   /// Checks structural invariants (key order within and across nodes,
-  /// child separator bounds). For tests.
+  /// child separator bounds) and that Height() and NumLeafPages() match a
+  /// walk of the tree. For tests.
   Status CheckIntegrity();
 
  private:
@@ -102,6 +103,8 @@ class BTree {
  private:
   friend class Iterator;
 
+  BTree(BufferPool* pool, FileId file_id);
+
   Result<PageNo> RootPage();
   Status SetRootPage(PageNo root);
 
@@ -118,10 +121,12 @@ class BTree {
   Result<std::pair<std::string, PageNo>> SplitNode(PageNo page_no, Node* node);
 
   Status CheckNode(PageNo page_no, const std::string* lo, const std::string* hi, bool is_root,
-                   int depth, int* leaf_depth);
+                   int depth, int* leaf_depth, size_t* leaves);
 
   BufferPool* pool_;
   FileId file_id_;
+  int height_ = 1;         ///< a leaf split adds a leaf, a root split a level
+  size_t leaf_pages_ = 1;
 };
 
 }  // namespace relopt

@@ -8,7 +8,7 @@ namespace relopt {
 
 /// \brief Set of base-relation indices, used as the DP key in join
 /// enumeration. Supports up to 64 relations, far above any practical
-/// enumeration size.
+/// enumeration size; BuildQueryGraph rejects larger join blocks.
 class JoinSet {
  public:
   JoinSet() : bits_(0) {}
@@ -74,16 +74,6 @@ class SubsetIterator {
  private:
   uint64_t set_;
   uint64_t sub_;
-};
-
-struct JoinSetHash {
-  size_t operator()(const JoinSet& s) const {
-    uint64_t x = s.bits();
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<size_t>(x);
-  }
 };
 
 }  // namespace relopt

@@ -32,7 +32,7 @@ class BTreeTest : public ::testing::Test {
 };
 
 TEST_F(BTreeTest, EmptyTree) {
-  EXPECT_EQ(*tree_.Height(), 1);
+  EXPECT_EQ(tree_.Height(), 1);
   EXPECT_EQ(*tree_.NumEntries(), 0u);
   EXPECT_TRUE(tree_.SearchEqual(IntKey(5))->empty());
   EXPECT_TRUE(ScanAll().empty());
@@ -60,9 +60,9 @@ TEST_F(BTreeTest, SplitsGrowTheTree) {
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(tree_.Insert(IntKey(i), Rid{static_cast<PageNo>(i), 0}).ok());
   }
-  EXPECT_GE(*tree_.Height(), 3);
+  EXPECT_GE(tree_.Height(), 3);
   EXPECT_EQ(*tree_.NumEntries(), static_cast<size_t>(n));
-  EXPECT_GT(*tree_.NumLeafPages(), 50u);
+  EXPECT_GT(tree_.NumLeafPages(), 50u);
   ASSERT_TRUE(tree_.CheckIntegrity().ok());
 
   // Scan returns every key in order.
@@ -188,7 +188,7 @@ TEST_F(BTreeTest, IndexIoGoesThroughBufferPool) {
   ASSERT_TRUE(pool_.EvictAll().ok());
   disk_.ResetStats();
   // A point lookup touches height pages (plus the meta page).
-  int height = *tree_.Height();
+  int height = tree_.Height();
   disk_.ResetStats();
   ASSERT_TRUE(tree_.SearchEqual(IntKey(2500)).ok());
   EXPECT_LE(disk_.stats().page_reads, static_cast<uint64_t>(height) + 2);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "engine/session.h"
@@ -13,6 +14,7 @@
 #include "parser/parser.h"
 #include "test_util.h"
 #include "workload/generator.h"
+#include "workload/queries.h"
 
 namespace relopt {
 namespace {
@@ -331,6 +333,76 @@ TEST_F(FeedbackPlanFlipTest, FeedbackImprovesCorrelatedJoinPlan) {
   EXPECT_NE(*plan_before, *plan_after);
   EXPECT_LT(reads_after, reads_before)
       << "before:\n" << *plan_before << "after:\n" << *plan_after;
+}
+
+// The adhoc_joins shape ra6t (random graph, 6 relations, no indexes): its
+// cold plan never starts one nested-loop inner and rescans another once per
+// outer row. Feedback must learn only true cardinalities from that, so after
+// every run each scan entry equals a separate count of its filtered scan, and
+// no warm run fetches more than twice the cold run's pages.
+TEST(FeedbackHarvestTest, ScanEntriesStayTrueCountsAcrossRuns) {
+  Database db;
+  JoinWorkloadSpec spec;
+  spec.num_relations = 6;
+  spec.base_rows = 100;
+  spec.dim_rows = 50;
+  spec.growth = 1.6;
+  spec.seed = 7006;
+  spec.prefix = "ra6t";
+  Result<std::string> sql = BuildJoinWorkload(&db, JoinTopology::kRandom, spec);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  const std::string head = "SELECT count(*)";
+  ASSERT_EQ(sql->rfind(head, 0), 0u);
+  const std::string query =
+      "SELECT count(*), sum(ra6t0.val)" + sql->substr(head.size()) + " AND ra6t0.val < 400";
+  Session* counter = db.CreateSession();  // feedback off: leaves the store alone
+  db.set_cardinality_feedback(true);
+
+  uint64_t cold_fetches = 0;
+  for (int run = 1; run <= 8; ++run) {
+    tu::Sql(&db, query);
+    const uint64_t fetches = db.last_metrics().pool.hits + db.last_metrics().pool.misses;
+    if (run == 1) cold_fetches = fetches;
+    EXPECT_LE(fetches, 2 * cold_fetches) << "run " << run;
+    for (const FeedbackStore::EntryInfo& e : db.feedback()->Snapshot()) {
+      if (e.kind != "scan") continue;
+      // "s|<table>|<conjuncts>" names the scan to count.
+      const size_t bar = e.signature.find('|', 2);
+      std::string count_sql = "SELECT count(*) FROM " + e.signature.substr(2, bar - 2);
+      if (bar + 1 < e.signature.size()) count_sql += " WHERE " + e.signature.substr(bar + 1);
+      Result<QueryResult> count = counter->Execute(count_sql);
+      ASSERT_TRUE(count.ok()) << count_sql << " -> " << count.status().ToString();
+      EXPECT_EQ(e.value, static_cast<double>(tu::IntCell(*count)))
+          << e.signature << " after run " << run;
+    }
+  }
+}
+
+// The workers of a parallel fragment share one pass of each scan, so the
+// harvest must count them as one loop, not one loop per worker.
+TEST(FeedbackHarvestTest, ParallelWorkersRecordOnePass) {
+  Database db;
+  tu::LoadEmpDept(&db);
+  Session* counter = db.CreateSession();  // serial, feedback off
+  db.set_parallelism(4);
+  db.set_cardinality_feedback(true);
+  tu::Sql(&db, "SELECT dept_id, count(*) FROM emp WHERE salary > 3000 GROUP BY dept_id");
+  std::function<uint64_t(const OperatorProfile&)> max_executors = [&](const OperatorProfile& p) {
+    uint64_t most = p.executors;
+    for (const OperatorProfile& c : p.children) most = std::max(most, max_executors(c));
+    return most;
+  };
+  ASSERT_EQ(max_executors(db.last_profile().root), 4u);  // the scan ran in 4 workers
+  Result<QueryResult> count = counter->Execute("SELECT count(*) FROM emp WHERE salary > 3000");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  const int64_t rows = tu::IntCell(*count);
+  bool saw_scan = false;
+  for (const FeedbackStore::EntryInfo& e : db.feedback()->Snapshot()) {
+    if (e.kind != "scan") continue;
+    saw_scan = true;
+    EXPECT_EQ(e.value, static_cast<double>(rows)) << e.signature;
+  }
+  EXPECT_TRUE(saw_scan);
 }
 
 }  // namespace

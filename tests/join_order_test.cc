@@ -152,6 +152,40 @@ TEST(JoinOrderTest, DpBushySkipsDisconnectedSubsets) {
   EXPECT_EQ(info.enum_stats.subsets_visited, 26u);
 }
 
+// DPccp is the default, so the pair budget bounds dense graphs that subset
+// DP would plan for minutes: a 12-relation clique and a 16-relation star
+// over one 50-row table both fall back to greedy under default options.
+TEST(JoinOrderTest, DenseJoinsFallBackUnderDefaultOptions) {
+  Database db;
+  tu::Sql(&db, "CREATE TABLE t (a INT, b INT)");
+  std::string rows;
+  for (int i = 0; i < 50; ++i) {
+    rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+  }
+  tu::Sql(&db, "INSERT INTO t VALUES " + rows);
+  tu::Sql(&db, "ANALYZE");
+  // Clique: ti.a = tj.b for every pair i < j. Star: t0.a = tj.b.
+  auto query = [](int n, bool clique) {
+    std::string from = "t t0", where;
+    for (int j = 1; j < n; ++j) {
+      from += ", t t" + std::to_string(j);
+      for (int i = 0; i < (clique ? j : 1); ++i) {
+        if (!where.empty()) where += " AND ";
+        where += "t" + std::to_string(i) + ".a = t" + std::to_string(j) + ".b";
+      }
+    }
+    return "SELECT count(*) FROM " + from + " WHERE " + where;
+  };
+  EXPECT_EQ(JoinEnumOptions{}.algorithm, JoinEnumAlgorithm::kDpCcp);
+  for (const std::string& sql : {query(12, /*clique=*/true), query(16, /*clique=*/false)}) {
+    OptimizeInfo info;
+    Result<PhysicalPtr> plan = db.PlanQuery(sql, &info);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(info.enum_stats.strategy_used, JoinEnumAlgorithm::kGreedy) << sql;
+    EXPECT_TRUE(info.enum_stats.budget_fallback) << sql;
+  }
+}
+
 // The chosen strategy and ladder decisions surface in the optimizer trace.
 TEST(JoinOrderTest, StrategyAppearsInTrace) {
   Database db;

@@ -2,6 +2,8 @@
 // naive baseline, estimate propagation.
 #include <gtest/gtest.h>
 
+#include "adhoc_shapes.h"
+#include "differential_queries.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -164,6 +166,28 @@ TEST_F(OptimizerTest, ExplainRendersTree) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("Aggregate"), std::string::npos);
   EXPECT_NE(text->find("rows="), std::string::npos);
+}
+
+// Planning reads B+tree shape from counters the trees keep, so optimizing
+// fetches no page: not for the indexed 7-relation star and 8-relation cycle
+// of adhoc_joins, nor for any query of the indexed differential corpus.
+TEST_F(OptimizerTest, PlanningFetchesNoPage) {
+  auto expect_no_fetch = [](Database* db, const std::string& sql) {
+    const BufferPoolStats before = db->pool()->stats();
+    Result<PhysicalPtr> plan = db->PlanQuery(sql);
+    ASSERT_TRUE(plan.ok()) << sql << " -> " << plan.status().ToString();
+    const BufferPoolStats after = db->pool()->stats();
+    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses) << sql;
+  };
+  Database adhoc;
+  const std::vector<std::string> shapes = tu::LoadAdhocShapes(&adhoc);
+  ASSERT_NE(shapes[8].find("st7t"), std::string::npos);
+  ASSERT_NE(shapes[14].find("cy8t"), std::string::npos);
+  expect_no_fetch(&adhoc, shapes[8] + "100");
+  expect_no_fetch(&adhoc, shapes[14] + "100");
+  Database corpus;
+  tu::LoadDifferentialFixture(&corpus, /*with_indexes=*/true);
+  for (const char* sql : tu::kDifferentialQueries) expect_no_fetch(&corpus, sql);
 }
 
 }  // namespace

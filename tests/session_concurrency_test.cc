@@ -17,6 +17,7 @@
 #include "engine/plan_cache.h"
 #include "engine/session.h"
 #include "test_util.h"
+#include "workload/queries.h"
 #include "workload/serving.h"
 
 namespace relopt {
@@ -228,6 +229,68 @@ TEST(SessionConcurrencyTest, ReadersRaceDdlInvalidation) {
   }
   // The DDL churn actually exercised invalidation.
   EXPECT_GT(db.plan_cache()->stats().invalidations, 0u);
+}
+
+// Planning reads B+tree height and leaf counts from counters that Insert
+// updates as it splits. Three sessions plan and run an indexed 4-way join
+// while a fourth inserts 5,000 rows into one of its indexed tables, whose
+// one-leaf tree splits leaves and its root; the inserted rows join nothing,
+// so every result must equal the serial one.
+TEST(SessionConcurrencyTest, PlanningRacesIndexSplits) {
+  Database db;
+  JoinWorkloadSpec spec;
+  spec.num_relations = 4;
+  spec.base_rows = 100;
+  spec.growth = 1.5;
+  spec.with_indexes = true;
+  spec.prefix = "pr";
+  Result<std::string> query = BuildJoinWorkload(&db, JoinTopology::kChain, spec);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const std::vector<std::string> expected = RenderedRows(Sql(&db, *query));
+  Result<TableInfo*> table = db.catalog()->GetTable("pr1");
+  ASSERT_TRUE(table.ok());
+  ASSERT_FALSE((*table)->indexes().empty());
+  BTree& tree = *(*table)->indexes()[0]->tree;
+  ASSERT_EQ(tree.Height(), 1);
+
+  constexpr size_t kReaders = 3;
+  std::vector<Session*> sessions;
+  for (size_t s = 0; s < kReaders; ++s) sessions.push_back(db.CreateSession());
+  std::vector<std::string> failures[kReaders];
+  std::thread writer([&]() {
+    Session* session = db.CreateSession();
+    for (int batch = 0; batch < 50; ++batch) {
+      // ids far above every foreign key and a foreign key matching no id.
+      std::string insert = "INSERT INTO pr1 VALUES ";
+      for (int i = 0; i < 100; ++i) {
+        insert += (i > 0 ? ", (" : "(") + std::to_string(1000000 + batch * 100 + i) + ", -1, 0)";
+      }
+      Result<QueryResult> r = session->Execute(insert);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (size_t s = 0; s < kReaders; ++s) {
+    readers.emplace_back([&, s]() {
+      for (int round = 0; round < 20; ++round) {
+        Result<QueryResult> r = sessions[s]->Execute(*query);
+        if (!r.ok()) {
+          failures[s].push_back(r.status().ToString());
+        } else if (RenderedRows(*r) != expected) {
+          failures[s].push_back("wrong rows in round " + std::to_string(round));
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  for (size_t s = 0; s < kReaders; ++s) {
+    EXPECT_TRUE(failures[s].empty()) << "reader " << s << ": " << failures[s][0];
+  }
+  EXPECT_EQ(RenderedRows(Sql(&db, *query)), expected);
+  EXPECT_GE(tree.Height(), 2);
+  EXPECT_GT(tree.NumLeafPages(), 10u);
+  EXPECT_TRUE(tree.CheckIntegrity().ok());
 }
 
 // The serving workload harness end-to-end, small: cache-on and cache-off

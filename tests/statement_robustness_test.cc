@@ -195,5 +195,31 @@ TEST_F(StatementRobustnessTest, FailedInsertWritesNoRow) {
   tu::ExpectNoPinnedFrames(&db_, "failed INSERT");
 }
 
+// Relation sets are 64-bit masks: a 65th relation would alias relation 0.
+// Such a join block fails before planning under every strategy, and the
+// session keeps working.
+TEST_F(StatementRobustnessTest, SixtyFiveRelationsFailFast) {
+  Sql(&db_, "CREATE TABLE t (a INT, b INT)");
+  Sql(&db_, "INSERT INTO t VALUES (1, 1), (2, 2)");
+  std::string from = "t t0", where;
+  for (int i = 1; i < 65; ++i) {
+    from += ", t t" + std::to_string(i);
+    if (!where.empty()) where += " AND ";
+    where += "t" + std::to_string(i - 1) + ".a = t" + std::to_string(i) + ".b";
+  }
+  const std::string chain = "SELECT count(*) FROM " + from + " WHERE " + where;
+  for (JoinEnumAlgorithm algorithm :
+       {JoinEnumAlgorithm::kDpBushy, JoinEnumAlgorithm::kDpLeftDeep, JoinEnumAlgorithm::kGreedy,
+        JoinEnumAlgorithm::kExhaustive, JoinEnumAlgorithm::kRandom, JoinEnumAlgorithm::kWorst,
+        JoinEnumAlgorithm::kSimpliSquared, JoinEnumAlgorithm::kDpCcp}) {
+    db_.options().optimizer.join.algorithm = algorithm;
+    Result<QueryResult> r = db_.Execute(chain);
+    ASSERT_FALSE(r.ok()) << JoinEnumAlgorithmToString(algorithm);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status().ToString();
+    EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM t t0, t t1 WHERE t0.a = t1.b")), 2)
+        << JoinEnumAlgorithmToString(algorithm);
+  }
+}
+
 }  // namespace
 }  // namespace relopt
