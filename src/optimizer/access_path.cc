@@ -134,13 +134,8 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
       if (have_hi) p.hi_values.push_back(hi_v);
     }
 
-    // Output order = index key columns, ascending.
-    for (size_t kc : index->key_columns) {
-      p.order.push_back(OrderColumn{rel.alias, rel.table->schema().ColumnAt(kc).name, false});
-    }
-
     bool has_bounds = !p.lo_values.empty() || !p.hi_values.empty();
-    if (!has_bounds && p.order.empty()) {
+    if (!has_bounds && index->key_columns.empty()) {
       TracePath(trace, rel.alias, "IndexScan(" + rel.alias + " via " + index->name + ")", out_rows,
                 Cost{}, "pruned", "no sargable bounds and no interesting key order");
       continue;

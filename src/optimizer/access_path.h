@@ -3,7 +3,6 @@
 
 #include "optimizer/cost_model.h"
 #include "optimizer/join_graph.h"
-#include "optimizer/order_spec.h"
 #include "optimizer/plan_trace.h"
 #include "optimizer/selectivity.h"
 #include "plan/physical_plan.h"
@@ -24,7 +23,6 @@ struct AccessPath {
 
   double out_rows = 0;   ///< rows after ALL conjuncts
   Cost cost;             ///< total cost of producing them
-  OrderSpec order;       ///< output ordering (index key order, if any)
 };
 
 /// \brief Enumerates access paths for one relation: always the sequential

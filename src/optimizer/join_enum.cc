@@ -174,7 +174,6 @@ Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order) {
         std::vector<AccessPath> paths,
         EnumerateAccessPaths(*graph_, r, *estimator_, *cost_model_, options_.enable_index_scans,
                              worst ? nullptr : options_.trace));
-    rel.scan_rows = std::max(paths.front().out_rows, 0.0);
     access_paths_.push_back(std::move(paths));
   }
   return Status::OK();
@@ -290,7 +289,7 @@ void JoinEnumerator::SeedBaseRelations() {
       const AccessPath& path = access_paths_[i][p];
       Candidate c;
       c.set = JoinSet::Single(static_cast<int>(i));
-      c.rows = rel.scan_rows;
+      c.rows = std::max(path.out_rows, 0.0);
       c.row_bytes = base.pages * static_cast<double>(kPageSize) / base.rows;
       c.pages = CostModel::EstimatePages(std::max(c.rows, 1.0), c.row_bytes);
       c.cost = path.cost;
@@ -352,18 +351,6 @@ bool JoinEnumerator::Joinable(JoinSet left, JoinSet right) const {
   return false;
 }
 
-double JoinEnumerator::SetRows(JoinSet set) const {
-  double rows = 1;
-  set.ForEach([&](int r) { rows *= rels_[r].scan_rows; });
-  for (const Edge& e : edges_) {
-    if (set.Contains(e.rel[0]) && set.Contains(e.rel[1])) rows *= e.sel;
-  }
-  for (const Conjunct& c : conjuncts_) {
-    if (c.rels != 0 && (c.rels & ~set.bits()) == 0) rows *= c.sel;
-  }
-  return rows;
-}
-
 int JoinEnumerator::InnerColumn(int edge, int inner) const {
   const Edge& e = edges_[edge];
   return e.col[e.rel[0] == inner ? 0 : 1];
@@ -388,8 +375,6 @@ void JoinEnumerator::PrepareSplit(JoinSet left, JoinSet right, Split* split) {
   if (estimator_->feedback() != nullptr) {
     split->feedback_sel = estimator_->FeedbackJoinSelectivity(
         FeedbackJoinSignature(left, right, split->edges, split->others));
-  } else {
-    split->rows = SetRows(left.Union(right));
   }
   split->merge_order = trim_orders_ ? TrimOrder(split->left_keys) : InternOrder(split->left_keys);
 
@@ -445,13 +430,12 @@ void JoinEnumerator::EmitJoinCandidates(int left_id, int right_id, const Split& 
   const Candidate& r = arena_[right_id];
   emitted_.clear();
 
-  // Without feedback every split of a set agrees on its rows. An earlier
-  // execution's measured selectivity of this exact join overrides the
-  // containment/independence model.
-  double rows = split.rows;
+  // An earlier execution's measured selectivity of this exact join overrides
+  // the containment/independence model.
+  double rows;
   if (split.feedback_sel.has_value()) {
     rows = std::max(l.rows * r.rows * *split.feedback_sel, 1.0);
-  } else if (estimator_->feedback() != nullptr) {
+  } else {
     rows = l.rows * r.rows;
     for (int e : split.edges) rows *= edges_[e].sel;
     for (int o : split.others) rows *= conjuncts_[o].sel;

@@ -172,8 +172,7 @@ class JoinEnumerator {
     double sel;
   };
   struct Relation {
-    double scan_rows;   ///< rows after its own conjuncts (every path agrees)
-    uint64_t edge_nbrs; ///< relations it shares an equi-join edge with
+    uint64_t edge_nbrs;             ///< relations it shares an equi-join edge with
     std::vector<Order> index_keys;  ///< per index: its key columns, ascending
   };
 
@@ -181,7 +180,6 @@ class JoinEnumerator {
   struct Split {
     std::vector<int> edges;   ///< joining left to right, ascending
     std::vector<int> others;  ///< other-conjuncts first applicable here
-    double rows = 0;          ///< the union's rows (feedback off)
     std::optional<double> feedback_sel;
     Order left_keys, right_keys;  ///< merge keys per side, in edge order
     int merge_order = 0;          ///< the order a merge join delivers
@@ -230,9 +228,6 @@ class JoinEnumerator {
   uint64_t EdgeNeighbors(JoinSet set) const;  ///< relations an edge joins to `set`
   /// True if some edge or newly applicable other-conjunct joins the sides.
   bool Joinable(JoinSet left, JoinSet right) const;
-  /// Rows of a relation set: its members' scan rows, then its internal
-  /// edges' and other-conjuncts' selectivities, in id order.
-  double SetRows(JoinSet set) const;
   int InnerColumn(int edge, int inner) const;  ///< `edge`'s column on `inner`
   /// The edges of `edges` that probe `index` of `inner`: for each key column
   /// in turn, the first unused edge on it, up to the first key without one.

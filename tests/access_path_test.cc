@@ -1,6 +1,8 @@
 // Access path selection tests: path enumeration, bound extraction, costs.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "expr/binder.h"
 #include "optimizer/access_path.h"
 #include "parser/parser.h"
@@ -117,12 +119,23 @@ TEST_F(AccessPathTest, NonLeadingColumnDoesNotBound) {
 }
 
 TEST_F(AccessPathTest, IndexOrderReported) {
-  std::vector<AccessPath> paths = Paths("SELECT id FROM t WHERE id > 5");
-  const AccessPath* p = FindIndexPath(paths, "idx_id");
+  // An index path delivers its index's key order, ascending: (k, v) for
+  // idx_k_v, an order the table's id order does not give.
+  std::vector<AccessPath> paths = Paths("SELECT id FROM t WHERE k > 97");
+  const AccessPath* p = FindIndexPath(paths, "idx_k_v");
   ASSERT_NE(p, nullptr);
-  ASSERT_EQ(p->order.size(), 1u);
-  EXPECT_EQ(p->order[0].column, "id");
-  EXPECT_FALSE(p->order[0].desc);
+  ASSERT_EQ(p->index->key_columns.size(), 2u);
+  Result<PhysicalPtr> plan = BuildAccessPathPlan(graph_, *p);
+  ASSERT_TRUE(plan.ok());
+  Result<QueryResult> result = db_.ExecutePlan(**plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->rows.size(), 1u);
+  for (size_t i = 1; i < result->rows.size(); ++i) {
+    const auto& prev = result->rows[i - 1];
+    const auto& row = result->rows[i];
+    EXPECT_LE(std::make_pair(prev.At(1).AsInt(), prev.At(2).AsInt()),
+              std::make_pair(row.At(1).AsInt(), row.At(2).AsInt()));
+  }
 }
 
 TEST_F(AccessPathTest, UnselectiveRangeCostsMoreThanSeqScan) {
