@@ -432,11 +432,10 @@ void JoinEnumerator::EmitJoinCandidates(int left_id, int right_id, const Split& 
 
   // An earlier execution's measured selectivity of this exact join overrides
   // the containment/independence model.
-  double rows;
+  double rows = l.rows * r.rows;
   if (split.feedback_sel.has_value()) {
-    rows = std::max(l.rows * r.rows * *split.feedback_sel, 1.0);
+    rows = std::max(rows * *split.feedback_sel, 1.0);
   } else {
-    rows = l.rows * r.rows;
     for (int e : split.edges) rows *= edges_[e].sel;
     for (int o : split.others) rows *= conjuncts_[o].sel;
     rows = std::max(rows, 0.0);
