@@ -113,7 +113,7 @@ echo "== bench_aggregate smoke (tsan) =="
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_aggregate 2000
 
 echo "== bench_parallel_scan smoke (tsan) =="
-# Concurrent misses, evictions and load waits through MorselScan: TSan checks
+# Concurrent misses, evictions and load waits through SeqScan workers: TSan checks
 # that page bytes copied outside the pool mutex are published by the frame's
 # load state before any other pinner reads them.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_parallel_scan 20000

@@ -1,5 +1,6 @@
 #include "engine/session.h"
 
+#include <bit>
 #include <shared_mutex>
 
 #include "expr/fold.h"
@@ -208,12 +209,17 @@ Result<QueryResult> PreparedStatement::Execute(const std::vector<Value>& params)
     *slot = std::make_unique<LiteralExpr>(params[param->ordinal()]);
   }
   // Plan-cache entries are per parameter binding: the template text alone
-  // would alias different literals to one (wrong) plan.
+  // would alias different literals to one (wrong) plan. A double renders as
+  // its bit pattern, because ToString rounds it.
   std::string suffix;
   if (!params.empty()) {
     suffix = "|args:";
     for (const Value& v : params) {
-      suffix += std::to_string(static_cast<int>(v.type())) + ":" + v.ToString() + ";";
+      suffix += std::to_string(static_cast<int>(v.type())) + ":";
+      suffix += v.type() == TypeId::kDouble && !v.is_null()
+                    ? std::to_string(std::bit_cast<uint64_t>(v.AsDouble()))
+                    : v.ToString();
+      suffix += ";";
     }
   }
   bool produced = false;

@@ -95,34 +95,68 @@ Status GroupIngest::Drain(Executor* child, size_t batch_size, std::span<GroupTab
 
 AggregateExecutor::AggregateExecutor(ExecContext* ctx, Schema out_schema, ExecutorPtr child,
                                      std::vector<const Expression*> group_exprs,
-                                     std::vector<AggSpecExec> aggs)
+                                     std::vector<AggSpecExec> aggs,
+                                     std::shared_ptr<SharedAggregateState> shared, size_t worker)
     : Executor(ctx, std::move(out_schema)),
       child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
+      shared_(shared != nullptr ? std::move(shared) : std::make_shared<SharedAggregateState>(1)),
+      worker_(worker),
       ingest_(&group_exprs_, &aggs_) {}
 
-Status AggregateExecutor::InitImpl() {
-  groups_ = GroupTable(group_exprs_.size(), aggs_);
-  done_build_ = false;
+Status AggregateExecutor::Accumulate() {
+  std::vector<GroupTable>& mine = shared_->worker_partitions(worker_);
+  mine.clear();
+  for (size_t p = 0; p < shared_->num_workers(); ++p) {
+    mine.emplace_back(group_exprs_.size(), aggs_);
+  }
   RELOPT_RETURN_NOT_OK(child_->Init());
-  RELOPT_RETURN_NOT_OK(ingest_.Drain(child_.get(), ctx_->batch_size(),
-                                     std::span<GroupTable>(&groups_, 1), &stats_.fallback_rows));
+  return ingest_.Drain(child_.get(), ctx_->batch_size(), mine, &stats_.fallback_rows);
+}
 
-  // Scalar aggregate over an empty input still yields one (default) row.
-  if (groups_.empty() && group_exprs_.empty()) groups_.AddDefaultGroup();
-  emit_order_ = groups_.IdsInKeyOrder();
+Status AggregateExecutor::Merge() {
+  const size_t n = shared_->num_workers();
+  GroupTable& merged = shared_->merged(worker_);
+  for (size_t w = 0; w < n; ++w) {
+    GroupTable& part = shared_->partition(w, worker_);
+    if (merged.empty()) {
+      merged = std::move(part);
+    } else {
+      RELOPT_RETURN_NOT_OK(merged.MergeFrom(part));
+    }
+    part = GroupTable();  // free it now: merged partitions are dead weight
+  }
+  // A global aggregate over an empty input still yields one (default) row,
+  // emitted by the worker owning the empty key's partition.
+  if (group_exprs_.empty() && merged.empty() &&
+      GroupTable::PartitionOf(GroupTable::Hash(std::string_view()), n) == worker_) {
+    merged = GroupTable(0, aggs_);
+    merged.AddDefaultGroup();
+  }
+  return Status::OK();
+}
+
+Status AggregateExecutor::InitImpl() {
+  shared_->ResetIfSerial();
+  merged_ = nullptr;
+  shared_->EndPhase(Accumulate());  // all input rows partitioned
+  shared_->EndPhase(shared_->failed() ? Status::OK() : Merge());  // partitions merged
+  RELOPT_RETURN_NOT_OK(shared_->first_error());
+  merged_ = &shared_->merged(worker_);
+  key_order_ = shared_->num_workers() == 1 ? merged_->IdsInKeyOrder() : std::vector<uint32_t>();
   next_ = 0;
-  done_build_ = true;
   return Status::OK();
 }
 
 Result<bool> AggregateExecutor::NextBatchImpl(TupleBatch* out) {
-  if (!done_build_) return false;
-  while (!out->Full() && next_ < emit_order_.size()) {
-    RELOPT_RETURN_NOT_OK(groups_.Emit(emit_order_[next_++], out->AppendRow()));
+  if (merged_ == nullptr) return false;
+  while (!out->Full() && next_ < merged_->size()) {
+    const uint32_t id = key_order_.empty() ? next_ : key_order_[next_];
+    ++next_;
+    RELOPT_RETURN_NOT_OK(merged_->Emit(id, out->AppendRow()));
   }
-  return next_ < emit_order_.size();
+  return next_ < merged_->size();
 }
 
 }  // namespace relopt

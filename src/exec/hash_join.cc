@@ -6,45 +6,51 @@ namespace relopt {
 
 HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
                                    std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
-                                   const Expression* residual, bool output_probe_first)
-    : Executor(ctx, MakeOutputSchema(*build, *probe, output_probe_first)),
+                                   const Expression* residual, bool output_probe_first,
+                                   std::shared_ptr<SharedHashJoinState> shared, size_t worker)
+    : Executor(ctx, output_probe_first ? Schema::Concat(probe->schema(), build->schema())
+                                       : Schema::Concat(build->schema(), probe->schema())),
       build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)),
       residual_(residual),
       output_probe_first_(output_probe_first),
+      shared_(shared != nullptr ? std::move(shared) : std::make_shared<SharedHashJoinState>(1)),
+      worker_(worker),
       probe_batch_(ctx->batch_size()) {}
 
-Schema HashJoinExecutor::MakeOutputSchema(const Executor& build, const Executor& probe,
-                                          bool output_probe_first) {
-  return output_probe_first ? Schema::Concat(probe.schema(), build.schema())
-                            : Schema::Concat(build.schema(), probe.schema());
-}
-
 Status HashJoinExecutor::InitImpl() {
-  table_.clear();
-  matches_.clear();
-  match_idx_ = 0;
-  grace_ = false;
-  build_parts_.clear();
-  probe_parts_.clear();
-  part_probe_iter_.reset();
-  part_idx_ = 0;
+  shared_->ResetIfSerial();
   probe_batch_.Clear();
   batch_keys_.clear();
   probe_pos_ = 0;
   probe_done_ = false;
   probe_row_ = nullptr;
+  matches_.clear();
+  match_idx_ = 0;
+  build_parts_.clear();
+  probe_parts_.clear();
+  part_idx_ = 0;
+  part_probe_iter_.reset();
 
-  // Drain the build side, tracking size against the memory budget. Each
-  // batch's join keys are encoded in one tight loop, so the hash-table build
-  // (and a possible Grace partition pass) never re-derives keys.
-  RELOPT_RETURN_NOT_OK(build_->Init());
-  const size_t budget = ctx_->operator_memory_pages() * kPageSize;
-  std::vector<Tuple> build_rows;
-  std::vector<std::optional<std::string>> build_row_keys;
   size_t bytes = 0;
+  shared_->EndPhase(PartitionBuildSide(&bytes));  // all build rows partitioned
+  // Only the one-worker join spills; the parallel build stays in memory.
+  const size_t budget = ctx_->operator_memory_pages() * kPageSize;
+  grace_ = shared_->num_workers() == 1 && bytes > budget;
+  if (!grace_ && !shared_->failed()) BuildTable();
+  shared_->EndPhase(Status::OK());  // all tables built; read-only from here
+  RELOPT_RETURN_NOT_OK(shared_->first_error());
+  if (!grace_) return probe_->Init();
+  num_spill_parts_ = std::min<size_t>(64, bytes / budget + 2);
+  return Spill();
+}
+
+Status HashJoinExecutor::PartitionBuildSide(size_t* bytes) {
+  // Each batch's join keys are encoded in one tight loop, so the table build
+  // (and a possible Grace spill) never re-derives keys.
+  RELOPT_RETURN_NOT_OK(build_->Init());
   TupleBatch batch(ctx_->batch_size());
   std::vector<std::optional<std::string>> keys;
   while (true) {
@@ -52,44 +58,47 @@ Status HashJoinExecutor::InitImpl() {
     RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
     for (size_t k = 0; k < batch.NumSelected(); ++k) {
       Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-      bytes += row.SerializedSize() + 16;
-      build_rows.push_back(std::move(row));
-      build_row_keys.push_back(std::move(keys[k]));
+      *bytes += row.SerializedSize() + 16;
+      if (!keys[k].has_value()) continue;  // NULL keys never match
+      shared_->partition(worker_, shared_->PartitionOf(*keys[k]))
+          .emplace_back(std::move(*keys[k]), std::move(row));
     }
-    if (!has) break;
+    if (!has) return Status::OK();
   }
-
-  if (bytes > budget) {
-    grace_ = true;
-    num_partitions_ = std::min<size_t>(64, bytes / budget + 2);
-    return Partition(&build_rows, &build_row_keys);
-  }
-  table_.reserve(build_rows.size());
-  for (size_t i = 0; i < build_rows.size(); ++i) {
-    if (!build_row_keys[i].has_value()) continue;  // NULL keys never match
-    table_.emplace(std::move(*build_row_keys[i]), std::move(build_rows[i]));
-  }
-  return probe_->Init();
 }
 
-Status HashJoinExecutor::Partition(std::vector<Tuple>* build_rows,
-                                   std::vector<std::optional<std::string>>* build_keys) {
-  for (size_t i = 0; i < num_partitions_; ++i) {
+void HashJoinExecutor::BuildTable() {
+  SharedHashJoinState::HashTable& table = shared_->table(worker_);
+  const size_t n = shared_->num_workers();
+  size_t total = 0;
+  for (size_t w = 0; w < n; ++w) total += shared_->partition(w, worker_).size();
+  table.reserve(total);
+  for (size_t w = 0; w < n; ++w) {
+    std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(w, worker_);
+    for (SharedHashJoinState::KeyedRow& kr : rows) {
+      table.emplace(std::move(kr.first), std::move(kr.second));
+    }
+    rows.clear();
+    rows.shrink_to_fit();
+  }
+}
+
+Status HashJoinExecutor::Spill() {
+  for (size_t i = 0; i < num_spill_parts_; ++i) {
     RELOPT_ASSIGN_OR_RETURN(HeapFile bp, ctx_->CreateScratchHeap());
     build_parts_.push_back(std::move(bp));
     RELOPT_ASSIGN_OR_RETURN(HeapFile pp, ctx_->CreateScratchHeap());
     probe_parts_.push_back(std::move(pp));
   }
   std::hash<std::string> hasher;
-  for (size_t i = 0; i < build_rows->size(); ++i) {
-    const std::optional<std::string>& key = (*build_keys)[i];
-    if (!key.has_value()) continue;  // NULL keys never match
-    size_t p = hasher(*key) % num_partitions_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert((*build_rows)[i].Serialize()));
+  std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(0, 0);
+  for (const SharedHashJoinState::KeyedRow& kr : rows) {
+    size_t p = hasher(kr.first) % num_spill_parts_;
+    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert(kr.second.Serialize()));
     (void)rid;
   }
-  build_rows->clear();
-  build_keys->clear();
+  rows.clear();
+  rows.shrink_to_fit();
   RELOPT_RETURN_NOT_OK(probe_->Init());
   bool has = true;
   while (has) {
@@ -97,7 +106,7 @@ Status HashJoinExecutor::Partition(std::vector<Tuple>* build_rows,
     RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
     for (size_t k = 0; k < probe_batch_.NumSelected(); ++k) {
       if (!batch_keys_[k].has_value()) continue;
-      size_t p = hasher(*batch_keys_[k]) % num_partitions_;
+      size_t p = hasher(*batch_keys_[k]) % num_spill_parts_;
       RELOPT_ASSIGN_OR_RETURN(Rid rid, probe_parts_[p].Insert(probe_batch_.SelectedRow(k).Serialize()));
       (void)rid;
     }
@@ -126,22 +135,23 @@ Result<bool> ReadHeapBatch(HeapFile::Iterator* it, size_t num_cols, TupleBatch* 
 }  // namespace
 
 Status HashJoinExecutor::LoadPartition() {
-  table_.clear();
+  SharedHashJoinState::HashTable& table = shared_->table(0);
+  table.clear();
   part_probe_iter_.reset();
   TupleBatch batch(ctx_->batch_size());
   std::vector<std::optional<std::string>> keys;
-  while (part_idx_ < num_partitions_) {
+  while (part_idx_ < num_spill_parts_) {
     HeapFile::Iterator it(&build_parts_[part_idx_]);
     bool more = true;
     while (more) {
       RELOPT_ASSIGN_OR_RETURN(more, ReadHeapBatch(&it, build_->schema().NumColumns(), &batch));
       RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
       for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        table_.emplace(std::move(*keys[k]), std::move(*batch.MutableRowAt(k)));
+        table.emplace(std::move(*keys[k]), std::move(*batch.MutableRowAt(k)));
       }
     }
     // Even an empty build partition must advance past its probe partition.
-    if (!table_.empty() || probe_parts_[part_idx_].NumPages() > 0) {
+    if (!table.empty() || probe_parts_[part_idx_].NumPages() > 0) {
       part_probe_iter_ = std::make_unique<HeapFile::Iterator>(&probe_parts_[part_idx_]);
       probe_done_ = false;
       return Status::OK();
@@ -194,7 +204,8 @@ Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
       const std::optional<std::string>& key = batch_keys_[k];
       if (!key.has_value()) continue;  // NULL keys never match
       probe_row_ = &probe_batch_.SelectedRow(k);
-      auto [lo, hi] = table_.equal_range(*key);
+      const SharedHashJoinState::HashTable& table = shared_->table(shared_->PartitionOf(*key));
+      auto [lo, hi] = table.equal_range(*key);
       for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
       continue;
     }

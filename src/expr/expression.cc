@@ -359,7 +359,7 @@ Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
       case IntArithOutcome::kNull:
         return Value::Null(TypeId::kInt64);
       case IntArithOutcome::kOverflow:
-        return OverflowError();
+        return IntOverflowError(*this);
     }
   }
   double a = l.NumericAsDouble(), b = r.NumericAsDouble();
@@ -380,8 +380,8 @@ Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
   return Status::Internal("bad arithmetic op");
 }
 
-Status ArithmeticExpr::OverflowError() const {
-  return Status::OutOfRange("integer overflow in " + ToString());
+Status IntOverflowError(const Expression& expr) {
+  return Status::OutOfRange("integer overflow in " + expr.ToString());
 }
 
 Status ArithmeticExpr::Bind(const Schema& schema) {
@@ -598,13 +598,6 @@ void CaseExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
 
 namespace {
 
-/// |x| computed in uint64 space so INT64_MIN wraps deterministically instead
-/// of tripping signed-overflow UB; both the row and batch engines use this.
-inline int64_t AbsInt64(int64_t a) {
-  uint64_t m = a < 0 ? 0ull - static_cast<uint64_t>(a) : static_cast<uint64_t>(a);
-  return static_cast<int64_t>(m);
-}
-
 inline std::string AsciiUpper(const std::string& s) {
   std::string out = s;
   for (char& c : out) {
@@ -631,7 +624,11 @@ Result<Value> FunctionCallExpr::Eval(const Tuple& tuple) const {
       if (!IsNumeric(v.type())) {
         return Status::TypeError("abs on non-numeric operand in " + ToString());
       }
-      if (v.type() == TypeId::kInt64) return Value::Int(AbsInt64(v.AsInt()));
+      if (v.type() == TypeId::kInt64) {
+        int64_t abs;
+        if (!IntAbs(v.AsInt(), &abs)) return IntOverflowError(*this);
+        return Value::Int(abs);
+      }
       double d = v.NumericAsDouble();
       return Value::Double(d < 0 ? -d : d);
     }

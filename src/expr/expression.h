@@ -235,6 +235,17 @@ inline IntArithOutcome IntArith(ArithOp op, int64_t a, int64_t b, int64_t* out) 
   return IntArithOutcome::kNull;
 }
 
+/// \brief |a| over int64, checked like IntArith: false for |INT64_MIN|,
+/// which overflows (the caller raises IntOverflowError) instead of wrapping.
+inline bool IntAbs(int64_t a, int64_t* out) {
+  if (a == INT64_MIN) return false;
+  *out = a < 0 ? -a : a;
+  return true;
+}
+
+/// The error both evaluators raise when int64 arithmetic in `expr` overflows.
+Status IntOverflowError(const Expression& expr);
+
 /// +, -, *, /, % over numerics (NULL operand -> NULL; x/0 -> NULL, the
 /// engine's documented divide-by-zero behaviour; int64 overflow ->
 /// OutOfRange, see IntArith).
@@ -249,9 +260,6 @@ class ArithmeticExpr : public Expression {
   ArithOp op() const { return op_; }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
-
-  /// The error both evaluators raise when IntArith overflows.
-  Status OverflowError() const;
 
   Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;

@@ -69,13 +69,6 @@ Value CoerceValue(Value v, TypeId target) {
   return v;
 }
 
-/// |x| in uint64 space so INT64_MIN wraps deterministically; must stay in
-/// lockstep with the row evaluator's AbsInt64 (expression.cc).
-inline int64_t WrapAbsInt64(int64_t a) {
-  uint64_t m = a < 0 ? 0ull - static_cast<uint64_t>(a) : static_cast<uint64_t>(a);
-  return static_cast<int64_t>(m);
-}
-
 /// Reads entry `k` as a boolean; `*is_null` set accordingly. Works for both
 /// i64-lane bool vectors and boxed (fallback-produced) ones.
 inline void ReadBool(const ColumnVec& v, size_t k, bool* is_null, bool* b) {
@@ -297,7 +290,7 @@ class ArithNode final : public CompiledExpr {
             out->nulls[k] = 1;
             break;
           case IntArithOutcome::kOverflow:
-            return src_->OverflowError();
+            return IntOverflowError(*src_);
         }
       }
       return Status::OK();
@@ -364,7 +357,7 @@ class ArithNode final : public CompiledExpr {
             out->nulls[k] = 1;
             break;
           case IntArithOutcome::kOverflow:
-            return src_->OverflowError();
+            return IntOverflowError(*src_);
         }
         continue;
       }
@@ -594,7 +587,9 @@ class AbsNode final : public CompiledExpr {
           return Status::TypeError("abs on non-numeric operand in " + src_->ToString());
         }
         if (v.type() == TypeId::kInt64) {
-          out->vals[k] = Value::Int(WrapAbsInt64(v.AsInt()));
+          int64_t abs;
+          if (!IntAbs(v.AsInt(), &abs)) return IntOverflowError(*src_);
+          out->vals[k] = Value::Int(abs);
         } else {
           double d = v.NumericAsDouble();
           out->vals[k] = Value::Double(d < 0 ? -d : d);
@@ -608,7 +603,7 @@ class AbsNode final : public CompiledExpr {
       if (av_.NullAt(k)) {
         out->nulls[k] = 1;
       } else if (as_int) {
-        out->i64[k] = WrapAbsInt64(av_.I64At(k));
+        if (!IntAbs(av_.I64At(k), &out->i64[k])) return IntOverflowError(*src_);
       } else {
         double d = av_.F64At(k);
         out->f64[k] = d < 0 ? -d : d;

@@ -130,23 +130,6 @@ Status HeapFile::PageCursor::Close() {
   return heap_->pool()->UnpinPage(PageId{heap_->file_id(), page_no_}, false);
 }
 
-Result<bool> HeapFile::ViewIterator::Next(Rid* rid, std::string_view* record) {
-  while (true) {
-    if (cursor_.IsOpen()) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, cursor_.Next(rid, record));
-      if (has) return true;
-      RELOPT_RETURN_NOT_OK(cursor_.Close());
-    }
-    if (next_page_ >= heap_->NumPages()) return false;
-    RELOPT_RETURN_NOT_OK(cursor_.Open(next_page_++));
-  }
-}
-
-Status HeapFile::ViewIterator::Reset() {
-  next_page_ = 0;
-  return cursor_.Close();
-}
-
 HeapFile::Iterator::Iterator(const HeapFile* heap) : heap_(heap) {}
 
 void HeapFile::Iterator::Reset() {

@@ -122,31 +122,6 @@ class HeapFile {
     uint16_t num_slots_ = 0;
   };
 
-  /// \brief Whole-heap forward scanner over record views: PageCursor driven
-  /// across pages 0..NumPages(). The allocation-free replacement for
-  /// Iterator on the query hot path (both row- and batch-mode scans).
-  ///
-  /// The view from Next() is invalidated by the next page boundary, so
-  /// callers must consume it before advancing past the current page's
-  /// records — deserializing immediately (as SeqScan does) is always safe.
-  class ViewIterator {
-   public:
-    explicit ViewIterator(const HeapFile* heap) : heap_(heap), cursor_(heap) {}
-
-    /// Advances to the next live record. Returns false at end.
-    Result<bool> Next(Rid* rid, std::string_view* record);
-
-    /// Releases the pinned page and restarts the scan from the beginning.
-    Status Reset();
-    /// See PageCursor::Unlatch.
-    void Unlatch() { cursor_.Unlatch(); }
-
-   private:
-    const HeapFile* heap_;
-    PageCursor cursor_;
-    PageNo next_page_ = 0;
-  };
-
  private:
   BufferPool* pool_;
   FileId file_id_;

@@ -93,7 +93,14 @@ Result<Value> Value::CastTo(TypeId target) const {
   if (type_ == target) return *this;
   switch (target) {
     case TypeId::kInt64:
-      if (type_ == TypeId::kDouble) return Value::Int(static_cast<int64_t>(AsDouble()));
+      if (type_ == TypeId::kDouble) {
+        // Truncates toward zero. 2^63 is exact as a double; NaN fails both tests.
+        const double d = AsDouble();
+        if (!(d >= -0x1p63 && d < 0x1p63)) {
+          return Status::OutOfRange("double " + FormatDouble(d) + " is out of int64 range");
+        }
+        return Value::Int(static_cast<int64_t>(d));
+      }
       if (type_ == TypeId::kBool) return Value::Int(AsBool() ? 1 : 0);
       if (type_ == TypeId::kString) {
         errno = 0;

@@ -1,8 +1,11 @@
-// Direct executor tests: scans, filter, project, values, limit, index scan.
+// Direct executor tests: scans, filter, project, values, limit, index scan,
+// and restarts of the one-worker scan, hash join and aggregate.
 #include <gtest/gtest.h>
 
+#include "exec/aggregate.h"
 #include "exec/executor_factory.h"
 #include "exec/filter.h"
+#include "exec/hash_join.h"
 #include "exec/index_scan.h"
 #include "exec/limit.h"
 #include "exec/project.h"
@@ -47,6 +50,96 @@ TEST_F(ExecutorTest, SeqScanRestartsOnReInit) {
   SeqScanExecutor scan(&ctx_, table_->schema(), table_);
   EXPECT_EQ(Drain(&scan).size(), 100u);
   EXPECT_EQ(Drain(&scan).size(), 100u);  // Init() again rewinds
+}
+
+// A one-worker operator owns its shared state and resets it in Init, as a
+// nested-loop inner needs: draining it again must repeat the same rows, in
+// the same order, with the same page fetches charged to every operator.
+void ExpectRestartRepeats(Executor* root, const std::vector<const Executor*>& ops) {
+  auto fetches = [&] {
+    std::vector<uint64_t> out;
+    for (const Executor* op : ops) out.push_back(op->stats().pool_hits + op->stats().pool_misses);
+    return out;
+  };
+  auto render = [](const std::vector<Tuple>& rows) {
+    std::vector<std::string> out;
+    for (const Tuple& t : rows) out.push_back(t.ToString());
+    return out;
+  };
+  const std::vector<std::string> first = render(Drain(root));
+  const std::vector<uint64_t> after_first = fetches();
+  const std::vector<std::string> second = render(Drain(root));
+  const std::vector<uint64_t> after_second = fetches();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(second, first);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_GT(after_first[i], 0u) << "operator " << i;
+    EXPECT_EQ(after_second[i] - after_first[i], after_first[i]) << "operator " << i;
+  }
+}
+
+TEST_F(ExecutorTest, HashJoinRestartsOnReInit) {
+  auto build = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
+  auto probe = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
+  const Executor* build_scan = build.get();
+  const Executor* probe_scan = probe.get();
+  HashJoinExecutor join(&ctx_, std::move(build), std::move(probe), {1}, {1}, nullptr, false);
+  ExpectRestartRepeats(&join, {build_scan, probe_scan});
+  EXPECT_EQ(Drain(&join).size(), 1000u);  // 10 keys x 10 x 10
+}
+
+TEST_F(ExecutorTest, GraceHashJoinRestartsOnReInit) {
+  // A pool this small forces the Grace path (operator memory = 1 page).
+  DiskManager disk;
+  BufferPool pool(&disk, 9);
+  Catalog catalog(&pool);
+  ExecContext ctx(&catalog, &pool);
+  Schema schema;
+  schema.AddColumn(Column("k", TypeId::kInt64, "big"));
+  schema.AddColumn(Column("pad", TypeId::kString, "big"));
+  TableInfo* big = *catalog.CreateTable("big", schema);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(
+        catalog.InsertTuple(big, Tuple({Value::Int(i % 50), Value::String(std::string(100, 'x'))}))
+            .ok());
+  }
+  auto build = std::make_unique<SeqScanExecutor>(&ctx, big->schema(), big);
+  auto probe = std::make_unique<SeqScanExecutor>(&ctx, big->schema(), big);
+  const Executor* build_scan = build.get();
+  const Executor* probe_scan = probe.get();
+  HashJoinExecutor join(&ctx, std::move(build), std::move(probe), {0}, {0}, nullptr, false);
+  ExpectRestartRepeats(&join, {&join, build_scan, probe_scan});
+  EXPECT_GT(join.stats().page_writes, 0u);  // both drains spilled
+}
+
+TEST_F(ExecutorTest, AggregatesRestartOnReInit) {
+  ExprPtr v = MakeColumnRef("t", "v");
+  ExprPtr id = MakeColumnRef("t", "id");
+  ASSERT_TRUE(v->Bind(table_->schema()).ok());
+  ASSERT_TRUE(id->Bind(table_->schema()).ok());
+  const std::vector<AggSpecExec> aggs = {{AggFunc::kCountStar, nullptr},
+                                         {AggFunc::kSum, id.get()}};
+  Schema aggs_schema;
+  aggs_schema.AddColumn(Column("count", TypeId::kInt64));
+  aggs_schema.AddColumn(Column("sum", TypeId::kInt64));
+  Schema grouped_schema;
+  grouped_schema.AddColumn(Column("v", TypeId::kInt64, "t"));
+  grouped_schema.AddColumn(Column("count", TypeId::kInt64));
+  grouped_schema.AddColumn(Column("sum", TypeId::kInt64));
+
+  auto scan = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
+  const Executor* grouped_scan = scan.get();
+  AggregateExecutor grouped(&ctx_, grouped_schema, std::move(scan), {v.get()}, aggs);
+  ExpectRestartRepeats(&grouped, {grouped_scan});
+  EXPECT_EQ(Drain(&grouped).size(), 10u);
+
+  scan = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
+  const Executor* global_scan = scan.get();
+  AggregateExecutor global(&ctx_, aggs_schema, std::move(scan), {}, aggs);
+  ExpectRestartRepeats(&global, {global_scan});
+  const std::vector<Tuple> rows = Drain(&global);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].ToString(), "(100, 4950)");
 }
 
 TEST_F(ExecutorTest, FilterKeepsMatching) {

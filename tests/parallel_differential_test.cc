@@ -119,7 +119,7 @@ TEST_F(ParallelDifferentialTest, ScanActuallyRunsOnAllWorkers) {
   ASSERT_TRUE(profile.valid);
   const OperatorProfile* scan = FindOp(profile.root, "SeqScan");
   ASSERT_NE(scan, nullptr);
-  // One MorselScan clone per worker registered against the SeqScan node;
+  // One SeqScan executor per worker registered against the SeqScan node;
   // merged stats show one Init per worker and the full row count.
   EXPECT_EQ(scan->stats.init_calls, 4u);
   EXPECT_EQ(scan->stats.rows_produced, 300u);

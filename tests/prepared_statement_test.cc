@@ -227,5 +227,26 @@ TEST(PreparedStatementTest, ParameterValuesPartitionThePlanCache) {
       << "different parameter values must not share a cache entry";
 }
 
+// Doubles that print alike at six decimals are still different bindings: a
+// shared cache entry would answer with the other value's folded literal.
+TEST(PreparedStatementTest, NearbyDoubleParametersDoNotShareAPlan) {
+  Database db;
+  Sql(&db, "CREATE TABLE t (d DOUBLE)");
+  Sql(&db, "INSERT INTO t VALUES (0.0000002), (0.5)");
+  Session* session = db.CreateSession();
+  Result<PreparedStatement*> prepared = session->Prepare("SELECT count(*) FROM t WHERE d < ?");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  PreparedStatement* stmt = *prepared;
+
+  Result<QueryResult> above = stmt->Execute({Value::Double(0.0000004)});
+  ASSERT_TRUE(above.ok()) << above.status().ToString();
+  EXPECT_EQ(above->rows[0].At(0).AsInt(), 1);
+  Result<QueryResult> below = stmt->Execute({Value::Double(0.0000001)});
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_FALSE(session->last_metrics().plan_cache_hit);
+  EXPECT_EQ(below->rows[0].At(0).AsInt(), 0);
+  EXPECT_EQ(IntCell(Sql(&db, "SELECT count(*) FROM t WHERE d < 0.0000001")), 0);
+}
+
 }  // namespace
 }  // namespace relopt

@@ -84,6 +84,10 @@ TEST_F(StatementRobustnessTest, MinDividedByMinusOneRaises) {
   ExpectOverflowEverywhere("SELECT (a - 1) / -1 FROM small", "((small.a - 1) / -1)");
 }
 
+TEST_F(StatementRobustnessTest, AbsOfMinRaises) {
+  ExpectOverflowEverywhere("SELECT abs(a - 1) FROM small", "abs((small.a - 1))");
+}
+
 TEST_F(StatementRobustnessTest, MinModuloMinusOneIsZero) {
   for (const Mode& m : kModes) {
     Result<QueryResult> r = Run("SELECT (a - 1) % -1, (a - 1) / 1 FROM small", m);
@@ -193,6 +197,28 @@ TEST_F(StatementRobustnessTest, FailedInsertWritesNoRow) {
   EXPECT_EQ(rows_after, rows_before);
   EXPECT_EQ(IndexEntries(&db_, "t_a"), index_before);
   tu::ExpectNoPinnedFrames(&db_, "failed INSERT");
+}
+
+// A DOUBLE outside int64's range (or NaN) has no INT value: the cast fails
+// instead of storing whatever the conversion produces. Both statements
+// evaluate every row before writing any, so they change nothing.
+TEST_F(StatementRobustnessTest, OutOfRangeDoubleToIntWritesNothing) {
+  Sql(&db_, "CREATE TABLE ti (a INT)");
+  Sql(&db_, "INSERT INTO ti VALUES (7)");
+  for (const char* sql : {"INSERT INTO ti VALUES (1e30)", "INSERT INTO ti VALUES (-1e30)",
+                          "INSERT INTO ti VALUES (9.3e18)", "INSERT INTO ti VALUES (1), (1e30)",
+                          "UPDATE ti SET a = 1e19"}) {
+    Result<QueryResult> r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql << ": " << r.status().ToString();
+    QueryResult rows = Sql(&db_, "SELECT a FROM ti");
+    ASSERT_EQ(rows.rows.size(), 1u) << sql;
+    EXPECT_EQ(rows.rows[0].At(0).AsInt(), 7) << sql;
+  }
+  // In range, the cast truncates toward zero.
+  Sql(&db_, "INSERT INTO ti VALUES (9.2e18), (-2.9)");
+  EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM ti WHERE a = 9200000000000000000")), 1);
+  EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM ti WHERE a = -2")), 1);
 }
 
 // Relation sets are 64-bit masks: a 65th relation would alias relation 0.

@@ -175,6 +175,9 @@ TEST_F(VectorEvalTest, OverflowErrorsMatchInterpreter) {
   Result<QueryResult> r = db_.Execute("SELECT a + 100 FROM edge");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().message(), "integer overflow in (edge.a + 100)");
+  r = db_.Execute("SELECT abs(a - 1) FROM edge");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "integer overflow in abs((edge.a - 1))");
 }
 
 TEST_F(VectorEvalTest, FallbackRowsSurfaceInProfileAndMetric) {

@@ -191,7 +191,7 @@ TEST_F(VectorizedDifferentialTest, ScanStatsExactUnderVectorizedParallelism) {
   ASSERT_TRUE(profile.valid);
   const OperatorProfile* scan = FindOp(profile.root, "SeqScan");
   ASSERT_NE(scan, nullptr);
-  // One MorselScan clone per worker; merged stats still show one Init per
+  // One SeqScan executor per worker; merged stats still show one Init per
   // worker and the exact row count, now with batch accounting on top.
   EXPECT_EQ(scan->stats.init_calls, 4u);
   EXPECT_EQ(scan->stats.rows_produced, 300u);
