@@ -1,5 +1,7 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
+
 #include "expr/vector_eval.h"
 
 namespace relopt {

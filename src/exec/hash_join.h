@@ -2,7 +2,6 @@
 // one worker Grace partitioning when the build side does not fit.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
