@@ -9,7 +9,8 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== default build =="
-cmake -B build -S . >/dev/null
+# Warnings fail the default build, so it stays warning-free.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

@@ -43,7 +43,8 @@ Result<bool> BlockNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       }
       block_idx_ = 0;
     }
-    RELOPT_RETURN_NOT_OK(AppendJoined(block_[block_idx_++], *inner_.row(), predicate_, out));
+    RELOPT_RETURN_NOT_OK(
+        AppendJoined(block_[block_idx_++].values(), inner_.row()->values(), predicate_, out));
   }
   return true;
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -272,11 +273,10 @@ inline Result<bool> PredicatePasses(const Expression* pred, const Tuple& tuple) 
 
 /// Appends `left ++ right` to `out` (which must not be full) if it passes
 /// the join predicate `pred`; the joins' shared output step.
-inline Status AppendJoined(const Tuple& left, const Tuple& right, const Expression* pred,
-                           TupleBatch* out) {
+inline Status AppendJoined(std::span<const Value> left, std::span<const Value> right,
+                           const Expression* pred, TupleBatch* out) {
   Tuple* row = out->AppendRow();
-  for (const Value& v : left.values()) row->Append(v);
-  for (const Value& v : right.values()) row->Append(v);
+  row->Concat(left, right);
   RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(pred, *row));
   if (!pass) out->DropLastRow();
   return Status::OK();

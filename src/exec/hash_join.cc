@@ -1,10 +1,51 @@
 #include "exec/hash_join.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 
 #include "expr/vector_eval.h"
 
 namespace relopt {
+
+void JoinTable::Add(Tuple* row, std::string_view key, uint64_t hash) {
+  width_ = row->NumValues();
+  for (size_t c = 0; c < width_; ++c) values_.push_back(std::move(row->MutableAt(c)));
+  entries_.push_back(Entry{hash, keys_.size(), keys_.size() + key.size(), kEnd});
+  keys_.append(key);
+}
+
+void JoinTable::Absorb(JoinTable* other) {
+  if (other->empty()) return;
+  width_ = other->width_;
+  values_.insert(values_.end(), std::make_move_iterator(other->values_.begin()),
+                 std::make_move_iterator(other->values_.end()));
+  const size_t shift = keys_.size();
+  for (const Entry& e : other->entries_) {
+    entries_.push_back(Entry{e.hash, e.key_begin + shift, e.key_end + shift, kEnd});
+  }
+  keys_.append(other->keys_);
+  *other = JoinTable{};
+}
+
+void JoinTable::Index() {
+  const size_t num_buckets = std::bit_ceil(std::max<size_t>(entries_.size(), 1));
+  buckets_.assign(num_buckets, kEnd);
+  mask_ = num_buckets - 1;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    size_t& head = buckets_[entries_[i].hash & mask_];
+    entries_[i].next = head;
+    head = i;
+  }
+}
+
+void JoinTable::Clear() {
+  values_.clear();
+  keys_.clear();
+  entries_.clear();
+  buckets_.assign(1, kEnd);
+  mask_ = 0;
+}
 
 HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
                                    std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
@@ -20,7 +61,14 @@ HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, Executor
       output_probe_first_(output_probe_first),
       shared_(shared != nullptr ? std::move(shared) : std::make_shared<SharedHashJoinState>(1)),
       worker_(worker),
-      probe_batch_(ctx->batch_size()) {}
+      probe_batch_(ctx->batch_size()) {
+  // INT keys compare exactly only where both sides are INT; INT = DOUBLE
+  // compares as doubles (Value::Compare).
+  for (size_t i = 0; i < build_keys_.size(); ++i) {
+    exact_int_.push_back(build_->schema().ColumnAt(build_keys_[i]).type == TypeId::kInt64 &&
+                         probe_->schema().ColumnAt(probe_keys_[i]).type == TypeId::kInt64);
+  }
+}
 
 Status HashJoinExecutor::InitImpl() {
   shared_->ResetIfSerial();
@@ -28,9 +76,8 @@ Status HashJoinExecutor::InitImpl() {
   batch_keys_.clear();
   probe_pos_ = 0;
   probe_done_ = false;
-  probe_row_ = nullptr;
-  matches_.clear();
-  match_idx_ = 0;
+  match_table_ = nullptr;
+  match_ = JoinTable::kEnd;
   build_parts_.clear();
   probe_parts_.clear();
   part_idx_ = 0;
@@ -57,32 +104,25 @@ Status HashJoinExecutor::PartitionBuildSide(size_t* bytes) {
   std::vector<std::optional<std::string>> keys;
   while (true) {
     RELOPT_ASSIGN_OR_RETURN(bool has, build_->NextBatch(&batch));
-    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
+    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, exact_int_, &keys));
     for (size_t k = 0; k < batch.NumSelected(); ++k) {
-      Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
-      *bytes += row.SerializedSize() + 16;
+      Tuple* row = batch.MutableRowAt(batch.selection()[k]);
+      *bytes += row->SerializedSize() + 16;
       if (!keys[k].has_value()) continue;  // NULL keys never match
-      shared_->partition(worker_, shared_->PartitionOf(*keys[k]))
-          .emplace_back(std::move(*keys[k]), std::move(row));
+      const uint64_t hash = GroupTable::Hash(*keys[k]);
+      shared_->partition(worker_, shared_->PartitionOf(hash)).Add(row, *keys[k], hash);
     }
     if (!has) return Status::OK();
   }
 }
 
 void HashJoinExecutor::BuildTable() {
-  SharedHashJoinState::HashTable& table = shared_->table(worker_);
+  JoinTable& table = shared_->table(worker_);
   const size_t n = shared_->num_workers();
-  size_t total = 0;
-  for (size_t w = 0; w < n; ++w) total += shared_->partition(w, worker_).size();
-  table.reserve(total);
-  for (size_t w = 0; w < n; ++w) {
-    std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(w, worker_);
-    for (SharedHashJoinState::KeyedRow& kr : rows) {
-      table.emplace(std::move(kr.first), std::move(kr.second));
-    }
-    rows.clear();
-    rows.shrink_to_fit();
+  if (n > 1) {  // one worker's rows already landed in its table
+    for (size_t w = 0; w < n; ++w) table.Absorb(&shared_->partition(w, worker_));
   }
+  table.Index();
 }
 
 Status HashJoinExecutor::Spill() {
@@ -92,24 +132,25 @@ Status HashJoinExecutor::Spill() {
     RELOPT_ASSIGN_OR_RETURN(HeapFile pp, ctx_->CreateScratchHeap());
     probe_parts_.push_back(std::move(pp));
   }
-  std::hash<std::string> hasher;
-  std::vector<SharedHashJoinState::KeyedRow>& rows = shared_->partition(0, 0);
-  for (const SharedHashJoinState::KeyedRow& kr : rows) {
-    size_t p = hasher(kr.first) % num_spill_parts_;
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[p].Insert(kr.second.Serialize()));
+  JoinTable& rows = shared_->table(0);
+  std::string record;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    record.clear();
+    for (const Value& v : rows.row(i)) v.SerializeTo(&record);
+    RELOPT_ASSIGN_OR_RETURN(Rid rid, build_parts_[rows.hash(i) % num_spill_parts_].Insert(record));
     (void)rid;
   }
-  rows.clear();
-  rows.shrink_to_fit();
+  rows = JoinTable{};
   RELOPT_RETURN_NOT_OK(probe_->Init());
   bool has = true;
   while (has) {
     RELOPT_ASSIGN_OR_RETURN(has, probe_->NextBatch(&probe_batch_));
-    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
+    RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, exact_int_, &batch_keys_));
     for (size_t k = 0; k < probe_batch_.NumSelected(); ++k) {
       if (!batch_keys_[k].has_value()) continue;
-      size_t p = hasher(*batch_keys_[k]) % num_spill_parts_;
-      RELOPT_ASSIGN_OR_RETURN(Rid rid, probe_parts_[p].Insert(probe_batch_.SelectedRow(k).Serialize()));
+      size_t p = GroupTable::Hash(*batch_keys_[k]) % num_spill_parts_;
+      RELOPT_ASSIGN_OR_RETURN(Rid rid,
+                              probe_parts_[p].Insert(probe_batch_.SelectedRow(k).Serialize()));
       (void)rid;
     }
   }
@@ -137,21 +178,22 @@ Result<bool> ReadHeapBatch(HeapFile::Iterator* it, size_t num_cols, TupleBatch* 
 }  // namespace
 
 Status HashJoinExecutor::LoadPartition() {
-  SharedHashJoinState::HashTable& table = shared_->table(0);
-  table.clear();
+  JoinTable& table = shared_->table(0);
   part_probe_iter_.reset();
   TupleBatch batch(ctx_->batch_size());
   std::vector<std::optional<std::string>> keys;
   while (part_idx_ < num_spill_parts_) {
+    table.Clear();
     HeapFile::Iterator it(&build_parts_[part_idx_]);
     bool more = true;
     while (more) {
       RELOPT_ASSIGN_OR_RETURN(more, ReadHeapBatch(&it, build_->schema().NumColumns(), &batch));
-      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, &keys));
+      RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, exact_int_, &keys));
       for (size_t k = 0; k < batch.NumSelected(); ++k) {
-        table.emplace(std::move(*keys[k]), std::move(*batch.MutableRowAt(k)));
+        table.Add(batch.MutableRowAt(k), *keys[k], GroupTable::Hash(*keys[k]));
       }
     }
+    table.Index();
     // Even an empty build partition must advance past its probe partition.
     if (!table.empty() || probe_parts_[part_idx_].NumPages() > 0) {
       part_probe_iter_ = std::make_unique<HeapFile::Iterator>(&probe_parts_[part_idx_]);
@@ -184,31 +226,33 @@ Result<bool> HashJoinExecutor::RefillProbeBatch() {
       probe_done_ = !more;
     }
   }
-  RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, &batch_keys_));
+  RELOPT_RETURN_NOT_OK(ComputeJoinKeys(probe_batch_, probe_keys_, exact_int_, &batch_keys_));
   return true;
 }
 
 Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
   while (true) {
-    // Drain the current probe row's match list into the output batch.
-    while (match_idx_ < matches_.size()) {
-      if (out->Full()) return true;
-      const Tuple& build_row = *matches_[match_idx_++];
-      RELOPT_RETURN_NOT_OK(output_probe_first_
-                               ? AppendJoined(*probe_row_, build_row, residual_, out)
-                               : AppendJoined(build_row, *probe_row_, residual_, out));
+    // Walk the current probe row's chain into the output batch.
+    if (match_ != JoinTable::kEnd) {
+      std::span<const Value> probe_row = probe_batch_.SelectedRow(probe_k_).values();
+      const std::string& key = *batch_keys_[probe_k_];
+      do {
+        if (out->Full()) return true;
+        std::span<const Value> build_row = match_table_->row(match_);
+        RELOPT_RETURN_NOT_OK(output_probe_first_
+                                 ? AppendJoined(probe_row, build_row, residual_, out)
+                                 : AppendJoined(build_row, probe_row, residual_, out));
+        match_ = match_table_->FindNext(match_, key, probe_hash_);
+      } while (match_ != JoinTable::kEnd);
     }
     // Advance to the next probe row with a precomputed key.
     if (probe_pos_ < probe_batch_.NumSelected()) {
-      size_t k = probe_pos_++;
-      matches_.clear();
-      match_idx_ = 0;
-      const std::optional<std::string>& key = batch_keys_[k];
+      probe_k_ = probe_pos_++;
+      const std::optional<std::string>& key = batch_keys_[probe_k_];
       if (!key.has_value()) continue;  // NULL keys never match
-      probe_row_ = &probe_batch_.SelectedRow(k);
-      const SharedHashJoinState::HashTable& table = shared_->table(shared_->PartitionOf(*key));
-      auto [lo, hi] = table.equal_range(*key);
-      for (auto it = lo; it != hi; ++it) matches_.push_back(&it->second);
+      probe_hash_ = GroupTable::Hash(*key);
+      match_table_ = &shared_->table(shared_->PartitionOf(probe_hash_));
+      match_ = match_table_->Find(*key, probe_hash_);
       continue;
     }
     RELOPT_ASSIGN_OR_RETURN(bool more, RefillProbeBatch());

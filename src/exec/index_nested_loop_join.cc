@@ -54,7 +54,8 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       continue;
     }
     RELOPT_ASSIGN_OR_RETURN(inner_row_, inner_table_->GetTuple(matches_[match_idx_++]));
-    RELOPT_RETURN_NOT_OK(AppendJoined(*outer_.row(), inner_row_, residual_, out));
+    RELOPT_RETURN_NOT_OK(
+        AppendJoined(outer_.row()->values(), inner_row_.values(), residual_, out));
   }
   return true;
 }

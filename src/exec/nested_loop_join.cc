@@ -20,7 +20,8 @@ Result<bool> NestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       have_outer_ = false;
       continue;
     }
-    RELOPT_RETURN_NOT_OK(AppendJoined(*outer_.row(), *inner_.row(), predicate_, out));
+    RELOPT_RETURN_NOT_OK(
+        AppendJoined(outer_.row()->values(), inner_.row()->values(), predicate_, out));
   }
   return true;
 }

@@ -64,7 +64,8 @@ Result<bool> SortMergeJoinExecutor::NextBatchImpl(TupleBatch* out) {
       // Emit the left row x group_ until the group is exhausted, then advance
       // the left side; if its key still equals the group key, replay.
       if (group_idx_ < group_.size()) {
-        RELOPT_RETURN_NOT_OK(AppendJoined(*left_.row(), group_[group_idx_++], residual_, out));
+        RELOPT_RETURN_NOT_OK(AppendJoined(left_.row()->values(), group_[group_idx_++].values(),
+                                          residual_, out));
         continue;
       }
       RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());

@@ -27,6 +27,7 @@ ExprPtr FoldConstants(ExprPtr expr) {
     case ExprKind::kLiteral:
     case ExprKind::kColumnRef:
     case ExprKind::kAggregateCall:
+    case ExprKind::kParameter:
       return expr;
     case ExprKind::kComparison: {
       auto* cmp = static_cast<ComparisonExpr*>(expr.get());

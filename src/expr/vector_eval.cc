@@ -1089,10 +1089,12 @@ Status BatchProjector::Project(const TupleBatch& in, TupleBatch* out,
 SortKeyEncoder::SortKeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc)
     : exprs_(std::move(exprs)), desc_(std::move(desc)) {
   size_t n = exprs_.size();
+  exact_int_.resize(n);
   direct_col_.resize(n, -1);
   compiled_.resize(n);
   vecs_.resize(n);
   for (size_t i = 0; i < n; ++i) {
+    exact_int_[i] = exprs_[i]->result_type() == TypeId::kInt64;
     direct_col_[i] = DirectColumnOf(exprs_[i]);
     if (direct_col_[i] < 0) compiled_[i] = CompileExpr(exprs_[i]);
   }
@@ -1118,18 +1120,18 @@ Status SortKeyEncoder::EncodeBatch(const TupleBatch& batch, std::vector<std::str
       int dc = direct_col_[i];
       if (dc >= 0) {
         if (static_cast<size_t>(dc) < row.NumValues()) {
-          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key);
+          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
         } else {
           RELOPT_ASSIGN_OR_RETURN(Value v, exprs_[i]->Eval(row));
-          EncodeKeyValue(v, &key);
+          EncodeKeyValue(v, &key, exact_int_[i]);
         }
       } else {
         const ColumnVec& vec = vecs_[i];
         if (vec.boxed && !vec.NullAt(k)) {
-          EncodeKeyValue(vec.BoxedAt(k), &key);
+          EncodeKeyValue(vec.BoxedAt(k), &key, exact_int_[i]);
         } else {
           storage = vec.GetValue(k);
-          EncodeKeyValue(storage, &key);
+          EncodeKeyValue(storage, &key, exact_int_[i]);
         }
       }
       if (desc_[i]) InvertKeyTail(&key, offset);
@@ -1141,6 +1143,7 @@ Status SortKeyEncoder::EncodeBatch(const TupleBatch& batch, std::vector<std::str
 // ---------------------------------------------------------- ComputeJoinKeys --
 
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
+                       const std::vector<bool>& exact_int,
                        std::vector<std::optional<std::string>>* keys) {
   size_t n = batch.NumSelected();
   if (keys->size() < n) keys->resize(n);
@@ -1150,13 +1153,13 @@ Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_c
     if (!slot.has_value()) slot.emplace();
     std::string& key = *slot;
     key.clear();
-    for (size_t col : key_cols) {
-      const Value& v = row.At(col);
+    for (size_t i = 0; i < key_cols.size(); ++i) {
+      const Value& v = row.At(key_cols[i]);
       if (v.is_null()) {
         slot.reset();  // NULL keys never match an equi join
         break;
       }
-      EncodeKeyValue(v, &key);
+      EncodeKeyValue(v, &key, exact_int[i]);
     }
   }
   return Status::OK();
@@ -1167,10 +1170,12 @@ Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_c
 GroupKeyComputer::GroupKeyComputer(const std::vector<const Expression*>* exprs)
     : exprs_(exprs) {
   size_t n = exprs->size();
+  exact_int_.resize(n);
   direct_col_.resize(n, -1);
   compiled_.resize(n);
   vecs_.resize(n);
   for (size_t i = 0; i < n; ++i) {
+    exact_int_[i] = (*exprs)[i]->result_type() == TypeId::kInt64;
     direct_col_[i] = DirectColumnOf((*exprs)[i]);
     if (direct_col_[i] < 0) compiled_[i] = CompileExpr((*exprs)[i]);
   }
@@ -1196,18 +1201,18 @@ Status GroupKeyComputer::Compute(const TupleBatch& batch, std::vector<std::strin
       int dc = direct_col_[i];
       if (dc >= 0) {
         if (static_cast<size_t>(dc) < row.NumValues()) {
-          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key);
+          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
         } else {
           RELOPT_ASSIGN_OR_RETURN(Value v, (*exprs_)[i]->Eval(row));
-          EncodeKeyValue(v, &key);
+          EncodeKeyValue(v, &key, exact_int_[i]);
         }
       } else {
         const ColumnVec& vec = vecs_[i];
         if (vec.boxed && !vec.NullAt(k)) {
-          EncodeKeyValue(vec.BoxedAt(k), &key);
+          EncodeKeyValue(vec.BoxedAt(k), &key, exact_int_[i]);
         } else {
           storage = vec.GetValue(k);
-          EncodeKeyValue(storage, &key);
+          EncodeKeyValue(storage, &key, exact_int_[i]);
         }
       }
     }

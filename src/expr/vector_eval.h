@@ -166,7 +166,8 @@ class BatchProjector {
 
 /// \brief Compiled sort-key encoder of external sort: per key, the
 /// order-preserving encoding (types/key_codec.h) of the key expression's
-/// value, with descending keys byte-inverted.
+/// value, with descending keys byte-inverted. An INT-typed key encodes its
+/// INTs exactly.
 class SortKeyEncoder {
  public:
   SortKeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc);
@@ -181,6 +182,7 @@ class SortKeyEncoder {
 
   std::vector<const Expression*> exprs_;
   std::vector<bool> desc_;
+  std::vector<bool> exact_int_;  ///< per key: INT-typed
   std::vector<int> direct_col_;
   std::vector<CompiledExprPtr> compiled_;
   std::vector<ColumnVec> vecs_;
@@ -189,14 +191,18 @@ class SortKeyEncoder {
 /// \brief Batch join-key encoding: computes the composite encoded key of
 /// every selected row over fixed key columns in one tight loop. Rows with a
 /// NULL key column get nullopt (NULL never matches an equi join). Keys are
-/// EncodeKey (types/key_codec.h) of the key values; key strings are reused.
+/// EncodeKeyValue (types/key_codec.h) of the key values, with
+/// `exact_int[i]` for key column `i` (set where both sides' columns are
+/// INT); key strings are reused.
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
+                       const std::vector<bool>& exact_int,
                        std::vector<std::optional<std::string>>* keys);
 
 /// \brief Compiled group-key kernel behind hash aggregation and DISTINCT:
-/// encodes the composite group key of every selected row, and retains the
-/// evaluated key columns so a group-table miss can materialize the group's
-/// key Values without re-evaluating the expressions.
+/// encodes the composite group key of every selected row (an INT-typed
+/// group expression's INTs exactly), and retains the evaluated key columns
+/// so a group-table miss can materialize the group's key Values without
+/// re-evaluating the expressions.
 class GroupKeyComputer {
  public:
   /// `exprs` must be bound and outlive this object.
@@ -213,6 +219,7 @@ class GroupKeyComputer {
 
  private:
   const std::vector<const Expression*>* exprs_;
+  std::vector<bool> exact_int_;  ///< per group expression: INT-typed
   std::vector<int> direct_col_;
   std::vector<CompiledExprPtr> compiled_;
   std::vector<ColumnVec> vecs_;

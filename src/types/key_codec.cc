@@ -9,10 +9,17 @@ constexpr char kNullTag = 0x00;
 constexpr char kBoolTag = 0x01;
 constexpr char kNumTag = 0x02;
 constexpr char kStrTag = 0x03;
+// Exact INT keys share the bool and string tags' bytes: an exact-INT key
+// position holds neither.
+constexpr char kBigNegIntTag = kNumTag - 1;
+constexpr char kBigPosIntTag = kNumTag + 1;
+/// Every INT of magnitude up to 2^53 is a double exactly.
+constexpr int64_t kMaxExactDoubleInt = int64_t{1} << 53;
 
 /// Maps a double to a uint64 whose unsigned big-endian byte order matches the
 /// double's numeric order (IEEE-754 total-order trick; NaNs map above +inf).
 uint64_t DoubleToRank(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   if (bits & (uint64_t{1} << 63)) {
@@ -22,13 +29,13 @@ uint64_t DoubleToRank(double d) {
 }
 
 void AppendBigEndian64(uint64_t v, std::string* out) {
-  for (int i = 7; i >= 0; --i) {
-    out->push_back(static_cast<char>((v >> (i * 8)) & 0xFF));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (56 - 8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 }  // namespace
 
-void EncodeKeyValue(const Value& v, std::string* out) {
+void EncodeKeyValue(const Value& v, std::string* out, bool exact_int) {
   if (v.is_null()) {
     out->push_back(kNullTag);
     return;
@@ -39,6 +46,12 @@ void EncodeKeyValue(const Value& v, std::string* out) {
       out->push_back(v.AsBool() ? 1 : 0);
       return;
     case TypeId::kInt64:
+      if (exact_int && (v.AsInt() > kMaxExactDoubleInt || v.AsInt() < -kMaxExactDoubleInt)) {
+        out->push_back(v.AsInt() < 0 ? kBigNegIntTag : kBigPosIntTag);
+        AppendBigEndian64(static_cast<uint64_t>(v.AsInt()) ^ (uint64_t{1} << 63), out);
+        return;
+      }
+      [[fallthrough]];
     case TypeId::kDouble: {
       out->push_back(kNumTag);
       AppendBigEndian64(DoubleToRank(v.NumericAsDouble()), out);

@@ -9,8 +9,14 @@
 //   bool    -> 0x01 then 0x00/0x01
 //   numeric -> 0x02 then 8-byte big-endian "rank" of the double value
 //              (int64 encodes as the same rank as its double value, so mixed
-//               int/double composite keys order correctly; exact int ordering
-//               beyond 2^53 is not needed by the toy engine and is documented)
+//               int/double composite keys order correctly; -0.0 encodes as
+//               0.0, which Value::Compare calls equal)
+//   exact int -> an INT beyond +-2^53, in a key position where every value
+//              compared is INT: 0x01 (negative) or 0x03 (positive), then the
+//              sign-flipped 8-byte big-endian int64. Such a position holds no
+//              bool or string, and |i| <= 2^53 keeps the numeric form, whose
+//              rank is exact there; so distinct INTs get distinct bytes in
+//              numeric order, as Value::Compare orders them
 //   string  -> 0x03 then bytes with 0x00 escaped as 0x00 0xFF, terminated by
 //              0x00 0x00 (standard escape so 'a' < 'ab' and embedded NULs work)
 //
@@ -25,8 +31,10 @@
 
 namespace relopt {
 
-/// Appends the order-preserving encoding of `v` to `out`.
-void EncodeKeyValue(const Value& v, std::string* out);
+/// Appends the order-preserving encoding of `v` to `out`. `exact_int`
+/// gives an INT beyond +-2^53 its exact form; pass it only for a key position
+/// where every value compared is INT (B+tree keys never pass it).
+void EncodeKeyValue(const Value& v, std::string* out, bool exact_int = false);
 
 /// Encodes a composite key.
 std::string EncodeKey(const std::vector<Value>& values);

@@ -2,10 +2,11 @@
 
 namespace relopt {
 
-Tuple Tuple::Concat(const Tuple& left, const Tuple& right) {
-  std::vector<Value> vals = left.values_;
-  vals.insert(vals.end(), right.values_.begin(), right.values_.end());
-  return Tuple(std::move(vals));
+void Tuple::Concat(std::span<const Value> left, std::span<const Value> right) {
+  values_.clear();
+  values_.reserve(left.size() + right.size());
+  values_.insert(values_.end(), left.begin(), left.end());
+  values_.insert(values_.end(), right.begin(), right.end());
 }
 
 std::string Tuple::Serialize() const {

@@ -1,6 +1,7 @@
 // Tuple: one row of values, with page serialization.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,14 +23,17 @@ class Tuple {
   Value& MutableAt(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
 
-  void Append(Value v) { values_.push_back(std::move(v)); }
+  void Append(const Value& v) { values_.push_back(v); }
+  void Append(Value&& v) { values_.push_back(std::move(v)); }
 
   /// Drops all values but keeps the vector's capacity, so a recycled Tuple
   /// refills without reallocating (the batch-execution hot path).
   void Clear() { values_.clear(); }
 
-  /// Concatenation (left row ++ right row), used by joins.
-  static Tuple Concat(const Tuple& left, const Tuple& right);
+  /// Replaces the values with `left ++ right` in one sized copy, reusing the
+  /// vector's capacity (the joins' output rows). Neither side may view this
+  /// tuple's own values.
+  void Concat(std::span<const Value> left, std::span<const Value> right);
 
   /// Serializes all values (self-describing tags; schema not required).
   std::string Serialize() const;

@@ -163,6 +163,10 @@ TEST_F(JoinExecTest, GraceHashJoinSpillsAndMatches) {
   EXPECT_EQ(Drain(&join).size(), 5000u);
   // The spill really happened: scratch partition writes occurred.
   EXPECT_GT(disk.stats().page_writes, 0u);
+  // The join's own spill I/O is pinned: the partition hash, the byte budget
+  // and the partition count decide it, and page I/O is the cost model's unit.
+  EXPECT_EQ(join.stats().page_writes, 561u);
+  EXPECT_EQ(join.stats().page_reads, 570u);
 }
 
 TEST_F(JoinExecTest, SortMergeJoinOnSortedInputs) {

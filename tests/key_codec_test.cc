@@ -49,6 +49,35 @@ TEST(KeyCodecTest, MixedNumericOrdering) {
   ExpectOrderPreserved(Value::Int(3), Value::Double(3.0));
 }
 
+TEST(KeyCodecTest, NegativeZeroEncodesAsZero) {
+  EXPECT_EQ(Enc(Value::Double(-0.0)), Enc(Value::Double(0.0)));
+  ExpectOrderPreserved(Value::Double(-0.0), Value::Double(0.0));
+  ExpectOrderPreserved(Value::Double(-0.0), Value::Int(0));
+}
+
+TEST(KeyCodecTest, ExactIntsOrderLikeCompareBeyond2To53) {
+  const int64_t e = int64_t{1} << 53;
+  std::vector<int64_t> ints = {INT64_MIN, -e * 4 - 1, -e - 1, -e, -e + 1, -1, 0, 1,
+                               e - 1,     e,          e + 1,  e + 2, e * 4 + 1, INT64_MAX};
+  for (int64_t a : ints) {
+    for (int64_t b : ints) {
+      std::string ea, eb;
+      EncodeKeyValue(Value::Int(a), &ea, /*exact_int=*/true);
+      EncodeKeyValue(Value::Int(b), &eb, /*exact_int=*/true);
+      EXPECT_EQ(Sign(ea.compare(eb)), a < b ? -1 : (a > b ? 1 : 0)) << a << " vs " << b;
+    }
+  }
+  // Within +-2^53 the exact form is the numeric one, and NULL still sorts first.
+  std::string exact, plain;
+  EncodeKeyValue(Value::Int(e), &exact, /*exact_int=*/true);
+  EncodeKeyValue(Value::Int(e), &plain);
+  EXPECT_EQ(exact, plain);
+  std::string null_key, min_key;
+  EncodeKeyValue(Value::Null(), &null_key, /*exact_int=*/true);
+  EncodeKeyValue(Value::Int(INT64_MIN), &min_key, /*exact_int=*/true);
+  EXPECT_LT(null_key, min_key);
+}
+
 TEST(KeyCodecTest, StringOrdering) {
   std::vector<std::string> strs = {"", "a", "aa", "ab", "b", "ba", "zzz"};
   for (size_t i = 0; i < strs.size(); ++i) {

@@ -109,7 +109,9 @@ TEST(ValueTest, SerializeRoundTripAllTypes) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(offset, buf.size());
     EXPECT_EQ(back->is_null(), v.is_null());
-    if (!v.is_null()) EXPECT_TRUE(back->Equals(v));
+    if (!v.is_null()) {
+      EXPECT_TRUE(back->Equals(v));
+    }
   }
 }
 
@@ -217,8 +219,11 @@ TEST(TupleTest, DeserializeWrongCountFails) {
 TEST(TupleTest, Concat) {
   Tuple a({Value::Int(1)});
   Tuple b({Value::String("x"), Value::Bool(true)});
-  Tuple c = Tuple::Concat(a, b);
+  Tuple c({Value::Int(7), Value::Int(8), Value::Int(9), Value::Int(10)});
+  c.Concat(a.values(), b.values());
   EXPECT_EQ(c.NumValues(), 3u);
+  EXPECT_EQ(c.At(0).AsInt(), 1);
+  EXPECT_EQ(c.At(1).AsString(), "x");
   EXPECT_EQ(c.At(2).AsBool(), true);
 }
 
