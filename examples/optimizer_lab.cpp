@@ -53,10 +53,11 @@ int main() {
   db.options().optimizer.join.algorithm = JoinEnumAlgorithm::kDpBushy;
   QueryResult result = Unwrap(db.Execute(query));
   const ExecutionMetrics& m = db.last_metrics();
+  const Cost& est = db.last_profile().root.est_cost;
   std::cout << "=== DP plan executed ===\n"
             << "result: " << result.rows[0].At(0).ToString() << " rows counted\n"
-            << "estimated cost " << m.est_cost.Total() << " (io=" << m.est_cost.page_ios
-            << ", cpu=" << m.est_cost.cpu_tuples << ")\n"
+            << "estimated cost " << est.Total() << " (io=" << est.page_ios
+            << ", cpu=" << est.cpu_tuples << ")\n"
             << "actual: " << m.io.page_reads << " reads, " << m.io.page_writes << " writes, "
             << m.tuples_processed << " tuples\n";
   return 0;

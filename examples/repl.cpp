@@ -66,12 +66,13 @@ void PrintStats(Database* db, const std::string& table_name) {
   std::cout << (*table)->stats().ToString((*table)->schema()) << "\n";
 }
 
-void PrintMetrics(const ExecutionMetrics& m) {
-  std::cout << "rows=" << m.actual_rows << " (est " << m.est_rows << ")  page_reads="
-            << m.io.page_reads << " page_writes=" << m.io.page_writes << "  pool hits/misses="
-            << m.pool.hits << "/" << m.pool.misses << "  tuples=" << m.tuples_processed
-            << "  est_cost=" << m.est_cost.Total() << " (io=" << m.est_cost.page_ios
-            << " cpu=" << m.est_cost.cpu_tuples << ")\n";
+void PrintMetrics(const ExecutionMetrics& m, const PlanProfile& profile) {
+  const OperatorProfile& root = profile.root;
+  std::cout << "rows=" << root.stats.rows_produced << " (est " << root.est_rows
+            << ")  page_reads=" << m.io.page_reads << " page_writes=" << m.io.page_writes
+            << "  pool hits/misses=" << m.pool.hits << "/" << m.pool.misses
+            << "  tuples=" << m.tuples_processed << "  est_cost=" << root.est_cost.Total()
+            << " (io=" << root.est_cost.page_ios << " cpu=" << root.est_cost.cpu_tuples << ")\n";
 }
 
 bool SetMode(Database* db, const std::string& mode) {
@@ -152,7 +153,7 @@ int main() {
       } else if (cmd == "stats") {
         PrintStats(&db, arg);
       } else if (cmd == "metrics") {
-        PrintMetrics(db.last_metrics());
+        PrintMetrics(db.last_metrics(), db.last_profile());
       } else if (cmd == "demo") {
         Result<QueryResult> r = db.Execute(kDemoScript);
         std::cout << (r.ok() ? "demo data loaded (emp, dept)\n" : r.status().ToString() + "\n");

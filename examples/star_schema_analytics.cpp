@@ -83,16 +83,17 @@ int main() {
   std::cout << "=== top categories in June for segment 2 ===\n" << result.ToString();
 
   const ExecutionMetrics& m = db.last_metrics();
+  const double est_cost = db.last_profile().root.est_cost.Total();
   std::cout << "\nexecution: " << m.tuples_processed << " tuples processed, "
-            << m.pool.hits + m.pool.misses << " page accesses, estimate was "
-            << m.est_cost.Total() << " cost units\n";
+            << m.pool.hits + m.pool.misses << " page accesses, estimate was " << est_cost
+            << " cost units\n";
 
   // Show what join ordering bought us: the same query through the naive
   // planner (FROM-order nested loops, WHERE on top).
   db.options().optimizer.naive = true;
   PhysicalPtr naive_plan = Unwrap(db.PlanQuery(query));
   std::cout << "\nnaive plan estimate (no optimization): " << naive_plan->est_cost().Total()
-            << " cost units -- " << naive_plan->est_cost().Total() / m.est_cost.Total()
+            << " cost units -- " << naive_plan->est_cost().Total() / est_cost
             << "x the optimized estimate\n";
   return 0;
 }

@@ -25,6 +25,21 @@ cmake -B build-asan -S . -DASAN=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
+echo "== examples smoke (asan) =="
+# The example programs print the statement record (metrics and the profile's
+# estimates). The ASAN build aborts on any sanitizer report
+# (-fno-sanitize-recover=all; leaks fail the exit code), so a nonzero exit
+# here is either a crash, an error the program reported, or a report.
+for example in quickstart optimizer_lab join_methods_tour star_schema_analytics; do
+  ./build-asan/examples/"$example" >/dev/null
+done
+./build-asan/examples/repl >/dev/null <<'SQL'
+\demo
+EXPLAIN ANALYZE SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept_id = d.id;
+\metrics
+\quit
+SQL
+
 echo "== bench_vectorized smoke (asan) =="
 # Tiny row count: exercises the batch pipeline (scan/filter/project/join/
 # limit, plus the batch+parallel composition) under ASAN, and the

@@ -59,29 +59,6 @@ struct QueryResult {
   std::string ToString() const;
 };
 
-/// Counters captured around one statement's execution. Captured exactly once
-/// per statement, on the success AND error paths, so a statement that fails
-/// mid-execution still reports (only) the work it actually did.
-///
-/// For statements that drive an executor tree, the I/O and pool counters are
-/// summed from the plan's per-operator attribution (thread-local, so they
-/// stay exact when other sessions execute concurrently); DML/DDL run under
-/// the exclusive statement lock and use global counter deltas.
-struct ExecutionMetrics {
-  IoStats io;                 ///< page reads/writes during execution
-  BufferPoolStats pool;       ///< hits/misses during execution
-  uint64_t tuples_processed = 0;
-  double est_rows = 0;        ///< optimizer's cardinality estimate
-  Cost est_cost;              ///< optimizer's cost estimate
-  uint64_t actual_rows = 0;
-  JoinEnumStats enum_stats;
-  bool order_from_plan = false;
-  uint64_t opt_nanos = 0;     ///< bind + optimize time (SELECT/EXPLAIN)
-  uint64_t exec_nanos = 0;    ///< executor build + drive time
-  bool executed_plan = false; ///< true if this statement drove an executor tree
-  bool plan_cache_hit = false;  ///< SELECT served from the shared plan cache
-};
-
 /// \brief An embedded relational engine with a cost-based optimizer.
 ///
 /// Thread-safety: the Database is safe to share across threads when each
@@ -138,7 +115,8 @@ class Database {
   /// normalized SQL + optimizer options + catalog version).
   PlanCache* plan_cache() { return &plan_cache_; }
 
-  /// Counters from the default session's most recent Execute/ExecutePlan.
+  /// Counters of the default session's most recent statement or ExecutePlan
+  /// (see Session::last_metrics).
   const ExecutionMetrics& last_metrics() const;
 
   /// Per-statement history of every session's statements (a bounded ring;
@@ -147,7 +125,8 @@ class Database {
   QueryHistoryStore* history() { return &history_; }
   const QueryHistoryStore* history() const { return &history_; }
 
-  /// Per-operator stats of the default session's most recent ExecutePlan.
+  /// Per-operator stats of the default session's most recent statement or
+  /// ExecutePlan (see Session::last_profile).
   const PlanProfile& last_profile() const;
 
   /// When on, the default session traces every optimization (and bypasses

@@ -1,6 +1,7 @@
 #include "engine/query_history.h"
 
 #include <cctype>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/str_util.h"
@@ -17,26 +18,27 @@ std::string QueryRecord::ToJson() const {
   if (!error.empty()) out += ", \"error\": \"" + JsonEscape(error) + "\"";
   out += ", \"sql\": \"" + JsonEscape(sql) + "\"";
   out += ", \"wall_us\": " + std::to_string(wall_micros);
-  out += ", \"opt_us\": " + std::to_string(opt_micros);
-  out += ", \"exec_us\": " + std::to_string(exec_micros);
+  out += ", \"opt_us\": " + std::to_string(metrics.opt_nanos / 1000);
+  out += ", \"exec_us\": " + std::to_string(metrics.exec_nanos / 1000);
   out += ", \"rows\": " + std::to_string(rows_returned);
-  out += ", \"tuples\": " + std::to_string(tuples_processed);
-  out += ", \"page_reads\": " + std::to_string(page_reads);
-  out += ", \"page_writes\": " + std::to_string(page_writes);
-  out += ", \"pool_hits\": " + std::to_string(pool_hits);
-  out += ", \"pool_misses\": " + std::to_string(pool_misses);
+  out += ", \"tuples\": " + std::to_string(metrics.tuples_processed);
+  out += ", \"page_reads\": " + std::to_string(metrics.io.page_reads);
+  out += ", \"page_writes\": " + std::to_string(metrics.io.page_writes);
+  out += ", \"pool_hits\": " + std::to_string(metrics.pool.hits);
+  out += ", \"pool_misses\": " + std::to_string(metrics.pool.misses);
   out += ", \"parallelism\": " + std::to_string(parallelism);
   out += ", \"batch_size\": " + std::to_string(batch_size);
-  out += std::string(", \"plan_cache_hit\": ") + (plan_cache_hit ? "true" : "false");
-  if (!operators.empty()) {
+  out += std::string(", \"plan_cache_hit\": ") + (metrics.plan_cache_hit ? "true" : "false");
+  if (profile.valid) {
     out += ", \"operators\": [";
-    for (size_t i = 0; i < operators.size(); ++i) {
-      const OperatorRecord& op = operators[i];
-      if (i > 0) out += ", ";
+    bool first = true;
+    ForEachOperator(profile.root, [&](const OperatorProfile& op) {
+      if (!first) out += ", ";
+      first = false;
       out += "{\"op\": \"" + JsonEscape(op.op) + "\", \"est_rows\": " + FormatDouble(op.est_rows) +
-             ", \"actual_rows\": " + std::to_string(op.actual_rows) +
-             ", \"q_error\": " + FormatDouble(op.q_error) + "}";
-    }
+             ", \"actual_rows\": " + std::to_string(op.stats.rows_produced) +
+             ", \"q_error\": " + FormatDouble(op.q_error()) + "}";
+    });
     out += "]";
   }
   out += "}";
@@ -47,33 +49,34 @@ QueryHistoryStore::QueryHistoryStore(size_t capacity) : capacity_(capacity == 0 
   ring_.reserve(capacity_);
 }
 
-uint64_t QueryHistoryStore::Append(QueryRecord record) {
+uint64_t QueryHistoryStore::Append(std::shared_ptr<QueryRecord> record) {
   int64_t slow_us = slow_query_micros_.load();
-  bool slow = slow_us >= 0 && record.wall_micros >= static_cast<uint64_t>(slow_us);
+  bool slow = slow_us >= 0 && record->wall_micros >= static_cast<uint64_t>(slow_us);
   uint64_t id;
+  std::shared_ptr<const QueryRecord> evicted;  // released after the lock
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
-    record.id = id;
+    record->id = id;
     if (slow) {
       // Emit under the lock so concurrent appends produce ordered lines; the
       // log sink serializes emission anyway (logging.cc).
-      RELOPT_LOG(kWarn) << record.ToJson();
+      RELOPT_LOG(kWarn) << record->ToJson();
     }
     if (ring_.size() < capacity_) {
       ring_.push_back(std::move(record));
     } else {
       // Full: overwrite the oldest slot and advance the head.
-      ring_[head_] = std::move(record);
+      evicted = std::exchange(ring_[head_], std::move(record));
       head_ = (head_ + 1) % capacity_;
     }
   }
   return id;
 }
 
-std::vector<QueryRecord> QueryHistoryStore::Snapshot() const {
+std::vector<std::shared_ptr<const QueryRecord>> QueryHistoryStore::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryRecord> out;
+  std::vector<std::shared_ptr<const QueryRecord>> out;
   out.reserve(ring_.size());
   for (size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[(head_ + i) % ring_.size()]);

@@ -37,21 +37,6 @@ bool InvalidatesPlans(StatementKind kind) {
          kind == StatementKind::kDropTable || kind == StatementKind::kAnalyze;
 }
 
-void FlattenOperators(const OperatorProfile& node, std::vector<OperatorRecord>* out) {
-  OperatorRecord rec;
-  rec.op = node.op;
-  rec.describe = node.describe;
-  rec.est_rows = node.est_rows;
-  rec.actual_rows = node.stats.rows_produced;
-  rec.q_error = node.q_error();
-  rec.page_reads = node.stats.page_reads;
-  rec.page_writes = node.stats.page_writes;
-  rec.wall_nanos = node.stats.wall_nanos;
-  rec.batches = node.stats.batches_produced;
-  out->push_back(std::move(rec));
-  for (const OperatorProfile& child : node.children) FlattenOperators(child, out);
-}
-
 // --- statement cloning (prepared statements re-execute from a template) -----
 //
 // Execution is destructive (RunInsert folds VALUES expressions in place;
@@ -277,6 +262,7 @@ Result<PhysicalPtr> Session::PlanQuery(const std::string& select_sql, OptimizeIn
 }
 
 Result<QueryResult> Session::ExecutePlan(const PhysicalNode& plan) {
+  record_ = std::make_shared<QueryRecord>();
   std::shared_lock<std::shared_mutex> lock(db_->statement_mu_);
   return ExecutePlanInternal(plan);
 }
@@ -288,7 +274,6 @@ void Session::set_parallelism(size_t n) {
 
 Result<PhysicalPtr> Session::OptimizeLogical(LogicalPtr logical, OptimizeInfo* info,
                                              bool want_trace) {
-  const uint64_t start_nanos = MonotonicNanos();
   options_.optimizer.buffer_pages = db_->pool_->capacity();
   options_.optimizer.feedback = options_.cardinality_feedback ? &db_->feedback_ : nullptr;
   if (trace_optimizer_ || want_trace) {
@@ -296,13 +281,21 @@ Result<PhysicalPtr> Session::OptimizeLogical(LogicalPtr logical, OptimizeInfo* i
     info->trace = last_trace_.get();
   }
   Optimizer optimizer(db_->catalog_.get(), options_.optimizer);
-  Result<PhysicalPtr> plan = optimizer.Optimize(std::move(logical), info);
-  last_opt_nanos_ = MonotonicNanos() - start_nanos;
+  return optimizer.Optimize(std::move(logical), info);
+}
+
+Result<PhysicalPtr> Session::PlanStatement(SelectStmt* select, bool want_trace) {
+  Binder binder(db_->catalog_.get());
+  RELOPT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(select));
+  OptimizeInfo info;
+  const uint64_t start_nanos = MonotonicNanos();
+  Result<PhysicalPtr> plan = OptimizeLogical(std::move(logical), &info, want_trace);
+  record_->metrics.opt_nanos = MonotonicNanos() - start_nanos;
+  record_->metrics.enum_stats = info.enum_stats;
   return plan;
 }
 
 Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
-  metrics_ = ExecutionMetrics{};
   const uint64_t exec_start_nanos = MonotonicNanos();
 
   ThreadPool* pool = options_.parallelism > 1 ? db_->thread_pool_.get() : nullptr;
@@ -338,21 +331,20 @@ Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
   // per-operator stats.
   ctx.Quiesce();
 
-  profile_ = BuildPlanProfile(plan, ctx);
+  record_->profile = BuildPlanProfile(plan, ctx);
   // Per-statement I/O from this execution's own operator attribution: global
   // counter deltas would absorb whatever other sessions did concurrently.
   // (Pool evictions/writebacks and page allocations are engine-global with
   // no per-operator attribution, so they stay zero here.)
-  metrics_.io.page_reads = profile_.TotalPageReads();
-  metrics_.io.page_writes = profile_.TotalPageWrites();
-  metrics_.pool.hits = profile_.TotalPoolHits();
-  metrics_.pool.misses = profile_.TotalPoolMisses();
-  metrics_.tuples_processed = ctx.tuples_processed;
-  metrics_.est_rows = plan.est_rows();
-  metrics_.est_cost = plan.est_cost();
-  metrics_.actual_rows = result.rows.size();
-  metrics_.exec_nanos = MonotonicNanos() - exec_start_nanos;
-  metrics_.executed_plan = true;
+  const OperatorStats total = record_->profile.Total();
+  ExecutionMetrics& m = record_->metrics;
+  m.io.page_reads = total.page_reads;
+  m.io.page_writes = total.page_writes;
+  m.pool.hits = total.pool_hits;
+  m.pool.misses = total.pool_misses;
+  m.tuples_processed = ctx.tuples_processed;
+  m.exec_nanos = MonotonicNanos() - exec_start_nanos;
+  m.executed_plan = true;
 
   const EngineMetrics& em = EngineMetrics::Get();
   em.exec_rows_produced->Add(result.rows.size());
@@ -361,8 +353,8 @@ Result<QueryResult> Session::ExecutePlanInternal(const PhysicalNode& plan) {
   // Close the loop: per-operator actuals flow back into the shared store so
   // the NEXT optimization of matching signatures uses measurements. Only
   // complete executions feed back (an error mid-stream means partial counts).
-  if (options_.cardinality_feedback && status.ok() && profile_.valid) {
-    HarvestFeedback(plan, profile_, &db_->feedback_);
+  if (options_.cardinality_feedback && status.ok()) {
+    HarvestFeedback(plan, record_->profile, &db_->feedback_);
   }
 
   RELOPT_RETURN_NOT_OK(status);
@@ -383,47 +375,34 @@ Result<QueryResult> Session::RunSelect(SelectStmt* stmt, const std::string* cach
   // Tracing needs an actual optimization to record; bypass the cache then.
   std::shared_ptr<const PhysicalNode> plan =
       trace_optimizer_ ? nullptr : cache.Lookup(key, catalog_version);
-  const bool cache_hit = plan != nullptr;
-  OptimizeInfo info;
+  // A hit runs no bind and no optimize, so opt_nanos stays 0.
+  record_->metrics.plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
-    Binder binder(db_->catalog_.get());
-    RELOPT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(stmt));
-    RELOPT_ASSIGN_OR_RETURN(PhysicalPtr optimized,
-                            OptimizeLogical(std::move(logical), &info, /*want_trace=*/false));
+    RELOPT_ASSIGN_OR_RETURN(PhysicalPtr optimized, PlanStatement(stmt, /*want_trace=*/false));
     plan = std::shared_ptr<const PhysicalNode>(std::move(optimized));
     if (!trace_optimizer_) cache.Insert(key, catalog_version, plan);
-  } else {
-    last_opt_nanos_ = 0;  // the whole point of a hit: no bind, no optimize
   }
-  RELOPT_ASSIGN_OR_RETURN(QueryResult result, ExecutePlanInternal(*plan));
-  metrics_.enum_stats = info.enum_stats;
-  metrics_.order_from_plan = info.order_from_plan;
-  metrics_.opt_nanos = last_opt_nanos_;
-  metrics_.plan_cache_hit = cache_hit;
-  return result;
+  return ExecutePlanInternal(*plan);
 }
 
 Result<std::string> Session::RunExplain(ExplainStmt* stmt) {
-  Binder binder(db_->catalog_.get());
-  RELOPT_ASSIGN_OR_RETURN(LogicalPtr logical,
-                          binder.BindSelect(static_cast<SelectStmt*>(stmt->inner.get())));
-  OptimizeInfo info;
-  RELOPT_ASSIGN_OR_RETURN(PhysicalPtr plan, OptimizeLogical(std::move(logical), &info, stmt->trace));
+  RELOPT_ASSIGN_OR_RETURN(
+      PhysicalPtr plan, PlanStatement(static_cast<SelectStmt*>(stmt->inner.get()), stmt->trace));
   std::string out;
   if (stmt->analyze) {
     RELOPT_ASSIGN_OR_RETURN(QueryResult result, ExecutePlanInternal(*plan));
-    metrics_.opt_nanos = last_opt_nanos_;
     // The profile replaces the plain plan text: same tree, annotated with
     // actuals per operator.
-    out = profile_.valid ? profile_.ToText() : plan->ToString();
+    const ExecutionMetrics& m = record_->metrics;
+    out = record_->profile.ToText();
     out += StringPrintf(
         "actual: rows=%zu page_reads=%llu page_writes=%llu pool_hits=%llu pool_misses=%llu "
         "tuples=%llu\n",
-        result.rows.size(), static_cast<unsigned long long>(metrics_.io.page_reads),
-        static_cast<unsigned long long>(metrics_.io.page_writes),
-        static_cast<unsigned long long>(metrics_.pool.hits),
-        static_cast<unsigned long long>(metrics_.pool.misses),
-        static_cast<unsigned long long>(metrics_.tuples_processed));
+        result.rows.size(), static_cast<unsigned long long>(m.io.page_reads),
+        static_cast<unsigned long long>(m.io.page_writes),
+        static_cast<unsigned long long>(m.pool.hits),
+        static_cast<unsigned long long>(m.pool.misses),
+        static_cast<unsigned long long>(m.tuples_processed));
   } else {
     out = plan->ToString();
   }
@@ -563,25 +542,24 @@ Status Session::RunUpdate(UpdateStmt* stmt) {
 Result<QueryResult> Session::RunStatement(Statement* stmt, bool* produced_rows,
                                           const std::string* cache_suffix) {
   *produced_rows = false;
-  // Each statement reports only its own deltas. SELECT/EXPLAIN re-zero and
-  // capture inside ExecutePlanInternal from per-operator attribution;
-  // DML/DDL run under the exclusive statement lock, so the global-delta
-  // capture below sees only this statement's work.
-  metrics_ = ExecutionMetrics{};
-  last_opt_nanos_ = 0;  // only SELECT/EXPLAIN set it; others must not inherit
+  // Each statement reports only its own deltas, into its own fresh record.
+  // SELECT/EXPLAIN capture inside ExecutePlanInternal from per-operator
+  // attribution; DML/DDL run under the exclusive statement lock, so the
+  // global-delta capture below sees only this statement's work.
   Catalog* catalog = db_->catalog_.get();
   IoStats io_before = db_->disk_->stats();
   BufferPoolStats pool_before = db_->pool_->stats();
   auto capture = [&]() {
     IoStats io_after = db_->disk_->stats();
     BufferPoolStats pool_after = db_->pool_->stats();
-    metrics_.io.page_reads = io_after.page_reads - io_before.page_reads;
-    metrics_.io.page_writes = io_after.page_writes - io_before.page_writes;
-    metrics_.io.pages_allocated = io_after.pages_allocated - io_before.pages_allocated;
-    metrics_.pool.hits = pool_after.hits - pool_before.hits;
-    metrics_.pool.misses = pool_after.misses - pool_before.misses;
-    metrics_.pool.evictions = pool_after.evictions - pool_before.evictions;
-    metrics_.pool.dirty_writebacks = pool_after.dirty_writebacks - pool_before.dirty_writebacks;
+    ExecutionMetrics& m = record_->metrics;
+    m.io.page_reads = io_after.page_reads - io_before.page_reads;
+    m.io.page_writes = io_after.page_writes - io_before.page_writes;
+    m.io.pages_allocated = io_after.pages_allocated - io_before.pages_allocated;
+    m.pool.hits = pool_after.hits - pool_before.hits;
+    m.pool.misses = pool_after.misses - pool_before.misses;
+    m.pool.evictions = pool_after.evictions - pool_before.evictions;
+    m.pool.dirty_writebacks = pool_after.dirty_writebacks - pool_before.dirty_writebacks;
   };
   // DML/DDL run through `finish` so counters are captured exactly once on
   // both the success and the error path (a failed UPDATE still reports the
@@ -653,6 +631,7 @@ Result<QueryResult> Session::RunStatement(Statement* stmt, bool* produced_rows,
 
 Result<QueryResult> Session::ExecuteStatement(Statement* stmt, bool* produced_rows,
                                               const std::string* cache_suffix) {
+  record_ = std::make_shared<QueryRecord>();
   const uint64_t start_nanos = MonotonicNanos();
   Result<QueryResult> result = Status::Internal("statement did not run");
   if (IsReadStatement(stmt->kind)) {
@@ -709,28 +688,17 @@ void Session::RecordStatement(const Statement& stmt, const Status& status,
         ->Add(1);
   }
 
-  QueryRecord rec;
+  QueryRecord& rec = *record_;
   rec.session_id = id_;
   rec.verb = verb;
   rec.status = status.ok() ? "OK" : StatusCodeToString(status.code());
   rec.error = status.ok() ? "" : status.message();
   rec.sql = NormalizeSql(stmt.text);
   rec.wall_micros = wall_nanos / 1000;
-  rec.opt_micros = last_opt_nanos_ / 1000;
-  rec.exec_micros = metrics_.exec_nanos / 1000;
   rec.rows_returned = rows_returned;
-  rec.tuples_processed = metrics_.tuples_processed;
-  rec.page_reads = metrics_.io.page_reads;
-  rec.page_writes = metrics_.io.page_writes;
-  rec.pool_hits = metrics_.pool.hits;
-  rec.pool_misses = metrics_.pool.misses;
   rec.parallelism = options_.parallelism;
   rec.batch_size = options_.batch_size;
-  rec.plan_cache_hit = metrics_.plan_cache_hit;
-  if (metrics_.executed_plan && profile_.valid) {
-    FlattenOperators(profile_.root, &rec.operators);
-  }
-  db_->history_.Append(std::move(rec));
+  db_->history_.Append(record_);
 }
 
 }  // namespace relopt

@@ -3,8 +3,8 @@
 // A Database owns the process-wide resources — disk, buffer pool, catalog,
 // thread pool, query history, and the shared PlanCache — while each Session
 // carries the per-client state: execution options (parallelism, batch size,
-// optimizer knobs), prepared statements, and the last-statement
-// metrics/profile/trace that used to live on the Database.
+// optimizer knobs), prepared statements, the last statement's QueryRecord
+// (metrics and profile) and the last optimizer trace.
 //
 // Concurrency model: a Session is single-threaded (one client), but any
 // number of Sessions may execute against the same Database concurrently.
@@ -88,8 +88,11 @@ class Session {
 
   SessionOptions& options() { return options_; }
 
-  const ExecutionMetrics& last_metrics() const { return metrics_; }
-  const PlanProfile& last_profile() const { return profile_; }
+  /// The most recent statement's (or ExecutePlan's) counters and profile,
+  /// read from its QueryRecord. Valid until this session's next statement;
+  /// the profile is empty (`valid` false) after a statement that ran no plan.
+  const ExecutionMetrics& last_metrics() const { return record_->metrics; }
+  const PlanProfile& last_profile() const { return record_->profile; }
   const PlanTrace* last_trace() const { return last_trace_.get(); }
   /// When on, every optimization records its decision log; also bypasses the
   /// plan cache (a cache hit runs no optimization to trace).
@@ -125,24 +128,29 @@ class Session {
                                    const std::string* cache_suffix);
   Result<QueryResult> RunSelect(SelectStmt* stmt, const std::string* cache_suffix);
   Result<std::string> RunExplain(ExplainStmt* stmt);
+  /// Binds and optimizes a SELECT/EXPLAIN statement's query, writing the
+  /// optimize time and enumeration stats into the statement's record.
+  Result<PhysicalPtr> PlanStatement(SelectStmt* select, bool want_trace);
   Status RunInsert(InsertStmt* stmt);
   Status RunDelete(DeleteStmt* stmt);
   Status RunUpdate(UpdateStmt* stmt);
   /// Shared optimize step: syncs buffer_pages, wires up tracing.
   Result<PhysicalPtr> OptimizeLogical(LogicalPtr logical, OptimizeInfo* info, bool want_trace);
-  /// Executes a plan. Caller holds the statement lock (ExecutePlan's public
-  /// overload takes it shared). Per-statement I/O metrics are summed from
-  /// the profile's per-operator attribution.
+  /// Executes a plan into the current record. Caller holds the statement
+  /// lock (ExecutePlan's public overload takes it shared). Per-statement I/O
+  /// metrics are summed from the profile's per-operator attribution.
   Result<QueryResult> ExecutePlanInternal(const PhysicalNode& plan);
+  /// Completes the current record and appends it to the query history.
   void RecordStatement(const Statement& stmt, const Status& status, uint64_t rows_returned,
                        uint64_t wall_nanos);
 
   Database* db_;
   const uint64_t id_;
   SessionOptions options_;
-  ExecutionMetrics metrics_;
-  uint64_t last_opt_nanos_ = 0;  ///< most recent OptimizeLogical duration
-  PlanProfile profile_;
+  /// The current (or most recent) statement's record. Each statement and
+  /// ExecutePlan starts a fresh one; once RecordStatement appended it, the
+  /// history shares it and nothing writes it again.
+  std::shared_ptr<QueryRecord> record_ = std::make_shared<QueryRecord>();
   std::unique_ptr<PlanTrace> last_trace_;
   bool trace_optimizer_ = false;
   std::vector<std::unique_ptr<PreparedStatement>> prepared_;

@@ -103,18 +103,20 @@ std::vector<Tuple> MetricsRows(const MetricsRegistry& registry) {
 std::vector<Tuple> QueryLogRows(const QueryHistoryStore* history) {
   std::vector<Tuple> rows;
   if (history == nullptr) return rows;
-  for (const QueryRecord& r : history->Snapshot()) {
-    rows.push_back(Tuple({Value::Int(ToI64(r.id)), Value::Int(ToI64(r.session_id)),
-                          Value::String(r.verb), Value::String(r.status),
-                          Value::String(r.error), Value::String(r.sql),
-                          Value::Int(ToI64(r.wall_micros)), Value::Int(ToI64(r.opt_micros)),
-                          Value::Int(ToI64(r.exec_micros)), Value::Int(ToI64(r.rows_returned)),
-                          Value::Int(ToI64(r.tuples_processed)), Value::Int(ToI64(r.page_reads)),
-                          Value::Int(ToI64(r.page_writes)), Value::Int(ToI64(r.pool_hits)),
-                          Value::Int(ToI64(r.pool_misses)),
-                          Value::Int(static_cast<int64_t>(r.parallelism)),
-                          Value::Int(static_cast<int64_t>(r.batch_size)),
-                          Value::Bool(r.plan_cache_hit)}));
+  for (const std::shared_ptr<const QueryRecord>& r : history->Snapshot()) {
+    const ExecutionMetrics& m = r->metrics;
+    rows.push_back(Tuple({Value::Int(ToI64(r->id)), Value::Int(ToI64(r->session_id)),
+                          Value::String(r->verb), Value::String(r->status),
+                          Value::String(r->error), Value::String(r->sql),
+                          Value::Int(ToI64(r->wall_micros)), Value::Int(ToI64(m.opt_nanos / 1000)),
+                          Value::Int(ToI64(m.exec_nanos / 1000)),
+                          Value::Int(ToI64(r->rows_returned)),
+                          Value::Int(ToI64(m.tuples_processed)), Value::Int(ToI64(m.io.page_reads)),
+                          Value::Int(ToI64(m.io.page_writes)), Value::Int(ToI64(m.pool.hits)),
+                          Value::Int(ToI64(m.pool.misses)),
+                          Value::Int(static_cast<int64_t>(r->parallelism)),
+                          Value::Int(static_cast<int64_t>(r->batch_size)),
+                          Value::Bool(m.plan_cache_hit)}));
   }
   return rows;
 }
@@ -144,15 +146,17 @@ std::vector<Tuple> FeedbackRows(const FeedbackStore* feedback) {
 std::vector<Tuple> OperatorStatsRows(const QueryHistoryStore* history) {
   std::vector<Tuple> rows;
   if (history == nullptr) return rows;
-  for (const QueryRecord& r : history->Snapshot()) {
-    for (const OperatorRecord& op : r.operators) {
-      rows.push_back(Tuple({Value::Int(ToI64(r.id)), Value::String(op.op),
+  for (const std::shared_ptr<const QueryRecord>& r : history->Snapshot()) {
+    if (!r->profile.valid) continue;
+    ForEachOperator(r->profile.root, [&](const OperatorProfile& op) {
+      rows.push_back(Tuple({Value::Int(ToI64(r->id)), Value::String(op.op),
                             Value::String(op.describe), Value::Double(op.est_rows),
-                            Value::Int(ToI64(op.actual_rows)), Value::Double(op.q_error),
-                            Value::Int(ToI64(op.page_reads)), Value::Int(ToI64(op.page_writes)),
-                            Value::Int(ToI64(op.wall_nanos / 1000)),
-                            Value::Int(ToI64(op.batches))}));
-    }
+                            Value::Int(ToI64(op.stats.rows_produced)), Value::Double(op.q_error()),
+                            Value::Int(ToI64(op.stats.page_reads)),
+                            Value::Int(ToI64(op.stats.page_writes)),
+                            Value::Int(ToI64(op.stats.wall_nanos / 1000)),
+                            Value::Int(ToI64(op.stats.batches_produced))}));
+    });
   }
   return rows;
 }

@@ -7,7 +7,7 @@ namespace relopt {
 
 GroupIngest::GroupIngest(const std::vector<const Expression*>* group_exprs,
                          const std::vector<AggSpecExec>* aggs)
-    : group_exprs_(group_exprs), aggs_(aggs), key_computer_(group_exprs) {
+    : group_exprs_(group_exprs), aggs_(aggs), key_encoder_(*group_exprs) {
   args_.reserve(aggs->size());
   for (const AggSpecExec& a : *aggs) {
     args_.push_back(a.arg != nullptr ? CompileExpr(a.arg) : nullptr);
@@ -34,7 +34,7 @@ void GroupIngest::ResolveGroups(size_t n, std::span<GroupTable> tables) {
     GroupTable* table = &tables[GroupTable::PartitionOf(hash, tables.size())];
     row_table_[k] = table;
     row_ids_[k] = table->FindOrInsert(keys_[k], hash,
-                                      [&](size_t i) { return key_computer_.KeyValue(i, k); });
+                                      [&](size_t i) { return key_encoder_.KeyValue(i, k); });
   }
   for (size_t k = 0; k < n; ++k) row_state_[k] = row_table_[k]->states(row_ids_[k]);
 }
@@ -69,7 +69,7 @@ Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> t
   const size_t n = batch.NumSelected();
   if (n == 0) return Status::OK();
   if (!group_exprs_->empty()) {
-    RELOPT_RETURN_NOT_OK(key_computer_.Compute(batch, &keys_, fallback_rows));
+    RELOPT_RETURN_NOT_OK(key_encoder_.Encode(batch, &keys_, fallback_rows));
   }
   ResolveGroups(n, tables);
   for (size_t a = 0; a < aggs_->size(); ++a) {

@@ -20,7 +20,7 @@ namespace relopt {
 /// GroupTable::PartitionOf(hash, tables.size())).
 ///
 /// Ingest first resolves the group id of every selected row of a batch — one
-/// encoded key (GroupKeyComputer) and one hash per row — then evaluates each
+/// encoded key (KeyEncoder) and one hash per row — then evaluates each
 /// aggregate argument once per batch through its compiled kernel and updates
 /// the accumulators column by column. Within a group, rows still accumulate
 /// in input order.
@@ -45,7 +45,7 @@ class GroupIngest {
 
   const std::vector<const Expression*>* group_exprs_;
   const std::vector<AggSpecExec>* aggs_;
-  GroupKeyComputer key_computer_;
+  KeyEncoder key_encoder_;
   std::vector<CompiledExprPtr> args_;  ///< null for COUNT(*)
   ColumnVec arg_vec_;
   std::vector<std::string> keys_;

@@ -127,7 +127,7 @@ Status ExternalSortExecutor::InitImpl() {
   std::vector<std::string> keys;
   while (true) {
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-    RELOPT_RETURN_NOT_OK(key_encoder_.EncodeBatch(batch, &keys, &stats_.fallback_rows));
+    RELOPT_RETURN_NOT_OK(key_encoder_.Encode(batch, &keys, &stats_.fallback_rows));
     for (size_t k = 0; k < batch.NumSelected(); ++k) {
       Tuple& row = *batch.MutableRowAt(batch.selection()[k]);
       bytes += keys[k].size() + row.SerializedSize() + 32;

@@ -49,7 +49,7 @@ class ExternalSortExecutor : public Executor {
 
   ExecutorPtr child_;
   std::vector<SortKeySpec> keys_;
-  SortKeyEncoder key_encoder_;  ///< compiled sort-key encoding
+  KeyEncoder key_encoder_;  ///< compiled sort-key encoding
 
   // In-memory path.
   std::vector<Item> memory_items_;

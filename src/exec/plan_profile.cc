@@ -89,12 +89,6 @@ void RenderTraceEvents(const OperatorProfile& p, int depth, bool* first, std::st
   for (const OperatorProfile& c : p.children) RenderTraceEvents(c, depth + 1, first, out);
 }
 
-template <typename Fn>
-void ForEach(const OperatorProfile& p, Fn fn) {
-  fn(p);
-  for (const OperatorProfile& c : p.children) ForEach(c, fn);
-}
-
 }  // namespace
 
 std::string PlanProfile::ToText() const {
@@ -117,33 +111,15 @@ std::string PlanProfile::ToChromeTrace() const {
   return out;
 }
 
-uint64_t PlanProfile::TotalPageReads() const {
-  uint64_t total = 0;
-  ForEach(root, [&](const OperatorProfile& p) { total += p.stats.page_reads; });
-  return total;
-}
-
-uint64_t PlanProfile::TotalPageWrites() const {
-  uint64_t total = 0;
-  ForEach(root, [&](const OperatorProfile& p) { total += p.stats.page_writes; });
-  return total;
-}
-
-uint64_t PlanProfile::TotalPoolHits() const {
-  uint64_t total = 0;
-  ForEach(root, [&](const OperatorProfile& p) { total += p.stats.pool_hits; });
-  return total;
-}
-
-uint64_t PlanProfile::TotalPoolMisses() const {
-  uint64_t total = 0;
-  ForEach(root, [&](const OperatorProfile& p) { total += p.stats.pool_misses; });
+OperatorStats PlanProfile::Total() const {
+  OperatorStats total;
+  ForEachOperator(root, [&](const OperatorProfile& p) { total.Merge(p.stats); });
   return total;
 }
 
 size_t PlanProfile::NumOperators() const {
   size_t n = 0;
-  ForEach(root, [&](const OperatorProfile&) { ++n; });
+  ForEachOperator(root, [&](const OperatorProfile&) { ++n; });
   return n;
 }
 

@@ -50,17 +50,20 @@ struct PlanProfile {
   /// microsecond timestamps) loadable in chrome://tracing.
   std::string ToChromeTrace() const;
 
-  /// Sum of self-attributed page reads over all operators.
-  uint64_t TotalPageReads() const;
-  /// Sum of self-attributed page writes over all operators.
-  uint64_t TotalPageWrites() const;
-  /// Sum of self-attributed buffer-pool hits over all operators.
-  uint64_t TotalPoolHits() const;
-  /// Sum of self-attributed buffer-pool misses over all operators.
-  uint64_t TotalPoolMisses() const;
+  /// Every operator's stats merged (OperatorStats::Merge): the
+  /// self-attributed page and pool counters sum to the plan's totals.
+  OperatorStats Total() const;
   /// Number of operators in the tree.
   size_t NumOperators() const;
 };
+
+/// Calls `fn` on `p` and every operator below it, pre-order: a node before
+/// its children, children in plan order.
+template <typename Fn>
+void ForEachOperator(const OperatorProfile& p, Fn&& fn) {
+  fn(p);
+  for (const OperatorProfile& c : p.children) ForEachOperator(c, fn);
+}
 
 /// Snapshots `plan`'s executor stats out of `ctx` (which must still own the
 /// executor tree built for `plan`). Nodes with no registered executor get

@@ -120,55 +120,45 @@ CompareOp NegateCompareOp(CompareOp op) {
   return op;
 }
 
-std::set<std::string> Expression::ReferencedTables() const {
-  std::vector<const ColumnRefExpr*> refs;
-  CollectColumnRefs(&refs);
-  std::set<std::string> tables;
-  for (const ColumnRefExpr* ref : refs) tables.insert(ref->table());
-  return tables;
+namespace {
+
+/// Calls `visit` on `e` and every node below it, pre-order: a node before its
+/// children, children in ChildSlots order. Stops at the first `visit` that
+/// returns false, and then returns false itself.
+template <typename Fn>
+bool VisitPreOrder(Expression* e, Fn& visit) {
+  if (!visit(e)) return false;
+  std::vector<ExprPtr*> slots;
+  e->ChildSlots(&slots);
+  for (ExprPtr* slot : slots) {
+    if (!VisitPreOrder(slot->get(), visit)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void Expression::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
+  auto visit = [out](Expression* e) {
+    if (e->kind() == ExprKind::kColumnRef) out->push_back(static_cast<ColumnRefExpr*>(e));
+    return true;
+  };
+  VisitPreOrder(this, visit);
+}
+
+// ChildSlots hands out mutable slots (rewrites replace nodes through them);
+// the const walks below only read through them.
+void Expression::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
+  auto visit = [out](const Expression* e) {
+    if (e->kind() == ExprKind::kColumnRef) out->push_back(static_cast<const ColumnRefExpr*>(e));
+    return true;
+  };
+  VisitPreOrder(const_cast<Expression*>(this), visit);
 }
 
 bool Expression::ContainsAggregate() const {
-  if (kind_ == ExprKind::kAggregateCall) return true;
-  // Walk via column-ref collection? Aggregates have no dedicated walker;
-  // handle per-kind below.
-  switch (kind_) {
-    case ExprKind::kComparison: {
-      auto* e = static_cast<const ComparisonExpr*>(this);
-      return e->left()->ContainsAggregate() || e->right()->ContainsAggregate();
-    }
-    case ExprKind::kLogical: {
-      auto* e = static_cast<const LogicalExpr*>(this);
-      for (const ExprPtr& c : e->children()) {
-        if (c->ContainsAggregate()) return true;
-      }
-      return false;
-    }
-    case ExprKind::kArithmetic: {
-      auto* e = static_cast<const ArithmeticExpr*>(this);
-      return e->left()->ContainsAggregate() || e->right()->ContainsAggregate();
-    }
-    case ExprKind::kIsNull: {
-      auto* e = static_cast<const IsNullExpr*>(this);
-      return e->child()->ContainsAggregate();
-    }
-    case ExprKind::kCase: {
-      auto* e = static_cast<const CaseExpr*>(this);
-      for (size_t i = 0; i < e->num_arms(); ++i) {
-        if (e->when_at(i)->ContainsAggregate() || e->then_at(i)->ContainsAggregate()) return true;
-      }
-      return e->else_expr() != nullptr && e->else_expr()->ContainsAggregate();
-    }
-    case ExprKind::kFunctionCall: {
-      auto* e = static_cast<const FunctionCallExpr*>(this);
-      for (const ExprPtr& a : e->args()) {
-        if (a->ContainsAggregate()) return true;
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
+  auto visit = [](const Expression* e) { return e->kind() != ExprKind::kAggregateCall; };
+  return !VisitPreOrder(const_cast<Expression*>(this), visit);
 }
 
 // ---------------------------------------------------------------- Literal --
@@ -180,8 +170,6 @@ Status LiteralExpr::Bind(const Schema&) {
 }
 ExprPtr LiteralExpr::Clone() const { return std::make_unique<LiteralExpr>(value_); }
 std::string LiteralExpr::ToString() const { return value_.ToString(); }
-void LiteralExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>*) const {}
-void LiteralExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>*) {}
 
 // -------------------------------------------------------------- ColumnRef --
 
@@ -215,13 +203,6 @@ ExprPtr ColumnRefExpr::Clone() const {
 
 std::string ColumnRefExpr::ToString() const {
   return table_.empty() ? name_ : table_ + "." + name_;
-}
-
-void ColumnRefExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  out->push_back(this);
-}
-void ColumnRefExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  out->push_back(this);
 }
 
 // ------------------------------------------------------------- Comparison --
@@ -269,15 +250,6 @@ ExprPtr ComparisonExpr::Clone() const {
 
 std::string ComparisonExpr::ToString() const {
   return "(" + left_->ToString() + " " + CompareOpToString(op_) + " " + right_->ToString() + ")";
-}
-
-void ComparisonExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  left_->CollectColumnRefs(out);
-  right_->CollectColumnRefs(out);
-}
-void ComparisonExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  left_->CollectColumnRefsMutable(out);
-  right_->CollectColumnRefsMutable(out);
 }
 
 // ---------------------------------------------------------------- Logical --
@@ -333,13 +305,6 @@ std::string LogicalExpr::ToString() const {
     out += children_[i]->ToString();
   }
   return out + ")";
-}
-
-void LogicalExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  for (const ExprPtr& c : children_) c->CollectColumnRefs(out);
-}
-void LogicalExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  for (ExprPtr& c : children_) c->CollectColumnRefsMutable(out);
 }
 
 // ------------------------------------------------------------- Arithmetic --
@@ -407,15 +372,6 @@ std::string ArithmeticExpr::ToString() const {
   return "(" + left_->ToString() + " " + ArithOpToString(op_) + " " + right_->ToString() + ")";
 }
 
-void ArithmeticExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  left_->CollectColumnRefs(out);
-  right_->CollectColumnRefs(out);
-}
-void ArithmeticExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  left_->CollectColumnRefsMutable(out);
-  right_->CollectColumnRefsMutable(out);
-}
-
 // ----------------------------------------------------------------- IsNull --
 
 Result<Value> IsNullExpr::Eval(const Tuple& tuple) const {
@@ -438,13 +394,6 @@ ExprPtr IsNullExpr::Clone() const {
 
 std::string IsNullExpr::ToString() const {
   return "(" + child_->ToString() + (negated_ ? " IS NOT NULL)" : " IS NULL)");
-}
-
-void IsNullExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  child_->CollectColumnRefs(out);
-}
-void IsNullExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  child_->CollectColumnRefsMutable(out);
 }
 
 // ---------------------------------------------------------- AggregateCall --
@@ -484,13 +433,6 @@ ExprPtr AggregateCallExpr::Clone() const {
 std::string AggregateCallExpr::ToString() const {
   if (func_ == AggFunc::kCountStar) return "count(*)";
   return std::string(AggFuncToString(func_)) + "(" + (arg_ ? arg_->ToString() : "*") + ")";
-}
-
-void AggregateCallExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  if (arg_) arg_->CollectColumnRefs(out);
-}
-void AggregateCallExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  if (arg_) arg_->CollectColumnRefsMutable(out);
 }
 
 // ------------------------------------------------------------------- Case --
@@ -577,21 +519,6 @@ std::string CaseExpr::ToString() const {
   }
   if (else_ != nullptr) out += " ELSE " + else_->ToString();
   return out + " END";
-}
-
-void CaseExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  for (size_t i = 0; i < whens_.size(); ++i) {
-    whens_[i]->CollectColumnRefs(out);
-    thens_[i]->CollectColumnRefs(out);
-  }
-  if (else_ != nullptr) else_->CollectColumnRefs(out);
-}
-void CaseExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  for (size_t i = 0; i < whens_.size(); ++i) {
-    whens_[i]->CollectColumnRefsMutable(out);
-    thens_[i]->CollectColumnRefsMutable(out);
-  }
-  if (else_ != nullptr) else_->CollectColumnRefsMutable(out);
 }
 
 // ----------------------------------------------------------- FunctionCall --
@@ -740,13 +667,6 @@ std::string FunctionCallExpr::ToString() const {
   return out + ")";
 }
 
-void FunctionCallExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  for (const ExprPtr& a : args_) a->CollectColumnRefs(out);
-}
-void FunctionCallExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
-  for (ExprPtr& a : args_) a->CollectColumnRefsMutable(out);
-}
-
 // ---------------------------------------------------------- ParameterExpr --
 
 Result<Value> ParameterExpr::Eval(const Tuple& tuple) const {
@@ -764,11 +684,6 @@ Status ParameterExpr::Bind(const Schema& schema) {
 ExprPtr ParameterExpr::Clone() const { return std::make_unique<ParameterExpr>(ordinal_); }
 
 std::string ParameterExpr::ToString() const { return "?"; }
-
-void ParameterExpr::CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const {
-  (void)out;
-}
-void ParameterExpr::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) { (void)out; }
 
 void CollectParameterSlots(ExprPtr* root, std::vector<ExprPtr*>* out) {
   if (*root == nullptr) return;

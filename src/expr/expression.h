@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -74,17 +73,15 @@ class Expression {
   /// Result type; valid after a successful Bind.
   TypeId result_type() const { return result_type_; }
 
-  /// Appends every column reference in the tree (pre-order).
-  virtual void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const = 0;
-  virtual void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) = 0;
-
-  /// Appends the owning slots of this node's direct children. Tree rewrites
-  /// that replace whole nodes (prepared-statement parameter substitution)
-  /// walk these slots; the default is a leaf with no children.
+  /// Appends the owning slots of this node's direct children in source
+  /// order (a CASE lists each WHEN before its THEN). Every tree walk below,
+  /// and rewrites that replace whole nodes (prepared-statement parameter
+  /// substitution), go through these slots; the default is a leaf.
   virtual void ChildSlots(std::vector<std::unique_ptr<Expression>*>* out) { (void)out; }
 
-  /// Qualifiers (table names/aliases) referenced by this expression.
-  std::set<std::string> ReferencedTables() const;
+  /// Appends every column reference in the tree (pre-order).
+  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const;
+  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out);
 
   /// True if the tree contains an aggregate call.
   bool ContainsAggregate() const;
@@ -109,8 +106,6 @@ class LiteralExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
 
  private:
   Value value_;
@@ -134,8 +129,6 @@ class ColumnRefExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
 
  private:
   std::string table_;
@@ -164,8 +157,6 @@ class ComparisonExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
     out->push_back(&left_);
     out->push_back(&right_);
@@ -194,8 +185,6 @@ class LogicalExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
     for (ExprPtr& child : children_) out->push_back(&child);
   }
@@ -265,8 +254,6 @@ class ArithmeticExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
     out->push_back(&left_);
     out->push_back(&right_);
@@ -293,8 +280,6 @@ class IsNullExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override { out->push_back(&child_); }
 
  private:
@@ -318,8 +303,6 @@ class AggregateCallExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
     if (arg_ != nullptr) out->push_back(&arg_);
   }
@@ -345,8 +328,6 @@ class ParameterExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
 
  private:
   size_t ordinal_;
@@ -374,11 +355,11 @@ class CaseExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
-    for (ExprPtr& w : whens_) out->push_back(&w);
-    for (ExprPtr& t : thens_) out->push_back(&t);
+    for (size_t i = 0; i < whens_.size(); ++i) {
+      out->push_back(&whens_[i]);
+      out->push_back(&thens_[i]);
+    }
     if (else_ != nullptr) out->push_back(&else_);
   }
 
@@ -404,8 +385,6 @@ class FunctionCallExpr : public Expression {
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
-  void CollectColumnRefs(std::vector<const ColumnRefExpr*>* out) const override;
-  void CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) override;
   void ChildSlots(std::vector<ExprPtr*>* out) override {
     for (ExprPtr& a : args_) out->push_back(&a);
   }

@@ -1084,11 +1084,12 @@ Status BatchProjector::Project(const TupleBatch& in, TupleBatch* out,
   return Status::OK();
 }
 
-// ----------------------------------------------------------- SortKeyEncoder --
+// --------------------------------------------------------------- KeyEncoder --
 
-SortKeyEncoder::SortKeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc)
+KeyEncoder::KeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc)
     : exprs_(std::move(exprs)), desc_(std::move(desc)) {
   size_t n = exprs_.size();
+  desc_.resize(n);  // empty: all ascending
   exact_int_.resize(n);
   direct_col_.resize(n, -1);
   compiled_.resize(n);
@@ -1100,8 +1101,9 @@ SortKeyEncoder::SortKeyEncoder(std::vector<const Expression*> exprs, std::vector
   }
 }
 
-Status SortKeyEncoder::EncodeBatch(const TupleBatch& batch, std::vector<std::string>* keys,
-                                   uint64_t* fallback_rows) {
+Status KeyEncoder::Encode(const TupleBatch& batch, std::vector<std::string>* keys,
+                          uint64_t* fallback_rows) {
+  last_batch_ = &batch;
   size_t n = batch.NumSelected();
   if (keys->size() < n) keys->resize(n);
   for (size_t i = 0; i < exprs_.size(); ++i) {
@@ -1140,6 +1142,12 @@ Status SortKeyEncoder::EncodeBatch(const TupleBatch& batch, std::vector<std::str
   return Status::OK();
 }
 
+Value KeyEncoder::KeyValue(size_t i, size_t k) const {
+  int dc = direct_col_[i];
+  if (dc >= 0) return last_batch_->SelectedRow(k).At(static_cast<size_t>(dc));
+  return vecs_[i].GetValue(k);
+}
+
 // ---------------------------------------------------------- ComputeJoinKeys --
 
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
@@ -1163,67 +1171,6 @@ Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_c
     }
   }
   return Status::OK();
-}
-
-// --------------------------------------------------------- GroupKeyComputer --
-
-GroupKeyComputer::GroupKeyComputer(const std::vector<const Expression*>* exprs)
-    : exprs_(exprs) {
-  size_t n = exprs->size();
-  exact_int_.resize(n);
-  direct_col_.resize(n, -1);
-  compiled_.resize(n);
-  vecs_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    exact_int_[i] = (*exprs)[i]->result_type() == TypeId::kInt64;
-    direct_col_[i] = DirectColumnOf((*exprs)[i]);
-    if (direct_col_[i] < 0) compiled_[i] = CompileExpr((*exprs)[i]);
-  }
-}
-
-Status GroupKeyComputer::Compute(const TupleBatch& batch, std::vector<std::string>* keys,
-                                 uint64_t* fallback_rows) {
-  last_batch_ = &batch;
-  size_t n = batch.NumSelected();
-  if (keys->size() < n) keys->resize(n);
-  for (size_t i = 0; i < exprs_->size(); ++i) {
-    if (direct_col_[i] < 0) {
-      RELOPT_RETURN_NOT_OK(
-          compiled_[i]->Eval(batch, batch.selection(), fallback_rows, &vecs_[i]));
-    }
-  }
-  Value storage;
-  for (size_t k = 0; k < n; ++k) {
-    const Tuple& row = batch.SelectedRow(k);
-    std::string& key = (*keys)[k];
-    key.clear();
-    for (size_t i = 0; i < exprs_->size(); ++i) {
-      int dc = direct_col_[i];
-      if (dc >= 0) {
-        if (static_cast<size_t>(dc) < row.NumValues()) {
-          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
-        } else {
-          RELOPT_ASSIGN_OR_RETURN(Value v, (*exprs_)[i]->Eval(row));
-          EncodeKeyValue(v, &key, exact_int_[i]);
-        }
-      } else {
-        const ColumnVec& vec = vecs_[i];
-        if (vec.boxed && !vec.NullAt(k)) {
-          EncodeKeyValue(vec.BoxedAt(k), &key, exact_int_[i]);
-        } else {
-          storage = vec.GetValue(k);
-          EncodeKeyValue(storage, &key, exact_int_[i]);
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Value GroupKeyComputer::KeyValue(size_t i, size_t k) const {
-  int dc = direct_col_[i];
-  if (dc >= 0) return last_batch_->SelectedRow(k).At(static_cast<size_t>(dc));
-  return vecs_[i].GetValue(k);
 }
 
 }  // namespace relopt

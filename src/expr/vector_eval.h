@@ -164,28 +164,36 @@ class BatchProjector {
   std::vector<ColumnVec> vecs_;
 };
 
-/// \brief Compiled sort-key encoder of external sort: per key, the
-/// order-preserving encoding (types/key_codec.h) of the key expression's
-/// value, with descending keys byte-inverted. An INT-typed key encodes its
-/// INTs exactly.
-class SortKeyEncoder {
+/// \brief Compiled key encoder behind external sort, hash aggregation and
+/// DISTINCT: encodes the composite key of every selected row, per
+/// expression the order-preserving encoding (types/key_codec.h) of its value
+/// (an INT-typed expression's INTs exactly), byte-inverted for a descending
+/// sort key. Retains the evaluated key columns, so a group-table miss can
+/// materialize the group's key Values without re-evaluating the expressions.
+class KeyEncoder {
  public:
-  SortKeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc);
+  /// `exprs` must be bound and outlive this object. `desc` is empty (all
+  /// ascending) or holds one flag per expression.
+  explicit KeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> desc = {});
 
-  /// Encodes the full sort key of every selected row of `batch` into
-  /// `keys[0..NumSelected())` (resized; strings reused across calls).
-  Status EncodeBatch(const TupleBatch& batch, std::vector<std::string>* keys,
-                     uint64_t* fallback_rows);
+  /// Encodes keys for all selected rows of `batch` into
+  /// `keys[0..NumSelected())` (resized; strings reused across calls). Zero
+  /// expressions yield empty keys.
+  Status Encode(const TupleBatch& batch, std::vector<std::string>* keys,
+                uint64_t* fallback_rows);
+
+  /// Value of expression `i` for selected row `k` of the last Encode batch
+  /// (which must still be alive).
+  Value KeyValue(size_t i, size_t k) const;
 
  private:
-  void AppendPart(const Value& v, bool desc, std::string* key) const;
-
   std::vector<const Expression*> exprs_;
-  std::vector<bool> desc_;
-  std::vector<bool> exact_int_;  ///< per key: INT-typed
+  std::vector<bool> desc_;       ///< per expression: byte-inverted
+  std::vector<bool> exact_int_;  ///< per expression: INT-typed
   std::vector<int> direct_col_;
   std::vector<CompiledExprPtr> compiled_;
   std::vector<ColumnVec> vecs_;
+  const TupleBatch* last_batch_ = nullptr;
 };
 
 /// \brief Batch join-key encoding: computes the composite encoded key of
@@ -197,33 +205,5 @@ class SortKeyEncoder {
 Status ComputeJoinKeys(const TupleBatch& batch, const std::vector<size_t>& key_cols,
                        const std::vector<bool>& exact_int,
                        std::vector<std::optional<std::string>>* keys);
-
-/// \brief Compiled group-key kernel behind hash aggregation and DISTINCT:
-/// encodes the composite group key of every selected row (an INT-typed
-/// group expression's INTs exactly), and retains the evaluated key columns
-/// so a group-table miss can materialize the group's key Values without
-/// re-evaluating the expressions.
-class GroupKeyComputer {
- public:
-  /// `exprs` must be bound and outlive this object.
-  explicit GroupKeyComputer(const std::vector<const Expression*>* exprs);
-
-  /// Encodes keys for all selected rows of `batch` into
-  /// `keys[0..NumSelected())`. Zero group expressions yield empty keys.
-  Status Compute(const TupleBatch& batch, std::vector<std::string>* keys,
-                 uint64_t* fallback_rows);
-
-  /// Value of group expression `i` for selected row `k` of the last Compute
-  /// batch (which must still be alive).
-  Value KeyValue(size_t i, size_t k) const;
-
- private:
-  const std::vector<const Expression*>* exprs_;
-  std::vector<bool> exact_int_;  ///< per group expression: INT-typed
-  std::vector<int> direct_col_;
-  std::vector<CompiledExprPtr> compiled_;
-  std::vector<ColumnVec> vecs_;
-  const TupleBatch* last_batch_ = nullptr;
-};
 
 }  // namespace relopt

@@ -58,15 +58,11 @@ Result<PhysicalPtr> Optimizer::Optimize(LogicalPtr plan, OptimizeInfo* info) {
 
   if (options_.naive) {
     RELOPT_ASSIGN_OR_RETURN(PhysicalPtr phys, TranslateNaive(std::move(plan)));
-    info->est_rows = phys->est_rows();
-    info->est_cost = phys->est_cost();
     record();
     return phys;
   }
 
   RELOPT_ASSIGN_OR_RETURN(Translated t, Translate(std::move(plan), OrderSpec{}, info));
-  info->est_rows = t.plan->est_rows();
-  info->est_cost = t.plan->est_cost();
   record();
   return std::move(t.plan);
 }
@@ -221,7 +217,6 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), want, info));
       if (!want.empty() && OrderSatisfies(child.order, want)) {
         // Interesting order delivered: no Sort node needed.
-        info->order_from_plan = true;
         return child;
       }
       std::vector<PhysSort::Key> phys_keys;

@@ -35,9 +35,6 @@ struct OptimizerOptions {
 /// What the optimizer did (for EXPLAIN and the enumeration benchmarks).
 struct OptimizeInfo {
   JoinEnumStats enum_stats;
-  double est_rows = 0;
-  Cost est_cost;
-  bool order_from_plan = false;  ///< ORDER BY satisfied without a Sort node
   /// Optional decision log (not owned); when set, enumeration records every
   /// candidate considered and why losers were discarded.
   PlanTrace* trace = nullptr;

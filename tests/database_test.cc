@@ -93,7 +93,7 @@ TEST(DatabaseTest, MetricsCaptureIoAndRows) {
   db.ResetCounters();
   Sql(&db, "SELECT count(*) FROM emp");
   const ExecutionMetrics& m = db.last_metrics();
-  EXPECT_EQ(m.actual_rows, 1u);
+  EXPECT_EQ(db.last_profile().root.stats.rows_produced, 1u);
   EXPECT_GT(m.tuples_processed, 500u);  // scan + aggregate
   EXPECT_GT(m.pool.hits + m.pool.misses, 0u);
 }

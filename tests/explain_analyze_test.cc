@@ -89,8 +89,8 @@ TEST(ExplainAnalyzeTest, PerNodeIoSumsToQueryMetrics) {
   ASSERT_TRUE(profile.valid);
   EXPECT_GT(m.io.page_reads, 0u);
   // I/O attribution is exclusive per operator, so it must sum exactly.
-  EXPECT_EQ(profile.TotalPageReads(), m.io.page_reads);
-  EXPECT_EQ(profile.TotalPageWrites(), m.io.page_writes);
+  EXPECT_EQ(profile.Total().page_reads, m.io.page_reads);
+  EXPECT_EQ(profile.Total().page_writes, m.io.page_writes);
 }
 
 TEST(ExplainAnalyzeTest, QErrorReflectsStaleStatistics) {
@@ -167,8 +167,7 @@ TEST(ExplainAnalyzeTest, DmlStatementsReportTheirOwnDeltas) {
   // A later SELECT's metrics must not include the insert's pool traffic
   // compounded — each statement resets the deltas.
   Sql(&db, "SELECT a FROM t");
-  const ExecutionMetrics& after_select = db.last_metrics();
-  EXPECT_EQ(after_select.actual_rows, 3u);
+  EXPECT_EQ(db.last_profile().root.stats.rows_produced, 3u);
 }
 
 }  // namespace

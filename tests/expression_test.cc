@@ -149,12 +149,31 @@ TEST(ExpressionTest, CloneIsDeepAndKeepsBinding) {
   EXPECT_EQ(clone->ToString(), e->ToString());
 }
 
-TEST(ExpressionTest, ReferencedTables) {
+// Column references come out in source order: pre-order, and a CASE's WHEN
+// before its THEN (QueryGraph reports the first bad reference).
+TEST(ExpressionTest, CollectColumnRefsInSourceOrder) {
+  std::vector<ExprPtr> whens, thens;
+  whens.push_back(
+      MakeComparison(CompareOp::kGt, MakeColumnRef("t", "a"), MakeColumnRef("u", "b")));
+  whens.push_back(
+      MakeComparison(CompareOp::kLt, MakeColumnRef("t", "c"), MakeLiteral(Value::Int(0))));
+  thens.push_back(MakeColumnRef("u", "d"));
+  thens.push_back(MakeColumnRef("t", "e"));
   ExprPtr e = MakeAnd(
-      MakeComparison(CompareOp::kEq, MakeColumnRef("t", "a"), MakeColumnRef("u", "d")),
-      MakeComparison(CompareOp::kGt, MakeColumnRef("t", "c"), MakeLiteral(Value::Double(1))));
-  std::set<std::string> tables = e->ReferencedTables();
-  EXPECT_EQ(tables, (std::set<std::string>{"t", "u"}));
+      MakeComparison(CompareOp::kEq,
+                     std::make_unique<CaseExpr>(std::move(whens), std::move(thens),
+                                                MakeColumnRef("u", "f")),
+                     MakeColumnRef("t", "g")),
+      MakeNot(std::make_unique<IsNullExpr>(MakeColumnRef("u", "h"), false)));
+  std::vector<const ColumnRefExpr*> refs;
+  e->CollectColumnRefs(&refs);
+  std::string order;
+  for (const ColumnRefExpr* ref : refs) order += ref->name();
+  EXPECT_EQ(order, "abdcefgh");
+  std::vector<ColumnRefExpr*> mutable_refs;
+  e->CollectColumnRefsMutable(&mutable_refs);
+  ASSERT_EQ(mutable_refs.size(), refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) EXPECT_EQ(mutable_refs[i], refs[i]);
 }
 
 TEST(ExpressionTest, ContainsAggregate) {
@@ -162,6 +181,14 @@ TEST(ExpressionTest, ContainsAggregate) {
   ExprPtr wrapped = MakeComparison(CompareOp::kGt, std::move(agg), MakeLiteral(Value::Int(0)));
   EXPECT_TRUE(wrapped->ContainsAggregate());
   EXPECT_FALSE(MakeColumnRef("t", "a")->ContainsAggregate());
+  // Below a CASE arm's THEN, inside a function argument.
+  std::vector<ExprPtr> whens, thens, args;
+  args.push_back(std::make_unique<AggregateCallExpr>(AggFunc::kMax, MakeColumnRef("t", "b")));
+  whens.push_back(
+      MakeComparison(CompareOp::kGt, MakeColumnRef("t", "a"), MakeLiteral(Value::Int(0))));
+  thens.push_back(std::make_unique<FunctionCallExpr>(ScalarFunc::kAbs, std::move(args)));
+  ExprPtr in_case = std::make_unique<CaseExpr>(std::move(whens), std::move(thens), nullptr);
+  EXPECT_TRUE(in_case->ContainsAggregate());
 }
 
 TEST(ExpressionTest, AggregateDirectEvalIsError) {

@@ -81,8 +81,8 @@ TEST_P(FeedbackDifferentialTest, PageIoAccountingStaysExact) {
     EXPECT_EQ(reads_delta, m.io.page_reads) << mode;
     EXPECT_EQ(writes_delta, m.io.page_writes) << mode;
     ASSERT_TRUE(feedback_.last_profile().valid) << mode;
-    EXPECT_EQ(feedback_.last_profile().TotalPageReads(), m.io.page_reads) << mode;
-    EXPECT_EQ(feedback_.last_profile().TotalPageWrites(), m.io.page_writes) << mode;
+    EXPECT_EQ(feedback_.last_profile().Total().page_reads, m.io.page_reads) << mode;
+    EXPECT_EQ(feedback_.last_profile().Total().page_writes, m.io.page_writes) << mode;
   }
 }
 

@@ -166,7 +166,7 @@ TEST_F(FeedbackEngineTest, SecondRunUsesObservedCardinality) {
   ASSERT_GT(truth, 0);
   tu::Sql(&db_, q);
   // After the second optimization the plan's estimate IS the observation.
-  EXPECT_NEAR(db_.last_metrics().est_rows, truth, std::max(1.0, truth * 0.01));
+  EXPECT_NEAR(db_.last_profile().root.est_rows, truth, std::max(1.0, truth * 0.01));
 }
 
 TEST_F(FeedbackEngineTest, PlanCacheReoptimizesAfterFeedbackUpdate) {

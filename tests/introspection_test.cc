@@ -173,8 +173,8 @@ TEST_P(IntrospectionMatrixTest, RegistryMatchesProfileAttribution) {
       EXPECT_EQ(reads_delta, m.io.page_reads) << mode;
       EXPECT_EQ(writes_delta, m.io.page_writes) << mode;
       ASSERT_TRUE(db.last_profile().valid) << mode;
-      EXPECT_EQ(db.last_profile().TotalPageReads(), m.io.page_reads) << mode;
-      EXPECT_EQ(db.last_profile().TotalPageWrites(), m.io.page_writes) << mode;
+      EXPECT_EQ(db.last_profile().Total().page_reads, m.io.page_reads) << mode;
+      EXPECT_EQ(db.last_profile().Total().page_writes, m.io.page_writes) << mode;
       total_reads += reads_delta;
     }
   }

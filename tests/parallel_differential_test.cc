@@ -162,8 +162,8 @@ TEST_F(ParallelDifferentialTest, ExplainAnalyzeIoExactUnderParallelism) {
   EXPECT_GT(m.io.page_reads, 0u);
   // Attribution is thread-local and exclusive, so per-operator I/O must sum
   // exactly to the query totals at any parallelism.
-  EXPECT_EQ(profile.TotalPageReads(), m.io.page_reads);
-  EXPECT_EQ(profile.TotalPageWrites(), m.io.page_writes);
+  EXPECT_EQ(profile.Total().page_reads, m.io.page_reads);
+  EXPECT_EQ(profile.Total().page_writes, m.io.page_writes);
 }
 
 // The full execution-mode matrix over the aggregate corpus: parallelism
@@ -236,8 +236,8 @@ TEST_F(ParallelDifferentialTest, AggregateMatrixExactAcrossModes) {
         // Same pages are touched no matter how the plan is driven or sliced,
         // and thread-local attribution sums exactly to the query totals.
         EXPECT_EQ(m.io.page_reads, ref_reads) << mode;
-        EXPECT_EQ(profile.TotalPageReads(), m.io.page_reads) << mode;
-        EXPECT_EQ(profile.TotalPageWrites(), m.io.page_writes) << mode;
+        EXPECT_EQ(profile.Total().page_reads, m.io.page_reads) << mode;
+        EXPECT_EQ(profile.Total().page_writes, m.io.page_writes) << mode;
         const OperatorProfile* agg = FindOp(profile.root, "Aggregate");
         ASSERT_NE(agg, nullptr) << mode;
         // Partitions are disjoint, so across all workers each group is

@@ -81,9 +81,9 @@ TEST(PreparedStatementTest, RebindsDifferentTypes) {
   ASSERT_FALSE(mismatch.ok());
   EXPECT_FALSE(session->last_metrics().executed_plan)
       << "type mismatch must fail at bind time, not during execution";
-  QueryRecord last = db.history()->Snapshot().back();
-  EXPECT_NE(last.status, "OK");
-  EXPECT_EQ(last.exec_micros, 0u) << "no executor may have been driven";
+  std::shared_ptr<const QueryRecord> last = db.history()->Snapshot().back();
+  EXPECT_NE(last->status, "OK");
+  EXPECT_EQ(last->metrics.exec_nanos, 0u) << "no executor may have been driven";
 
   // The statement is not poisoned: the next well-typed execution succeeds.
   Result<QueryResult> again = stmt->Execute({Value::String("e9")});
@@ -193,8 +193,8 @@ TEST(PreparedStatementTest, InterleavedAcrossSessions) {
     EXPECT_EQ(in_dept, 50);  // 1000 rows over 20 departments
     EXPECT_GT(above, 0);
     // s1's metrics were not clobbered by s2's execution.
-    EXPECT_EQ(s1->last_metrics().actual_rows, 1u);
-    EXPECT_EQ(s2->last_metrics().actual_rows, 1u);
+    EXPECT_EQ(s1->last_profile().root.stats.rows_produced, 1u);
+    EXPECT_EQ(s2->last_profile().root.stats.rows_produced, 1u);
   }
   // A session can also prepare mid-stream without disturbing the other's
   // statements.

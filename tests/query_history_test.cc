@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,12 +39,12 @@ TEST(NormalizeSqlTest, KeepsDigitsInsideIdentifiers) {
             "select a1 from emp2 where a1 = ?");
 }
 
-QueryRecord MakeRecord(const std::string& sql, uint64_t wall_us = 0) {
-  QueryRecord r;
-  r.verb = "select";
-  r.status = "OK";
-  r.sql = sql;
-  r.wall_micros = wall_us;
+std::shared_ptr<QueryRecord> MakeRecord(const std::string& sql, uint64_t wall_us = 0) {
+  auto r = std::make_shared<QueryRecord>();
+  r->verb = "select";
+  r->status = "OK";
+  r->sql = sql;
+  r->wall_micros = wall_us;
   return r;
 }
 
@@ -60,14 +61,14 @@ TEST(QueryHistoryStoreTest, RingWrapsKeepingNewestOldestFirst) {
   for (int i = 1; i <= 5; ++i) store.Append(MakeRecord("q" + std::to_string(i)));
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.total_appended(), 5u);
-  std::vector<QueryRecord> snap = store.Snapshot();
+  std::vector<std::shared_ptr<const QueryRecord>> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 3u);
   // Oldest-first: records 3, 4, 5 survive.
-  EXPECT_EQ(snap[0].sql, "q3");
-  EXPECT_EQ(snap[1].sql, "q4");
-  EXPECT_EQ(snap[2].sql, "q5");
-  EXPECT_EQ(snap[0].id, 3u);
-  EXPECT_EQ(snap[2].id, 5u);
+  EXPECT_EQ(snap[0]->sql, "q3");
+  EXPECT_EQ(snap[1]->sql, "q4");
+  EXPECT_EQ(snap[2]->sql, "q5");
+  EXPECT_EQ(snap[0]->id, 3u);
+  EXPECT_EQ(snap[2]->id, 5u);
 }
 
 TEST(QueryHistoryStoreTest, ClearKeepsIdsIncreasing) {
@@ -96,9 +97,9 @@ TEST_P(QueryHistoryConcurrencyTest, ConcurrentAppendsKeepInvariants) {
   EXPECT_EQ(store.total_appended(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(store.size(), 64u);
   // Ids in a snapshot are unique and strictly increasing oldest-first.
-  std::vector<QueryRecord> snap = store.Snapshot();
+  std::vector<std::shared_ptr<const QueryRecord>> snap = store.Snapshot();
   for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].id, snap[i].id);
+    EXPECT_LT(snap[i - 1]->id, snap[i]->id);
   }
 }
 
@@ -121,10 +122,10 @@ TEST(QueryHistoryStoreTest, SlowQueryEmitsOneLineJson) {
 }
 
 TEST(QueryHistoryStoreTest, ToJsonEscapesStrings) {
-  QueryRecord r = MakeRecord("select \"x\"");
-  r.error = "bad\nthing";
-  r.status = "Internal";
-  std::string json = r.ToJson();
+  std::shared_ptr<QueryRecord> r = MakeRecord("select \"x\"");
+  r->error = "bad\nthing";
+  r->status = "Internal";
+  std::string json = r->ToJson();
   EXPECT_NE(json.find("\\\"x\\\""), std::string::npos) << json;
   EXPECT_NE(json.find("bad\\nthing"), std::string::npos) << json;
 }
@@ -137,22 +138,25 @@ TEST(DatabaseHistoryTest, RecordsEveryStatementWithTimingAndCounters) {
   size_t before = db.history()->size();
   Sql(&db, "SELECT count(*) FROM emp WHERE salary > 2000");
 
-  std::vector<QueryRecord> snap = db.history()->Snapshot();
+  std::vector<std::shared_ptr<const QueryRecord>> snap = db.history()->Snapshot();
   ASSERT_GT(snap.size(), before);
-  const QueryRecord& rec = snap.back();
+  const QueryRecord& rec = *snap.back();
   EXPECT_EQ(rec.verb, "select");
   EXPECT_EQ(rec.status, "OK");
   EXPECT_EQ(rec.sql, "select count(*) from emp where salary > ?");
   EXPECT_EQ(rec.rows_returned, 1u);
   EXPECT_GT(rec.wall_micros, 0u);
-  EXPECT_GT(rec.tuples_processed, 0u);
-  EXPECT_FALSE(rec.operators.empty());
-  // The retained per-operator records carry the est-vs-actual substrate.
+  EXPECT_GT(rec.metrics.tuples_processed, 0u);
+  ASSERT_TRUE(rec.profile.valid);
+  // The session and the history read one record, not copies.
+  EXPECT_EQ(&db.last_metrics(), &rec.metrics);
+  EXPECT_EQ(&db.last_profile(), &rec.profile);
+  // The retained profile carries the est-vs-actual substrate.
   bool has_scan = false;
-  for (const OperatorRecord& op : rec.operators) {
-    EXPECT_GE(op.q_error, 1.0);
+  ForEachOperator(rec.profile.root, [&](const OperatorProfile& op) {
+    EXPECT_GE(op.q_error(), 1.0);
     if (op.op == "SeqScan" || op.op == "IndexScan") has_scan = true;
-  }
+  });
   EXPECT_TRUE(has_scan);
 }
 
@@ -166,9 +170,9 @@ TEST(DatabaseHistoryTest, RecordsFailingStatementsExactlyOnce) {
   EXPECT_FALSE(r.ok());
 
   EXPECT_EQ(db.history()->total_appended(), appended_before + 1);
-  std::vector<QueryRecord> snap = db.history()->Snapshot();
+  std::vector<std::shared_ptr<const QueryRecord>> snap = db.history()->Snapshot();
   ASSERT_FALSE(snap.empty());
-  const QueryRecord& rec = snap.back();
+  const QueryRecord& rec = *snap.back();
   EXPECT_EQ(rec.verb, "update");
   EXPECT_NE(rec.status, "OK");
   EXPECT_FALSE(rec.error.empty());
@@ -179,7 +183,7 @@ TEST(DatabaseHistoryTest, RecordsFailingStatementsExactlyOnce) {
 
   // And the next statement's metrics are its own (no carry-over).
   Sql(&db, "SELECT count(*) FROM dept");
-  EXPECT_EQ(db.history()->Snapshot().back().status, "OK");
+  EXPECT_EQ(db.history()->Snapshot().back()->status, "OK");
 }
 
 // The executor path: a plan that fails mid-drive still captures counters for
@@ -205,12 +209,57 @@ TEST(DatabaseHistoryTest, DdlAndDmlStatementsAreRecorded) {
   Database db;
   Sql(&db, "CREATE TABLE t (a INT)");
   Sql(&db, "INSERT INTO t VALUES (1), (2)");
-  std::vector<QueryRecord> snap = db.history()->Snapshot();
+  std::vector<std::shared_ptr<const QueryRecord>> snap = db.history()->Snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].verb, "create_table");
-  EXPECT_EQ(snap[1].verb, "insert");
-  EXPECT_EQ(snap[1].sql, "insert into t values (?), (?)");
-  EXPECT_TRUE(snap[1].operators.empty());
+  EXPECT_EQ(snap[0]->verb, "create_table");
+  EXPECT_EQ(snap[1]->verb, "insert");
+  EXPECT_EQ(snap[1]->sql, "insert into t values (?), (?)");
+  EXPECT_FALSE(snap[1]->profile.valid);
+
+  // A statement that runs no plan leaves an empty profile behind, not the
+  // previous SELECT's.
+  Sql(&db, "SELECT a FROM t");
+  ASSERT_TRUE(db.last_profile().valid);
+  Sql(&db, "INSERT INTO t VALUES (3)");
+  EXPECT_FALSE(db.last_profile().valid);
+}
+
+// A SELECT that fails during execution keeps what planning recorded: the
+// plan-cache hit and the optimize time, in last_metrics() and the query log.
+TEST(DatabaseHistoryTest, FailedSelectKeepsCacheHitAndOptimizeTime) {
+  Database db;
+  Sql(&db, "CREATE TABLE t (a INT)");
+  Sql(&db, "INSERT INTO t VALUES (2), (3)");
+  const std::string overflow = "SELECT a * 9223372036854775807 FROM t";
+  ASSERT_FALSE(db.Execute(overflow).ok());  // planned and cached, then overflows
+  const uint64_t first_opt_nanos = db.last_metrics().opt_nanos;
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit);
+  EXPECT_GT(first_opt_nanos, 0u);
+  ASSERT_FALSE(db.Execute(overflow).ok());  // served from the plan cache
+  EXPECT_TRUE(db.last_metrics().plan_cache_hit);
+  EXPECT_EQ(db.last_metrics().opt_nanos, 0u);
+
+  QueryResult log = Sql(&db,
+                        "SELECT opt_us, plan_cache_hit FROM relopt_query_log() "
+                        "WHERE verb = 'select'");
+  ASSERT_EQ(log.rows.size(), 2u);
+  EXPECT_EQ(log.rows[0].At(0).AsInt(), static_cast<int64_t>(first_opt_nanos / 1000));
+  EXPECT_FALSE(log.rows[0].At(1).AsBool());
+  EXPECT_EQ(log.rows[1].At(0).AsInt(), 0);
+  EXPECT_TRUE(log.rows[1].At(1).AsBool());
+}
+
+// A plain EXPLAIN optimizes without executing; its optimize time reaches
+// last_metrics() as well as the query log.
+TEST(DatabaseHistoryTest, ExplainReportsItsOptimizeTime) {
+  Database db;
+  tu::LoadEmpDept(&db, 100, 5);
+  Sql(&db, "EXPLAIN SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept_id = d.id");
+  const uint64_t opt_nanos = db.last_metrics().opt_nanos;
+  EXPECT_GT(opt_nanos, 0u);
+  QueryResult log = Sql(&db, "SELECT opt_us FROM relopt_query_log() WHERE verb = 'explain'");
+  ASSERT_EQ(log.rows.size(), 1u);
+  EXPECT_EQ(log.rows[0].At(0).AsInt(), static_cast<int64_t>(opt_nanos / 1000));
 }
 
 }  // namespace

@@ -362,17 +362,17 @@ TEST(SessionHistoryTest, TwoSessionsAttributeRecordsIndependently) {
   t2.join();
 
   int s1_records = 0, s2_records = 0;
-  for (const QueryRecord& rec : db.history()->Snapshot()) {
-    if (rec.session_id == s1->id()) {
+  for (const std::shared_ptr<const QueryRecord>& rec : db.history()->Snapshot()) {
+    if (rec->session_id == s1->id()) {
       ++s1_records;
-      EXPECT_NE(rec.sql.find("emp"), std::string::npos) << rec.sql;
-      EXPECT_EQ(rec.rows_returned, 10u);
-      EXPECT_EQ(rec.tuples_processed, tuples1);
-    } else if (rec.session_id == s2->id()) {
+      EXPECT_NE(rec->sql.find("emp"), std::string::npos) << rec->sql;
+      EXPECT_EQ(rec->rows_returned, 10u);
+      EXPECT_EQ(rec->metrics.tuples_processed, tuples1);
+    } else if (rec->session_id == s2->id()) {
       ++s2_records;
-      EXPECT_NE(rec.sql.find("dept"), std::string::npos) << rec.sql;
-      EXPECT_EQ(rec.rows_returned, 5u);
-      EXPECT_EQ(rec.tuples_processed, tuples2);
+      EXPECT_NE(rec->sql.find("dept"), std::string::npos) << rec->sql;
+      EXPECT_EQ(rec->rows_returned, 5u);
+      EXPECT_EQ(rec->metrics.tuples_processed, tuples2);
     }
   }
   EXPECT_EQ(s1_records, kPerSession);

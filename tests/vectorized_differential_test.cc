@@ -137,7 +137,7 @@ TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
     uint64_t one_reads = db_.last_metrics().io.page_reads;
     uint64_t one_writes = db_.last_metrics().io.page_writes;
     ASSERT_TRUE(db_.last_profile().valid);
-    uint64_t one_profile_reads = db_.last_profile().TotalPageReads();
+    uint64_t one_profile_reads = db_.last_profile().Total().page_reads;
 
     for (size_t bs : kBatchSizes) {
       db_.set_batch_size(bs);
@@ -149,8 +149,8 @@ TEST_F(VectorizedDifferentialTest, PageIoIdenticalColdCache) {
       EXPECT_EQ(db_.last_metrics().io.page_writes, one_writes) << q << " @ batch_size " << bs;
       // Per-operator attribution still sums exactly to the query totals.
       ASSERT_TRUE(db_.last_profile().valid);
-      EXPECT_EQ(db_.last_profile().TotalPageReads(), db_.last_metrics().io.page_reads) << q;
-      EXPECT_EQ(db_.last_profile().TotalPageReads(), one_profile_reads) << q;
+      EXPECT_EQ(db_.last_profile().Total().page_reads, db_.last_metrics().io.page_reads) << q;
+      EXPECT_EQ(db_.last_profile().Total().page_reads, one_profile_reads) << q;
     }
   }
 }
