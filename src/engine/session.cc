@@ -4,6 +4,7 @@
 #include <shared_mutex>
 
 #include "expr/fold.h"
+#include "expr/vector_eval.h"
 #include "util/metrics.h"
 #include "util/str_util.h"
 #include "util/timer.h"
@@ -170,6 +171,34 @@ void CollectStatementParameterSlots(Statement* stmt, std::vector<ExprPtr*>* out)
     default:
       break;  // DDL/ANALYZE carry no expressions
   }
+}
+
+/// Scans `table`'s heap `batch_size` rows at a time and calls
+/// `visit(batch, rids)` on each batch, its selection compacted to the rows
+/// `pred` (bound to the table; null: every row) accepts. Batch row `r` is
+/// the row at `rids[r]`.
+template <typename Visit>
+Status ScanMatching(TableInfo* table, const Expression* pred, size_t batch_size, Visit visit) {
+  BatchPredicate filter(pred);
+  TupleBatch batch(batch_size);
+  std::vector<Rid> rids;
+  HeapFile::Iterator it(table->heap());
+  std::string bytes;
+  bool more = true;
+  while (more) {
+    batch.Clear();
+    rids.clear();
+    while (!batch.Full()) {
+      Rid rid;
+      RELOPT_ASSIGN_OR_RETURN(more, it.Next(&rid, &bytes));
+      if (!more) break;
+      RELOPT_RETURN_NOT_OK(batch.AppendRow()->FillFrom(bytes, table->schema().NumColumns()));
+      rids.push_back(rid);
+    }
+    RELOPT_RETURN_NOT_OK(filter.Filter(&batch));
+    RELOPT_RETURN_NOT_OK(visit(batch, rids));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -445,7 +474,7 @@ Status Session::RunInsert(InsertStmt* stmt) {
     }
     for (size_t i = 0; i < row.size(); ++i) {
       ExprPtr folded = FoldConstants(std::move(row[i]));
-      RELOPT_ASSIGN_OR_RETURN(Value v, folded->Eval(Tuple()));
+      RELOPT_ASSIGN_OR_RETURN(Value v, EvalConstant(folded.get()));
       RELOPT_ASSIGN_OR_RETURN(Value cast, v.CastTo(schema.ColumnAt(positions[i]).type));
       values[positions[i]] = std::move(cast);
     }
@@ -468,20 +497,12 @@ Status Session::RunDelete(DeleteStmt* stmt) {
   }
   // Collect matching RIDs first, then delete (no iterator invalidation).
   std::vector<Rid> to_delete;
-  HeapFile::Iterator it(table->heap());
-  Rid rid;
-  std::string bytes;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes, table->schema().NumColumns()));
-    bool matches = true;
-    if (pred) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, pred->Eval(tuple));
-      matches = !v.is_null() && v.AsBool();
-    }
-    if (matches) to_delete.push_back(rid);
-  }
+  RELOPT_RETURN_NOT_OK(ScanMatching(
+      table, pred.get(), options_.batch_size,
+      [&](const TupleBatch& batch, const std::vector<Rid>& rids) {
+        for (uint32_t r : batch.selection()) to_delete.push_back(rids[r]);
+        return Status::OK();
+      }));
   for (Rid r : to_delete) {
     RELOPT_RETURN_NOT_OK(catalog->DeleteTuple(table, r));
   }
@@ -491,16 +512,23 @@ Status Session::RunDelete(DeleteStmt* stmt) {
 Status Session::RunUpdate(UpdateStmt* stmt) {
   Catalog* catalog = db_->catalog_.get();
   RELOPT_ASSIGN_OR_RETURN(TableInfo * table, catalog->GetTable(stmt->table_name));
-  const Schema qualified = table->schema().WithQualifier(table->name());
+  const Schema& schema = table->schema();
+  const Schema qualified = schema.WithQualifier(table->name());
 
-  // Resolve assignment targets and bind value expressions (they may read the
-  // row's old values).
-  std::vector<std::pair<size_t, ExprPtr>> assignments;
+  // One bound expression per column computes the new image: the column
+  // itself, or its assigned value (which may read the row's old values).
+  std::vector<ExprPtr> image;
+  for (const Column& col : qualified.columns()) {
+    ExprPtr ref = MakeColumnRef(col.table, col.name);
+    RELOPT_RETURN_NOT_OK(ref->Bind(qualified));
+    image.push_back(std::move(ref));
+  }
+  std::vector<size_t> assigned;
   for (auto& [col_name, value_expr] : stmt->assignments) {
-    RELOPT_ASSIGN_OR_RETURN(size_t idx, table->schema().IndexOf(col_name));
-    ExprPtr expr = FoldConstants(std::move(value_expr));
-    RELOPT_RETURN_NOT_OK(expr->Bind(qualified));
-    assignments.emplace_back(idx, std::move(expr));
+    RELOPT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col_name));
+    image[idx] = FoldConstants(std::move(value_expr));
+    RELOPT_RETURN_NOT_OK(image[idx]->Bind(qualified));
+    assigned.push_back(idx);
   }
   ExprPtr pred;
   if (stmt->where) {
@@ -511,25 +539,22 @@ Status Session::RunUpdate(UpdateStmt* stmt) {
   // Collect the new images first (no iterator invalidation, and the scan
   // never sees its own updates).
   std::vector<std::pair<Rid, Tuple>> updates;
-  HeapFile::Iterator it(table->heap());
-  Rid rid;
-  std::string bytes;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes, table->schema().NumColumns()));
-    if (pred) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, pred->Eval(tuple));
-      if (v.is_null() || !v.AsBool()) continue;
-    }
-    Tuple updated = tuple;
-    for (const auto& [idx, expr] : assignments) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, expr->Eval(tuple));
-      RELOPT_ASSIGN_OR_RETURN(Value cast, v.CastTo(table->schema().ColumnAt(idx).type));
-      updated.MutableAt(idx) = std::move(cast);
-    }
-    updates.emplace_back(rid, std::move(updated));
-  }
+  BatchProjector projector(&image);
+  TupleBatch images(options_.batch_size);
+  RELOPT_RETURN_NOT_OK(ScanMatching(
+      table, pred.get(), options_.batch_size,
+      [&](const TupleBatch& batch, const std::vector<Rid>& rids) -> Status {
+        RELOPT_RETURN_NOT_OK(projector.Project(batch, &images));
+        for (size_t k = 0; k < batch.NumSelected(); ++k) {
+          Tuple* updated = images.MutableRowAt(k);
+          for (size_t idx : assigned) {
+            RELOPT_ASSIGN_OR_RETURN(updated->MutableAt(idx),
+                                    updated->At(idx).CastTo(schema.ColumnAt(idx).type));
+          }
+          updates.emplace_back(rids[batch.selection()[k]], std::move(*updated));
+        }
+        return Status::OK();
+      }));
   // Apply as delete + insert so every index stays consistent.
   for (auto& [old_rid, new_tuple] : updates) {
     RELOPT_RETURN_NOT_OK(catalog->DeleteTuple(table, old_rid));

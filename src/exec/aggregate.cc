@@ -64,12 +64,11 @@ Status GroupIngest::AccumulateColumn(size_t a, const ColumnVec& vec) {
   return Status::OK();
 }
 
-Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables,
-                                uint64_t* fallback_rows) {
+Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables) {
   const size_t n = batch.NumSelected();
   if (n == 0) return Status::OK();
   if (!group_exprs_->empty()) {
-    RELOPT_RETURN_NOT_OK(key_encoder_.Encode(batch, &keys_, fallback_rows));
+    RELOPT_RETURN_NOT_OK(key_encoder_.Encode(batch, &keys_));
   }
   ResolveGroups(n, tables);
   for (size_t a = 0; a < aggs_->size(); ++a) {
@@ -77,18 +76,17 @@ Status GroupIngest::IngestBatch(const TupleBatch& batch, std::span<GroupTable> t
       for (AggState* s : row_state_) ++s[a].count;
       continue;
     }
-    RELOPT_RETURN_NOT_OK(args_[a]->Eval(batch, batch.selection(), fallback_rows, &arg_vec_));
+    RELOPT_RETURN_NOT_OK(args_[a]->Eval(batch, batch.selection(), &arg_vec_));
     RELOPT_RETURN_NOT_OK(AccumulateColumn(a, arg_vec_));
   }
   return Status::OK();
 }
 
-Status GroupIngest::Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
-                          uint64_t* fallback_rows) {
+Status GroupIngest::Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables) {
   TupleBatch batch(batch_size);
   while (true) {
     RELOPT_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
-    RELOPT_RETURN_NOT_OK(IngestBatch(batch, tables, fallback_rows));
+    RELOPT_RETURN_NOT_OK(IngestBatch(batch, tables));
     if (!has) return Status::OK();
   }
 }
@@ -112,7 +110,7 @@ Status AggregateExecutor::Accumulate() {
     mine.emplace_back(group_exprs_.size(), aggs_);
   }
   RELOPT_RETURN_NOT_OK(child_->Init());
-  return ingest_.Drain(child_.get(), ctx_->batch_size(), mine, &stats_.fallback_rows);
+  return ingest_.Drain(child_.get(), ctx_->batch_size(), mine);
 }
 
 Status AggregateExecutor::Merge() {

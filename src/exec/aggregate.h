@@ -31,13 +31,11 @@ class GroupIngest {
               const std::vector<AggSpecExec>* aggs);
 
   /// Drains `child` (already initialized) into `tables`, `batch_size` rows
-  /// at a time. Kernel fallback rows are counted into `*fallback_rows`.
-  Status Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables,
-               uint64_t* fallback_rows);
+  /// at a time.
+  Status Drain(Executor* child, size_t batch_size, std::span<GroupTable> tables);
 
  private:
-  Status IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables,
-                     uint64_t* fallback_rows);
+  Status IngestBatch(const TupleBatch& batch, std::span<GroupTable> tables);
   /// Fills row_table_/row_state_ for the selected rows of the last keyed batch.
   void ResolveGroups(size_t n, std::span<GroupTable> tables);
   /// Folds evaluated argument column `vec` into aggregate `a` of every row.

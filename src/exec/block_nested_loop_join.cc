@@ -25,6 +25,10 @@ Result<bool> BlockNestedLoopJoinExecutor::LoadBlock() {
 }
 
 Result<bool> BlockNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  return NextFiltered(&predicate_, out, [&] { return NextCandidates(out); });
+}
+
+Result<bool> BlockNestedLoopJoinExecutor::NextCandidates(TupleBatch* out) {
   while (!out->Full()) {
     if (!block_active_) {
       if (outer_done_) return false;
@@ -43,8 +47,7 @@ Result<bool> BlockNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       }
       block_idx_ = 0;
     }
-    RELOPT_RETURN_NOT_OK(
-        AppendJoined(block_[block_idx_++].values(), inner_.row()->values(), predicate_, out));
+    out->AppendRow()->Concat(block_[block_idx_++].values(), inner_.row()->values());
   }
   return true;
 }

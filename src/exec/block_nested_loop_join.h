@@ -2,6 +2,7 @@
 #pragma once
 
 #include "exec/executor.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
@@ -24,6 +25,8 @@ class BlockNestedLoopJoinExecutor : public Executor {
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
+  /// Fills `out` with candidate pairs; false once the outer is exhausted.
+  Result<bool> NextCandidates(TupleBatch* out);
   /// Fills `block_` from the outer child; false if the outer is exhausted
   /// and nothing was buffered.
   Result<bool> LoadBlock();
@@ -32,7 +35,7 @@ class BlockNestedLoopJoinExecutor : public Executor {
   ExecutorPtr inner_child_;
   RowCursor outer_;
   RowCursor inner_;
-  const Expression* predicate_;
+  BatchPredicate predicate_;
   size_t block_bytes_;
 
   std::vector<Tuple> block_;

@@ -28,7 +28,6 @@ void OperatorStats::Merge(const OperatorStats& other) {
   init_calls += other.init_calls;
   rows_produced += other.rows_produced;
   batches_produced += other.batches_produced;
-  fallback_rows += other.fallback_rows;
   wall_nanos += other.wall_nanos;
   if (other.started) {
     first_start_nanos =

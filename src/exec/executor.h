@@ -5,12 +5,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "expr/expression.h"
+#include "expr/vector_eval.h"
 #include "storage/buffer_pool.h"
 #include "types/schema.h"
 #include "types/tuple.h"
@@ -46,7 +46,6 @@ struct OperatorStats {
   uint64_t init_calls = 0;   ///< stream (re)starts; >1 under nested loops
   uint64_t rows_produced = 0;  ///< total across all restarts
   uint64_t batches_produced = 0;  ///< NextBatch() calls
-  uint64_t fallback_rows = 0;  ///< rows evaluated by a FallbackNode (expr/vector_eval.h)
   uint64_t wall_nanos = 0;     ///< inclusive wall time in Init+NextBatch
   uint64_t first_start_nanos = 0;  ///< first Init, relative to the query epoch
   bool started = false;
@@ -264,22 +263,20 @@ class Executor {
 
 using ExecutorPtr = std::unique_ptr<Executor>;
 
-/// Evaluates a predicate with SQL semantics: NULL and false both reject.
-inline Result<bool> PredicatePasses(const Expression* pred, const Tuple& tuple) {
-  if (pred == nullptr) return true;
-  RELOPT_ASSIGN_OR_RETURN(Value v, pred->Eval(tuple));
-  return !v.is_null() && v.AsBool();
-}
-
-/// Appends `left ++ right` to `out` (which must not be full) if it passes
-/// the join predicate `pred`; the joins' shared output step.
-inline Status AppendJoined(std::span<const Value> left, std::span<const Value> right,
-                           const Expression* pred, TupleBatch* out) {
-  Tuple* row = out->AppendRow();
-  row->Concat(left, right);
-  RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(pred, *row));
-  if (!pass) out->DropLastRow();
-  return Status::OK();
+/// The pull of the joins and IndexScan: `fill()` appends candidate rows to
+/// `out` until it is full (false once the input is exhausted), and `pred`
+/// compacts the batch's selection, as Filter does. A batch whose candidates
+/// were all rejected is refilled rather than handed up. Candidates are
+/// examined in input order and never beyond the batch's capacity, so under
+/// LIMIT (which caps the batch) no more are examined than rows are needed.
+template <typename Fill>
+Result<bool> NextFiltered(BatchPredicate* pred, TupleBatch* out, Fill fill) {
+  while (true) {
+    RELOPT_ASSIGN_OR_RETURN(bool has, fill());
+    RELOPT_RETURN_NOT_OK(pred->Filter(out));
+    if (!has || !out->Empty()) return has;
+    out->Clear();
+  }
 }
 
 /// \brief Reads a child's stream one row at a time while pulling it a batch

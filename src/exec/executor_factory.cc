@@ -192,8 +192,14 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr outer, build_child(0));
       RELOPT_ASSIGN_OR_RETURN(TableInfo * table, ctx->catalog()->GetTable(node->inner_table()));
       RELOPT_ASSIGN_OR_RETURN(IndexInfo * index, ctx->catalog()->GetIndex(node->index_name()));
+      // The enumerator builds the probe keys as bound outer column references.
+      std::vector<size_t> outer_keys;
+      for (const ExprPtr& key : node->outer_key_exprs()) {
+        const auto& ref = static_cast<const ColumnRefExpr&>(*key);
+        outer_keys.push_back(static_cast<size_t>(ref.bound_index()));
+      }
       return Register(ctx, plan, std::make_unique<IndexNestedLoopJoinExecutor>(
-          ctx, std::move(outer), table, index, node->inner_schema(), &node->outer_key_exprs(),
+          ctx, std::move(outer), table, index, node->inner_schema(), std::move(outer_keys),
           node->residual()));
     }
     case PhysicalNodeKind::kSortMergeJoin: {

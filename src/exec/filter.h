@@ -20,7 +20,7 @@ class FilterExecutor : public Executor {
   /// pulls again.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(out));
-    RELOPT_RETURN_NOT_OK(batch_predicate_.Filter(out, &stats_.fallback_rows));
+    RELOPT_RETURN_NOT_OK(batch_predicate_.Filter(out));
     return has;
   }
 

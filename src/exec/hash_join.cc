@@ -4,8 +4,6 @@
 #include <bit>
 #include <iterator>
 
-#include "expr/vector_eval.h"
-
 namespace relopt {
 
 void JoinTable::Add(Tuple* row, std::string_view key, uint64_t hash) {
@@ -231,6 +229,10 @@ Result<bool> HashJoinExecutor::RefillProbeBatch() {
 }
 
 Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  return NextFiltered(&residual_, out, [&] { return NextCandidates(out); });
+}
+
+Result<bool> HashJoinExecutor::NextCandidates(TupleBatch* out) {
   while (true) {
     // Walk the current probe row's chain into the output batch.
     if (match_ != JoinTable::kEnd) {
@@ -239,9 +241,12 @@ Result<bool> HashJoinExecutor::NextBatchImpl(TupleBatch* out) {
       do {
         if (out->Full()) return true;
         std::span<const Value> build_row = match_table_->row(match_);
-        RELOPT_RETURN_NOT_OK(output_probe_first_
-                                 ? AppendJoined(probe_row, build_row, residual_, out)
-                                 : AppendJoined(build_row, probe_row, residual_, out));
+        Tuple* row = out->AppendRow();
+        if (output_probe_first_) {
+          row->Concat(probe_row, build_row);
+        } else {
+          row->Concat(build_row, probe_row);
+        }
         match_ = match_table_->FindNext(match_, key, probe_hash_);
       } while (match_ != JoinTable::kEnd);
     }

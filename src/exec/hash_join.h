@@ -13,6 +13,7 @@
 #include "exec/executor.h"
 #include "exec/gather.h"
 #include "exec/group_table.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
@@ -171,13 +172,16 @@ class HashJoinExecutor : public Executor {
   /// from the current partition's probe heap under Grace (a batch never
   /// spans partitions). False once the probe side is exhausted.
   Result<bool> RefillProbeBatch();
+  /// Fills `out` with candidate pairs of equal keys; false once the probe
+  /// side is exhausted.
+  Result<bool> NextCandidates(TupleBatch* out);
 
   ExecutorPtr build_;
   ExecutorPtr probe_;
   std::vector<size_t> build_keys_;
   std::vector<size_t> probe_keys_;
   std::vector<bool> exact_int_;  ///< per key pair: INT on both sides
-  const Expression* residual_;
+  BatchPredicate residual_;
   bool output_probe_first_;
   std::shared_ptr<SharedHashJoinState> shared_;
   size_t worker_;

@@ -13,12 +13,12 @@ Status IndexNestedLoopJoinExecutor::InitImpl() {
 Status IndexNestedLoopJoinExecutor::Probe(const Tuple& outer_row) {
   matches_.clear();
   match_idx_ = 0;
-  // Evaluate the probe key; NULL keys never match (SQL equi-join).
+  // Read the probe key; NULL keys never match (SQL equi-join).
   key_values_.clear();
-  for (const ExprPtr& e : *outer_key_exprs_) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, e->Eval(outer_row));
+  for (size_t col : outer_keys_) {
+    const Value& v = outer_row.At(col);
     if (v.is_null()) return Status::OK();
-    key_values_.push_back(std::move(v));
+    key_values_.push_back(v);
   }
   std::string enc = EncodeKey(key_values_);
   // A probe on a prefix of the index key is a range scan over that prefix;
@@ -45,7 +45,19 @@ Status IndexNestedLoopJoinExecutor::Probe(const Tuple& outer_row) {
   }
 }
 
+Result<bool> IndexNestedLoopJoinExecutor::KeyMatches() const {
+  for (size_t i = 0; i < key_values_.size(); ++i) {
+    RELOPT_ASSIGN_OR_RETURN(int c, inner_row_.At(index_->key_columns[i]).Compare(key_values_[i]));
+    if (c != 0) return false;
+  }
+  return true;
+}
+
 Result<bool> IndexNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  return NextFiltered(&residual_, out, [&] { return NextCandidates(out); });
+}
+
+Result<bool> IndexNestedLoopJoinExecutor::NextCandidates(TupleBatch* out) {
   while (!out->Full()) {
     if (match_idx_ == matches_.size()) {
       RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
@@ -54,8 +66,8 @@ Result<bool> IndexNestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       continue;
     }
     RELOPT_ASSIGN_OR_RETURN(inner_row_, inner_table_->GetTuple(matches_[match_idx_++]));
-    RELOPT_RETURN_NOT_OK(
-        AppendJoined(outer_.row()->values(), inner_row_.values(), residual_, out));
+    RELOPT_ASSIGN_OR_RETURN(bool same_key, KeyMatches());
+    if (same_key) out->AppendRow()->Concat(outer_.row()->values(), inner_row_.values());
   }
   return true;
 }

@@ -2,40 +2,45 @@
 #pragma once
 
 #include "exec/executor.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
 class IndexNestedLoopJoinExecutor : public Executor {
  public:
-  /// `outer_key_exprs` (bound to the outer schema) produce the probe key;
-  /// they must align with a prefix of `index`'s key columns. `residual` is
-  /// bound to the concatenated schema.
+  /// The outer columns `outer_keys` give the probe key; they must align with
+  /// a prefix of `index`'s key columns. `residual` is bound to the
+  /// concatenated schema.
   IndexNestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, TableInfo* inner_table,
                               IndexInfo* index, Schema inner_schema,
-                              const std::vector<ExprPtr>* outer_key_exprs,
-                              const Expression* residual)
+                              std::vector<size_t> outer_keys, const Expression* residual)
       : Executor(ctx, Schema::Concat(outer->schema(), inner_schema)),
         outer_child_(std::move(outer)),
         outer_(outer_child_.get(), ctx->batch_size()),
         inner_table_(inner_table),
         index_(index),
-        outer_key_exprs_(outer_key_exprs),
+        outer_keys_(std::move(outer_keys)),
         residual_(residual) {}
 
   Status InitImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
+  /// Fills `out` with candidate pairs; false once the outer is exhausted.
+  Result<bool> NextCandidates(TupleBatch* out);
   /// Collects the RIDs of the inner rows matching `outer_row`'s probe key
   /// into `matches_`.
   Status Probe(const Tuple& outer_row);
+  /// True if `inner_row_`'s key columns equal the probe values. Index keys
+  /// rank INTs as doubles, so an INT beyond +-2^53 can share another's key.
+  Result<bool> KeyMatches() const;
 
   ExecutorPtr outer_child_;
   RowCursor outer_;
   TableInfo* inner_table_;
   IndexInfo* index_;
-  const std::vector<ExprPtr>* outer_key_exprs_;
-  const Expression* residual_;
+  std::vector<size_t> outer_keys_;
+  BatchPredicate residual_;
 
   std::vector<Value> key_values_;
   std::vector<Rid> matches_;

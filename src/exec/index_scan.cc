@@ -24,17 +24,16 @@ Status IndexScanExecutor::InitImpl() {
 }
 
 Result<bool> IndexScanExecutor::NextBatchImpl(TupleBatch* out) {
-  std::string key;
-  Rid rid;
-  while (!out->Full()) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, iter_->Next(&key, &rid));
-    if (!has) return false;
-    Tuple* row = out->AppendRow();
-    RELOPT_ASSIGN_OR_RETURN(*row, table_->GetTuple(rid));
-    RELOPT_ASSIGN_OR_RETURN(bool pass, PredicatePasses(residual_, *row));
-    if (!pass) out->DropLastRow();
-  }
-  return true;
+  return NextFiltered(&residual_, out, [&]() -> Result<bool> {
+    std::string key;
+    Rid rid;
+    while (!out->Full()) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, iter_->Next(&key, &rid));
+      if (!has) return false;
+      RELOPT_ASSIGN_OR_RETURN(*out->AppendRow(), table_->GetTuple(rid));
+    }
+    return true;
+  });
 }
 
 }  // namespace relopt

@@ -4,14 +4,15 @@
 #include <optional>
 
 #include "exec/executor.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
 class IndexScanExecutor : public Executor {
  public:
   /// Bounds are encoded composite key prefixes (see types/key_codec.h);
-  /// nullopt = open. `residual` (optional, bound to `schema`) is re-checked
-  /// on every fetched row.
+  /// nullopt = open. `residual` (optional, bound to `schema`) compacts each
+  /// batch of fetched rows.
   IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo* table, IndexInfo* index,
                     std::optional<std::string> lo, bool lo_inclusive,
                     std::optional<std::string> hi, bool hi_inclusive, const Expression* residual);
@@ -26,7 +27,7 @@ class IndexScanExecutor : public Executor {
   bool lo_inclusive_;
   std::optional<std::string> hi_;
   bool hi_inclusive_;
-  const Expression* residual_;
+  BatchPredicate residual_;
   std::optional<BTree::Iterator> iter_;
 };
 

@@ -8,6 +8,10 @@ Status NestedLoopJoinExecutor::InitImpl() {
 }
 
 Result<bool> NestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  return NextFiltered(&predicate_, out, [&] { return NextCandidates(out); });
+}
+
+Result<bool> NestedLoopJoinExecutor::NextCandidates(TupleBatch* out) {
   while (!out->Full()) {
     if (!have_outer_) {
       RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
@@ -20,8 +24,7 @@ Result<bool> NestedLoopJoinExecutor::NextBatchImpl(TupleBatch* out) {
       have_outer_ = false;
       continue;
     }
-    RELOPT_RETURN_NOT_OK(
-        AppendJoined(outer_.row()->values(), inner_.row()->values(), predicate_, out));
+    out->AppendRow()->Concat(outer_.row()->values(), inner_.row()->values());
   }
   return true;
 }

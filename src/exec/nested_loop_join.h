@@ -2,6 +2,7 @@
 #pragma once
 
 #include "exec/executor.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
@@ -23,11 +24,14 @@ class NestedLoopJoinExecutor : public Executor {
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
+  /// Fills `out` with candidate pairs; false once the outer is exhausted.
+  Result<bool> NextCandidates(TupleBatch* out);
+
   ExecutorPtr outer_child_;
   ExecutorPtr inner_child_;
   RowCursor outer_;
   RowCursor inner_;
-  const Expression* predicate_;
+  BatchPredicate predicate_;
   bool have_outer_ = false;
 };
 

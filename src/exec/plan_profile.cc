@@ -37,7 +37,7 @@ void RenderText(const OperatorProfile& p, int depth, std::string* out) {
   *out += p.describe;
   *out += StringPrintf(
       "  (est_rows=%.0f actual_rows=%llu q_err=%.2f est_io=%.1f reads=%llu writes=%llu "
-      "hits=%llu misses=%llu time=%.3fms loops=%llu batches=%llu fallback=%llu)",
+      "hits=%llu misses=%llu time=%.3fms loops=%llu batches=%llu)",
       p.est_rows, static_cast<unsigned long long>(p.stats.rows_produced), p.q_error(),
       p.est_cost.page_ios, static_cast<unsigned long long>(p.stats.page_reads),
       static_cast<unsigned long long>(p.stats.page_writes),
@@ -45,8 +45,7 @@ void RenderText(const OperatorProfile& p, int depth, std::string* out) {
       static_cast<unsigned long long>(p.stats.pool_misses),
       static_cast<double>(p.stats.wall_nanos) / 1e6,
       static_cast<unsigned long long>(p.stats.init_calls),
-      static_cast<unsigned long long>(p.stats.batches_produced),
-      static_cast<unsigned long long>(p.stats.fallback_rows));
+      static_cast<unsigned long long>(p.stats.batches_produced));
   *out += "\n";
   for (const OperatorProfile& c : p.children) RenderText(c, depth + 1, out);
 }
@@ -55,14 +54,13 @@ void RenderJson(const OperatorProfile& p, std::string* out) {
   *out += StringPrintf(
       "{\"op\":\"%s\",\"describe\":\"%s\",\"est_rows\":%.2f,\"est_io\":%.2f,"
       "\"est_cpu\":%.2f,\"actual_rows\":%llu,\"q_error\":%.4f,\"init_calls\":%llu,"
-      "\"batches_produced\":%llu,\"fallback_rows\":%llu,\"wall_ms\":%.4f,"
+      "\"batches_produced\":%llu,\"wall_ms\":%.4f,"
       "\"page_reads\":%llu,\"page_writes\":%llu,"
       "\"pool_hits\":%llu,\"pool_misses\":%llu,\"children\":[",
       JsonEscape(p.op).c_str(), JsonEscape(p.describe).c_str(), p.est_rows, p.est_cost.page_ios,
       p.est_cost.cpu_tuples, static_cast<unsigned long long>(p.stats.rows_produced), p.q_error(),
       static_cast<unsigned long long>(p.stats.init_calls),
       static_cast<unsigned long long>(p.stats.batches_produced),
-      static_cast<unsigned long long>(p.stats.fallback_rows),
       static_cast<double>(p.stats.wall_nanos) / 1e6,
       static_cast<unsigned long long>(p.stats.page_reads),
       static_cast<unsigned long long>(p.stats.page_writes),

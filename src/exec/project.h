@@ -26,7 +26,7 @@ class ProjectExecutor : public Executor {
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     in_batch_.SetCapacity(std::min(ctx_->batch_size(), out->capacity()));
     RELOPT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_));
-    RELOPT_RETURN_NOT_OK(projector_.Project(in_batch_, out, &stats_.fallback_rows));
+    RELOPT_RETURN_NOT_OK(projector_.Project(in_batch_, out));
     return has;
   }
 

@@ -59,13 +59,16 @@ Result<bool> SortMergeJoinExecutor::LeftMatchesGroup() const {
 }
 
 Result<bool> SortMergeJoinExecutor::NextBatchImpl(TupleBatch* out) {
+  return NextFiltered(&residual_, out, [&] { return NextCandidates(out); });
+}
+
+Result<bool> SortMergeJoinExecutor::NextCandidates(TupleBatch* out) {
   while (!out->Full()) {
     if (emitting_) {
       // Emit the left row x group_ until the group is exhausted, then advance
       // the left side; if its key still equals the group key, replay.
       if (group_idx_ < group_.size()) {
-        RELOPT_RETURN_NOT_OK(AppendJoined(left_.row()->values(), group_[group_idx_++].values(),
-                                          residual_, out));
+        out->AppendRow()->Concat(left_.row()->values(), group_[group_idx_++].values());
         continue;
       }
       RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());

@@ -2,6 +2,7 @@
 #pragma once
 
 #include "exec/executor.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 
@@ -32,6 +33,9 @@ class SortMergeJoinExecutor : public Executor {
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
  private:
+  /// Fills `out` with candidate pairs of equal keys; false once either
+  /// input is exhausted.
+  Result<bool> NextCandidates(TupleBatch* out);
   /// Advance a side to its next row without a NULL join key.
   Result<bool> AdvanceLeft();
   Result<bool> AdvanceRight();
@@ -46,7 +50,7 @@ class SortMergeJoinExecutor : public Executor {
   RowCursor right_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
-  const Expression* residual_;
+  BatchPredicate residual_;
 
   bool have_left_ = false;
   bool have_right_ = false;

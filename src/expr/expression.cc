@@ -1,6 +1,6 @@
 #include "expr/expression.h"
 
-#include <cmath>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -136,6 +136,16 @@ bool VisitPreOrder(Expression* e, Fn& visit) {
   return true;
 }
 
+bool IsNullLiteral(const Expression& e) {
+  return e.kind() == ExprKind::kLiteral && static_cast<const LiteralExpr&>(e).value().is_null();
+}
+
+/// LiteralExpr::TypeIfNull for any node: false, changing nothing, unless `e`
+/// is a NULL literal.
+bool TypeIfNull(Expression* e, TypeId type) {
+  return IsNullLiteral(*e) && static_cast<LiteralExpr*>(e)->TypeIfNull(type);
+}
+
 }  // namespace
 
 void Expression::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
@@ -163,7 +173,6 @@ bool Expression::ContainsAggregate() const {
 
 // ---------------------------------------------------------------- Literal --
 
-Result<Value> LiteralExpr::Eval(const Tuple&) const { return value_; }
 Status LiteralExpr::Bind(const Schema&) {
   result_type_ = value_.type();
   return Status::OK();
@@ -172,16 +181,6 @@ ExprPtr LiteralExpr::Clone() const { return std::make_unique<LiteralExpr>(value_
 std::string LiteralExpr::ToString() const { return value_.ToString(); }
 
 // -------------------------------------------------------------- ColumnRef --
-
-Result<Value> ColumnRefExpr::Eval(const Tuple& tuple) const {
-  if (bound_index_ < 0) {
-    return Status::Internal("evaluating unbound column reference " + ToString());
-  }
-  if (static_cast<size_t>(bound_index_) >= tuple.NumValues()) {
-    return Status::Internal("column reference " + ToString() + " out of range");
-  }
-  return tuple.At(static_cast<size_t>(bound_index_));
-}
 
 Status ColumnRefExpr::Bind(const Schema& schema) {
   RELOPT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(table_, name_));
@@ -207,31 +206,11 @@ std::string ColumnRefExpr::ToString() const {
 
 // ------------------------------------------------------------- Comparison --
 
-Result<Value> ComparisonExpr::Eval(const Tuple& tuple) const {
-  RELOPT_ASSIGN_OR_RETURN(Value l, left_->Eval(tuple));
-  RELOPT_ASSIGN_OR_RETURN(Value r, right_->Eval(tuple));
-  if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
-  RELOPT_ASSIGN_OR_RETURN(int c, l.Compare(r));
-  switch (op_) {
-    case CompareOp::kEq:
-      return Value::Bool(c == 0);
-    case CompareOp::kNe:
-      return Value::Bool(c != 0);
-    case CompareOp::kLt:
-      return Value::Bool(c < 0);
-    case CompareOp::kLe:
-      return Value::Bool(c <= 0);
-    case CompareOp::kGt:
-      return Value::Bool(c > 0);
-    case CompareOp::kGe:
-      return Value::Bool(c >= 0);
-  }
-  return Status::Internal("bad compare op");
-}
-
 Status ComparisonExpr::Bind(const Schema& schema) {
   RELOPT_RETURN_NOT_OK(left_->Bind(schema));
   RELOPT_RETURN_NOT_OK(right_->Bind(schema));
+  TypeIfNull(left_.get(), right_->result_type());
+  TypeIfNull(right_.get(), left_->result_type());
   if (!AreComparable(left_->result_type(), right_->result_type())) {
     return Status::TypeError("cannot compare " + left_->ToString() + " (" +
                              TypeIdToString(left_->result_type()) + ") with " +
@@ -254,32 +233,10 @@ std::string ComparisonExpr::ToString() const {
 
 // ---------------------------------------------------------------- Logical --
 
-Result<Value> LogicalExpr::Eval(const Tuple& tuple) const {
-  if (op_ == LogicalOp::kNot) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, children_[0]->Eval(tuple));
-    if (v.is_null()) return Value::Null(TypeId::kBool);
-    return Value::Bool(!v.AsBool());
-  }
-  // Three-valued AND/OR with short-circuit where sound.
-  bool saw_null = false;
-  for (const ExprPtr& child : children_) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, child->Eval(tuple));
-    if (v.is_null()) {
-      saw_null = true;
-      continue;
-    }
-    bool b = v.AsBool();
-    if (op_ == LogicalOp::kAnd && !b) return Value::Bool(false);
-    if (op_ == LogicalOp::kOr && b) return Value::Bool(true);
-  }
-  if (saw_null) return Value::Null(TypeId::kBool);
-  return Value::Bool(op_ == LogicalOp::kAnd);
-}
-
 Status LogicalExpr::Bind(const Schema& schema) {
   for (ExprPtr& child : children_) {
     RELOPT_RETURN_NOT_OK(child->Bind(schema));
-    if (child->result_type() != TypeId::kBool) {
+    if (child->result_type() != TypeId::kBool && !TypeIfNull(child.get(), TypeId::kBool)) {
       return Status::TypeError("logical operand " + child->ToString() + " is not boolean");
     }
   }
@@ -309,42 +266,6 @@ std::string LogicalExpr::ToString() const {
 
 // ------------------------------------------------------------- Arithmetic --
 
-Result<Value> ArithmeticExpr::Eval(const Tuple& tuple) const {
-  RELOPT_ASSIGN_OR_RETURN(Value l, left_->Eval(tuple));
-  RELOPT_ASSIGN_OR_RETURN(Value r, right_->Eval(tuple));
-  if (l.is_null() || r.is_null()) return Value::Null(result_type_);
-  if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
-    return Status::TypeError("arithmetic on non-numeric operand in " + ToString());
-  }
-  if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
-    int64_t out;
-    switch (IntArith(op_, l.AsInt(), r.AsInt(), &out)) {
-      case IntArithOutcome::kValue:
-        return Value::Int(out);
-      case IntArithOutcome::kNull:
-        return Value::Null(TypeId::kInt64);
-      case IntArithOutcome::kOverflow:
-        return IntOverflowError(*this);
-    }
-  }
-  double a = l.NumericAsDouble(), b = r.NumericAsDouble();
-  switch (op_) {
-    case ArithOp::kAdd:
-      return Value::Double(a + b);
-    case ArithOp::kSub:
-      return Value::Double(a - b);
-    case ArithOp::kMul:
-      return Value::Double(a * b);
-    case ArithOp::kDiv:
-      if (b == 0) return Value::Null(TypeId::kDouble);
-      return Value::Double(a / b);
-    case ArithOp::kMod:
-      if (b == 0) return Value::Null(TypeId::kDouble);
-      return Value::Double(std::fmod(a, b));
-  }
-  return Status::Internal("bad arithmetic op");
-}
-
 Status IntOverflowError(const Expression& expr) {
   return Status::OutOfRange("integer overflow in " + expr.ToString());
 }
@@ -352,6 +273,10 @@ Status IntOverflowError(const Expression& expr) {
 Status ArithmeticExpr::Bind(const Schema& schema) {
   RELOPT_RETURN_NOT_OK(left_->Bind(schema));
   RELOPT_RETURN_NOT_OK(right_->Bind(schema));
+  // A NULL operand takes the other operand's numeric type, INT by default.
+  auto numeric_or_int = [](TypeId t) { return IsNumeric(t) ? t : TypeId::kInt64; };
+  TypeIfNull(left_.get(), numeric_or_int(right_->result_type()));
+  TypeIfNull(right_.get(), numeric_or_int(left_->result_type()));
   if (!IsNumeric(left_->result_type()) || !IsNumeric(right_->result_type())) {
     return Status::TypeError("arithmetic needs numeric operands in " + ToString());
   }
@@ -374,12 +299,6 @@ std::string ArithmeticExpr::ToString() const {
 
 // ----------------------------------------------------------------- IsNull --
 
-Result<Value> IsNullExpr::Eval(const Tuple& tuple) const {
-  RELOPT_ASSIGN_OR_RETURN(Value v, child_->Eval(tuple));
-  bool is_null = v.is_null();
-  return Value::Bool(negated_ ? !is_null : is_null);
-}
-
 Status IsNullExpr::Bind(const Schema& schema) {
   RELOPT_RETURN_NOT_OK(child_->Bind(schema));
   result_type_ = TypeId::kBool;
@@ -397,11 +316,6 @@ std::string IsNullExpr::ToString() const {
 }
 
 // ---------------------------------------------------------- AggregateCall --
-
-Result<Value> AggregateCallExpr::Eval(const Tuple&) const {
-  return Status::Internal("aggregate call " + ToString() +
-                          " evaluated directly (binder should have lifted it)");
-}
 
 Status AggregateCallExpr::Bind(const Schema& schema) {
   if (arg_) {
@@ -439,64 +353,48 @@ std::string AggregateCallExpr::ToString() const {
 
 namespace {
 
-/// Widens `v` to `target` so every CASE/COALESCE branch yields the unified
-/// result type (int64 branches widen to double when any branch is double).
-Value CoerceTo(Value v, TypeId target) {
-  if (v.is_null()) return Value::Null(target);
-  if (target == TypeId::kDouble && v.type() == TypeId::kInt64) {
-    return Value::Double(static_cast<double>(v.AsInt()));
-  }
-  return v;
-}
-
 /// Unifies the result types of CASE branches / COALESCE arguments:
 /// identical types stay, int64+double widens to double, anything else is a
-/// type error. `what` names the construct for the error message.
-Result<TypeId> UnifyBranchTypes(const std::vector<TypeId>& types, const std::string& what) {
-  TypeId out = types[0];
-  for (TypeId t : types) {
-    if (t == out) continue;
-    if (IsNumeric(t) && IsNumeric(out)) {
+/// type error; NULL literals take the unified type. `what` names the
+/// construct for the error message.
+Result<TypeId> UnifyBranchTypes(const std::vector<Expression*>& branches,
+                                const std::string& what) {
+  std::optional<TypeId> out;
+  for (const Expression* branch : branches) {
+    if (IsNullLiteral(*branch)) continue;
+    TypeId t = branch->result_type();
+    if (!out.has_value() || t == *out) {
+      out = t;
+    } else if (IsNumeric(t) && IsNumeric(*out)) {
       out = TypeId::kDouble;
     } else {
-      return Status::TypeError(what + " branches mix incompatible types " + TypeIdToString(out) +
+      return Status::TypeError(what + " branches mix incompatible types " + TypeIdToString(*out) +
                                " and " + TypeIdToString(t));
     }
   }
-  return out;
+  TypeId type = out.value_or(branches[0]->result_type());
+  for (Expression* branch : branches) TypeIfNull(branch, type);
+  return type;
 }
 
 }  // namespace
 
-Result<Value> CaseExpr::Eval(const Tuple& tuple) const {
-  for (size_t i = 0; i < whens_.size(); ++i) {
-    RELOPT_ASSIGN_OR_RETURN(Value cond, whens_[i]->Eval(tuple));
-    if (!cond.is_null() && cond.AsBool()) {
-      RELOPT_ASSIGN_OR_RETURN(Value v, thens_[i]->Eval(tuple));
-      return CoerceTo(std::move(v), result_type_);
-    }
-  }
-  if (else_ == nullptr) return Value::Null(result_type_);
-  RELOPT_ASSIGN_OR_RETURN(Value v, else_->Eval(tuple));
-  return CoerceTo(std::move(v), result_type_);
-}
-
 Status CaseExpr::Bind(const Schema& schema) {
-  std::vector<TypeId> branch_types;
+  std::vector<Expression*> branches;
   for (size_t i = 0; i < whens_.size(); ++i) {
     RELOPT_RETURN_NOT_OK(whens_[i]->Bind(schema));
-    if (whens_[i]->result_type() != TypeId::kBool) {
+    if (whens_[i]->result_type() != TypeId::kBool && !TypeIfNull(whens_[i].get(), TypeId::kBool)) {
       return Status::TypeError("CASE WHEN condition " + whens_[i]->ToString() +
                                " is not boolean");
     }
     RELOPT_RETURN_NOT_OK(thens_[i]->Bind(schema));
-    branch_types.push_back(thens_[i]->result_type());
+    branches.push_back(thens_[i].get());
   }
   if (else_ != nullptr) {
     RELOPT_RETURN_NOT_OK(else_->Bind(schema));
-    branch_types.push_back(else_->result_type());
+    branches.push_back(else_.get());
   }
-  RELOPT_ASSIGN_OR_RETURN(result_type_, UnifyBranchTypes(branch_types, "CASE"));
+  RELOPT_ASSIGN_OR_RETURN(result_type_, UnifyBranchTypes(branches, "CASE"));
   return Status::OK();
 }
 
@@ -523,80 +421,6 @@ std::string CaseExpr::ToString() const {
 
 // ----------------------------------------------------------- FunctionCall --
 
-namespace {
-
-inline std::string AsciiUpper(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-  }
-  return out;
-}
-
-inline std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<Value> FunctionCallExpr::Eval(const Tuple& tuple) const {
-  switch (func_) {
-    case ScalarFunc::kAbs: {
-      RELOPT_ASSIGN_OR_RETURN(Value v, args_[0]->Eval(tuple));
-      if (v.is_null()) return Value::Null(result_type_);
-      if (!IsNumeric(v.type())) {
-        return Status::TypeError("abs on non-numeric operand in " + ToString());
-      }
-      if (v.type() == TypeId::kInt64) {
-        int64_t abs;
-        if (!IntAbs(v.AsInt(), &abs)) return IntOverflowError(*this);
-        return Value::Int(abs);
-      }
-      double d = v.NumericAsDouble();
-      return Value::Double(d < 0 ? -d : d);
-    }
-    case ScalarFunc::kLength: {
-      RELOPT_ASSIGN_OR_RETURN(Value v, args_[0]->Eval(tuple));
-      if (v.is_null()) return Value::Null(TypeId::kInt64);
-      if (v.type() != TypeId::kString) {
-        return Status::TypeError("length on non-string operand in " + ToString());
-      }
-      return Value::Int(static_cast<int64_t>(v.AsString().size()));
-    }
-    case ScalarFunc::kUpper:
-    case ScalarFunc::kLower: {
-      RELOPT_ASSIGN_OR_RETURN(Value v, args_[0]->Eval(tuple));
-      if (v.is_null()) return Value::Null(TypeId::kString);
-      if (v.type() != TypeId::kString) {
-        return Status::TypeError(std::string(ScalarFuncToString(func_)) +
-                                 " on non-string operand in " + ToString());
-      }
-      return Value::String(func_ == ScalarFunc::kUpper ? AsciiUpper(v.AsString())
-                                                       : AsciiLower(v.AsString()));
-    }
-    case ScalarFunc::kCoalesce: {
-      for (const ExprPtr& arg : args_) {
-        RELOPT_ASSIGN_OR_RETURN(Value v, arg->Eval(tuple));
-        if (!v.is_null()) return CoerceTo(std::move(v), result_type_);
-      }
-      return Value::Null(result_type_);
-    }
-    case ScalarFunc::kNullIf: {
-      RELOPT_ASSIGN_OR_RETURN(Value a, args_[0]->Eval(tuple));
-      RELOPT_ASSIGN_OR_RETURN(Value b, args_[1]->Eval(tuple));
-      if (a.is_null() || b.is_null()) return CoerceTo(std::move(a), result_type_);
-      RELOPT_ASSIGN_OR_RETURN(int c, a.Compare(b));
-      if (c == 0) return Value::Null(result_type_);
-      return CoerceTo(std::move(a), result_type_);
-    }
-  }
-  return Status::Internal("bad scalar function");
-}
-
 Status FunctionCallExpr::Bind(const Schema& schema) {
   for (ExprPtr& arg : args_) RELOPT_RETURN_NOT_OK(arg->Bind(schema));
   auto arity_error = [this](size_t want) {
@@ -607,14 +431,15 @@ Status FunctionCallExpr::Bind(const Schema& schema) {
   switch (func_) {
     case ScalarFunc::kAbs:
       if (args_.size() != 1) return arity_error(1);
-      if (!IsNumeric(args_[0]->result_type())) {
+      if (!IsNumeric(args_[0]->result_type()) && !TypeIfNull(args_[0].get(), TypeId::kInt64)) {
         return Status::TypeError("abs needs a numeric argument in " + ToString());
       }
       result_type_ = args_[0]->result_type();
       break;
     case ScalarFunc::kLength:
       if (args_.size() != 1) return arity_error(1);
-      if (args_[0]->result_type() != TypeId::kString) {
+      if (args_[0]->result_type() != TypeId::kString &&
+          !TypeIfNull(args_[0].get(), TypeId::kString)) {
         return Status::TypeError("length needs a string argument in " + ToString());
       }
       result_type_ = TypeId::kInt64;
@@ -622,7 +447,8 @@ Status FunctionCallExpr::Bind(const Schema& schema) {
     case ScalarFunc::kUpper:
     case ScalarFunc::kLower:
       if (args_.size() != 1) return arity_error(1);
-      if (args_[0]->result_type() != TypeId::kString) {
+      if (args_[0]->result_type() != TypeId::kString &&
+          !TypeIfNull(args_[0].get(), TypeId::kString)) {
         return Status::TypeError(std::string(ScalarFuncToString(func_)) +
                                  " needs a string argument in " + ToString());
       }
@@ -630,13 +456,15 @@ Status FunctionCallExpr::Bind(const Schema& schema) {
       break;
     case ScalarFunc::kCoalesce: {
       if (args_.empty()) return arity_error(1);
-      std::vector<TypeId> types;
-      for (const ExprPtr& arg : args_) types.push_back(arg->result_type());
-      RELOPT_ASSIGN_OR_RETURN(result_type_, UnifyBranchTypes(types, "coalesce"));
+      std::vector<Expression*> branches;
+      for (const ExprPtr& arg : args_) branches.push_back(arg.get());
+      RELOPT_ASSIGN_OR_RETURN(result_type_, UnifyBranchTypes(branches, "coalesce"));
       break;
     }
     case ScalarFunc::kNullIf: {
       if (args_.size() != 2) return arity_error(2);
+      TypeIfNull(args_[0].get(), args_[1]->result_type());
+      TypeIfNull(args_[1].get(), args_[0]->result_type());
       if (!AreComparable(args_[0]->result_type(), args_[1]->result_type())) {
         return Status::TypeError(std::string("nullif cannot compare ") +
                                  TypeIdToString(args_[0]->result_type()) + " with " +
@@ -668,12 +496,6 @@ std::string FunctionCallExpr::ToString() const {
 }
 
 // ---------------------------------------------------------- ParameterExpr --
-
-Result<Value> ParameterExpr::Eval(const Tuple& tuple) const {
-  (void)tuple;
-  return Status::InvalidArgument("unbound parameter $" + std::to_string(ordinal_ + 1) +
-                                 "; prepare the statement and supply values");
-}
 
 Status ParameterExpr::Bind(const Schema& schema) {
   (void)schema;

@@ -4,7 +4,8 @@
 // Column references carry their source names (qualifier + column) and are
 // *bound* against a concrete Schema before evaluation; rebinding against a
 // different schema is how the rewriter moves predicates around the plan.
-// Evaluation follows SQL three-valued logic.
+// Evaluation follows SQL three-valued logic; it is compiled into batch
+// kernels (expr/vector_eval.h), the engine's one evaluator.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +59,6 @@ class Expression {
 
   ExprKind kind() const { return kind_; }
 
-  /// Evaluates against one input row. Must be bound first.
-  virtual Result<Value> Eval(const Tuple& tuple) const = 0;
-
   /// Resolves column references against `schema` and computes result types.
   virtual Status Bind(const Schema& schema) = 0;
 
@@ -102,7 +100,17 @@ class LiteralExpr : public Expression {
 
   const Value& value() const { return value_; }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
+  /// A NULL literal has no type of its own: the binder gives it the one its
+  /// context asks for (the other operand, the other branches, a function's
+  /// argument type), so `s = NULL`, `coalesce(NULL, 'a')` and `length(NULL)`
+  /// bind. Does nothing to a non-NULL literal; returns whether it is NULL.
+  bool TypeIfNull(TypeId type) {
+    if (!value_.is_null()) return false;
+    value_ = Value::Null(type);
+    result_type_ = type;
+    return true;
+  }
+
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -125,7 +133,6 @@ class ColumnRefExpr : public Expression {
   int bound_index() const { return bound_index_; }
   bool IsBound() const { return bound_index_ >= 0; }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -153,7 +160,6 @@ class ComparisonExpr : public Expression {
   ExprPtr TakeLeft() { return std::move(left_); }
   ExprPtr TakeRight() { return std::move(right_); }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -181,7 +187,6 @@ class LogicalExpr : public Expression {
   const std::vector<ExprPtr>& children() const { return children_; }
   std::vector<ExprPtr> TakeChildren() { return std::move(children_); }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -197,7 +202,7 @@ class LogicalExpr : public Expression {
 /// Outcome of one int64 arithmetic step; see IntArith.
 enum class IntArithOutcome { kValue, kNull, kOverflow };
 
-/// \brief `a op b` over int64, checked, as both evaluators compute it: x/0
+/// \brief `a op b` over int64, checked: x/0
 /// and x%0 are NULL; +, -, * and INT64_MIN / -1 overflow (the caller raises
 /// OutOfRange) instead of wrapping; x % -1 is 0, including INT64_MIN % -1.
 inline IntArithOutcome IntArith(ArithOp op, int64_t a, int64_t b, int64_t* out) {
@@ -232,7 +237,7 @@ inline bool IntAbs(int64_t a, int64_t* out) {
   return true;
 }
 
-/// The error both evaluators raise when int64 arithmetic in `expr` overflows.
+/// The error evaluation raises when int64 arithmetic in `expr` overflows.
 Status IntOverflowError(const Expression& expr);
 
 /// +, -, *, /, % over numerics (NULL operand -> NULL; x/0 -> NULL, the
@@ -250,7 +255,6 @@ class ArithmeticExpr : public Expression {
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -276,7 +280,6 @@ class IsNullExpr : public Expression {
   const Expression* child() const { return child_.get(); }
   bool negated() const { return negated_; }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -289,7 +292,7 @@ class IsNullExpr : public Expression {
 
 /// Aggregate invocation (COUNT/SUM/MIN/MAX/AVG). Never evaluated directly:
 /// the binder lifts these into an Aggregate plan node and replaces them with
-/// column references; Eval on a surviving node is an Internal error.
+/// column references; evaluating a surviving node is an Internal error.
 class AggregateCallExpr : public Expression {
  public:
   AggregateCallExpr(AggFunc func, ExprPtr arg)
@@ -299,7 +302,6 @@ class AggregateCallExpr : public Expression {
   const Expression* arg() const { return arg_.get(); }  // null for COUNT(*)
   ExprPtr TakeArg() { return std::move(arg_); }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -315,8 +317,8 @@ class AggregateCallExpr : public Expression {
 /// Positional `?` placeholder in a prepared statement (0-based ordinal in
 /// source order). Never survives to binding: Session::Prepare records the
 /// template and parameter binding replaces every ParameterExpr with a
-/// LiteralExpr before the binder runs, so Bind/Eval on one is an error (an
-/// un-prepared statement containing `?` fails cleanly at bind time).
+/// LiteralExpr before the binder runs, so binding or evaluating one is an
+/// error (an un-prepared statement containing `?` fails cleanly at bind time).
 class ParameterExpr : public Expression {
  public:
   explicit ParameterExpr(size_t ordinal)
@@ -324,7 +326,6 @@ class ParameterExpr : public Expression {
 
   size_t ordinal() const { return ordinal_; }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -351,7 +352,6 @@ class CaseExpr : public Expression {
   const Expression* then_at(size_t i) const { return thens_[i].get(); }
   const Expression* else_expr() const { return else_.get(); }  // may be null
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -381,7 +381,6 @@ class FunctionCallExpr : public Expression {
   ScalarFunc func() const { return func_; }
   const std::vector<ExprPtr>& args() const { return args_; }
 
-  Result<Value> Eval(const Tuple& tuple) const override;
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
   std::string ToString() const override;

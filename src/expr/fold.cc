@@ -1,5 +1,7 @@
 #include "expr/fold.h"
 
+#include "expr/vector_eval.h"
+
 namespace relopt {
 
 namespace {
@@ -14,7 +16,7 @@ bool IsBoolLiteral(const Expression& e, bool value) {
 
 /// Evaluates a literal-only subtree; on any error, returns the original.
 ExprPtr TryEval(ExprPtr expr) {
-  Result<Value> v = expr->Eval(Tuple());
+  Result<Value> v = EvalConstant(expr.get());
   if (!v.ok()) return expr;
   return MakeLiteral(v.MoveValue());
 }

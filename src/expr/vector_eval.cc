@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "types/key_codec.h"
-#include "util/metrics.h"
 
 namespace relopt {
 
@@ -59,8 +58,9 @@ CompareOp MirrorOp(CompareOp op) {
   }
 }
 
-/// Same widening as the row evaluator's CoerceTo (expression.cc): NULL takes
-/// the target type, int64 widens to double, everything else passes through.
+/// Widens a CASE/COALESCE/NULLIF branch value to the unified result type:
+/// NULL takes the target type, int64 widens to double, everything else
+/// passes through.
 Value CoerceValue(Value v, TypeId target) {
   if (v.is_null()) return Value::Null(target);
   if (target == TypeId::kDouble && v.type() == TypeId::kInt64) {
@@ -70,7 +70,7 @@ Value CoerceValue(Value v, TypeId target) {
 }
 
 /// Reads entry `k` as a boolean; `*is_null` set accordingly. Works for both
-/// i64-lane bool vectors and boxed (fallback-produced) ones.
+/// i64-lane bool vectors and boxed ones (mixed storage).
 inline void ReadBool(const ColumnVec& v, size_t k, bool* is_null, bool* b) {
   if (v.NullAt(k)) {
     *is_null = true;
@@ -141,27 +141,30 @@ void StoreValue(ColumnVec* out, size_t p, Value v) {
   out->vals[p] = std::move(v);
 }
 
+/// The error a row too short for a bound column reference raises.
+Status ColumnOutOfRange(const Expression& ref) {
+  return Status::Internal("column reference " + ref.ToString() + " out of range");
+}
+
 // ------------------------------------------------------------ kernel nodes --
 
 /// Bound column gather. Primitive columns fill typed lanes; a runtime value
 /// whose type disagrees with the declared column type (possible only with
 /// type-loose storage) flips the node into boxed mode permanently so
-/// downstream kernels see the exact runtime Values the row engine would.
+/// downstream kernels see the exact runtime Values.
 class ColRefNode final : public CompiledExpr {
  public:
   explicit ColRefNode(const ColumnRefExpr* src)
       : CompiledExpr(src->result_type()), src_(src), col_(src->bound_index()) {}
 
-  Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows, uint64_t*,
+  Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     size_t n = rows.size();
     bool primitive = !boxed_mode_ && type_ != TypeId::kString;
     out->Reset(type_, !primitive, n);
     for (size_t k = 0; k < n; ++k) {
       const Tuple& t = batch.RowAt(rows[k]);
-      if (static_cast<size_t>(col_) >= t.NumValues()) {
-        return Status::Internal("column reference " + src_->ToString() + " out of range");
-      }
+      if (static_cast<size_t>(col_) >= t.NumValues()) return ColumnOutOfRange(*src_);
       const Value& v = t.At(static_cast<size_t>(col_));
       if (v.is_null()) {
         out->nulls[k] = 1;
@@ -177,7 +180,7 @@ class ColRefNode final : public CompiledExpr {
         out->i64[k] = v.AsBool() ? 1 : 0;
       } else {
         boxed_mode_ = true;  // mixed storage: redo this batch boxed
-        return Eval(batch, rows, nullptr, out);
+        return Eval(batch, rows, out);
       }
     }
     return Status::OK();
@@ -197,8 +200,7 @@ class LitNode final : public CompiledExpr {
     cvec_.is_const = true;
   }
 
-  Status Eval(const TupleBatch&, const std::vector<uint32_t>& rows, uint64_t*,
-              ColumnVec* out) override {
+  Status Eval(const TupleBatch&, const std::vector<uint32_t>& rows, ColumnVec* out) override {
     *out = cvec_;
     out->n = rows.size();
     return Status::OK();
@@ -214,9 +216,9 @@ class CmpNode final : public CompiledExpr {
       : CompiledExpr(TypeId::kBool), op_(op), l_(std::move(l)), r_(std::move(r)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, fallback_rows, &lv_));
-    RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, fallback_rows, &rv_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, &lv_));
+    RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, &rv_));
     size_t n = rows.size();
     out->Reset(TypeId::kBool, false, n);
     if (lv_.boxed || rv_.boxed) {
@@ -271,9 +273,9 @@ class ArithNode final : public CompiledExpr {
         r_(std::move(r)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, fallback_rows, &lv_));
-    RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, fallback_rows, &rv_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, &lv_));
+    RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, &rv_));
     size_t n = rows.size();
     if (lv_.boxed || rv_.boxed) return EvalBoxed(n, out);
     if (lv_.type == TypeId::kInt64 && rv_.type == TypeId::kInt64) {
@@ -332,8 +334,8 @@ class ArithNode final : public CompiledExpr {
   }
 
  private:
-  /// Mixed-type inputs: replay the row evaluator's value-typed arithmetic,
-  /// including its runtime non-numeric type error, verbatim.
+  /// Mixed-type inputs: value-typed arithmetic, with a runtime type error
+  /// for a non-numeric operand.
   Status EvalBoxed(size_t n, ColumnVec* out) {
     out->Reset(type_, true, n);
     Value ls, rs;
@@ -403,8 +405,8 @@ class NotNode final : public CompiledExpr {
       : CompiledExpr(TypeId::kBool), child_(std::move(child)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, fallback_rows, &cv_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, &cv_));
     size_t n = rows.size();
     out->Reset(TypeId::kBool, false, n);
     for (size_t k = 0; k < n; ++k) {
@@ -426,8 +428,8 @@ class NotNode final : public CompiledExpr {
 
 /// Lazy three-valued AND/OR: each child only evaluates over the rows the
 /// earlier children left undecided (AND: not yet false; OR: not yet true) —
-/// the selection-compaction analogue of the row evaluator's short circuits,
-/// including its "NULL stays pending until a deciding value appears" rule.
+/// the selection-compaction form of short-circuit evaluation, including its
+/// "NULL stays pending until a deciding value appears" rule.
 class AndOrNode final : public CompiledExpr {
  public:
   AndOrNode(LogicalOp op, std::vector<CompiledExprPtr> children)
@@ -436,7 +438,7 @@ class AndOrNode final : public CompiledExpr {
         children_(std::move(children)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
+              ColumnVec* out) override {
     size_t n = rows.size();
     out->Reset(TypeId::kBool, false, n);
     int64_t neutral = is_and_ ? 1 : 0;
@@ -448,7 +450,7 @@ class AndOrNode final : public CompiledExpr {
       subrows_.clear();
       subrows_.reserve(active_.size());
       for (uint32_t p : active_) subrows_.push_back(rows[p]);
-      RELOPT_RETURN_NOT_OK(child->Eval(batch, subrows_, fallback_rows, &cv_));
+      RELOPT_RETURN_NOT_OK(child->Eval(batch, subrows_, &cv_));
       next_active_.clear();
       for (size_t j = 0; j < active_.size(); ++j) {
         uint32_t p = active_[j];
@@ -484,8 +486,8 @@ class IsNullNode final : public CompiledExpr {
       : CompiledExpr(TypeId::kBool), child_(std::move(child)), negated_(negated) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, fallback_rows, &cv_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, &cv_));
     size_t n = rows.size();
     out->Reset(TypeId::kBool, false, n);
     for (size_t k = 0; k < n; ++k) {
@@ -503,7 +505,7 @@ class IsNullNode final : public CompiledExpr {
 
 /// Lazy CASE: WHEN i only evaluates over rows arms 0..i-1 left undecided,
 /// and THEN i only over the rows WHEN i actually took — so a THEN that would
-/// error on an untaken row stays silent, exactly like the row evaluator.
+/// error on an untaken row stays silent.
 class CaseNode final : public CompiledExpr {
  public:
   CaseNode(const CaseExpr* src, std::vector<CompiledExprPtr> whens,
@@ -514,7 +516,7 @@ class CaseNode final : public CompiledExpr {
         else_(std::move(else_node)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
+              ColumnVec* out) override {
     size_t n = rows.size();
     out->Reset(type_, type_ == TypeId::kString, n);
     undecided_.resize(n);
@@ -523,7 +525,7 @@ class CaseNode final : public CompiledExpr {
       if (undecided_.empty()) break;
       subrows_.clear();
       for (uint32_t p : undecided_) subrows_.push_back(rows[p]);
-      RELOPT_RETURN_NOT_OK(whens_[i]->Eval(batch, subrows_, fallback_rows, &wv_));
+      RELOPT_RETURN_NOT_OK(whens_[i]->Eval(batch, subrows_, &wv_));
       taken_pos_.clear();
       taken_sub_.clear();
       rest_.clear();
@@ -538,7 +540,7 @@ class CaseNode final : public CompiledExpr {
         }
       }
       if (!taken_pos_.empty()) {
-        RELOPT_RETURN_NOT_OK(thens_[i]->Eval(batch, taken_sub_, fallback_rows, &tv_));
+        RELOPT_RETURN_NOT_OK(thens_[i]->Eval(batch, taken_sub_, &tv_));
         for (size_t j = 0; j < taken_pos_.size(); ++j) {
           StoreValue(out, taken_pos_[j], CoerceValue(tv_.GetValue(j), type_));
         }
@@ -552,7 +554,7 @@ class CaseNode final : public CompiledExpr {
     }
     subrows_.clear();
     for (uint32_t p : undecided_) subrows_.push_back(rows[p]);
-    RELOPT_RETURN_NOT_OK(else_->Eval(batch, subrows_, fallback_rows, &tv_));
+    RELOPT_RETURN_NOT_OK(else_->Eval(batch, subrows_, &tv_));
     for (size_t j = 0; j < undecided_.size(); ++j) {
       StoreValue(out, undecided_[j], CoerceValue(tv_.GetValue(j), type_));
     }
@@ -572,8 +574,8 @@ class AbsNode final : public CompiledExpr {
       : CompiledExpr(src->result_type()), src_(src), arg_(std::move(arg)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, fallback_rows, &av_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
     if (av_.boxed) {
       out->Reset(type_, true, n);
@@ -624,8 +626,8 @@ class LengthNode final : public CompiledExpr {
       : CompiledExpr(TypeId::kInt64), src_(src), arg_(std::move(arg)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, fallback_rows, &av_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
     out->Reset(TypeId::kInt64, false, n);
     Value storage;
@@ -655,8 +657,8 @@ class CaseMapNode final : public CompiledExpr {
       : CompiledExpr(TypeId::kString), src_(src), arg_(std::move(arg)), upper_(upper) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, fallback_rows, &av_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
     out->Reset(TypeId::kString, true, n);
     Value storage;
@@ -699,7 +701,7 @@ class CoalesceNode final : public CompiledExpr {
       : CompiledExpr(src->result_type()), args_(std::move(args)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
+              ColumnVec* out) override {
     size_t n = rows.size();
     out->Reset(type_, type_ == TypeId::kString, n);
     undecided_.resize(n);
@@ -708,7 +710,7 @@ class CoalesceNode final : public CompiledExpr {
       if (undecided_.empty()) break;
       subrows_.clear();
       for (uint32_t p : undecided_) subrows_.push_back(rows[p]);
-      RELOPT_RETURN_NOT_OK(arg->Eval(batch, subrows_, fallback_rows, &av_));
+      RELOPT_RETURN_NOT_OK(arg->Eval(batch, subrows_, &av_));
       rest_.clear();
       for (size_t j = 0; j < undecided_.size(); ++j) {
         uint32_t p = undecided_[j];
@@ -736,9 +738,9 @@ class NullIfNode final : public CompiledExpr {
       : CompiledExpr(src->result_type()), a_(std::move(a)), b_(std::move(b)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override {
-    RELOPT_RETURN_NOT_OK(a_->Eval(batch, rows, fallback_rows, &av_));
-    RELOPT_RETURN_NOT_OK(b_->Eval(batch, rows, fallback_rows, &bv_));
+              ColumnVec* out) override {
+    RELOPT_RETURN_NOT_OK(a_->Eval(batch, rows, &av_));
+    RELOPT_RETURN_NOT_OK(b_->Eval(batch, rows, &bv_));
     size_t n = rows.size();
     out->Reset(type_, type_ == TypeId::kString, n);
     Value as, bs;
@@ -768,7 +770,7 @@ class NullIfNode final : public CompiledExpr {
 // once at compile so the per-row loop can compare values directly instead of
 // routing every row through virtual Eval calls and Value copies.
 struct ColumnLiteralCompare {
-  int col;
+  const ColumnRefExpr* col;
   CompareOp op;
   const Value* literal;  // owned by the expression tree
 };
@@ -781,13 +783,13 @@ std::optional<ColumnLiteralCompare> MatchColumnLiteralCompare(const Expression* 
   if (l->kind() == ExprKind::kColumnRef && r->kind() == ExprKind::kLiteral) {
     const auto* col = static_cast<const ColumnRefExpr*>(l);
     if (!col->IsBound()) return std::nullopt;
-    return ColumnLiteralCompare{col->bound_index(), cmp->op(),
+    return ColumnLiteralCompare{col, cmp->op(),
                                 &static_cast<const LiteralExpr*>(r)->value()};
   }
   if (l->kind() == ExprKind::kLiteral && r->kind() == ExprKind::kColumnRef) {
     const auto* col = static_cast<const ColumnRefExpr*>(r);
     if (!col->IsBound()) return std::nullopt;
-    return ColumnLiteralCompare{col->bound_index(), MirrorOp(cmp->op()),
+    return ColumnLiteralCompare{col, MirrorOp(cmp->op()),
                                 &static_cast<const LiteralExpr*>(l)->value()};
   }
   return std::nullopt;
@@ -796,8 +798,8 @@ std::optional<ColumnLiteralCompare> MatchColumnLiteralCompare(const Expression* 
 /// `column <op> column` over two bound references (e.g. `a < b` filters,
 /// non-equi join residuals): both sides compare straight from storage.
 struct ColumnColumnCompare {
-  int lcol;
-  int rcol;
+  const ColumnRefExpr* lcol;
+  const ColumnRefExpr* rcol;
   CompareOp op;
 };
 
@@ -811,7 +813,7 @@ std::optional<ColumnColumnCompare> MatchColumnColumnCompare(const Expression* e)
   const auto* l = static_cast<const ColumnRefExpr*>(cmp->left());
   const auto* r = static_cast<const ColumnRefExpr*>(cmp->right());
   if (!l->IsBound() || !r->IsBound()) return std::nullopt;
-  return ColumnColumnCompare{l->bound_index(), r->bound_index(), cmp->op()};
+  return ColumnColumnCompare{l, r, cmp->op()};
 }
 
 int DirectColumnOf(const Expression* e) {
@@ -819,6 +821,22 @@ int DirectColumnOf(const Expression* e) {
   const auto* col = static_cast<const ColumnRefExpr*>(e);
   return col->IsBound() ? col->bound_index() : -1;
 }
+
+/// A kind the binder never hands to execution: evaluating it over any row
+/// fails with the error that evaluating such an expression means.
+class ErrorNode final : public CompiledExpr {
+ public:
+  ErrorNode(TypeId type, Status error) : CompiledExpr(type), error_(std::move(error)) {}
+
+  Status Eval(const TupleBatch&, const std::vector<uint32_t>& rows, ColumnVec* out) override {
+    if (!rows.empty()) return error_;
+    out->Reset(type_, true, 0);
+    return Status::OK();
+  }
+
+ private:
+  Status error_;
+};
 
 inline void InvertKeyTail(std::string* key, size_t from) {
   for (size_t i = from; i < key->size(); ++i) {
@@ -876,13 +894,16 @@ std::vector<const Expression*> CollectConjuncts(const Expression* pred) {
 }
 
 CompiledExprPtr CompileExpr(const Expression* expr) {
+  auto error = [expr](Status st) -> CompiledExprPtr {
+    return std::make_unique<ErrorNode>(expr->result_type(), std::move(st));
+  };
   switch (expr->kind()) {
     case ExprKind::kLiteral:
       return std::make_unique<LitNode>(static_cast<const LiteralExpr*>(expr)->value());
     case ExprKind::kColumnRef: {
       const auto* col = static_cast<const ColumnRefExpr*>(expr);
-      if (!col->IsBound()) break;  // unbound: fall through to the fallback
-      return std::make_unique<ColRefNode>(col);
+      if (col->IsBound()) return std::make_unique<ColRefNode>(col);
+      return error(Status::Internal("evaluating unbound column reference " + col->ToString()));
     }
     case ExprKind::kComparison: {
       const auto* cmp = static_cast<const ComparisonExpr*>(expr);
@@ -942,28 +963,25 @@ CompiledExprPtr CompileExpr(const Expression* expr) {
       }
       break;
     }
-    default:
-      break;
+    case ExprKind::kAggregateCall:
+      return error(Status::Internal("aggregate call " + expr->ToString() +
+                                    " evaluated directly (binder should have lifted it)"));
+    case ExprKind::kParameter:
+      return error(Status::InvalidArgument(
+          "unbound parameter $" +
+          std::to_string(static_cast<const ParameterExpr*>(expr)->ordinal() + 1) +
+          "; prepare the statement and supply values"));
   }
-  // Aggregate calls, parameters, unbound references: per-row, observable.
-  return std::make_unique<FallbackNode>(expr);
+  return error(Status::Internal("no kernel for " + expr->ToString()));
 }
 
-Status FallbackNode::Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-                          uint64_t* fallback_rows, ColumnVec* out) {
-  size_t n = rows.size();
-  out->Reset(type_, true, n);
-  for (size_t k = 0; k < n; ++k) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, e_->Eval(batch.RowAt(rows[k])));
-    if (v.is_null()) {
-      out->nulls[k] = 1;
-    } else {
-      out->vals[k] = std::move(v);
-    }
-  }
-  if (fallback_rows != nullptr) *fallback_rows += n;
-  EngineMetrics::Get().exec_batch_fallback_rows->Add(static_cast<uint64_t>(n));
-  return Status::OK();
+Result<Value> EvalConstant(Expression* expr) {
+  RELOPT_RETURN_NOT_OK(expr->Bind(Schema()));
+  TupleBatch row(1);
+  row.AppendRow();
+  ColumnVec out;
+  RELOPT_RETURN_NOT_OK(CompileExpr(expr)->Eval(row, row.selection(), &out));
+  return out.GetValue(0);
 }
 
 // ----------------------------------------------------------- BatchPredicate --
@@ -971,16 +989,13 @@ Status FallbackNode::Eval(const TupleBatch& batch, const std::vector<uint32_t>& 
 BatchPredicate::BatchPredicate(const Expression* pred) {
   for (const Expression* c : CollectConjuncts(pred)) {
     Conjunct conj;
-    conj.source = c;
     if (std::optional<ColumnLiteralCompare> fast = MatchColumnLiteralCompare(c)) {
-      conj.fused_col_lit = true;
-      conj.lcol = fast->col;
+      conj.lref = fast->col;
       conj.op = fast->op;
       conj.literal = fast->literal;
     } else if (std::optional<ColumnColumnCompare> cc = MatchColumnColumnCompare(c)) {
-      conj.fused_col_col = true;
-      conj.lcol = cc->lcol;
-      conj.rcol = cc->rcol;
+      conj.lref = cc->lcol;
+      conj.rref = cc->rcol;
       conj.op = cc->op;
     } else {
       conj.tree = CompileExpr(c);
@@ -989,51 +1004,45 @@ BatchPredicate::BatchPredicate(const Expression* pred) {
   }
 }
 
-Status BatchPredicate::Filter(TupleBatch* batch, uint64_t* fallback_rows) {
+Status BatchPredicate::Filter(TupleBatch* batch) {
   std::vector<uint32_t>* sel = batch->mutable_selection();
   for (const Conjunct& conj : conjuncts_) {
     if (sel->empty()) break;
     size_t kept = 0;
-    if (conj.fused_col_lit) {
+    if (conj.tree != nullptr) {
+      RELOPT_RETURN_NOT_OK(conj.tree->Eval(*batch, *sel, &scratch_));
+      for (size_t k = 0; k < sel->size(); ++k) {
+        bool is_null, b;
+        ReadBool(scratch_, k, &is_null, &b);
+        if (!is_null && b) (*sel)[kept++] = (*sel)[k];
+      }
+    } else if (conj.rref == nullptr) {
       if (conj.literal->is_null()) {
         // `col <op> NULL` is NULL for every row; the filter rejects them all.
         sel->clear();
         break;
       }
+      const auto lcol = static_cast<size_t>(conj.lref->bound_index());
       for (uint32_t row : *sel) {
         const Tuple& t = batch->RowAt(row);
-        if (static_cast<size_t>(conj.lcol) >= t.NumValues()) {
-          // Malformed row; route through Eval for its diagnostic.
-          RELOPT_ASSIGN_OR_RETURN(Value v, conj.source->Eval(t));
-          if (!v.is_null() && v.AsBool()) (*sel)[kept++] = row;
-          continue;
-        }
-        const Value& v = t.At(static_cast<size_t>(conj.lcol));
+        if (lcol >= t.NumValues()) return ColumnOutOfRange(*conj.lref);
+        const Value& v = t.At(lcol);
         if (v.is_null()) continue;  // NULL comparison -> NULL -> rejected
         RELOPT_ASSIGN_OR_RETURN(int c, v.Compare(*conj.literal));
         if (ApplyOp(conj.op, c)) (*sel)[kept++] = row;
       }
-    } else if (conj.fused_col_col) {
+    } else {
+      const auto lcol = static_cast<size_t>(conj.lref->bound_index());
+      const auto rcol = static_cast<size_t>(conj.rref->bound_index());
       for (uint32_t row : *sel) {
         const Tuple& t = batch->RowAt(row);
-        if (static_cast<size_t>(conj.lcol) >= t.NumValues() ||
-            static_cast<size_t>(conj.rcol) >= t.NumValues()) {
-          RELOPT_ASSIGN_OR_RETURN(Value v, conj.source->Eval(t));
-          if (!v.is_null() && v.AsBool()) (*sel)[kept++] = row;
-          continue;
-        }
-        const Value& a = t.At(static_cast<size_t>(conj.lcol));
-        const Value& b = t.At(static_cast<size_t>(conj.rcol));
+        if (lcol >= t.NumValues()) return ColumnOutOfRange(*conj.lref);
+        if (rcol >= t.NumValues()) return ColumnOutOfRange(*conj.rref);
+        const Value& a = t.At(lcol);
+        const Value& b = t.At(rcol);
         if (a.is_null() || b.is_null()) continue;  // NULL never passes
         RELOPT_ASSIGN_OR_RETURN(int c, a.Compare(b));
         if (ApplyOp(conj.op, c)) (*sel)[kept++] = row;
-      }
-    } else {
-      RELOPT_RETURN_NOT_OK(conj.tree->Eval(*batch, *sel, fallback_rows, &scratch_));
-      for (size_t k = 0; k < sel->size(); ++k) {
-        bool is_null, b;
-        ReadBool(scratch_, k, &is_null, &b);
-        if (!is_null && b) (*sel)[kept++] = (*sel)[k];
       }
     }
     sel->resize(kept);
@@ -1054,13 +1063,12 @@ BatchProjector::BatchProjector(const std::vector<ExprPtr>* exprs) : exprs_(exprs
   }
 }
 
-Status BatchProjector::Project(const TupleBatch& in, TupleBatch* out,
-                               uint64_t* fallback_rows) {
+Status BatchProjector::Project(const TupleBatch& in, TupleBatch* out) {
   out->Clear();
   size_t n = in.NumSelected();
   for (size_t i = 0; i < exprs_->size(); ++i) {
     if (direct_col_[i] < 0) {
-      RELOPT_RETURN_NOT_OK(compiled_[i]->Eval(in, in.selection(), fallback_rows, &vecs_[i]));
+      RELOPT_RETURN_NOT_OK(compiled_[i]->Eval(in, in.selection(), &vecs_[i]));
     }
   }
   for (size_t k = 0; k < n; ++k) {
@@ -1068,17 +1076,13 @@ Status BatchProjector::Project(const TupleBatch& in, TupleBatch* out,
     Tuple* slot = out->AppendRow();
     for (size_t i = 0; i < exprs_->size(); ++i) {
       int dc = direct_col_[i];
-      if (dc >= 0) {
-        if (static_cast<size_t>(dc) < row.NumValues()) {
-          slot->Append(row.At(static_cast<size_t>(dc)));
-        } else {
-          // Malformed row; route through Eval for its diagnostic.
-          RELOPT_ASSIGN_OR_RETURN(Value v, (*exprs_)[i]->Eval(row));
-          slot->Append(std::move(v));
-        }
-        continue;
+      if (dc < 0) {
+        slot->Append(vecs_[i].GetValue(k));
+      } else if (static_cast<size_t>(dc) < row.NumValues()) {
+        slot->Append(row.At(static_cast<size_t>(dc)));
+      } else {
+        return ColumnOutOfRange(*(*exprs_)[i]);
       }
-      slot->Append(vecs_[i].GetValue(k));
     }
   }
   return Status::OK();
@@ -1101,15 +1105,13 @@ KeyEncoder::KeyEncoder(std::vector<const Expression*> exprs, std::vector<bool> d
   }
 }
 
-Status KeyEncoder::Encode(const TupleBatch& batch, std::vector<std::string>* keys,
-                          uint64_t* fallback_rows) {
+Status KeyEncoder::Encode(const TupleBatch& batch, std::vector<std::string>* keys) {
   last_batch_ = &batch;
   size_t n = batch.NumSelected();
   if (keys->size() < n) keys->resize(n);
   for (size_t i = 0; i < exprs_.size(); ++i) {
     if (direct_col_[i] < 0) {
-      RELOPT_RETURN_NOT_OK(
-          compiled_[i]->Eval(batch, batch.selection(), fallback_rows, &vecs_[i]));
+      RELOPT_RETURN_NOT_OK(compiled_[i]->Eval(batch, batch.selection(), &vecs_[i]));
     }
   }
   Value storage;
@@ -1121,12 +1123,8 @@ Status KeyEncoder::Encode(const TupleBatch& batch, std::vector<std::string>* key
       size_t offset = key.size();
       int dc = direct_col_[i];
       if (dc >= 0) {
-        if (static_cast<size_t>(dc) < row.NumValues()) {
-          EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
-        } else {
-          RELOPT_ASSIGN_OR_RETURN(Value v, exprs_[i]->Eval(row));
-          EncodeKeyValue(v, &key, exact_int_[i]);
-        }
+        if (static_cast<size_t>(dc) >= row.NumValues()) return ColumnOutOfRange(*exprs_[i]);
+        EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
       } else {
         const ColumnVec& vec = vecs_[i];
         if (vec.boxed && !vec.NullAt(k)) {

@@ -6,15 +6,13 @@
 // null byte per row; strings (and adaptively-detected mixed columns) are
 // boxed Values. AND/OR/CASE/COALESCE evaluate lazily over shrinking row
 // subsets (short-circuit selection compaction), so a row rejected by an
-// earlier branch never pays for a later one — the batched equivalent of the
-// row evaluator's short circuits, with identical SQL three-valued-logic and
-// error semantics.
+// earlier branch never pays for a later one, and a branch that would error
+// on a row it does not decide stays silent (SQL three-valued logic with
+// short circuits).
 //
-// Any expression kind without a kernel (aggregate calls, unbound parameters)
-// routes through a per-row FallbackNode that counts every row it evaluates
-// into the owning operator's `fallback_rows` stat and the engine-wide
-// `relopt.exec.batch_fallback_rows` counter, so row-at-a-time evaluation is
-// observable in EXPLAIN ANALYZE and relopt_metrics().
+// These kernels are the engine's only expression evaluator: filters,
+// projections, join predicates, sort and group keys, DML and constant
+// folding (EvalConstant) all run them.
 #pragma once
 
 #include <memory>
@@ -85,7 +83,7 @@ class CompiledExpr {
   TypeId type() const { return type_; }
 
   virtual Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-                      uint64_t* fallback_rows, ColumnVec* out) = 0;
+                      ColumnVec* out) = 0;
 
  protected:
   TypeId type_;
@@ -93,25 +91,16 @@ class CompiledExpr {
 
 using CompiledExprPtr = std::unique_ptr<CompiledExpr>;
 
-/// \brief Per-row escape hatch for expression kinds without a kernel: runs
-/// the row interpreter (Expression::Eval) on every requested row. Every row
-/// it touches is charged to `*fallback_rows` and the engine-wide counter, so
-/// row-at-a-time evaluation is observable, not silent.
-class FallbackNode final : public CompiledExpr {
- public:
-  /// `e` must outlive the node.
-  explicit FallbackNode(const Expression* e) : CompiledExpr(e->result_type()), e_(e) {}
-
-  Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
-              uint64_t* fallback_rows, ColumnVec* out) override;
-
- private:
-  const Expression* e_;
-};
-
-/// Compiles a bound expression into a kernel tree. Unsupported kinds become
-/// FallbackNodes (observable, never wrong). Never fails.
+/// Compiles a bound expression into a kernel tree. Never fails: a kind the
+/// binder never hands to execution (an aggregate call, a parameter, an
+/// unbound column reference) compiles to a node whose Eval returns the
+/// error evaluating it means.
 CompiledExprPtr CompileExpr(const Expression* expr);
+
+/// \brief Binds `expr`, which must reference no column, against an empty
+/// schema and evaluates its kernel on one empty row: constant folding and
+/// `INSERT ... VALUES`. Returns the bind or evaluation error, if any.
+Result<Value> EvalConstant(Expression* expr);
 
 /// \brief Compiled filter predicate: conjunct-wise selection compaction with
 /// fused kernels for the hot shapes (`column <op> literal` and
@@ -124,20 +113,15 @@ class BatchPredicate {
   explicit BatchPredicate(const Expression* pred);
 
   /// Compacts `batch`'s selection to the rows where the predicate is TRUE.
-  /// Fallback-evaluated rows are counted into `*fallback_rows` (if non-null).
-  Status Filter(TupleBatch* batch, uint64_t* fallback_rows);
+  Status Filter(TupleBatch* batch);
 
  private:
   struct Conjunct {
-    const Expression* source;  ///< for fused-path error diagnostics
-    // Fused `column <op> literal`.
-    bool fused_col_lit = false;
-    int lcol = -1;
+    // Fused `column <op> literal` (`rref` null) or `column <op> column`.
+    const ColumnRefExpr* lref = nullptr;
+    const ColumnRefExpr* rref = nullptr;
     CompareOp op = CompareOp::kEq;
     const Value* literal = nullptr;
-    // Fused `column <op> column`.
-    bool fused_col_col = false;
-    int rcol = -1;
     // General path.
     CompiledExprPtr tree;
   };
@@ -155,7 +139,7 @@ class BatchProjector {
 
   /// Projects the selected rows of `in` into `out` (cleared first). `out`
   /// must have capacity >= in.NumSelected().
-  Status Project(const TupleBatch& in, TupleBatch* out, uint64_t* fallback_rows);
+  Status Project(const TupleBatch& in, TupleBatch* out);
 
  private:
   const std::vector<ExprPtr>* exprs_;
@@ -179,8 +163,7 @@ class KeyEncoder {
   /// Encodes keys for all selected rows of `batch` into
   /// `keys[0..NumSelected())` (resized; strings reused across calls). Zero
   /// expressions yield empty keys.
-  Status Encode(const TupleBatch& batch, std::vector<std::string>* keys,
-                uint64_t* fallback_rows);
+  Status Encode(const TupleBatch& batch, std::vector<std::string>* keys);
 
   /// Value of expression `i` for selected row `k` of the last Encode batch
   /// (which must still be alive).

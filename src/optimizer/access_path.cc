@@ -37,6 +37,13 @@ std::string ScanSignatureOf(const BaseRelation& rel) {
   return FeedbackStore::ScanSignature(rel.table->name(), std::move(sigs));
 }
 
+/// False for an INT beyond +-2^53: B+tree keys rank INTs as doubles, and
+/// such an INT shares its double with other INTs.
+bool ExactKey(const Value& v) {
+  constexpr int64_t kExact = int64_t{1} << 53;
+  return v.type() != TypeId::kInt64 || v.is_null() || (v.AsInt() > -kExact && v.AsInt() < kExact);
+}
+
 }  // namespace
 
 Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, int rel_index,
@@ -86,6 +93,13 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
     // Match leading equalities, then one range.
     double bounded_sel = 1.0;
     std::vector<bool> used(rel.conjuncts.size(), false);
+    // A bound on an inexact key also admits the other INTs of its double, so
+    // it is inclusive and its conjunct stays in the residual to drop them.
+    auto consume = [&](size_t ci, const Value& constant) {
+      used[ci] = true;
+      bounded_sel *= conj_sel[ci];
+      if (ExactKey(constant)) p.consumed.push_back(ci);
+    };
     bool open = true;  // still extending the equality prefix
     for (size_t key_pos = 0; key_pos < index->key_columns.size() && open; ++key_pos) {
       const std::string& key_col = rel.table->schema().ColumnAt(index->key_columns[key_pos]).name;
@@ -98,9 +112,7 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
         if (sarg->op == CompareOp::kEq) {
           p.lo_values.push_back(sarg->constant);
           p.hi_values.push_back(sarg->constant);
-          used[ci] = true;
-          p.consumed.push_back(ci);
-          bounded_sel *= conj_sel[ci];
+          consume(ci, sarg->constant);
           matched_eq = true;
           break;
         }
@@ -116,18 +128,14 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
         if (!sarg.has_value() || !EqualsIgnoreCase(sarg->column, key_col)) continue;
         if ((sarg->op == CompareOp::kGt || sarg->op == CompareOp::kGe) && !have_lo) {
           lo_v = sarg->constant;
-          p.lo_inclusive = sarg->op == CompareOp::kGe;
+          p.lo_inclusive = sarg->op == CompareOp::kGe || !ExactKey(lo_v);
           have_lo = true;
-          used[ci] = true;
-          p.consumed.push_back(ci);
-          bounded_sel *= conj_sel[ci];
+          consume(ci, lo_v);
         } else if ((sarg->op == CompareOp::kLt || sarg->op == CompareOp::kLe) && !have_hi) {
           hi_v = sarg->constant;
-          p.hi_inclusive = sarg->op == CompareOp::kLe;
+          p.hi_inclusive = sarg->op == CompareOp::kLe || !ExactKey(hi_v);
           have_hi = true;
-          used[ci] = true;
-          p.consumed.push_back(ci);
-          bounded_sel *= conj_sel[ci];
+          consume(ci, hi_v);
         }
       }
       if (have_lo) p.lo_values.push_back(lo_v);

@@ -3,8 +3,8 @@
 // The batch owns a fixed-capacity vector of reusable Tuples plus a selection
 // vector of indices into it. Operators that produce rows append into slots
 // recycled across batches (clear-and-refill, no per-row vector allocation);
-// operators that eliminate rows (Filter, Limit) compact the selection vector
-// and leave the row storage untouched. Consumers iterate the selection only.
+// operators that eliminate rows (Filter, the joins, IndexScan, Limit) compact
+// the selection vector and leave the row storage untouched. Consumers iterate the selection only.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +69,6 @@ class TupleBatch {
     rows_[num_rows_] = std::move(t);
     sel_.push_back(static_cast<uint32_t>(num_rows_));
     ++num_rows_;
-  }
-
-  /// Undoes the most recent AppendRow (a join row its predicate rejected,
-  /// an index-scan row its residual rejected).
-  void DropLastRow() {
-    sel_.pop_back();
-    --num_rows_;
   }
 
   const Tuple& RowAt(size_t i) const { return rows_[i]; }

@@ -213,6 +213,8 @@ struct EngineMetrics {
   // executor / engine
   MetricCounter* exec_rows_produced;
   MetricCounter* exec_batches_produced;
+  /// Always 0: every expression runs compiled kernels. Kept registered
+  /// because perfbench reads it (`exec.fallback_rows`).
   MetricCounter* exec_batch_fallback_rows;
   MetricCounter* exec_statements_failed;
   MetricHistogram* engine_statement_us;

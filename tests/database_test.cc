@@ -1,6 +1,10 @@
 // Database facade tests: DDL/DML/query lifecycle, metrics, errors.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "engine/session.h"
 #include "test_util.h"
 
 namespace relopt {
@@ -239,6 +243,74 @@ TEST(DatabaseTest, UpdateCastsToColumnType) {
   Sql(&db, "UPDATE t SET d = 3");
   QueryResult r = Sql(&db, "SELECT d FROM t");
   EXPECT_DOUBLE_EQ(r.rows[0].At(0).AsDouble(), 3.0);
+}
+
+// A NULL literal has no type of its own: it takes the one its context asks
+// for, in a constant expression (which folding binds, then evaluates), a
+// VALUES row, a WHERE, a SET and a prepared statement's NULL value alike.
+TEST(DatabaseTest, NullLiteralTakesTheTypeItsContextNeeds) {
+  Database db;
+  auto scalar = [&db](const std::string& sql) {
+    QueryResult r = Sql(&db, sql);
+    return r.rows.size() == 1 ? r.rows[0].At(0).ToString() : "<no single row>";
+  };
+  EXPECT_EQ(scalar("SELECT coalesce(NULL, 'a')"), "'a'");
+  EXPECT_EQ(scalar("SELECT length(NULL)"), "NULL");
+  EXPECT_EQ(scalar("SELECT NULL = 'x'"), "NULL");
+  EXPECT_EQ(scalar("SELECT upper(NULL)"), "NULL");
+  EXPECT_EQ(scalar("SELECT nullif('x', NULL)"), "'x'");
+  EXPECT_EQ(scalar("SELECT NOT NULL"), "NULL");
+
+  Sql(&db, "CREATE TABLE t (i INT, s TEXT)");
+  Sql(&db, "INSERT INTO t VALUES (1, coalesce(NULL, 'x')), (2, 'y')");
+  EXPECT_EQ(scalar("SELECT s FROM t WHERE i = 1"), "'x'");
+  EXPECT_EQ(scalar("SELECT i FROM t WHERE s = coalesce(NULL, 'x')"), "1");
+  Sql(&db, "UPDATE t SET s = upper(NULL) WHERE i = 2");
+  EXPECT_EQ(scalar("SELECT s FROM t WHERE i = 2"), "NULL");
+
+  Result<PreparedStatement*> prepared = db.CreateSession()->Prepare("SELECT coalesce(?, 'x')");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Result<QueryResult> r = (*prepared)->Execute({Value::Null()});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0].At(0).ToString(), "'x'");
+}
+
+// The same holds beside a column: a NULL literal next to a TEXT or BOOL
+// column takes that column's type.
+TEST(DatabaseTest, NullLiteralTakesTheTypeOfTheColumnBesideIt) {
+  Database db;
+  Sql(&db, "CREATE TABLE t (i INT, s TEXT, b BOOL)");
+  Sql(&db, "INSERT INTO t VALUES (1, 'a', TRUE), (2, NULL, FALSE)");
+  auto column = [&db](const std::string& sql) {
+    std::vector<std::string> out;
+    for (const Tuple& row : Sql(&db, sql).rows) out.push_back(row.At(0).ToString());
+    return out;
+  };
+  using Column = std::vector<std::string>;
+  EXPECT_EQ(column("SELECT i FROM t WHERE s = NULL"), Column{});
+  EXPECT_EQ(column("SELECT coalesce(s, NULL, 'z') FROM t ORDER BY i"), (Column{"'a'", "'z'"}));
+  EXPECT_EQ(column("SELECT CASE WHEN i > 1 THEN NULL ELSE s END FROM t ORDER BY i"),
+            (Column{"'a'", "NULL"}));
+  EXPECT_EQ(column("SELECT nullif(NULL, s) FROM t ORDER BY i"), (Column{"NULL", "NULL"}));
+  EXPECT_EQ(column("SELECT b AND NULL FROM t ORDER BY i"), (Column{"NULL", "false"}));
+}
+
+// A constant expression type-checks like the same expression over columns,
+// because folding binds it before it evaluates it: mixing a number with a
+// string is a TypeError even where the first argument alone decides the
+// value.
+TEST(DatabaseTest, ConstantsTypeCheckLikeColumns) {
+  Database db;
+  Sql(&db, "CREATE TABLE t (i INT, s TEXT)");
+  Sql(&db, "INSERT INTO t VALUES (1, 'a')");
+  Status folded = db.Execute("SELECT coalesce(1, 'x')").status();
+  EXPECT_EQ(folded.ToString(),
+            "TypeError: coalesce branches mix incompatible types int64 and string");
+  EXPECT_EQ(folded.ToString(), db.Execute("SELECT coalesce(i, 'x') FROM t").status().ToString());
+  folded = db.Execute("SELECT 'x' + NULL").status();
+  EXPECT_EQ(folded.ToString(), "TypeError: arithmetic needs numeric operands in ('x' + NULL)");
+  EXPECT_EQ(db.Execute("SELECT s + NULL FROM t").status().code(), StatusCode::kTypeError);
 }
 
 TEST(DatabaseTest, SelfJoinWithAliases) {

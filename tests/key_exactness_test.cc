@@ -1,7 +1,7 @@
 // Encoded keys must agree with Value::Compare: two INTs beyond 2^53 that
-// round to the same double stay apart in GROUP BY, DISTINCT, ORDER BY and
-// hash joins, and -0.0 groups with 0.0. An INT = DOUBLE join keeps comparing
-// as doubles.
+// round to the same double stay apart in GROUP BY, DISTINCT, ORDER BY, hash
+// joins, index scans and index nested-loop joins, and -0.0 groups with 0.0.
+// An INT = DOUBLE join keeps comparing as doubles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +43,22 @@ class KeyExactnessTest : public ::testing::Test {
   void LoadPair() {
     Sql(&db_, "CREATE TABLE a (k INT, v INT)");
     Sql(&db_, "INSERT INTO a VALUES (9007199254740993, 1), (9007199254740992, 2)");
+  }
+
+  /// `a(k, v)` holds the INTs that share a double with their neighbour at
+  /// +-2^53, and 1,000 rows (i, i); `a.k` is indexed and analyzed.
+  void LoadIndexedPairs() {
+    Sql(&db_, "CREATE TABLE a (k INT, v INT)");
+    Sql(&db_,
+        "INSERT INTO a VALUES (9007199254740993, 1), (9007199254740992, 2), "
+        "(-9007199254740993, 3), (-9007199254740992, 4)");
+    std::string values;
+    for (int i = 0; i < 1000; ++i) {
+      values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " + std::to_string(i) + ")";
+    }
+    Sql(&db_, "INSERT INTO a VALUES " + values);
+    Sql(&db_, "CREATE INDEX a_k ON a (k)");
+    Sql(&db_, "ANALYZE");
   }
 
   /// Leaves the optimizer only hash joins.
@@ -92,6 +108,47 @@ TEST_F(KeyExactnessTest, HashJoinKeepsIntsBeyond2To53Apart) {
   Sql(&db_, "ANALYZE");
   ForceHashJoins();
   ExpectHashJoinRows("SELECT a.v, b.w FROM a, b WHERE a.k = b.k", {"(2, 10)"});
+}
+
+TEST_F(KeyExactnessTest, IndexScanBoundsAt2To53MatchSeqScan) {
+  LoadIndexedPairs();
+  const char* const ops[] = {"=", "<", "<=", ">", ">="};
+  const int64_t constants[] = {k2To53, k2To53 + 1, -k2To53, -k2To53 - 1};
+  for (int64_t c : constants) {
+    // A window on the same side of zero keeps every range selective.
+    const std::string window = c > 0 ? " AND k > 9007199254740000" : " AND k < -9007199254740000";
+    for (const char* op : ops) {
+      const std::string sql =
+          "SELECT v FROM a WHERE k " + std::string(op) + " " + std::to_string(c) + window;
+      db_.options().optimizer.join.enable_index_scans = true;
+      std::vector<std::string> indexed = Sorted(Rows(Sql(&db_, sql)));
+      ASSERT_TRUE(HasOp(db_.last_profile().root, "IndexScan")) << sql;
+      db_.options().optimizer.join.enable_index_scans = false;
+      std::vector<std::string> scanned = Sorted(Rows(Sql(&db_, sql)));
+      ASSERT_FALSE(HasOp(db_.last_profile().root, "IndexScan")) << sql;
+      EXPECT_EQ(indexed, scanned) << sql;
+    }
+  }
+  db_.options().optimizer.join.enable_index_scans = true;
+  EXPECT_EQ(Rows(Sql(&db_, "SELECT v FROM a WHERE k = 9007199254740992")),
+            (std::vector<std::string>{"(2)"}));
+}
+
+TEST_F(KeyExactnessTest, IndexNestedLoopJoinMatchesHashJoinAt2To53) {
+  LoadIndexedPairs();
+  Sql(&db_, "CREATE TABLE b (k INT, w INT)");
+  Sql(&db_, "INSERT INTO b VALUES (9007199254740992, 20), (-9007199254740993, 30)");
+  Sql(&db_, "ANALYZE");
+  const std::string sql = "SELECT b.w, a.v FROM b, a WHERE b.k = a.k";
+  JoinEnumOptions& join = db_.options().optimizer.join;
+  join.enable_nlj = join.enable_bnlj = join.enable_smj = join.enable_hash = false;
+  std::vector<std::string> inlj = Sorted(Rows(Sql(&db_, sql)));
+  ASSERT_TRUE(HasOp(db_.last_profile().root, "IndexNestedLoopJoin"))
+      << db_.last_profile().ToText();
+  join.enable_hash = true;
+  join.enable_inlj = false;
+  ExpectHashJoinRows(sql, inlj);
+  EXPECT_EQ(inlj, (std::vector<std::string>{"(20, 2)", "(30, 3)"}));
 }
 
 TEST_F(KeyExactnessTest, OrderByOrdersIntsBeyond2To53Exactly) {

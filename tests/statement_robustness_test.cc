@@ -1,10 +1,12 @@
 // Statements that would wrap, trap or exhaust the stack must fail with a
 // Status, identically in every execution mode: checked int64 arithmetic in
-// the batch kernels at every batch size, and the parser's expression-depth
-// limit. A statement that fails on a bad value must write nothing.
+// the batch kernels at every batch size (in filters, projections, join
+// predicates and DML alike), and the parser's expression-depth limit. A
+// statement that fails on a bad value must write nothing.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "parser/parser.h"
 #include "storage/btree.h"
@@ -45,6 +47,13 @@ class StatementRobustnessTest : public ::testing::Test {
     return r;
   }
 
+  /// The rows of `big`, which a failed statement must leave as they were.
+  std::vector<std::string> BigRows() {
+    std::vector<std::string> rows;
+    for (const Tuple& row : Sql(&db_, "SELECT a FROM big").rows) rows.push_back(row.ToString());
+    return rows;
+  }
+
   /// `sql` fails with OutOfRange "integer overflow in <expr>" in every mode.
   void ExpectOverflowEverywhere(const std::string& sql, const std::string& expr) {
     for (const Mode& m : kModes) {
@@ -76,6 +85,77 @@ TEST_F(StatementRobustnessTest, AggregateArgumentOverflowRaises) {
   // see the error rather than a wrapped value.
   ExpectOverflowEverywhere("SELECT sum(a + 100) FROM big", "(big.a + 100)");
   ExpectOverflowEverywhere("SELECT max(a + 100) FROM big", "(big.a + 100)");
+}
+
+TEST_F(StatementRobustnessTest, JoinPredicateOverflowRaises) {
+  ExpectOverflowEverywhere("SELECT big.a, small.a FROM big, small WHERE big.a + 100 > small.a",
+                           "(big.a + 100)");
+}
+
+TEST_F(StatementRobustnessTest, HashJoinResidualOverflowRaises) {
+  JoinEnumOptions& join = db_.options().optimizer.join;
+  join.enable_nlj = join.enable_bnlj = join.enable_inlj = join.enable_smj = false;
+  const std::string sql =
+      "SELECT b1.a FROM big b1, big b2 WHERE b1.a = b2.a AND b1.a + 100 > b2.a";
+  Result<PhysicalPtr> plan = db_.PlanQuery(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE((*plan)->ToString().find("HashJoin"), std::string::npos) << (*plan)->ToString();
+  // At parallelism 4 the residual runs inside the Gather's workers.
+  ExpectOverflowEverywhere(sql, "(b1.a + 100)");
+}
+
+TEST_F(StatementRobustnessTest, DmlOverflowRaisesAndWritesNothing) {
+  const std::vector<std::string> before = BigRows();
+  ExpectOverflowEverywhere("UPDATE big SET a = a + 100", "(big.a + 100)");
+  EXPECT_EQ(BigRows(), before);
+  ExpectOverflowEverywhere("DELETE FROM big WHERE a + 100 > 0", "(big.a + 100)");
+  EXPECT_EQ(BigRows(), before);
+  ExpectOverflowEverywhere("INSERT INTO big VALUES (9223372036854775807 + 1)",
+                           "(9223372036854775807 + 1)");
+  EXPECT_EQ(BigRows(), before);
+}
+
+// A predicate's conjuncts run one after another, each over the rows the
+// earlier ones accepted, in joins and DML as in a Filter: a row whose first
+// conjunct is NULL is rejected before a later, overflowing conjunct sees it.
+TEST_F(StatementRobustnessTest, NullConjunctRejectsARowBeforeALaterOneRuns) {
+  const std::string join =
+      "SELECT big.a, small.a FROM big, small "
+      "WHERE nullif(big.a, big.a) < small.a AND big.a + 100 > small.a";
+  const std::string del = "DELETE FROM big WHERE nullif(a, a) > 0 AND a + 100 > 0";
+  const std::vector<std::string> before = BigRows();
+  for (const Mode& m : kModes) {
+    for (const std::string& sql : {join, del}) {
+      Result<QueryResult> r = Run(sql, m);
+      ASSERT_TRUE(r.ok()) << sql << " in " << ModeName(m) << ": " << r.status().ToString();
+      EXPECT_TRUE(r->rows.empty()) << sql << " in " << ModeName(m);
+    }
+  }
+  EXPECT_EQ(BigRows(), before);
+}
+
+// VALUES expressions are bound, against no columns, before they run: a bad
+// one fails with the error a SELECT list gives, and writes nothing.
+TEST_F(StatementRobustnessTest, BadValuesExpressionFailsAsInASelectList) {
+  const std::vector<std::string> before = BigRows();
+  Result<QueryResult> r = db_.Execute("INSERT INTO big VALUES (a)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "BindError: column 'a' not found");
+  r = db_.Execute("INSERT INTO big VALUES (1 + 'x')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "TypeError: arithmetic needs numeric operands in (1 + 'x')");
+  EXPECT_EQ(r.status().ToString(), db_.Execute("SELECT 1 + 'x' FROM big").status().ToString());
+  EXPECT_EQ(BigRows(), before);
+}
+
+// Constant folding binds a constant subtree before it evaluates it, so a
+// type error in one is the binder's TypeError.
+TEST_F(StatementRobustnessTest, FoldingANonBooleanNotFailsCleanly) {
+  for (const char* sql : {"SELECT NOT 1", "SELECT a FROM big WHERE NOT 1"}) {
+    Result<QueryResult> r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().ToString(), "TypeError: logical operand 1 is not boolean") << sql;
+  }
 }
 
 TEST_F(StatementRobustnessTest, MinDividedByMinusOneRaises) {

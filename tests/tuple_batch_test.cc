@@ -52,16 +52,6 @@ TEST(TupleBatchTest, FullAtCapacity) {
   EXPECT_TRUE(batch.Full());
 }
 
-TEST(TupleBatchTest, DropLastRowUndoesAppend) {
-  TupleBatch batch(4);
-  *batch.AppendRow() = MakeRow(1, 10);
-  batch.AppendRow();  // speculative slot, stream ended
-  batch.DropLastRow();
-  EXPECT_EQ(batch.NumRows(), 1u);
-  EXPECT_EQ(batch.NumSelected(), 1u);
-  EXPECT_EQ(batch.SelectedRow(0).At(0).AsInt(), 1);
-}
-
 TEST(TupleBatchTest, ClearKeepsStorageForReuse) {
   TupleBatch batch(4);
   *batch.AppendRow() = MakeRow(1, 10);

@@ -1,5 +1,5 @@
-// The compiled batch kernels (expr/vector_eval.h) against the row
-// interpreter (Expression::Eval): every expression is bound through the
+// The compiled batch kernels (expr/vector_eval.h) against the reference
+// evaluator (reference_eval.h): every expression is bound through the
 // binder, then evaluated over a table's rows both ways — by CompileExpr at
 // batch sizes 1, 7 and 1024 over a sparse selection vector, and row by row.
 // Values, NULLs and error strings must be identical. Batch size 1 runs the
@@ -10,10 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "exec/plan_profile.h"
 #include "expr/vector_eval.h"
+#include "reference_eval.h"
 #include "test_util.h"
-#include "util/metrics.h"
 #include "workload/generator.h"
 
 namespace relopt {
@@ -75,16 +74,15 @@ std::string Render(const Value& v) {
 
 /// Evaluates `expr` over `rows` through its compiled kernel tree, one batch
 /// of `batch_size` rows at a time with every third row deselected, and row
-/// by row through the interpreter; both must agree on every selected row,
-/// and a batch must fail with the interpreter's first error among its
+/// by row through the reference evaluator; both must agree on every selected
+/// row, and a batch must fail with the reference's first error among its
 /// selected rows.
-void ExpectKernelMatchesInterpreter(const Expression* expr, const std::vector<Tuple>& rows,
-                                    const std::string& label) {
+void ExpectKernelMatchesReference(const Expression* expr, const std::vector<Tuple>& rows,
+                                  const std::string& label) {
   for (size_t batch_size : kBatchSizes) {
     CompiledExprPtr kernel = CompileExpr(expr);
     TupleBatch batch(batch_size);
     ColumnVec out;
-    uint64_t fallback_rows = 0;
     for (size_t start = 0; start < rows.size(); start += batch_size) {
       const std::string where = label + " @ batch " + std::to_string(batch_size) + ", row " +
                                 std::to_string(start);
@@ -99,14 +97,14 @@ void ExpectKernelMatchesInterpreter(const Expression* expr, const std::vector<Tu
       std::vector<std::string> expected;
       Status expected_error;
       for (uint32_t r : sparse) {
-        Result<Value> v = expr->Eval(batch.RowAt(r));
+        Result<Value> v = testing::ReferenceEval(*expr, batch.RowAt(r));
         if (!v.ok()) {
           expected_error = v.status();
           break;
         }
         expected.push_back(Render(*v));
       }
-      Status st = kernel->Eval(batch, batch.selection(), &fallback_rows, &out);
+      Status st = kernel->Eval(batch, batch.selection(), &out);
       if (!expected_error.ok()) {
         EXPECT_EQ(st.ToString(), expected_error.ToString()) << where;
         continue;
@@ -118,7 +116,6 @@ void ExpectKernelMatchesInterpreter(const Expression* expr, const std::vector<Tu
             << where << ", selected row " << k;
       }
     }
-    EXPECT_EQ(fallback_rows, 0u) << label << " fell back @ batch " << batch_size;
   }
 }
 
@@ -154,7 +151,7 @@ TEST_F(VectorEvalTest, ExpressionCorpusMatchesInterpreter) {
   for (const char* e : exprs) {
     const Expression* expr = Bind(e, "t");
     ASSERT_NE(expr, nullptr) << e;
-    ExpectKernelMatchesInterpreter(expr, rows, e);
+    ExpectKernelMatchesReference(expr, rows, e);
   }
 }
 
@@ -169,7 +166,7 @@ TEST_F(VectorEvalTest, OverflowErrorsMatchInterpreter) {
   for (const char* e : exprs) {
     const Expression* expr = Bind(e, "edge");
     ASSERT_NE(expr, nullptr) << e;
-    ExpectKernelMatchesInterpreter(expr, rows, e);
+    ExpectKernelMatchesReference(expr, rows, e);
   }
   // The error is the one the SQL surface reports.
   Result<QueryResult> r = db_.Execute("SELECT a + 100 FROM edge");
@@ -178,43 +175,6 @@ TEST_F(VectorEvalTest, OverflowErrorsMatchInterpreter) {
   r = db_.Execute("SELECT abs(a - 1) FROM edge");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().message(), "integer overflow in abs((edge.a - 1))");
-}
-
-TEST_F(VectorEvalTest, FallbackRowsSurfaceInProfileAndMetric) {
-  // No SQL reaches a FallbackNode (every operator runs batches, and every
-  // bound expression kind compiles), so drive one directly: it evaluates
-  // through the interpreter and charges every row it touches to the
-  // operator stat and the engine-wide counter.
-  const Expression* expr = Bind("(a * 3 + b) * 2 - a / 4", "t");
-  ASSERT_NE(expr, nullptr);
-  const std::vector<Tuple> rows = Rows("t");
-  TupleBatch batch(64);
-  for (size_t i = 0; i < 64; ++i) *batch.AppendRow() = rows[i];
-  std::vector<uint32_t> sparse;
-  for (uint32_t i = 0; i < 64; i += 2) sparse.push_back(i);
-  *batch.mutable_selection() = sparse;
-
-  FallbackNode node(expr);
-  const uint64_t before = EngineMetrics::Get().exec_batch_fallback_rows->value();
-  uint64_t fallback_rows = 0;
-  ColumnVec out;
-  ASSERT_OK(node.Eval(batch, batch.selection(), &fallback_rows, &out));
-  EXPECT_EQ(fallback_rows, sparse.size());
-  EXPECT_EQ(EngineMetrics::Get().exec_batch_fallback_rows->value() - before, sparse.size());
-  for (size_t k = 0; k < sparse.size(); ++k) {
-    Result<Value> v = expr->Eval(batch.RowAt(sparse[k]));
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(Render(out.GetValue(k)), Render(*v));
-  }
-
-  // EXPLAIN ANALYZE renders the counter in both formats.
-  PlanProfile profile;
-  profile.valid = true;
-  profile.root.op = "Project";
-  profile.root.stats.fallback_rows = fallback_rows;
-  const std::string n = std::to_string(fallback_rows);
-  EXPECT_NE(profile.ToText().find("fallback=" + n), std::string::npos);
-  EXPECT_NE(profile.ToJson().find("\"fallback_rows\":" + n), std::string::npos);
 }
 
 }  // namespace

@@ -267,37 +267,6 @@ TEST_F(VectorizedDifferentialTest, NullHeavyPredicates) {
   }
 }
 
-// --- batch fallback accounting ---------------------------------------------
-
-/// Flattens a profile tree into (op, fallback_rows) in pre-order.
-void FlattenFallback(const OperatorProfile& p,
-                     std::vector<std::pair<std::string, uint64_t>>* out) {
-  out->emplace_back(p.op, p.stats.fallback_rows);
-  for (const OperatorProfile& c : p.children) FlattenFallback(c, out);
-}
-
-TEST_F(VectorizedDifferentialTest, ConvertedOperatorsNeverFallBackAcrossCorpus) {
-  // Every operator runs the whole corpus through compiled kernels: no
-  // expression of the corpus reaches a FallbackNode, at any batch size and
-  // parallelism.
-  for (const char* q : kDifferentialQueries) {
-    for (size_t parallelism : {1u, 2u, 4u, 8u}) {
-      db_.set_parallelism(parallelism);
-      for (size_t bs : {size_t{7}, size_t{1024}}) {
-        RunBatch(q, bs);
-        ASSERT_TRUE(db_.last_profile().valid) << q;
-        std::vector<std::pair<std::string, uint64_t>> ops;
-        FlattenFallback(db_.last_profile().root, &ops);
-        for (const auto& [op, fallback] : ops) {
-          EXPECT_EQ(fallback, 0u) << op << " fell back on: " << q << " @ parallelism "
-                                  << parallelism << " batch_size " << bs;
-        }
-      }
-      db_.set_parallelism(1);
-    }
-  }
-}
-
 TEST_F(VectorizedDifferentialTest, BatchSizeZeroClampsToOne) {
   const std::string q = "SELECT count(*) FROM emp";
   QueryResult standard = CheckedSql(&db_, q);
