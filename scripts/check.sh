@@ -103,10 +103,14 @@ echo "== tsan build (concurrency tests) =="
 # residual's overflow inside Gather workers. SessionConcurrency
 # includes PlanningRacesIndexSplits: sessions plan against the B+tree height
 # and leaf counters while another session's inserts split the tree.
+# SortExec, JoinExec, Catalog and HeapFile drive every heap reader (sort
+# runs, Grace partitions, ANALYZE and the index backfill, the cursor itself),
+# so the page-latch rule is checked on each: no heap latch is held while
+# another page is latched or written.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

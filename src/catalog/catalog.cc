@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include "types/key_codec.h"
+#include "types/tuple_batch.h"
 #include "util/str_util.h"
 
 namespace relopt {
@@ -100,16 +101,22 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   RELOPT_ASSIGN_OR_RETURN(BTree tree, BTree::Create(pool_));
   info->tree = std::make_unique<BTree>(std::move(tree));
 
-  // Bulk-build from existing rows.
-  HeapFile::Iterator it(table->heap());
-  Rid rid;
-  std::string bytes;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes, table->schema().NumColumns()));
-    std::string enc = EncodeKeyFromTuple(tuple, key_columns);
-    RELOPT_RETURN_NOT_OK(info->tree->Insert(enc, rid));
+  // Bulk-build from existing rows, a batch at a time: the cursor unlatches
+  // its heap page before the batch's B+tree inserts latch others.
+  HeapFile::PageCursor cursor(table->heap());
+  RELOPT_RETURN_NOT_OK(cursor.Rewind());
+  TupleBatch batch;
+  std::vector<Rid> rids;
+  bool more = true;
+  while (more) {
+    batch.Clear();
+    rids.clear();
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch, &rids));
+    for (size_t r = 0; r < batch.NumRows(); ++r) {
+      NoteKey(info.get(), batch.RowAt(r));
+      RELOPT_RETURN_NOT_OK(info->tree->Insert(EncodeKeyFromTuple(batch.RowAt(r), key_columns),
+                                              rids[r]));
+    }
   }
 
   IndexInfo* raw = info.get();
@@ -148,11 +155,22 @@ Result<Rid> Catalog::InsertTuple(TableInfo* table, const Tuple& tuple) {
   }
   RELOPT_ASSIGN_OR_RETURN(Rid rid, table->heap()->Insert(tuple.Serialize()));
   for (IndexInfo* idx : table->indexes()) {
+    NoteKey(idx, tuple);
     std::string enc = EncodeKeyFromTuple(tuple, idx->key_columns);
     RELOPT_RETURN_NOT_OK(idx->tree->Insert(enc, rid));
   }
   table->set_live_rows(table->live_rows() + 1);
   return rid;
+}
+
+void Catalog::NoteKey(IndexInfo* index, const Tuple& row) {
+  if (index->big_int_keys) return;
+  for (size_t c : index->key_columns) {
+    if (!IsBigInt(row.At(c))) continue;
+    index->big_int_keys = true;
+    BumpVersion();
+    return;
+  }
 }
 
 Status Catalog::DeleteTuple(TableInfo* table, Rid rid) {
@@ -169,16 +187,16 @@ Status Catalog::DeleteTuple(TableInfo* table, Rid rid) {
 Status Catalog::AnalyzeTable(const std::string& table_name, size_t num_buckets) {
   RELOPT_ASSIGN_OR_RETURN(TableInfo * table, GetTable(table_name));
   StatsBuilder builder(table->schema(), num_buckets);
-  HeapFile::Iterator it(table->heap());
-  Rid rid;
-  std::string bytes;
+  HeapFile::PageCursor cursor(table->heap());
+  RELOPT_RETURN_NOT_OK(cursor.Rewind());
+  TupleBatch batch;
   uint64_t rows = 0;
-  while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-    if (!has) break;
-    RELOPT_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes, table->schema().NumColumns()));
-    builder.AddRow(tuple);
-    ++rows;
+  bool more = true;
+  while (more) {
+    batch.Clear();
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch));
+    for (size_t r = 0; r < batch.NumRows(); ++r) builder.AddRow(batch.MutableRowAt(r));
+    rows += batch.NumRows();
   }
   RELOPT_ASSIGN_OR_RETURN(TableStats stats, builder.Finish(table->heap()->NumPages()));
   table->set_stats(std::move(stats));

@@ -24,6 +24,10 @@ struct IndexInfo {
   std::string table_name;
   std::vector<size_t> key_columns;   ///< column positions in the table schema
   bool clustered = false;            ///< heap is physically ordered by the key
+  /// Set once the index holds an INT key beyond +-2^53, and never cleared.
+  /// B+tree keys rank INTs as doubles, so such INTs can share a key and come
+  /// back in RID order: the index no longer delivers its key order.
+  bool big_int_keys = false;
   std::unique_ptr<BTree> tree;
 
   /// "idx(t.a, t.b)" for plan printing.
@@ -71,9 +75,10 @@ class TableInfo {
 /// so secondary indexes stay consistent.
 ///
 /// `version()` is a monotonically increasing schema/statistics epoch: it bumps
-/// on every DDL (CREATE/DROP TABLE, CREATE INDEX) and every ANALYZE, i.e. on
-/// every change that can alter an optimized plan's validity or the optimizer's
-/// choices. The shared PlanCache keys cached plans on it.
+/// on every DDL (CREATE/DROP TABLE, CREATE INDEX), every ANALYZE and every
+/// insert that marks an index's `big_int_keys`, i.e. on every change that can
+/// alter an optimized plan's validity or the optimizer's choices. The shared
+/// PlanCache keys cached plans on it.
 class Catalog {
  public:
   explicit Catalog(BufferPool* pool) : pool_(pool) {}
@@ -120,6 +125,9 @@ class Catalog {
 
  private:
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
+  /// Marks `index` once `row` gives it a big INT key, retiring cached plans
+  /// that rely on its order.
+  void NoteKey(IndexInfo* index, const Tuple& row);
 
   BufferPool* pool_;
   std::map<std::string, std::unique_ptr<TableInfo>> tables_;   // lower-cased keys

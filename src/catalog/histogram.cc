@@ -7,21 +7,27 @@
 
 namespace relopt {
 
+Status SortValues(std::vector<Value>* values) {
+  Status status = Status::OK();
+  auto less = [&](const Value& a, const Value& b) {
+    Result<int> c = a.Compare(b);
+    if (!c.ok()) {
+      status = c.status();
+      return false;
+    }
+    return *c < 0;
+  };
+  if (!std::is_sorted(values->begin(), values->end(), less) && status.ok()) {
+    std::sort(values->begin(), values->end(), less);
+  }
+  return status;
+}
+
 Result<EquiDepthHistogram> EquiDepthHistogram::Build(std::vector<Value> values,
                                                      size_t num_buckets) {
   EquiDepthHistogram hist;
   if (values.empty() || num_buckets == 0) return hist;
-  // Sort; all values must be mutually comparable (one column => one type).
-  Status sort_status = Status::OK();
-  std::sort(values.begin(), values.end(), [&](const Value& a, const Value& b) {
-    Result<int> c = a.Compare(b);
-    if (!c.ok()) {
-      sort_status = c.status();
-      return false;
-    }
-    return *c < 0;
-  });
-  RELOPT_RETURN_NOT_OK(sort_status);
+  RELOPT_RETURN_NOT_OK(SortValues(&values));
 
   const uint64_t n = values.size();
   const uint64_t per_bucket = std::max<uint64_t>(1, (n + num_buckets - 1) / num_buckets);

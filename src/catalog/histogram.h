@@ -9,6 +9,10 @@
 
 namespace relopt {
 
+/// Sorts `values` by Value::Compare, unless they are in order already. They
+/// must be mutually comparable, as one column's values are.
+Status SortValues(std::vector<Value>* values);
+
 /// \brief Equi-depth (equi-height) histogram over one column's values.
 ///
 /// Buckets hold ~equal row counts; each records [lo, hi], row count, and
@@ -25,8 +29,8 @@ class EquiDepthHistogram {
 
   EquiDepthHistogram() = default;
 
-  /// Builds from non-null values (need not be pre-sorted; they are copied and
-  /// sorted). `num_buckets` is a target; fewer are produced for tiny inputs.
+  /// Builds from non-null values (sorted here unless they already are).
+  /// `num_buckets` is a target; fewer are produced for tiny inputs.
   static Result<EquiDepthHistogram> Build(std::vector<Value> values, size_t num_buckets);
 
   bool Empty() const { return total_ == 0; }

@@ -1,7 +1,5 @@
 #include "catalog/statistics.h"
 
-#include <algorithm>
-
 #include "util/str_util.h"
 
 namespace relopt {
@@ -27,13 +25,13 @@ StatsBuilder::StatsBuilder(const Schema& schema, size_t num_buckets)
       values_(num_columns_),
       null_counts_(num_columns_, 0) {}
 
-void StatsBuilder::AddRow(const Tuple& tuple) {
+void StatsBuilder::AddRow(Tuple* row) {
   ++num_rows_;
-  for (size_t i = 0; i < num_columns_ && i < tuple.NumValues(); ++i) {
-    if (tuple.At(i).is_null()) {
+  for (size_t i = 0; i < num_columns_ && i < row->NumValues(); ++i) {
+    if (row->At(i).is_null()) {
       ++null_counts_[i];
     } else {
-      values_[i].push_back(tuple.At(i));
+      values_[i].push_back(std::move(row->MutableAt(i)));
     }
   }
 }
@@ -49,19 +47,10 @@ Result<TableStats> StatsBuilder::Finish(uint64_t num_pages) {
     c.num_non_null = values_[i].size();
     if (values_[i].empty()) continue;
 
-    // Sort once: min/max/ndv all fall out, and the histogram builder re-sorts
-    // its own copy (cheap at toy scale).
-    Status sort_status = Status::OK();
-    std::vector<Value> sorted = values_[i];
-    std::sort(sorted.begin(), sorted.end(), [&](const Value& a, const Value& b) {
-      Result<int> cmp = a.Compare(b);
-      if (!cmp.ok()) {
-        sort_status = cmp.status();
-        return false;
-      }
-      return *cmp < 0;
-    });
-    RELOPT_RETURN_NOT_OK(sort_status);
+    // Sort once: min/max/ndv all fall out, and the histogram builder finds
+    // the values already sorted.
+    std::vector<Value> sorted = std::move(values_[i]);
+    RELOPT_RETURN_NOT_OK(SortValues(&sorted));
 
     c.min = sorted.front();
     c.max = sorted.back();

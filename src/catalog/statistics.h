@@ -40,17 +40,18 @@ struct TableStats {
 
 /// \brief Incremental statistics builder: feed every row, then Finish().
 ///
-/// Used by ANALYZE (full scan) and by the workload generator (which knows the
-/// rows as it makes them).
+/// Used by ANALYZE (full scan).
 class StatsBuilder {
  public:
   /// `num_buckets` = 0 disables histograms (System-R mode keeps only
   /// ndv/min/max).
   explicit StatsBuilder(const Schema& schema, size_t num_buckets = 32);
 
-  void AddRow(const Tuple& tuple);
+  /// Takes the row's values (leaving them moved-from).
+  void AddRow(Tuple* row);
 
-  /// Produces the stats. `num_pages` comes from the heap file.
+  /// Produces the stats, consuming the collected values. `num_pages` comes
+  /// from the heap file.
   Result<TableStats> Finish(uint64_t num_pages);
 
  private:

@@ -182,19 +182,13 @@ Status ScanMatching(TableInfo* table, const Expression* pred, size_t batch_size,
   BatchPredicate filter(pred);
   TupleBatch batch(batch_size);
   std::vector<Rid> rids;
-  HeapFile::Iterator it(table->heap());
-  std::string bytes;
+  HeapFile::PageCursor cursor(table->heap());
+  RELOPT_RETURN_NOT_OK(cursor.Rewind());
   bool more = true;
   while (more) {
     batch.Clear();
     rids.clear();
-    while (!batch.Full()) {
-      Rid rid;
-      RELOPT_ASSIGN_OR_RETURN(more, it.Next(&rid, &bytes));
-      if (!more) break;
-      RELOPT_RETURN_NOT_OK(batch.AppendRow()->FillFrom(bytes, table->schema().NumColumns()));
-      rids.push_back(rid);
-    }
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch, &rids));
     RELOPT_RETURN_NOT_OK(filter.Filter(&batch));
     RELOPT_RETURN_NOT_OK(visit(batch, rids));
   }

@@ -12,7 +12,7 @@ Status BlockNestedLoopJoinExecutor::InitImpl() {
 Result<bool> BlockNestedLoopJoinExecutor::LoadBlock() {
   block_.clear();
   size_t bytes = 0;
-  while (bytes < block_bytes_) {
+  do {
     RELOPT_ASSIGN_OR_RETURN(bool has, outer_.Next());
     if (!has) {
       outer_done_ = true;
@@ -20,7 +20,7 @@ Result<bool> BlockNestedLoopJoinExecutor::LoadBlock() {
     }
     bytes += outer_.row()->SerializedSize() + 8;
     block_.push_back(std::move(*outer_.row()));
-  }
+  } while (bytes < block_bytes_);
   return !block_.empty();
 }
 

@@ -1,4 +1,6 @@
 // Block nested loop join: buffer a block of outer rows, scan inner per block.
+// With one-row blocks it is the tuple-at-a-time nested loop join (the 1977
+// baseline join method).
 #pragma once
 
 #include "exec/executor.h"
@@ -6,9 +8,12 @@
 
 namespace relopt {
 
-/// Buffers up to `block_pages * kPageSize` bytes of outer rows, then scans
-/// the inner once per block — the classic fix that turns N_outer inner scans
-/// into ceil(P_outer / B) of them.
+/// Buffers up to `block_pages * kPageSize` bytes of outer rows (and at least
+/// one row), then scans the inner once per block — the classic fix that turns
+/// N_outer inner scans into ceil(P_outer / B) of them. `block_pages` = 0 makes
+/// one-row blocks: the nested loop join, which re-scans the inner once per
+/// outer row. The inner child's re-scan really re-reads pages, so measured
+/// I/O matches the classic cost shapes.
 class BlockNestedLoopJoinExecutor : public Executor {
  public:
   BlockNestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,

@@ -11,7 +11,6 @@
 #include "exec/index_nested_loop_join.h"
 #include "exec/index_scan.h"
 #include "exec/limit.h"
-#include "exec/nested_loop_join.h"
 #include "exec/project.h"
 #include "exec/seq_scan.h"
 #include "exec/sort_merge_join.h"
@@ -171,21 +170,23 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       return Register(ctx, plan,
           std::make_unique<ProjectExecutor>(ctx, node->schema(), std::move(child), &node->exprs()));
     }
-    case PhysicalNodeKind::kNestedLoopJoin: {
-      const auto* node = static_cast<const PhysNestedLoopJoin*>(plan);
-      RELOPT_ASSIGN_OR_RETURN(ExecutorPtr outer, build_child(0));
-      // The inner child is re-Init per outer row; never put a Gather there.
-      RELOPT_ASSIGN_OR_RETURN(ExecutorPtr inner, build_child(1, false));
-      return Register(ctx, plan, std::make_unique<NestedLoopJoinExecutor>(
-          ctx, std::move(outer), std::move(inner), node->predicate()));
-    }
+    case PhysicalNodeKind::kNestedLoopJoin:
     case PhysicalNodeKind::kBlockNestedLoopJoin: {
-      const auto* node = static_cast<const PhysBlockNestedLoopJoin*>(plan);
+      // A nested-loop join is a block nested-loop join of one-row blocks.
+      const Expression* predicate;
+      size_t block_pages = 0;
+      if (plan->kind() == PhysicalNodeKind::kNestedLoopJoin) {
+        predicate = static_cast<const PhysNestedLoopJoin*>(plan)->predicate();
+      } else {
+        const auto* node = static_cast<const PhysBlockNestedLoopJoin*>(plan);
+        predicate = node->predicate();
+        block_pages = node->block_pages();
+      }
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr outer, build_child(0));
-      // Re-scanned once per outer block; keep it serial.
+      // The inner is re-Init per outer block; never put a Gather there.
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr inner, build_child(1, false));
       return Register(ctx, plan, std::make_unique<BlockNestedLoopJoinExecutor>(
-          ctx, std::move(outer), std::move(inner), node->predicate(), node->block_pages()));
+          ctx, std::move(outer), std::move(inner), predicate, block_pages));
     }
     case PhysicalNodeKind::kIndexNestedLoopJoin: {
       const auto* node = static_cast<const PhysIndexNestedLoopJoin*>(plan);

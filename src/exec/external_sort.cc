@@ -19,14 +19,13 @@ std::string EncodeRecord(const std::string& key, const Tuple& tuple) {
   return out;
 }
 
-Status DecodeRecord(const std::string& rec, size_t num_cols, std::string* key, Tuple* tuple) {
+Status DecodeRecord(std::string_view rec, size_t num_cols, std::string* key, Tuple* tuple) {
   if (rec.size() < 4) return Status::Internal("short sort-run record");
   uint32_t len;
   std::memcpy(&len, rec.data(), 4);
   if (rec.size() < 4 + len) return Status::Internal("short sort-run record");
-  key->assign(rec, 4, len);
-  RELOPT_ASSIGN_OR_RETURN(*tuple, Tuple::Deserialize(rec.substr(4 + len), num_cols));
-  return Status::OK();
+  key->assign(rec.substr(4, len));
+  return tuple->FillFrom(rec.substr(4 + len), num_cols);
 }
 
 std::vector<const Expression*> KeyExprs(const std::vector<SortKeySpec>& keys) {
@@ -65,50 +64,57 @@ Status ExternalSortExecutor::FlushRun(std::vector<Item>* items) {
   return Status::OK();
 }
 
-Result<HeapFile> ExternalSortExecutor::MergeRuns(std::vector<HeapFile*> inputs) {
-  struct Cursor {
-    HeapFile::Iterator iter;
-    std::string key;
-    Tuple tuple;
-    bool exhausted = false;
-    explicit Cursor(HeapFile* heap) : iter(heap) {}
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(inputs.size());
-  for (HeapFile* in : inputs) cursors.emplace_back(in);
-  auto advance = [&](Cursor* c) -> Status {
-    Rid rid;
-    std::string bytes;
-    RELOPT_ASSIGN_OR_RETURN(bool has, c->iter.Next(&rid, &bytes));
-    if (!has) {
-      c->exhausted = true;
-      return Status::OK();
-    }
-    return DecodeRecord(bytes, num_cols_, &c->key, &c->tuple);
-  };
-  for (Cursor& c : cursors) {
-    RELOPT_RETURN_NOT_OK(advance(&c));
+Status ExternalSortExecutor::OpenCursors(std::span<const HeapFile> runs,
+                                         std::vector<RunCursor>* cursors) {
+  cursors->clear();
+  cursors->resize(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    RunCursor& c = (*cursors)[i];
+    c.pages = std::make_unique<HeapFile::PageCursor>(&runs[i], /*copy_pages=*/true);
+    RELOPT_RETURN_NOT_OK(c.pages->Rewind());
+    RELOPT_RETURN_NOT_OK(AdvanceCursor(&c));
   }
+  return Status::OK();
+}
+
+Status ExternalSortExecutor::AdvanceCursor(RunCursor* cursor) {
+  Rid rid;
+  std::string_view bytes;
+  RELOPT_ASSIGN_OR_RETURN(bool has, cursor->pages->Next(&rid, &bytes));
+  if (!has) {
+    cursor->exhausted = true;
+    return Status::OK();
+  }
+  return DecodeRecord(bytes, num_cols_, &cursor->key, &cursor->tuple);
+}
+
+ExternalSortExecutor::RunCursor* ExternalSortExecutor::MinCursor(
+    std::vector<RunCursor>* cursors) {
+  RunCursor* best = nullptr;
+  for (RunCursor& c : *cursors) {
+    if (c.exhausted) continue;
+    if (best == nullptr || c.key < best->key) best = &c;
+  }
+  return best;
+}
+
+Result<HeapFile> ExternalSortExecutor::MergeRuns(std::span<const HeapFile> inputs) {
+  std::vector<RunCursor> cursors;
+  RELOPT_RETURN_NOT_OK(OpenCursors(inputs, &cursors));
   RELOPT_ASSIGN_OR_RETURN(HeapFile out, ctx_->CreateScratchHeap());
-  while (true) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.exhausted) continue;
-      if (best == nullptr || c.key < best->key) best = &c;
-    }
-    if (best == nullptr) break;
+  while (RunCursor* best = MinCursor(&cursors)) {
     RELOPT_ASSIGN_OR_RETURN(Rid rid, out.Insert(EncodeRecord(best->key, best->tuple)));
     (void)rid;
-    RELOPT_RETURN_NOT_OK(advance(best));
+    RELOPT_RETURN_NOT_OK(AdvanceCursor(best));
   }
   return out;
 }
 
 Status ExternalSortExecutor::InitImpl() {
   // Release previous scratch runs on re-init.
+  cursors_.clear();
   for (HeapFile& run : runs_) ctx_->ReleaseScratchHeap(run.file_id());
   runs_.clear();
-  cursors_.clear();
   memory_items_.clear();
   memory_pos_ = 0;
   in_memory_ = false;
@@ -158,33 +164,16 @@ Status ExternalSortExecutor::InitImpl() {
     ++merge_passes_;
     std::vector<HeapFile> next_runs;
     for (size_t i = 0; i < runs_.size(); i += fanin) {
-      size_t end = std::min(runs_.size(), i + fanin);
-      std::vector<HeapFile*> group;
-      for (size_t j = i; j < end; ++j) group.push_back(&runs_[j]);
-      RELOPT_ASSIGN_OR_RETURN(HeapFile merged, MergeRuns(std::move(group)));
+      const size_t group = std::min(fanin, runs_.size() - i);
+      RELOPT_ASSIGN_OR_RETURN(HeapFile merged,
+                              MergeRuns(std::span<const HeapFile>(runs_).subspan(i, group)));
       next_runs.push_back(std::move(merged));
     }
     for (HeapFile& run : runs_) ctx_->ReleaseScratchHeap(run.file_id());
     runs_ = std::move(next_runs);
   }
 
-  cursors_.resize(runs_.size());
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    cursors_[i].iter = std::make_unique<HeapFile::Iterator>(&runs_[i]);
-    RELOPT_RETURN_NOT_OK(AdvanceCursor(&cursors_[i]));
-  }
-  return Status::OK();
-}
-
-Status ExternalSortExecutor::AdvanceCursor(RunCursor* cursor) {
-  Rid rid;
-  std::string bytes;
-  RELOPT_ASSIGN_OR_RETURN(bool has, cursor->iter->Next(&rid, &bytes));
-  if (!has) {
-    cursor->exhausted = true;
-    return Status::OK();
-  }
-  return DecodeRecord(bytes, num_cols_, &cursor->key, &cursor->tuple);
+  return OpenCursors(runs_, &cursors_);
 }
 
 Result<bool> ExternalSortExecutor::NextBatchImpl(TupleBatch* out) {
@@ -196,11 +185,7 @@ Result<bool> ExternalSortExecutor::NextBatchImpl(TupleBatch* out) {
     return memory_pos_ < memory_items_.size();
   }
   while (!out->Full()) {
-    RunCursor* best = nullptr;
-    for (RunCursor& c : cursors_) {
-      if (c.exhausted) continue;
-      if (best == nullptr || c.key < best->key) best = &c;
-    }
+    RunCursor* best = MinCursor(&cursors_);
     if (best == nullptr) return false;
     *out->AppendRow() = std::move(best->tuple);
     RELOPT_RETURN_NOT_OK(AdvanceCursor(best));

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "exec/executor.h"
 #include "expr/vector_eval.h"
@@ -43,9 +44,23 @@ class ExternalSortExecutor : public Executor {
     Tuple tuple;
   };
 
+  /// One sorted run being merged, and its current record. The cursor reads
+  /// a page at a time into its own memory, so a merge pins no run page.
+  struct RunCursor {
+    std::unique_ptr<HeapFile::PageCursor> pages;
+    std::string key;
+    Tuple tuple;
+    bool exhausted = false;
+  };
+
   Status FlushRun(std::vector<Item>* items);
+  /// Opens one cursor per run at its first record.
+  Status OpenCursors(std::span<const HeapFile> runs, std::vector<RunCursor>* cursors);
+  Status AdvanceCursor(RunCursor* cursor);
+  /// The unexhausted cursor with the smallest key; null once all are done.
+  static RunCursor* MinCursor(std::vector<RunCursor>* cursors);
   /// Merges `inputs` (scratch heaps holding sorted records) into one new run.
-  Result<HeapFile> MergeRuns(std::vector<HeapFile*> inputs);
+  Result<HeapFile> MergeRuns(std::span<const HeapFile> inputs);
 
   ExecutorPtr child_;
   std::vector<SortKeySpec> keys_;
@@ -58,14 +73,6 @@ class ExternalSortExecutor : public Executor {
 
   // External path: the final run set (<= merge fan-in) merged lazily in
   // NextBatch() via per-run cursors.
-  struct RunCursor {
-    std::unique_ptr<HeapFile::Iterator> iter;
-    std::string key;
-    Tuple tuple;
-    bool exhausted = false;
-  };
-  Status AdvanceCursor(RunCursor* cursor);
-
   std::vector<HeapFile> runs_;
   std::vector<RunCursor> cursors_;
   size_t num_cols_ = 0;

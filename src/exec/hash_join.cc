@@ -76,10 +76,10 @@ Status HashJoinExecutor::InitImpl() {
   probe_done_ = false;
   match_table_ = nullptr;
   match_ = JoinTable::kEnd;
+  part_probe_cursor_.reset();  // before the heap it reads
   build_parts_.clear();
   probe_parts_.clear();
   part_idx_ = 0;
-  part_probe_iter_.reset();
 
   size_t bytes = 0;
   shared_->EndPhase(PartitionBuildSide(&bytes));  // all build rows partitioned
@@ -157,35 +157,19 @@ Status HashJoinExecutor::Spill() {
   return LoadPartition();
 }
 
-namespace {
-
-/// Fills `out` with the next records of a partition heap, up to its
-/// capacity; false once the heap is exhausted.
-Result<bool> ReadHeapBatch(HeapFile::Iterator* it, size_t num_cols, TupleBatch* out) {
-  out->Clear();
-  Rid rid;
-  std::string bytes;
-  while (!out->Full()) {
-    RELOPT_ASSIGN_OR_RETURN(bool has, it->Next(&rid, &bytes));
-    if (!has) return false;
-    RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(bytes, num_cols));
-  }
-  return true;
-}
-
-}  // namespace
-
 Status HashJoinExecutor::LoadPartition() {
   JoinTable& table = shared_->table(0);
-  part_probe_iter_.reset();
+  part_probe_cursor_.reset();
   TupleBatch batch(ctx_->batch_size());
   std::vector<std::optional<std::string>> keys;
   while (part_idx_ < num_spill_parts_) {
     table.Clear();
-    HeapFile::Iterator it(&build_parts_[part_idx_]);
+    HeapFile::PageCursor cursor(&build_parts_[part_idx_]);
+    RELOPT_RETURN_NOT_OK(cursor.Rewind());
     bool more = true;
     while (more) {
-      RELOPT_ASSIGN_OR_RETURN(more, ReadHeapBatch(&it, build_->schema().NumColumns(), &batch));
+      batch.Clear();
+      RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(build_->schema().NumColumns(), &batch));
       RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, exact_int_, &keys));
       for (size_t k = 0; k < batch.NumSelected(); ++k) {
         table.Add(batch.MutableRowAt(k), *keys[k], GroupTable::Hash(*keys[k]));
@@ -194,9 +178,9 @@ Status HashJoinExecutor::LoadPartition() {
     table.Index();
     // Even an empty build partition must advance past its probe partition.
     if (!table.empty() || probe_parts_[part_idx_].NumPages() > 0) {
-      part_probe_iter_ = std::make_unique<HeapFile::Iterator>(&probe_parts_[part_idx_]);
+      part_probe_cursor_ = std::make_unique<HeapFile::PageCursor>(&probe_parts_[part_idx_]);
       probe_done_ = false;
-      return Status::OK();
+      return part_probe_cursor_->Rewind();
     }
     ++part_idx_;
   }
@@ -217,10 +201,9 @@ Result<bool> HashJoinExecutor::RefillProbeBatch() {
         ++part_idx_;
         RELOPT_RETURN_NOT_OK(LoadPartition());
       }
-      if (part_probe_iter_ == nullptr) return false;
+      if (part_probe_cursor_ == nullptr) return false;
       RELOPT_ASSIGN_OR_RETURN(
-          bool more,
-          ReadHeapBatch(part_probe_iter_.get(), probe_->schema().NumColumns(), &probe_batch_));
+          bool more, part_probe_cursor_->NextBatch(probe_->schema().NumColumns(), &probe_batch_));
       probe_done_ = !more;
     }
   }

@@ -203,7 +203,7 @@ class HashJoinExecutor : public Executor {
   std::vector<HeapFile> build_parts_;
   std::vector<HeapFile> probe_parts_;
   size_t part_idx_ = 0;
-  std::unique_ptr<HeapFile::Iterator> part_probe_iter_;
+  std::unique_ptr<HeapFile::PageCursor> part_probe_cursor_;  ///< the partition's probe heap
 };
 
 }  // namespace relopt

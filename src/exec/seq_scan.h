@@ -51,11 +51,10 @@ class MorselSource : public ParallelSharedState {
 
 /// \brief One worker's share of a sequential scan.
 ///
-/// Walks its claimed morsels a page at a time through a HeapFile::PageCursor
-/// (pin held across calls, shared latch within one, one pool access per
-/// page) and deserializes records straight from the pinned frame, with no
-/// per-record byte copy. The one-worker scan claims every morsel, so it
-/// returns the rows in page order.
+/// Walks its claimed morsels through a HeapFile::PageCursor (pin held
+/// across calls, one pool access per page) and deserializes records straight
+/// from the pinned frame, with no per-record byte copy. The one-worker scan
+/// claims every morsel, so it returns the rows in page order.
 class SeqScanExecutor : public Executor {
  public:
   /// `schema` is the alias-qualified output schema. A null `source` makes
@@ -69,21 +68,13 @@ class SeqScanExecutor : public Executor {
   Status InitImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
 
-  /// The cursor keeps the current page pinned between calls (and latched
-  /// after an error mid-batch); release it on the worker thread that
-  /// acquired it.
+  /// The cursor keeps the current page pinned between calls.
   void Abandon() override { (void)cursor_.Close(); }
 
  private:
-  /// Next live record across pages and morsels; false once the source is
-  /// exhausted. The view stays valid until the next call.
-  Result<bool> NextRecord(Rid* rid, std::string_view* record);
-
   std::shared_ptr<MorselSource> source_;
   HeapFile::PageCursor cursor_;
-  PageNo cur_page_ = 0;
-  PageNo end_page_ = 0;  ///< current morsel is [cur_page_, end_page_)
-  bool done_ = false;
+  bool done_ = false;  ///< the source has no more morsels
 };
 
 }  // namespace relopt

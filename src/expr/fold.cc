@@ -1,5 +1,7 @@
 #include "expr/fold.h"
 
+#include <algorithm>
+
 #include "expr/vector_eval.h"
 
 namespace relopt {
@@ -12,6 +14,24 @@ bool IsBoolLiteral(const Expression& e, bool value) {
   if (!IsLiteral(e)) return false;
   const Value& v = static_cast<const LiteralExpr&>(e).value();
   return !v.is_null() && v.type() == TypeId::kBool && v.AsBool() == value;
+}
+
+/// True if `e` is boolean whatever its operands are: a comparison, AND/OR/
+/// NOT, IS [NOT] NULL, or a BOOL or NULL literal. Folding runs before
+/// binding, so it may drop or stand alone only such an operand.
+bool IsBoolean(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kComparison:
+    case ExprKind::kLogical:
+    case ExprKind::kIsNull:
+      return true;
+    case ExprKind::kLiteral: {
+      const Value& v = static_cast<const LiteralExpr&>(*e).value();
+      return v.is_null() || v.type() == TypeId::kBool;
+    }
+    default:
+      return false;
+  }
 }
 
 /// Evaluates a literal-only subtree; on any error, returns the original.
@@ -58,48 +78,59 @@ ExprPtr FoldConstants(ExprPtr expr) {
       auto* logical = static_cast<LogicalExpr*>(expr.get());
       LogicalOp op = logical->op();
       std::vector<ExprPtr> children = logical->TakeChildren();
-      std::vector<ExprPtr> folded_children;
-      for (ExprPtr& c : children) folded_children.push_back(FoldConstants(std::move(c)));
+      std::vector<ExprPtr> ops;
+      for (ExprPtr& c : children) ops.push_back(FoldConstants(std::move(c)));
 
       if (op == LogicalOp::kNot) {
-        if (IsLiteral(*folded_children[0])) {
-          return TryEval(std::make_unique<LogicalExpr>(op, std::move(folded_children)));
-        }
-        return std::make_unique<LogicalExpr>(op, std::move(folded_children));
+        if (IsLiteral(*ops[0])) return TryEval(std::make_unique<LogicalExpr>(op, std::move(ops)));
+        return std::make_unique<LogicalExpr>(op, std::move(ops));
       }
 
-      // AND/OR simplification.
-      std::vector<ExprPtr> kept;
-      for (ExprPtr& c : folded_children) {
-        if (op == LogicalOp::kAnd) {
-          if (IsBoolLiteral(*c, false)) return MakeLiteral(Value::Bool(false));
-          if (IsBoolLiteral(*c, true)) continue;  // neutral
-        } else {
-          if (IsBoolLiteral(*c, true)) return MakeLiteral(Value::Bool(true));
-          if (IsBoolLiteral(*c, false)) continue;  // neutral
+      // AND/OR simplification: FALSE decides an AND and TRUE an OR, and the
+      // other literal is neutral. The binder rejects a non-boolean operand,
+      // so one the fold would discard, or leave standing without its AND/OR,
+      // must be boolean already; otherwise the expression stays as written.
+      const bool decider = op == LogicalOp::kOr;
+      auto decides = [&](const ExprPtr& c) { return IsBoolLiteral(*c, decider); };
+      auto neutral = [&](const ExprPtr& c) { return IsBoolLiteral(*c, !decider); };
+      if (std::any_of(ops.begin(), ops.end(), decides)) {
+        if (std::all_of(ops.begin(), ops.end(), IsBoolean)) {
+          return MakeLiteral(Value::Bool(decider));
         }
-        kept.push_back(std::move(c));
+        return std::make_unique<LogicalExpr>(op, std::move(ops));
       }
-      if (kept.empty()) return MakeLiteral(Value::Bool(op == LogicalOp::kAnd));
-      if (kept.size() == 1) return std::move(kept[0]);
-      return std::make_unique<LogicalExpr>(op, std::move(kept));
+      const auto num_neutral = std::count_if(ops.begin(), ops.end(), neutral);
+      if (static_cast<size_t>(num_neutral) + 1 == ops.size() &&
+          !IsBoolean(*std::find_if_not(ops.begin(), ops.end(), neutral))) {
+        return std::make_unique<LogicalExpr>(op, std::move(ops));
+      }
+      std::erase_if(ops, neutral);
+      if (ops.empty()) return MakeLiteral(Value::Bool(!decider));
+      if (ops.size() == 1) return std::move(ops[0]);
+      return std::make_unique<LogicalExpr>(op, std::move(ops));
     }
     case ExprKind::kCase: {
       // Fold every branch, drop arms whose WHEN folded to false/NULL, and
-      // collapse the whole CASE when a leading WHEN folded to true.
+      // collapse the whole CASE when a leading WHEN folded to true. Every
+      // WHEN so removed must be boolean, or the binder's error would vanish.
       auto* c = static_cast<CaseExpr*>(expr.get());
-      std::vector<ExprPtr> whens, thens;
+      std::vector<ExprPtr> arm_whens, arm_thens;
       for (size_t i = 0; i < c->num_arms(); ++i) {
-        ExprPtr w = FoldConstants(c->when_at(i)->Clone());
-        ExprPtr t = FoldConstants(c->then_at(i)->Clone());
-        if (IsLiteral(*w)) {
-          const Value& v = static_cast<const LiteralExpr&>(*w).value();
-          bool is_true = !v.is_null() && v.type() == TypeId::kBool && v.AsBool();
-          if (is_true && whens.empty()) return t;  // first live arm always taken
-          if (!is_true) continue;                  // false/NULL arm never taken
+        arm_whens.push_back(FoldConstants(c->when_at(i)->Clone()));
+        arm_thens.push_back(FoldConstants(c->then_at(i)->Clone()));
+      }
+      std::vector<ExprPtr> whens, thens;
+      for (size_t i = 0; i < arm_whens.size(); ++i) {
+        ExprPtr& w = arm_whens[i];
+        if (IsLiteral(*w) && IsBoolean(w)) {
+          if (!IsBoolLiteral(*w, true)) continue;  // false/NULL arm never taken
+          // The first live arm is always taken.
+          if (whens.empty() && std::all_of(arm_whens.begin() + i + 1, arm_whens.end(), IsBoolean)) {
+            return std::move(arm_thens[i]);
+          }
         }
         whens.push_back(std::move(w));
-        thens.push_back(std::move(t));
+        thens.push_back(std::move(arm_thens[i]));
       }
       ExprPtr else_expr =
           c->else_expr() != nullptr ? FoldConstants(c->else_expr()->Clone()) : nullptr;

@@ -11,7 +11,10 @@ namespace relopt {
 /// `x AND false -> false`, `x AND true -> x`, `x OR true -> true`,
 /// `x OR false -> x`, `NOT literal -> literal`. Folding never changes SQL
 /// NULL semantics (NULL literals fold like any other value). The input need
-/// not be bound.
+/// not be bound, so folding never hides a type error the binder would
+/// raise: it drops an operand of AND/OR, leaves one standing alone, or drops
+/// a CASE arm's WHEN only if that operand is boolean whatever its inputs
+/// (a comparison, AND/OR/NOT, IS [NOT] NULL, or a BOOL or NULL literal).
 ExprPtr FoldConstants(ExprPtr expr);
 
 }  // namespace relopt

@@ -293,7 +293,9 @@ void JoinEnumerator::SeedBaseRelations() {
       c.row_bytes = base.pages * static_cast<double>(kPageSize) / base.rows;
       c.pages = CostModel::EstimatePages(std::max(c.rows, 1.0), c.row_bytes);
       c.cost = path.cost;
-      if (path.index != nullptr) {
+      // An index holding big INTs returns keys that share a double in RID
+      // order, so it claims no order.
+      if (path.index != nullptr && !path.index->big_int_keys) {
         auto pos = std::find(indexes.begin(), indexes.end(), path.index) - indexes.begin();
         c.order = TrimOrder(rel.index_keys[pos]);
       }

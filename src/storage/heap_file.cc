@@ -1,9 +1,11 @@
 #include "storage/heap_file.h"
 
+#include <cstring>
 #include <mutex>
 #include <shared_mutex>
 
 #include "storage/slotted_page.h"
+#include "types/tuple_batch.h"
 
 namespace relopt {
 
@@ -87,34 +89,73 @@ Status HeapFile::Delete(Rid rid) {
   return st;
 }
 
-Status HeapFile::PageCursor::Open(PageNo page_no) {
-  RELOPT_RETURN_NOT_OK(Close());
-  PageId pid{heap_->file_id(), page_no};
+Status HeapFile::PageCursor::Seek(PageNo begin, PageNo end) {
+  RELOPT_RETURN_NOT_OK(Release());
+  next_page_ = begin;
+  end_page_ = end;
+  return Status::OK();
+}
+
+Status HeapFile::PageCursor::OpenNextPage() {
+  page_no_ = next_page_++;
+  PageId pid{heap_->file_id(), page_no_};
   RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, heap_->pool()->FetchPage(pid));
-  frame_ = frame;
-  frame_->latch().lock_shared();
-  latched_ = true;
-  page_no_ = page_no;
+  if (copy_.empty()) {
+    frame_ = frame;
+    frame_->latch().lock_shared();
+    latched_ = true;
+    data_ = frame_->data();
+  } else {
+    {
+      std::shared_lock<std::shared_mutex> latch(frame->latch());
+      std::memcpy(copy_.data(), frame->data(), kPageSize);
+    }
+    RELOPT_RETURN_NOT_OK(heap_->pool()->UnpinPage(pid, false));
+    data_ = copy_.data();
+  }
   slot_ = 0;
-  num_slots_ = SlottedPage(frame_->data()).NumSlots();
+  num_slots_ = SlottedPage(data_).NumSlots();
   return Status::OK();
 }
 
 Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
-  if (frame_ == nullptr) return false;
-  if (!latched_) {
-    frame_->latch().lock_shared();
-    latched_ = true;
+  while (true) {
+    if (data_ != nullptr) {
+      if (frame_ != nullptr && !latched_) {
+        frame_->latch().lock_shared();
+        latched_ = true;
+      }
+      SlottedPage page(data_);
+      while (slot_ < num_slots_) {
+        uint16_t s = slot_++;
+        if (!page.IsLive(s)) continue;
+        RELOPT_ASSIGN_OR_RETURN(*record, page.Get(s));
+        *rid = Rid{page_no_, s};
+        return true;
+      }
+      RELOPT_RETURN_NOT_OK(Release());
+    }
+    if (next_page_ >= end_page_) return false;
+    RELOPT_RETURN_NOT_OK(OpenNextPage());
   }
-  SlottedPage page(frame_->data());
-  while (slot_ < num_slots_) {
-    uint16_t s = slot_++;
-    if (!page.IsLive(s)) continue;
-    RELOPT_ASSIGN_OR_RETURN(*record, page.Get(s));
-    *rid = Rid{page_no_, s};
+}
+
+Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out,
+                                             std::vector<Rid>* rids) {
+  auto fill = [&]() -> Result<bool> {
+    Rid rid;
+    std::string_view record;
+    while (!out->Full()) {
+      RELOPT_ASSIGN_OR_RETURN(bool has, Next(&rid, &record));
+      if (!has) return false;
+      RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(record, num_cols));
+      if (rids != nullptr) rids->push_back(rid);
+    }
     return true;
-  }
-  return false;
+  };
+  Result<bool> more = fill();
+  Unlatch();
+  return more;
 }
 
 void HeapFile::PageCursor::Unlatch() {
@@ -123,52 +164,17 @@ void HeapFile::PageCursor::Unlatch() {
   latched_ = false;
 }
 
-Status HeapFile::PageCursor::Close() {
-  if (frame_ == nullptr) return Status::OK();
+Status HeapFile::PageCursor::Release() {
   Unlatch();
+  data_ = nullptr;
+  if (frame_ == nullptr) return Status::OK();
   frame_ = nullptr;
   return heap_->pool()->UnpinPage(PageId{heap_->file_id(), page_no_}, false);
 }
 
-HeapFile::Iterator::Iterator(const HeapFile* heap) : heap_(heap) {}
-
-void HeapFile::Iterator::Reset() {
-  page_no_ = 0;
-  slot_ = 0;
-}
-
-Result<bool> HeapFile::Iterator::Next(Rid* rid, std::string* record) {
-  size_t num_pages = heap_->NumPages();
-  while (page_no_ < num_pages) {
-    PageId pid{heap_->file_id_, page_no_};
-    RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, heap_->pool_->FetchPage(pid));
-    Status bad;
-    bool found = false;
-    {
-      std::shared_lock<std::shared_mutex> latch(frame->latch());
-      SlottedPage page(frame->data());
-      uint16_t num_slots = page.NumSlots();
-      while (slot_ < num_slots) {
-        uint16_t s = slot_++;
-        if (!page.IsLive(s)) continue;
-        Result<std::string_view> rec = page.Get(s);
-        if (!rec.ok()) {
-          bad = rec.status();
-          break;
-        }
-        *record = std::string(*rec);
-        *rid = Rid{page_no_, s};
-        found = true;
-        break;
-      }
-    }
-    RELOPT_RETURN_NOT_OK(heap_->pool_->UnpinPage(pid, false));
-    RELOPT_RETURN_NOT_OK(bad);
-    if (found) return true;
-    page_no_++;
-    slot_ = 0;
-  }
-  return false;
+Status HeapFile::PageCursor::Close() {
+  next_page_ = end_page_;
+  return Release();
 }
 
 }  // namespace relopt

@@ -4,12 +4,15 @@
 #include <atomic>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "util/result.h"
 
 namespace relopt {
+
+class TupleBatch;
 
 /// \brief A heap of variable-length records over one DiskManager file.
 ///
@@ -55,69 +58,67 @@ class HeapFile {
   /// Deletes the record at `rid`.
   Status Delete(Rid rid);
 
-  /// \brief Forward scanner over all live records, page at a time.
+  /// \brief The one heap reader: walks a range of the heap's pages and
+  /// yields zero-copy views of their live records, one pool access per page.
   ///
-  /// Usage:
-  ///   HeapFile::Iterator it(heap);
-  ///   while (true) {
-  ///     RELOPT_ASSIGN_OR_RETURN(bool has, it.Next(&rid, &bytes));
-  ///     if (!has) break; ...
-  ///   }
-  class Iterator {
-   public:
-    explicit Iterator(const HeapFile* heap);
-
-    /// Advances to the next live record. Returns false at end.
-    Result<bool> Next(Rid* rid, std::string* record);
-
-    /// Restarts the scan from the beginning.
-    void Reset();
-
-   private:
-    const HeapFile* heap_;
-    PageNo page_no_ = 0;
-    uint16_t slot_ = 0;
-  };
-
-  /// \brief Pins one page at a time and yields zero-copy views of its live
-  /// records.
+  /// Sequential scans, ANALYZE, the index backfill, the UPDATE/DELETE scan,
+  /// Grace partitions and sort runs all read through it. Between calls it
+  /// holds at most one page pinned: the page it is reading. It reads that
+  /// page under the page's shared latch, taken when a call first reads the
+  /// page and held until NextBatch() returns, the cursor leaves the page or
+  /// Close(). No heap latch may be held while another page is latched or
+  /// written (a join reading its outer row by row would otherwise order one
+  /// page's latch before another's, and the reverse a page later), so
+  /// readers that touch other pages between calls read through NextBatch().
+  /// Views returned by Next() stay valid until the cursor leaves the page.
+  /// Scans and same-heap writers never run concurrently in this engine; the
+  /// shared latch makes that assumption checkable under TSan.
   ///
-  /// Unlike Iterator (which re-pins the page and copies the bytes into an
-  /// owned string for every record), the cursor holds the open page pinned
-  /// until Open()/Close(), so a scan costs one pool access per page and zero
-  /// allocations per record. Views returned by Next() stay valid until the
-  /// page is released. The page is read under its shared latch, taken by
-  /// Open() (and by Next() after an Unlatch()) and held until Unlatch() or
-  /// Close(). Scans and same-heap writers never run concurrently in this
-  /// engine; the shared latch makes that assumption checkable under TSan.
+  /// A cursor made with `copy_pages` reads each page into its own memory
+  /// and unpins it at once, so it holds no pin and no latch between calls:
+  /// a sort merge keeps one cursor per run, and its fan-in counts one buffer
+  /// page per run, not one pinned frame.
   class PageCursor {
    public:
-    explicit PageCursor(const HeapFile* heap) : heap_(heap) {}
+    /// A cursor with no walk; Seek() or Rewind() starts one.
+    explicit PageCursor(const HeapFile* heap, bool copy_pages = false)
+        : heap_(heap), copy_(copy_pages ? kPageSize : 0) {}
     ~PageCursor() { (void)Close(); }
 
     PageCursor(const PageCursor&) = delete;
     PageCursor& operator=(const PageCursor&) = delete;
 
-    /// Pins `page_no` (releasing any open page) and rewinds to its first slot.
-    Status Open(PageNo page_no);
-    /// Next live record of the open page; false once the page is exhausted
-    /// (the page stays pinned until Close/Open so views remain valid).
+    /// Starts a walk over pages [begin, end), releasing the open page.
+    Status Seek(PageNo begin, PageNo end);
+    /// Starts a walk over every page the heap has now.
+    Status Rewind() { return Seek(0, static_cast<PageNo>(heap_->NumPages())); }
+    /// Next live record of the walk, moving page to page; false once the
+    /// walk is over, when no page stays pinned.
     Result<bool> Next(Rid* rid, std::string_view* record);
-    /// Unpins the open page; idempotent.
+    /// Appends the walk's next records to `out`, each decoded into
+    /// `num_cols` values, until `out` is full, and their RIDs to `rids` if it
+    /// is not null. Unlatches before it returns. False once the walk is over.
+    Result<bool> NextBatch(size_t num_cols, TupleBatch* out, std::vector<Rid>* rids = nullptr);
+    /// Releases the open page and ends the walk; idempotent.
     Status Close();
-    bool IsOpen() const { return frame_ != nullptr; }
-    /// Releases the shared latch but keeps the page pinned and the position;
-    /// the next Next() re-takes it. Scans unlatch before returning a batch,
-    /// so no latch is held while the consumer reads other pages: a join
-    /// reading its outer row by row would otherwise order one page's latch
-    /// before another's, and the reverse a page later.
-    void Unlatch();
 
    private:
+    /// Releases the shared latch but keeps the page pinned and the position;
+    /// the next Next() re-takes it.
+    void Unlatch();
+    /// Unlatches and unpins the open page; the walk goes on.
+    Status Release();
+    /// Opens page `next_page_` (pinned and latched, or copied) at its first slot.
+    Status OpenNextPage();
+
     const HeapFile* heap_;
-    PageFrame* frame_ = nullptr;
+    std::vector<char> copy_;       ///< a copying cursor's open page
+    char* data_ = nullptr;         ///< the open page's bytes; null when none is open
+    PageFrame* frame_ = nullptr;   ///< the pinned open page; null for a copying cursor
     bool latched_ = false;
-    PageNo page_no_ = 0;
+    PageNo page_no_ = 0;           ///< the open page
+    PageNo next_page_ = 0;         ///< the walk's remaining pages are [next_page_, end_page_)
+    PageNo end_page_ = 0;
     uint16_t slot_ = 0;
     uint16_t num_slots_ = 0;
   };

@@ -13,8 +13,6 @@ constexpr char kStrTag = 0x03;
 // position holds neither.
 constexpr char kBigNegIntTag = kNumTag - 1;
 constexpr char kBigPosIntTag = kNumTag + 1;
-/// Every INT of magnitude up to 2^53 is a double exactly.
-constexpr int64_t kMaxExactDoubleInt = int64_t{1} << 53;
 
 /// Maps a double to a uint64 whose unsigned big-endian byte order matches the
 /// double's numeric order (IEEE-754 total-order trick; NaNs map above +inf).
@@ -35,6 +33,13 @@ void AppendBigEndian64(uint64_t v, std::string* out) {
 }
 }  // namespace
 
+bool IsBigInt(const Value& v) {
+  // Every INT of magnitude up to 2^53 is a double exactly.
+  constexpr int64_t kMaxExactDoubleInt = int64_t{1} << 53;
+  return !v.is_null() && v.type() == TypeId::kInt64 &&
+         (v.AsInt() > kMaxExactDoubleInt || v.AsInt() < -kMaxExactDoubleInt);
+}
+
 void EncodeKeyValue(const Value& v, std::string* out, bool exact_int) {
   if (v.is_null()) {
     out->push_back(kNullTag);
@@ -46,7 +51,7 @@ void EncodeKeyValue(const Value& v, std::string* out, bool exact_int) {
       out->push_back(v.AsBool() ? 1 : 0);
       return;
     case TypeId::kInt64:
-      if (exact_int && (v.AsInt() > kMaxExactDoubleInt || v.AsInt() < -kMaxExactDoubleInt)) {
+      if (exact_int && IsBigInt(v)) {
         out->push_back(v.AsInt() < 0 ? kBigNegIntTag : kBigPosIntTag);
         AppendBigEndian64(static_cast<uint64_t>(v.AsInt()) ^ (uint64_t{1} << 63), out);
         return;

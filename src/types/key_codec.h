@@ -31,6 +31,10 @@
 
 namespace relopt {
 
+/// True for an INT beyond +-2^53, which the numeric form ranks as the double
+/// it shares with other INTs.
+bool IsBigInt(const Value& v);
+
 /// Appends the order-preserving encoding of `v` to `out`. `exact_int`
 /// gives an INT beyond +-2^53 its exact form; pass it only for a key position
 /// where every value compared is INT (B+tree keys never pass it).

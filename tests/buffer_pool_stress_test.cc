@@ -400,11 +400,12 @@ TEST_F(BufferPoolStressTest, ConcurrentHeapInsertsAllSurvive) {
   EXPECT_EQ(errors.load(), 0);
 
   size_t count = 0;
-  HeapFile::Iterator it(&heap);
+  HeapFile::PageCursor cursor(&heap);
+  ASSERT_TRUE(cursor.Rewind().ok());
   Rid rid;
-  std::string bytes;
+  std::string_view bytes;
   while (true) {
-    Result<bool> has = it.Next(&rid, &bytes);
+    Result<bool> has = cursor.Next(&rid, &bytes);
     ASSERT_TRUE(has.ok()) << has.status().ToString();
     if (!*has) break;
     ++count;

@@ -302,8 +302,8 @@ TEST(DatabaseTest, NullLiteralTakesTheTypeOfTheColumnBesideIt) {
 // value.
 TEST(DatabaseTest, ConstantsTypeCheckLikeColumns) {
   Database db;
-  Sql(&db, "CREATE TABLE t (i INT, s TEXT)");
-  Sql(&db, "INSERT INTO t VALUES (1, 'a')");
+  Sql(&db, "CREATE TABLE t (i INT, b BOOL, s TEXT)");
+  Sql(&db, "INSERT INTO t VALUES (1, TRUE, 'a')");
   Status folded = db.Execute("SELECT coalesce(1, 'x')").status();
   EXPECT_EQ(folded.ToString(),
             "TypeError: coalesce branches mix incompatible types int64 and string");
@@ -311,6 +311,29 @@ TEST(DatabaseTest, ConstantsTypeCheckLikeColumns) {
   folded = db.Execute("SELECT 'x' + NULL").status();
   EXPECT_EQ(folded.ToString(), "TypeError: arithmetic needs numeric operands in ('x' + NULL)");
   EXPECT_EQ(db.Execute("SELECT s + NULL FROM t").status().code(), StatusCode::kTypeError);
+  // Folding drops a neutral or deciding TRUE/FALSE, or a CASE arm, only
+  // where the binder would accept what it drops or leaves standing alone.
+  const struct {
+    const char* constant;
+    const char* column;
+    const char* error;
+  } logical[] = {
+      {"SELECT TRUE AND i FROM t", "SELECT b AND i FROM t",
+       "TypeError: logical operand t.i is not boolean"},
+      {"SELECT i OR FALSE FROM t", "SELECT i OR b FROM t",
+       "TypeError: logical operand t.i is not boolean"},
+      {"SELECT TRUE AND 1", "SELECT b AND 1 FROM t", "TypeError: logical operand 1 is not boolean"},
+      {"SELECT FALSE AND 'x'", "SELECT b AND 'x' FROM t",
+       "TypeError: logical operand 'x' is not boolean"},
+  };
+  for (const auto& c : logical) {
+    EXPECT_EQ(db.Execute(c.constant).status().ToString(), c.error) << c.constant;
+    EXPECT_EQ(db.Execute(c.column).status().ToString(), c.error) << c.column;
+  }
+  EXPECT_EQ(db.Execute("SELECT CASE WHEN 'x' THEN 1 ELSE 2 END").status().ToString(),
+            "TypeError: CASE WHEN condition 'x' is not boolean");
+  EXPECT_EQ(db.Execute("SELECT CASE WHEN s THEN 1 ELSE 2 END FROM t").status().ToString(),
+            "TypeError: CASE WHEN condition t.s is not boolean");
 }
 
 TEST(DatabaseTest, SelfJoinWithAliases) {

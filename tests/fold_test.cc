@@ -63,8 +63,8 @@ TEST(FoldTest, NullPropagationThroughArithmetic) {
 }
 
 TEST(FoldTest, NestedSimplification) {
-  // (a AND true) AND (false OR b) -> (a AND b)
-  EXPECT_EQ(FoldOf("(a AND true) AND (false OR b)"), "(a AND b)");
+  // (a = 1 AND true) AND (false OR b = 2) -> (a = 1 AND b = 2)
+  EXPECT_EQ(FoldOf("(a = 1 AND true) AND (false OR b = 2)"), "((a = 1) AND (b = 2))");
 }
 
 TEST(FoldTest, BetweenFolds) {

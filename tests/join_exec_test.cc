@@ -6,7 +6,6 @@
 #include "exec/block_nested_loop_join.h"
 #include "exec/hash_join.h"
 #include "exec/index_nested_loop_join.h"
-#include "exec/nested_loop_join.h"
 #include "exec/seq_scan.h"
 #include "exec/sort_merge_join.h"
 #include "exec/values_exec.h"
@@ -16,6 +15,9 @@ namespace relopt {
 namespace {
 
 using tu::Drain;
+
+/// `block_pages` = 0: the nested loop join, one outer row per inner scan.
+constexpr size_t kOneRowBlocks = 0;
 
 class JoinExecTest : public ::testing::Test {
  protected:
@@ -81,20 +83,20 @@ class JoinExecTest : public ::testing::Test {
 
 TEST_F(JoinExecTest, NestedLoopJoin) {
   ExprPtr pred = JoinPred();
-  NestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), pred.get());
+  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   EXPECT_EQ(rows[0].NumValues(), 4u);
 }
 
 TEST_F(JoinExecTest, NestedLoopCrossProduct) {
-  NestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), nullptr);
+  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), nullptr, kOneRowBlocks);
   EXPECT_EQ(Drain(&join).size(), 30u * 10u);
 }
 
 TEST_F(JoinExecTest, BlockNestedLoopJoinMatchesNlj) {
   ExprPtr pred = JoinPred();
-  NestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get());
+  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
   std::vector<Tuple> expected = Drain(&nlj);
 
   BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), /*block_pages=*/1);
@@ -227,7 +229,7 @@ TEST_F(JoinExecTest, IndexNestedLoopJoin) {
 
 TEST_F(JoinExecTest, AllMethodsAgree) {
   ExprPtr pred = JoinPred();
-  NestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get());
+  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
   std::vector<std::string> expected = Canon(Drain(&nlj));
 
   BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), 2);
@@ -247,7 +249,7 @@ TEST_F(JoinExecTest, EmptyInputs) {
   std::vector<Tuple> no_rows;
   {
     auto left = std::make_unique<ValuesExecutor>(&ctx_, empty_schema, &no_rows);
-    NestedLoopJoinExecutor join(&ctx_, std::move(left), ScanS(), nullptr);
+    BlockNestedLoopJoinExecutor join(&ctx_, std::move(left), ScanS(), nullptr, kOneRowBlocks);
     EXPECT_TRUE(Drain(&join).empty());
   }
   {

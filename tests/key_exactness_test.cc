@@ -151,6 +151,57 @@ TEST_F(KeyExactnessTest, IndexNestedLoopJoinMatchesHashJoinAt2To53) {
   EXPECT_EQ(inlj, (std::vector<std::string>{"(20, 2)", "(30, 3)"}));
 }
 
+// B+tree keys rank INTs as doubles, so an index that holds INTs beyond 2^53
+// returns those that share a double in RID order: it must not stand in for a
+// Sort. 2^53 + 1 (v = 1) sits before 2^53 (v = 2) in the heap.
+TEST_F(KeyExactnessTest, IndexOrderByOnBigIntsSorts) {
+  LoadIndexedPairs();
+  const std::string sql = "SELECT k, v FROM a WHERE k > 9007199254740000 ORDER BY k";
+  Result<std::string> plan = db_.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("Sort"), std::string::npos) << *plan;
+  EXPECT_EQ(Rows(Sql(&db_, sql)),
+            (std::vector<std::string>{"(9007199254740992, 2)", "(9007199254740993, 1)"}));
+}
+
+TEST_F(KeyExactnessTest, CachedIndexOrderPlanIsReplannedOnBigInt) {
+  Sql(&db_, "CREATE TABLE a (k INT, v INT)");
+  std::string values;
+  for (int i = 0; i < 1000; ++i) {
+    values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " + std::to_string(i) + ")";
+  }
+  Sql(&db_, "INSERT INTO a VALUES " + values);
+  Sql(&db_, "CREATE INDEX a_k ON a (k)");
+  Sql(&db_, "ANALYZE");
+  const std::string sql = "SELECT k, v FROM a WHERE k > 9007199254740000 ORDER BY k";
+  EXPECT_TRUE(Sql(&db_, sql).rows.empty());
+  ASSERT_TRUE(HasOp(db_.last_profile().root, "IndexScan")) << db_.last_profile().ToText();
+  ASSERT_FALSE(HasOp(db_.last_profile().root, "Sort")) << db_.last_profile().ToText();
+  Sql(&db_, "INSERT INTO a VALUES (9007199254740993, 1), (9007199254740992, 2)");
+  EXPECT_EQ(Rows(Sql(&db_, sql)),
+            (std::vector<std::string>{"(9007199254740992, 2)", "(9007199254740993, 1)"}));
+  EXPECT_TRUE(HasOp(db_.last_profile().root, "Sort")) << db_.last_profile().ToText();
+}
+
+TEST_F(KeyExactnessTest, MergeJoinOverIndexOrderMatchesHashJoinAt2To53) {
+  LoadIndexedPairs();
+  Sql(&db_, "CREATE TABLE b (k INT, w INT)");
+  Sql(&db_, "INSERT INTO b VALUES (9007199254740992, 20), (9007199254740993, 10)");
+  Sql(&db_, "ANALYZE");
+  const std::string sql =
+      "SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k > 9007199254740000";
+  JoinEnumOptions& join = db_.options().optimizer.join;
+  join.enable_nlj = join.enable_bnlj = join.enable_inlj = join.enable_hash = false;
+  std::vector<std::string> merged = Sorted(Rows(Sql(&db_, sql)));
+  ASSERT_TRUE(HasOp(db_.last_profile().root, "SortMergeJoin")) << db_.last_profile().ToText();
+  ASSERT_TRUE(HasOp(db_.last_profile().root, "IndexScan")) << db_.last_profile().ToText();
+  EXPECT_EQ(merged, (std::vector<std::string>{"(1, 10)", "(2, 20)"}));
+  join.enable_hash = true;
+  join.enable_smj = false;
+  ExpectHashJoinRows(sql, merged);
+}
+
 TEST_F(KeyExactnessTest, OrderByOrdersIntsBeyond2To53Exactly) {
   Sql(&db_, "CREATE TABLE a (k INT)");
   Sql(&db_,

@@ -139,5 +139,42 @@ TEST_F(SortExecTest, NullsSortFirst) {
   EXPECT_EQ(rows[1].At(0).AsInt(), 1);
 }
 
+// A merge join drains two spilled sorts at once, so both final merges hold
+// a cursor per run. The fan-in counts one buffer page per run, so a run
+// cursor must pin no page between records: with these rows the two final
+// merges read more runs than this 32-page pool (24 pages of operator
+// memory, fan-in 23) has frames.
+TEST_F(SortExecTest, MergeJoinOverTwoSpilledSortsFitsA32PagePool) {
+  SessionOptions options;
+  options.buffer_pool_pages = 32;
+  Database db(options);
+  tu::Sql(&db, "CREATE TABLE l (k INT, v INT, pad TEXT)");
+  tu::Sql(&db, "CREATE TABLE r (k INT, w INT, pad TEXT)");
+  TableInfo* l = *db.catalog()->GetTable("l");
+  TableInfo* r = *db.catalog()->GetTable("r");
+  constexpr int64_t kRows = 20000;
+  const Value pad = Value::String(std::string(30, 'p'));
+  for (int64_t i = 0; i < kRows; ++i) {
+    // Two permutations of 0..kRows-1, so each side needs its sort.
+    const Tuple lrow({Value::Int(i * 7919 % kRows), Value::Int(i), pad});
+    const Tuple rrow({Value::Int(i * 104729 % kRows), Value::Int(i), pad});
+    ASSERT_TRUE(db.catalog()->InsertTuple(l, lrow).ok());
+    ASSERT_TRUE(db.catalog()->InsertTuple(r, rrow).ok());
+  }
+  tu::Sql(&db, "ANALYZE");
+  JoinEnumOptions& join = db.options().optimizer.join;
+  join.enable_hash = join.enable_nlj = join.enable_bnlj = join.enable_inlj = false;
+  QueryResult result = tu::CheckedSql(&db, "SELECT count(*) FROM l, r WHERE l.k = r.k");
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].At(0).AsInt(), kRows);
+  const OperatorProfile* merge = &db.last_profile().root;
+  while (merge->op != "SortMergeJoin" && !merge->children.empty()) merge = &merge->children[0];
+  ASSERT_EQ(merge->op, "SortMergeJoin") << db.last_profile().ToText();
+  for (const OperatorProfile& side : merge->children) {
+    EXPECT_EQ(side.op, "Sort");
+    EXPECT_GT(side.stats.page_writes, 0u) << "the sort did not spill: " << side.describe;
+  }
+}
+
 }  // namespace
 }  // namespace relopt

@@ -286,20 +286,21 @@ TEST(HeapFileTest, IteratorSeesAllLiveRecords) {
   ASSERT_TRUE(heap.Delete(rids[3]).ok());
   ASSERT_TRUE(heap.Delete(rids[17]).ok());
 
-  HeapFile::Iterator it(&heap);
+  HeapFile::PageCursor cursor(&heap);
+  ASSERT_TRUE(cursor.Rewind().ok());
   Rid rid;
-  std::string record;
+  std::string_view record;
   int count = 0;
-  while (*it.Next(&rid, &record)) {
+  while (*cursor.Next(&rid, &record)) {
     EXPECT_NE(record, "rec3");
     EXPECT_NE(record, "rec17");
     ++count;
   }
   EXPECT_EQ(count, 28);
 
-  it.Reset();
+  ASSERT_TRUE(cursor.Rewind().ok());
   count = 0;
-  while (*it.Next(&rid, &record)) ++count;
+  while (*cursor.Next(&rid, &record)) ++count;
   EXPECT_EQ(count, 28);
 }
 
@@ -325,10 +326,11 @@ TEST(HeapFileTest, ScanCountsOnePhysicalReadPerPage) {
   ASSERT_TRUE(pool.EvictAll().ok());
   disk.ResetStats();
 
-  HeapFile::Iterator it(&heap);
+  HeapFile::PageCursor cursor(&heap);
+  ASSERT_TRUE(cursor.Rewind().ok());
   Rid rid;
-  std::string rec;
-  while (*it.Next(&rid, &rec)) {
+  std::string_view rec;
+  while (*cursor.Next(&rid, &rec)) {
   }
   EXPECT_EQ(disk.stats().page_reads, heap.NumPages());
 }
