@@ -37,6 +37,10 @@ done
 \demo
 EXPLAIN ANALYZE SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept_id = d.id;
 \metrics
+\parallel 4
+UPDATE emp SET salary = salary + 1 WHERE dept_id = 3;
+\metrics
+DELETE FROM emp WHERE id < 3;
 \quit
 SQL
 
@@ -106,11 +110,13 @@ echo "== tsan build (concurrency tests) =="
 # SortExec, JoinExec, Catalog and HeapFile drive every heap reader (sort
 # runs, Grace partitions, ANALYZE and the index backfill, the cursor itself),
 # so the page-latch rule is checked on each: no heap latch is held while
-# another page is latched or written.
+# another page is latched or written. DmlDifferential runs UPDATE and DELETE
+# plans at parallelism 4: their Gather workers scan under the exclusive
+# statement lock, and the session writes once they have stopped.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile|DmlDifferential'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

@@ -1,10 +1,54 @@
 #include "catalog/catalog.h"
 
+#include "storage/slotted_page.h"
 #include "types/key_codec.h"
 #include "types/tuple_batch.h"
 #include "util/str_util.h"
 
 namespace relopt {
+
+namespace {
+
+/// A row as InsertTuple writes it: its heap record and one key per index.
+struct EncodedRow {
+  std::string record;
+  std::vector<std::string> keys;
+};
+
+/// Encodes `tuple` for `table`, failing where a write of it would.
+Result<EncodedRow> EncodeRow(const TableInfo& table, const Tuple& tuple) {
+  const Schema& schema = table.schema();
+  if (tuple.NumValues() != schema.NumColumns()) {
+    return Status::InvalidArgument("tuple has " + std::to_string(tuple.NumValues()) +
+                                   " values, table '" + table.name() + "' has " +
+                                   std::to_string(schema.NumColumns()) + " columns");
+  }
+  // Type-check against the schema (NULLs pass).
+  for (size_t i = 0; i < tuple.NumValues(); ++i) {
+    const Value& v = tuple.At(i);
+    if (!v.is_null() && v.type() != schema.ColumnAt(i).type) {
+      return Status::TypeError("value " + v.ToString() + " does not match column '" +
+                               schema.ColumnAt(i).name + "' type " +
+                               TypeIdToString(schema.ColumnAt(i).type));
+    }
+  }
+  EncodedRow row;
+  row.record = tuple.Serialize();
+  if (row.record.size() > SlottedPage::kMaxRecordSize) {
+    return Status::InvalidArgument("record of " + std::to_string(row.record.size()) +
+                                   " bytes exceeds page capacity");
+  }
+  for (const IndexInfo* idx : table.indexes()) {
+    row.keys.push_back(EncodeKeyFromTuple(tuple, idx->key_columns));
+    if (row.keys.back().size() > BTree::kMaxKeySize) {
+      return Status::InvalidArgument("index key exceeds " + std::to_string(BTree::kMaxKeySize) +
+                                     " bytes");
+    }
+  }
+  return row;
+}
+
+}  // namespace
 
 std::string IndexInfo::KeyDescription(const Schema& schema) const {
   std::string out = name + "(";
@@ -105,17 +149,17 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   // its heap page before the batch's B+tree inserts latch others.
   HeapFile::PageCursor cursor(table->heap());
   RELOPT_RETURN_NOT_OK(cursor.Rewind());
+  const size_t num_cols = table->schema().NumColumns();
   TupleBatch batch;
-  std::vector<Rid> rids;
   bool more = true;
   while (more) {
     batch.Clear();
-    rids.clear();
-    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch, &rids));
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(num_cols, &batch, /*with_rid=*/true));
     for (size_t r = 0; r < batch.NumRows(); ++r) {
-      NoteKey(info.get(), batch.RowAt(r));
-      RELOPT_RETURN_NOT_OK(info->tree->Insert(EncodeKeyFromTuple(batch.RowAt(r), key_columns),
-                                              rids[r]));
+      const Tuple& row = batch.RowAt(r);
+      NoteKey(info.get(), row);
+      RELOPT_RETURN_NOT_OK(info->tree->Insert(EncodeKeyFromTuple(row, key_columns),
+                                              Rid::Unpack(row.At(num_cols).AsInt())));
     }
   }
 
@@ -138,26 +182,17 @@ std::vector<std::string> Catalog::TableNames() const {
   return names;
 }
 
+Status Catalog::CheckRow(const TableInfo* table, const Tuple& tuple) const {
+  return EncodeRow(*table, tuple).status();
+}
+
 Result<Rid> Catalog::InsertTuple(TableInfo* table, const Tuple& tuple) {
-  if (tuple.NumValues() != table->schema().NumColumns()) {
-    return Status::InvalidArgument("tuple has " + std::to_string(tuple.NumValues()) +
-                                   " values, table '" + table->name() + "' has " +
-                                   std::to_string(table->schema().NumColumns()) + " columns");
-  }
-  // Type-check against the schema (NULLs pass).
-  for (size_t i = 0; i < tuple.NumValues(); ++i) {
-    const Value& v = tuple.At(i);
-    if (!v.is_null() && v.type() != table->schema().ColumnAt(i).type) {
-      return Status::TypeError("value " + v.ToString() + " does not match column '" +
-                               table->schema().ColumnAt(i).name + "' type " +
-                               TypeIdToString(table->schema().ColumnAt(i).type));
-    }
-  }
-  RELOPT_ASSIGN_OR_RETURN(Rid rid, table->heap()->Insert(tuple.Serialize()));
-  for (IndexInfo* idx : table->indexes()) {
-    NoteKey(idx, tuple);
-    std::string enc = EncodeKeyFromTuple(tuple, idx->key_columns);
-    RELOPT_RETURN_NOT_OK(idx->tree->Insert(enc, rid));
+  RELOPT_ASSIGN_OR_RETURN(EncodedRow row, EncodeRow(*table, tuple));
+  RELOPT_ASSIGN_OR_RETURN(Rid rid, table->heap()->Insert(row.record));
+  const std::vector<IndexInfo*>& indexes = table->indexes();
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    NoteKey(indexes[i], tuple);
+    RELOPT_RETURN_NOT_OK(indexes[i]->tree->Insert(row.keys[i], rid));
   }
   table->set_live_rows(table->live_rows() + 1);
   return rid;

@@ -113,6 +113,13 @@ class Catalog {
   /// All table names, sorted.
   std::vector<std::string> TableNames() const;
 
+  /// Fails as InsertTuple(table, tuple) would before its first write: the
+  /// row's arity or a value's type does not match the table, its record does
+  /// not fit a page, or an index key is longer than the B+tree takes. A
+  /// statement checks every row before it writes one, so such a row writes
+  /// nothing.
+  Status CheckRow(const TableInfo* table, const Tuple& tuple) const;
+
   /// Inserts a row: heap + every index. Returns the RID.
   Result<Rid> InsertTuple(TableInfo* table, const Tuple& tuple);
 

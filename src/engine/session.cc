@@ -1,5 +1,6 @@
 #include "engine/session.h"
 
+#include <algorithm>
 #include <bit>
 #include <shared_mutex>
 
@@ -171,28 +172,6 @@ void CollectStatementParameterSlots(Statement* stmt, std::vector<ExprPtr*>* out)
     default:
       break;  // DDL/ANALYZE carry no expressions
   }
-}
-
-/// Scans `table`'s heap `batch_size` rows at a time and calls
-/// `visit(batch, rids)` on each batch, its selection compacted to the rows
-/// `pred` (bound to the table; null: every row) accepts. Batch row `r` is
-/// the row at `rids[r]`.
-template <typename Visit>
-Status ScanMatching(TableInfo* table, const Expression* pred, size_t batch_size, Visit visit) {
-  BatchPredicate filter(pred);
-  TupleBatch batch(batch_size);
-  std::vector<Rid> rids;
-  HeapFile::PageCursor cursor(table->heap());
-  RELOPT_RETURN_NOT_OK(cursor.Rewind());
-  bool more = true;
-  while (more) {
-    batch.Clear();
-    rids.clear();
-    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch, &rids));
-    RELOPT_RETURN_NOT_OK(filter.Filter(&batch));
-    RELOPT_RETURN_NOT_OK(visit(batch, rids));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -473,87 +452,81 @@ Status Session::RunInsert(InsertStmt* stmt) {
       values[positions[i]] = std::move(cast);
     }
     tuples.push_back(Tuple(std::move(values)));
+    RELOPT_RETURN_NOT_OK(catalog->CheckRow(table, tuples.back()));
   }
+  // The writes change the data the feedback observations were measured on.
+  db_->feedback_.InvalidateTable(stmt->table_name);
   for (const Tuple& tuple : tuples) {
-    RELOPT_ASSIGN_OR_RETURN(Rid rid, catalog->InsertTuple(table, tuple));
-    (void)rid;
+    RELOPT_RETURN_NOT_OK(catalog->InsertTuple(table, tuple).status());
   }
   return Status::OK();
 }
 
-Status Session::RunDelete(DeleteStmt* stmt) {
+Status Session::RunWrite(const std::string& table_name, ExprPtr where,
+                         std::vector<std::pair<std::string, ExprPtr>>* assignments) {
   Catalog* catalog = db_->catalog_.get();
-  RELOPT_ASSIGN_OR_RETURN(TableInfo * table, catalog->GetTable(stmt->table_name));
-  ExprPtr pred;
-  if (stmt->where) {
-    pred = FoldConstants(std::move(stmt->where));
-    RELOPT_RETURN_NOT_OK(pred->Bind(table->schema().WithQualifier(table->name())));
-  }
-  // Collect matching RIDs first, then delete (no iterator invalidation).
-  std::vector<Rid> to_delete;
-  RELOPT_RETURN_NOT_OK(ScanMatching(
-      table, pred.get(), options_.batch_size,
-      [&](const TupleBatch& batch, const std::vector<Rid>& rids) {
-        for (uint32_t r : batch.selection()) to_delete.push_back(rids[r]);
-        return Status::OK();
-      }));
-  for (Rid r : to_delete) {
-    RELOPT_RETURN_NOT_OK(catalog->DeleteTuple(table, r));
-  }
-  return Status::OK();
-}
-
-Status Session::RunUpdate(UpdateStmt* stmt) {
-  Catalog* catalog = db_->catalog_.get();
-  RELOPT_ASSIGN_OR_RETURN(TableInfo * table, catalog->GetTable(stmt->table_name));
+  RELOPT_ASSIGN_OR_RETURN(TableInfo * table, catalog->GetTable(table_name));
   const Schema& schema = table->schema();
-  const Schema qualified = schema.WithQualifier(table->name());
 
-  // One bound expression per column computes the new image: the column
-  // itself, or its assigned value (which may read the row's old values).
-  std::vector<ExprPtr> image;
-  for (const Column& col : qualified.columns()) {
-    ExprPtr ref = MakeColumnRef(col.table, col.name);
-    RELOPT_RETURN_NOT_OK(ref->Bind(qualified));
-    image.push_back(std::move(ref));
-  }
+  // The rows to write are the query SELECT #rid, <new row> FROM t WHERE p,
+  // planned and run as any query is. Each column of the new row is the
+  // column itself or its assigned value, which may read the old values.
+  SelectStmt query;
+  TableRef ref;
+  ref.table_name = table_name;
+  ref.with_rid = true;
+  query.from.push_back(std::move(ref));
+  query.where = std::move(where);
+  query.items.emplace_back();
+  query.items.back().expr = MakeColumnRef("", "#rid");
   std::vector<size_t> assigned;
-  for (auto& [col_name, value_expr] : stmt->assignments) {
-    RELOPT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col_name));
-    image[idx] = FoldConstants(std::move(value_expr));
-    RELOPT_RETURN_NOT_OK(image[idx]->Bind(qualified));
-    assigned.push_back(idx);
+  if (assignments != nullptr) {
+    for (const Column& col : schema.columns()) {
+      query.items.emplace_back();
+      query.items.back().expr = MakeColumnRef("", col.name);
+    }
+    for (auto& [col_name, value_expr] : *assignments) {
+      RELOPT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col_name));
+      // The binder would turn the query into an aggregation.
+      if (value_expr->ContainsAggregate()) {
+        return Status::BindError("aggregate calls are not allowed in SET");
+      }
+      query.items[1 + idx].expr = std::move(value_expr);
+      assigned.push_back(idx);
+    }
   }
-  ExprPtr pred;
-  if (stmt->where) {
-    pred = FoldConstants(std::move(stmt->where));
-    RELOPT_RETURN_NOT_OK(pred->Bind(qualified));
-  }
+  RELOPT_ASSIGN_OR_RETURN(PhysicalPtr plan, PlanStatement(&query, /*want_trace=*/false));
+  RELOPT_ASSIGN_OR_RETURN(QueryResult result, ExecutePlanInternal(*plan));
 
-  // Collect the new images first (no iterator invalidation, and the scan
-  // never sees its own updates).
-  std::vector<std::pair<Rid, Tuple>> updates;
-  BatchProjector projector(&image);
-  TupleBatch images(options_.batch_size);
-  RELOPT_RETURN_NOT_OK(ScanMatching(
-      table, pred.get(), options_.batch_size,
-      [&](const TupleBatch& batch, const std::vector<Rid>& rids) -> Status {
-        RELOPT_RETURN_NOT_OK(projector.Project(batch, &images));
-        for (size_t k = 0; k < batch.NumSelected(); ++k) {
-          Tuple* updated = images.MutableRowAt(k);
-          for (size_t idx : assigned) {
-            RELOPT_ASSIGN_OR_RETURN(updated->MutableAt(idx),
-                                    updated->At(idx).CastTo(schema.ColumnAt(idx).type));
-          }
-          updates.emplace_back(rids[batch.selection()[k]], std::move(*updated));
-        }
-        return Status::OK();
-      }));
-  // Apply as delete + insert so every index stays consistent.
-  for (auto& [old_rid, new_tuple] : updates) {
-    RELOPT_RETURN_NOT_OK(catalog->DeleteTuple(table, old_rid));
-    RELOPT_ASSIGN_OR_RETURN(Rid new_rid, catalog->InsertTuple(table, new_tuple));
-    (void)new_rid;
+  // Write only after the plan has read every row, so it never sees the
+  // statement's own writes, and in RID order, whatever order the plan
+  // produced. Every new row is cast and checked before the first write, so
+  // a bad value writes nothing.
+  std::vector<Tuple>& rows = result.rows;
+  std::sort(rows.begin(), rows.end(),
+            [](const Tuple& a, const Tuple& b) { return a.At(0).AsInt() < b.At(0).AsInt(); });
+  std::vector<Tuple> images;
+  if (assignments != nullptr) {
+    images.reserve(rows.size());
+    for (Tuple& row : rows) {
+      Tuple image;
+      for (size_t i = 1; i < row.NumValues(); ++i) image.Append(std::move(row.MutableAt(i)));
+      for (size_t idx : assigned) {
+        RELOPT_ASSIGN_OR_RETURN(image.MutableAt(idx),
+                                image.At(idx).CastTo(schema.ColumnAt(idx).type));
+      }
+      RELOPT_RETURN_NOT_OK(catalog->CheckRow(table, image));
+      images.push_back(std::move(image));
+    }
+  }
+  if (rows.empty()) return Status::OK();
+  db_->feedback_.InvalidateTable(table_name);
+  // An UPDATE is a delete plus an insert, so every index stays consistent.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    RELOPT_RETURN_NOT_OK(catalog->DeleteTuple(table, Rid::Unpack(rows[r].At(0).AsInt())));
+    if (assignments != nullptr) {
+      RELOPT_RETURN_NOT_OK(catalog->InsertTuple(table, images[r]).status());
+    }
   }
   return Status::OK();
 }
@@ -625,10 +598,15 @@ Result<QueryResult> Session::RunStatement(Statement* stmt, bool* produced_rows,
       };
       return finish(run());
     }
-    case StatementKind::kDelete:
-      return finish(RunDelete(static_cast<DeleteStmt*>(stmt)));
-    case StatementKind::kUpdate:
-      return finish(RunUpdate(static_cast<UpdateStmt*>(stmt)));
+    case StatementKind::kDelete: {
+      auto* del = static_cast<DeleteStmt*>(stmt);
+      return finish(RunWrite(del->table_name, std::move(del->where), nullptr));
+    }
+    case StatementKind::kUpdate: {
+      auto* update = static_cast<UpdateStmt*>(stmt);
+      return finish(
+          RunWrite(update->table_name, std::move(update->where), &update->assignments));
+    }
     case StatementKind::kSelect: {
       *produced_rows = true;
       return RunSelect(static_cast<SelectStmt*>(stmt), cache_suffix);
@@ -666,25 +644,9 @@ Result<QueryResult> Session::ExecuteStatement(Statement* stmt, bool* produced_ro
     if (result.ok() && InvalidatesPlans(stmt->kind)) {
       db_->plan_cache_.InvalidateStale(db_->catalog_->version());
       // Schema changes and fresh statistics retire feedback wholesale: old
-      // observations may describe dropped columns or superseded data.
+      // observations may describe dropped columns or superseded data. (DML
+      // drops its own table's entries where it writes.)
       db_->feedback_.Clear();
-    }
-    if (result.ok()) {
-      // DML changes the data the observations were measured on; drop only
-      // the affected table's entries.
-      switch (stmt->kind) {
-        case StatementKind::kInsert:
-          db_->feedback_.InvalidateTable(static_cast<InsertStmt*>(stmt)->table_name);
-          break;
-        case StatementKind::kDelete:
-          db_->feedback_.InvalidateTable(static_cast<DeleteStmt*>(stmt)->table_name);
-          break;
-        case StatementKind::kUpdate:
-          db_->feedback_.InvalidateTable(static_cast<UpdateStmt*>(stmt)->table_name);
-          break;
-        default:
-          break;
-      }
     }
   }
   const uint64_t wall_nanos = MonotonicNanos() - start_nanos;

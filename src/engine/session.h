@@ -128,12 +128,15 @@ class Session {
                                    const std::string* cache_suffix);
   Result<QueryResult> RunSelect(SelectStmt* stmt, const std::string* cache_suffix);
   Result<std::string> RunExplain(ExplainStmt* stmt);
-  /// Binds and optimizes a SELECT/EXPLAIN statement's query, writing the
-  /// optimize time and enumeration stats into the statement's record.
+  /// Binds and optimizes a statement's query (a SELECT, an EXPLAIN's, or
+  /// the one an UPDATE or DELETE runs), writing the optimize time and
+  /// enumeration stats into the statement's record.
   Result<PhysicalPtr> PlanStatement(SelectStmt* select, bool want_trace);
   Status RunInsert(InsertStmt* stmt);
-  Status RunDelete(DeleteStmt* stmt);
-  Status RunUpdate(UpdateStmt* stmt);
+  /// UPDATE (with `assignments`) and DELETE (without): plans and runs the
+  /// query that finds the rows and their new versions, then writes them.
+  Status RunWrite(const std::string& table_name, ExprPtr where,
+                  std::vector<std::pair<std::string, ExprPtr>>* assignments);
   /// Shared optimize step: syncs buffer_pages, wires up tracing.
   Result<PhysicalPtr> OptimizeLogical(LogicalPtr logical, OptimizeInfo* info, bool want_trace);
   /// Executes a plan into the current record. Caller holds the statement

@@ -13,7 +13,8 @@ IndexScanExecutor::IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo*
       lo_inclusive_(lo_inclusive),
       hi_(std::move(hi)),
       hi_inclusive_(hi_inclusive),
-      residual_(residual) {}
+      residual_(residual),
+      with_rid_(schema_.NumColumns() > table->schema().NumColumns()) {}
 
 Status IndexScanExecutor::InitImpl() {
   RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
@@ -30,7 +31,9 @@ Result<bool> IndexScanExecutor::NextBatchImpl(TupleBatch* out) {
     while (!out->Full()) {
       RELOPT_ASSIGN_OR_RETURN(bool has, iter_->Next(&key, &rid));
       if (!has) return false;
-      RELOPT_ASSIGN_OR_RETURN(*out->AppendRow(), table_->GetTuple(rid));
+      Tuple* row = out->AppendRow();
+      RELOPT_ASSIGN_OR_RETURN(*row, table_->GetTuple(rid));
+      if (with_rid_) row->Append(Value::Int(rid.Pack()));
     }
     return true;
   });

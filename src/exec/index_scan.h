@@ -12,7 +12,8 @@ class IndexScanExecutor : public Executor {
  public:
   /// Bounds are encoded composite key prefixes (see types/key_codec.h);
   /// nullopt = open. `residual` (optional, bound to `schema`) compacts each
-  /// batch of fetched rows.
+  /// batch of fetched rows. A `schema` one column wider than `table` gets
+  /// each row's packed RID as its last value, as SeqScanExecutor does.
   IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo* table, IndexInfo* index,
                     std::optional<std::string> lo, bool lo_inclusive,
                     std::optional<std::string> hi, bool hi_inclusive, const Expression* residual);
@@ -28,6 +29,7 @@ class IndexScanExecutor : public Executor {
   std::optional<std::string> hi_;
   bool hi_inclusive_;
   BatchPredicate residual_;
+  const bool with_rid_;
   std::optional<BTree::Iterator> iter_;
 };
 

@@ -10,94 +10,35 @@ namespace relopt {
 
 namespace {
 
-/// Replaces subtrees matching a group-by expression or a lifted aggregate
-/// call with column references into the Aggregate node's output schema.
+/// Replaces, in place, the subtrees of `*slot` that match a group-by
+/// expression or a lifted aggregate call with column references into the
+/// Aggregate node's output schema, and stops at other aggregate calls.
 /// Matching is structural-by-rendering (ToString), the classic simple
 /// approach for a rewriter without expression interning.
-ExprPtr RewriteOverAggregate(ExprPtr expr, const std::vector<std::string>& group_renderings,
-                             const Schema& agg_schema, size_t num_group_cols,
-                             const std::vector<std::string>& agg_renderings) {
-  if (!expr) return expr;
-  std::string rendering = expr->ToString();
+void RewriteOverAggregate(ExprPtr* slot, const std::vector<std::string>& group_renderings,
+                          const Schema& agg_schema, size_t num_group_cols,
+                          const std::vector<std::string>& agg_renderings) {
+  const std::string rendering = (*slot)->ToString();
+  auto replace = [&](size_t agg_col) {
+    const Column& col = agg_schema.ColumnAt(agg_col);
+    *slot = MakeColumnRef(col.table, col.name);
+  };
   for (size_t i = 0; i < group_renderings.size(); ++i) {
-    if (rendering == group_renderings[i]) {
-      const Column& col = agg_schema.ColumnAt(i);
-      return MakeColumnRef(col.table, col.name);
-    }
+    if (rendering == group_renderings[i]) return replace(i);
   }
   for (size_t i = 0; i < agg_renderings.size(); ++i) {
-    if (rendering == agg_renderings[i]) {
-      const Column& col = agg_schema.ColumnAt(num_group_cols + i);
-      return MakeColumnRef(col.table, col.name);
-    }
+    if (rendering == agg_renderings[i]) return replace(num_group_cols + i);
   }
-  // Recurse into children by kind.
-  switch (expr->kind()) {
-    case ExprKind::kComparison: {
-      auto* e = static_cast<ComparisonExpr*>(expr.get());
-      ExprPtr l = RewriteOverAggregate(e->TakeLeft(), group_renderings, agg_schema,
-                                       num_group_cols, agg_renderings);
-      ExprPtr r = RewriteOverAggregate(e->TakeRight(), group_renderings, agg_schema,
-                                       num_group_cols, agg_renderings);
-      return MakeComparison(e->op(), std::move(l), std::move(r));
-    }
-    case ExprKind::kLogical: {
-      auto* e = static_cast<LogicalExpr*>(expr.get());
-      LogicalOp op = e->op();
-      std::vector<ExprPtr> kids = e->TakeChildren();
-      for (ExprPtr& k : kids) {
-        k = RewriteOverAggregate(std::move(k), group_renderings, agg_schema, num_group_cols,
-                                 agg_renderings);
-      }
-      return std::make_unique<LogicalExpr>(op, std::move(kids));
-    }
-    case ExprKind::kArithmetic: {
-      auto* e = static_cast<ArithmeticExpr*>(expr.get());
-      ExprPtr l = RewriteOverAggregate(e->left()->Clone(), group_renderings, agg_schema,
-                                       num_group_cols, agg_renderings);
-      ExprPtr r = RewriteOverAggregate(e->right()->Clone(), group_renderings, agg_schema,
-                                       num_group_cols, agg_renderings);
-      return std::make_unique<ArithmeticExpr>(e->op(), std::move(l), std::move(r));
-    }
-    case ExprKind::kIsNull: {
-      auto* e = static_cast<IsNullExpr*>(expr.get());
-      ExprPtr c = RewriteOverAggregate(e->child()->Clone(), group_renderings, agg_schema,
-                                       num_group_cols, agg_renderings);
-      return std::make_unique<IsNullExpr>(std::move(c), e->negated());
-    }
-    case ExprKind::kCase: {
-      auto* e = static_cast<CaseExpr*>(expr.get());
-      std::vector<ExprPtr> whens, thens;
-      for (size_t i = 0; i < e->num_arms(); ++i) {
-        whens.push_back(RewriteOverAggregate(e->when_at(i)->Clone(), group_renderings,
-                                             agg_schema, num_group_cols, agg_renderings));
-        thens.push_back(RewriteOverAggregate(e->then_at(i)->Clone(), group_renderings,
-                                             agg_schema, num_group_cols, agg_renderings));
-      }
-      ExprPtr else_expr =
-          e->else_expr() != nullptr
-              ? RewriteOverAggregate(e->else_expr()->Clone(), group_renderings, agg_schema,
-                                     num_group_cols, agg_renderings)
-              : nullptr;
-      return std::make_unique<CaseExpr>(std::move(whens), std::move(thens),
-                                        std::move(else_expr));
-    }
-    case ExprKind::kFunctionCall: {
-      auto* e = static_cast<FunctionCallExpr*>(expr.get());
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : e->args()) {
-        args.push_back(RewriteOverAggregate(a->Clone(), group_renderings, agg_schema,
-                                            num_group_cols, agg_renderings));
-      }
-      return std::make_unique<FunctionCallExpr>(e->func(), std::move(args));
-    }
-    default:
-      return expr;
+  if ((*slot)->kind() == ExprKind::kAggregateCall) return;
+  std::vector<ExprPtr*> children;
+  (*slot)->ChildSlots(&children);
+  for (ExprPtr* child : children) {
+    RewriteOverAggregate(child, group_renderings, agg_schema, num_group_cols, agg_renderings);
   }
 }
 
 /// Collects aggregate calls (deduplicated by rendering), in tree order.
-void CollectAggCalls(const Expression* expr, std::vector<const AggregateCallExpr*>* out,
+void CollectAggCalls(Expression* expr, std::vector<const AggregateCallExpr*>* out,
                      std::set<std::string>* seen) {
   if (!expr) return;
   if (expr->kind() == ExprKind::kAggregateCall) {
@@ -105,46 +46,9 @@ void CollectAggCalls(const Expression* expr, std::vector<const AggregateCallExpr
     if (seen->insert(agg->ToString()).second) out->push_back(agg);
     return;  // no nested aggregates
   }
-  switch (expr->kind()) {
-    case ExprKind::kComparison: {
-      const auto* e = static_cast<const ComparisonExpr*>(expr);
-      CollectAggCalls(e->left(), out, seen);
-      CollectAggCalls(e->right(), out, seen);
-      break;
-    }
-    case ExprKind::kLogical: {
-      const auto* e = static_cast<const LogicalExpr*>(expr);
-      for (const ExprPtr& c : e->children()) CollectAggCalls(c.get(), out, seen);
-      break;
-    }
-    case ExprKind::kArithmetic: {
-      const auto* e = static_cast<const ArithmeticExpr*>(expr);
-      CollectAggCalls(e->left(), out, seen);
-      CollectAggCalls(e->right(), out, seen);
-      break;
-    }
-    case ExprKind::kIsNull: {
-      const auto* e = static_cast<const IsNullExpr*>(expr);
-      CollectAggCalls(e->child(), out, seen);
-      break;
-    }
-    case ExprKind::kCase: {
-      const auto* e = static_cast<const CaseExpr*>(expr);
-      for (size_t i = 0; i < e->num_arms(); ++i) {
-        CollectAggCalls(e->when_at(i), out, seen);
-        CollectAggCalls(e->then_at(i), out, seen);
-      }
-      CollectAggCalls(e->else_expr(), out, seen);
-      break;
-    }
-    case ExprKind::kFunctionCall: {
-      const auto* e = static_cast<const FunctionCallExpr*>(expr);
-      for (const ExprPtr& a : e->args()) CollectAggCalls(a.get(), out, seen);
-      break;
-    }
-    default:
-      break;
-  }
+  std::vector<ExprPtr*> children;
+  expr->ChildSlots(&children);
+  for (ExprPtr* child : children) CollectAggCalls(child->get(), out, seen);
 }
 
 }  // namespace
@@ -177,6 +81,7 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
       return Status::BindError("duplicate table name/alias '" + alias + "' in FROM");
     }
     Schema qualified = table->schema().WithQualifier(alias);
+    if (ref.with_rid) qualified.AddColumn(Column("#rid", TypeId::kInt64, alias));
     auto scan = std::make_unique<LogicalScan>(table->name(), alias, std::move(qualified));
     if (!plan) {
       plan = std::move(scan);
@@ -292,8 +197,9 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
     const LogicalNode* node = plan.get();
     while (node->kind() != LogicalNodeKind::kAggregate) node = node->child(0);
     const auto* agg_node = static_cast<const LogicalAggregate*>(node);
-    return RewriteOverAggregate(std::move(e), group_renderings, agg_node->schema(),
-                                num_group_cols, agg_renderings);
+    RewriteOverAggregate(&e, group_renderings, agg_node->schema(), num_group_cols,
+                         agg_renderings);
+    return e;
   };
 
   // ---- HAVING ---------------------------------------------------------

@@ -43,21 +43,6 @@ bool ApplyOp(CompareOp op, int c) {
   return false;
 }
 
-CompareOp MirrorOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    default:
-      return op;  // eq/ne are symmetric
-  }
-}
-
 /// Widens a CASE/COALESCE/NULLIF branch value to the unified result type:
 /// NULL takes the target type, int64 widens to double, everything else
 /// passes through.
@@ -789,7 +774,7 @@ std::optional<ColumnLiteralCompare> MatchColumnLiteralCompare(const Expression* 
   if (l->kind() == ExprKind::kLiteral && r->kind() == ExprKind::kColumnRef) {
     const auto* col = static_cast<const ColumnRefExpr*>(r);
     if (!col->IsBound()) return std::nullopt;
-    return ColumnLiteralCompare{col, MirrorOp(cmp->op()),
+    return ColumnLiteralCompare{col, SwapCompareOp(cmp->op()),
                                 &static_cast<const LiteralExpr*>(l)->value()};
   }
   return std::nullopt;

@@ -82,6 +82,9 @@ struct TableRef {
   std::string table_name;
   std::string alias;  // defaults to table_name
   bool is_function = false;  // true for `name()` (e.g. relopt_metrics())
+  /// Appends an INT column `#rid` to the scan's schema, each row's packed
+  /// RID. Only UPDATE and DELETE set it; no SQL text can name the column.
+  bool with_rid = false;
 
   const std::string& EffectiveName() const { return alias.empty() ? table_name : alias; }
 };

@@ -11,7 +11,6 @@ namespace {
 
 constexpr uint32_t kMetaMagic = 0xB7EE0001;
 constexpr size_t kNodeHeaderSize = 8;  // is_leaf u8 | pad u8 | num u16 | next/leftmost u32
-constexpr size_t kMaxKeySize = 1024;
 
 /// Entries are ordered by (key, rid) so duplicates are distinct and never
 /// straddle ambiguously across splits.

@@ -25,6 +25,9 @@ namespace relopt {
 /// \brief B+tree over (encoded key, RID) pairs.
 class BTree {
  public:
+  /// Longest encoded key Insert accepts.
+  static constexpr size_t kMaxKeySize = 1024;
+
   /// Creates a new file with an empty tree (meta page + empty root leaf).
   static Result<BTree> Create(BufferPool* pool);
 

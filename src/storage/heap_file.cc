@@ -140,16 +140,16 @@ Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
   }
 }
 
-Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out,
-                                             std::vector<Rid>* rids) {
+Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out, bool with_rid) {
   auto fill = [&]() -> Result<bool> {
     Rid rid;
     std::string_view record;
     while (!out->Full()) {
       RELOPT_ASSIGN_OR_RETURN(bool has, Next(&rid, &record));
       if (!has) return false;
-      RELOPT_RETURN_NOT_OK(out->AppendRow()->FillFrom(record, num_cols));
-      if (rids != nullptr) rids->push_back(rid);
+      Tuple* row = out->AppendRow();
+      RELOPT_RETURN_NOT_OK(row->FillFrom(record, num_cols));
+      if (with_rid) row->Append(Value::Int(rid.Pack()));
     }
     return true;
   };

@@ -61,8 +61,8 @@ class HeapFile {
   /// \brief The one heap reader: walks a range of the heap's pages and
   /// yields zero-copy views of their live records, one pool access per page.
   ///
-  /// Sequential scans, ANALYZE, the index backfill, the UPDATE/DELETE scan,
-  /// Grace partitions and sort runs all read through it. Between calls it
+  /// Sequential scans (UPDATE and DELETE's among them), ANALYZE, the index
+  /// backfill, Grace partitions and sort runs all read through it. Between calls it
   /// holds at most one page pinned: the page it is reading. It reads that
   /// page under the page's shared latch, taken when a call first reads the
   /// page and held until NextBatch() returns, the cursor leaves the page or
@@ -96,9 +96,10 @@ class HeapFile {
     /// walk is over, when no page stays pinned.
     Result<bool> Next(Rid* rid, std::string_view* record);
     /// Appends the walk's next records to `out`, each decoded into
-    /// `num_cols` values, until `out` is full, and their RIDs to `rids` if it
-    /// is not null. Unlatches before it returns. False once the walk is over.
-    Result<bool> NextBatch(size_t num_cols, TupleBatch* out, std::vector<Rid>* rids = nullptr);
+    /// `num_cols` values and, `with_rid`, one more: its packed RID
+    /// (Rid::Pack), until `out` is full. Unlatches before it returns. False
+    /// once the walk is over.
+    Result<bool> NextBatch(size_t num_cols, TupleBatch* out, bool with_rid = false);
     /// Releases the open page and ends the walk; idempotent.
     Status Close();
 

@@ -50,6 +50,12 @@ struct Rid {
   std::string ToString() const {
     return "[" + std::to_string(page_no) + ":" + std::to_string(slot) + "]";
   }
+  /// The RID as one non-negative int64, `page_no << 16 | slot`, which orders
+  /// as the RIDs do: the value scans emit for a `#rid` column.
+  int64_t Pack() const { return static_cast<int64_t>(page_no) << 16 | slot; }
+  static Rid Unpack(int64_t packed) {
+    return Rid{static_cast<PageNo>(packed >> 16), static_cast<uint16_t>(packed & 0xFFFF)};
+  }
 };
 
 }  // namespace relopt

@@ -30,7 +30,7 @@ bool SlottedPage::HasRoomFor(size_t length) const {
 }
 
 Result<uint16_t> SlottedPage::Insert(std::string_view record) {
-  if (record.size() > kPageSize - kHeaderSize - kSlotSize) {
+  if (record.size() > kMaxRecordSize) {
     return Status::InvalidArgument("record of " + std::to_string(record.size()) +
                                    " bytes exceeds page capacity");
   }

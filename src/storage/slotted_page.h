@@ -22,8 +22,14 @@ namespace relopt {
 /// \brief View over a raw page buffer providing slotted-record access.
 /// Does not own the buffer; the caller keeps the page pinned while using it.
 class SlottedPage {
+ private:
+  static constexpr size_t kHeaderSize = 4;      // num_slots + free_end
+  static constexpr size_t kSlotSize = 4;        // offset + length
+
  public:
   static constexpr uint16_t kDeletedOffset = 0xFFFF;
+  /// Longest record that fits an empty page; Insert rejects longer ones.
+  static constexpr size_t kMaxRecordSize = kPageSize - kHeaderSize - kSlotSize;
 
   /// Wraps an existing page buffer (must be kPageSize bytes).
   explicit SlottedPage(char* data) : data_(data) {}
@@ -56,9 +62,6 @@ class SlottedPage {
   uint16_t NumLive() const;
 
  private:
-  static constexpr size_t kHeaderSize = 4;      // num_slots + free_end
-  static constexpr size_t kSlotSize = 4;        // offset + length
-
   uint16_t ReadU16(size_t pos) const;
   void WriteU16(size_t pos, uint16_t v);
 

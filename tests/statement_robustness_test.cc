@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "parser/parser.h"
-#include "storage/btree.h"
 #include "test_util.h"
 
 namespace relopt {
@@ -237,32 +236,12 @@ TEST_F(StatementRobustnessTest, ExpressionsAtTheLimitStillRun) {
   }
 }
 
-/// Every (key, rid) entry of `index`, in key order.
-std::vector<std::pair<std::string, Rid>> IndexEntries(Database* db, const std::string& index) {
-  std::vector<std::pair<std::string, Rid>> out;
-  Result<IndexInfo*> info = db->catalog()->GetIndex(index);
-  EXPECT_TRUE(info.ok()) << info.status().ToString();
-  if (!info.ok()) return out;
-  Result<BTree::Iterator> it =
-      BTree::Iterator::Seek((*info)->tree.get(), std::nullopt, true, std::nullopt, true);
-  EXPECT_TRUE(it.ok()) << it.status().ToString();
-  std::string key;
-  Rid rid;
-  while (it.ok()) {
-    Result<bool> has = it->Next(&key, &rid);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    out.emplace_back(key, rid);
-  }
-  return out;
-}
-
 TEST_F(StatementRobustnessTest, FailedInsertWritesNoRow) {
   Sql(&db_, "CREATE TABLE t (a INT, b VARCHAR)");
   Sql(&db_, "CREATE INDEX t_a ON t (a)");
   Sql(&db_, "INSERT INTO t VALUES (0, 'w')");
   const std::vector<std::string> rows_before = {"(0, 'w')"};
-  const std::vector<std::pair<std::string, Rid>> index_before = IndexEntries(&db_, "t_a");
+  const std::vector<std::pair<std::string, Rid>> index_before = tu::IndexEntries(&db_, "t_a");
   ASSERT_EQ(index_before.size(), 1u);
 
   // The third row's value fails its cast after two good rows.
@@ -275,8 +254,58 @@ TEST_F(StatementRobustnessTest, FailedInsertWritesNoRow) {
     rows_after.push_back(row.ToString());
   }
   EXPECT_EQ(rows_after, rows_before);
-  EXPECT_EQ(IndexEntries(&db_, "t_a"), index_before);
+  EXPECT_EQ(tu::IndexEntries(&db_, "t_a"), index_before);
   tu::ExpectNoPinnedFrames(&db_, "failed INSERT");
+}
+
+// A row that the heap or an index cannot hold fails its statement before
+// the first write, as a bad value does: the index key or the record is
+// checked for every row first.
+TEST_F(StatementRobustnessTest, InsertWithOversizeIndexKeyWritesNoRow) {
+  Sql(&db_, "CREATE TABLE t (a INT, s TEXT)");
+  Sql(&db_, "CREATE INDEX ts ON t (s)");
+  Sql(&db_, "INSERT INTO t VALUES (0, 'w')");
+  const std::vector<std::pair<std::string, Rid>> index_before = tu::IndexEntries(&db_, "ts");
+  Result<QueryResult> r = db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, '" +
+                                      std::string(2000, 'k') + "'), (3, 'c')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status().ToString();
+  EXPECT_EQ(r.status().message(), "index key exceeds 1024 bytes");
+  EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM t")), 1);
+  EXPECT_EQ(tu::IndexEntries(&db_, "ts"), index_before);
+  tu::ExpectNoPinnedFrames(&db_, "INSERT with an oversize index key");
+}
+
+TEST_F(StatementRobustnessTest, InsertWithOversizeRecordWritesNoRow) {
+  Sql(&db_, "CREATE TABLE v (a INT, s TEXT)");
+  Sql(&db_, "CREATE INDEX v_a ON v (a)");
+  Result<QueryResult> r =
+      db_.Execute("INSERT INTO v VALUES (1, 'a'), (2, '" + std::string(5000, 'r') + "')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status().ToString();
+  EXPECT_EQ(r.status().message(), "record of 5014 bytes exceeds page capacity");
+  EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM v")), 0);
+  EXPECT_TRUE(tu::IndexEntries(&db_, "v_a").empty());
+  tu::ExpectNoPinnedFrames(&db_, "INSERT with an oversize record");
+}
+
+TEST_F(StatementRobustnessTest, UpdateWithOversizeRecordWritesNoRow) {
+  Sql(&db_, "CREATE TABLE u (a INT, s TEXT)");
+  Sql(&db_, "CREATE INDEX u_a ON u (a)");
+  Sql(&db_, "INSERT INTO u VALUES (1, 'a'), (2, 'b'), (3, 'c')");
+  const std::vector<std::pair<std::string, Rid>> index_before = tu::IndexEntries(&db_, "u_a");
+  for (const Mode& m : kModes) {
+    Result<QueryResult> r =
+        Run("UPDATE u SET s = '" + std::string(5000, 'r') + "' WHERE a >= 2", m);
+    ASSERT_FALSE(r.ok()) << ModeName(m);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status().ToString();
+    std::vector<std::string> rows;
+    for (const Tuple& row : Sql(&db_, "SELECT a, s FROM u").rows) rows.push_back(row.ToString());
+    EXPECT_EQ(rows, (std::vector<std::string>{"(1, 'a')", "(2, 'b')", "(3, 'c')"}))
+        << ModeName(m);
+    EXPECT_EQ(tu::IndexEntries(&db_, "u_a"), index_before) << ModeName(m);
+    tu::ExpectNoPinnedFrames(&db_, "UPDATE to an oversize record");
+  }
 }
 
 // A DOUBLE outside int64's range (or NaN) has no INT value: the cast fails

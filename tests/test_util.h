@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
 #include "exec/executor.h"
+#include "storage/btree.h"
 
 namespace relopt {
 namespace tu {
@@ -59,6 +62,27 @@ inline Result<QueryResult> CheckedExecutePlan(Database* db, const PhysicalNode& 
   Result<QueryResult> r = db->ExecutePlan(plan);
   ExpectNoPinnedFrames(db, sql);
   return r;
+}
+
+/// Every (key, rid) entry of `index`, in key order.
+inline std::vector<std::pair<std::string, Rid>> IndexEntries(Database* db,
+                                                             const std::string& index) {
+  std::vector<std::pair<std::string, Rid>> out;
+  Result<IndexInfo*> info = db->catalog()->GetIndex(index);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (!info.ok()) return out;
+  Result<BTree::Iterator> it =
+      BTree::Iterator::Seek((*info)->tree.get(), std::nullopt, true, std::nullopt, true);
+  EXPECT_TRUE(it.ok()) << it.status().ToString();
+  std::string key;
+  Rid rid;
+  while (it.ok()) {
+    Result<bool> has = it->Next(&key, &rid);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    if (!has.ok() || !*has) break;
+    out.emplace_back(key, rid);
+  }
+  return out;
 }
 
 /// Inits `exec` and pulls it to the end `batch_size` rows at a time,
