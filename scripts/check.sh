@@ -112,11 +112,15 @@ echo "== tsan build (concurrency tests) =="
 # so the page-latch rule is checked on each: no heap latch is held while
 # another page is latched or written. DmlDifferential runs UPDATE and DELETE
 # plans at parallelism 4: their Gather workers scan under the exclusive
-# statement lock, and the session writes once they have stopped.
+# statement lock, and the session writes once they have stopped. IndexScan
+# and index nested-loop joins read heap rows by RID through the cursor, so
+# they take heap page latches inside joins too: BTree, AccessPath,
+# KeyExactness, IndexRange and IndexIo run them, and the same latch rule is
+# checked there.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile|DmlDifferential'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile|DmlDifferential|BTree|AccessPath|KeyExactness|IndexRange|IndexIo'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

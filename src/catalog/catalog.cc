@@ -69,11 +69,6 @@ void TableInfo::RemoveIndex(const std::string& index_name) {
   }
 }
 
-Result<Tuple> TableInfo::GetTuple(Rid rid) const {
-  RELOPT_ASSIGN_OR_RETURN(std::string bytes, heap_.Get(rid));
-  return Tuple::Deserialize(bytes, schema_.NumColumns());
-}
-
 Result<TableInfo*> Catalog::CreateTable(const std::string& name, Schema schema) {
   std::string key = ToLower(name);
   if (tables_.count(key)) {
@@ -209,12 +204,12 @@ void Catalog::NoteKey(IndexInfo* index, const Tuple& row) {
 }
 
 Status Catalog::DeleteTuple(TableInfo* table, Rid rid) {
-  RELOPT_ASSIGN_OR_RETURN(Tuple tuple, table->GetTuple(rid));
+  // The deleted record gives the row's index keys.
+  RELOPT_ASSIGN_OR_RETURN(std::string record, table->heap()->Delete(rid));
+  RELOPT_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(record, table->schema().NumColumns()));
   for (IndexInfo* idx : table->indexes()) {
-    std::string enc = EncodeKeyFromTuple(tuple, idx->key_columns);
-    RELOPT_RETURN_NOT_OK(idx->tree->Delete(enc, rid));
+    RELOPT_RETURN_NOT_OK(idx->tree->Delete(EncodeKeyFromTuple(tuple, idx->key_columns), rid));
   }
-  RELOPT_RETURN_NOT_OK(table->heap()->Delete(rid));
   table->set_live_rows(table->live_rows() > 0 ? table->live_rows() - 1 : 0);
   return Status::OK();
 }

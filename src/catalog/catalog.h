@@ -54,9 +54,6 @@ class TableInfo {
   void AddIndex(IndexInfo* index) { indexes_.push_back(index); }
   void RemoveIndex(const std::string& index_name);
 
-  /// Reads and decodes the tuple at `rid`.
-  Result<Tuple> GetTuple(Rid rid) const;
-
   /// Rows inserted since creation (maintained by Catalog::InsertTuple).
   uint64_t live_rows() const { return live_rows_; }
   void set_live_rows(uint64_t n) { live_rows_ = n; }

@@ -491,7 +491,15 @@ Status Session::RunWrite(const std::string& table_name, ExprPtr where,
       if (value_expr->ContainsAggregate()) {
         return Status::BindError("aggregate calls are not allowed in SET");
       }
-      query.items[1 + idx].expr = std::move(value_expr);
+      // A constant is cast here, once: a value its column cannot take fails
+      // the statement before anything is read, however many rows match.
+      ExprPtr value = FoldConstants(std::move(value_expr));
+      if (value->kind() == ExprKind::kLiteral) {
+        RELOPT_ASSIGN_OR_RETURN(
+            Value cast, static_cast<LiteralExpr&>(*value).value().CastTo(schema.ColumnAt(idx).type));
+        value = std::make_unique<LiteralExpr>(std::move(cast));
+      }
+      query.items[1 + idx].expr = std::move(value);
       assigned.push_back(idx);
     }
   }

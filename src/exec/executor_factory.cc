@@ -129,34 +129,11 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       const auto* node = static_cast<const PhysIndexScan*>(plan);
       RELOPT_ASSIGN_OR_RETURN(TableInfo * table, ctx->catalog()->GetTable(node->table_name()));
       RELOPT_ASSIGN_OR_RETURN(IndexInfo * index, ctx->catalog()->GetIndex(node->index_name()));
-      std::optional<std::string> lo;
-      std::optional<std::string> hi;
-      bool lo_inclusive = node->lo_inclusive;
-      bool hi_inclusive = node->hi_inclusive;
-      if (!node->lo_values.empty()) lo = EncodeKey(node->lo_values);
-      if (!node->hi_values.empty()) {
-        std::string enc = EncodeKey(node->hi_values);
-        if (node->hi_values.size() < index->key_columns.size()) {
-          // Upper bound on a key prefix covers all longer keys with that
-          // prefix: widen to the prefix successor.
-          if (hi_inclusive) {
-            std::string succ = PrefixSuccessor(enc);
-            if (succ.empty()) {
-              hi = std::nullopt;
-            } else {
-              hi = std::move(succ);
-              hi_inclusive = false;
-            }
-          } else {
-            hi = std::move(enc);
-          }
-        } else {
-          hi = std::move(enc);
-        }
-      }
+      KeyRange range = EncodeKeyRange(node->lo_values, node->lo_inclusive, node->hi_values,
+                                      node->hi_inclusive, index->key_columns.size());
       return Register(ctx, plan, std::make_unique<IndexScanExecutor>(
-          ctx, node->schema(), table, index, std::move(lo), lo_inclusive, std::move(hi),
-          hi_inclusive, node->residual.get()));
+          ctx, node->schema(), table, index, std::move(range.lo), range.lo_inclusive,
+          std::move(range.hi), range.hi_inclusive, node->residual.get()));
     }
     case PhysicalNodeKind::kFilter: {
       const auto* node = static_cast<const PhysFilter*>(plan);

@@ -1,5 +1,7 @@
 #include "exec/index_nested_loop_join.h"
 
+#include <algorithm>
+
 #include "types/key_codec.h"
 
 namespace relopt {
@@ -20,22 +22,14 @@ Status IndexNestedLoopJoinExecutor::Probe(const Tuple& outer_row) {
     if (v.is_null()) return Status::OK();
     key_values_.push_back(v);
   }
-  std::string enc = EncodeKey(key_values_);
   // A probe on a prefix of the index key is a range scan over that prefix;
   // a full-key probe is a point scan.
-  std::optional<std::string> hi;
-  bool hi_inclusive;
-  if (key_values_.size() == index_->key_columns.size()) {
-    hi = enc;
-    hi_inclusive = true;
-  } else {
-    std::string succ = PrefixSuccessor(enc);
-    hi = succ.empty() ? std::nullopt : std::optional<std::string>(std::move(succ));
-    hi_inclusive = false;
-  }
+  KeyRange range = EncodeKeyRange(key_values_, true, key_values_, true,
+                                  index_->key_columns.size());
   RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
-                          BTree::Iterator::Seek(index_->tree.get(), enc, true, std::move(hi),
-                                                hi_inclusive));
+                          BTree::Iterator::Seek(index_->tree.get(), std::move(range.lo),
+                                                range.lo_inclusive, std::move(range.hi),
+                                                range.hi_inclusive));
   std::string k;
   Rid rid;
   while (true) {
@@ -45,9 +39,9 @@ Status IndexNestedLoopJoinExecutor::Probe(const Tuple& outer_row) {
   }
 }
 
-Result<bool> IndexNestedLoopJoinExecutor::KeyMatches() const {
+Result<bool> IndexNestedLoopJoinExecutor::KeyMatches(const Tuple& inner_row) const {
   for (size_t i = 0; i < key_values_.size(); ++i) {
-    RELOPT_ASSIGN_OR_RETURN(int c, inner_row_.At(index_->key_columns[i]).Compare(key_values_[i]));
+    RELOPT_ASSIGN_OR_RETURN(int c, inner_row.At(index_->key_columns[i]).Compare(key_values_[i]));
     if (c != 0) return false;
   }
   return true;
@@ -65,9 +59,18 @@ Result<bool> IndexNestedLoopJoinExecutor::NextCandidates(TupleBatch* out) {
       RELOPT_RETURN_NOT_OK(Probe(*outer_.row()));
       continue;
     }
-    RELOPT_ASSIGN_OR_RETURN(inner_row_, inner_table_->GetTuple(matches_[match_idx_++]));
-    RELOPT_ASSIGN_OR_RETURN(bool same_key, KeyMatches());
-    if (same_key) out->AppendRow()->Concat(outer_.row()->values(), inner_row_.values());
+    // The probe's next rows, no more than `out` has room for.
+    size_t n = std::min({matches_.size() - match_idx_, out->Room(), inner_rows_.capacity()});
+    inner_rows_.Clear();
+    RELOPT_RETURN_NOT_OK(inner_cursor_.ReadBatch(
+        std::span<const Rid>(matches_).subspan(match_idx_, n),
+        inner_table_->schema().NumColumns(), &inner_rows_));
+    match_idx_ += n;
+    for (size_t r = 0; r < n; ++r) {
+      const Tuple& inner_row = inner_rows_.RowAt(r);
+      RELOPT_ASSIGN_OR_RETURN(bool same_key, KeyMatches(inner_row));
+      if (same_key) out->AppendRow()->Concat(outer_.row()->values(), inner_row.values());
+    }
   }
   return true;
 }

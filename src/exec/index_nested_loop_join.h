@@ -20,7 +20,9 @@ class IndexNestedLoopJoinExecutor : public Executor {
         inner_table_(inner_table),
         index_(index),
         outer_keys_(std::move(outer_keys)),
-        residual_(residual) {}
+        residual_(residual),
+        inner_cursor_(inner_table->heap()),
+        inner_rows_(ctx->batch_size()) {}
 
   Status InitImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -31,9 +33,9 @@ class IndexNestedLoopJoinExecutor : public Executor {
   /// Collects the RIDs of the inner rows matching `outer_row`'s probe key
   /// into `matches_`.
   Status Probe(const Tuple& outer_row);
-  /// True if `inner_row_`'s key columns equal the probe values. Index keys
+  /// True if `inner_row`'s key columns equal the probe values. Index keys
   /// rank INTs as doubles, so an INT beyond +-2^53 can share another's key.
-  Result<bool> KeyMatches() const;
+  Result<bool> KeyMatches(const Tuple& inner_row) const;
 
   ExecutorPtr outer_child_;
   RowCursor outer_;
@@ -45,7 +47,8 @@ class IndexNestedLoopJoinExecutor : public Executor {
   std::vector<Value> key_values_;
   std::vector<Rid> matches_;
   size_t match_idx_ = 0;
-  Tuple inner_row_;
+  HeapFile::PageCursor inner_cursor_;
+  TupleBatch inner_rows_;  ///< a chunk of the probe's matching rows
 };
 
 }  // namespace relopt

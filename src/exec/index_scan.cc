@@ -14,7 +14,8 @@ IndexScanExecutor::IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo*
       hi_(std::move(hi)),
       hi_inclusive_(hi_inclusive),
       residual_(residual),
-      with_rid_(schema_.NumColumns() > table->schema().NumColumns()) {}
+      with_rid_(schema_.NumColumns() > table->schema().NumColumns()),
+      cursor_(table->heap()) {}
 
 Status IndexScanExecutor::InitImpl() {
   RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
@@ -26,16 +27,18 @@ Status IndexScanExecutor::InitImpl() {
 
 Result<bool> IndexScanExecutor::NextBatchImpl(TupleBatch* out) {
   return NextFiltered(&residual_, out, [&]() -> Result<bool> {
+    // As many RIDs as `out` has room for, then their rows in one read.
+    rids_.clear();
     std::string key;
     Rid rid;
-    while (!out->Full()) {
-      RELOPT_ASSIGN_OR_RETURN(bool has, iter_->Next(&key, &rid));
-      if (!has) return false;
-      Tuple* row = out->AppendRow();
-      RELOPT_ASSIGN_OR_RETURN(*row, table_->GetTuple(rid));
-      if (with_rid_) row->Append(Value::Int(rid.Pack()));
+    bool more = true;
+    while (more && rids_.size() < out->Room()) {
+      RELOPT_ASSIGN_OR_RETURN(more, iter_->Next(&key, &rid));
+      if (more) rids_.push_back(rid);
     }
-    return true;
+    RELOPT_RETURN_NOT_OK(
+        cursor_.ReadBatch(rids_, table_->schema().NumColumns(), out, with_rid_));
+    return more;
   });
 }
 

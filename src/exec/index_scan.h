@@ -1,4 +1,4 @@
-// Index range scan: B+tree iterator + heap fetch + residual predicate.
+// Index range scan: B+tree iterator + heap reads by RID + residual predicate.
 #pragma once
 
 #include <optional>
@@ -31,6 +31,8 @@ class IndexScanExecutor : public Executor {
   BatchPredicate residual_;
   const bool with_rid_;
   std::optional<BTree::Iterator> iter_;
+  HeapFile::PageCursor cursor_;
+  std::vector<Rid> rids_;  ///< the RIDs of the rows a fill reads
 };
 
 }  // namespace relopt

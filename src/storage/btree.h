@@ -9,6 +9,8 @@
 //  * Delete removes entries without rebalancing (underflow allowed) and never
 //    frees a node, so the tree's height and leaf count only grow.
 //  * No latching: writers run under the engine's exclusive statement lock.
+//  * No meta page: the root's page number lives in memory, beside the height
+//    and leaf count, so an operation fetches only the nodes it visits.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,7 @@ class BTree {
   /// Longest encoded key Insert accepts.
   static constexpr size_t kMaxKeySize = 1024;
 
-  /// Creates a new file with an empty tree (meta page + empty root leaf).
+  /// Creates a new file with an empty tree (one empty root leaf).
   static Result<BTree> Create(BufferPool* pool);
 
   FileId file_id() const { return file_id_; }
@@ -74,6 +76,15 @@ class BTree {
     size_t SerializedSize() const;
   };
 
+  /// A node decoded from its page, which stays pinned while this lives.
+  struct PinnedNode {
+    PinGuard pin;
+    Node node;
+    PageNo page_no() const { return pin.frame()->page_id().page_no; }
+    /// Encodes `node` back into the pinned page and marks it dirty.
+    void Store();
+  };
+
  public:
   /// \brief Forward iterator over a key range.
   ///
@@ -97,37 +108,42 @@ class BTree {
     size_t pos_ = 0;
     std::optional<std::string> hi_;
     bool hi_inclusive_ = true;
-    // Decoded current leaf; avoids re-parsing the page per entry. Valid only
-    // while no inserts/deletes interleave with the scan (single-threaded
-    // engine invariant).
-    std::optional<Node> cached_;
+    // Decoded current leaf, from Seek's descent or one fetch per later leaf.
+    // Valid only while no writes interleave with the scan.
+    Node leaf_node_;
   };
 
  private:
   friend class Iterator;
 
-  BTree(BufferPool* pool, FileId file_id);
+  BTree(BufferPool* pool, FileId file_id, PageNo root)
+      : pool_(pool), file_id_(file_id), root_(root) {}
 
-  Result<PageNo> RootPage();
-  Status SetRootPage(PageNo root);
-
+  /// Fetches and decodes the node at `page_no`, pinned or not.
+  Result<PinnedNode> Pin(PageNo page_no);
   Result<Node> LoadNode(PageNo page_no);
-  Status StoreNode(PageNo page_no, const Node& node);
+  /// Writes `node` into a new page of the tree's file; returns its number.
   Result<PageNo> AllocateNode(const Node& node);
 
-  /// Descends to the leaf that should contain `key`; records the path of
-  /// internal pages in `path` (root first) and the child index taken.
-  Result<PageNo> FindLeaf(const std::string& key, std::vector<std::pair<PageNo, size_t>>* path);
+  /// The one descent: returns the leaf where (key, rid) belongs, decoded and
+  /// pinned. Entries order by (key, rid), so (key, RID {0, 0}) finds the
+  /// first leaf that can hold `key`. With `path`, records the internal pages
+  /// passed (root first) and the child index taken in each.
+  Result<PinnedNode> Descend(const std::string& key, Rid rid,
+                             std::vector<std::pair<PageNo, size_t>>* path);
 
-  /// Splits an over-full node stored at `page_no`; returns the separator key
-  /// and the new right sibling's page.
-  Result<std::pair<std::string, PageNo>> SplitNode(PageNo page_no, Node* node);
+  /// Moves the upper half of an over-full node into a new right sibling and
+  /// returns the separator entry for the parent: its key and RID bound the
+  /// right half from below, and its child is the right half's page. The
+  /// caller stores the trimmed `node`.
+  Result<Node::Entry> SplitNode(Node* node);
 
   Status CheckNode(PageNo page_no, const std::string* lo, const std::string* hi, bool is_root,
                    int depth, int* leaf_depth, size_t* leaves);
 
   BufferPool* pool_;
   FileId file_id_;
+  PageNo root_;            ///< moves up a level when the root splits
   int height_ = 1;         ///< a leaf split adds a leaf, a root split a level
   size_t leaf_pages_ = 1;
 };

@@ -60,33 +60,21 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
   return Rid{pid.page_no, *slot};
 }
 
-Result<std::string> HeapFile::Get(Rid rid) const {
+Result<std::string> HeapFile::Delete(Rid rid) {
   PageId pid{file_id_, rid.page_no};
   RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, pool_->FetchPage(pid));
-  Result<std::string_view> rec{std::string_view{}};
-  std::string out;
-  {
-    std::shared_lock<std::shared_mutex> latch(frame->latch());
-    SlottedPage page(frame->data());
-    rec = page.Get(rid.slot);
-    if (rec.ok()) out = std::string(*rec);
-  }
-  RELOPT_RETURN_NOT_OK(pool_->UnpinPage(pid, false));
-  RELOPT_RETURN_NOT_OK(rec.status());
-  return out;
-}
-
-Status HeapFile::Delete(Rid rid) {
-  PageId pid{file_id_, rid.page_no};
-  RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, pool_->FetchPage(pid));
+  std::string record;
   Status st;
   {
     std::unique_lock<std::shared_mutex> latch(frame->latch());
     SlottedPage page(frame->data());
-    st = page.Delete(rid.slot);
+    Result<std::string_view> live = page.Get(rid.slot);
+    if (live.ok()) record = std::string(*live);
+    st = live.ok() ? page.Delete(rid.slot) : live.status();
   }
   RELOPT_RETURN_NOT_OK(pool_->UnpinPage(pid, st.ok()));
-  return st;
+  RELOPT_RETURN_NOT_OK(st);
+  return record;
 }
 
 Status HeapFile::PageCursor::Seek(PageNo begin, PageNo end) {
@@ -96,8 +84,8 @@ Status HeapFile::PageCursor::Seek(PageNo begin, PageNo end) {
   return Status::OK();
 }
 
-Status HeapFile::PageCursor::OpenNextPage() {
-  page_no_ = next_page_++;
+Status HeapFile::PageCursor::OpenPage(PageNo page_no) {
+  page_no_ = page_no;
   PageId pid{heap_->file_id(), page_no_};
   RELOPT_ASSIGN_OR_RETURN(PageFrame * frame, heap_->pool()->FetchPage(pid));
   if (copy_.empty()) {
@@ -121,10 +109,7 @@ Status HeapFile::PageCursor::OpenNextPage() {
 Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
   while (true) {
     if (data_ != nullptr) {
-      if (frame_ != nullptr && !latched_) {
-        frame_->latch().lock_shared();
-        latched_ = true;
-      }
+      Latch();
       SlottedPage page(data_);
       while (slot_ < num_slots_) {
         uint16_t s = slot_++;
@@ -136,9 +121,22 @@ Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
       RELOPT_RETURN_NOT_OK(Release());
     }
     if (next_page_ >= end_page_) return false;
-    RELOPT_RETURN_NOT_OK(OpenNextPage());
+    RELOPT_RETURN_NOT_OK(OpenPage(next_page_++));
   }
 }
+
+namespace {
+
+/// Appends `record` to `out` as NextBatch() and ReadBatch() decode it.
+Status AppendRecord(std::string_view record, Rid rid, size_t num_cols, TupleBatch* out,
+                    bool with_rid) {
+  Tuple* row = out->AppendRow();
+  RELOPT_RETURN_NOT_OK(row->FillFrom(record, num_cols));
+  if (with_rid) row->Append(Value::Int(rid.Pack()));
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out, bool with_rid) {
   auto fill = [&]() -> Result<bool> {
@@ -147,15 +145,45 @@ Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out, b
     while (!out->Full()) {
       RELOPT_ASSIGN_OR_RETURN(bool has, Next(&rid, &record));
       if (!has) return false;
-      Tuple* row = out->AppendRow();
-      RELOPT_RETURN_NOT_OK(row->FillFrom(record, num_cols));
-      if (with_rid) row->Append(Value::Int(rid.Pack()));
+      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_cols, out, with_rid));
     }
     return true;
   };
   Result<bool> more = fill();
   Unlatch();
   return more;
+}
+
+Result<std::string_view> HeapFile::PageCursor::Read(Rid rid) {
+  next_page_ = end_page_;
+  if (data_ != nullptr && page_no_ == rid.page_no) {
+    Latch();
+  } else {
+    RELOPT_RETURN_NOT_OK(Release());
+    RELOPT_RETURN_NOT_OK(OpenPage(rid.page_no));
+  }
+  slot_ = num_slots_;  // a Next() leaves the page
+  return SlottedPage(data_).Get(rid.slot);
+}
+
+Status HeapFile::PageCursor::ReadBatch(std::span<const Rid> rids, size_t num_cols,
+                                       TupleBatch* out, bool with_rid) {
+  auto fill = [&]() -> Status {
+    for (Rid rid : rids) {
+      RELOPT_ASSIGN_OR_RETURN(std::string_view record, Read(rid));
+      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_cols, out, with_rid));
+    }
+    return Status::OK();
+  };
+  Status st = fill();
+  RELOPT_RETURN_NOT_OK(Release());
+  return st;
+}
+
+void HeapFile::PageCursor::Latch() {
+  if (frame_ == nullptr || latched_) return;
+  frame_->latch().lock_shared();
+  latched_ = true;
 }
 
 void HeapFile::PageCursor::Unlatch() {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,24 +53,24 @@ class HeapFile {
   /// Inserts a record, returning its RID.
   Result<Rid> Insert(std::string_view record);
 
-  /// Reads the record at `rid` into an owned string.
-  Result<std::string> Get(Rid rid) const;
+  /// Deletes the record at `rid` and returns its bytes.
+  Result<std::string> Delete(Rid rid);
 
-  /// Deletes the record at `rid`.
-  Status Delete(Rid rid);
-
-  /// \brief The one heap reader: walks a range of the heap's pages and
-  /// yields zero-copy views of their live records, one pool access per page.
+  /// \brief The one heap reader: walks a range of the heap's pages, or reads
+  /// records by RID, and yields zero-copy views of live records, one pool
+  /// access per page.
   ///
   /// Sequential scans (UPDATE and DELETE's among them), ANALYZE, the index
-  /// backfill, Grace partitions and sort runs all read through it. Between calls it
+  /// backfill, Grace partitions and sort runs walk pages; index scans and
+  /// index nested-loop joins read by RID. Between calls it
   /// holds at most one page pinned: the page it is reading. It reads that
   /// page under the page's shared latch, taken when a call first reads the
-  /// page and held until NextBatch() returns, the cursor leaves the page or
-  /// Close(). No heap latch may be held while another page is latched or
-  /// written (a join reading its outer row by row would otherwise order one
-  /// page's latch before another's, and the reverse a page later), so
-  /// readers that touch other pages between calls read through NextBatch().
+  /// page and held until NextBatch() or ReadBatch() returns, the cursor
+  /// leaves the page or Close(). No heap latch may be held while another
+  /// page is latched or written (a join reading its outer row by row would
+  /// otherwise order one page's latch before another's, and the reverse a
+  /// page later), so readers that touch other pages between calls read
+  /// through NextBatch() or ReadBatch().
   /// Views returned by Next() stay valid until the cursor leaves the page.
   /// Scans and same-heap writers never run concurrently in this engine; the
   /// shared latch makes that assumption checkable under TSan.
@@ -100,6 +101,15 @@ class HeapFile {
     /// (Rid::Pack), until `out` is full. Unlatches before it returns. False
     /// once the walk is over.
     Result<bool> NextBatch(size_t num_cols, TupleBatch* out, bool with_rid = false);
+    /// The live record at `rid`, read from the open page if `rid` is on it
+    /// and from a fetch of its page otherwise. Ends any walk. The view stays
+    /// valid as Next()'s do.
+    Result<std::string_view> Read(Rid rid);
+    /// Appends the records at `rids` to `out`, decoded as NextBatch() does;
+    /// `out` must have room for them. Fetches each page once per run of
+    /// RIDs on it, and holds no pin or latch once it returns.
+    Status ReadBatch(std::span<const Rid> rids, size_t num_cols, TupleBatch* out,
+                     bool with_rid = false);
     /// Releases the open page and ends the walk; idempotent.
     Status Close();
 
@@ -107,10 +117,12 @@ class HeapFile {
     /// Releases the shared latch but keeps the page pinned and the position;
     /// the next Next() re-takes it.
     void Unlatch();
+    /// Re-takes the open page's shared latch if Unlatch() dropped it.
+    void Latch();
     /// Unlatches and unpins the open page; the walk goes on.
     Status Release();
-    /// Opens page `next_page_` (pinned and latched, or copied) at its first slot.
-    Status OpenNextPage();
+    /// Opens page `page_no` (pinned and latched, or copied) at its first slot.
+    Status OpenPage(PageNo page_no);
 
     const HeapFile* heap_;
     std::vector<char> copy_;       ///< a copying cursor's open page

@@ -103,4 +103,25 @@ std::string PrefixSuccessor(std::string prefix) {
   return prefix;  // empty: no successor (scan to end)
 }
 
+KeyRange EncodeKeyRange(const std::vector<Value>& lo, bool lo_inclusive,
+                        const std::vector<Value>& hi, bool hi_inclusive, size_t num_key_columns) {
+  KeyRange range{std::nullopt, lo_inclusive, std::nullopt, hi_inclusive};
+  if (!lo.empty()) range.lo = EncodeKey(lo);
+  if (!hi.empty()) range.hi = EncodeKey(hi);
+  if (!hi.empty() && hi.size() < num_key_columns && hi_inclusive) {
+    std::string succ = PrefixSuccessor(std::move(*range.hi));
+    range.hi = succ.empty() ? std::nullopt : std::optional<std::string>(std::move(succ));
+    range.hi_inclusive = false;
+  }
+  if (!lo.empty() && lo.size() < num_key_columns && !lo_inclusive) {
+    range.lo = PrefixSuccessor(std::move(*range.lo));
+    range.lo_inclusive = true;
+    if (range.lo->empty()) {  // no key follows the prefix: [lo, lo) is empty
+      range.hi = range.lo;
+      range.hi_inclusive = false;
+    }
+  }
+  return range;
+}
+
 }  // namespace relopt

@@ -23,6 +23,7 @@
 // NULL sorts before everything, matching Value::Compare.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,5 +51,22 @@ std::string EncodeKeyFromTuple(const Tuple& tuple, const std::vector<size_t>& ke
 /// string having `prefix` as a prefix (appends 0xFF... semantics via
 /// increment). Used for prefix range scans.
 std::string PrefixSuccessor(std::string prefix);
+
+/// Encoded bounds of an index scan; nullopt = open on that side.
+struct KeyRange {
+  std::optional<std::string> lo;
+  bool lo_inclusive = true;
+  std::optional<std::string> hi;
+  bool hi_inclusive = true;
+};
+
+/// The encoded range of every index path: `lo` and `hi` are values of a
+/// prefix of the index's `num_key_columns` key columns (empty = open). A
+/// bound on a shorter prefix covers every longer key with that prefix, so
+/// an exclusive lower and an inclusive upper bound there move to the prefix
+/// successor; with no successor, the first gives an empty range and the
+/// second an open end.
+KeyRange EncodeKeyRange(const std::vector<Value>& lo, bool lo_inclusive,
+                        const std::vector<Value>& hi, bool hi_inclusive, size_t num_key_columns);
 
 }  // namespace relopt

@@ -45,6 +45,8 @@ class TupleBatch {
   size_t NumSelected() const { return sel_.size(); }
   bool Empty() const { return sel_.empty(); }
   bool Full() const { return num_rows_ >= capacity_; }
+  /// Rows that fit before Full().
+  size_t Room() const { return Full() ? 0 : capacity_ - num_rows_; }
 
   /// Forgets all rows and the selection; per-row storage is kept for reuse.
   void Clear() {

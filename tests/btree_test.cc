@@ -187,11 +187,11 @@ TEST_F(BTreeTest, IndexIoGoesThroughBufferPool) {
   ASSERT_TRUE(pool_.FlushAll().ok());
   ASSERT_TRUE(pool_.EvictAll().ok());
   disk_.ResetStats();
-  // A point lookup touches height pages (plus the meta page).
+  // A cold point lookup reads its path: height pages, each once.
   int height = tree_.Height();
   disk_.ResetStats();
   ASSERT_TRUE(tree_.SearchEqual(IntKey(2500)).ok());
-  EXPECT_LE(disk_.stats().page_reads, static_cast<uint64_t>(height) + 2);
+  EXPECT_EQ(disk_.stats().page_reads, static_cast<uint64_t>(height));
 }
 
 TEST_F(BTreeTest, SeekWithExclusiveLowerBoundSkipsAllDuplicates) {

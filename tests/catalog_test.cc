@@ -3,6 +3,7 @@
 
 #include "catalog/catalog.h"
 #include "types/key_codec.h"
+#include "types/tuple_batch.h"
 
 namespace relopt {
 namespace {
@@ -69,8 +70,11 @@ TEST_F(CatalogTest, GetTupleRoundTrip) {
   TableInfo* t = MakeUsers(0);
   Tuple tuple({Value::Int(7), Value::String("seven"), Value::Int(70)});
   Rid rid = *catalog_.InsertTuple(t, tuple);
-  Tuple back = *t->GetTuple(rid);
-  EXPECT_EQ(back, tuple);
+  HeapFile::PageCursor cursor(t->heap());
+  TupleBatch back;
+  ASSERT_TRUE(cursor.ReadBatch({&rid, 1}, t->schema().NumColumns(), &back).ok());
+  ASSERT_EQ(back.NumRows(), 1u);
+  EXPECT_EQ(back.RowAt(0), tuple);
 }
 
 TEST_F(CatalogTest, CreateIndexBuildsFromExistingRows) {
@@ -83,9 +87,12 @@ TEST_F(CatalogTest, CreateIndexBuildsFromExistingRows) {
   // Every row is findable through the index.
   std::vector<Rid> rids = *idx->tree->SearchEqual(EncodeKey({Value::Int(25)}));
   EXPECT_EQ(rids.size(), 2u);  // ages cycle mod 50 over 100 rows
-  for (Rid rid : rids) {
-    Tuple row = *t->GetTuple(rid);
-    EXPECT_EQ(row.At(2).AsInt(), 25);
+  HeapFile::PageCursor cursor(t->heap());
+  TupleBatch rows;
+  ASSERT_TRUE(cursor.ReadBatch(rids, t->schema().NumColumns(), &rows).ok());
+  ASSERT_EQ(rows.NumRows(), rids.size());
+  for (size_t r = 0; r < rows.NumRows(); ++r) {
+    EXPECT_EQ(rows.RowAt(r).At(2).AsInt(), 25);
   }
 }
 

@@ -37,6 +37,7 @@ const char* const kDml[] = {
     "DELETE FROM d WHERE k = 123 OR s = 's7'",
     "UPDATE d SET v = NULL WHERE v IS NOT NULL AND k BETWEEN 1000 AND 1010",
     "UPDATE d SET k = k - 1, s = 'moved' WHERE s = 's3'",
+    "DELETE FROM d WHERE s > 's8'",
     "UPDATE d SET v = v * 9223372036854775807 WHERE k BETWEEN 1500 AND 1510",
 };
 
@@ -198,19 +199,17 @@ TEST_F(DmlPlanTest, IndexedPointDmlFetchesOnlyTheTouchedPages) {
 
   ASSERT_TRUE((*del)->Execute({Value::Int(777)}).ok());
   EXPECT_TRUE(UsedIndexScan(db_.last_profile()));
-  // The plan fetches the B+tree's meta page, the path to the leaf, the leaf
-  // again for the iterator's first Next() and the row's heap page. The
-  // write fetches the heap page (the row's keys), the meta page, the path,
-  // the leaf again to store it, and the heap page to delete the record.
-  const uint64_t point_delete = (1 + height + 1 + 1) + (1 + 1 + height + 1 + 1);
+  // The plan fetches the path to the leaf and the row's heap page. The
+  // write fetches the heap page to delete the record (which gives the
+  // row's keys) and the path to the leaf, which it stores in place.
+  const uint64_t point_delete = (height + 1) + (1 + height);
   EXPECT_EQ(LastFetches(), point_delete) << "height " << height;
 
   ASSERT_TRUE((*update)->Execute({Value::Int(778)}).ok());
   EXPECT_TRUE(UsedIndexScan(db_.last_profile()));
   // As the DELETE, then the insert of the new version: the heap page it
-  // goes to, and for its key the meta page, the path, and the leaf twice
-  // more, to re-read and to store it.
-  const uint64_t point_update = point_delete + 1 + (1 + height + 1 + 1);
+  // goes to, and for its key the path to the leaf, stored in place.
+  const uint64_t point_update = point_delete + 1 + height;
   EXPECT_EQ(LastFetches(), point_update) << "height " << height;
   EXPECT_LT(point_update, heap_pages);
 
@@ -218,6 +217,23 @@ TEST_F(DmlPlanTest, IndexedPointDmlFetchesOnlyTheTouchedPages) {
   EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM w WHERE k = 777")), 0);
   EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT v FROM w WHERE k = 778")), (778 * 7) % 1000 + 1);
   EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT count(*) FROM w")), 5999);
+}
+
+// A constant SET value is cast to its column's type before the plan runs,
+// so a value the column cannot take fails the statement whether or not a
+// row matches, having read no page. A value that casts is written cast.
+TEST_F(DmlPlanTest, ConstantSetValueIsCastBeforePlanning) {
+  Sql(&db_, "CREATE TABLE t (a INT, s TEXT)");
+  Sql(&db_, "INSERT INTO t VALUES (1, 'x')");
+  for (const char* sql : {"UPDATE t SET a = 'text' WHERE a = 5",
+                          "UPDATE t SET a = 'text' WHERE a = 1"}) {
+    Result<QueryResult> r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << sql << ": " << r.status().ToString();
+    EXPECT_EQ(LastFetches(), 0u) << sql;
+  }
+  Sql(&db_, "UPDATE t SET a = '42' WHERE a = 1");
+  EXPECT_EQ(tu::IntCell(Sql(&db_, "SELECT a FROM t WHERE s = 'x'")), 42);
 }
 
 // UPDATE and DELETE bind their WHERE and SET with the binder's SELECT rules:

@@ -268,8 +268,9 @@ TEST(HeapFileTest, InsertGetAcrossPages) {
   }
   EXPECT_GT(heap.NumPages(), 5u);  // ~7 records per page
 
+  HeapFile::PageCursor cursor(&heap);
   for (int i = 0; i < 50; ++i) {
-    std::string got = *heap.Get(rids[i]);
+    std::string_view got = *cursor.Read(rids[i]);
     EXPECT_EQ(got[0], static_cast<char>('a' + i % 26));
     EXPECT_EQ(got.size(), 500u);
   }
@@ -310,7 +311,10 @@ TEST(HeapFileTest, GetDeletedRecordFails) {
   HeapFile heap = *HeapFile::Create(&pool);
   Rid rid = *heap.Insert("x");
   ASSERT_TRUE(heap.Delete(rid).ok());
-  EXPECT_FALSE(heap.Get(rid).ok());
+  {
+    HeapFile::PageCursor cursor(&heap);
+    EXPECT_FALSE(cursor.Read(rid).ok());
+  }
   EXPECT_FALSE(heap.Delete(rid).ok());
 }
 
