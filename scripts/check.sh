@@ -165,3 +165,10 @@ echo "== bench_join_order smoke (tsan) =="
 RELOPT_BENCH_JSON_DIR="$(mktemp -d)" ./build-tsan/bench/bench_join_order smoke
 
 echo "All checks passed."
+
+echo "== line counts =="
+# The sizes ROADMAP tracks: every *.cc and *.h, counted with wc -l.
+count_lines() { find "$@" \( -name '*.cc' -o -name '*.h' \) -print0 | xargs -0 cat | wc -l; }
+echo "src/: $(count_lines src)"
+echo "src/exec + src/expr: $(count_lines src/exec src/expr)"
+echo "tests/: $(count_lines tests)"

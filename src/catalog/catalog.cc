@@ -60,15 +60,6 @@ std::string IndexInfo::KeyDescription(const Schema& schema) const {
   return out;
 }
 
-void TableInfo::RemoveIndex(const std::string& index_name) {
-  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
-    if ((*it)->name == index_name) {
-      indexes_.erase(it);
-      return;
-    }
-  }
-}
-
 Result<TableInfo*> Catalog::CreateTable(const std::string& name, Schema schema) {
   std::string key = ToLower(name);
   if (tables_.count(key)) {

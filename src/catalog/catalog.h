@@ -52,7 +52,6 @@ class TableInfo {
 
   const std::vector<IndexInfo*>& indexes() const { return indexes_; }
   void AddIndex(IndexInfo* index) { indexes_.push_back(index); }
-  void RemoveIndex(const std::string& index_name);
 
   /// Rows inserted since creation (maintained by Catalog::InsertTuple).
   uint64_t live_rows() const { return live_rows_; }

@@ -57,7 +57,7 @@ double EquiDepthHistogram::FractionWithin(const Bucket& b, const Value& v) {
     double lo = b.lo.NumericAsDouble();
     double hi = b.hi.NumericAsDouble();
     double x = v.NumericAsDouble();
-    if (hi <= lo) return 1.0;
+    if (hi <= lo) return 0.0;  // one value: none of the bucket lies below it
     return std::clamp((x - lo) / (hi - lo), 0.0, 1.0);
   }
   return 0.5;  // strings: midpoint assumption

@@ -37,7 +37,6 @@ class Session;
 struct SessionOptions {
   size_t buffer_pool_pages = 256;
   OptimizerOptions optimizer;
-  size_t analyze_buckets = 32;
   /// Rows per TupleBatch queries are driven with (Executor::NextBatch).
   /// Batch size 1 runs the same operators and kernels one row at a time.
   size_t batch_size = TupleBatch::kDefaultCapacity;

@@ -58,11 +58,10 @@ std::string PlanCacheKey(const std::string& sql, const OptimizerOptions& options
   // the fingerprint; sessions with different knobs never share entries.
   const JoinEnumOptions& j = options.join;
   std::string fp = StringPrintf(
-      "a%dio%dxp%dnlj%dbnlj%dinlj%dsmj%dh%dix%dmc%zu|db%llu|sm%d|w%g|bp%zu|n%d",
-      static_cast<int>(j.algorithm), j.use_interesting_orders ? 1 : 0,
-      j.avoid_cross_products ? 1 : 0, j.enable_nlj ? 1 : 0, j.enable_bnlj ? 1 : 0,
-      j.enable_inlj ? 1 : 0, j.enable_smj ? 1 : 0, j.enable_hash ? 1 : 0,
-      j.enable_index_scans ? 1 : 0, j.max_candidates_per_set,
+      "a%dio%dnlj%dbnlj%dinlj%dsmj%dh%dix%d|db%llu|sm%d|w%g|bp%zu|n%d",
+      static_cast<int>(j.algorithm), j.use_interesting_orders ? 1 : 0, j.enable_nlj ? 1 : 0,
+      j.enable_bnlj ? 1 : 0, j.enable_inlj ? 1 : 0, j.enable_smj ? 1 : 0,
+      j.enable_hash ? 1 : 0, j.enable_index_scans ? 1 : 0,
       static_cast<unsigned long long>(j.dp_budget), static_cast<int>(options.stats_mode),
       options.cpu_weight, options.buffer_pages, options.naive ? 1 : 0);
   // The feedback-store version participates so cached plans optimized against

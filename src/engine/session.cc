@@ -41,9 +41,9 @@ bool InvalidatesPlans(StatementKind kind) {
 
 // --- statement cloning (prepared statements re-execute from a template) -----
 //
-// Execution is destructive (RunInsert folds VALUES expressions in place;
-// binding mutates expression trees), so every prepared execution runs
-// against a deep copy of the parsed template.
+// Execution is destructive (the binder consumes expression trees, and
+// binding mutates them), so every prepared execution runs against a deep
+// copy of the parsed template.
 
 ExprPtr CloneExpr(const ExprPtr& e) { return e == nullptr ? nullptr : e->Clone(); }
 
@@ -446,8 +446,8 @@ Status Session::RunInsert(InsertStmt* stmt) {
       values.push_back(Value::Null(schema.ColumnAt(i).type));
     }
     for (size_t i = 0; i < row.size(); ++i) {
-      ExprPtr folded = FoldConstants(std::move(row[i]));
-      RELOPT_ASSIGN_OR_RETURN(Value v, EvalConstant(folded.get()));
+      RELOPT_RETURN_NOT_OK(row[i]->Bind(Schema()));
+      RELOPT_ASSIGN_OR_RETURN(Value v, EvalConstant(row[i].get()));
       RELOPT_ASSIGN_OR_RETURN(Value cast, v.CastTo(schema.ColumnAt(positions[i]).type));
       values[positions[i]] = std::move(cast);
     }
@@ -481,6 +481,7 @@ Status Session::RunWrite(const std::string& table_name, ExprPtr where,
   query.items.back().expr = MakeColumnRef("", "#rid");
   std::vector<size_t> assigned;
   if (assignments != nullptr) {
+    const Schema scan_schema = schema.WithQualifier(table_name);
     for (const Column& col : schema.columns()) {
       query.items.emplace_back();
       query.items.back().expr = MakeColumnRef("", col.name);
@@ -492,14 +493,18 @@ Status Session::RunWrite(const std::string& table_name, ExprPtr where,
         return Status::BindError("aggregate calls are not allowed in SET");
       }
       // A constant is cast here, once: a value its column cannot take fails
-      // the statement before anything is read, however many rows match.
-      ExprPtr value = FoldConstants(std::move(value_expr));
-      if (value->kind() == ExprKind::kLiteral) {
-        RELOPT_ASSIGN_OR_RETURN(
-            Value cast, static_cast<LiteralExpr&>(*value).value().CastTo(schema.ColumnAt(idx).type));
-        value = std::make_unique<LiteralExpr>(std::move(cast));
+      // the statement before anything is read, however many rows match. A
+      // bound, folded copy shows whether the value is one; any other value
+      // is bound and folded with the query.
+      ExprPtr folded = value_expr->Clone();
+      RELOPT_RETURN_NOT_OK(folded->Bind(scan_schema));
+      folded = FoldConstants(std::move(folded));
+      if (folded->kind() == ExprKind::kLiteral) {
+        RELOPT_ASSIGN_OR_RETURN(Value cast, static_cast<LiteralExpr&>(*folded).value().CastTo(
+                                                schema.ColumnAt(idx).type));
+        value_expr = MakeLiteral(std::move(cast));
       }
-      query.items[1 + idx].expr = std::move(value);
+      query.items[1 + idx].expr = std::move(value_expr);
       assigned.push_back(idx);
     }
   }
@@ -597,10 +602,10 @@ Result<QueryResult> Session::RunStatement(Statement* stmt, bool* produced_rows,
       auto* analyze = static_cast<AnalyzeStmt*>(stmt);
       auto run = [&]() -> Status {
         if (!analyze->table_name.empty()) {
-          return catalog->AnalyzeTable(analyze->table_name, options_.analyze_buckets);
+          return catalog->AnalyzeTable(analyze->table_name);
         }
         for (const std::string& name : catalog->TableNames()) {
-          RELOPT_RETURN_NOT_OK(catalog->AnalyzeTable(name, options_.analyze_buckets));
+          RELOPT_RETURN_NOT_OK(catalog->AnalyzeTable(name));
         }
         return Status::OK();
       };

@@ -42,12 +42,12 @@ void GroupIngest::ResolveGroups(size_t n, std::span<GroupTable> tables) {
 Status GroupIngest::AccumulateColumn(size_t a, const ColumnVec& vec) {
   const AggFunc func = (*aggs_)[a].func;
   const size_t n = row_state_.size();
-  if (!vec.boxed && vec.type == TypeId::kInt64) {
+  if (vec.type == TypeId::kInt64) {
     for (size_t k = 0; k < n; ++k) {
       if (vec.NullAt(k)) continue;
       RELOPT_RETURN_NOT_OK(row_table_[k]->AccumulateInt(func, vec.I64At(k), &row_state_[k][a]));
     }
-  } else if (!vec.boxed && vec.type == TypeId::kDouble) {
+  } else if (vec.type == TypeId::kDouble) {
     for (size_t k = 0; k < n; ++k) {
       if (vec.NullAt(k)) continue;
       RELOPT_RETURN_NOT_OK(
@@ -57,7 +57,7 @@ Status GroupIngest::AccumulateColumn(size_t a, const ColumnVec& vec) {
     Value storage;
     for (size_t k = 0; k < n; ++k) {
       if (vec.NullAt(k)) continue;
-      const Value& v = vec.boxed ? vec.BoxedAt(k) : (storage = vec.GetValue(k));
+      const Value& v = vec.type == TypeId::kString ? vec.BoxedAt(k) : (storage = vec.GetValue(k));
       RELOPT_RETURN_NOT_OK(row_table_[k]->Accumulate(func, v, &row_state_[k][a]));
     }
   }

@@ -102,31 +102,25 @@ Value GroupTable::CellValue(const GroupCell& c) const {
 }
 
 void GroupTable::StoreCell(const Value& v, GroupCell* c) {
-  if (c->type == TypeId::kString && !c->is_null && !v.is_null() &&
-      v.type() == TypeId::kString) {
+  if (c->type == TypeId::kString) {
     strings_[c->str] = v.AsString();
     return;
   }
   *c = ToCell(v);
 }
 
-Result<int> GroupTable::CompareToCell(const Value& v, const GroupCell& c) const {
-  if (!v.is_null() && !c.is_null) {
-    if (v.type() == TypeId::kInt64 && c.type == TypeId::kInt64) {
-      int64_t a = v.AsInt();
-      return a < c.i ? -1 : (a > c.i ? 1 : 0);
-    }
-    if (IsNumeric(v.type()) && IsNumeric(c.type)) {
-      double a = v.NumericAsDouble();
-      double b = c.type == TypeId::kInt64 ? static_cast<double>(c.i) : c.d;
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    if (v.type() == TypeId::kString && c.type == TypeId::kString) {
-      int r = v.AsString().compare(strings_[c.str]);
-      return r < 0 ? -1 : (r > 0 ? 1 : 0);
-    }
+int GroupTable::CompareToCell(const Value& v, const GroupCell& c) const {
+  switch (c.type) {
+    case TypeId::kBool:
+      return ThreeWay(v.AsBool() ? 1 : 0, c.i);
+    case TypeId::kInt64:
+      return ThreeWay(v.AsInt(), c.i);
+    case TypeId::kDouble:
+      return ThreeWay(v.AsDouble(), c.d);
+    case TypeId::kString:
+      return ThreeWay(v.AsString().compare(strings_[c.str]), 0);
   }
-  return v.Compare(CellValue(c));  // bools, NULLs and the mixed-type errors
+  return 0;
 }
 
 /// Checked int64 accumulation for SUM/AVG: SUM errors instead of wrapping,
@@ -159,9 +153,6 @@ Status GroupTable::AccumulateInt(AggFunc func, int64_t v, AggState* s) {
       return Status::OK();
     case AggFunc::kMin:
     case AggFunc::kMax:
-      if (s->count > 0 && s->value.type != TypeId::kInt64) {
-        return Accumulate(func, Value::Int(v), s);  // a double or mixed-type extreme
-      }
       if (s->count == 0 || (func == AggFunc::kMin ? v < s->value.i : v > s->value.i)) {
         s->value.i = v;
         s->value.type = TypeId::kInt64;
@@ -189,7 +180,12 @@ Status GroupTable::AccumulateDouble(AggFunc func, double v, AggState* s) {
       return Status::OK();
     case AggFunc::kMin:
     case AggFunc::kMax:
-      return Accumulate(func, Value::Double(v), s);
+      if (s->count == 0 || (func == AggFunc::kMin ? v < s->value.d : v > s->value.d)) {
+        s->value.d = v;
+        s->value.type = TypeId::kDouble;
+      }
+      ++s->count;
+      return Status::OK();
   }
   return Status::Internal("bad aggregate function");
 }
@@ -202,18 +198,11 @@ Status GroupTable::Accumulate(AggFunc func, const Value& v, AggState* s) {
       return Status::OK();
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      if (v.type() == TypeId::kInt64) return AccumulateInt(func, v.AsInt(), s);
-      if (v.type() == TypeId::kDouble) return AccumulateDouble(func, v.AsDouble(), s);
-      return Status::TypeError(std::string(AggFuncToString(func)) + " of non-numeric value " +
-                               v.ToString());
+      return v.type() == TypeId::kInt64 ? AccumulateInt(func, v.AsInt(), s)
+                                        : AccumulateDouble(func, v.AsDouble(), s);
     case AggFunc::kMin:
     case AggFunc::kMax:
-      if (s->count > 0) {
-        RELOPT_ASSIGN_OR_RETURN(int c, CompareToCell(v, s->value));
-        if (Replaces(func, c)) StoreCell(v, &s->value);
-      } else {
-        StoreCell(v, &s->value);
-      }
+      if (s->count == 0 || Replaces(func, CompareToCell(v, s->value))) StoreCell(v, &s->value);
       ++s->count;
       return Status::OK();
   }
@@ -244,11 +233,9 @@ Status GroupTable::MergeState(AggFunc func, const GroupTable& from, const AggSta
     case AggFunc::kMax: {
       if (src.count == 0) return Status::OK();
       Value extreme = from.CellValue(src.value);
-      if (dst_seen) {
-        RELOPT_ASSIGN_OR_RETURN(int c, CompareToCell(extreme, dst->value));
-        if (!Replaces(func, c)) return Status::OK();
+      if (!dst_seen || Replaces(func, CompareToCell(extreme, dst->value))) {
+        StoreCell(extreme, &dst->value);
       }
-      StoreCell(extreme, &dst->value);
       return Status::OK();
     }
   }

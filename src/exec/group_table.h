@@ -131,10 +131,12 @@ class GroupTable {
 
   GroupCell ToCell(const Value& v);
   Value CellValue(const GroupCell& c) const;
-  /// Overwrites `*c` with `v`, reusing its string pool entry if it has one.
+  /// Overwrites extreme `*c` with non-NULL `v` of the aggregate's type,
+  /// reusing its string pool entry if it has one.
   void StoreCell(const Value& v, GroupCell* c);
-  /// Value::Compare(v, c) without materializing `c` on the typed paths.
-  Result<int> CompareToCell(const Value& v, const GroupCell& c) const;
+  /// Value::Compare(v, c) for a non-NULL `v` and `c` of one type, which
+  /// the binder settles: an aggregate's inputs all have its argument's type.
+  int CompareToCell(const Value& v, const GroupCell& c) const;
   Status AddIntSum(AggFunc func, int64_t addend, AggState* s);
   Status MergeState(AggFunc func, const GroupTable& from, const AggState& src, AggState* dst);
   Result<Value> Finalize(AggFunc func, const AggState& s) const;

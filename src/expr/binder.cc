@@ -10,22 +10,36 @@ namespace relopt {
 
 namespace {
 
+/// The text a subtree is matched to GROUP BY expressions by: `e` bound
+/// against the aggregate's input and folded, as the GROUP BY expressions
+/// are, so `g + (1 + 1)` matches `GROUP BY g + 2`. A subtree that does not
+/// bind there keeps its text as written.
+std::string GroupingText(const Expression& e, const Schema& input) {
+  ExprPtr bound = e.Clone();
+  if (!bound->Bind(input).ok()) return e.ToString();
+  return FoldConstants(std::move(bound))->ToString();
+}
+
 /// Replaces, in place, the subtrees of `*slot` that match a group-by
 /// expression or a lifted aggregate call with column references into the
 /// Aggregate node's output schema, and stops at other aggregate calls.
 /// Matching is structural-by-rendering (ToString), the classic simple
-/// approach for a rewriter without expression interning.
-void RewriteOverAggregate(ExprPtr* slot, const std::vector<std::string>& group_renderings,
-                          const Schema& agg_schema, size_t num_group_cols,
+/// approach for a rewriter without expression interning: group-by
+/// expressions by GroupingText, aggregate calls as written.
+void RewriteOverAggregate(ExprPtr* slot, const LogicalNode& agg,
+                          const std::vector<std::string>& group_renderings, size_t num_group_cols,
                           const std::vector<std::string>& agg_renderings) {
-  const std::string rendering = (*slot)->ToString();
   auto replace = [&](size_t agg_col) {
-    const Column& col = agg_schema.ColumnAt(agg_col);
+    const Column& col = agg.schema().ColumnAt(agg_col);
     *slot = MakeColumnRef(col.table, col.name);
   };
-  for (size_t i = 0; i < group_renderings.size(); ++i) {
-    if (rendering == group_renderings[i]) return replace(i);
+  if (!group_renderings.empty()) {
+    const std::string text = GroupingText(**slot, agg.child(0)->schema());
+    for (size_t i = 0; i < group_renderings.size(); ++i) {
+      if (text == group_renderings[i]) return replace(i);
+    }
   }
+  const std::string rendering = (*slot)->ToString();
   for (size_t i = 0; i < agg_renderings.size(); ++i) {
     if (rendering == agg_renderings[i]) return replace(num_group_cols + i);
   }
@@ -33,7 +47,7 @@ void RewriteOverAggregate(ExprPtr* slot, const std::vector<std::string>& group_r
   std::vector<ExprPtr*> children;
   (*slot)->ChildSlots(&children);
   for (ExprPtr* child : children) {
-    RewriteOverAggregate(child, group_renderings, agg_schema, num_group_cols, agg_renderings);
+    RewriteOverAggregate(child, agg, group_renderings, num_group_cols, agg_renderings);
   }
 }
 
@@ -96,7 +110,7 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
 
   // ---- WHERE --------------------------------------------------------------
   if (stmt->where) {
-    ExprPtr pred = FoldConstants(std::move(stmt->where));
+    ExprPtr pred = std::move(stmt->where);
     if (pred->ContainsAggregate()) {
       return Status::BindError("aggregate calls are not allowed in WHERE");
     }
@@ -104,7 +118,7 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
     if (pred->result_type() != TypeId::kBool) {
       return Status::BindError("WHERE predicate is not boolean");
     }
-    plan = std::make_unique<LogicalFilter>(std::move(plan), std::move(pred));
+    plan = std::make_unique<LogicalFilter>(std::move(plan), FoldConstants(std::move(pred)));
   }
 
   // ---- Aggregate ----------------------------------------------------------
@@ -131,17 +145,16 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
     std::vector<ExprPtr> group_exprs;
     Schema agg_schema;
     for (ExprPtr& g : stmt->group_by) {
-      ExprPtr expr = FoldConstants(std::move(g));
-      // Render BEFORE binding: select/having/order expressions are matched
-      // against this rendering while still unbound (binding backfills
-      // qualifiers, which would break the textual match).
-      group_renderings.push_back(expr->ToString());
+      ExprPtr expr = std::move(g);
       RELOPT_RETURN_NOT_OK(expr->Bind(plan->schema()));
+      expr = FoldConstants(std::move(expr));
+      // Select/having/order subtrees are matched against this rendering.
+      group_renderings.push_back(expr->ToString());
       if (expr->kind() == ExprKind::kColumnRef) {
         const auto* ref = static_cast<const ColumnRefExpr*>(expr.get());
         agg_schema.AddColumn(Column(ref->name(), expr->result_type(), ref->table()));
       } else {
-        agg_schema.AddColumn(Column(expr->ToString(), expr->result_type(), ""));
+        agg_schema.AddColumn(Column(group_renderings.back(), expr->result_type(), ""));
       }
       group_exprs.push_back(std::move(expr));
     }
@@ -160,13 +173,13 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
       spec.func = call->func();
       spec.arg = call->arg() ? call->arg()->Clone() : nullptr;
       if (spec.arg) {
-        spec.arg = FoldConstants(std::move(spec.arg));
         RELOPT_RETURN_NOT_OK(spec.arg->Bind(plan->schema()));
         if ((spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) &&
             !IsNumeric(spec.arg->result_type())) {
           return Status::BindError(std::string(AggFuncToString(spec.func)) +
                                    " needs a numeric argument");
         }
+        spec.arg = FoldConstants(std::move(spec.arg));
       }
       spec.out_name = call->ToString();
       agg_renderings.push_back(spec.out_name);
@@ -196,21 +209,19 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
     // rewritten; locate the aggregate node by walking down.
     const LogicalNode* node = plan.get();
     while (node->kind() != LogicalNodeKind::kAggregate) node = node->child(0);
-    const auto* agg_node = static_cast<const LogicalAggregate*>(node);
-    RewriteOverAggregate(&e, group_renderings, agg_node->schema(), num_group_cols,
-                         agg_renderings);
+    RewriteOverAggregate(&e, *node, group_renderings, num_group_cols, agg_renderings);
     return e;
   };
 
   // ---- HAVING ---------------------------------------------------------
   if (stmt->having) {
     if (!has_agg) return Status::BindError("HAVING without aggregation");
-    ExprPtr pred = rewrite_if_agg(FoldConstants(std::move(stmt->having)));
+    ExprPtr pred = rewrite_if_agg(std::move(stmt->having));
     RELOPT_RETURN_NOT_OK(pred->Bind(plan->schema()));
     if (pred->result_type() != TypeId::kBool) {
       return Status::BindError("HAVING predicate is not boolean");
     }
-    plan = std::make_unique<LogicalFilter>(std::move(plan), std::move(pred));
+    plan = std::make_unique<LogicalFilter>(std::move(plan), FoldConstants(std::move(pred)));
   }
 
   // ---- ORDER BY (below the projection; aliases substituted) -------------
@@ -232,9 +243,9 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
           }
         }
       }
-      expr = rewrite_if_agg(FoldConstants(std::move(expr)));
+      expr = rewrite_if_agg(std::move(expr));
       RELOPT_RETURN_NOT_OK(expr->Bind(plan->schema()));
-      keys.push_back(SortKey{std::move(expr), item.desc});
+      keys.push_back(SortKey{FoldConstants(std::move(expr)), item.desc});
     }
     plan = std::make_unique<LogicalSort>(std::move(plan), std::move(keys));
   }
@@ -253,8 +264,9 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
       }
       continue;
     }
-    ExprPtr expr = rewrite_if_agg(FoldConstants(std::move(item.expr)));
+    ExprPtr expr = rewrite_if_agg(std::move(item.expr));
     RELOPT_RETURN_NOT_OK(expr->Bind(plan->schema()));
+    expr = FoldConstants(std::move(expr));
     std::string name;
     std::string table;
     if (!item.alias.empty()) {
@@ -296,7 +308,7 @@ Result<LogicalPtr> Binder::BindSelect(SelectStmt* stmt) {
           return Status::BindError("ORDER BY with DISTINCT must reference selected columns: " +
                                    bound.message());
         }
-        keys.push_back(SortKey{std::move(expr), item.desc});
+        keys.push_back(SortKey{FoldConstants(std::move(expr)), item.desc});
       }
       plan = std::make_unique<LogicalSort>(std::move(plan), std::move(keys));
     }

@@ -136,10 +136,6 @@ bool VisitPreOrder(Expression* e, Fn& visit) {
   return true;
 }
 
-bool IsNullLiteral(const Expression& e) {
-  return e.kind() == ExprKind::kLiteral && static_cast<const LiteralExpr&>(e).value().is_null();
-}
-
 /// LiteralExpr::TypeIfNull for any node: false, changing nothing, unless `e`
 /// is a NULL literal.
 bool TypeIfNull(Expression* e, TypeId type) {
@@ -147,6 +143,25 @@ bool TypeIfNull(Expression* e, TypeId type) {
 }
 
 }  // namespace
+
+bool IsNullLiteral(const Expression& e) {
+  return e.kind() == ExprKind::kLiteral && static_cast<const LiteralExpr&>(e).value().is_null();
+}
+
+Status Expression::ResolveColumns(const Schema& schema) {
+  std::vector<ColumnRefExpr*> refs;
+  CollectColumnRefsMutable(&refs);
+  for (ColumnRefExpr* ref : refs) {
+    const bool was_bound = ref->IsBound();
+    const TypeId type = ref->result_type();
+    RELOPT_RETURN_NOT_OK(ref->Bind(schema));
+    if (was_bound && ref->result_type() != type) {
+      return Status::Internal("column " + ref->ToString() + " bound as " + TypeIdToString(type) +
+                              " resolves to " + TypeIdToString(ref->result_type()));
+    }
+  }
+  return Status::OK();
+}
 
 void Expression::CollectColumnRefsMutable(std::vector<ColumnRefExpr*>* out) {
   auto visit = [out](Expression* e) {

@@ -2,8 +2,9 @@
 // boolean logic, IS NULL, and aggregate calls.
 //
 // Column references carry their source names (qualifier + column) and are
-// *bound* against a concrete Schema before evaluation; rebinding against a
-// different schema is how the rewriter moves predicates around the plan.
+// *bound* against a concrete Schema before evaluation, which settles every
+// node's type; re-resolving the columns against a different schema
+// (ResolveColumns) is how the optimizer moves expressions around the plan.
 // Evaluation follows SQL three-valued logic; it is compiled into batch
 // kernels (expr/vector_eval.h), the engine's one evaluator.
 #pragma once
@@ -60,7 +61,14 @@ class Expression {
   ExprKind kind() const { return kind_; }
 
   /// Resolves column references against `schema` and computes result types.
+  /// Types are decided here, once: folding keeps them (expr/fold.h).
   virtual Status Bind(const Schema& schema) = 0;
+
+  /// Re-resolves the column references of a bound tree against `schema`,
+  /// keeping every node's type: how the optimizer moves an expression onto
+  /// a reordered input. A reference that resolves to another type than it
+  /// was bound to is Internal.
+  Status ResolveColumns(const Schema& schema);
 
   /// Deep copy (bound state included).
   virtual std::unique_ptr<Expression> Clone() const = 0;
@@ -157,8 +165,6 @@ class ComparisonExpr : public Expression {
   CompareOp op() const { return op_; }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
-  ExprPtr TakeLeft() { return std::move(left_); }
-  ExprPtr TakeRight() { return std::move(right_); }
 
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
@@ -300,7 +306,6 @@ class AggregateCallExpr : public Expression {
 
   AggFunc func() const { return func_; }
   const Expression* arg() const { return arg_.get(); }  // null for COUNT(*)
-  ExprPtr TakeArg() { return std::move(arg_); }
 
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
@@ -351,6 +356,11 @@ class CaseExpr : public Expression {
   const Expression* when_at(size_t i) const { return whens_[i].get(); }
   const Expression* then_at(size_t i) const { return thens_[i].get(); }
   const Expression* else_expr() const { return else_.get(); }  // may be null
+  /// Drops arm `i` (folding: its WHEN is never true); the bound type stays.
+  void EraseArm(size_t i) {
+    whens_.erase(whens_.begin() + static_cast<std::ptrdiff_t>(i));
+    thens_.erase(thens_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 
   Status Bind(const Schema& schema) override;
   ExprPtr Clone() const override;
@@ -392,6 +402,9 @@ class FunctionCallExpr : public Expression {
   ScalarFunc func_;
   std::vector<ExprPtr> args_;
 };
+
+/// True if `e` is a NULL literal.
+bool IsNullLiteral(const Expression& e);
 
 /// Looks up a scalar function by its lower-case SQL name; false if unknown.
 bool LookupScalarFunc(const std::string& name, ScalarFunc* out);

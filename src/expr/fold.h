@@ -5,16 +5,19 @@
 
 namespace relopt {
 
-/// \brief Folds constant subtrees and simplifies trivial boolean structure.
+/// \brief Folds constant subtrees of a bound expression and simplifies
+/// trivial boolean structure.
 ///
 /// Rules: any operator whose operands are all literals is evaluated once;
 /// `x AND false -> false`, `x AND true -> x`, `x OR true -> true`,
-/// `x OR false -> x`, `NOT literal -> literal`. Folding never changes SQL
-/// NULL semantics (NULL literals fold like any other value). The input need
-/// not be bound, so folding never hides a type error the binder would
-/// raise: it drops an operand of AND/OR, leaves one standing alone, or drops
-/// a CASE arm's WHEN only if that operand is boolean whatever its inputs
-/// (a comparison, AND/OR/NOT, IS [NOT] NULL, or a BOOL or NULL literal).
+/// `x OR false -> x`; a CASE drops the arms whose WHEN folded to FALSE or
+/// NULL and collapses to the THEN of a leading TRUE one. Folding never
+/// changes SQL NULL semantics (NULL literals fold like any other value).
+/// `expr` must be bound, so every operand folding drops has been
+/// type-checked already. Folding decides no type: every node it keeps or
+/// makes has the bound type of the node it stands for (`CASE WHEN false
+/// THEN 2.5 ELSE a END` over INT `a` stays a DOUBLE CASE), so the result is
+/// bound, and it is never bound again (Expression::ResolveColumns).
 ExprPtr FoldConstants(ExprPtr expr);
 
 }  // namespace relopt

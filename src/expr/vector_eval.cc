@@ -43,87 +43,48 @@ bool ApplyOp(CompareOp op, int c) {
   return false;
 }
 
-/// Widens a CASE/COALESCE/NULLIF branch value to the unified result type:
-/// NULL takes the target type, int64 widens to double, everything else
-/// passes through.
-Value CoerceValue(Value v, TypeId target) {
-  if (v.is_null()) return Value::Null(target);
-  if (target == TypeId::kDouble && v.type() == TypeId::kInt64) {
-    return Value::Double(static_cast<double>(v.AsInt()));
-  }
-  return v;
-}
-
-/// Reads entry `k` as a boolean; `*is_null` set accordingly. Works for both
-/// i64-lane bool vectors and boxed ones (mixed storage).
+/// Reads entry `k` of a BOOL vector; `*is_null` set accordingly.
 inline void ReadBool(const ColumnVec& v, size_t k, bool* is_null, bool* b) {
-  if (v.NullAt(k)) {
-    *is_null = true;
-    return;
+  *is_null = v.NullAt(k);
+  *b = !*is_null && v.I64At(k) != 0;
+}
+
+/// Value::Compare of entry `k` of two non-NULL vectors the binder found
+/// comparable: strings bytewise, numerics as doubles if either is DOUBLE,
+/// INT and BOOL exactly.
+inline int CompareAt(const ColumnVec& l, const ColumnVec& r, size_t k) {
+  if (l.type == TypeId::kString) {
+    return ThreeWay(l.BoxedAt(k).AsString().compare(r.BoxedAt(k).AsString()), 0);
   }
-  *is_null = false;
-  *b = v.boxed ? v.BoxedAt(k).AsBool() : v.I64At(k) != 0;
-}
-
-/// Borrow entry `k` as a Value without copying boxed payloads: boxed columns
-/// hand out a reference, primitive lanes materialize into `*storage`.
-inline const Value& BorrowValue(const ColumnVec& v, size_t k, Value* storage) {
-  if (v.boxed && !v.NullAt(k)) return v.BoxedAt(k);
-  *storage = v.GetValue(k);
-  return *storage;
-}
-
-/// Converts a primitive vector to boxed storage in place, preserving the
-/// entries written so far. Only the adaptive mixed-type path needs this.
-void BoxColumn(ColumnVec* v) {
-  if (v->boxed) return;
-  size_t phys_n = v->nulls.size();
-  std::vector<Value> vals(phys_n);
-  for (size_t k = 0; k < phys_n; ++k) {
-    if (v->nulls[k] == 0) {
-      switch (v->type) {
-        case TypeId::kBool:
-          vals[k] = Value::Bool(v->i64[k] != 0);
-          break;
-        case TypeId::kInt64:
-          vals[k] = Value::Int(v->i64[k]);
-          break;
-        case TypeId::kDouble:
-          vals[k] = Value::Double(v->f64[k]);
-          break;
-        default:
-          break;
-      }
-    }
+  if (l.type == TypeId::kDouble || r.type == TypeId::kDouble) {
+    return ThreeWay(l.NumAt(k), r.NumAt(k));
   }
-  v->vals = std::move(vals);
-  v->boxed = true;
+  return ThreeWay(l.I64At(k), r.I64At(k));
 }
 
-/// Stores an already-coerced value into entry `p`; boxes the column when the
-/// runtime type cannot live in the primitive lane (adaptive mixed columns).
-void StoreValue(ColumnVec* out, size_t p, Value v) {
-  if (v.is_null()) {
+/// Stores non-NULL `v`, of `out`'s type, into entry `p` of `out`.
+inline void StoreValue(const Value& v, ColumnVec* out, size_t p) {
+  if (out->type == TypeId::kDouble) {
+    out->f64[p] = v.AsDouble();
+  } else if (out->type == TypeId::kString) {
+    out->vals[p] = v;
+  } else {
+    out->i64[p] = out->type == TypeId::kBool ? int64_t{v.AsBool()} : v.AsInt();
+  }
+}
+
+/// Copies entry `j` of `src` into entry `p` of `out`, whose type is `src`'s
+/// or, for a CASE/COALESCE/NULLIF branch, the DOUBLE an INT widens to.
+inline void CopyEntry(const ColumnVec& src, size_t j, ColumnVec* out, size_t p) {
+  if (src.NullAt(j)) {
     out->nulls[p] = 1;
-    return;
+  } else if (out->type == TypeId::kDouble) {
+    out->f64[p] = src.NumAt(j);
+  } else if (out->type == TypeId::kString) {
+    out->vals[p] = src.BoxedAt(j);
+  } else {
+    out->i64[p] = src.I64At(j);
   }
-  out->nulls[p] = 0;
-  if (!out->boxed) {
-    if (out->type == TypeId::kInt64 && v.type() == TypeId::kInt64) {
-      out->i64[p] = v.AsInt();
-      return;
-    }
-    if (out->type == TypeId::kDouble && v.type() == TypeId::kDouble) {
-      out->f64[p] = v.AsDouble();
-      return;
-    }
-    if (out->type == TypeId::kBool && v.type() == TypeId::kBool) {
-      out->i64[p] = v.AsBool() ? 1 : 0;
-      return;
-    }
-    BoxColumn(out);
-  }
-  out->vals[p] = std::move(v);
 }
 
 /// The error a row too short for a bound column reference raises.
@@ -133,10 +94,9 @@ Status ColumnOutOfRange(const Expression& ref) {
 
 // ------------------------------------------------------------ kernel nodes --
 
-/// Bound column gather. Primitive columns fill typed lanes; a runtime value
-/// whose type disagrees with the declared column type (possible only with
-/// type-loose storage) flips the node into boxed mode permanently so
-/// downstream kernels see the exact runtime Values.
+/// Bound column gather into the lane of the column's bound type. Every
+/// write is cast and checked against the schema, so a stored value of
+/// another type is a producer's bug: Internal, never a silent conversion.
 class ColRefNode final : public CompiledExpr {
  public:
   explicit ColRefNode(const ColumnRefExpr* src)
@@ -145,27 +105,19 @@ class ColRefNode final : public CompiledExpr {
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     size_t n = rows.size();
-    bool primitive = !boxed_mode_ && type_ != TypeId::kString;
-    out->Reset(type_, !primitive, n);
+    out->Reset(type_, n);
     for (size_t k = 0; k < n; ++k) {
       const Tuple& t = batch.RowAt(rows[k]);
       if (static_cast<size_t>(col_) >= t.NumValues()) return ColumnOutOfRange(*src_);
       const Value& v = t.At(static_cast<size_t>(col_));
       if (v.is_null()) {
         out->nulls[k] = 1;
-        continue;
-      }
-      if (!primitive) {
-        out->vals[k] = v;
-      } else if (type_ == TypeId::kInt64 && v.type() == TypeId::kInt64) {
-        out->i64[k] = v.AsInt();
-      } else if (type_ == TypeId::kDouble && v.type() == TypeId::kDouble) {
-        out->f64[k] = v.AsDouble();
-      } else if (type_ == TypeId::kBool && v.type() == TypeId::kBool) {
-        out->i64[k] = v.AsBool() ? 1 : 0;
+      } else if (v.type() != type_) {
+        return Status::Internal("column " + src_->ToString() + " of type " +
+                                TypeIdToString(type_) + " holds " + TypeIdToString(v.type()) +
+                                " value " + v.ToString());
       } else {
-        boxed_mode_ = true;  // mixed storage: redo this batch boxed
-        return Eval(batch, rows, out);
+        StoreValue(v, out, k);
       }
     }
     return Status::OK();
@@ -174,15 +126,18 @@ class ColRefNode final : public CompiledExpr {
  private:
   const ColumnRefExpr* src_;
   int col_;
-  bool boxed_mode_ = false;
 };
 
 class LitNode final : public CompiledExpr {
  public:
   explicit LitNode(const Value& v) : CompiledExpr(v.type()) {
-    cvec_.Reset(v.type(), v.type() == TypeId::kString, 1);
-    StoreValue(&cvec_, 0, v);
+    cvec_.Reset(v.type(), 1);
     cvec_.is_const = true;
+    if (v.is_null()) {
+      cvec_.nulls[0] = 1;
+    } else {
+      StoreValue(v, &cvec_, 0);
+    }
   }
 
   Status Eval(const TupleBatch&, const std::vector<uint32_t>& rows, ColumnVec* out) override {
@@ -205,29 +160,22 @@ class CmpNode final : public CompiledExpr {
     RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, &lv_));
     RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, &rv_));
     size_t n = rows.size();
-    out->Reset(TypeId::kBool, false, n);
-    if (lv_.boxed || rv_.boxed) {
-      Value ls, rs;
+    out->Reset(TypeId::kBool, n);
+    if (lv_.type == TypeId::kString) {
       for (size_t k = 0; k < n; ++k) {
         if (lv_.NullAt(k) || rv_.NullAt(k)) {
           out->nulls[k] = 1;
           continue;
         }
-        const Value& a = BorrowValue(lv_, k, &ls);
-        const Value& b = BorrowValue(rv_, k, &rs);
-        RELOPT_ASSIGN_OR_RETURN(int c, a.Compare(b));
-        out->i64[k] = ApplyOp(op_, c) ? 1 : 0;
+        out->i64[k] = ApplyOp(op_, CompareAt(lv_, rv_, k)) ? 1 : 0;
       }
-      return Status::OK();
-    }
-    if (lv_.type == TypeId::kDouble || rv_.type == TypeId::kDouble) {
+    } else if (lv_.type == TypeId::kDouble || rv_.type == TypeId::kDouble) {
       for (size_t k = 0; k < n; ++k) {
         if (lv_.NullAt(k) || rv_.NullAt(k)) {
           out->nulls[k] = 1;
           continue;
         }
-        double a = lv_.NumAt(k), b = rv_.NumAt(k);
-        out->i64[k] = ApplyOp(op_, a < b ? -1 : (a > b ? 1 : 0)) ? 1 : 0;
+        out->i64[k] = ApplyOp(op_, ThreeWay(lv_.NumAt(k), rv_.NumAt(k))) ? 1 : 0;
       }
     } else {
       for (size_t k = 0; k < n; ++k) {
@@ -235,8 +183,7 @@ class CmpNode final : public CompiledExpr {
           out->nulls[k] = 1;
           continue;
         }
-        int64_t a = lv_.I64At(k), b = rv_.I64At(k);
-        out->i64[k] = ApplyOp(op_, a < b ? -1 : (a > b ? 1 : 0)) ? 1 : 0;
+        out->i64[k] = ApplyOp(op_, ThreeWay(lv_.I64At(k), rv_.I64At(k))) ? 1 : 0;
       }
     }
     return Status::OK();
@@ -262,9 +209,8 @@ class ArithNode final : public CompiledExpr {
     RELOPT_RETURN_NOT_OK(l_->Eval(batch, rows, &lv_));
     RELOPT_RETURN_NOT_OK(r_->Eval(batch, rows, &rv_));
     size_t n = rows.size();
-    if (lv_.boxed || rv_.boxed) return EvalBoxed(n, out);
-    if (lv_.type == TypeId::kInt64 && rv_.type == TypeId::kInt64) {
-      out->Reset(TypeId::kInt64, false, n);
+    out->Reset(type_, n);
+    if (type_ == TypeId::kInt64) {
       for (size_t k = 0; k < n; ++k) {
         if (lv_.NullAt(k) || rv_.NullAt(k)) {
           out->nulls[k] = 1;
@@ -282,7 +228,6 @@ class ArithNode final : public CompiledExpr {
       }
       return Status::OK();
     }
-    out->Reset(TypeId::kDouble, false, n);
     for (size_t k = 0; k < n; ++k) {
       if (lv_.NullAt(k) || rv_.NullAt(k)) {
         out->nulls[k] = 1;
@@ -319,65 +264,6 @@ class ArithNode final : public CompiledExpr {
   }
 
  private:
-  /// Mixed-type inputs: value-typed arithmetic, with a runtime type error
-  /// for a non-numeric operand.
-  Status EvalBoxed(size_t n, ColumnVec* out) {
-    out->Reset(type_, true, n);
-    Value ls, rs;
-    for (size_t k = 0; k < n; ++k) {
-      if (lv_.NullAt(k) || rv_.NullAt(k)) {
-        out->nulls[k] = 1;
-        continue;
-      }
-      const Value& l = BorrowValue(lv_, k, &ls);
-      const Value& r = BorrowValue(rv_, k, &rs);
-      if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
-        return Status::TypeError("arithmetic on non-numeric operand in " + src_->ToString());
-      }
-      if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
-        int64_t v;
-        switch (IntArith(op_, l.AsInt(), r.AsInt(), &v)) {
-          case IntArithOutcome::kValue:
-            out->vals[k] = Value::Int(v);
-            break;
-          case IntArithOutcome::kNull:
-            out->nulls[k] = 1;
-            break;
-          case IntArithOutcome::kOverflow:
-            return IntOverflowError(*src_);
-        }
-        continue;
-      }
-      double a = l.NumericAsDouble(), b = r.NumericAsDouble();
-      switch (op_) {
-        case ArithOp::kAdd:
-          out->vals[k] = Value::Double(a + b);
-          break;
-        case ArithOp::kSub:
-          out->vals[k] = Value::Double(a - b);
-          break;
-        case ArithOp::kMul:
-          out->vals[k] = Value::Double(a * b);
-          break;
-        case ArithOp::kDiv:
-          if (b == 0) {
-            out->nulls[k] = 1;
-          } else {
-            out->vals[k] = Value::Double(a / b);
-          }
-          break;
-        case ArithOp::kMod:
-          if (b == 0) {
-            out->nulls[k] = 1;
-          } else {
-            out->vals[k] = Value::Double(std::fmod(a, b));
-          }
-          break;
-      }
-    }
-    return Status::OK();
-  }
-
   const ArithmeticExpr* src_;
   ArithOp op_;
   CompiledExprPtr l_, r_;
@@ -393,7 +279,7 @@ class NotNode final : public CompiledExpr {
               ColumnVec* out) override {
     RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, &cv_));
     size_t n = rows.size();
-    out->Reset(TypeId::kBool, false, n);
+    out->Reset(TypeId::kBool, n);
     for (size_t k = 0; k < n; ++k) {
       bool is_null, b;
       ReadBool(cv_, k, &is_null, &b);
@@ -425,7 +311,7 @@ class AndOrNode final : public CompiledExpr {
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     size_t n = rows.size();
-    out->Reset(TypeId::kBool, false, n);
+    out->Reset(TypeId::kBool, n);
     int64_t neutral = is_and_ ? 1 : 0;
     for (size_t k = 0; k < n; ++k) out->i64[k] = neutral;
     active_.resize(n);
@@ -474,7 +360,7 @@ class IsNullNode final : public CompiledExpr {
               ColumnVec* out) override {
     RELOPT_RETURN_NOT_OK(child_->Eval(batch, rows, &cv_));
     size_t n = rows.size();
-    out->Reset(TypeId::kBool, false, n);
+    out->Reset(TypeId::kBool, n);
     for (size_t k = 0; k < n; ++k) {
       bool is_null = cv_.NullAt(k);
       out->i64[k] = (negated_ ? !is_null : is_null) ? 1 : 0;
@@ -503,7 +389,7 @@ class CaseNode final : public CompiledExpr {
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     size_t n = rows.size();
-    out->Reset(type_, type_ == TypeId::kString, n);
+    out->Reset(type_, n);
     undecided_.resize(n);
     for (size_t k = 0; k < n; ++k) undecided_[k] = static_cast<uint32_t>(k);
     for (size_t i = 0; i < whens_.size(); ++i) {
@@ -527,7 +413,7 @@ class CaseNode final : public CompiledExpr {
       if (!taken_pos_.empty()) {
         RELOPT_RETURN_NOT_OK(thens_[i]->Eval(batch, taken_sub_, &tv_));
         for (size_t j = 0; j < taken_pos_.size(); ++j) {
-          StoreValue(out, taken_pos_[j], CoerceValue(tv_.GetValue(j), type_));
+          CopyEntry(tv_, j, out, taken_pos_[j]);
         }
       }
       undecided_.swap(rest_);
@@ -541,7 +427,7 @@ class CaseNode final : public CompiledExpr {
     for (uint32_t p : undecided_) subrows_.push_back(rows[p]);
     RELOPT_RETURN_NOT_OK(else_->Eval(batch, subrows_, &tv_));
     for (size_t j = 0; j < undecided_.size(); ++j) {
-      StoreValue(out, undecided_[j], CoerceValue(tv_.GetValue(j), type_));
+      CopyEntry(tv_, j, out, undecided_[j]);
     }
     return Status::OK();
   }
@@ -562,30 +448,8 @@ class AbsNode final : public CompiledExpr {
               ColumnVec* out) override {
     RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
-    if (av_.boxed) {
-      out->Reset(type_, true, n);
-      for (size_t k = 0; k < n; ++k) {
-        if (av_.NullAt(k)) {
-          out->nulls[k] = 1;
-          continue;
-        }
-        const Value& v = av_.BoxedAt(k);
-        if (!IsNumeric(v.type())) {
-          return Status::TypeError("abs on non-numeric operand in " + src_->ToString());
-        }
-        if (v.type() == TypeId::kInt64) {
-          int64_t abs;
-          if (!IntAbs(v.AsInt(), &abs)) return IntOverflowError(*src_);
-          out->vals[k] = Value::Int(abs);
-        } else {
-          double d = v.NumericAsDouble();
-          out->vals[k] = Value::Double(d < 0 ? -d : d);
-        }
-      }
-      return Status::OK();
-    }
-    bool as_int = av_.type == TypeId::kInt64;
-    out->Reset(as_int ? TypeId::kInt64 : TypeId::kDouble, false, n);
+    const bool as_int = type_ == TypeId::kInt64;
+    out->Reset(type_, n);
     for (size_t k = 0; k < n; ++k) {
       if (av_.NullAt(k)) {
         out->nulls[k] = 1;
@@ -607,57 +471,44 @@ class AbsNode final : public CompiledExpr {
 
 class LengthNode final : public CompiledExpr {
  public:
-  LengthNode(const FunctionCallExpr* src, CompiledExprPtr arg)
-      : CompiledExpr(TypeId::kInt64), src_(src), arg_(std::move(arg)) {}
+  explicit LengthNode(CompiledExprPtr arg) : CompiledExpr(TypeId::kInt64), arg_(std::move(arg)) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
-    out->Reset(TypeId::kInt64, false, n);
-    Value storage;
+    out->Reset(TypeId::kInt64, n);
     for (size_t k = 0; k < n; ++k) {
       if (av_.NullAt(k)) {
         out->nulls[k] = 1;
-        continue;
+      } else {
+        out->i64[k] = static_cast<int64_t>(av_.BoxedAt(k).AsString().size());
       }
-      const Value& v = BorrowValue(av_, k, &storage);
-      if (v.type() != TypeId::kString) {
-        return Status::TypeError("length on non-string operand in " + src_->ToString());
-      }
-      out->i64[k] = static_cast<int64_t>(v.AsString().size());
     }
     return Status::OK();
   }
 
  private:
-  const FunctionCallExpr* src_;
   CompiledExprPtr arg_;
   ColumnVec av_;
 };
 
 class CaseMapNode final : public CompiledExpr {
  public:
-  CaseMapNode(const FunctionCallExpr* src, CompiledExprPtr arg, bool upper)
-      : CompiledExpr(TypeId::kString), src_(src), arg_(std::move(arg)), upper_(upper) {}
+  CaseMapNode(CompiledExprPtr arg, bool upper)
+      : CompiledExpr(TypeId::kString), arg_(std::move(arg)), upper_(upper) {}
 
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     RELOPT_RETURN_NOT_OK(arg_->Eval(batch, rows, &av_));
     size_t n = rows.size();
-    out->Reset(TypeId::kString, true, n);
-    Value storage;
+    out->Reset(TypeId::kString, n);
     for (size_t k = 0; k < n; ++k) {
       if (av_.NullAt(k)) {
         out->nulls[k] = 1;
         continue;
       }
-      const Value& v = BorrowValue(av_, k, &storage);
-      if (v.type() != TypeId::kString) {
-        return Status::TypeError(std::string(upper_ ? "upper" : "lower") +
-                                 " on non-string operand in " + src_->ToString());
-      }
-      std::string s = v.AsString();
+      std::string s = av_.BoxedAt(k).AsString();
       if (upper_) {
         for (char& c : s) {
           if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
@@ -673,7 +524,6 @@ class CaseMapNode final : public CompiledExpr {
   }
 
  private:
-  const FunctionCallExpr* src_;
   CompiledExprPtr arg_;
   bool upper_;
   ColumnVec av_;
@@ -688,7 +538,7 @@ class CoalesceNode final : public CompiledExpr {
   Status Eval(const TupleBatch& batch, const std::vector<uint32_t>& rows,
               ColumnVec* out) override {
     size_t n = rows.size();
-    out->Reset(type_, type_ == TypeId::kString, n);
+    out->Reset(type_, n);
     undecided_.resize(n);
     for (size_t k = 0; k < n; ++k) undecided_[k] = static_cast<uint32_t>(k);
     for (const CompiledExprPtr& arg : args_) {
@@ -702,7 +552,7 @@ class CoalesceNode final : public CompiledExpr {
         if (av_.NullAt(j)) {
           rest_.push_back(p);
         } else {
-          StoreValue(out, p, CoerceValue(av_.GetValue(j), type_));
+          CopyEntry(av_, j, out, p);
         }
       }
       undecided_.swap(rest_);
@@ -727,20 +577,12 @@ class NullIfNode final : public CompiledExpr {
     RELOPT_RETURN_NOT_OK(a_->Eval(batch, rows, &av_));
     RELOPT_RETURN_NOT_OK(b_->Eval(batch, rows, &bv_));
     size_t n = rows.size();
-    out->Reset(type_, type_ == TypeId::kString, n);
-    Value as, bs;
+    out->Reset(type_, n);
     for (size_t k = 0; k < n; ++k) {
-      if (av_.NullAt(k) || bv_.NullAt(k)) {
-        StoreValue(out, k, CoerceValue(av_.GetValue(k), type_));
-        continue;
-      }
-      const Value& a = BorrowValue(av_, k, &as);
-      const Value& b = BorrowValue(bv_, k, &bs);
-      RELOPT_ASSIGN_OR_RETURN(int c, a.Compare(b));
-      if (c == 0) {
+      if (!av_.NullAt(k) && !bv_.NullAt(k) && CompareAt(av_, bv_, k) == 0) {
         out->nulls[k] = 1;
       } else {
-        StoreValue(out, k, CoerceValue(a, type_));
+        CopyEntry(av_, k, out, k);
       }
     }
     return Status::OK();
@@ -815,7 +657,7 @@ class ErrorNode final : public CompiledExpr {
 
   Status Eval(const TupleBatch&, const std::vector<uint32_t>& rows, ColumnVec* out) override {
     if (!rows.empty()) return error_;
-    out->Reset(type_, true, 0);
+    out->Reset(type_, 0);
     return Status::OK();
   }
 
@@ -833,31 +675,26 @@ inline void InvertKeyTail(std::string* key, size_t from) {
 
 // ---------------------------------------------------------------- ColumnVec --
 
-void ColumnVec::Reset(TypeId t, bool boxed_storage, size_t num_rows) {
+void ColumnVec::Reset(TypeId t, size_t num_rows) {
   type = t;
   is_const = false;
-  boxed = boxed_storage;
   n = num_rows;
   nulls.assign(num_rows, 0);
-  if (boxed) {
-    vals.assign(num_rows, Value());
-    i64.clear();
-    f64.clear();
+  i64.clear();
+  f64.clear();
+  vals.clear();
+  if (t == TypeId::kString) {
+    vals.resize(num_rows);
   } else if (t == TypeId::kDouble) {
-    f64.assign(num_rows, 0.0);
-    i64.clear();
-    vals.clear();
+    f64.resize(num_rows);
   } else {
-    i64.assign(num_rows, 0);
-    f64.clear();
-    vals.clear();
+    i64.resize(num_rows);
   }
 }
 
 Value ColumnVec::GetValue(size_t k) const {
   size_t p = phys(k);
   if (nulls[p] != 0) return Value::Null(type);
-  if (boxed) return vals[p];
   switch (type) {
     case TypeId::kBool:
       return Value::Bool(i64[p] != 0);
@@ -865,9 +702,10 @@ Value ColumnVec::GetValue(size_t k) const {
       return Value::Int(i64[p]);
     case TypeId::kDouble:
       return Value::Double(f64[p]);
-    default:
-      return Value::Null(type);
+    case TypeId::kString:
+      return vals[p];
   }
+  return Value::Null(type);
 }
 
 // -------------------------------------------------------------- CompileExpr --
@@ -936,11 +774,11 @@ CompiledExprPtr CompileExpr(const Expression* expr) {
         case ScalarFunc::kAbs:
           return std::make_unique<AbsNode>(f, std::move(args[0]));
         case ScalarFunc::kLength:
-          return std::make_unique<LengthNode>(f, std::move(args[0]));
+          return std::make_unique<LengthNode>(std::move(args[0]));
         case ScalarFunc::kUpper:
-          return std::make_unique<CaseMapNode>(f, std::move(args[0]), /*upper=*/true);
+          return std::make_unique<CaseMapNode>(std::move(args[0]), /*upper=*/true);
         case ScalarFunc::kLower:
-          return std::make_unique<CaseMapNode>(f, std::move(args[0]), /*upper=*/false);
+          return std::make_unique<CaseMapNode>(std::move(args[0]), /*upper=*/false);
         case ScalarFunc::kCoalesce:
           return std::make_unique<CoalesceNode>(f, std::move(args));
         case ScalarFunc::kNullIf:
@@ -960,8 +798,7 @@ CompiledExprPtr CompileExpr(const Expression* expr) {
   return error(Status::Internal("no kernel for " + expr->ToString()));
 }
 
-Result<Value> EvalConstant(Expression* expr) {
-  RELOPT_RETURN_NOT_OK(expr->Bind(Schema()));
+Result<Value> EvalConstant(const Expression* expr) {
   TupleBatch row(1);
   row.AppendRow();
   ColumnVec out;
@@ -1112,7 +949,7 @@ Status KeyEncoder::Encode(const TupleBatch& batch, std::vector<std::string>* key
         EncodeKeyValue(row.At(static_cast<size_t>(dc)), &key, exact_int_[i]);
       } else {
         const ColumnVec& vec = vecs_[i];
-        if (vec.boxed && !vec.NullAt(k)) {
+        if (vec.type == TypeId::kString && !vec.NullAt(k)) {
           EncodeKeyValue(vec.BoxedAt(k), &key, exact_int_[i]);
         } else {
           storage = vec.GetValue(k);

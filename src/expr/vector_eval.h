@@ -2,8 +2,8 @@
 //
 // The engine compiles a bound expression tree once per executor into a
 // CompiledExpr kernel tree that evaluates column-at-a-time into typed
-// ColumnVec vectors: int64/double/bool payloads live in flat arrays with a
-// null byte per row; strings (and adaptively-detected mixed columns) are
+// ColumnVec vectors: each node's bound type fixes its lane, int64/double/
+// bool payloads in flat arrays with a null byte per row and strings as
 // boxed Values. AND/OR/CASE/COALESCE evaluate lazily over shrinking row
 // subsets (short-circuit selection compaction), so a row rejected by an
 // earlier branch never pays for a later one, and a branch that would error
@@ -38,14 +38,14 @@ std::vector<const Expression*> CollectConjuncts(const Expression* pred);
 
 /// \brief A typed column of evaluation results, one entry per requested row.
 ///
-/// Representation: `type` fixes the payload lane — kInt64/kBool in `i64`
-/// (bools are 0/1), kDouble in `f64`, kString (or adaptively boxed columns)
-/// in `vals`. `nulls[k] != 0` marks NULL. `is_const` broadcasts one physical
-/// entry to every logical row (literals). Buffers are reused across batches.
+/// Representation: `type`, the producing expression's bound type, fixes the
+/// payload lane — kInt64/kBool in `i64` (bools are 0/1), kDouble in `f64`,
+/// kString in `vals`. `nulls[k] != 0` marks NULL. `is_const` broadcasts one
+/// physical entry to every logical row (literals). Buffers are reused across
+/// batches.
 struct ColumnVec {
   TypeId type = TypeId::kInt64;
   bool is_const = false;
-  bool boxed = false;
   size_t n = 0;
   std::vector<uint8_t> nulls;
   std::vector<int64_t> i64;
@@ -65,8 +65,8 @@ struct ColumnVec {
   /// Materializes row `k` as a Value (scatter/output path).
   Value GetValue(size_t k) const;
 
-  /// Clears to `n` rows of the given shape, all non-null.
-  void Reset(TypeId t, bool boxed_storage, size_t num_rows);
+  /// Clears to `n` rows of type `t`, all non-null.
+  void Reset(TypeId t, size_t num_rows);
 };
 
 /// \brief One compiled kernel node. Eval fills `out` with one entry per row
@@ -97,10 +97,10 @@ using CompiledExprPtr = std::unique_ptr<CompiledExpr>;
 /// error evaluating it means.
 CompiledExprPtr CompileExpr(const Expression* expr);
 
-/// \brief Binds `expr`, which must reference no column, against an empty
-/// schema and evaluates its kernel on one empty row: constant folding and
-/// `INSERT ... VALUES`. Returns the bind or evaluation error, if any.
-Result<Value> EvalConstant(Expression* expr);
+/// \brief Evaluates the kernel of bound `expr`, which references no column,
+/// on one empty row: constant folding and `INSERT ... VALUES`. The value has
+/// `expr`'s bound type. Returns the evaluation error, if any.
+Result<Value> EvalConstant(const Expression* expr);
 
 /// \brief Compiled filter predicate: conjunct-wise selection compaction with
 /// fused kernels for the hot shapes (`column <op> literal` and

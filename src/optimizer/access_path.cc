@@ -179,7 +179,7 @@ Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPat
   }
   ExprPtr residual_expr = CombineConjuncts(std::move(residual));
   if (residual_expr) {
-    RELOPT_RETURN_NOT_OK(residual_expr->Bind(rel.schema));
+    RELOPT_RETURN_NOT_OK(residual_expr->ResolveColumns(rel.schema));
   }
 
   // The node whose actual output feeds the feedback store is the one that

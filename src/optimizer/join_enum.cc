@@ -9,6 +9,13 @@
 
 namespace relopt {
 
+namespace {
+
+/// Cap on kept candidates per DP subset (dominance-pruned first).
+constexpr int kMaxCandidatesPerSet = 8;
+
+}  // namespace
+
 const char* JoinMethodToString(JoinMethod method) {
   switch (method) {
     case JoinMethod::kNestedLoop:
@@ -259,7 +266,7 @@ void JoinEnumerator::KeepFrontier(JoinSet set) {
   });
   Slot slot{static_cast<int>(arena_.size()), 0};
   for (const Candidate& c : frontier_) {
-    if (!maximize_ && static_cast<size_t>(slot.count) >= options_.max_candidates_per_set) {
+    if (!maximize_ && slot.count >= kMaxCandidatesPerSet) {
       TraceCandidate(c, "pruned", "exceeds max_candidates_per_set");
       continue;
     }
@@ -540,15 +547,14 @@ Result<int> JoinEnumerator::RunDp(bool left_deep_only, bool maximize) {
   const int n = static_cast<int>(graph_->relations.size());
   const uint64_t full = JoinSet::AllUpTo(n).bits();
 
-  // Fast path for avoid_cross_products on a connected graph: a subset whose
-  // induced join graph is disconnected can only be built by a cross-product
-  // join, and (the graph being connected) the full set is always reachable
-  // through connected subsets alone — so disconnected subsets are skipped
-  // before any split gathering or candidate generation. On a disconnected
-  // graph cross products are forced somewhere, so the old late split
-  // filtering is kept as-is.
-  const bool skip_disconnected =
-      options_.avoid_cross_products && SubsetConnected(JoinSet(full));
+  // Fast path on a connected graph (the enumerator avoids cross products): a
+  // subset whose induced join graph is disconnected can only be built by a
+  // cross-product join, and (the graph being connected) the full set is
+  // always reachable through connected subsets alone — so disconnected
+  // subsets are skipped before any split gathering or candidate generation.
+  // On a disconnected graph cross products are forced somewhere, so the
+  // late split filtering below is kept as-is.
+  const bool skip_disconnected = SubsetConnected(JoinSet(full));
 
   for (uint64_t mask = 1; mask <= full; ++mask) {
     JoinSet set(mask);
@@ -571,10 +577,8 @@ Result<int> JoinEnumerator::RunDp(bool left_deep_only, bool maximize) {
       }
     };
     bool any_connected = false;
-    if (options_.avoid_cross_products) {
-      for_each_split(
-          [&](JoinSet l, JoinSet r) { any_connected = any_connected || Joinable(l, r); });
-    }
+    for_each_split(
+        [&](JoinSet l, JoinSet r) { any_connected = any_connected || Joinable(l, r); });
     for_each_split([&](JoinSet left_set, JoinSet right_set) {
       const Slot* ls = FindSlot(left_set);
       const Slot* rs = FindSlot(right_set);
@@ -685,7 +689,7 @@ Result<int> JoinEnumerator::RunExhaustive() {
     const uint64_t nbrs = EdgeNeighbors(arena_[frame.cand].set);
     const bool any_connected = (nbrs & frame.remaining.bits()) != 0;
     frame.remaining.ForEach([&](int r) {
-      if (options_.avoid_cross_products && any_connected && ((nbrs >> r) & 1) == 0) return;
+      if (any_connected && ((nbrs >> r) & 1) == 0) return;
       Candidate step;
       if (CheapestJoin(frame.cand, r, &step)) {
         stack.push_back(Frame{Intern(step), frame.remaining.Without(r)});
@@ -884,9 +888,7 @@ Result<int> JoinEnumerator::RunDpCcp(std::vector<CsgCmpPair> pairs) {
     // only predicate-connected cuts are costed.
     auto joinable = [&](const CsgCmpPair& p) { return Joinable(JoinSet(p.csg), JoinSet(p.cmp)); };
     bool any_connected = false;
-    if (options_.avoid_cross_products) {
-      for (size_t k = i; k < end && !any_connected; ++k) any_connected = joinable(pairs[k]);
-    }
+    for (size_t k = i; k < end && !any_connected; ++k) any_connected = joinable(pairs[k]);
 
     // Both join orders of each pair are costed, mirroring RunDp's ordered
     // splits, into the one frontier of the union.
@@ -1111,7 +1113,8 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
         std::move(left_plan), inner.table->name(), inner.alias, index->name, inner.schema,
         std::move(key_exprs), std::move(residual_expr));
     if (node->residual() != nullptr) {
-      RELOPT_RETURN_NOT_OK(const_cast<Expression*>(node->residual())->Bind(node->schema()));
+      RELOPT_RETURN_NOT_OK(
+          const_cast<Expression*>(node->residual())->ResolveColumns(node->schema()));
     }
     node->SetEstimates(cand.rows, cand.cost);
     return PhysicalPtr(std::move(node));
@@ -1125,7 +1128,8 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
     for (ExprPtr& o : others()) preds.push_back(std::move(o));
     ExprPtr pred = CombineConjuncts(std::move(preds));
     if (pred) {
-      RELOPT_RETURN_NOT_OK(pred->Bind(Schema::Concat(left_plan->schema(), right_plan->schema())));
+      RELOPT_RETURN_NOT_OK(
+          pred->ResolveColumns(Schema::Concat(left_plan->schema(), right_plan->schema())));
     }
     PhysicalPtr node;
     if (cand.method == JoinMethod::kNestedLoop) {
@@ -1183,7 +1187,7 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
   ExprPtr residual = CombineConjuncts(others());
   if (residual) {
     RELOPT_RETURN_NOT_OK(
-        residual->Bind(Schema::Concat(left_plan->schema(), right_plan->schema())));
+        residual->ResolveColumns(Schema::Concat(left_plan->schema(), right_plan->schema())));
   }
   PhysicalPtr node;
   if (cand.method == JoinMethod::kSortMerge) {

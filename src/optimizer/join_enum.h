@@ -59,7 +59,6 @@ const char* JoinEnumAlgorithmToString(JoinEnumAlgorithm algorithm);
 struct JoinEnumOptions {
   JoinEnumAlgorithm algorithm = JoinEnumAlgorithm::kDpCcp;
   bool use_interesting_orders = true;
-  bool avoid_cross_products = true;
   bool enable_nlj = true;
   bool enable_bnlj = true;
   bool enable_inlj = true;
@@ -67,8 +66,6 @@ struct JoinEnumOptions {
   bool enable_hash = true;
   bool enable_index_scans = true;
   uint64_t random_seed = 42;
-  /// Cap on kept candidates per DP subset (dominance-pruned first).
-  size_t max_candidates_per_set = 8;
   /// kDpCcp ladder: maximum csg-cmp pairs the DP may cost before degrading
   /// to greedy (then Simpli-Squared). ~100k pairs keeps a 20-relation chain
   /// exact and a 20-relation clique bounded.
@@ -95,7 +92,7 @@ struct JoinEnumStats {
   /// budget abort).
   uint64_t csg_cmp_pairs = 0;
   /// Selinger DP: subsets skipped before candidate generation because their
-  /// induced join graph is disconnected (avoid_cross_products fast path).
+  /// induced join graph is disconnected (the no-cross-products fast path).
   uint64_t disconnected_subsets_skipped = 0;
   /// True iff a join search actually ran (>= 2 relations in the block);
   /// metric export keys off this so non-join statements don't skew counters.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "expr/fold.h"
 #include "util/str_util.h"
 
 namespace relopt {
@@ -129,8 +128,7 @@ Result<QueryGraph> BuildQueryGraph(LogicalPtr join_block, const Catalog* catalog
         StringPrintf("a join block holds at most 64 relations, not %zu", graph.relations.size()));
   }
 
-  for (ExprPtr& pred : predicates) {
-    ExprPtr expr = FoldConstants(std::move(pred));
+  for (ExprPtr& expr : predicates) {
     RELOPT_ASSIGN_OR_RETURN(JoinSet rels, graph.RelationsOf(*expr));
     if (rels.Count() <= 1) {
       if (rels.Count() == 1) {

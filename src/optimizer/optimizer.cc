@@ -132,9 +132,9 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       Schema out_schema = project->schema();
       RELOPT_ASSIGN_OR_RETURN(Translated child,
                               Translate(node->TakeChild(0), required_order, info));
-      // Re-bind: join reordering may have permuted the child's column order.
+      // Join reordering may have permuted the child's column order.
       for (ExprPtr& e : exprs) {
-        RELOPT_RETURN_NOT_OK(e->Bind(child.plan->schema()));
+        RELOPT_RETURN_NOT_OK(e->ResolveColumns(child.plan->schema()));
       }
       double rows = child.plan->est_rows();
       Cost cost = child.plan->est_cost() + cost_model_.Project(rows);
@@ -152,7 +152,7 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       ExprPtr pred = filter->TakePredicate();
       RELOPT_ASSIGN_OR_RETURN(Translated child,
                               Translate(node->TakeChild(0), required_order, info));
-      RELOPT_RETURN_NOT_OK(pred->Bind(child.plan->schema()));
+      RELOPT_RETURN_NOT_OK(pred->ResolveColumns(child.plan->schema()));
       SelectivityEstimator estimator(&aliases_, options_.stats_mode, options_.feedback);
       double sel = estimator.EstimatePredicate(*pred);
       double rows = child.plan->est_rows() * sel;
@@ -175,11 +175,11 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       // Aggregation consumes its input unordered (hash aggregate).
       RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), OrderSpec{}, info));
       for (ExprPtr& g : group_by) {
-        RELOPT_RETURN_NOT_OK(g->Bind(child.plan->schema()));
+        RELOPT_RETURN_NOT_OK(g->ResolveColumns(child.plan->schema()));
       }
       for (PhysAggregate::Agg& a : aggs) {
         if (a.arg) {
-          RELOPT_RETURN_NOT_OK(a.arg->Bind(child.plan->schema()));
+          RELOPT_RETURN_NOT_OK(a.arg->ResolveColumns(child.plan->schema()));
         }
       }
       // Group count from catalog stats (NDVs, histograms, NULL groups).
@@ -221,7 +221,7 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       }
       std::vector<PhysSort::Key> phys_keys;
       for (SortKey& k : keys) {
-        RELOPT_RETURN_NOT_OK(k.expr->Bind(child.plan->schema()));
+        RELOPT_RETURN_NOT_OK(k.expr->ResolveColumns(child.plan->schema()));
         phys_keys.push_back(PhysSort::Key{std::move(k.expr), k.desc});
       }
       double rows = child.plan->est_rows();
@@ -261,7 +261,7 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
                                                             right->est_rows());
       if (pred) {
         Schema concat = Schema::Concat(left->schema(), right->schema());
-        RELOPT_RETURN_NOT_OK(pred->Bind(concat));
+        RELOPT_RETURN_NOT_OK(pred->ResolveColumns(concat));
         rows *= 1.0 / 3.0;
       }
       auto phys = std::make_unique<PhysNestedLoopJoin>(std::move(left), std::move(right),
@@ -273,7 +273,7 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
       auto* filter = static_cast<LogicalFilter*>(node.get());
       ExprPtr pred = filter->TakePredicate();
       RELOPT_ASSIGN_OR_RETURN(PhysicalPtr child, TranslateNaive(node->TakeChild(0)));
-      RELOPT_RETURN_NOT_OK(pred->Bind(child->schema()));
+      RELOPT_RETURN_NOT_OK(pred->ResolveColumns(child->schema()));
       double rows = child->est_rows() / 3.0;
       Cost cost = child->est_cost() + cost_model_.Filter(child->est_rows());
       auto phys = std::make_unique<PhysFilter>(std::move(child), std::move(pred));
@@ -286,7 +286,7 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
       Schema out_schema = project->schema();
       RELOPT_ASSIGN_OR_RETURN(PhysicalPtr child, TranslateNaive(node->TakeChild(0)));
       for (ExprPtr& e : exprs) {
-        RELOPT_RETURN_NOT_OK(e->Bind(child->schema()));
+        RELOPT_RETURN_NOT_OK(e->ResolveColumns(child->schema()));
       }
       double rows = child->est_rows();
       Cost cost = child->est_cost() + cost_model_.Project(rows);
@@ -305,11 +305,11 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
       Schema out_schema = agg->schema();
       RELOPT_ASSIGN_OR_RETURN(PhysicalPtr child, TranslateNaive(node->TakeChild(0)));
       for (ExprPtr& g : group_by) {
-        RELOPT_RETURN_NOT_OK(g->Bind(child->schema()));
+        RELOPT_RETURN_NOT_OK(g->ResolveColumns(child->schema()));
       }
       for (PhysAggregate::Agg& a : aggs) {
         if (a.arg) {
-          RELOPT_RETURN_NOT_OK(a.arg->Bind(child->schema()));
+          RELOPT_RETURN_NOT_OK(a.arg->ResolveColumns(child->schema()));
         }
       }
       double rows = std::max(1.0, child->est_rows() / 10.0);
@@ -325,7 +325,7 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
       RELOPT_ASSIGN_OR_RETURN(PhysicalPtr child, TranslateNaive(node->TakeChild(0)));
       std::vector<PhysSort::Key> phys_keys;
       for (SortKey& k : keys) {
-        RELOPT_RETURN_NOT_OK(k.expr->Bind(child->schema()));
+        RELOPT_RETURN_NOT_OK(k.expr->ResolveColumns(child->schema()));
         phys_keys.push_back(PhysSort::Key{std::move(k.expr), k.desc});
       }
       double rows = child->est_rows();

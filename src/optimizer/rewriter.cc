@@ -1,12 +1,10 @@
 #include "optimizer/rewriter.h"
 
-#include "expr/fold.h"
-
 namespace relopt {
 
 namespace {
 
-/// True / false / null constant classification for folded predicates.
+/// True / false / null constant classification for predicates.
 enum class PredConst { kTrue, kFalseOrNull, kOther };
 
 PredConst Classify(const Expression& e) {
@@ -28,8 +26,7 @@ Result<LogicalPtr> NormalizeLogicalPlan(LogicalPtr plan) {
 
   if (plan->kind() == LogicalNodeKind::kFilter) {
     auto* filter = static_cast<LogicalFilter*>(plan.get());
-    ExprPtr pred = FoldConstants(filter->TakePredicate());
-    switch (Classify(*pred)) {
+    switch (Classify(*filter->predicate())) {
       case PredConst::kTrue:
         return plan->TakeChild(0);
       case PredConst::kFalseOrNull: {
@@ -37,7 +34,6 @@ Result<LogicalPtr> NormalizeLogicalPlan(LogicalPtr plan) {
         return LogicalPtr(std::make_unique<LogicalValues>(std::vector<Tuple>{}, std::move(schema)));
       }
       case PredConst::kOther:
-        filter->SetPredicate(std::move(pred));
         return plan;
     }
   }

@@ -6,10 +6,10 @@
 
 namespace relopt {
 
-/// \brief Normalizes a bound logical plan:
-///  * constant-folds every Filter/Join predicate,
-///  * removes Filters that folded to constant TRUE,
-///  * replaces Filters that folded to FALSE/NULL with an empty Values node.
+/// \brief Normalizes a bound logical plan, whose predicates the binder has
+/// folded already (expr/fold.h):
+///  * removes Filters whose predicate is the constant TRUE,
+///  * replaces Filters whose predicate is FALSE/NULL with an empty Values node.
 ///
 /// Conjunct splitting and predicate pushdown happen structurally inside the
 /// query-graph extraction (optimizer/join_graph.h) — single-relation

@@ -7,18 +7,6 @@
 
 namespace relopt {
 
-const char* StatsModeToString(StatsMode mode) {
-  switch (mode) {
-    case StatsMode::kNoStats:
-      return "nostats";
-    case StatsMode::kSystemR:
-      return "systemr";
-    case StatsMode::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
-
 const ColumnStats* SelectivityEstimator::FindColumn(const std::string& alias,
                                                     const std::string& column) const {
   if (mode_ == StatsMode::kNoStats) return nullptr;

@@ -26,8 +26,6 @@ enum class StatsMode {
   kHistogram,
 };
 
-const char* StatsModeToString(StatsMode mode);
-
 /// Maps FROM aliases to their base tables (the estimator's name context).
 using AliasMap = std::map<std::string, TableInfo*>;
 

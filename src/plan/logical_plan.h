@@ -81,7 +81,6 @@ class LogicalFilter : public LogicalNode {
 
   const Expression* predicate() const { return predicate_.get(); }
   ExprPtr TakePredicate() { return std::move(predicate_); }
-  void SetPredicate(ExprPtr p) { predicate_ = std::move(p); }
 
   std::string Describe() const override;
 

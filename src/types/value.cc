@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 
 #include "util/str_util.h"
 
@@ -29,11 +28,9 @@ Result<int> Value::Compare(const Value& other) const {
   if (other.is_null()) return 1;
   if (IsNumeric(type_) && IsNumeric(other.type_)) {
     if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
-      int64_t a = AsInt(), b = other.AsInt();
-      return a < b ? -1 : (a > b ? 1 : 0);
+      return ThreeWay(AsInt(), other.AsInt());
     }
-    double a = NumericAsDouble(), b = other.NumericAsDouble();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return ThreeWay(NumericAsDouble(), other.NumericAsDouble());
   }
   if (type_ != other.type_) {
     return Status::TypeError(std::string("cannot compare ") + TypeIdToString(type_) + " with " +
@@ -44,10 +41,8 @@ Result<int> Value::Compare(const Value& other) const {
       int a = AsBool() ? 1 : 0, b = other.AsBool() ? 1 : 0;
       return a - b;
     }
-    case TypeId::kString: {
-      int c = AsString().compare(other.AsString());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
+    case TypeId::kString:
+      return ThreeWay(AsString().compare(other.AsString()), 0);
     default:
       return Status::Internal("unreachable compare");
   }
@@ -56,21 +51,6 @@ Result<int> Value::Compare(const Value& other) const {
 bool Value::Equals(const Value& other) const {
   Result<int> c = Compare(other);
   return c.ok() && *c == 0;
-}
-
-size_t Value::Hash() const {
-  if (is_null()) return 0x9e3779b9;
-  switch (type_) {
-    case TypeId::kBool:
-      return AsBool() ? 0x1234567 : 0x89abcdef;
-    case TypeId::kInt64:
-      return std::hash<double>()(static_cast<double>(AsInt()));
-    case TypeId::kDouble:
-      return std::hash<double>()(AsDouble());
-    case TypeId::kString:
-      return std::hash<std::string>()(AsString());
-  }
-  return 0;
 }
 
 std::string Value::ToString() const {

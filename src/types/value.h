@@ -12,6 +12,9 @@
 
 namespace relopt {
 
+/// -1, 0 or 1 as `a` is less than, equal to or greater than `b`.
+inline int ThreeWay(auto a, auto b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
 /// \brief A nullable scalar value: NULL, bool, int64, double, or string.
 ///
 /// Values are small, copyable, and carry their own runtime type. Comparison
@@ -55,10 +58,6 @@ class Value {
   /// Equality under Compare()==0; incomparable types are unequal.
   bool Equals(const Value& other) const;
 
-  /// Stable hash; equal values hash equal (int64/double with the same numeric
-  /// value hash alike so hash joins can match across numeric types).
-  size_t Hash() const;
-
   /// SQL-literal-ish rendering: NULL, true, 42, 3.5, 'abc'.
   std::string ToString() const;
 
@@ -83,10 +82,6 @@ class Value {
 
   TypeId type_;
   std::variant<std::monostate, bool, int64_t, double, std::string> repr_;
-};
-
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
 }  // namespace relopt

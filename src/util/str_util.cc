@@ -139,11 +139,4 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string Repeat(std::string_view s, size_t n) {
-  std::string out;
-  out.reserve(s.size() * n);
-  for (size_t i = 0; i < n; ++i) out += s;
-  return out;
-}
-
 }  // namespace relopt

@@ -42,7 +42,4 @@ std::string EscapeSqlString(std::string_view s);
 /// backslashes, control characters).
 std::string JsonEscape(std::string_view s);
 
-/// Repeats `s` `n` times.
-std::string Repeat(std::string_view s, size_t n);
-
 }  // namespace relopt

@@ -75,7 +75,7 @@ Status GenerateTable(Database* db, const TableSpec& spec) {
   }
 
   if (spec.analyze) {
-    RELOPT_RETURN_NOT_OK(db->catalog()->AnalyzeTable(spec.name, spec.analyze_buckets));
+    RELOPT_RETURN_NOT_OK(db->catalog()->AnalyzeTable(spec.name));
   }
   return Status::OK();
 }

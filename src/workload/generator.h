@@ -65,8 +65,7 @@ struct TableSpec {
   /// (a clustered index on it is then honest).
   std::string sort_by;
   uint64_t seed = 42;
-  bool analyze = true;          ///< run ANALYZE after loading
-  size_t analyze_buckets = 32;
+  bool analyze = true;  ///< run ANALYZE after loading
 };
 
 /// Creates and loads the table described by `spec` into `db`.

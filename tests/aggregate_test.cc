@@ -107,6 +107,57 @@ TEST_F(AggregateTest, GroupByExpression) {
   EXPECT_EQ(r.rows[1].At(1).AsInt(), 3);  // g=1,3 (odd): 3 rows
 }
 
+TEST_F(AggregateTest, GroupByMatchesFoldedExpressions) {
+  // Select-list and ORDER BY expressions match a GROUP BY expression once
+  // both are bound and folded, however their constants or qualifiers are
+  // written.
+  for (const char* sql : {"SELECT g + (1 + 1), count(*) FROM t GROUP BY g + 2 ORDER BY g + 2",
+                          "SELECT g + 2, count(*) FROM t GROUP BY g + (1 + 1) ORDER BY g + 2",
+                          "SELECT t.g + 2, count(*) FROM t GROUP BY g + 2 ORDER BY t.g + 2"}) {
+    Result<QueryResult> r = db_.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 3u) << sql;
+    EXPECT_EQ(r->rows[0].ToString(), "(3, 2)") << sql;
+    EXPECT_EQ(r->rows[1].ToString(), "(4, 2)") << sql;
+    EXPECT_EQ(r->rows[2].ToString(), "(5, 1)") << sql;
+  }
+}
+
+TEST_F(AggregateTest, FoldedBranchesKeepTheirBoundTypeThroughPlanning) {
+  // `1.5 / 0` folds to a NULL, but its DOUBLE stays the type of the CASE or
+  // COALESCE around it, and of the aggregate and group columns they feed,
+  // through planning: each of these reads DOUBLE values, in every mode.
+  Sql(&db_, "CREATE TABLE x (i INT, b BOOL)");
+  Sql(&db_, "INSERT INTO x VALUES (1, true), (5, true), (3, false), (NULL, NULL), (7, false)");
+  const std::string kCase = "CASE WHEN b THEN i ELSE 1.5 / 0 END";
+  for (size_t parallelism : {1, 4}) {
+    db_.set_parallelism(parallelism);
+    const std::string mode = "parallelism " + std::to_string(parallelism);
+    QueryResult r = Sql(&db_, "SELECT max(" + kCase + ") + 1, max(coalesce(i, NULL + 2.5)) + 1, "
+                              "sum(" + kCase + ") FROM x");
+    ASSERT_EQ(r.rows.size(), 1u) << mode;
+    EXPECT_EQ(r.rows[0].At(0).type(), TypeId::kDouble) << mode;
+    EXPECT_DOUBLE_EQ(r.rows[0].At(0).AsDouble(), 6.0) << mode;
+    EXPECT_DOUBLE_EQ(r.rows[0].At(1).AsDouble(), 8.0) << mode;
+    EXPECT_DOUBLE_EQ(r.rows[0].At(2).AsDouble(), 6.0) << mode;
+    r = Sql(&db_, "SELECT " + kCase + " + 1, count(*) FROM x GROUP BY " + kCase + " ORDER BY " +
+                      kCase);
+    ASSERT_EQ(r.rows.size(), 3u) << mode;
+    EXPECT_TRUE(r.rows[0].At(0).is_null()) << mode;
+    EXPECT_EQ(r.rows[0].At(1).AsInt(), 3) << mode;
+    EXPECT_DOUBLE_EQ(r.rows[1].At(0).AsDouble(), 2.0) << mode;
+    EXPECT_DOUBLE_EQ(r.rows[2].At(0).AsDouble(), 6.0) << mode;
+    r = Sql(&db_, "SELECT count(*) FROM x HAVING max(" + kCase + ") + 1 > 5.5");
+    ASSERT_EQ(r.rows.size(), 1u) << mode;
+    EXPECT_EQ(r.rows[0].At(0).AsInt(), 5) << mode;
+    r = Sql(&db_, "SELECT i FROM x WHERE b GROUP BY i ORDER BY max(" + kCase + ") + 1 DESC");
+    ASSERT_EQ(r.rows.size(), 2u) << mode;
+    EXPECT_EQ(r.rows[0].At(0).AsInt(), 5) << mode;
+    EXPECT_EQ(r.rows[1].At(0).AsInt(), 1) << mode;
+  }
+  db_.set_parallelism(1);
+}
+
 TEST_F(AggregateTest, MinMaxOnStrings) {
   Sql(&db_, "CREATE TABLE s (x TEXT)");
   Sql(&db_, "INSERT INTO s VALUES ('banana'), ('apple'), ('cherry')");
@@ -192,6 +243,44 @@ TEST_F(AggregateTest, SerialOutputIsInAscendingKeyOrder) {
     EXPECT_EQ(s.rows[1].At(0).AsString(), "a");
     EXPECT_EQ(s.rows[3].At(0).AsString(), "c");
   }
+}
+
+TEST_F(AggregateTest, BoolGroupKeysAndExtremes) {
+  // p is NULL on every 5th row, true on odd rows otherwise; q is true only
+  // where g % 3 = 0. BOOL keys group with NULL first, and MIN/MAX of a BOOL
+  // order false before true, in every batch size and parallelism.
+  Sql(&db_, "CREATE TABLE f (g INT, p BOOL, q BOOL)");
+  std::string insert = "INSERT INTO f VALUES ";
+  for (int g = 0; g < 3000; ++g) {
+    if (g > 0) insert += ", ";
+    const std::string p = g % 5 == 0 ? "NULL" : (g % 2 == 1 ? "true" : "false");
+    insert += "(" + std::to_string(g) + ", " + p + ", " + (g % 3 == 0 ? "true" : "false") + ")";
+  }
+  Sql(&db_, insert);
+  for (size_t parallelism : {1, 4}) {
+    for (size_t batch_size : {1, 7, 1024}) {
+      db_.set_parallelism(parallelism);
+      db_.set_batch_size(batch_size);
+      const std::string mode =
+          "parallelism " + std::to_string(parallelism) + ", batch " + std::to_string(batch_size);
+      QueryResult r = Sql(&db_,
+                          "SELECT p, count(*), min(q), max(q), min(g), max(g) FROM f "
+                          "GROUP BY p ORDER BY p");
+      ASSERT_EQ(r.rows.size(), 3u) << mode;
+      EXPECT_EQ(r.rows[0].ToString(), "(NULL, 600, false, true, 0, 2995)") << mode;
+      EXPECT_EQ(r.rows[1].ToString(), "(false, 1200, false, true, 2, 2998)") << mode;
+      EXPECT_EQ(r.rows[2].ToString(), "(true, 1200, false, true, 1, 2999)") << mode;
+      r = Sql(&db_, "SELECT g % 3, min(p), max(p), count(p) FROM f GROUP BY g % 3 ORDER BY g % 3");
+      ASSERT_EQ(r.rows.size(), 3u) << mode;
+      for (const Tuple& row : r.rows) {
+        EXPECT_EQ(row.ToString().substr(2), ", false, true, 800)") << mode;
+      }
+      r = Sql(&db_, "SELECT min(p), max(p), min(q AND p), max(p AND NOT q) FROM f WHERE g < 4");
+      ASSERT_EQ(r.rows.size(), 1u) << mode;
+      EXPECT_EQ(r.rows[0].ToString(), "(false, true, false, true)") << mode;
+    }
+  }
+  db_.set_parallelism(1);
 }
 
 /// A table big enough (~15 four-page morsels) that every parallel worker

@@ -208,6 +208,31 @@ TEST(ExpressionTest, AggregateDirectEvalIsError) {
   EXPECT_EQ(EvalOn(agg).status().code(), StatusCode::kInternal);
 }
 
+TEST(ExpressionTest, StoredValueOfAnotherTypeIsInternal) {
+  // Kernel lanes follow the bound type; every write is cast and checked
+  // against the schema, so a row holding another type is a producer's bug,
+  // reported, never converted or boxed.
+  Tuple row = TestRow();
+  row.MutableAt(0) = Value::Double(5.0);  // t.a is INT
+  row.MutableAt(2) = Value::String("x");  // t.c is DOUBLE
+  ExprPtr a = MakeColumnRef("t", "a");
+  ASSERT_TRUE(a->Bind(TestSchema()).ok());
+  Result<Value> v = EvalOn(*a, row);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().ToString(), "Internal: column t.a of type int64 holds double value 5");
+  ExprPtr sum = std::make_unique<ArithmeticExpr>(ArithOp::kAdd, MakeColumnRef("t", "c"),
+                                                 MakeLiteral(Value::Int(1)));
+  ASSERT_TRUE(sum->Bind(TestSchema()).ok());
+  v = EvalOn(*sum, row);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().ToString(), "Internal: column t.c of type double holds string value 'x'");
+  // NULLs of any type are NULL.
+  row.MutableAt(0) = Value::Null(TypeId::kString);
+  v = EvalOn(*a, row);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_TRUE(v->is_null());
+}
+
 TEST(ExpressionTest, OpHelpers) {
   EXPECT_EQ(SwapCompareOp(CompareOp::kLt), CompareOp::kGt);
   EXPECT_EQ(SwapCompareOp(CompareOp::kGe), CompareOp::kLe);

@@ -1,4 +1,5 @@
-// NormalizeLogicalPlan: constant folding and trivial-filter elimination.
+// Binding folds constants and NormalizeLogicalPlan drops the filters that fold
+// to a constant.
 #include <gtest/gtest.h>
 
 #include "expr/binder.h"

@@ -150,6 +150,31 @@ TEST_F(SelectivityTest, HistogramBeatsUniformOnSkew) {
   EXPECT_GT(uniform_err, 5.0);       // uniform is way off on the head
 }
 
+TEST_F(SelectivityTest, SingleValuedBucketsHoldTheirValueOnce) {
+  // h(a, b) holds (i % 10, i) for i < 2000, so each of a's ten values fills
+  // a bucket of its own (lo == hi): none of that bucket lies below its value,
+  // and an inclusive bound adds the value's rows once.
+  tu::Sql(&db_, "CREATE TABLE h (a INT, b INT)");
+  std::string insert = "INSERT INTO h VALUES ";
+  for (int i = 0; i < 2000; ++i) {
+    insert += (i > 0 ? ", (" : "(") + std::to_string(i % 10) + ", " + std::to_string(i) + ")";
+  }
+  tu::Sql(&db_, insert);
+  tu::Sql(&db_, "ANALYZE h");
+  TableInfo* h = *db_.catalog()->GetTable("h");
+  AliasMap aliases{{"h", h}};
+  SelectivityEstimator est(&aliases, StatsMode::kHistogram);
+  const std::pair<const char*, double> estimates[] = {
+      {"a > 8", 200}, {"a >= 8", 400}, {"a < 1", 200}, {"a <= 1", 400}};
+  for (const auto& [pred, rows] : estimates) {
+    Result<StatementPtr> stmt = ParseStatement(std::string("SELECT 1 FROM h WHERE ") + pred);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    Expression* where = static_cast<SelectStmt*>(stmt->get())->where.get();
+    ASSERT_TRUE(where->Bind(h->schema().WithQualifier("h")).ok()) << pred;
+    EXPECT_NEAR(est.EstimatePredicate(*where) * 2000, rows, 1e-9) << pred;
+  }
+}
+
 TEST_F(SelectivityTest, EquiJoinUsesMaxNdv) {
   SelectivityEstimator est(&aliases_, StatsMode::kSystemR);
   // t.k ndv ~100, u.k ndv ~10 -> 1/100.

@@ -121,6 +121,20 @@ TEST_F(SqlEndToEndTest, DistinctWithOrderBy) {
   }
 }
 
+TEST_F(SqlEndToEndTest, DistinctOrderByKeyIsFolded) {
+  // ORDER BY over DISTINCT binds against the selected columns and folds
+  // once, as every other clause does.
+  const std::string sql = "SELECT DISTINCT dept_id AS d FROM emp ORDER BY 0 - (d + (1 + 1))";
+  QueryResult plan = Sql(&db_, "EXPLAIN " + sql);
+  ASSERT_FALSE(plan.rows.empty());
+  EXPECT_EQ(plan.rows[0].At(0).AsString().rfind("Sort (0 - (d + 2))", 0), 0u)
+      << plan.rows[0].At(0).AsString();
+  QueryResult r = Sql(&db_, sql);
+  ASSERT_EQ(r.rows.size(), 10u);
+  EXPECT_EQ(r.rows[0].At(0).AsInt(), 9);
+  EXPECT_EQ(r.rows[9].At(0).AsInt(), 0);
+}
+
 TEST_F(SqlEndToEndTest, DistinctMultiColumn) {
   Sql(&db_, "CREATE TABLE d (a INT, b INT)");
   Sql(&db_, "INSERT INTO d VALUES (1,1), (1,1), (1,2), (2,1), (2,1)");

@@ -147,14 +147,61 @@ TEST_F(StatementRobustnessTest, BadValuesExpressionFailsAsInASelectList) {
   EXPECT_EQ(BigRows(), before);
 }
 
-// Constant folding binds a constant subtree before it evaluates it, so a
-// type error in one is the binder's TypeError.
+// Expressions are bound before they are folded, so a type error in a
+// constant subtree is the binder's TypeError.
 TEST_F(StatementRobustnessTest, FoldingANonBooleanNotFailsCleanly) {
   for (const char* sql : {"SELECT NOT 1", "SELECT a FROM big WHERE NOT 1"}) {
     Result<QueryResult> r = db_.Execute(sql);
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_EQ(r.status().ToString(), "TypeError: logical operand 1 is not boolean") << sql;
   }
+}
+
+TEST_F(StatementRobustnessTest, ConstantDecidersKeepTheTypeErrorsTheyMakeDead) {
+  // Every expression is type-checked at bind, before folding, so a constant
+  // that decides an AND or a CASE does not hide the type error of the operand
+  // it makes dead: each statement fails as its column form does, in a SELECT
+  // list, in WHERE and in INSERT ... VALUES, which writes no row.
+  Sql(&db_, "CREATE TABLE t (i INT, b BOOL, s TEXT)");
+  Sql(&db_, "INSERT INTO t VALUES (1, true, 'x')");
+  struct Pair {
+    const char* constant;
+    const char* column;
+    const char* error;
+  };
+  const Pair pairs[] = {
+      {"CASE WHEN TRUE THEN 1 ELSE 'x' END", "CASE WHEN b THEN 1 ELSE 'x' END",
+       "TypeError: CASE branches mix incompatible types int64 and string"},
+      {"CASE WHEN FALSE THEN 'x' ELSE 1 END", "CASE WHEN b THEN 'x' ELSE 1 END",
+       "TypeError: CASE branches mix incompatible types string and int64"},
+      {"FALSE AND (1 < 'x')", "b AND (1 < 'x')",
+       "TypeError: cannot compare 1 (int64) with 'x' (string)"},
+      {"TRUE OR NOT 'x'", "b OR NOT 'x'", "TypeError: logical operand 'x' is not boolean"},
+  };
+  for (const Pair& p : pairs) {
+    for (const std::string& shape :
+         {std::string("SELECT %s FROM t"), std::string("SELECT i FROM t WHERE %s")}) {
+      const size_t at = shape.find("%s");
+      const std::string constant = std::string(shape).replace(at, 2, p.constant);
+      const std::string column = std::string(shape).replace(at, 2, p.column);
+      Result<QueryResult> want = db_.Execute(column);
+      ASSERT_FALSE(want.ok()) << column;
+      EXPECT_EQ(want.status().ToString(), p.error) << column;
+      Result<QueryResult> got = db_.Execute(constant);
+      ASSERT_FALSE(got.ok()) << constant;
+      EXPECT_EQ(got.status().ToString(), p.error) << constant;
+    }
+    const std::string insert =
+        std::string("INSERT INTO t VALUES (2, false, 'y'), (3, ") + p.constant + ", 'z')";
+    Result<QueryResult> r = db_.Execute(insert);
+    ASSERT_FALSE(r.ok()) << insert;
+    EXPECT_EQ(r.status().ToString(), p.error) << insert;
+    EXPECT_EQ(Sql(&db_, "SELECT count(*) FROM t").rows[0].At(0).AsInt(), 1) << insert;
+  }
+  // A constant FALSE does not hide the aggregate it would drop either.
+  Result<QueryResult> r = db_.Execute("SELECT count(*) FROM t WHERE FALSE AND count(*) > 0");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "BindError: aggregate calls are not allowed in WHERE");
 }
 
 TEST_F(StatementRobustnessTest, MinDividedByMinusOneRaises) {

@@ -63,11 +63,6 @@ TEST(ValueTest, NullsSortFirst) {
   EXPECT_EQ(*Value::Null().Compare(Value::Null()), 0);
 }
 
-TEST(ValueTest, HashConsistentForEqualNumerics) {
-  EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
-  EXPECT_EQ(Value::String("abc").Hash(), Value::String("abc").Hash());
-}
-
 TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Int(-7).ToString(), "-7");

@@ -44,6 +44,17 @@ class VectorEvalTest : public ::testing::Test {
     Sql(&db_, "CREATE TABLE edge (a INT)");
     Sql(&db_, "INSERT INTO edge VALUES (1), (9223372036854775800), (-9223372036854775807), "
               "(NULL), (-5), (7)");
+    // BOOL columns with NULLs: p is NULL on every 5th row, q on every 7th.
+    Sql(&db_, "CREATE TABLE flags (id INT, p BOOL, q BOOL, n INT)");
+    std::string insert = "INSERT INTO flags VALUES ";
+    for (int i = 0; i < 300; ++i) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " +
+                (i % 5 == 0 ? "NULL" : (i % 3 == 0 ? "true" : "false")) + ", " +
+                (i % 7 == 0 ? "NULL" : (i % 2 == 0 ? "true" : "false")) + ", " +
+                std::to_string(i % 11) + ")";
+    }
+    Sql(&db_, insert);
   }
 
   /// The bound select-list expression of "SELECT <expr> FROM <table>".
@@ -150,6 +161,38 @@ TEST_F(VectorEvalTest, ExpressionCorpusMatchesInterpreter) {
   ASSERT_EQ(rows.size(), 2000u);
   for (const char* e : exprs) {
     const Expression* expr = Bind(e, "t");
+    ASSERT_NE(expr, nullptr) << e;
+    ExpectKernelMatchesReference(expr, rows, e);
+  }
+}
+
+TEST_F(VectorEvalTest, BoolColumnsMatchInterpreter) {
+  // BOOL lanes hold 0/1 with a NULL byte: logic, BOOL-valued CASE and
+  // COALESCE/NULLIF, comparisons of BOOLs (false < true) and IS NULL.
+  const char* const exprs[] = {
+      "p",
+      "NOT p",
+      "p AND q",
+      "p OR q",
+      "NOT p OR q AND n > 5",
+      "(p OR n < 3) AND NOT (q AND n > 8)",
+      "CASE WHEN p THEN q ELSE NOT q END",
+      "CASE WHEN n > 7 THEN p WHEN n > 3 THEN q END",
+      "p = q",
+      "p <> q",
+      "p < q",
+      "p >= true",
+      "(n > 5) = p",
+      "p IS NULL",
+      "q IS NOT NULL",
+      "(p AND q) IS NULL",
+      "coalesce(p, q, false)",
+      "nullif(p, q)",
+  };
+  const std::vector<Tuple> rows = Rows("flags");
+  ASSERT_EQ(rows.size(), 300u);
+  for (const char* e : exprs) {
+    const Expression* expr = Bind(e, "flags");
     ASSERT_NE(expr, nullptr) << e;
     ExpectKernelMatchesReference(expr, rows, e);
   }
