@@ -116,11 +116,13 @@ echo "== tsan build (concurrency tests) =="
 # and index nested-loop joins read heap rows by RID through the cursor, so
 # they take heap page latches inside joins too: BTree, AccessPath,
 # KeyExactness, IndexRange and IndexIo run them, and the same latch rule is
-# checked there.
+# checked there. ColumnPruning runs pruned plans at parallelism 4: Gather
+# workers decode narrow scan rows, build narrow join rows and share hash
+# tables of pruned build rows, zero-width ones included.
 cmake -B build-tsan -S . -DRELOPT_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile|DmlDifferential|BTree|AccessPath|KeyExactness|IndexRange|IndexIo'
+  -R 'ThreadPool|BufferPoolStress|ParallelDifferential|Vectorized|Aggregate|Metrics|QueryHistory|Introspection|LoggingConcurrency|PlanCache|PreparedStatement|SessionConcurrency|SessionHistory|Feedback|JoinMethodMatrix|VectorEval|StatementRobustness|SortExec|JoinExec|Catalog|HeapFile|DmlDifferential|BTree|AccessPath|KeyExactness|IndexRange|IndexIo|ColumnPruning'
 
 echo "== metrics smoke (tsan) =="
 # Same attribution check with instrumented atomics: counter updates come from

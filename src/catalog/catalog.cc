@@ -136,11 +136,12 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   HeapFile::PageCursor cursor(table->heap());
   RELOPT_RETURN_NOT_OK(cursor.Rewind());
   const size_t num_cols = table->schema().NumColumns();
+  const std::vector<uint32_t> columns = AllColumns(num_cols);
   TupleBatch batch;
   bool more = true;
   while (more) {
     batch.Clear();
-    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(num_cols, &batch, /*with_rid=*/true));
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(num_cols, columns, &batch, /*with_rid=*/true));
     for (size_t r = 0; r < batch.NumRows(); ++r) {
       const Tuple& row = batch.RowAt(r);
       NoteKey(info.get(), row);
@@ -210,12 +211,14 @@ Status Catalog::AnalyzeTable(const std::string& table_name, size_t num_buckets) 
   StatsBuilder builder(table->schema(), num_buckets);
   HeapFile::PageCursor cursor(table->heap());
   RELOPT_RETURN_NOT_OK(cursor.Rewind());
+  const size_t num_cols = table->schema().NumColumns();
+  const std::vector<uint32_t> columns = AllColumns(num_cols);
   TupleBatch batch;
   uint64_t rows = 0;
   bool more = true;
   while (more) {
     batch.Clear();
-    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(table->schema().NumColumns(), &batch));
+    RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(num_cols, columns, &batch));
     for (size_t r = 0; r < batch.NumRows(); ++r) builder.AddRow(batch.MutableRowAt(r));
     rows += batch.NumRows();
   }

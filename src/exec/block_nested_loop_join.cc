@@ -47,7 +47,7 @@ Result<bool> BlockNestedLoopJoinExecutor::NextCandidates(TupleBatch* out) {
       }
       block_idx_ = 0;
     }
-    out->AppendRow()->Concat(block_[block_idx_++].values(), inner_.row()->values());
+    row_builder_.Build(block_[block_idx_++].values(), inner_.row()->values(), out->AppendRow());
   }
   return true;
 }

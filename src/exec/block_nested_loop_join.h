@@ -13,17 +13,20 @@ namespace relopt {
 /// N_outer inner scans into ceil(P_outer / B) of them. `block_pages` = 0 makes
 /// one-row blocks: the nested loop join, which re-scans the inner once per
 /// outer row. The inner child's re-scan really re-reads pages, so measured
-/// I/O matches the classic cost shapes.
+/// I/O matches the classic cost shapes. Output rows are the `columns` of
+/// `outer ++ inner`, and `predicate` is bound to them.
 class BlockNestedLoopJoinExecutor : public Executor {
  public:
   BlockNestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, ExecutorPtr inner,
-                              const Expression* predicate, size_t block_pages)
-      : Executor(ctx, Schema::Concat(outer->schema(), inner->schema())),
+                              const Expression* predicate, size_t block_pages,
+                              std::span<const uint32_t> columns)
+      : Executor(ctx, Schema::Concat(outer->schema(), inner->schema(), columns)),
         outer_child_(std::move(outer)),
         inner_child_(std::move(inner)),
         outer_(outer_child_.get(), ctx->batch_size()),
         inner_(inner_child_.get(), ctx->batch_size()),
         predicate_(predicate),
+        row_builder_(columns, outer_child_->schema().NumColumns()),
         block_bytes_(block_pages * kPageSize) {}
 
   Status InitImpl() override;
@@ -41,6 +44,7 @@ class BlockNestedLoopJoinExecutor : public Executor {
   RowCursor outer_;
   RowCursor inner_;
   BatchPredicate predicate_;
+  JoinRowBuilder row_builder_;
   size_t block_bytes_;
 
   std::vector<Tuple> block_;

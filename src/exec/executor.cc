@@ -92,6 +92,24 @@ void ExecContext::ReleaseScratchHeap(FileId file_id) {
   pool_->disk()->DeleteFile(file_id);
 }
 
+Result<ScanColumns> ScanColumns::Of(const Schema& schema, const Schema& table) {
+  ScanColumns out;
+  for (const Column& col : schema.columns()) {
+    if (out.with_rid) return Status::Internal("scan column after #rid: " + col.name);
+    if (col.name == "#rid") {
+      out.with_rid = true;
+      continue;
+    }
+    Result<size_t> ordinal = table.IndexOf(col.name);
+    if (!ordinal.ok() || (!out.columns.empty() && *ordinal <= out.columns.back())) {
+      return Status::Internal("scan column " + col.QualifiedName() +
+                              " is not the table's next column");
+    }
+    out.columns.push_back(static_cast<uint32_t>(*ordinal));
+  }
+  return out;
+}
+
 size_t ExecContext::operator_memory_pages() const {
   size_t cap = pool_->capacity();
   // Reserve a handful of frames for concurrently pinned I/O pages.

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -316,6 +317,50 @@ class RowCursor {
   size_t pos_ = 0;
   bool done_ = false;
   Tuple* row_ = nullptr;
+};
+
+/// \brief The joins' one row path: builds each output row from the chosen
+/// columns of a left and a right input row, into a recycled Tuple. A join
+/// emits only the columns its plan reads; with none chosen its rows are
+/// zero-width.
+class JoinRowBuilder {
+ public:
+  /// `columns` are ascending positions in `left ++ right`, whose left rows
+  /// are `left_width` values wide.
+  JoinRowBuilder(std::span<const uint32_t> columns, size_t left_width) {
+    for (uint32_t c : columns) {
+      if (c < left_width) {
+        left_.push_back(c);
+      } else {
+        right_.push_back(static_cast<uint32_t>(c - left_width));
+      }
+    }
+  }
+
+  /// Replaces `out`'s values with the chosen columns of `left`, then those
+  /// of `right`. Neither row may be `out`'s own values.
+  void Build(std::span<const Value> left, std::span<const Value> right, Tuple* out) const {
+    out->Clear();
+    out->Reserve(left_.size() + right_.size());
+    for (uint32_t c : left_) out->Append(left[c]);
+    for (uint32_t c : right_) out->Append(right[c]);
+  }
+
+ private:
+  std::vector<uint32_t> left_;   ///< chosen positions in a left row
+  std::vector<uint32_t> right_;  ///< chosen positions in a right row
+};
+
+/// What a read of `table`'s records decodes to produce rows of `schema`:
+/// the table columns `schema` names, found by name, in schema order (which
+/// must be table order), and whether `schema` holds the binder's `#rid`
+/// column, which must come last. Internal if `schema` names a column
+/// `table` lacks.
+struct ScanColumns {
+  std::vector<uint32_t> columns;
+  bool with_rid = false;
+
+  static Result<ScanColumns> Of(const Schema& schema, const Schema& table);
 };
 
 }  // namespace relopt

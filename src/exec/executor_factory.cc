@@ -152,18 +152,22 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       // A nested-loop join is a block nested-loop join of one-row blocks.
       const Expression* predicate;
       size_t block_pages = 0;
+      std::span<const uint32_t> columns;
       if (plan->kind() == PhysicalNodeKind::kNestedLoopJoin) {
-        predicate = static_cast<const PhysNestedLoopJoin*>(plan)->predicate();
+        const auto* node = static_cast<const PhysNestedLoopJoin*>(plan);
+        predicate = node->predicate();
+        columns = node->columns();
       } else {
         const auto* node = static_cast<const PhysBlockNestedLoopJoin*>(plan);
         predicate = node->predicate();
         block_pages = node->block_pages();
+        columns = node->columns();
       }
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr outer, build_child(0));
       // The inner is re-Init per outer block; never put a Gather there.
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr inner, build_child(1, false));
       return Register(ctx, plan, std::make_unique<BlockNestedLoopJoinExecutor>(
-          ctx, std::move(outer), std::move(inner), predicate, block_pages));
+          ctx, std::move(outer), std::move(inner), predicate, block_pages, columns));
     }
     case PhysicalNodeKind::kIndexNestedLoopJoin: {
       const auto* node = static_cast<const PhysIndexNestedLoopJoin*>(plan);
@@ -178,7 +182,7 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       }
       return Register(ctx, plan, std::make_unique<IndexNestedLoopJoinExecutor>(
           ctx, std::move(outer), table, index, node->inner_schema(), std::move(outer_keys),
-          node->residual()));
+          node->residual(), node->columns()));
     }
     case PhysicalNodeKind::kSortMergeJoin: {
       const auto* node = static_cast<const PhysSortMergeJoin*>(plan);
@@ -186,7 +190,7 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr right, build_child(1));
       return Register(ctx, plan, std::make_unique<SortMergeJoinExecutor>(
           ctx, std::move(left), std::move(right), node->left_keys(), node->right_keys(),
-          node->residual()));
+          node->residual(), node->columns()));
     }
     case PhysicalNodeKind::kHashJoin: {
       const auto* node = static_cast<const PhysHashJoin*>(plan);
@@ -194,7 +198,7 @@ Result<ExecutorPtr> BuildExecutor(ExecContext* ctx, const PhysicalNode* plan,
       RELOPT_ASSIGN_OR_RETURN(ExecutorPtr probe, build_child(1));
       return Register(ctx, plan, std::make_unique<HashJoinExecutor>(
           ctx, std::move(build), std::move(probe), node->build_keys(), node->probe_keys(),
-          node->residual(), node->output_probe_first(),
+          node->residual(), node->output_probe_first(), node->columns(),
           SharedState<SharedHashJoinState>(worker, plan), worker.index));
     }
     case PhysicalNodeKind::kSort: {

@@ -48,15 +48,19 @@ void JoinTable::Clear() {
 HashJoinExecutor::HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
                                    std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
                                    const Expression* residual, bool output_probe_first,
+                                   std::span<const uint32_t> columns,
                                    std::shared_ptr<SharedHashJoinState> shared, size_t worker)
-    : Executor(ctx, output_probe_first ? Schema::Concat(probe->schema(), build->schema())
-                                       : Schema::Concat(build->schema(), probe->schema())),
+    : Executor(ctx, output_probe_first ? Schema::Concat(probe->schema(), build->schema(), columns)
+                                       : Schema::Concat(build->schema(), probe->schema(), columns)),
       build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)),
       residual_(residual),
       output_probe_first_(output_probe_first),
+      row_builder_(columns, (output_probe_first ? probe_ : build_)->schema().NumColumns()),
+      all_build_columns_(AllColumns(build_->schema().NumColumns())),
+      all_probe_columns_(AllColumns(probe_->schema().NumColumns())),
       shared_(shared != nullptr ? std::move(shared) : std::make_shared<SharedHashJoinState>(1)),
       worker_(worker),
       probe_batch_(ctx->batch_size()) {
@@ -169,7 +173,8 @@ Status HashJoinExecutor::LoadPartition() {
     bool more = true;
     while (more) {
       batch.Clear();
-      RELOPT_ASSIGN_OR_RETURN(more, cursor.NextBatch(build_->schema().NumColumns(), &batch));
+      RELOPT_ASSIGN_OR_RETURN(
+          more, cursor.NextBatch(all_build_columns_.size(), all_build_columns_, &batch));
       RELOPT_RETURN_NOT_OK(ComputeJoinKeys(batch, build_keys_, exact_int_, &keys));
       for (size_t k = 0; k < batch.NumSelected(); ++k) {
         table.Add(batch.MutableRowAt(k), *keys[k], GroupTable::Hash(*keys[k]));
@@ -202,8 +207,9 @@ Result<bool> HashJoinExecutor::RefillProbeBatch() {
         RELOPT_RETURN_NOT_OK(LoadPartition());
       }
       if (part_probe_cursor_ == nullptr) return false;
-      RELOPT_ASSIGN_OR_RETURN(
-          bool more, part_probe_cursor_->NextBatch(probe_->schema().NumColumns(), &probe_batch_));
+      RELOPT_ASSIGN_OR_RETURN(bool more,
+                              part_probe_cursor_->NextBatch(all_probe_columns_.size(),
+                                                            all_probe_columns_, &probe_batch_));
       probe_done_ = !more;
     }
   }
@@ -224,11 +230,10 @@ Result<bool> HashJoinExecutor::NextCandidates(TupleBatch* out) {
       do {
         if (out->Full()) return true;
         std::span<const Value> build_row = match_table_->row(match_);
-        Tuple* row = out->AppendRow();
         if (output_probe_first_) {
-          row->Concat(probe_row, build_row);
+          row_builder_.Build(probe_row, build_row, out->AppendRow());
         } else {
-          row->Concat(build_row, probe_row);
+          row_builder_.Build(build_row, probe_row, out->AppendRow());
         }
         match_ = match_table_->FindNext(match_, key, probe_hash_);
       } while (match_ != JoinTable::kEnd);

@@ -139,11 +139,14 @@ class SharedHashJoinState : public PhasedSharedState {
 /// in-memory only.
 class HashJoinExecutor : public Executor {
  public:
-  /// A null `shared` makes the one-worker join; otherwise this is worker
-  /// `worker` of the siblings sharing `shared`.
+  /// Output rows are the `columns` of (probe ++ build) if
+  /// `output_probe_first`, else of (build ++ probe), and `residual` is bound
+  /// to them. A null `shared` makes the one-worker join; otherwise this is
+  /// worker `worker` of the siblings sharing `shared`.
   HashJoinExecutor(ExecContext* ctx, ExecutorPtr build, ExecutorPtr probe,
                    std::vector<size_t> build_keys, std::vector<size_t> probe_keys,
                    const Expression* residual, bool output_probe_first,
+                   std::span<const uint32_t> columns,
                    std::shared_ptr<SharedHashJoinState> shared = nullptr, size_t worker = 0);
 
   Status InitImpl() override;
@@ -183,6 +186,9 @@ class HashJoinExecutor : public Executor {
   std::vector<bool> exact_int_;  ///< per key pair: INT on both sides
   BatchPredicate residual_;
   bool output_probe_first_;
+  JoinRowBuilder row_builder_;
+  std::vector<uint32_t> all_build_columns_;  ///< a Grace build partition's record fields
+  std::vector<uint32_t> all_probe_columns_;  ///< a Grace probe partition's record fields
   std::shared_ptr<SharedHashJoinState> shared_;
   size_t worker_;
 

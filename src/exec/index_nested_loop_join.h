@@ -9,20 +9,14 @@ namespace relopt {
 class IndexNestedLoopJoinExecutor : public Executor {
  public:
   /// The outer columns `outer_keys` give the probe key; they must align with
-  /// a prefix of `index`'s key columns. `residual` is bound to the
-  /// concatenated schema.
+  /// a prefix of `index`'s key columns. Each fetched inner row is decoded
+  /// into the columns of `inner_schema` (ScanColumns), which must hold those
+  /// key columns; the output rows are the `columns` of
+  /// `outer ++ inner_schema`, and `residual` is bound to them.
   IndexNestedLoopJoinExecutor(ExecContext* ctx, ExecutorPtr outer, TableInfo* inner_table,
-                              IndexInfo* index, Schema inner_schema,
-                              std::vector<size_t> outer_keys, const Expression* residual)
-      : Executor(ctx, Schema::Concat(outer->schema(), inner_schema)),
-        outer_child_(std::move(outer)),
-        outer_(outer_child_.get(), ctx->batch_size()),
-        inner_table_(inner_table),
-        index_(index),
-        outer_keys_(std::move(outer_keys)),
-        residual_(residual),
-        inner_cursor_(inner_table->heap()),
-        inner_rows_(ctx->batch_size()) {}
+                              IndexInfo* index, const Schema& inner_schema,
+                              std::vector<size_t> outer_keys, const Expression* residual,
+                              std::span<const uint32_t> columns);
 
   Status InitImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -43,6 +37,9 @@ class IndexNestedLoopJoinExecutor : public Executor {
   IndexInfo* index_;
   std::vector<size_t> outer_keys_;
   BatchPredicate residual_;
+  Result<ScanColumns> inner_columns_;
+  std::vector<size_t> inner_keys_;  ///< the probed key columns' positions in an inner row
+  JoinRowBuilder row_builder_;
 
   std::vector<Value> key_values_;
   std::vector<Rid> matches_;

@@ -14,10 +14,11 @@ IndexScanExecutor::IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo*
       hi_(std::move(hi)),
       hi_inclusive_(hi_inclusive),
       residual_(residual),
-      with_rid_(schema_.NumColumns() > table->schema().NumColumns()),
+      columns_(ScanColumns::Of(schema_, table->schema())),
       cursor_(table->heap()) {}
 
 Status IndexScanExecutor::InitImpl() {
+  RELOPT_RETURN_NOT_OK(columns_.status());
   RELOPT_ASSIGN_OR_RETURN(BTree::Iterator it,
                           BTree::Iterator::Seek(index_->tree.get(), lo_, lo_inclusive_, hi_,
                                                 hi_inclusive_));
@@ -36,8 +37,8 @@ Result<bool> IndexScanExecutor::NextBatchImpl(TupleBatch* out) {
       RELOPT_ASSIGN_OR_RETURN(more, iter_->Next(&key, &rid));
       if (more) rids_.push_back(rid);
     }
-    RELOPT_RETURN_NOT_OK(
-        cursor_.ReadBatch(rids_, table_->schema().NumColumns(), out, with_rid_));
+    RELOPT_RETURN_NOT_OK(cursor_.ReadBatch(rids_, table_->schema().NumColumns(),
+                                           columns_->columns, out, columns_->with_rid));
     return more;
   });
 }

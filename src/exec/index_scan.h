@@ -12,8 +12,8 @@ class IndexScanExecutor : public Executor {
  public:
   /// Bounds are encoded composite key prefixes (see types/key_codec.h);
   /// nullopt = open. `residual` (optional, bound to `schema`) compacts each
-  /// batch of fetched rows. A `schema` one column wider than `table` gets
-  /// each row's packed RID as its last value, as SeqScanExecutor does.
+  /// batch of fetched rows. Each row holds the columns of `schema`, decoded
+  /// and ended by a `#rid` as SeqScanExecutor's are.
   IndexScanExecutor(ExecContext* ctx, Schema schema, TableInfo* table, IndexInfo* index,
                     std::optional<std::string> lo, bool lo_inclusive,
                     std::optional<std::string> hi, bool hi_inclusive, const Expression* residual);
@@ -29,7 +29,7 @@ class IndexScanExecutor : public Executor {
   std::optional<std::string> hi_;
   bool hi_inclusive_;
   BatchPredicate residual_;
-  const bool with_rid_;
+  Result<ScanColumns> columns_;
   std::optional<BTree::Iterator> iter_;
   HeapFile::PageCursor cursor_;
   std::vector<Rid> rids_;  ///< the RIDs of the rows a fill reads

@@ -8,10 +8,11 @@ SeqScanExecutor::SeqScanExecutor(ExecContext* ctx, Schema schema, TableInfo* tab
       source_(source != nullptr ? std::move(source)
                                 : std::make_shared<MorselSource>(1, table->heap())),
       cursor_(source_->heap()),
-      num_cols_(table->schema().NumColumns()),
-      with_rid_(schema_.NumColumns() > num_cols_) {}
+      num_fields_(table->schema().NumColumns()),
+      columns_(ScanColumns::Of(schema_, table->schema())) {}
 
 Status SeqScanExecutor::InitImpl() {
+  RELOPT_RETURN_NOT_OK(columns_.status());
   RELOPT_RETURN_NOT_OK(cursor_.Close());
   source_->ResetIfSerial();
   done_ = false;
@@ -20,7 +21,8 @@ Status SeqScanExecutor::InitImpl() {
 
 Result<bool> SeqScanExecutor::NextBatchImpl(TupleBatch* out) {
   while (true) {
-    RELOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextBatch(num_cols_, out, with_rid_));
+    RELOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextBatch(num_fields_, columns_->columns, out,
+                                                         columns_->with_rid));
     if (more) return true;
     PageNo begin, end;
     if (done_ || !source_->NextMorsel(&begin, &end)) {

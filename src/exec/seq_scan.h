@@ -57,9 +57,10 @@ class MorselSource : public ParallelSharedState {
 /// claims every morsel, so it returns the rows in page order.
 class SeqScanExecutor : public Executor {
  public:
-  /// `schema` is the alias-qualified output schema; one column more than
-  /// `table` has makes the scan add each row's packed RID (Rid::Pack) as
-  /// its last value, the binder's `#rid` column. A null `source` makes
+  /// `schema` is the alias-qualified output schema: the table columns the
+  /// plan reads, in table order (ScanColumns), of which the scan decodes
+  /// only those, and, if it ends with the binder's `#rid` column, each
+  /// row's packed RID (Rid::Pack). A null `source` makes
   /// the one-worker scan, which owns a source over `table`'s heap and
   /// rewinds it in every Init (nested-loop inners re-scan this way);
   /// otherwise `source` is shared with the sibling workers and must outlive
@@ -76,8 +77,8 @@ class SeqScanExecutor : public Executor {
  private:
   std::shared_ptr<MorselSource> source_;
   HeapFile::PageCursor cursor_;
-  const size_t num_cols_;  ///< the table's columns
-  const bool with_rid_;
+  const size_t num_fields_;  ///< the table's columns
+  Result<ScanColumns> columns_;
   bool done_ = false;  ///< the source has no more morsels
 };
 

@@ -68,7 +68,8 @@ Result<bool> SortMergeJoinExecutor::NextCandidates(TupleBatch* out) {
       // Emit the left row x group_ until the group is exhausted, then advance
       // the left side; if its key still equals the group key, replay.
       if (group_idx_ < group_.size()) {
-        out->AppendRow()->Concat(left_.row()->values(), group_[group_idx_++].values());
+        row_builder_.Build(left_.row()->values(), group_[group_idx_++].values(),
+                           out->AppendRow());
         continue;
       }
       RELOPT_ASSIGN_OR_RETURN(have_left_, AdvanceLeft());

@@ -14,20 +14,22 @@ namespace relopt {
 /// The merge stops reading one input as soon as the other ends, so it pulls
 /// each input one row per batch: it reads exactly the rows it needs, and its
 /// inputs' row counts and page reads do not depend on the batch size (LIMIT
-/// caps its child's batch for the same reason).
+/// caps its child's batch for the same reason). Output rows are the
+/// `columns` of `left ++ right`, and `residual` is bound to them.
 class SortMergeJoinExecutor : public Executor {
  public:
   SortMergeJoinExecutor(ExecContext* ctx, ExecutorPtr left, ExecutorPtr right,
                         std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-                        const Expression* residual)
-      : Executor(ctx, Schema::Concat(left->schema(), right->schema())),
+                        const Expression* residual, std::span<const uint32_t> columns)
+      : Executor(ctx, Schema::Concat(left->schema(), right->schema(), columns)),
         left_child_(std::move(left)),
         right_child_(std::move(right)),
         left_(left_child_.get(), 1),
         right_(right_child_.get(), 1),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
-        residual_(residual) {}
+        residual_(residual),
+        row_builder_(columns, left_child_->schema().NumColumns()) {}
 
   Status InitImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -51,6 +53,7 @@ class SortMergeJoinExecutor : public Executor {
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   BatchPredicate residual_;
+  JoinRowBuilder row_builder_;
 
   bool have_left_ = false;
   bool have_right_ = false;

@@ -166,7 +166,8 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
   return paths;
 }
 
-Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPath& path) {
+Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPath& path,
+                                        std::vector<bool>* columns) {
   const BaseRelation& rel = graph.relations[path.rel_index];
 
   // Residual: every conjunct not consumed as an index bound.
@@ -178,8 +179,23 @@ Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPat
     residual.push_back(rel.conjuncts[ci]->Clone());
   }
   ExprPtr residual_expr = CombineConjuncts(std::move(residual));
+
+  // The scan emits the columns read above it and by its residual.
+  Schema schema = rel.schema;
+  if (columns != nullptr) {
+    if (residual_expr) {
+      RELOPT_RETURN_NOT_OK(residual_expr->ResolveColumns(rel.schema));
+      std::vector<const ColumnRefExpr*> refs;
+      residual_expr->CollectColumnRefs(&refs);
+      for (const ColumnRefExpr* ref : refs) (*columns)[ref->bound_index()] = true;
+    }
+    schema = Schema();
+    for (size_t c = 0; c < columns->size(); ++c) {
+      if ((*columns)[c]) schema.AddColumn(rel.schema.ColumnAt(c));
+    }
+  }
   if (residual_expr) {
-    RELOPT_RETURN_NOT_OK(residual_expr->ResolveColumns(rel.schema));
+    RELOPT_RETURN_NOT_OK(residual_expr->ResolveColumns(schema));
   }
 
   // The node whose actual output feeds the feedback store is the one that
@@ -188,7 +204,7 @@ Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPat
 
   if (path.index == nullptr) {
     PhysicalPtr scan =
-        std::make_unique<PhysSeqScan>(rel.table->name(), rel.alias, rel.schema);
+        std::make_unique<PhysSeqScan>(rel.table->name(), rel.alias, std::move(schema));
     scan->SetEstimates(path.out_rows, path.cost);
     if (residual_expr) {
       PhysicalPtr filter =
@@ -202,7 +218,7 @@ Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPat
   }
 
   auto scan = std::make_unique<PhysIndexScan>(rel.table->name(), rel.alias, path.index->name,
-                                              rel.schema);
+                                              std::move(schema));
   scan->lo_values = path.lo_values;
   scan->lo_inclusive = path.lo_inclusive;
   scan->hi_values = path.hi_values;

@@ -38,7 +38,11 @@ Result<std::vector<AccessPath>> EnumerateAccessPaths(const QueryGraph& graph, in
                                                      PlanTrace* trace = nullptr);
 
 /// Builds the physical subplan for one access path (scan node, residual
-/// filter attached), with estimates filled in.
-Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPath& path);
+/// filter attached), with estimates filled in. `columns` (indexed by the
+/// relation's schema) marks the columns read above the scan; the scan emits
+/// those and the ones its residual reads, in table order, and marks them on
+/// return. Null emits every column.
+Result<PhysicalPtr> BuildAccessPathPlan(const QueryGraph& graph, const AccessPath& path,
+                                        std::vector<bool>* columns = nullptr);
 
 }  // namespace relopt

@@ -65,6 +65,15 @@ JoinEnumerator::JoinEnumerator(const QueryGraph* graph, const SelectivityEstimat
 // --- resolving the query graph ------------------------------------------------
 
 int JoinEnumerator::InternColumn(int rel, const std::string& alias, const std::string& name) {
+  if (rel >= 0) {
+    Result<size_t> ordinal = graph_->relations[rel].schema.IndexOf(name);
+    if (ordinal.ok()) {
+      const int id = rels_[rel].first_column + static_cast<int>(*ordinal);
+      Column& c = columns_[id];
+      if (c.ndv < 0) c.ndv = estimator_->ColumnNdv(alias, name);
+      return id;
+    }
+  }
   for (size_t i = 0; i < columns_.size(); ++i) {
     const Column& c = columns_[i];
     if (c.rel == rel && EqualsIgnoreCase(c.name, name) &&
@@ -75,6 +84,28 @@ int JoinEnumerator::InternColumn(int rel, const std::string& alias, const std::s
   const double ndv = rel >= 0 ? estimator_->ColumnNdv(alias, name) : 0;
   columns_.push_back(Column{rel, alias, name, ndv});
   return static_cast<int>(columns_.size() - 1);
+}
+
+int JoinEnumerator::ColumnId(const std::string& table, const std::string& name) const {
+  const int rel = graph_->RelIndex(table);
+  if (rel < 0) return -1;
+  Result<size_t> ordinal = graph_->relations[rel].schema.IndexOf(name);
+  return ordinal.ok() ? rels_[rel].first_column + static_cast<int>(*ordinal) : -1;
+}
+
+std::vector<int> JoinEnumerator::ColumnsOf(const Expression& expr) const {
+  std::vector<const ColumnRefExpr*> refs;
+  expr.CollectColumnRefs(&refs);
+  std::vector<int> out;
+  for (const ColumnRefExpr* ref : refs) {
+    const int id = ColumnId(ref->table(), ref->name());
+    if (id >= 0) out.push_back(id);
+  }
+  return out;
+}
+
+void JoinEnumerator::MarkReads(const Expression& expr, std::vector<bool>* out) const {
+  for (int id : ColumnsOf(expr)) (*out)[id] = true;
 }
 
 int JoinEnumerator::InternOrder(const Order& order) {
@@ -109,9 +140,11 @@ OrderSpec JoinEnumerator::ToOrderSpec(int order) const {
   return out;
 }
 
-Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order) {
+Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order,
+                                    const std::vector<ColumnName>& reads) {
   const int n = static_cast<int>(graph_->relations.size());
   columns_.clear();
+  output_columns_.clear();
   edges_.clear();
   conjuncts_.clear();
   rels_.assign(n, Relation{});
@@ -119,6 +152,19 @@ Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order) {
   orders_.assign(1, Order{});
   interesting_.clear();
   auto alias = [&](int rel) -> const std::string& { return graph_->relations[rel].alias; };
+
+  // Every relation column gets an id up front, so pruning can mark any of
+  // them; its NDV is looked up when an edge, index key or order names it.
+  for (int r = 0; r < n; ++r) {
+    rels_[r].first_column = static_cast<int>(columns_.size());
+    for (const relopt::Column& c : graph_->relations[r].schema.columns()) {
+      columns_.push_back(Column{r, alias(r), c.name, -1});
+    }
+  }
+  for (const ColumnName& read : reads) {
+    const int id = ColumnId(read.table, read.name);
+    if (id >= 0) output_columns_.push_back(id);
+  }
 
   // Interesting orders: the required order plus single-column join-key
   // orders on both sides of every edge.
@@ -160,7 +206,7 @@ Status JoinEnumerator::ResolveGraph(const OrderSpec& required_order) {
   for (const ExprPtr& c : graph_->other_conjuncts) {
     Result<JoinSet> rels = graph_->RelationsOf(*c);
     const uint64_t bits = rels.ok() ? rels->bits() : 0;
-    conjuncts_.push_back(Conjunct{bits, estimator_->EstimatePredicate(*c)});
+    conjuncts_.push_back(Conjunct{bits, estimator_->EstimatePredicate(*c), ColumnsOf(*c)});
     JoinSet(bits).ForEach([&](int i) { adjacency_[i] |= bits & ~(uint64_t{1} << i); });
   }
 
@@ -975,7 +1021,8 @@ Result<int> JoinEnumerator::RunDpCcpLadder(bool* dp_table_final) {
   return RunSimpliSquared();
 }
 
-Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order) {
+Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order,
+                                           const std::vector<ColumnName>& reads) {
   if (graph_->relations.empty()) {
     return Status::InvalidArgument("join enumeration needs at least one relation");
   }
@@ -983,7 +1030,7 @@ Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order) {
   stats_.strategy_used = options_.algorithm;
   maximize_ = false;
   ResetSearchState();
-  RELOPT_RETURN_NOT_OK(ResolveGraph(required_order));
+  RELOPT_RETURN_NOT_OK(ResolveGraph(required_order, reads));
   const JoinSet full = JoinSet::AllUpTo(static_cast<int>(graph_->relations.size()));
 
   // DP strategies leave the full set's candidates in the table for PickFinal;
@@ -1038,7 +1085,8 @@ Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order) {
   TraceCandidate(chosen, "chosen", "", "final");
 
   JoinEnumResult result;
-  RELOPT_ASSIGN_OR_RETURN(result.plan, BuildPlan(final_id));
+  RELOPT_ASSIGN_OR_RETURN(Built built, BuildPlan(final_id));
+  result.plan = std::move(built.plan);
   result.rows = chosen.rows;
   result.cost = chosen.cost;
   result.order = ToOrderSpec(chosen.order);
@@ -1048,15 +1096,56 @@ Result<JoinEnumResult> JoinEnumerator::Run(const OrderSpec& required_order) {
 
 // --- plan construction -------------------------------------------------------------
 
-Result<PhysicalPtr> JoinEnumerator::BuildPlan(int cand_id) const {
-  const Candidate& cand = arena_[cand_id];
-  if (cand.is_scan) {
-    return BuildAccessPathPlan(*graph_, access_paths_[cand.rel][cand.path]);
+std::vector<bool> JoinEnumerator::ReadAbove(JoinSet set) const {
+  std::vector<bool> read(columns_.size());
+  auto mark = [&](int col) {
+    if (columns_[col].rel >= 0 && set.Contains(columns_[col].rel)) read[col] = true;
+  };
+  for (int col : output_columns_) mark(col);
+  for (const Edge& e : edges_) {
+    if (set.Contains(e.rel[0]) == set.Contains(e.rel[1])) continue;
+    mark(e.col[0]);
+    mark(e.col[1]);
   }
-  return BuildJoinPlan(cand);
+  for (const Conjunct& c : conjuncts_) {
+    if (c.rels == 0 || (c.rels & ~set.bits()) == 0) continue;
+    for (int col : c.columns) mark(col);
+  }
+  return read;
 }
 
-Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
+std::vector<uint32_t> JoinEnumerator::EmittedPositions(const std::vector<int>& left,
+                                                       const std::vector<int>& right,
+                                                       const std::vector<bool>& emit,
+                                                       std::vector<int>* ids) {
+  std::vector<uint32_t> positions;
+  ids->clear();
+  for (size_t p = 0; p < left.size() + right.size(); ++p) {
+    const int id = p < left.size() ? left[p] : right[p - left.size()];
+    if (!emit[id]) continue;
+    positions.push_back(static_cast<uint32_t>(p));
+    ids->push_back(id);
+  }
+  return positions;
+}
+
+Result<JoinEnumerator::Built> JoinEnumerator::BuildPlan(int cand_id) const {
+  const Candidate& cand = arena_[cand_id];
+  if (!cand.is_scan) return BuildJoinPlan(cand);
+  const std::vector<bool> read = ReadAbove(cand.set);
+  const int first = rels_[cand.rel].first_column;
+  std::vector<bool> keep(graph_->relations[cand.rel].schema.NumColumns());
+  for (size_t c = 0; c < keep.size(); ++c) keep[c] = read[first + c];
+  Built built;
+  RELOPT_ASSIGN_OR_RETURN(built.plan,
+                          BuildAccessPathPlan(*graph_, access_paths_[cand.rel][cand.path], &keep));
+  for (size_t c = 0; c < keep.size(); ++c) {
+    if (keep[c]) built.columns.push_back(first + static_cast<int>(c));
+  }
+  return built;
+}
+
+Result<JoinEnumerator::Built> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
   const Candidate& l = arena_[cand.left];
   const Candidate& r = arena_[cand.right];
   Split split;
@@ -1068,7 +1157,8 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
   // not observable.
   std::string feedback_key = FeedbackJoinSignature(l.set, r.set, split.edges, split.others);
 
-  RELOPT_ASSIGN_OR_RETURN(PhysicalPtr left_plan, BuildPlan(cand.left));
+  RELOPT_ASSIGN_OR_RETURN(Built left, BuildPlan(cand.left));
+  PhysicalPtr left_plan = std::move(left.plan);
 
   auto column_ref = [&](int col) {
     return MakeColumnRef(columns_[col].alias, columns_[col].name);
@@ -1082,6 +1172,10 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
     for (int o : split.others) out.push_back(graph_->other_conjuncts[o]->Clone());
     return out;
   };
+  // The join emits what is read above it and what its own predicate,
+  // evaluated on its output rows, reads.
+  std::vector<bool> emit = ReadAbove(cand.set);
+  Built built;
 
   // --- INLJ: no right child plan; the inner is (table, index). -----------
   if (cand.method == JoinMethod::kIndexNestedLoop) {
@@ -1108,41 +1202,64 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
     for (ExprPtr& o : others()) residual.push_back(std::move(o));
     for (const ExprPtr& c : inner.conjuncts) residual.push_back(c->Clone());
     ExprPtr residual_expr = CombineConjuncts(std::move(residual));
+    if (residual_expr) MarkReads(*residual_expr, &emit);
 
-    auto node = std::make_unique<PhysIndexNestedLoopJoin>(
-        std::move(left_plan), inner.table->name(), inner.alias, index->name, inner.schema,
-        std::move(key_exprs), std::move(residual_expr));
-    if (node->residual() != nullptr) {
-      RELOPT_RETURN_NOT_OK(
-          const_cast<Expression*>(node->residual())->ResolveColumns(node->schema()));
+    // Each fetched inner row is decoded into the inner columns the join
+    // emits and the key columns it re-checks, in table order.
+    std::vector<bool> decode(inner.schema.NumColumns());
+    const int first = rels_[cand.rel].first_column;
+    for (size_t c = 0; c < decode.size(); ++c) decode[c] = emit[first + c];
+    for (size_t k = 0; k < probe_edges.size(); ++k) decode[index->key_columns[k]] = true;
+    Schema inner_schema;
+    std::vector<int> inner_ids;
+    for (size_t c = 0; c < decode.size(); ++c) {
+      if (!decode[c]) continue;
+      inner_schema.AddColumn(inner.schema.ColumnAt(c));
+      inner_ids.push_back(first + static_cast<int>(c));
     }
+    std::vector<uint32_t> positions = EmittedPositions(left.columns, inner_ids, emit,
+                                                       &built.columns);
+    if (residual_expr) {
+      RELOPT_RETURN_NOT_OK(residual_expr->ResolveColumns(
+          Schema::Concat(left_plan->schema(), inner_schema, positions)));
+    }
+    auto node = std::make_unique<PhysIndexNestedLoopJoin>(
+        std::move(left_plan), inner.table->name(), inner.alias, index->name,
+        std::move(inner_schema), std::move(key_exprs), std::move(residual_expr),
+        std::move(positions));
     node->SetEstimates(cand.rows, cand.cost);
-    return PhysicalPtr(std::move(node));
+    built.plan = std::move(node);
+    return built;
   }
 
-  RELOPT_ASSIGN_OR_RETURN(PhysicalPtr right_plan, BuildPlan(cand.right));
+  RELOPT_ASSIGN_OR_RETURN(Built right, BuildPlan(cand.right));
+  PhysicalPtr right_plan = std::move(right.plan);
 
   if (cand.method == JoinMethod::kNestedLoop || cand.method == JoinMethod::kBlockNestedLoop) {
     std::vector<ExprPtr> preds;
     for (int e : split.edges) preds.push_back(edge_expr(e));
     for (ExprPtr& o : others()) preds.push_back(std::move(o));
     ExprPtr pred = CombineConjuncts(std::move(preds));
+    if (pred) MarkReads(*pred, &emit);
+    std::vector<uint32_t> positions = EmittedPositions(left.columns, right.columns, emit,
+                                                       &built.columns);
     if (pred) {
-      RELOPT_RETURN_NOT_OK(
-          pred->ResolveColumns(Schema::Concat(left_plan->schema(), right_plan->schema())));
+      RELOPT_RETURN_NOT_OK(pred->ResolveColumns(
+          Schema::Concat(left_plan->schema(), right_plan->schema(), positions)));
     }
     PhysicalPtr node;
     if (cand.method == JoinMethod::kNestedLoop) {
       node = std::make_unique<PhysNestedLoopJoin>(std::move(left_plan), std::move(right_plan),
-                                                  std::move(pred));
+                                                  std::move(pred), std::move(positions));
     } else {
       node = std::make_unique<PhysBlockNestedLoopJoin>(
           std::move(left_plan), std::move(right_plan), std::move(pred),
-          std::max<size_t>(1, cost_model_->OperatorMemoryPages() - 2));
+          std::max<size_t>(1, cost_model_->OperatorMemoryPages() - 2), std::move(positions));
     }
     node->SetEstimates(cand.rows, cand.cost);
     node->set_feedback_key(std::move(feedback_key));
-    return node;
+    built.plan = std::move(node);
+    return built;
   }
   if (cand.method != JoinMethod::kSortMerge && cand.method != JoinMethod::kHash) {
     return Status::Internal("unexpected join method in BuildJoinPlan");
@@ -1185,27 +1302,34 @@ Result<PhysicalPtr> JoinEnumerator::BuildJoinPlan(const Candidate& cand) const {
   RELOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_keys,
                           key_positions(*right_plan, split.right_keys));
   ExprPtr residual = CombineConjuncts(others());
+  if (residual) MarkReads(*residual, &emit);
+  // Both hash join orientations emit (left ++ right), as a merge join does.
+  std::vector<uint32_t> positions = EmittedPositions(left.columns, right.columns, emit,
+                                                     &built.columns);
   if (residual) {
-    RELOPT_RETURN_NOT_OK(
-        residual->ResolveColumns(Schema::Concat(left_plan->schema(), right_plan->schema())));
+    RELOPT_RETURN_NOT_OK(residual->ResolveColumns(
+        Schema::Concat(left_plan->schema(), right_plan->schema(), positions)));
   }
   PhysicalPtr node;
   if (cand.method == JoinMethod::kSortMerge) {
     node = std::make_unique<PhysSortMergeJoin>(std::move(left_plan), std::move(right_plan),
                                                std::move(left_keys), std::move(right_keys),
-                                               std::move(residual));
+                                               std::move(residual), std::move(positions));
   } else if (cand.build_left) {
     node = std::make_unique<PhysHashJoin>(std::move(left_plan), std::move(right_plan),
                                           std::move(left_keys), std::move(right_keys),
-                                          std::move(residual), /*output_probe_first=*/false);
+                                          std::move(residual), /*output_probe_first=*/false,
+                                          std::move(positions));
   } else {
     node = std::make_unique<PhysHashJoin>(std::move(right_plan), std::move(left_plan),
                                           std::move(right_keys), std::move(left_keys),
-                                          std::move(residual), /*output_probe_first=*/true);
+                                          std::move(residual), /*output_probe_first=*/true,
+                                          std::move(positions));
   }
   node->SetEstimates(cand.rows, cand.cost);
   node->set_feedback_key(std::move(feedback_key));
-  return node;
+  built.plan = std::move(node);
+  return built;
 }
 
 }  // namespace relopt

@@ -76,6 +76,13 @@ struct JoinEnumOptions {
   PlanTrace* trace = nullptr;
 };
 
+/// A column read above a join block, by qualifier (its relation's alias)
+/// and name.
+struct ColumnName {
+  std::string table;
+  std::string name;
+};
+
 struct JoinEnumResult {
   PhysicalPtr plan;
   double rows = 0;
@@ -114,7 +121,9 @@ class JoinEnumerator {
 
   /// `required_order` (possibly empty) is the ORDER BY the consumer wants;
   /// with interesting orders enabled the DP may deliver it sort-free.
-  Result<JoinEnumResult> Run(const OrderSpec& required_order);
+  /// `reads` are the block's columns its consumer reads: the plan carries
+  /// only those and the ones its own joins and filters read.
+  Result<JoinEnumResult> Run(const OrderSpec& required_order, const std::vector<ColumnName>& reads);
 
   const JoinEnumStats& stats() const { return stats_; }
 
@@ -151,26 +160,31 @@ class JoinEnumerator {
     bool operator==(const OrderKey& o) const { return col == o.col && desc == o.desc; }
   };
   using Order = std::vector<OrderKey>;
-  /// A (relation, column) named by an edge, an index key or an order.
+  /// A (relation, column). Every column of every relation has one, and a
+  /// relation's are consecutive in schema order (Relation::first_column);
+  /// an order column naming no relation of this block gets one too.
   struct Column {
     int rel;  ///< -1 for an order column naming no relation of this block
     std::string alias;
     std::string name;
-    double ndv;
+    double ndv;  ///< < 0 until InternColumn() names the column
   };
   struct Edge {
     int rel[2];
     int col[2];
     double sel;  ///< EstimateEquiJoin
   };
-  /// An other-conjunct: the relations it needs and its selectivity.
+  /// An other-conjunct: the relations it needs, its selectivity and the
+  /// columns it reads.
   struct Conjunct {
     uint64_t rels;  ///< 0 if its relations did not resolve (never applied)
     double sel;
+    std::vector<int> columns;
   };
   struct Relation {
     uint64_t edge_nbrs;             ///< relations it shares an equi-join edge with
     std::vector<Order> index_keys;  ///< per index: its key columns, ascending
+    int first_column = 0;           ///< the column id of its schema's first column
   };
 
   /// What every candidate pair of one split (left set, right set) shares.
@@ -201,8 +215,14 @@ class JoinEnumerator {
     return it == dp_.end() ? nullptr : &it->second;
   }
 
-  Status ResolveGraph(const OrderSpec& required_order);
+  Status ResolveGraph(const OrderSpec& required_order, const std::vector<ColumnName>& reads);
   int InternColumn(int rel, const std::string& alias, const std::string& name);
+  /// The id of the relation column `table.name`; -1 if no relation has it.
+  int ColumnId(const std::string& table, const std::string& name) const;
+  /// The ids of the relation columns `expr` reads.
+  std::vector<int> ColumnsOf(const Expression& expr) const;
+  /// Marks in `out` (indexed by column id) the columns `expr` reads.
+  void MarkReads(const Expression& expr, std::vector<bool>* out) const;
   int InternOrder(const Order& order);
   /// Longest interesting order that `order` satisfies; 0 when none (or
   /// interesting orders are off).
@@ -314,8 +334,25 @@ class JoinEnumerator {
   /// (`order_satisfied` false when a Sort must be added on top).
   Result<int> PickFinal(JoinSet set, bool* order_satisfied) const;
 
-  Result<PhysicalPtr> BuildPlan(int cand_id) const;  ///< for an arena candidate
-  Result<PhysicalPtr> BuildJoinPlan(const Candidate& cand) const;
+  /// A built subplan, with the column id of each column of its schema.
+  struct Built {
+    PhysicalPtr plan;
+    std::vector<int> columns;
+  };
+  /// The columns of `set`'s relations that are read above its subplan: by
+  /// the block's consumer, or by an edge or other-conjunct applied above it.
+  /// Indexed by column id.
+  std::vector<bool> ReadAbove(JoinSet set) const;
+  /// The positions in `left ++ right` whose columns `emit` marks, and the
+  /// ids of those columns.
+  static std::vector<uint32_t> EmittedPositions(const std::vector<int>& left,
+                                                const std::vector<int>& right,
+                                                const std::vector<bool>& emit,
+                                                std::vector<int>* ids);
+  /// Builds an arena candidate's subplan; it carries the columns read above
+  /// it and those its own joins and filters read, nothing more.
+  Result<Built> BuildPlan(int cand_id) const;
+  Result<Built> BuildJoinPlan(const Candidate& cand) const;
 
   const QueryGraph* graph_;
   const SelectivityEstimator* estimator_;
@@ -324,6 +361,7 @@ class JoinEnumerator {
   Rng rng_;
 
   std::vector<Column> columns_;
+  std::vector<int> output_columns_;  ///< the ids of the consumer's reads
   std::vector<Edge> edges_;
   std::vector<Conjunct> conjuncts_;
   std::vector<Relation> rels_;

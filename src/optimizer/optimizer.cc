@@ -9,6 +9,17 @@
 
 namespace relopt {
 
+namespace {
+
+/// Appends the columns `expr` reads to `reads`.
+void AddReads(const Expression& expr, std::vector<ColumnName>* reads) {
+  std::vector<const ColumnRefExpr*> refs;
+  expr.CollectColumnRefs(&refs);
+  for (const ColumnRefExpr* ref : refs) reads->push_back(ColumnName{ref->table(), ref->name()});
+}
+
+}  // namespace
+
 bool Optimizer::IsJoinBlock(const LogicalNode& node) {
   switch (node.kind()) {
     case LogicalNodeKind::kScan:
@@ -62,13 +73,20 @@ Result<PhysicalPtr> Optimizer::Optimize(LogicalPtr plan, OptimizeInfo* info) {
     return phys;
   }
 
-  RELOPT_ASSIGN_OR_RETURN(Translated t, Translate(std::move(plan), OrderSpec{}, info));
+  // The statement's result reads every column of the root.
+  std::vector<ColumnName> reads;
+  for (const Column& col : plan->schema().columns()) {
+    reads.push_back(ColumnName{col.table, col.name});
+  }
+  RELOPT_ASSIGN_OR_RETURN(Translated t,
+                          Translate(std::move(plan), OrderSpec{}, std::move(reads), info));
   record();
   return std::move(t.plan);
 }
 
 Result<Optimizer::Translated> Optimizer::TranslateJoinBlock(LogicalPtr node,
                                                             const OrderSpec& required_order,
+                                                            const std::vector<ColumnName>& reads,
                                                             OptimizeInfo* info) {
   RELOPT_ASSIGN_OR_RETURN(QueryGraph graph, BuildQueryGraph(std::move(node), catalog_));
   for (const BaseRelation& rel : graph.relations) {
@@ -78,7 +96,7 @@ Result<Optimizer::Translated> Optimizer::TranslateJoinBlock(LogicalPtr node,
   JoinEnumOptions join_options = options_.join;
   join_options.trace = info->trace;
   JoinEnumerator enumerator(&graph, &estimator, &cost_model_, join_options);
-  RELOPT_ASSIGN_OR_RETURN(JoinEnumResult result, enumerator.Run(required_order));
+  RELOPT_ASSIGN_OR_RETURN(JoinEnumResult result, enumerator.Run(required_order, reads));
   info->enum_stats = enumerator.stats();
   Translated t;
   t.plan = std::move(result.plan);
@@ -88,9 +106,10 @@ Result<Optimizer::Translated> Optimizer::TranslateJoinBlock(LogicalPtr node,
 
 Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
                                                    const OrderSpec& required_order,
+                                                   std::vector<ColumnName> reads,
                                                    OptimizeInfo* info) {
   if (IsJoinBlock(*node)) {
-    return TranslateJoinBlock(std::move(node), required_order, info);
+    return TranslateJoinBlock(std::move(node), required_order, reads, info);
   }
 
   switch (node->kind()) {
@@ -115,8 +134,8 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
     case LogicalNodeKind::kLimit: {
       auto* limit = static_cast<LogicalLimit*>(node.get());
       int64_t n = limit->limit();
-      RELOPT_ASSIGN_OR_RETURN(Translated child,
-                              Translate(node->TakeChild(0), required_order, info));
+      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), required_order,
+                                                          std::move(reads), info));
       double rows = std::min<double>(static_cast<double>(n), child.plan->est_rows());
       Cost cost = child.plan->est_cost();
       auto phys = std::make_unique<PhysLimit>(std::move(child.plan), n);
@@ -130,9 +149,11 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       auto* project = static_cast<LogicalProject*>(node.get());
       std::vector<ExprPtr> exprs = std::move(project->mutable_exprs());
       Schema out_schema = project->schema();
-      RELOPT_ASSIGN_OR_RETURN(Translated child,
-                              Translate(node->TakeChild(0), required_order, info));
-      // Join reordering may have permuted the child's column order.
+      std::vector<ColumnName> child_reads;
+      for (const ExprPtr& e : exprs) AddReads(*e, &child_reads);
+      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), required_order,
+                                                          std::move(child_reads), info));
+      // Join reordering may have permuted or pruned the child's columns.
       for (ExprPtr& e : exprs) {
         RELOPT_RETURN_NOT_OK(e->ResolveColumns(child.plan->schema()));
       }
@@ -150,8 +171,9 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       // A filter above a non-join-block child (e.g. HAVING over Aggregate).
       auto* filter = static_cast<LogicalFilter*>(node.get());
       ExprPtr pred = filter->TakePredicate();
-      RELOPT_ASSIGN_OR_RETURN(Translated child,
-                              Translate(node->TakeChild(0), required_order, info));
+      AddReads(*pred, &reads);
+      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), required_order,
+                                                          std::move(reads), info));
       RELOPT_RETURN_NOT_OK(pred->ResolveColumns(child.plan->schema()));
       SelectivityEstimator estimator(&aliases_, options_.stats_mode, options_.feedback);
       double sel = estimator.EstimatePredicate(*pred);
@@ -172,8 +194,14 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
         aggs.push_back(PhysAggregate::Agg{spec.func, std::move(spec.arg)});
       }
       Schema out_schema = agg->schema();
+      std::vector<ColumnName> child_reads;
+      for (const ExprPtr& g : group_by) AddReads(*g, &child_reads);
+      for (const PhysAggregate::Agg& a : aggs) {
+        if (a.arg) AddReads(*a.arg, &child_reads);
+      }
       // Aggregation consumes its input unordered (hash aggregate).
-      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), OrderSpec{}, info));
+      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), OrderSpec{},
+                                                          std::move(child_reads), info));
       for (ExprPtr& g : group_by) {
         RELOPT_RETURN_NOT_OK(g->ResolveColumns(child.plan->schema()));
       }
@@ -214,7 +242,9 @@ Result<Optimizer::Translated> Optimizer::Translate(LogicalPtr node,
       }
       if (!expressible) want.clear();
 
-      RELOPT_ASSIGN_OR_RETURN(Translated child, Translate(node->TakeChild(0), want, info));
+      for (const SortKey& k : keys) AddReads(*k.expr, &reads);
+      RELOPT_ASSIGN_OR_RETURN(Translated child,
+                              Translate(node->TakeChild(0), want, std::move(reads), info));
       if (!want.empty() && OrderSatisfies(child.order, want)) {
         // Interesting order delivered: no Sort node needed.
         return child;
@@ -259,13 +289,15 @@ Result<PhysicalPtr> Optimizer::TranslateNaive(LogicalPtr node) {
       double rows = left->est_rows() * right->est_rows();
       Cost cost = left->est_cost() + cost_model_.NestedLoop(left->est_rows(), right->est_cost(),
                                                             right->est_rows());
+      // Every column of both sides: the naive plan prunes nothing.
+      std::vector<uint32_t> columns =
+          AllColumns(left->schema().NumColumns() + right->schema().NumColumns());
       if (pred) {
-        Schema concat = Schema::Concat(left->schema(), right->schema());
-        RELOPT_RETURN_NOT_OK(pred->ResolveColumns(concat));
+        RELOPT_RETURN_NOT_OK(pred->ResolveColumns(Schema::Concat(left->schema(), right->schema())));
         rows *= 1.0 / 3.0;
       }
       auto phys = std::make_unique<PhysNestedLoopJoin>(std::move(left), std::move(right),
-                                                       std::move(pred));
+                                                       std::move(pred), std::move(columns));
       phys->SetEstimates(rows, cost);
       return PhysicalPtr(std::move(phys));
     }

@@ -64,9 +64,12 @@ class Optimizer {
   /// True if `node` roots a join block (Scan / Join / Filter-over-those).
   static bool IsJoinBlock(const LogicalNode& node);
 
+  /// `reads` are the columns of `node`'s output its consumers read: the
+  /// plan carries only those and what its own operators read.
   Result<Translated> Translate(LogicalPtr node, const OrderSpec& required_order,
-                               OptimizeInfo* info);
+                               std::vector<ColumnName> reads, OptimizeInfo* info);
   Result<Translated> TranslateJoinBlock(LogicalPtr node, const OrderSpec& required_order,
+                                        const std::vector<ColumnName>& reads,
                                         OptimizeInfo* info);
   Result<PhysicalPtr> TranslateNaive(LogicalPtr node);
 

@@ -185,21 +185,27 @@ class PhysProject : public PhysicalNode {
 };
 
 /// Tuple-at-a-time nested loop join; restarts the inner child per outer row.
+/// Like every join it emits the `columns` of `outer ++ inner`
+/// (Schema::Concat); its predicate is bound to that output.
 class PhysNestedLoopJoin : public PhysicalNode {
  public:
-  PhysNestedLoopJoin(PhysicalPtr outer, PhysicalPtr inner, ExprPtr predicate)
+  PhysNestedLoopJoin(PhysicalPtr outer, PhysicalPtr inner, ExprPtr predicate,
+                     std::vector<uint32_t> columns)
       : PhysicalNode(PhysicalNodeKind::kNestedLoopJoin,
-                     Schema::Concat(outer->schema(), inner->schema())),
-        predicate_(std::move(predicate)) {
+                     Schema::Concat(outer->schema(), inner->schema(), columns)),
+        predicate_(std::move(predicate)),
+        columns_(std::move(columns)) {
     AddChild(std::move(outer));
     AddChild(std::move(inner));
   }
 
   const Expression* predicate() const { return predicate_.get(); }
+  const std::vector<uint32_t>& columns() const { return columns_; }
   std::string Describe() const override;
 
  private:
   ExprPtr predicate_;
+  std::vector<uint32_t> columns_;
 };
 
 /// Block nested loop: buffers a block of outer rows sized to the buffer pool,
@@ -207,38 +213,45 @@ class PhysNestedLoopJoin : public PhysicalNode {
 class PhysBlockNestedLoopJoin : public PhysicalNode {
  public:
   PhysBlockNestedLoopJoin(PhysicalPtr outer, PhysicalPtr inner, ExprPtr predicate,
-                          size_t block_pages)
+                          size_t block_pages, std::vector<uint32_t> columns)
       : PhysicalNode(PhysicalNodeKind::kBlockNestedLoopJoin,
-                     Schema::Concat(outer->schema(), inner->schema())),
+                     Schema::Concat(outer->schema(), inner->schema(), columns)),
         predicate_(std::move(predicate)),
-        block_pages_(block_pages) {
+        block_pages_(block_pages),
+        columns_(std::move(columns)) {
     AddChild(std::move(outer));
     AddChild(std::move(inner));
   }
 
   const Expression* predicate() const { return predicate_.get(); }
   size_t block_pages() const { return block_pages_; }
+  const std::vector<uint32_t>& columns() const { return columns_; }
   std::string Describe() const override;
 
  private:
   ExprPtr predicate_;
   size_t block_pages_;
+  std::vector<uint32_t> columns_;
 };
 
 /// Index nested loop: probes an index on the inner base table per outer row.
+/// `inner_schema` holds the inner columns it reads from each fetched row, in
+/// table order: those it emits and the index key columns it re-checks.
 class PhysIndexNestedLoopJoin : public PhysicalNode {
  public:
   PhysIndexNestedLoopJoin(PhysicalPtr outer, std::string inner_table, std::string inner_alias,
                           std::string index_name, Schema inner_schema,
-                          std::vector<ExprPtr> outer_key_exprs, ExprPtr residual)
+                          std::vector<ExprPtr> outer_key_exprs, ExprPtr residual,
+                          std::vector<uint32_t> columns)
       : PhysicalNode(PhysicalNodeKind::kIndexNestedLoopJoin,
-                     Schema::Concat(outer->schema(), inner_schema)),
+                     Schema::Concat(outer->schema(), inner_schema, columns)),
         inner_table_(std::move(inner_table)),
         inner_alias_(std::move(inner_alias)),
         index_name_(std::move(index_name)),
         inner_schema_(std::move(inner_schema)),
         outer_key_exprs_(std::move(outer_key_exprs)),
-        residual_(std::move(residual)) {
+        residual_(std::move(residual)),
+        columns_(std::move(columns)) {
     AddChild(std::move(outer));
   }
 
@@ -248,6 +261,8 @@ class PhysIndexNestedLoopJoin : public PhysicalNode {
   const Schema& inner_schema() const { return inner_schema_; }
   const std::vector<ExprPtr>& outer_key_exprs() const { return outer_key_exprs_; }
   const Expression* residual() const { return residual_.get(); }
+  /// Emitted positions of `outer ++ inner_schema`.
+  const std::vector<uint32_t>& columns() const { return columns_; }
 
   std::string Describe() const override;
 
@@ -257,19 +272,22 @@ class PhysIndexNestedLoopJoin : public PhysicalNode {
   std::string index_name_;
   Schema inner_schema_;
   std::vector<ExprPtr> outer_key_exprs_;  // bound against the outer schema
-  ExprPtr residual_;                      // bound against the concat schema
+  ExprPtr residual_;                      // bound against the output schema
+  std::vector<uint32_t> columns_;
 };
 
 /// Merge join over sorted inputs (the optimizer inserts Sorts as needed).
 class PhysSortMergeJoin : public PhysicalNode {
  public:
   PhysSortMergeJoin(PhysicalPtr left, PhysicalPtr right, std::vector<size_t> left_keys,
-                    std::vector<size_t> right_keys, ExprPtr residual)
+                    std::vector<size_t> right_keys, ExprPtr residual,
+                    std::vector<uint32_t> columns)
       : PhysicalNode(PhysicalNodeKind::kSortMergeJoin,
-                     Schema::Concat(left->schema(), right->schema())),
+                     Schema::Concat(left->schema(), right->schema(), columns)),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {
+        residual_(std::move(residual)),
+        columns_(std::move(columns)) {
     AddChild(std::move(left));
     AddChild(std::move(right));
   }
@@ -277,26 +295,31 @@ class PhysSortMergeJoin : public PhysicalNode {
   const std::vector<size_t>& left_keys() const { return left_keys_; }
   const std::vector<size_t>& right_keys() const { return right_keys_; }
   const Expression* residual() const { return residual_.get(); }
+  const std::vector<uint32_t>& columns() const { return columns_; }
   std::string Describe() const override;
 
  private:
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   ExprPtr residual_;
+  std::vector<uint32_t> columns_;
 };
 
 /// Hash join; the left child is the build side.
 class PhysHashJoin : public PhysicalNode {
  public:
   PhysHashJoin(PhysicalPtr build, PhysicalPtr probe, std::vector<size_t> build_keys,
-               std::vector<size_t> probe_keys, ExprPtr residual, bool output_probe_first)
+               std::vector<size_t> probe_keys, ExprPtr residual, bool output_probe_first,
+               std::vector<uint32_t> columns)
       : PhysicalNode(PhysicalNodeKind::kHashJoin,
-                     output_probe_first ? Schema::Concat(probe->schema(), build->schema())
-                                        : Schema::Concat(build->schema(), probe->schema())),
+                     output_probe_first
+                         ? Schema::Concat(probe->schema(), build->schema(), columns)
+                         : Schema::Concat(build->schema(), probe->schema(), columns)),
         build_keys_(std::move(build_keys)),
         probe_keys_(std::move(probe_keys)),
         residual_(std::move(residual)),
-        output_probe_first_(output_probe_first) {
+        output_probe_first_(output_probe_first),
+        columns_(std::move(columns)) {
     AddChild(std::move(build));
     AddChild(std::move(probe));
   }
@@ -304,9 +327,12 @@ class PhysHashJoin : public PhysicalNode {
   const std::vector<size_t>& build_keys() const { return build_keys_; }
   const std::vector<size_t>& probe_keys() const { return probe_keys_; }
   const Expression* residual() const { return residual_.get(); }
-  /// If true, output rows are (probe ++ build) so the schema matches the
-  /// logical left-right order even when the optimizer swapped build sides.
+  /// If true, output rows are built from (probe ++ build) so the schema
+  /// matches the logical left-right order even when the optimizer swapped
+  /// build sides.
   bool output_probe_first() const { return output_probe_first_; }
+  /// Emitted positions of (probe ++ build) or (build ++ probe), as above.
+  const std::vector<uint32_t>& columns() const { return columns_; }
   std::string Describe() const override;
 
  private:
@@ -314,6 +340,7 @@ class PhysHashJoin : public PhysicalNode {
   std::vector<size_t> probe_keys_;
   ExprPtr residual_;
   bool output_probe_first_;
+  std::vector<uint32_t> columns_;
 };
 
 /// External merge sort on key expressions.

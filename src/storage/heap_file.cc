@@ -128,24 +128,26 @@ Result<bool> HeapFile::PageCursor::Next(Rid* rid, std::string_view* record) {
 namespace {
 
 /// Appends `record` to `out` as NextBatch() and ReadBatch() decode it.
-Status AppendRecord(std::string_view record, Rid rid, size_t num_cols, TupleBatch* out,
-                    bool with_rid) {
+Status AppendRecord(std::string_view record, Rid rid, size_t num_fields,
+                    std::span<const uint32_t> columns, TupleBatch* out, bool with_rid) {
   Tuple* row = out->AppendRow();
-  RELOPT_RETURN_NOT_OK(row->FillFrom(record, num_cols));
+  RELOPT_RETURN_NOT_OK(row->FillFrom(record, num_fields, columns));
   if (with_rid) row->Append(Value::Int(rid.Pack()));
   return Status::OK();
 }
 
 }  // namespace
 
-Result<bool> HeapFile::PageCursor::NextBatch(size_t num_cols, TupleBatch* out, bool with_rid) {
+Result<bool> HeapFile::PageCursor::NextBatch(size_t num_fields,
+                                             std::span<const uint32_t> columns, TupleBatch* out,
+                                             bool with_rid) {
   auto fill = [&]() -> Result<bool> {
     Rid rid;
     std::string_view record;
     while (!out->Full()) {
       RELOPT_ASSIGN_OR_RETURN(bool has, Next(&rid, &record));
       if (!has) return false;
-      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_cols, out, with_rid));
+      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_fields, columns, out, with_rid));
     }
     return true;
   };
@@ -166,12 +168,13 @@ Result<std::string_view> HeapFile::PageCursor::Read(Rid rid) {
   return SlottedPage(data_).Get(rid.slot);
 }
 
-Status HeapFile::PageCursor::ReadBatch(std::span<const Rid> rids, size_t num_cols,
-                                       TupleBatch* out, bool with_rid) {
+Status HeapFile::PageCursor::ReadBatch(std::span<const Rid> rids, size_t num_fields,
+                                       std::span<const uint32_t> columns, TupleBatch* out,
+                                       bool with_rid) {
   auto fill = [&]() -> Status {
     for (Rid rid : rids) {
       RELOPT_ASSIGN_OR_RETURN(std::string_view record, Read(rid));
-      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_cols, out, with_rid));
+      RELOPT_RETURN_NOT_OK(AppendRecord(record, rid, num_fields, columns, out, with_rid));
     }
     return Status::OK();
   };

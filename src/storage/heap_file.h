@@ -96,11 +96,13 @@ class HeapFile {
     /// Next live record of the walk, moving page to page; false once the
     /// walk is over, when no page stays pinned.
     Result<bool> Next(Rid* rid, std::string_view* record);
-    /// Appends the walk's next records to `out`, each decoded into
-    /// `num_cols` values and, `with_rid`, one more: its packed RID
-    /// (Rid::Pack), until `out` is full. Unlatches before it returns. False
-    /// once the walk is over.
-    Result<bool> NextBatch(size_t num_cols, TupleBatch* out, bool with_rid = false);
+    /// Appends the walk's next records to `out` until it is full. Each
+    /// record holds `num_fields` values; its row holds the fields at
+    /// `columns` (ascending ordinals; Tuple::FillFrom) and, `with_rid`, one
+    /// more value: its packed RID (Rid::Pack). Unlatches before it returns.
+    /// False once the walk is over.
+    Result<bool> NextBatch(size_t num_fields, std::span<const uint32_t> columns,
+                           TupleBatch* out, bool with_rid = false);
     /// The live record at `rid`, read from the open page if `rid` is on it
     /// and from a fetch of its page otherwise. Ends any walk. The view stays
     /// valid as Next()'s do.
@@ -108,8 +110,8 @@ class HeapFile {
     /// Appends the records at `rids` to `out`, decoded as NextBatch() does;
     /// `out` must have room for them. Fetches each page once per run of
     /// RIDs on it, and holds no pin or latch once it returns.
-    Status ReadBatch(std::span<const Rid> rids, size_t num_cols, TupleBatch* out,
-                     bool with_rid = false);
+    Status ReadBatch(std::span<const Rid> rids, size_t num_fields,
+                     std::span<const uint32_t> columns, TupleBatch* out, bool with_rid = false);
     /// Releases the open page and ends the walk; idempotent.
     Status Close();
 

@@ -29,6 +29,17 @@ Schema Schema::Concat(const Schema& left, const Schema& right) {
   return Schema(std::move(cols));
 }
 
+Schema Schema::Concat(const Schema& left, const Schema& right,
+                      std::span<const uint32_t> columns) {
+  std::vector<Column> cols;
+  cols.reserve(columns.size());
+  for (uint32_t c : columns) {
+    const size_t width = left.NumColumns();
+    cols.push_back(c < width ? left.ColumnAt(c) : right.ColumnAt(c - width));
+  }
+  return Schema(std::move(cols));
+}
+
 Schema Schema::WithQualifier(const std::string& alias) const {
   std::vector<Column> cols = columns_;
   for (Column& c : cols) c.table = alias;

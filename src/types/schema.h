@@ -1,7 +1,9 @@
 // Schema: ordered, named, typed columns of a relation.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,12 @@ class Schema {
   /// Convenience for unqualified lookup.
   Result<size_t> IndexOf(const std::string& name) const { return IndexOf("", name); }
 
-  /// Concatenation (left ++ right), used by joins.
+  /// Concatenation (left ++ right).
   static Schema Concat(const Schema& left, const Schema& right);
+  /// The columns at `columns` (ascending positions) of `left ++ right`: the
+  /// schema of a join whose rows hold only those of its inputs' columns.
+  static Schema Concat(const Schema& left, const Schema& right,
+                       std::span<const uint32_t> columns);
 
   /// Re-qualifies every column with a new table alias (for FROM t AS a).
   Schema WithQualifier(const std::string& alias) const;

@@ -2,12 +2,30 @@
 
 namespace relopt {
 
-void Tuple::Concat(std::span<const Value> left, std::span<const Value> right) {
-  values_.clear();
-  values_.reserve(left.size() + right.size());
-  values_.insert(values_.end(), left.begin(), left.end());
-  values_.insert(values_.end(), right.begin(), right.end());
+namespace {
+
+/// The one record decoder: decodes the `num_fields` values of `data` in
+/// order, appending those `keep(field)` selects to `values` and skipping the
+/// others (tag and bounds still checked).
+template <typename Keep>
+Status DecodeRecord(std::string_view data, size_t num_fields, Keep keep,
+                    std::vector<Value>* values) {
+  size_t offset = 0;
+  for (size_t i = 0; i < num_fields; ++i) {
+    if (keep(i)) {
+      RELOPT_ASSIGN_OR_RETURN(Value v, Value::DeserializeFrom(data, &offset));
+      values->push_back(std::move(v));
+    } else {
+      RELOPT_RETURN_NOT_OK(Value::SkipFrom(data, &offset));
+    }
+  }
+  if (offset != data.size()) {
+    return Status::Internal("trailing bytes after tuple deserialize");
+  }
+  return Status::OK();
 }
+
+}  // namespace
 
 std::string Tuple::Serialize() const {
   std::string out;
@@ -30,15 +48,30 @@ Result<Tuple> Tuple::Deserialize(std::string_view data, size_t num_values) {
 Status Tuple::FillFrom(std::string_view data, size_t num_values) {
   values_.clear();
   if (values_.capacity() < num_values) values_.reserve(num_values);
-  size_t offset = 0;
-  for (size_t i = 0; i < num_values; ++i) {
-    RELOPT_ASSIGN_OR_RETURN(Value v, Value::DeserializeFrom(data, &offset));
-    values_.push_back(std::move(v));
-  }
-  if (offset != data.size()) {
-    return Status::Internal("trailing bytes after tuple deserialize");
-  }
+  return DecodeRecord(data, num_values, [](size_t) { return true; }, &values_);
+}
+
+Status Tuple::FillFrom(std::string_view data, size_t num_fields,
+                       std::span<const uint32_t> columns) {
+  values_.clear();
+  if (values_.capacity() < columns.size()) values_.reserve(columns.size());
+  size_t next = 0;
+  RELOPT_RETURN_NOT_OK(DecodeRecord(
+      data, num_fields,
+      [&](size_t field) {
+        if (next == columns.size() || columns[next] != field) return false;
+        ++next;
+        return true;
+      },
+      &values_));
+  if (next != columns.size()) return Status::Internal("column list beyond the record's fields");
   return Status::OK();
+}
+
+std::vector<uint32_t> AllColumns(size_t n) {
+  std::vector<uint32_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(i);
+  return out;
 }
 
 std::string Tuple::ToString() const {

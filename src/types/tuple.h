@@ -24,16 +24,13 @@ class Tuple {
   const std::vector<Value>& values() const { return values_; }
 
   void Append(const Value& v) { values_.push_back(v); }
+  /// Makes room for `n` values without reallocating on Append.
+  void Reserve(size_t n) { values_.reserve(n); }
   void Append(Value&& v) { values_.push_back(std::move(v)); }
 
   /// Drops all values but keeps the vector's capacity, so a recycled Tuple
   /// refills without reallocating (the batch-execution hot path).
   void Clear() { values_.clear(); }
-
-  /// Replaces the values with `left ++ right` in one sized copy, reusing the
-  /// vector's capacity (the joins' output rows). Neither side may view this
-  /// tuple's own values.
-  void Concat(std::span<const Value> left, std::span<const Value> right);
 
   /// Serializes all values (self-describing tags; schema not required).
   std::string Serialize() const;
@@ -47,6 +44,11 @@ class Tuple {
   /// value storage. Equivalent to `*this = *Deserialize(data, n)` without
   /// the vector reconstruction.
   Status FillFrom(std::string_view data, size_t num_values);
+  /// FillFrom() of a record of `num_fields` values that keeps only the
+  /// fields at `columns` (ascending ordinals), in that order. A skipped
+  /// field still has its tag and bounds checked, and the record must end
+  /// with its last field, as in a full decode.
+  Status FillFrom(std::string_view data, size_t num_fields, std::span<const uint32_t> columns);
 
   /// "(1, 'x', NULL)".
   std::string ToString() const;
@@ -56,6 +58,9 @@ class Tuple {
  private:
   std::vector<Value> values_;
 };
+
+/// The ordinals 0..n-1: the column list of a full-width read.
+std::vector<uint32_t> AllColumns(size_t n);
 
 /// Lexicographic three-way comparison of two tuples over the given column
 /// indices and sort directions (true = descending).

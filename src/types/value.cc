@@ -212,4 +212,35 @@ Result<Value> Value::DeserializeFrom(std::string_view data, size_t* offset) {
   }
 }
 
+Status Value::SkipFrom(std::string_view data, size_t* offset) {
+  if (*offset >= data.size()) return Status::OutOfRange("value deserialize past end");
+  const uint8_t tag = static_cast<uint8_t>(data[(*offset)++]);
+  size_t payload;
+  switch (tag) {
+    case kTagNull:
+    case kTagBool:
+      payload = 1;
+      break;
+    case kTagInt:
+    case kTagDouble:
+      payload = 8;
+      break;
+    case kTagString: {
+      uint32_t len;
+      if (*offset + sizeof(len) > data.size()) {
+        return Status::OutOfRange("value deserialize past end");
+      }
+      std::memcpy(&len, data.data() + *offset, sizeof(len));
+      *offset += sizeof(len);
+      payload = len;
+      break;
+    }
+    default:
+      return Status::Internal("bad value tag " + std::to_string(tag));
+  }
+  if (*offset + payload > data.size()) return Status::OutOfRange("value deserialize past end");
+  *offset += payload;
+  return Status::OK();
+}
+
 }  // namespace relopt

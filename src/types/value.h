@@ -73,6 +73,9 @@ class Value {
 
   /// Deserializes one value from `data` at `*offset`, advancing it.
   static Result<Value> DeserializeFrom(std::string_view data, size_t* offset);
+  /// Moves `*offset` past one serialized value, checking its tag and bounds
+  /// as DeserializeFrom does, without building it.
+  static Status SkipFrom(std::string_view data, size_t* offset);
 
   bool operator==(const Value& other) const { return Equals(other); }
 

@@ -72,7 +72,10 @@ TEST_F(CatalogTest, GetTupleRoundTrip) {
   Rid rid = *catalog_.InsertTuple(t, tuple);
   HeapFile::PageCursor cursor(t->heap());
   TupleBatch back;
-  ASSERT_TRUE(cursor.ReadBatch({&rid, 1}, t->schema().NumColumns(), &back).ok());
+  ASSERT_TRUE(cursor
+                  .ReadBatch({&rid, 1}, t->schema().NumColumns(),
+                             AllColumns(t->schema().NumColumns()), &back)
+                  .ok());
   ASSERT_EQ(back.NumRows(), 1u);
   EXPECT_EQ(back.RowAt(0), tuple);
 }
@@ -89,7 +92,9 @@ TEST_F(CatalogTest, CreateIndexBuildsFromExistingRows) {
   EXPECT_EQ(rids.size(), 2u);  // ages cycle mod 50 over 100 rows
   HeapFile::PageCursor cursor(t->heap());
   TupleBatch rows;
-  ASSERT_TRUE(cursor.ReadBatch(rids, t->schema().NumColumns(), &rows).ok());
+  ASSERT_TRUE(
+      cursor.ReadBatch(rids, t->schema().NumColumns(), AllColumns(t->schema().NumColumns()), &rows)
+          .ok());
   ASSERT_EQ(rows.NumRows(), rids.size());
   for (size_t r = 0; r < rows.NumRows(); ++r) {
     EXPECT_EQ(rows.RowAt(r).At(2).AsInt(), 25);

@@ -180,6 +180,11 @@ const char* const kAggregateQueries[] = {
     // and than the group table starts with, so growth and multi-batch emit run.
     "SELECT e.id, e2.id % 7, count(*), sum(e2.salary), max(e2.name) FROM emp e, emp e2 "
     "WHERE e.dept_id = e2.dept_id GROUP BY e.id, e2.id % 7",
+    // A self join that reads every emp column, TEXT included, on both
+    // sides: whichever side builds spills, and its partitions outgrow a
+    // 10-page pool (the join-method matrix's Grace case).
+    "SELECT e.dept_id, count(*), max(e.name), max(e2.name), sum(e.salary + e2.salary), "
+    "max(e.id - e2.id) FROM emp e, emp e2 WHERE e.dept_id = e2.dept_id GROUP BY e.dept_id",
     // String group keys with string MIN/MAX extremes.
     "SELECT dname, min(name), max(name), count(name) FROM emp, dept "
     "WHERE emp.dept_id = dept.id GROUP BY dname",

@@ -77,7 +77,7 @@ std::vector<Tuple> HeapRows(Database* db) {
   bool more = true;
   while (more) {
     batch.Clear();
-    Result<bool> next = cursor.NextBatch(3, &batch, /*with_rid=*/true);
+    Result<bool> next = cursor.NextBatch(3, AllColumns(3), &batch, /*with_rid=*/true);
     EXPECT_TRUE(next.ok()) << next.status().ToString();
     if (!next.ok()) break;
     more = *next;

@@ -83,7 +83,8 @@ TEST_F(ExecutorTest, HashJoinRestartsOnReInit) {
   auto probe = std::make_unique<SeqScanExecutor>(&ctx_, table_->schema(), table_);
   const Executor* build_scan = build.get();
   const Executor* probe_scan = probe.get();
-  HashJoinExecutor join(&ctx_, std::move(build), std::move(probe), {1}, {1}, nullptr, false);
+  HashJoinExecutor join(&ctx_, std::move(build), std::move(probe), {1}, {1}, nullptr, false,
+                        AllColumns(4));
   ExpectRestartRepeats(&join, {build_scan, probe_scan});
   EXPECT_EQ(Drain(&join).size(), 1000u);  // 10 keys x 10 x 10
 }
@@ -107,7 +108,8 @@ TEST_F(ExecutorTest, GraceHashJoinRestartsOnReInit) {
   auto probe = std::make_unique<SeqScanExecutor>(&ctx, big->schema(), big);
   const Executor* build_scan = build.get();
   const Executor* probe_scan = probe.get();
-  HashJoinExecutor join(&ctx, std::move(build), std::move(probe), {0}, {0}, nullptr, false);
+  HashJoinExecutor join(&ctx, std::move(build), std::move(probe), {0}, {0}, nullptr, false,
+                        AllColumns(2 * big->schema().NumColumns()));
   ExpectRestartRepeats(&join, {&join, build_scan, probe_scan});
   EXPECT_GT(join.stats().page_writes, 0u);  // both drains spilled
 }

@@ -83,23 +83,27 @@ class JoinExecTest : public ::testing::Test {
 
 TEST_F(JoinExecTest, NestedLoopJoin) {
   ExprPtr pred = JoinPred();
-  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
+  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks,
+                                   AllColumns(4));
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   EXPECT_EQ(rows[0].NumValues(), 4u);
 }
 
 TEST_F(JoinExecTest, NestedLoopCrossProduct) {
-  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), nullptr, kOneRowBlocks);
+  BlockNestedLoopJoinExecutor join(&ctx_, ScanR(), ScanS(), nullptr, kOneRowBlocks,
+                                   AllColumns(4));
   EXPECT_EQ(Drain(&join).size(), 30u * 10u);
 }
 
 TEST_F(JoinExecTest, BlockNestedLoopJoinMatchesNlj) {
   ExprPtr pred = JoinPred();
-  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
+  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks,
+                                  AllColumns(4));
   std::vector<Tuple> expected = Drain(&nlj);
 
-  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), /*block_pages=*/1);
+  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), /*block_pages=*/1,
+                                   AllColumns(4));
   std::vector<Tuple> got = Drain(&bnlj);
   EXPECT_EQ(Canon(got), Canon(expected));
 }
@@ -107,13 +111,13 @@ TEST_F(JoinExecTest, BlockNestedLoopJoinMatchesNlj) {
 TEST_F(JoinExecTest, BlockNestedLoopTinyBlockStillCorrect) {
   ExprPtr pred = JoinPred();
   // Force many blocks by using a tiny block size relative to 30 rows.
-  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), 1);
+  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), 1, AllColumns(4));
   EXPECT_EQ(Drain(&bnlj).size(), kExpectedMatches);
 }
 
 TEST_F(JoinExecTest, HashJoinInMemory) {
   HashJoinExecutor join(&ctx_, ScanR(), ScanS(), {1}, {0}, nullptr,
-                        /*output_probe_first=*/false);
+                        /*output_probe_first=*/false, AllColumns(4));
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   // Output = (build=r, probe=s): 4 columns in r,s order.
@@ -123,7 +127,7 @@ TEST_F(JoinExecTest, HashJoinInMemory) {
 TEST_F(JoinExecTest, HashJoinSwappedSidesKeepsSchemaOrder) {
   // Build on s, probe with r, but emit (r, s).
   HashJoinExecutor join(&ctx_, ScanS(), ScanR(), {0}, {1}, nullptr,
-                        /*output_probe_first=*/true);
+                        /*output_probe_first=*/true, AllColumns(4));
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   // First column should be r.id (an int below 30), third s.k.
@@ -134,7 +138,7 @@ TEST_F(JoinExecTest, HashJoinSwappedSidesKeepsSchemaOrder) {
 }
 
 TEST_F(JoinExecTest, HashJoinNullKeysNeverMatch) {
-  HashJoinExecutor join(&ctx_, ScanS(), ScanS(), {0}, {0}, nullptr, false);
+  HashJoinExecutor join(&ctx_, ScanS(), ScanS(), {0}, {0}, nullptr, false, AllColumns(4));
   // s has 8 non-null keyed rows in 4 groups of 2 -> 4*4=16 pairs; the NULL
   // row and key 99 row match... 99 matches itself (1 pair). NULL matches
   // nothing.
@@ -160,7 +164,8 @@ TEST_F(JoinExecTest, GraceHashJoinSpillsAndMatches) {
   }
   auto scan1 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
   auto scan2 = std::make_unique<SeqScanExecutor>(&ctx, big_table->schema(), big_table);
-  HashJoinExecutor join(&ctx, std::move(scan1), std::move(scan2), {0}, {0}, nullptr, false);
+  HashJoinExecutor join(&ctx, std::move(scan1), std::move(scan2), {0}, {0}, nullptr, false,
+                        AllColumns(4));
   // 50 keys x 10 rows each side -> 50 * 10 * 10.
   EXPECT_EQ(Drain(&join).size(), 5000u);
   // The spill really happened: scratch partition writes occurred.
@@ -182,7 +187,8 @@ TEST_F(JoinExecTest, SortMergeJoinOnSortedInputs) {
   one_col_r.AddColumn(Column("k", TypeId::kInt64, "rr"));
   auto left = std::make_unique<ValuesExecutor>(&ctx_, one_col, &left_rows);
   auto right = std::make_unique<ValuesExecutor>(&ctx_, one_col_r, &right_rows);
-  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr);
+  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr,
+                             AllColumns(2));
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), 10u);  // every left row matches exactly one right
   for (const Tuple& t : rows) EXPECT_EQ(t.At(0).AsInt(), t.At(1).AsInt());
@@ -199,7 +205,8 @@ TEST_F(JoinExecTest, SortMergeJoinDuplicateGroupsCrossProduct) {
   r.AddColumn(Column("k", TypeId::kInt64, "rr"));
   auto left = std::make_unique<ValuesExecutor>(&ctx_, l, &left_rows);
   auto right = std::make_unique<ValuesExecutor>(&ctx_, r, &right_rows);
-  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr);
+  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr,
+                             AllColumns(2));
   EXPECT_EQ(Drain(&join).size(), 6u);  // 2 left x 3 right for key 1
 }
 
@@ -212,14 +219,16 @@ TEST_F(JoinExecTest, SortMergeJoinSkipsNullKeys) {
   r.AddColumn(Column("k", TypeId::kInt64, "rr"));
   auto left = std::make_unique<ValuesExecutor>(&ctx_, l, &left_rows);
   auto right = std::make_unique<ValuesExecutor>(&ctx_, r, &right_rows);
-  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr);
+  SortMergeJoinExecutor join(&ctx_, std::move(left), std::move(right), {0}, {0}, nullptr,
+                             AllColumns(2));
   EXPECT_EQ(Drain(&join).size(), 1u);
 }
 
 TEST_F(JoinExecTest, IndexNestedLoopJoin) {
   IndexInfo* index = *catalog_.CreateIndex("idx_s_k", "s", {"k"}, false);
   // Probe with r.k (column 1).
-  IndexNestedLoopJoinExecutor join(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr);
+  IndexNestedLoopJoinExecutor join(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr,
+                                   AllColumns(4));
   std::vector<Tuple> rows = Drain(&join);
   EXPECT_EQ(rows.size(), kExpectedMatches);
   for (const Tuple& t : rows) {
@@ -229,17 +238,19 @@ TEST_F(JoinExecTest, IndexNestedLoopJoin) {
 
 TEST_F(JoinExecTest, AllMethodsAgree) {
   ExprPtr pred = JoinPred();
-  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks);
+  BlockNestedLoopJoinExecutor nlj(&ctx_, ScanR(), ScanS(), pred.get(), kOneRowBlocks,
+                                  AllColumns(4));
   std::vector<std::string> expected = Canon(Drain(&nlj));
 
-  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), 2);
+  BlockNestedLoopJoinExecutor bnlj(&ctx_, ScanR(), ScanS(), pred.get(), 2, AllColumns(4));
   EXPECT_EQ(Canon(Drain(&bnlj)), expected);
 
-  HashJoinExecutor hash(&ctx_, ScanR(), ScanS(), {1}, {0}, nullptr, false);
+  HashJoinExecutor hash(&ctx_, ScanR(), ScanS(), {1}, {0}, nullptr, false, AllColumns(4));
   EXPECT_EQ(Canon(Drain(&hash)), expected);
 
   IndexInfo* index = *catalog_.CreateIndex("idx_s_k2", "s", {"k"}, false);
-  IndexNestedLoopJoinExecutor inlj(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr);
+  IndexNestedLoopJoinExecutor inlj(&ctx_, ScanR(), s_, index, s_->schema(), {1}, nullptr,
+                                   AllColumns(4));
   EXPECT_EQ(Canon(Drain(&inlj)), expected);
 }
 
@@ -249,12 +260,14 @@ TEST_F(JoinExecTest, EmptyInputs) {
   std::vector<Tuple> no_rows;
   {
     auto left = std::make_unique<ValuesExecutor>(&ctx_, empty_schema, &no_rows);
-    BlockNestedLoopJoinExecutor join(&ctx_, std::move(left), ScanS(), nullptr, kOneRowBlocks);
+    BlockNestedLoopJoinExecutor join(&ctx_, std::move(left), ScanS(), nullptr, kOneRowBlocks,
+                                     AllColumns(3));
     EXPECT_TRUE(Drain(&join).empty());
   }
   {
     auto right = std::make_unique<ValuesExecutor>(&ctx_, empty_schema, &no_rows);
-    HashJoinExecutor join(&ctx_, std::move(right), ScanR(), {0}, {1}, nullptr, true);
+    HashJoinExecutor join(&ctx_, std::move(right), ScanR(), {0}, {1}, nullptr, true,
+                          AllColumns(3));
     EXPECT_TRUE(Drain(&join).empty());
   }
 }

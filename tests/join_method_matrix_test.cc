@@ -28,7 +28,7 @@ namespace {
 constexpr size_t kGracePoolPages = 10;
 
 /// The differential corpus plus the aggregate subset, whose emp self join
-/// builds on all of emp.
+/// reading every emp column builds on all of emp.
 std::vector<std::string> MatrixQueries() {
   std::vector<std::string> out(std::begin(tu::kDifferentialQueries),
                                std::end(tu::kDifferentialQueries));

@@ -136,7 +136,7 @@ TEST(PlanCostGoldenTest, DISABLED_WriteTable) {
   std::fprintf(f, "// Generated by PlanCostGoldenTest.DISABLED_WriteTable: {key, cost, "
                   "joins_costed}.\n");
   for (const Planned& p : planned) {
-    std::fprintf(f, "{\"%s\", %.17g, %llu},\n", p.key.c_str(), p.cost, p.joins_costed);
+    std::fprintf(f, "{\"%s\", %.12g, %llu},\n", p.key.c_str(), p.cost, p.joins_costed);
   }
   std::fclose(f);
 }

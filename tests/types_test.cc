@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/executor.h"
 #include "types/schema.h"
 #include "types/tuple.h"
 #include "types/type.h"
@@ -212,14 +213,50 @@ TEST(TupleTest, DeserializeWrongCountFails) {
 }
 
 TEST(TupleTest, Concat) {
+  // A join's row builder choosing every column concatenates its inputs.
   Tuple a({Value::Int(1)});
   Tuple b({Value::String("x"), Value::Bool(true)});
   Tuple c({Value::Int(7), Value::Int(8), Value::Int(9), Value::Int(10)});
-  c.Concat(a.values(), b.values());
+  JoinRowBuilder(AllColumns(3), 1).Build(a.values(), b.values(), &c);
   EXPECT_EQ(c.NumValues(), 3u);
   EXPECT_EQ(c.At(0).AsInt(), 1);
   EXPECT_EQ(c.At(1).AsString(), "x");
   EXPECT_EQ(c.At(2).AsBool(), true);
+}
+
+TEST(TupleTest, JoinRowBuilderKeepsChosenColumns) {
+  Tuple a({Value::Int(1), Value::Int(2)});
+  Tuple b({Value::String("x"), Value::Bool(true)});
+  Tuple c({Value::Int(7)});
+  const std::vector<uint32_t> columns = {1, 3};  // a's second, b's second
+  JoinRowBuilder(columns, 2).Build(a.values(), b.values(), &c);
+  ASSERT_EQ(c.NumValues(), 2u);
+  EXPECT_EQ(c.At(0).AsInt(), 2);
+  EXPECT_EQ(c.At(1).AsBool(), true);
+  // No chosen column: a zero-width row.
+  JoinRowBuilder({}, 2).Build(a.values(), b.values(), &c);
+  EXPECT_EQ(c.NumValues(), 0u);
+}
+
+TEST(TupleTest, FillFromKeepsChosenFieldsAndChecksTheRest) {
+  Tuple t({Value::Int(1), Value::String("skipped"), Value::Null(TypeId::kDouble), Value::Int(4)});
+  const std::string bytes = t.Serialize();
+  Tuple back;
+  const std::vector<uint32_t> columns = {0, 3};
+  ASSERT_TRUE(back.FillFrom(bytes, 4, columns).ok());
+  ASSERT_EQ(back.NumValues(), 2u);
+  EXPECT_EQ(back.At(0).AsInt(), 1);
+  EXPECT_EQ(back.At(1).AsInt(), 4);
+  ASSERT_TRUE(back.FillFrom(bytes, 4, {}).ok());  // zero-width
+  EXPECT_EQ(back.NumValues(), 0u);
+  // A skipped field is still checked: a truncated string, a bad tag and
+  // trailing bytes all fail as a full decode does.
+  EXPECT_FALSE(back.FillFrom(bytes.substr(0, 12), 4, columns).ok());
+  std::string bad = bytes;
+  bad[9] = 9;  // the skipped string's tag
+  EXPECT_FALSE(back.FillFrom(bad, 4, columns).ok());
+  EXPECT_FALSE(back.FillFrom(bytes + "x", 4, columns).ok());
+  EXPECT_FALSE(back.FillFrom(bytes, 4, std::vector<uint32_t>{4}).ok());  // beyond the record
 }
 
 TEST(TupleTest, CompareTuplesMultiKeyWithDirections) {
